@@ -1,7 +1,19 @@
 //! Node identifiers and the node-name map.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
+
+/// `name` with ASCII letters lowercased — the case-insensitive lookup key
+/// of nodes and parameters. Borrowed (no allocation) when `name` has no
+/// uppercase ASCII letter.
+pub(crate) fn lowercase_key(name: &str) -> Cow<'_, str> {
+    if name.bytes().any(|b| b.is_ascii_uppercase()) {
+        Cow::Owned(name.to_ascii_lowercase())
+    } else {
+        Cow::Borrowed(name)
+    }
+}
 
 /// Identifier of a circuit node. Node `0` is ground.
 ///
@@ -64,19 +76,19 @@ impl NodeMap {
     /// Returns the id for `name`, creating a fresh node when unseen.
     /// Lookup is case-insensitive ("VDD" and "vdd" are the same node).
     pub fn intern(&mut self, name: &str) -> NodeId {
-        let key = name.to_ascii_lowercase();
-        if let Some(&id) = self.by_name.get(&key) {
+        let key = lowercase_key(name);
+        if let Some(&id) = self.by_name.get(key.as_ref()) {
             return id;
         }
         let id = NodeId(self.names.len());
         self.names.push(name.to_string());
-        self.by_name.insert(key, id);
+        self.by_name.insert(key.into_owned(), id);
         id
     }
 
     /// Looks up an existing node by name without creating it.
     pub fn get(&self, name: &str) -> Option<NodeId> {
-        self.by_name.get(&name.to_ascii_lowercase()).copied()
+        self.by_name.get(lowercase_key(name).as_ref()).copied()
     }
 
     /// The display name of a node.

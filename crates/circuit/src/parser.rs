@@ -69,6 +69,7 @@ use nanosim_devices::nanowire::{Nanowire, NanowireParams};
 use nanosim_devices::rtd::{Rtd, RtdParams};
 use nanosim_devices::rtt::Rtt;
 use nanosim_devices::sources::{PulseParams, SinParams, SourceWaveform};
+use std::borrow::Cow;
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
@@ -123,11 +124,12 @@ struct ModelCard {
     line: usize,
 }
 
-/// One source token with its physical location (continuation lines keep
-/// their own line numbers, so errors land on the exact `+` line).
-#[derive(Debug, Clone)]
-struct Tok {
-    text: String,
+/// One source token, borrowed from the deck text, with its physical
+/// location (continuation lines keep their own line numbers, so errors land
+/// on the exact `+` line).
+#[derive(Debug, Clone, Copy)]
+struct Tok<'a> {
+    text: &'a str,
     line: usize,
     /// 1-based column of the token's first character.
     col: usize,
@@ -136,19 +138,43 @@ struct Tok {
     eq: bool,
 }
 
-impl Tok {
-    fn upper(&self) -> String {
-        self.text.to_ascii_uppercase()
+impl Tok<'_> {
+    /// Case-insensitive keyword match.
+    fn is(&self, keyword: &str) -> bool {
+        self.text.eq_ignore_ascii_case(keyword)
+    }
+
+    /// Case-insensitive prefix match.
+    fn starts_with(&self, prefix: &str) -> bool {
+        self.text
+            .as_bytes()
+            .get(..prefix.len())
+            .is_some_and(|head| head.eq_ignore_ascii_case(prefix.as_bytes()))
+    }
+
+    /// The first character, uppercased (ASCII only).
+    fn letter(&self) -> Option<char> {
+        self.text.chars().next().map(|c| c.to_ascii_uppercase())
     }
 }
 
-/// A logical netlist line: tokens (continuations folded in) plus the raw
-/// first-line text for title handling.
+/// The dot directives, in their canonical uppercase spelling.
+const DIRECTIVES: [&str; 9] = [
+    ".MODEL", ".SUBCKT", ".ENDS", ".END", ".TITLE", ".PARAM", ".OP", ".TRAN", ".DC",
+];
+
+/// The canonical spelling of a directive token, if it names one.
+fn directive(tok: &Tok) -> Option<&'static str> {
+    DIRECTIVES.into_iter().find(|d| tok.is(d))
+}
+
+/// A logical netlist line: its range in the deck's token list
+/// (continuations folded in) plus the raw text for title handling.
 #[derive(Debug, Clone)]
-struct Line {
+struct Line<'a> {
     line_no: usize,
-    toks: Vec<Tok>,
-    raw: String,
+    toks: std::ops::Range<usize>,
+    raw: Cow<'a, str>,
 }
 
 /// Parses SPICE-like netlist text into a flattened circuit.
@@ -208,14 +234,14 @@ pub fn parse_netlist(text: &str) -> Result<ParsedDeck> {
 /// # Ok::<(), nanosim_circuit::CircuitError>(())
 /// ```
 pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Result<ParsedDeck> {
-    let lines = preprocess(text);
+    let (all_toks, lines) = preprocess(text);
 
     // Pass 1: collect .model cards (they may be referenced before defined;
     // models are global, even when written inside a .subckt block).
     let mut models: HashMap<String, ModelCard> = HashMap::new();
     for line in &lines {
-        let toks = &line.toks;
-        if toks.is_empty() || !toks[0].text.eq_ignore_ascii_case(".model") {
+        let toks = &all_toks[line.toks.clone()];
+        if toks.is_empty() || !toks[0].is(".model") {
             continue;
         }
         if toks.len() < 3 {
@@ -238,7 +264,7 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
         }
         for pair in rest.chunks(2) {
             let key = pair[0].text.to_ascii_lowercase();
-            let value = parse_value(&pair[1].text).ok_or_else(|| bad_value(&pair[1]))?;
+            let value = parse_value(pair[1].text).ok_or_else(|| bad_value(&pair[1]))?;
             params.insert(key, value);
         }
         models.insert(
@@ -265,15 +291,15 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
     let mut open_line = (0usize, 0usize);
     let mut open_names: HashSet<String> = HashSet::new();
     for (idx, line) in lines.iter().enumerate() {
-        let toks = &line.toks;
+        let toks = &all_toks[line.toks.clone()];
         if toks.is_empty() {
             continue;
         }
-        let head = toks[0].upper();
+        let head = directive(&toks[0]);
         if let Some(def) = open_def.as_mut() {
             consumed[idx] = true;
-            match head.as_str() {
-                ".ENDS" => {
+            match head {
+                Some(".ENDS") => {
                     if let Some(tok) = toks.get(1) {
                         if !tok.text.eq_ignore_ascii_case(def.name()) {
                             return Err(parse_err(
@@ -300,8 +326,8 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
                         other => other,
                     })?;
                 }
-                ".MODEL" => {} // collected in pass 1; models are global
-                _ if head.starts_with('.') => {
+                Some(".MODEL") => {} // collected in pass 1; models are global
+                _ if toks[0].text.starts_with('.') => {
                     return Err(parse_err(
                         toks[0].line,
                         toks[0].col,
@@ -309,18 +335,22 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
                     ));
                 }
                 _ => {
-                    let be = parse_body_element(toks, &models)?;
-                    if !open_names.insert(be.name.clone()) {
+                    let el = parse_element(toks, &models)?;
+                    if !open_names.insert(el.name.to_string()) {
                         return Err(CircuitError::DuplicateElementAt {
-                            name: be.name,
+                            name: el.name.to_string(),
                             line: toks[0].line,
                             column: toks[0].col,
                         });
                     }
-                    def.push_body(be);
+                    def.push_body(BodyElement {
+                        name: el.name.to_string(),
+                        nodes: el.nodes.iter().map(|t| t.text.to_string()).collect(),
+                        kind: el.kind,
+                    });
                 }
             }
-        } else if head == ".SUBCKT" {
+        } else if head == Some(".SUBCKT") {
             consumed[idx] = true;
             if toks.len() < 2 {
                 return Err(parse_err(
@@ -338,8 +368,8 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
                     "`.subckt` needs a name before any name=value parameters",
                 ));
             }
-            let ports: Vec<&str> = toks[2..first_eq].iter().map(|t| t.text.as_str()).collect();
-            let mut def = SubcktDef::new(toks[1].text.clone(), ports);
+            let ports: Vec<&str> = toks[2..first_eq].iter().map(|t| t.text).collect();
+            let mut def = SubcktDef::new(toks[1].text, ports);
             let rest = &toks[first_eq..];
             if rest.len() % 2 != 0 {
                 return Err(parse_err(
@@ -356,13 +386,13 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
                         "`.subckt` parameters must be name=value pairs",
                     ));
                 }
-                let v = parse_value(&pair[1].text).ok_or_else(|| bad_value(&pair[1]))?;
-                def.param(pair[0].text.clone(), v);
+                let v = parse_value(pair[1].text).ok_or_else(|| bad_value(&pair[1]))?;
+                def.param(pair[0].text, v);
             }
             open_def = Some(def);
             open_line = (toks[0].line, toks[0].col);
             open_names.clear();
-        } else if head == ".END" {
+        } else if head == Some(".END") {
             break;
         }
     }
@@ -379,7 +409,7 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
     let mut spans = SourceMap::new();
     let mut first_content_line = true;
     for (idx, line) in lines.iter().enumerate() {
-        let toks = &line.toks;
+        let toks = &all_toks[line.toks.clone()];
         if toks.is_empty() {
             continue;
         }
@@ -387,7 +417,7 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
             first_content_line = false;
             continue;
         }
-        let head = toks[0].upper();
+        let is_directive = toks[0].text.starts_with('.');
 
         // SPICE-style title line: the first line that is neither a directive
         // nor an element becomes the title. E/G/F/H/X joined the element
@@ -396,13 +426,13 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
         // still falls back to the title — decks that titled themselves this
         // way keep parsing. The pre-existing R/C/L/V/I/D/M/Y letters keep
         // their strict behavior: a malformed first element line is an error.
-        if first_content_line && !head.starts_with('.') {
+        if first_content_line && !is_directive {
             first_content_line = false;
-            if !is_element_head(&head) {
+            if !is_element_head(&toks[0]) {
                 builder.set_title(line.raw.trim());
                 continue;
             }
-            let new_letter = matches!(head.chars().next(), Some('E' | 'G' | 'F' | 'H' | 'X'));
+            let new_letter = matches!(toks[0].letter(), Some('E' | 'G' | 'F' | 'H' | 'X'));
             if new_letter {
                 // Only lines that *cannot* be the new element kinds fall
                 // back to the title: too few fields for E/G/F/H, or an X
@@ -410,35 +440,32 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
                 // element-like arity that fails on a bad token (e.g.
                 // `X1 a cell r=bogus` with `cell` defined) is a user error
                 // and must be reported, not silently titled away.
-                let plausible = match head.chars().next() {
+                let plausible = match toks[0].letter() {
                     Some('E' | 'G') => toks.len() >= 6,
                     Some('F' | 'H') => toks.len() >= 5,
                     _ => {
                         // X line: plausible iff its subckt-name position
                         // names a defined subcircuit.
                         let first_eq = toks.iter().position(|t| t.eq).unwrap_or(toks.len());
-                        first_eq >= 2 && builder.subckts().get(&toks[first_eq - 1].text).is_some()
+                        first_eq >= 2 && builder.subckts().get(toks[first_eq - 1].text).is_some()
                     }
                 };
                 if !plausible {
                     builder.set_title(line.raw.trim());
                     continue;
                 }
-                let be = parse_body_element(toks, &models)?;
-                emit_top_level(&mut builder, be, &toks[0], &mut spans)?;
-                continue;
             }
-            let be = parse_body_element(toks, &models)?;
-            emit_top_level(&mut builder, be, &toks[0], &mut spans)?;
+            let el = parse_element(toks, &models)?;
+            emit_top_level(&mut builder, el, &toks[0], &mut spans)?;
             continue;
         }
         first_content_line = false;
 
-        if head.starts_with('.') {
-            match head.as_str() {
-                ".MODEL" => {} // handled in pass 1
-                ".END" => break,
-                ".TITLE" => {
+        if is_directive {
+            match directive(&toks[0]) {
+                Some(".MODEL") => {} // handled in pass 1
+                Some(".END") => break,
+                Some(".TITLE") => {
                     let title = line
                         .raw
                         .trim_start()
@@ -447,14 +474,14 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
                         .unwrap_or_default();
                     builder.set_title(title);
                 }
-                ".ENDS" => {
+                Some(".ENDS") => {
                     return Err(parse_err(
                         toks[0].line,
                         toks[0].col,
                         "`.ends` without an open `.subckt`",
                     ));
                 }
-                ".PARAM" => {
+                Some(".PARAM") => {
                     let rest = &toks[1..];
                     if rest.is_empty() || rest.len() % 2 != 0 {
                         return Err(parse_err(
@@ -477,12 +504,12 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
                         // A caller-supplied override wins over the deck's
                         // own assignment (the expression is still checked).
                         if !overridden.contains(&pair[0].text.to_ascii_lowercase()) {
-                            builder.set_param(pair[0].text.clone(), v);
+                            builder.set_param(pair[0].text, v);
                         }
                     }
                 }
-                ".OP" => analyses.push(AnalysisDirective::Op),
-                ".TRAN" => {
+                Some(".OP") => analyses.push(AnalysisDirective::Op),
+                Some(".TRAN") => {
                     if toks.len() < 3 {
                         return Err(parse_err(
                             toks[0].line,
@@ -490,8 +517,8 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
                             "`.tran` needs tstep and tstop",
                         ));
                     }
-                    let tstep = parse_value(&toks[1].text).ok_or_else(|| bad_value(&toks[1]))?;
-                    let tstop = parse_value(&toks[2].text).ok_or_else(|| bad_value(&toks[2]))?;
+                    let tstep = parse_value(toks[1].text).ok_or_else(|| bad_value(&toks[1]))?;
+                    let tstop = parse_value(toks[2].text).ok_or_else(|| bad_value(&toks[2]))?;
                     if !(tstep > 0.0 && tstop > tstep) {
                         return Err(parse_err(
                             toks[0].line,
@@ -501,7 +528,7 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
                     }
                     analyses.push(AnalysisDirective::Tran { tstep, tstop });
                 }
-                ".DC" => {
+                Some(".DC") => {
                     if toks.len() < 5 {
                         return Err(parse_err(
                             toks[0].line,
@@ -509,9 +536,9 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
                             "`.dc` needs source, start, stop, step",
                         ));
                     }
-                    let start = parse_value(&toks[2].text).ok_or_else(|| bad_value(&toks[2]))?;
-                    let stop = parse_value(&toks[3].text).ok_or_else(|| bad_value(&toks[3]))?;
-                    let step = parse_value(&toks[4].text).ok_or_else(|| bad_value(&toks[4]))?;
+                    let start = parse_value(toks[2].text).ok_or_else(|| bad_value(&toks[2]))?;
+                    let stop = parse_value(toks[3].text).ok_or_else(|| bad_value(&toks[3]))?;
+                    let step = parse_value(toks[4].text).ok_or_else(|| bad_value(&toks[4]))?;
                     if step == 0.0 {
                         return Err(parse_err(
                             toks[4].line,
@@ -520,25 +547,25 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
                         ));
                     }
                     analyses.push(AnalysisDirective::Dc {
-                        source: toks[1].text.clone(),
+                        source: toks[1].text.to_string(),
                         start,
                         stop,
                         step,
                     });
                 }
-                other => {
+                _ => {
                     return Err(parse_err(
                         toks[0].line,
                         toks[0].col,
-                        &format!("unknown directive `{other}`"),
+                        &format!("unknown directive `{}`", toks[0].text.to_ascii_uppercase()),
                     ));
                 }
             }
             continue;
         }
 
-        let be = parse_body_element(toks, &models)?;
-        emit_top_level(&mut builder, be, &toks[0], &mut spans)?;
+        let el = parse_element(toks, &models)?;
+        emit_top_level(&mut builder, el, &toks[0], &mut spans)?;
     }
 
     let (circuit, subckts, params) = builder.into_parts();
@@ -551,15 +578,18 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
     })
 }
 
-fn is_element_head(head: &str) -> bool {
+fn is_element_head(head: &Tok) -> bool {
     matches!(
-        head.chars().next(),
+        head.letter(),
         Some('R' | 'C' | 'L' | 'V' | 'I' | 'D' | 'M' | 'Y' | 'X' | 'E' | 'G' | 'F' | 'H')
     )
 }
 
 /// Strips comments, folds `+` continuations, tokenizes with locations.
-fn preprocess(text: &str) -> Vec<Line> {
+/// Returns the deck's tokens and its logical lines, each line a range of
+/// that token list.
+fn preprocess(text: &str) -> (Vec<Tok<'_>>, Vec<Line<'_>>) {
+    let mut toks: Vec<Tok> = Vec::new();
     let mut out: Vec<Line> = Vec::new();
     for (i, raw) in text.lines().enumerate() {
         let line_no = i + 1;
@@ -581,82 +611,93 @@ fn preprocess(text: &str) -> Vec<Line> {
         }
         if let Some(plus) = content.trim_start().strip_prefix('+') {
             if let Some(last) = out.last_mut() {
+                // The last line's tokens end the list, so its range grows.
                 let offset = content.len() - plus.len();
-                last.toks.extend(tokenize(plus, line_no, offset + 1));
-                last.raw.push(' ');
-                last.raw.push_str(plus.trim());
+                tokenize(&mut toks, plus, line_no, offset + 1);
+                last.toks.end = toks.len();
+                let raw = last.raw.to_mut();
+                raw.push(' ');
+                raw.push_str(plus.trim());
                 continue;
             }
         }
         let leading = content.len() - content.trim_start().len();
-        let toks = tokenize(content.trim_start(), line_no, leading + 1);
+        let first = toks.len();
+        tokenize(&mut toks, content.trim_start(), line_no, leading + 1);
         out.push(Line {
             line_no,
-            toks,
-            raw: content.trim().to_string(),
+            toks: first..toks.len(),
+            raw: Cow::Borrowed(content.trim()),
         });
     }
-    out
+    (toks, out)
 }
 
-/// Splits text into located tokens. `(`, `)` and `,` separate tokens; `=`
-/// separates too and flags the preceding token as a `name=` key.
-fn tokenize(text: &str, line: usize, col0: usize) -> Vec<Tok> {
-    let mut toks: Vec<Tok> = Vec::new();
-    let mut cur = String::new();
-    let mut cur_col = 0usize;
-    let flush = |toks: &mut Vec<Tok>, cur: &mut String, cur_col: usize| {
-        if !cur.is_empty() {
+/// Splits text into located tokens, appended to `toks`. `(`, `)` and `,`
+/// separate tokens; `=` separates too and flags the preceding token as a
+/// `name=` key.
+fn tokenize<'a>(toks: &mut Vec<Tok<'a>>, text: &'a str, line: usize, col0: usize) {
+    let first = toks.len();
+    let mut start: Option<usize> = None;
+    let flush = |toks: &mut Vec<Tok<'a>>, start: &mut Option<usize>, end: usize| {
+        if let Some(s) = start.take() {
             toks.push(Tok {
-                text: std::mem::take(cur),
+                text: &text[s..end],
                 line,
-                col: col0 + cur_col,
+                col: col0 + s,
                 eq: false,
             });
         }
     };
     for (i, ch) in text.char_indices() {
         match ch {
-            c if c.is_whitespace() => flush(&mut toks, &mut cur, cur_col),
-            '(' | ')' | ',' => flush(&mut toks, &mut cur, cur_col),
+            c if c.is_whitespace() => flush(toks, &mut start, i),
+            '(' | ')' | ',' => flush(toks, &mut start, i),
             '=' => {
-                flush(&mut toks, &mut cur, cur_col);
-                if let Some(last) = toks.last_mut() {
-                    last.eq = true;
+                flush(toks, &mut start, i);
+                // Only this call's tokens: a continuation line's leading
+                // `=` marks nothing on the previous line.
+                if toks.len() > first {
+                    if let Some(last) = toks.last_mut() {
+                        last.eq = true;
+                    }
                 }
             }
             _ => {
-                if cur.is_empty() {
-                    cur_col = i;
-                }
-                cur.push(ch);
+                start.get_or_insert(i);
             }
         }
     }
-    flush(&mut toks, &mut cur, cur_col);
-    toks
+    flush(toks, &mut start, text.len());
 }
 
-/// Parses a SPICE value with magnitude suffix and optional trailing units.
+/// Parses a SPICE value with magnitude suffix and optional trailing units
+/// (case-insensitive).
 fn parse_value(token: &str) -> Option<f64> {
-    let t = token.trim().to_ascii_lowercase();
+    let t = token.trim();
     if t.is_empty() {
         return None;
     }
     // Split numeric prefix from alphabetic suffix.
     let mut split = t.len();
     for (i, ch) in t.char_indices() {
-        if ch.is_ascii_alphabetic() && !(i > 0 && (ch == 'e') && has_digit_after(&t, i)) {
+        if ch.is_ascii_alphabetic()
+            && !(i > 0 && ch.eq_ignore_ascii_case(&'e') && has_digit_after(t, i))
+        {
             split = i;
             break;
         }
     }
     let (num, suffix) = t.split_at(split);
     let base: f64 = num.parse().ok()?;
-    let mult = if suffix.starts_with("meg") {
+    let is_meg = suffix
+        .as_bytes()
+        .get(..3)
+        .is_some_and(|s| s.eq_ignore_ascii_case(b"meg"));
+    let mult = if is_meg {
         1e6
     } else {
-        match suffix.chars().next() {
+        match suffix.chars().next().map(|c| c.to_ascii_lowercase()) {
             None => 1.0,
             Some('t') => 1e12,
             Some('g') => 1e9,
@@ -735,12 +776,23 @@ fn parse_nonzero_pvalue(tok: &Tok, what: &str) -> Result<ParamValue> {
     Ok(pv)
 }
 
-/// Parses one element line (top level or subcircuit body) into a template.
-fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Result<BodyElement> {
+/// One parsed element line, borrowing its name and node tokens from the
+/// deck: top-level lines are emitted from it directly, subcircuit body
+/// lines are copied into an owned [`BodyElement`] template.
+struct ElementLine<'t, 'a> {
+    name: &'a str,
+    nodes: &'t [Tok<'a>],
+    kind: BodyKind,
+}
+
+/// Parses one element line (top level or subcircuit body).
+fn parse_element<'t, 'a>(
+    toks: &'t [Tok<'a>],
+    models: &HashMap<String, ModelCard>,
+) -> Result<ElementLine<'t, 'a>> {
     let head = &toks[0];
-    let name = head.text.clone();
-    let upper = head.upper();
-    let kind_char = upper.chars().next().expect("nonempty token");
+    let name = head.text;
+    let kind_char = head.letter().expect("nonempty token");
     let need = |n: usize| -> Result<()> {
         if toks.len() < n {
             Err(parse_err(
@@ -752,12 +804,11 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
             Ok(())
         }
     };
-    let node = |i: usize| toks[i].text.clone();
-    let (nodes, kind) = match kind_char {
+    let (n_nodes, kind) = match kind_char {
         'R' => {
             need(4)?;
             (
-                vec![node(1), node(2)],
+                2,
                 BodyKind::Resistor {
                     ohms: parse_nonzero_pvalue(&toks[3], "resistance")?,
                 },
@@ -770,7 +821,7 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
                 ic = Some(parse_pvalue(&toks[5])?);
             }
             (
-                vec![node(1), node(2)],
+                2,
                 BodyKind::Capacitor {
                     farads: parse_nonzero_pvalue(&toks[3], "capacitance")?,
                     ic,
@@ -780,7 +831,7 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
         'L' => {
             need(4)?;
             (
-                vec![node(1), node(2)],
+                2,
                 BodyKind::Inductor {
                     henries: parse_nonzero_pvalue(&toks[3], "inductance")?,
                 },
@@ -794,12 +845,12 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
             } else {
                 BodyKind::CurrentSource { waveform: wf }
             };
-            (vec![node(1), node(2)], kind)
+            (2, kind)
         }
         'E' => {
             need(6)?;
             (
-                vec![node(1), node(2), node(3), node(4)],
+                4,
                 BodyKind::Vcvs {
                     gain: parse_pvalue(&toks[5])?,
                 },
@@ -808,7 +859,7 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
         'G' => {
             need(6)?;
             (
-                vec![node(1), node(2), node(3), node(4)],
+                4,
                 BodyKind::Vccs {
                     gm: parse_pvalue(&toks[5])?,
                 },
@@ -817,20 +868,20 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
         'F' => {
             need(5)?;
             (
-                vec![node(1), node(2)],
+                2,
                 BodyKind::Cccs {
                     gain: parse_pvalue(&toks[4])?,
-                    control: toks[3].text.clone(),
+                    control: toks[3].text.to_string(),
                 },
             )
         }
         'H' => {
             need(5)?;
             (
-                vec![node(1), node(2)],
+                2,
                 BodyKind::Ccvs {
                     r: parse_pvalue(&toks[4])?,
-                    control: toks[3].text.clone(),
+                    control: toks[3].text.to_string(),
                 },
             )
         }
@@ -841,7 +892,7 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
                 None => Diode::silicon(),
             };
             (
-                vec![node(1), node(2)],
+                2,
                 BodyKind::Nonlinear {
                     device: Arc::new(diode),
                 },
@@ -851,10 +902,7 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
             need(5)?;
             let model = lookup(models, &toks[4])?;
             let fet = mosfet_from_model(model, toks[4].line)?;
-            (
-                vec![node(1), node(2), node(3)],
-                BodyKind::Mosfet { model: fet },
-            )
+            (3, BodyKind::Mosfet { model: fet })
         }
         'Y' => {
             // YRTD / YNW / YCNT / YRTT prefix selects the device family.
@@ -863,17 +911,17 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
                 Some(m) => Some(lookup(models, m)?),
                 None => None,
             };
-            let device: crate::element::SharedDevice = if upper.starts_with("YRTD") {
+            let device: crate::element::SharedDevice = if head.starts_with("YRTD") {
                 match model {
                     Some(card) => Arc::new(rtd_from_model(card, head.line)?),
                     None => Arc::new(Rtd::date2005()),
                 }
-            } else if upper.starts_with("YNW") || upper.starts_with("YCNT") {
+            } else if head.starts_with("YNW") || head.starts_with("YCNT") {
                 match model {
                     Some(card) => Arc::new(nanowire_from_model(card, head.line)?),
                     None => Arc::new(Nanowire::metallic_cnt()),
                 }
-            } else if upper.starts_with("YRTT") {
+            } else if head.starts_with("YRTT") {
                 let mut rtt = Rtt::three_peak();
                 if let Some(card) = model {
                     if let Some(&vbe) = card.params.get("vbe") {
@@ -888,7 +936,7 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
                     &format!("unknown nano-device `{name}` (expected YRTD/YNW/YRTT prefix)"),
                 ));
             };
-            (vec![node(1), node(2)], BodyKind::Nonlinear { device })
+            (2, BodyKind::Nonlinear { device })
         }
         'X' => {
             need(3)?;
@@ -902,12 +950,9 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
                     &format!("instance {name} needs nodes and a subckt name before overrides"),
                 ));
             }
-            let subckt = toks[first_eq - 1].text.clone();
-            let nodes: Vec<String> = toks[1..first_eq - 1]
-                .iter()
-                .map(|t| t.text.clone())
-                .collect();
-            if nodes.is_empty() {
+            let subckt = toks[first_eq - 1].text.to_string();
+            let n_nodes = first_eq - 2;
+            if n_nodes == 0 {
                 return Err(parse_err(
                     head.line,
                     head.col,
@@ -931,9 +976,9 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
                         "instance overrides must be name=value pairs",
                     ));
                 }
-                overrides.push((pair[0].text.clone(), parse_pvalue(&pair[1])?));
+                overrides.push((pair[0].text.to_string(), parse_pvalue(&pair[1])?));
             }
-            (nodes, BodyKind::Instance { subckt, overrides })
+            (n_nodes, BodyKind::Instance { subckt, overrides })
         }
         other => {
             return Err(parse_err(
@@ -943,7 +988,11 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
             ));
         }
     };
-    Ok(BodyElement { name, nodes, kind })
+    Ok(ElementLine {
+        name,
+        nodes: &toks[1..=n_nodes],
+        kind,
+    })
 }
 
 /// Adds a parsed top-level template to the builder: elements directly (with
@@ -953,12 +1002,12 @@ fn parse_body_element(toks: &[Tok], models: &HashMap<String, ModelCard>) -> Resu
 /// duplicate-name errors with that position.
 fn emit_top_level(
     builder: &mut CircuitBuilder,
-    be: BodyElement,
+    el: ElementLine,
     head: &Tok,
     spans: &mut SourceMap,
 ) -> Result<()> {
     let n_before = builder.circuit().elements().len();
-    emit_top_level_inner(builder, be, head).map_err(|e| match e {
+    emit_top_level_inner(builder, el, head).map_err(|e| match e {
         CircuitError::DuplicateElement { name } => CircuitError::DuplicateElementAt {
             name,
             line: head.line,
@@ -973,20 +1022,25 @@ fn emit_top_level(
     Ok(())
 }
 
-fn emit_top_level_inner(builder: &mut CircuitBuilder, be: BodyElement, head: &Tok) -> Result<()> {
-    let BodyElement {
+fn emit_top_level_inner(builder: &mut CircuitBuilder, el: ElementLine, head: &Tok) -> Result<()> {
+    let ElementLine {
         name,
-        nodes: node_names,
+        nodes: node_toks,
         kind,
-    } = be;
-    let nodes: Vec<crate::node::NodeId> = node_names.iter().map(|n| builder.node(n)).collect();
-    let resolve = |builder: &CircuitBuilder, pv: &ParamValue| builder.resolve_value(pv, &name);
+    } = el;
+    // Plain elements have at most four terminals; instances collect their
+    // full port list below.
+    let mut nodes = [crate::node::NodeId::GROUND; 4];
+    for (slot, tok) in nodes.iter_mut().zip(node_toks) {
+        *slot = builder.node(tok.text);
+    }
+    let resolve = |builder: &CircuitBuilder, pv: &ParamValue| builder.resolve_value(pv, name);
     match kind {
         BodyKind::Resistor { ohms } => {
             let v = resolve(builder, &ohms)?;
             builder
                 .circuit_mut()
-                .add_resistor(&name, nodes[0], nodes[1], v)?;
+                .add_resistor(name, nodes[0], nodes[1], v)?;
         }
         BodyKind::Capacitor { farads, ic } => {
             let v = resolve(builder, &farads)?;
@@ -996,67 +1050,69 @@ fn emit_top_level_inner(builder: &mut CircuitBuilder, be: BodyElement, head: &To
             };
             builder
                 .circuit_mut()
-                .add_capacitor_ic(&name, nodes[0], nodes[1], v, ic)?;
+                .add_capacitor_ic(name, nodes[0], nodes[1], v, ic)?;
         }
         BodyKind::Inductor { henries } => {
             let v = resolve(builder, &henries)?;
             builder
                 .circuit_mut()
-                .add_inductor(&name, nodes[0], nodes[1], v)?;
+                .add_inductor(name, nodes[0], nodes[1], v)?;
         }
         BodyKind::VoltageSource { waveform } => {
-            let wf = builder.resolve_waveform(&waveform, &name)?;
+            let wf = builder.resolve_waveform(&waveform, name)?;
             builder
                 .circuit_mut()
-                .add_voltage_source(&name, nodes[0], nodes[1], wf)?;
+                .add_voltage_source(name, nodes[0], nodes[1], wf)?;
         }
         BodyKind::CurrentSource { waveform } => {
-            let wf = builder.resolve_waveform(&waveform, &name)?;
+            let wf = builder.resolve_waveform(&waveform, name)?;
             builder
                 .circuit_mut()
-                .add_current_source(&name, nodes[0], nodes[1], wf)?;
+                .add_current_source(name, nodes[0], nodes[1], wf)?;
         }
         BodyKind::Vcvs { gain } => {
             let v = resolve(builder, &gain)?;
             builder
                 .circuit_mut()
-                .add_vcvs(&name, nodes[0], nodes[1], nodes[2], nodes[3], v)?;
+                .add_vcvs(name, nodes[0], nodes[1], nodes[2], nodes[3], v)?;
         }
         BodyKind::Vccs { gm } => {
             let v = resolve(builder, &gm)?;
             builder
                 .circuit_mut()
-                .add_vccs(&name, nodes[0], nodes[1], nodes[2], nodes[3], v)?;
+                .add_vccs(name, nodes[0], nodes[1], nodes[2], nodes[3], v)?;
         }
         BodyKind::Cccs { gain, control } => {
             let v = resolve(builder, &gain)?;
             builder
                 .circuit_mut()
-                .add_cccs(&name, nodes[0], nodes[1], &control, v)?;
+                .add_cccs(name, nodes[0], nodes[1], &control, v)?;
         }
         BodyKind::Ccvs { r, control } => {
             let v = resolve(builder, &r)?;
             builder
                 .circuit_mut()
-                .add_ccvs(&name, nodes[0], nodes[1], &control, v)?;
+                .add_ccvs(name, nodes[0], nodes[1], &control, v)?;
         }
         BodyKind::Nonlinear { device } => {
             builder
                 .circuit_mut()
-                .add_nonlinear(&name, nodes[0], nodes[1], device)?;
+                .add_nonlinear(name, nodes[0], nodes[1], device)?;
         }
         BodyKind::Mosfet { model } => {
             builder
                 .circuit_mut()
-                .add_mosfet(&name, nodes[0], nodes[1], nodes[2], model)?;
+                .add_mosfet(name, nodes[0], nodes[1], nodes[2], model)?;
         }
         BodyKind::Instance { subckt, overrides } => {
             let ov: Vec<(&str, ParamValue)> = overrides
                 .iter()
                 .map(|(k, v)| (k.as_str(), v.clone()))
                 .collect();
+            let ports: Vec<crate::node::NodeId> =
+                node_toks.iter().map(|tok| builder.node(tok.text)).collect();
             builder
-                .instantiate(&name, &subckt, &nodes, &ov)
+                .instantiate(name, &subckt, &ports, &ov)
                 .map_err(|e| match e {
                     // Attach the instance line to pure lookup failures.
                     CircuitError::UnknownSubckt { name, instance } => parse_err(
@@ -1091,7 +1147,12 @@ fn parse_source(toks: &[Tok], head: &Tok) -> Result<WaveformTemplate> {
             "source needs a value or a waveform",
         ));
     }
-    let spec = toks[0].upper();
+    // Waveform keywords in their canonical uppercase spelling; anything
+    // else is a bare value.
+    let spec = ["DC", "PULSE", "SIN", "PWL", "NOISE"]
+        .into_iter()
+        .find(|kw| toks[0].is(kw))
+        .unwrap_or("");
     let pvalues = |from: usize, n: usize| -> Result<Vec<ParamValue>> {
         if toks.len() < from + n {
             return Err(parse_err(
@@ -1107,7 +1168,7 @@ fn parse_source(toks: &[Tok], head: &Tok) -> Result<WaveformTemplate> {
         ParamValue::Lit(x) => *x,
         ParamValue::Ref(_) => unreachable!("checked all_literal"),
     };
-    let wf = match spec.as_str() {
+    let wf = match spec {
         "DC" => {
             let v = pvalues(1, 1)?.remove(0);
             match v {
@@ -1185,8 +1246,8 @@ fn parse_source(toks: &[Tok], head: &Tok) -> Result<WaveformTemplate> {
             }
             let mut pts = Vec::with_capacity(rest.len() / 2);
             for pair in rest.chunks(2) {
-                let t = parse_value(&pair[0].text).ok_or_else(|| bad_value(&pair[0]))?;
-                let v = parse_value(&pair[1].text).ok_or_else(|| bad_value(&pair[1]))?;
+                let t = parse_value(pair[0].text).ok_or_else(|| bad_value(&pair[0]))?;
+                let v = parse_value(pair[1].text).ok_or_else(|| bad_value(&pair[1]))?;
                 pts.push((t, v));
             }
             WaveformTemplate::Literal(SourceWaveform::pwl(pts)?)
@@ -1199,8 +1260,8 @@ fn parse_source(toks: &[Tok], head: &Tok) -> Result<WaveformTemplate> {
                     "waveform NOISE needs 2 parameters",
                 ));
             }
-            let mean = parse_value(&toks[1].text).ok_or_else(|| bad_value(&toks[1]))?;
-            let sigma = parse_value(&toks[2].text).ok_or_else(|| bad_value(&toks[2]))?;
+            let mean = parse_value(toks[1].text).ok_or_else(|| bad_value(&toks[1]))?;
+            let sigma = parse_value(toks[2].text).ok_or_else(|| bad_value(&toks[2]))?;
             WaveformTemplate::Literal(SourceWaveform::white_noise(mean, sigma)?)
         }
         _ => {

@@ -44,7 +44,7 @@
 use crate::element::SharedDevice;
 use crate::error::CircuitError;
 use crate::netlist::Circuit;
-use crate::node::NodeId;
+use crate::node::{lowercase_key, NodeId};
 use crate::Result;
 use nanosim_devices::diode::Diode;
 use nanosim_devices::mosfet::Mosfet;
@@ -106,10 +106,10 @@ fn resolve(
     match value {
         ParamValue::Lit(v) => Ok(*v),
         ParamValue::Ref(name) => {
-            let key = name.to_ascii_lowercase();
+            let key = lowercase_key(name);
             local
-                .get(&key)
-                .or_else(|| global.get(&key))
+                .get(key.as_ref())
+                .or_else(|| global.get(key.as_ref()))
                 .copied()
                 .ok_or_else(|| CircuitError::UnknownParam {
                     name: name.clone(),
@@ -742,15 +742,15 @@ impl SubcktLib {
 /// `path` is the full mangled instance path ("X1", "X1.X2", ...); `local`
 /// is the already-resolved parameter scope of this body; `stack` carries
 /// the chain of definition names for recursion detection.
-fn flatten_into(
+fn flatten_into<'l>(
     circuit: &mut Circuit,
-    lib: &SubcktLib,
-    def: &SubcktDef,
+    lib: &'l SubcktLib,
+    def: &'l SubcktDef,
     path: &str,
     port_nodes: &[NodeId],
     local: &HashMap<String, f64>,
     global: &HashMap<String, f64>,
-    stack: &mut Vec<String>,
+    stack: &mut Vec<&'l str>,
 ) -> Result<()> {
     // The instance name shares the SPICE element namespace: a second `X1`
     // would silently merge both instances' `X1.<node>` internals.
@@ -763,19 +763,14 @@ fn flatten_into(
             got: port_nodes.len(),
         });
     }
-    let port_map: HashMap<String, NodeId> = def
-        .ports
-        .iter()
-        .zip(port_nodes)
-        .map(|(name, &id)| (name.to_ascii_lowercase(), id))
-        .collect();
     let node_of = |circuit: &mut Circuit, raw: &str| -> NodeId {
-        let key = raw.to_ascii_lowercase();
-        if key == "0" || key == "gnd" {
+        if raw == "0" || raw.eq_ignore_ascii_case("gnd") {
             return Circuit::GROUND;
         }
-        match port_map.get(&key) {
-            Some(&id) => id,
+        // Ports match case-insensitively; a repeated port name binds to
+        // its last position.
+        match def.ports.iter().rposition(|p| p.eq_ignore_ascii_case(raw)) {
+            Some(i) => port_nodes[i],
             None => circuit.node(&format!("{path}.{raw}")),
         }
     };
@@ -865,7 +860,7 @@ fn flatten_into(
                 })?;
                 if stack.iter().any(|s| s.eq_ignore_ascii_case(subckt)) {
                     let mut chain = stack.clone();
-                    chain.push(child.name().to_string());
+                    chain.push(child.name());
                     return Err(CircuitError::RecursiveSubckt {
                         path: chain.join(" -> "),
                     });
@@ -879,7 +874,7 @@ fn flatten_into(
                 let child_local = child.scope(&resolved, &child_path)?;
                 let child_ports: Vec<NodeId> =
                     be.nodes.iter().map(|n| node_of(circuit, n)).collect();
-                stack.push(child.name().to_string());
+                stack.push(child.name());
                 flatten_into(
                     circuit,
                     lib,
@@ -969,7 +964,7 @@ impl Circuit {
         let resolved: Vec<(String, f64)> =
             overrides.iter().map(|(k, v)| (k.to_string(), *v)).collect();
         let local = def.scope(&resolved, inst_name)?;
-        let mut stack = vec![def.name().to_string()];
+        let mut stack = vec![def.name()];
         flatten_into(self, lib, def, inst_name, ports, &local, global, &mut stack)?;
         Ok(self)
     }
@@ -1105,8 +1100,7 @@ impl CircuitBuilder {
             .ok_or_else(|| CircuitError::UnknownSubckt {
                 name: subckt.to_string(),
                 instance: inst_name.to_string(),
-            })?
-            .clone();
+            })?;
         let mut resolved: Vec<(String, f64)> = Vec::with_capacity(overrides.len());
         for (k, pv) in overrides {
             resolved.push((
@@ -1115,11 +1109,11 @@ impl CircuitBuilder {
             ));
         }
         let local = def.scope(&resolved, inst_name)?;
-        let mut stack = vec![def.name().to_string()];
+        let mut stack = vec![def.name()];
         flatten_into(
             &mut self.circuit,
             &self.lib,
-            &def,
+            def,
             inst_name,
             ports,
             &local,

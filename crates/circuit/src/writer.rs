@@ -1,7 +1,13 @@
 //! Netlist serialization: renders a [`Circuit`] back into the SPICE-like
 //! text the [`crate::parser`] reads, including `.model` cards for the
-//! nano-devices. `parse(write(circuit))` reproduces the circuit (the
-//! round-trip property is tested in the crate's property suite).
+//! nano-devices. `parse(write(circuit))` reproduces the circuit: values
+//! render in shortest round-trip form and model cards carry each device's
+//! exact parameters from
+//! [`for_each_param`](nanosim_devices::traits::NonlinearTwoTerminal::for_each_param).
+//! The one exception is the RTT, whose card sets only `vbe`: an RTT built
+//! through the API with other parameters parses back as the three-peak
+//! device. The round-trip property is tested in the crate's property suite
+//! and on the deck corpus.
 
 use crate::element::ElementKind;
 use crate::netlist::Circuit;
@@ -24,25 +30,29 @@ pub fn write_netlist(circuit: &Circuit) -> String {
         match e.kind() {
             ElementKind::Nonlinear { device } => {
                 let name = format!("m_{}", e.name().to_ascii_lowercase());
-                match device.device_kind() {
-                    "rtd" => {
-                        // Re-derive parameters via the concrete type when
-                        // available; the parser defaults fill the rest.
-                        let _ = writeln!(out, ".model {name} RTD ({})", rtd_params(device));
-                    }
-                    "nanowire" => {
-                        let _ = writeln!(out, ".model {name} NW ({})", nanowire_params(device));
-                    }
-                    "rtt" => {
-                        let _ = writeln!(out, ".model {name} RTT ()");
-                    }
-                    "diode" => {
-                        let _ = writeln!(out, ".model {name} D ({})", diode_params(device));
-                    }
+                let card = match device.device_kind() {
+                    "rtd" => "RTD",
+                    "nanowire" => "NW",
+                    "rtt" => "RTT",
+                    "diode" => "D",
                     other => {
                         let _ = writeln!(out, "* unknown device kind {other} for {}", e.name());
+                        continue;
                     }
-                }
+                };
+                let _ = write!(out, ".model {name} {card} (");
+                let mut first = true;
+                device.for_each_param(&mut |key, value| {
+                    // The RTT card reads only `vbe`; its other parameters
+                    // are the parser's fixed three-peak set.
+                    if card == "RTT" && key != "vbe" {
+                        return;
+                    }
+                    let sep = if first { "" } else { " " };
+                    first = false;
+                    let _ = write!(out, "{sep}{key}={value:e}");
+                });
+                let _ = writeln!(out, ")");
             }
             ElementKind::Mosfet { model } => {
                 let p = model.params();
@@ -234,82 +244,6 @@ fn source_spec(waveform: &SourceWaveform) -> String {
             format!("NOISE({mean:e} {intensity:e})")
         }
     }
-}
-
-/// Best-effort RTD parameter card. The writer cannot see through the trait
-/// object, so devices constructed from [`nanosim_devices::rtd::Rtd`] are
-/// re-identified by probing the known parameter sets; everything else gets
-/// the paper defaults with a comment.
-fn rtd_params(device: &crate::element::SharedDevice) -> String {
-    use nanosim_devices::rtd::{Rtd, RtdParams};
-    use nanosim_devices::traits::NonlinearTwoTerminal as _;
-    use nanosim_numeric::FlopCounter;
-    let mut flops = FlopCounter::new();
-    for params in [RtdParams::date2005(), RtdParams::sharp_valley()] {
-        let reference = Rtd::new(params).expect("known-good parameters");
-        let mut matches = true;
-        for v in [0.5, 1.5, 3.0] {
-            let a = device.current(v, &mut flops);
-            let b = reference.current(v, &mut flops);
-            if (a - b).abs() > 1e-12 * (1.0 + b.abs()) {
-                matches = false;
-                break;
-            }
-        }
-        if matches {
-            return format!(
-                "a={:e} b={:e} c={:e} d={:e} n1={:e} n2={:e} h={:e} temp={:e}",
-                params.a,
-                params.b,
-                params.c,
-                params.d,
-                params.n1,
-                params.n2,
-                params.h,
-                params.temperature
-            );
-        }
-    }
-    let d = RtdParams::date2005();
-    format!(
-        "a={:e} b={:e} c={:e} d={:e} n1={:e} n2={:e} h={:e}",
-        d.a, d.b, d.c, d.d, d.n1, d.n2, d.h
-    )
-}
-
-fn nanowire_params(device: &crate::element::SharedDevice) -> String {
-    use nanosim_devices::nanowire::{Nanowire, NanowireParams};
-    use nanosim_devices::traits::NonlinearTwoTerminal as _;
-    use nanosim_numeric::FlopCounter;
-    let mut flops = FlopCounter::new();
-    let p = NanowireParams::metallic_cnt();
-    let reference = Nanowire::new(p).expect("defaults valid");
-    let matches = [0.3, 0.8, 1.4]
-        .iter()
-        .all(|&v| (device.current(v, &mut flops) - reference.current(v, &mut flops)).abs() < 1e-15);
-    if matches {
-        format!(
-            "g0={:e} base={} step={:e} steps={} smear={:e}",
-            p.g_quantum, p.base_channels, p.step_voltage, p.num_steps, p.smearing
-        )
-    } else {
-        String::new()
-    }
-}
-
-fn diode_params(device: &crate::element::SharedDevice) -> String {
-    use nanosim_devices::diode::DiodeParams;
-    use nanosim_numeric::FlopCounter;
-    let mut flops = FlopCounter::new();
-    let d = DiodeParams::silicon();
-    // Reverse saturation current is directly observable.
-    let is = -device.current(-2.0, &mut flops);
-    format!(
-        "is={:e} n={:e} temp={:e}",
-        is.max(1e-18),
-        d.ideality,
-        d.temperature
-    )
 }
 
 #[cfg(test)]

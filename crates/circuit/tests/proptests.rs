@@ -5,7 +5,7 @@
 //! deterministically: `parse(write(parse(d)))` equals `parse(d)`
 //! structurally.
 
-use nanosim_circuit::{parse_netlist, write_netlist, Circuit, ElementKind, MnaSystem};
+use nanosim_circuit::{deck_fingerprint, parse_netlist, write_netlist, Circuit, MnaSystem};
 use nanosim_devices::sources::SourceWaveform;
 use nanosim_numeric::sparse::{SparseLu, TripletMatrix};
 use nanosim_numeric::FlopCounter;
@@ -93,19 +93,8 @@ proptest! {
         for e in ckt.elements() {
             let round = deck.circuit.element(e.name());
             prop_assert!(round.is_some(), "element {} lost", e.name());
-            match (e.kind(), round.unwrap().kind()) {
-                (
-                    ElementKind::Resistor { resistance: a },
-                    ElementKind::Resistor { resistance: b },
-                ) => {
-                    prop_assert!((a - b).abs() < 1e-12 * a.abs());
-                }
-                (ElementKind::VoltageSource { waveform: a },
-                 ElementKind::VoltageSource { waveform: b }) => {
-                    prop_assert!((a.value(0.0) - b.value(0.0)).abs() < 1e-12);
-                }
-                _ => {}
-            }
+            // Bit-exact values: `Debug` prints shortest round-trip form.
+            prop_assert_eq!(format!("{:?}", e.kind()), format!("{:?}", round.unwrap().kind()));
         }
     }
 
@@ -227,8 +216,9 @@ fn hier_deck(
 }
 
 /// Exact structural equality of two flat circuits: node table, element
-/// names/connections/kinds and all numeric values (values round-trip
-/// bit-exactly through the writer's `{:e}` format).
+/// names/connections/kinds and all numeric values, waveform parameters and
+/// device parameters (values round-trip bit-exactly through the writer's
+/// `{:e}` format, and `Debug` prints each in shortest round-trip form).
 fn assert_flat_eq(a: &Circuit, b: &Circuit) -> Result<(), proptest::TestCaseError> {
     prop_assert_eq!(a.node_count(), b.node_count());
     // The writer serializes elements (not the node table), so re-parsing
@@ -244,52 +234,7 @@ fn assert_flat_eq(a: &Circuit, b: &Circuit) -> Result<(), proptest::TestCaseErro
         let conn_a: Vec<&str> = ea.nodes().iter().map(|&n| a.node_name(n)).collect();
         let conn_b: Vec<&str> = eb.nodes().iter().map(|&n| b.node_name(n)).collect();
         prop_assert_eq!(conn_a, conn_b);
-        match (ea.kind(), eb.kind()) {
-            (ElementKind::Resistor { resistance: x }, ElementKind::Resistor { resistance: y }) => {
-                prop_assert_eq!(x, y)
-            }
-            (
-                ElementKind::Capacitor {
-                    capacitance: x,
-                    initial_voltage: ix,
-                },
-                ElementKind::Capacitor {
-                    capacitance: y,
-                    initial_voltage: iy,
-                },
-            ) => {
-                prop_assert_eq!(x, y);
-                prop_assert_eq!(ix, iy);
-            }
-            (
-                ElementKind::VoltageSource { waveform: x },
-                ElementKind::VoltageSource { waveform: y },
-            ) => {
-                prop_assert_eq!(x.value(0.0), y.value(0.0));
-            }
-            (ElementKind::Vcvs { gain: x }, ElementKind::Vcvs { gain: y }) => {
-                prop_assert_eq!(x, y)
-            }
-            (ElementKind::Vccs { gm: x }, ElementKind::Vccs { gm: y }) => prop_assert_eq!(x, y),
-            (
-                ElementKind::Cccs {
-                    gain: x,
-                    control: cx,
-                },
-                ElementKind::Cccs {
-                    gain: y,
-                    control: cy,
-                },
-            ) => {
-                prop_assert_eq!(x, y);
-                prop_assert_eq!(cx, cy);
-            }
-            (ElementKind::Ccvs { r: x, control: cx }, ElementKind::Ccvs { r: y, control: cy }) => {
-                prop_assert_eq!(x, y);
-                prop_assert_eq!(cx, cy);
-            }
-            (ka, kb) => prop_assert_eq!(ka.type_tag(), kb.type_tag()),
-        }
+        prop_assert_eq!(format!("{:?}", ea.kind()), format!("{:?}", eb.kind()));
     }
     Ok(())
 }
@@ -317,5 +262,51 @@ proptest! {
         // Parsing is deterministic.
         let d3 = parse_netlist(&deck).expect("second parse");
         assert_flat_eq(&d1.circuit, &d3.circuit)?;
+    }
+}
+
+/// Random model cards for every device family plus PULSE/PWL/SIN sources.
+fn device_deck_strategy() -> impl Strategy<Value = String> {
+    (
+        (1e-5f64..1e-3, -1.0f64..3.0, 0.5f64..2.0, 0.05f64..0.5),
+        (0.1f64..0.6, 0.0f64..0.05, 0.0f64..1e-7, 250.0f64..400.0),
+        (1e-5f64..1e-4, 1u32..5, 0.2f64..0.8, 1u32..6, 0.01f64..0.05),
+        (1e-16f64..1e-12, 0.8f64..2.0, 0.5f64..2.0),
+        (1e-5f64..1e-3, 1.0f64..50.0, 0.5f64..5.0, 0.2f64..1.5, 0.0f64..0.1),
+        (0.1f64..5.0, 1e-9f64..1e-8, 0.1f64..3.0),
+    )
+        .prop_map(|(r1, r2, nw, d, m, w)| {
+            let (a, b, c, dd) = r1;
+            let (n1, n2, h, temp) = r2;
+            let (g0, base, step, steps, smear) = nw;
+            let (is, n, vbe) = d;
+            let (kp, wid, len, vto, lambda) = m;
+            let (v2, t1, v3) = w;
+            format!(
+                ".title random device cards\n\
+                 .model mr RTD (a={a:e} b={b:e} c={c:e} d={dd:e} n1={n1:e} n2={n2:e} h={h:e} temp={temp:e})\n\
+                 .model mw NW (g0={g0:e} base={base} step={step:e} steps={steps} smear={smear:e})\n\
+                 .model md D (is={is:e} n={n:e})\n\
+                 .model mt RTT (vbe={vbe:e})\n\
+                 .model mm NMOS (kp={kp:e} w={wid:e} l={len:e} vto={vto:e} lambda={lambda:e})\n\
+                 V1 a 0 PULSE(0 {v2:e} {t1:e} 1n 1n 5n 20n)\n\
+                 V2 g 0 PWL(0 0 {t1:e} {v3:e} 20n {v2:e})\n\
+                 V3 s 0 SIN(0 {v3:e} 1meg)\n\
+                 R1 a b 100\nR2 s b 1k\n\
+                 YRTD1 b 0 mr\nYNW1 b 0 mw\nD1 b 0 md\nYRTT1 b 0 mt\nM1 b g 0 mm\n\
+                 .op\n.end\n"
+            )
+        })
+}
+
+proptest! {
+    /// Custom model cards and waveforms survive `write -> parse` exactly,
+    /// and the round trip keeps the deck fingerprint.
+    #[test]
+    fn model_cards_roundtrip_exactly(deck in device_deck_strategy()) {
+        let d1 = parse_netlist(&deck).expect("generated deck parses");
+        let d2 = parse_netlist(&write_netlist(&d1.circuit)).expect("writer output parses");
+        assert_flat_eq(&d1.circuit, &d2.circuit)?;
+        prop_assert_eq!(deck_fingerprint(&d1.circuit), deck_fingerprint(&d2.circuit));
     }
 }

@@ -149,6 +149,13 @@ impl NonlinearTwoTerminal for Diode {
     fn device_kind(&self) -> &'static str {
         "diode"
     }
+
+    fn for_each_param(&self, f: &mut dyn FnMut(&'static str, f64)) {
+        let p = &self.params;
+        f("is", p.saturation_current);
+        f("n", p.ideality);
+        f("temp", p.temperature);
+    }
 }
 
 #[cfg(test)]

@@ -165,6 +165,15 @@ impl NonlinearTwoTerminal for Nanowire {
     fn device_kind(&self) -> &'static str {
         "nanowire"
     }
+
+    fn for_each_param(&self, f: &mut dyn FnMut(&'static str, f64)) {
+        let p = &self.params;
+        f("g0", p.g_quantum);
+        f("base", f64::from(p.base_channels));
+        f("step", p.step_voltage);
+        f("steps", f64::from(p.num_steps));
+        f("smear", p.smearing);
+    }
 }
 
 #[cfg(test)]

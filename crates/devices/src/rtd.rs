@@ -361,6 +361,18 @@ impl NonlinearTwoTerminal for Rtd {
     fn device_kind(&self) -> &'static str {
         "rtd"
     }
+
+    fn for_each_param(&self, f: &mut dyn FnMut(&'static str, f64)) {
+        let p = &self.params;
+        f("a", p.a);
+        f("b", p.b);
+        f("c", p.c);
+        f("d", p.d);
+        f("n1", p.n1);
+        f("n2", p.n2);
+        f("h", p.h);
+        f("temp", p.temperature);
+    }
 }
 
 #[cfg(test)]

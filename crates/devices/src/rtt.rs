@@ -298,6 +298,25 @@ impl NonlinearTwoTerminal for Rtt {
     fn device_kind(&self) -> &'static str {
         "rtt"
     }
+
+    /// The netlist card sets only `vbe`; the other parameters have no card
+    /// key and are reported under their field names.
+    fn for_each_param(&self, f: &mut dyn FnMut(&'static str, f64)) {
+        let p = &self.params;
+        f("vbe", self.vbe);
+        f("b", p.b);
+        f("n1", p.n1);
+        f("h", p.h);
+        f("n2", p.n2);
+        f("temp", p.temperature);
+        f("vbe_on", p.vbe_on);
+        f("vbe_slope", p.vbe_slope);
+        for r in &p.resonances {
+            f("amplitude", r.amplitude);
+            f("center", r.center);
+            f("width", r.width);
+        }
+    }
 }
 
 #[cfg(test)]

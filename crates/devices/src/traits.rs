@@ -70,6 +70,15 @@ pub trait NonlinearTwoTerminal: Debug {
 
     /// Short identifier used in reports ("rtd", "nanowire", ...).
     fn device_kind(&self) -> &'static str;
+
+    /// Calls `f` with every parameter that determines the device's
+    /// behaviour, as `(name, value)` pairs in a fixed order. Where the
+    /// netlist `.model` card has a key for a parameter, `name` is that key.
+    ///
+    /// Deck fingerprints hash these values bit for bit and the netlist
+    /// writer renders them, so two devices of one kind that report the
+    /// same list behave identically.
+    fn for_each_param(&self, f: &mut dyn FnMut(&'static str, f64));
 }
 
 #[cfg(test)]
@@ -96,6 +105,8 @@ mod tests {
         fn device_kind(&self) -> &'static str {
             "cubic-test"
         }
+
+        fn for_each_param(&self, _f: &mut dyn FnMut(&'static str, f64)) {}
     }
 
     #[test]

@@ -219,7 +219,11 @@ fn write_escaped(s: &str, out: &mut String) {
 /// Returns a human-readable message with the byte offset of the problem.
 pub fn parse(text: &str) -> Result<Json, String> {
     let bytes = text.as_bytes();
-    let mut p = Parser { bytes, pos: 0 };
+    let mut p = Parser {
+        text,
+        bytes,
+        pos: 0,
+    };
     p.skip_ws();
     let v = p.value(0)?;
     p.skip_ws();
@@ -230,6 +234,7 @@ pub fn parse(text: &str) -> Result<Json, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -347,22 +352,21 @@ impl Parser<'_> {
                     }
                     self.pos += 1;
                 }
+                Some(b) if b < 0x20 => {
+                    return Err(format!("raw control character at byte {}", self.pos));
+                }
                 Some(_) => {
-                    // Advance by one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = match std::str::from_utf8(rest) {
-                        Ok(s) => s,
-                        Err(e) if e.valid_up_to() > 0 => {
-                            std::str::from_utf8(&rest[..e.valid_up_to()]).expect("validated")
-                        }
-                        Err(_) => return Err(format!("invalid utf-8 at byte {}", self.pos)),
-                    };
-                    let c = s.chars().next().expect("nonempty");
-                    if (c as u32) < 0x20 {
-                        return Err(format!("raw control character at byte {}", self.pos));
-                    }
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run of plain bytes up to the next quote,
+                    // backslash or control byte in one step. Those stop bytes
+                    // are ASCII, so the run ends on a character boundary of
+                    // the (already valid UTF-8) input.
+                    let start = self.pos;
+                    let run = self.bytes[start..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\' || b < 0x20)
+                        .unwrap_or(self.bytes.len() - start);
+                    self.pos += run;
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -468,6 +472,63 @@ mod tests {
     fn depth_limit_holds() {
         let deep = "[".repeat(200) + &"]".repeat(200);
         assert!(parse(&deep).is_err());
+    }
+
+    #[test]
+    fn long_strings_with_multibyte_text_and_every_escape_parse_exactly() {
+        // Build the expected value and its JSON spelling side by side:
+        // plain ASCII, 2/3/4-byte UTF-8, every short escape and `\u`
+        // escapes (BMP, control, lone surrogate -> U+FFFD).
+        let pieces: [(&str, &str); 14] = [
+            ("plain ascii text ", "plain ascii text "),
+            ("é", "é"),
+            ("€", "€"),
+            ("😀", "😀"),
+            ("\"", "\\\""),
+            ("\\", "\\\\"),
+            ("/", "\\/"),
+            ("\u{8}", "\\b"),
+            ("\u{c}", "\\f"),
+            ("\n", "\\n"),
+            ("\r", "\\r"),
+            ("\t", "\\t"),
+            ("é\u{1}", "\\u00e9\\u0001"),
+            ("\u{fffd}", "\\ud800"),
+        ];
+        let (mut want, mut text) = (String::new(), String::from("\""));
+        let mut k = 0;
+        while text.len() < 70_000 {
+            let (value, spelled) = pieces[k % pieces.len()];
+            want.push_str(value);
+            text.push_str(spelled);
+            k += 1;
+        }
+        text.push('"');
+        assert_eq!(parse(&text).unwrap(), Json::Str(want.clone()));
+        // Rendering and parsing again reproduces the value.
+        let v = Json::Obj(vec![("deck".to_string(), Json::Str(want))]);
+        assert_eq!(parse(&v.render()).unwrap(), v);
+    }
+
+    #[test]
+    fn string_errors_keep_their_messages_and_byte_offsets() {
+        let cases: [(&str, &str); 10] = [
+            ("\"ab\u{1}\"", "raw control character at byte 3"),
+            ("\"ééé\n\"", "raw control character at byte 7"),
+            ("[\"a\", \"€\u{1f}\"]", "raw control character at byte 10"),
+            ("\"a\\x\"", "invalid escape at byte 3"),
+            ("\"é\\\"", "unterminated string"),
+            ("\"abc", "unterminated string"),
+            ("\"\\u12\"", "truncated \\u escape"),
+            ("\"\\uzzzz\"", "invalid \\u escape `zzzz`"),
+            ("\"\\u00é\"", "invalid \\u escape `00é`"),
+            ("\"\\u00😀\"", "non-ascii \\u escape"),
+        ];
+        for (text, message) in cases {
+            assert_eq!(parse(text), Err(message.to_string()), "{text:?}");
+        }
+        // A `\u` escape with a sign is accepted, as before.
+        assert_eq!(parse("\"\\u+041\"").unwrap(), Json::str("A"));
     }
 
     #[test]

@@ -144,6 +144,9 @@ pub struct ResultStore {
     bytes: usize,
     /// Sum of in-flight reservations (see [`RunRecord::reserved`]).
     reserved: usize,
+    /// Records whose status is pending (queued or running), kept by
+    /// [`ResultStore::set_status`] so admission control need not scan.
+    pending: usize,
     evictions: u64,
 }
 
@@ -158,6 +161,7 @@ impl ResultStore {
             capacity_bytes,
             bytes: 0,
             reserved: 0,
+            pending: 0,
             evictions: 0,
         }
     }
@@ -184,7 +188,21 @@ impl ResultStore {
             evicted: false,
             reserved: 0,
         });
+        self.pending += 1;
         id
+    }
+
+    /// The one place a record's status changes, keeping the pending count
+    /// in step with the transition.
+    fn set_status(&mut self, i: usize, status: RunStatus) {
+        let was = self.records[i].status.is_pending();
+        let now = status.is_pending();
+        self.records[i].status = status;
+        match (was, now) {
+            (false, true) => self.pending += 1,
+            (true, false) => self.pending -= 1,
+            _ => {}
+        }
     }
 
     fn index(&self, id: RunId) -> Option<usize> {
@@ -205,7 +223,7 @@ impl ResultStore {
     /// terminal transition.
     pub fn start(&mut self, id: RunId, reserve_bytes: usize) {
         if let Some(i) = self.index(id) {
-            self.records[i].status = RunStatus::Running;
+            self.set_status(i, RunStatus::Running);
             self.records[i].reserved = reserve_bytes;
             self.reserved += reserve_bytes;
             self.enforce_capacity();
@@ -232,8 +250,8 @@ impl ResultStore {
         let Some(i) = self.index(id) else { return };
         self.release_reservation(i);
         self.bytes += result.approx_bytes();
+        self.set_status(i, RunStatus::Done);
         let rec = &mut self.records[i];
-        rec.status = RunStatus::Done;
         rec.cache = cache;
         rec.full_factors = full_factors;
         rec.refactors = refactors;
@@ -247,9 +265,12 @@ impl ResultStore {
     pub fn fail(&mut self, id: RunId, error: SimError) {
         if let Some(i) = self.index(id) {
             self.release_reservation(i);
-            self.records[i].status = RunStatus::Failed {
-                error: Box::new(error),
-            };
+            self.set_status(
+                i,
+                RunStatus::Failed {
+                    error: Box::new(error),
+                },
+            );
         }
     }
 
@@ -264,16 +285,14 @@ impl ResultStore {
             return false;
         }
         self.release_reservation(i);
-        self.records[i].status = RunStatus::Cancelled;
+        self.set_status(i, RunStatus::Cancelled);
         true
     }
 
     /// Pending (queued or running) runs — the admission-control gauge.
+    /// O(1): the count is kept on every status transition.
     pub fn pending(&self) -> usize {
-        self.records
-            .iter()
-            .filter(|r| r.status.is_pending())
-            .count()
+        self.pending
     }
 
     /// Fetches a finished run's record, refreshing its LRU position.
@@ -504,5 +523,56 @@ mod tests {
         store.start(c, 600);
         assert!(store.get(a).unwrap().evicted, "reservation evicts LRU");
         assert_eq!(store.pending(), 1);
+    }
+
+    #[test]
+    fn pending_counter_matches_a_full_scan() {
+        let (dk, ak) = key();
+        let scan = |s: &ResultStore| s.iter().filter(|r| r.status.is_pending()).count();
+        // Small capacity, so finishing runs also evicts payloads.
+        let mut store = ResultStore::new(1200);
+        let mut ids = Vec::new();
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        for step in 0..400 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let pick = |n: usize| (state >> 8) as usize % n.max(1);
+            match state % 8 {
+                // hold: registered, left queued
+                0 | 1 => ids.push(store.create(dk, ak, "op")),
+                2 if !ids.is_empty() => store.start(ids[pick(ids.len())], 64),
+                3 if !ids.is_empty() => store.finish(
+                    ids[pick(ids.len())],
+                    RunResult { dataset: dataset() },
+                    CacheDisposition::Cold,
+                    1,
+                    0,
+                ),
+                4 if !ids.is_empty() => store.fail(
+                    ids[pick(ids.len())],
+                    nanosim_core::SimError::InvalidConfig {
+                        context: "x".into(),
+                    },
+                ),
+                5 if !ids.is_empty() => {
+                    store.cancel(ids[pick(ids.len())]);
+                }
+                6 if !ids.is_empty() => {
+                    store.evict(ids[pick(ids.len())]);
+                }
+                _ => {
+                    store.touch(RunId(pick(ids.len() + 2) as u64));
+                }
+            }
+            assert_eq!(store.pending(), scan(&store), "step {step}");
+        }
+        assert!(store.evictions() > 0, "the sequence must exercise eviction");
+        assert!(ids
+            .iter()
+            .any(|&id| store.get(id).unwrap().status.tag() == "cancelled"));
+        assert!(ids
+            .iter()
+            .any(|&id| store.get(id).unwrap().status.tag() == "failed"));
     }
 }

@@ -18,6 +18,8 @@
 //! A frontend regression therefore fails with the *name* of the deck that
 //! broke, not an anonymous assertion.
 
+use nanosim::circuit::element::SharedDevice;
+use nanosim::circuit::{deck_fingerprint, Element, ElementKind};
 use nanosim::prelude::*;
 use std::collections::HashMap;
 use std::path::PathBuf;
@@ -155,15 +157,49 @@ fn every_deck_roundtrips_through_the_writer() {
             again.circuit.node_count(),
             "{name}: node count changed through write -> parse"
         );
+        let node_names = |c: &Circuit, e: &Element| -> Vec<String> {
+            e.nodes()
+                .iter()
+                .map(|&n| c.node_name(n).to_string())
+                .collect()
+        };
         for (ea, eb) in deck.circuit.elements().iter().zip(again.circuit.elements()) {
             assert_eq!(ea.name(), eb.name(), "{name}: element name changed");
             assert_eq!(
-                ea.kind().type_tag(),
-                eb.kind().type_tag(),
-                "{name}: element {} changed kind",
+                node_names(&deck.circuit, ea),
+                node_names(&again.circuit, eb),
+                "{name}: element {} changed nodes",
                 ea.name()
             );
+            // `Debug` prints every value, waveform parameter and device
+            // parameter in shortest round-trip form, so equal text means
+            // bit-equal values.
+            assert_eq!(
+                format!("{:?}", ea.kind()),
+                format!("{:?}", eb.kind()),
+                "{name}: element {} changed kind or values",
+                ea.name()
+            );
+            if let (ElementKind::Nonlinear { device: da }, ElementKind::Nonlinear { device: db }) =
+                (ea.kind(), eb.kind())
+            {
+                let params = |d: &SharedDevice| {
+                    let mut v = Vec::new();
+                    d.for_each_param(&mut |k, x| v.push((k, x.to_bits())));
+                    v
+                };
+                assert_eq!(params(da), params(db), "{name}: {} params", ea.name());
+            }
         }
+        // With the title carried over, the round trip is the same circuit
+        // down to the deck fingerprint.
+        let mut original = deck.circuit.clone();
+        original.set_title(again.circuit.title().unwrap_or_default());
+        assert_eq!(
+            deck_fingerprint(&original),
+            deck_fingerprint(&again.circuit),
+            "{name}: deck fingerprint changed through write -> parse"
+        );
     }
 }
 

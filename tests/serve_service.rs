@@ -384,3 +384,120 @@ fn budget_limited_runs_count_stats_and_never_poison_the_result_cache() {
     assert_eq!(svc.stats().budget_exceeded, 2);
     assert_eq!(svc.stats().deadline_timeouts, 1);
 }
+
+/// Runnable deck pairs that differ in exactly one device-model or waveform
+/// parameter. A deck key that guessed device parameters from preset I(V)
+/// curves gave each pair one key.
+const ONE_PARAMETER_APART: [(&str, &str, &str); 6] = [
+    (
+        "rtd a",
+        ".model m RTD (a=2.2e-4)\nV1 in 0 DC 0\nR1 in x 50\nYRTD1 x 0 m\n.dc V1 0 2 0.5\n.end\n",
+        ".model m RTD (a=3e-4)\nV1 in 0 DC 0\nR1 in x 50\nYRTD1 x 0 m\n.dc V1 0 2 0.5\n.end\n",
+    ),
+    (
+        "nanowire g0",
+        ".model w NW (g0=7.7e-5)\nV1 in 0 DC 0\nR1 in x 1k\nYNW1 x 0 w\n.dc V1 0 2 0.5\n.end\n",
+        ".model w NW (g0=1e-4)\nV1 in 0 DC 0\nR1 in x 1k\nYNW1 x 0 w\n.dc V1 0 2 0.5\n.end\n",
+    ),
+    (
+        "diode n",
+        ".model d D (is=1e-14 n=1)\nV1 in 0 DC 0\nR1 in x 1k\nD1 x 0 d\n.dc V1 0 2 0.5\n.end\n",
+        ".model d D (is=1e-14 n=1.5)\nV1 in 0 DC 0\nR1 in x 1k\nD1 x 0 d\n.dc V1 0 2 0.5\n.end\n",
+    ),
+    (
+        "mosfet vto",
+        ".model mn NMOS (kp=1e-4 w=10 l=1 vto=0.7)\nVdd d 0 DC 5\nVg g 0 DC 0\n\
+         Rd d x 10k\nM1 x g 0 mn\n.dc Vg 0 3 0.5\n.end\n",
+        ".model mn NMOS (kp=1e-4 w=10 l=1 vto=0.8)\nVdd d 0 DC 5\nVg g 0 DC 0\n\
+         Rd d x 10k\nM1 x g 0 mn\n.dc Vg 0 3 0.5\n.end\n",
+    ),
+    (
+        "pulse v2",
+        "V1 in 0 PULSE(0 1 1n 1n 1n 5n 20n)\nR1 in x 1k\nC1 x 0 1p\n.tran 0.1n 10n\n.end\n",
+        "V1 in 0 PULSE(0 1.5 1n 1n 1n 5n 20n)\nR1 in x 1k\nC1 x 0 1p\n.tran 0.1n 10n\n.end\n",
+    ),
+    (
+        "pwl value",
+        "V1 in 0 PWL(0 0 2n 1 10n 1)\nR1 in x 1k\nC1 x 0 1p\n.tran 0.1n 10n\n.end\n",
+        "V1 in 0 PWL(0 0 2n 1.2 10n 1)\nR1 in x 1k\nC1 x 0 1p\n.tran 0.1n 10n\n.end\n",
+    ),
+];
+
+fn submit_line(deck: &str) -> String {
+    format!(
+        "{{\"cmd\":\"submit\",\"deck\":{}}}",
+        nanosim::serve::Json::Str(deck.to_string()).render()
+    )
+}
+
+/// The `cache` tag of the first run in a submit response.
+fn first_cache_tag(response: &str) -> String {
+    let v = nanosim::serve::json::parse(response).expect("response is JSON");
+    let run = &v.get("runs").and_then(|r| r.as_array()).expect("runs")[0];
+    assert_eq!(
+        run.get("status").and_then(|s| s.as_str()),
+        Some("done"),
+        "{response}"
+    );
+    run.get("cache")
+        .and_then(|c| c.as_str())
+        .expect("done runs carry a cache tag")
+        .to_string()
+}
+
+#[test]
+fn decks_one_parameter_apart_get_distinct_deck_keys_and_fresh_results() {
+    use nanosim::circuit::parse_netlist;
+    use nanosim::serve::{DeckKey, RunId, TopologyKey};
+    for (what, a, b) in ONE_PARAMETER_APART {
+        let ca = parse_netlist(a).unwrap().circuit;
+        let cb = parse_netlist(b).unwrap().circuit;
+        assert_ne!(DeckKey::of(&ca), DeckKey::of(&cb), "{what}: deck keys");
+        // Same topology, so the second submit meets the first's pooled
+        // session and must rebind it.
+        assert_eq!(TopologyKey::of(&ca), TopologyKey::of(&cb), "{what}");
+
+        let mut svc = SimService::new(ServiceOptions::default());
+        assert_eq!(
+            first_cache_tag(&handle_line(&mut svc, &submit_line(a))),
+            "cold"
+        );
+        let tag = first_cache_tag(&handle_line(&mut svc, &submit_line(b)));
+        assert!(
+            tag != "result-hit" && tag != "same-deck",
+            "{what}: second deck answered as {tag}"
+        );
+
+        let mut fresh = SimService::new(ServiceOptions::default());
+        assert_eq!(
+            first_cache_tag(&handle_line(&mut fresh, &submit_line(b))),
+            "cold"
+        );
+        let want = fresh.result(RunId(1)).unwrap().result.clone().unwrap();
+        let got = svc.result(RunId(2)).unwrap().result.clone().unwrap();
+        assert_bit_identical(&want.dataset, &got.dataset);
+        let first = svc.result(RunId(1)).unwrap().result.clone().unwrap();
+        assert!(
+            first
+                .dataset
+                .names()
+                .iter()
+                .any(|n| first.dataset.column(n) != got.dataset.column(n)),
+            "{what}: the two decks must behave differently"
+        );
+    }
+}
+
+#[test]
+fn sixty_four_kilobyte_submit_line_runs_to_completion() {
+    let deck = rtd_mesh_param_deck(30);
+    let line = submit_line(&deck);
+    assert!(line.len() > 64_000, "{} bytes", line.len());
+    let mut svc = SimService::new(ServiceOptions::default());
+    let response = handle_line(&mut svc, &line);
+    assert_eq!(first_cache_tag(&response), "cold");
+    let rec = svc.result(nanosim::serve::RunId(1)).unwrap();
+    let ds = &rec.result.as_ref().unwrap().dataset;
+    assert_eq!(ds.points(), 7);
+    assert!(ds.column("g29_29").unwrap().iter().all(|v| v.is_finite()));
+}
