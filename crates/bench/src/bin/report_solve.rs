@@ -12,8 +12,8 @@
 //! the blocked refactor and the batched multi-RHS path instead.
 
 use nanosim::prelude::*;
-use nanosim_numeric::solve::{LinearSolver, PrecisionMode, SparseLuSolver};
-use nanosim_numeric::sparse::{BatchedLu, CsrMatrix, OrderingChoice, PivotStrategy, SparseLu};
+use nanosim_numeric::solve::{LinearSolver, SparseLuSolver};
+use nanosim_numeric::sparse::{OrderingChoice, PivotStrategy, SparseLu};
 use std::hint::black_box;
 use std::time::Instant;
 
@@ -37,7 +37,7 @@ const K: usize = 8;
 fn main() {
     println!("triangular-solve kernel report (RTD mesh family, k = {K} batched RHS)");
     println!(
-        "{:>7} {:>8} {:>7} {:>9} {:>10} {:>10} {:>8} {:>8} {:>8} {:>10} {:>10} {:>8} {:>9}",
+        "{:>7} {:>8} {:>7} {:>9} {:>10} {:>10} {:>8} {:>8} {:>10} {:>10} {:>8} {:>9}",
         "mesh",
         "ordering",
         "nnz_lu",
@@ -46,7 +46,6 @@ fn main() {
         "blocked_us",
         "speedup",
         "slv64_us",
-        "mixed_us",
         "singles_us",
         "batched_us",
         "speedup",
@@ -103,12 +102,8 @@ fn main() {
                     .unwrap();
             });
 
-            // Solver-level rows (both include the per-call tolerant
-            // refactor every engine solve pays): the f64 baseline, then
-            // mixed precision — f32 panel sweeps polished by f64 iterative
-            // refinement. Gated exactly like CI's bench smoke — healthy
-            // meshes must refine to 1e-12 of scale without ever falling
-            // back to the f64 path.
+            // Solver-level row: includes the per-call tolerant refactor
+            // every engine solve pays.
             let mut slv64 = SparseLuSolver::with_ordering(ordering);
             let mut x64 = Vec::new();
             let t_slv64 = time(reps, || {
@@ -116,27 +111,6 @@ fn main() {
                     .solve_into(black_box(&a), &b, &mut x64, &mut flops)
                     .unwrap();
             });
-            let mut mixed = SparseLuSolver::with_ordering(ordering);
-            mixed.set_precision(PrecisionMode::Mixed);
-            let mut xm = Vec::new();
-            let t_mixed = time(reps, || {
-                mixed
-                    .solve_into(black_box(&a), &b, &mut xm, &mut flops)
-                    .unwrap();
-            });
-            let mstats = mixed.lu_stats();
-            assert_eq!(
-                mstats.precision_fallbacks,
-                0,
-                "mesh{n} {}: mixed precision fell back on a healthy mesh",
-                lu.ordering_name()
-            );
-            lu.solve_into(&b, &mut x, &mut w, &mut flops).unwrap();
-            let scale = x.iter().fold(1.0f64, |m, v| m.max(v.abs()));
-            for (m, f) in xm.iter().zip(x.iter()) {
-                assert!((m - f).abs() <= 1e-12 * scale, "mixed {m} vs f64 {f}");
-            }
-
             let mut a2 = a.clone();
             for (i, v) in a2.values_mut().iter_mut().enumerate() {
                 *v *= 1.0 + 1e-4 * ((i % 7) as f64);
@@ -151,7 +125,7 @@ fn main() {
             });
 
             println!(
-                "{:>5}x{:<2} {:>8} {:>7} {:>4}({:>4}) {:>10.2} {:>10.2} {:>7.2}x {:>8.2} {:>8.2} {:>10.2} {:>10.2} {:>7.2}x {:>8.2}x  {}",
+                "{:>5}x{:<2} {:>8} {:>7} {:>4}({:>4}) {:>10.2} {:>10.2} {:>7.2}x {:>8.2} {:>10.2} {:>10.2} {:>7.2}x {:>8.2}x  {}",
                 n,
                 n,
                 lu.ordering_name(),
@@ -162,7 +136,6 @@ fn main() {
                 t_blocked * 1e6,
                 t_scalar / t_blocked,
                 t_slv64 * 1e6,
-                t_mixed * 1e6,
                 t_singles * 1e6,
                 t_batched * 1e6,
                 t_singles / t_batched,
@@ -170,78 +143,5 @@ fn main() {
                 if default_gate { "gate:blocked" } else { "gate:scalar" },
             );
         }
-    }
-
-    // Ensemble-batched factorization: per-path factor flops of one
-    // interleaved k-lane batch vs a shared solver re-refactoring at every
-    // path switch over a T-step window (how per-path parameter spread ran
-    // before `BatchedLu`).
-    const T_STEPS: u64 = 100;
-    println!("\nbatched factorization ({K} lanes, {T_STEPS}-step window, natural ordering)");
-    println!(
-        "{:>7} {:>14} {:>16} {:>8} {:>12} {:>12}",
-        "mesh", "batched/path", "per-switch/path", "ratio", "batched_us", "k_refac_us"
-    );
-    for n in [20usize, 40] {
-        let a = nanosim_bench::table1_mesh_matrix(n, 0.8);
-        let reps = if n >= 40 { 50 } else { 200 };
-        let lanes: Vec<CsrMatrix> = (0..K)
-            .map(|r| {
-                let mut m = a.clone();
-                for (i, v) in m.values_mut().iter_mut().enumerate() {
-                    *v *= 1.0 + 1e-3 * (((i + r) % 5) as f64);
-                }
-                m
-            })
-            .collect();
-        let lane_refs: Vec<&CsrMatrix> = lanes.iter().collect();
-        let mut fc = FlopCounter::new();
-        BatchedLu::factor_ordered(
-            &lane_refs,
-            OrderingChoice::Natural,
-            PivotStrategy::default(),
-            &mut fc,
-        )
-        .expect("factors");
-        let per_path_batched = fc.total() as f64 / K as f64;
-        let mut fs = FlopCounter::new();
-        let mut shared = SparseLu::factor_ordered(
-            &lanes[0],
-            OrderingChoice::Natural,
-            PivotStrategy::default(),
-            &mut fs,
-        )
-        .expect("factors");
-        let before = fs.total();
-        shared.refactor(&lanes[1], &mut fs).expect("refactors");
-        let r_switch = fs.total() - before;
-        let per_path_scalar = (T_STEPS * r_switch) as f64;
-
-        let mut flops = FlopCounter::new();
-        let t_batch = time(reps, || {
-            BatchedLu::factor_ordered(
-                &lane_refs,
-                OrderingChoice::Natural,
-                PivotStrategy::default(),
-                &mut flops,
-            )
-            .expect("factors");
-        });
-        let mut lu_sw = shared.clone();
-        let t_k_refac = time(reps, || {
-            for m in &lanes {
-                lu_sw.refactor(black_box(m), &mut flops).expect("refactors");
-            }
-        });
-        println!(
-            "{:>5}x{:<2} {:>14.0} {:>16.0} {:>7.1}x {:>12.2} {:>12.2}",
-            n,
-            n,
-            per_path_batched,
-            per_path_scalar,
-            per_path_scalar / per_path_batched,
-            t_batch * 1e6,
-            t_k_refac * 1e6,
-        );
     }
 }

@@ -119,9 +119,6 @@ pub struct ParsedDeck {
 struct ModelCard {
     type_name: String,
     params: HashMap<String, f64>,
-    /// Definition line, kept for duplicate-model diagnostics.
-    #[allow(dead_code)]
-    line: usize,
 }
 
 /// One source token, borrowed from the deck text, with its physical
@@ -267,14 +264,7 @@ pub fn parse_netlist_with_params(text: &str, overrides: &[(String, f64)]) -> Res
             let value = parse_value(pair[1].text).ok_or_else(|| bad_value(&pair[1]))?;
             params.insert(key, value);
         }
-        models.insert(
-            name,
-            ModelCard {
-                type_name,
-                params,
-                line: line.line_no,
-            },
-        );
+        models.insert(name, ModelCard { type_name, params });
     }
 
     // Pass 1.5: collect `.subckt` definitions (bodies become templates) so

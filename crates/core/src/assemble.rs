@@ -10,7 +10,7 @@
 
 use crate::Result;
 use nanosim_circuit::{Circuit, MnaSystem};
-use nanosim_numeric::solve::{LinearSolver, LuStats, PrecisionMode, SparseLuSolver};
+use nanosim_numeric::solve::{LinearSolver, LuStats, SparseLuSolver};
 use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice, TripletMatrix};
 use nanosim_numeric::{FaultPlan, FlopCounter};
 
@@ -483,20 +483,6 @@ impl AssemblyWorkspace {
     pub fn ordering_name(&self) -> &'static str {
         self.solver.ordering_name()
     }
-
-    /// Selects the working precision of the embedded solver's triangular
-    /// solves (see [`PrecisionMode`]): `Mixed` runs f32 panel sweeps
-    /// polished by f64 refinement, with automatic per-solve fallback.
-    /// Factorizations always stay f64.
-    pub fn set_precision(&mut self, mode: PrecisionMode) {
-        self.solver.set_precision(mode);
-    }
-
-    /// The embedded solver's working precision.
-    #[allow(dead_code)] // accessor kept for tests / diagnostics
-    pub fn precision(&self) -> PrecisionMode {
-        self.solver.precision()
-    }
 }
 
 /// Names of all MNA variables in column order: non-ground node names first,
@@ -704,33 +690,6 @@ mod tests {
         let mut xc = Vec::new();
         clean.factor_solve(&rhs, &mut xc, &mut flops).unwrap();
         assert_eq!(x, xc);
-    }
-
-    #[test]
-    fn mixed_precision_workspace_matches_f64_to_refinement_tolerance() {
-        let m = CircuitMatrices::new(&divider()).unwrap();
-        let mut ws = AssemblyWorkspace::new(&m, false, false, OrderingChoice::default());
-        assert_eq!(ws.precision(), PrecisionMode::F64);
-        ws.set_precision(PrecisionMode::Mixed);
-        assert_eq!(ws.precision(), PrecisionMode::Mixed);
-        ws.begin();
-        let mut rhs = vec![0.0; 3];
-        m.mna.stamp_rhs(0.0, &mut rhs);
-        let mut x = Vec::new();
-        let mut flops = FlopCounter::new();
-        ws.factor_solve(&rhs, &mut x, &mut flops).unwrap();
-        let lu = ws.lu_stats();
-        assert!(lu.f32_panel_solves >= 1, "mixed path ran: {lu:?}");
-        assert_eq!(lu.precision_fallbacks, 0, "healthy deck never falls back");
-
-        let mut f64_ws = AssemblyWorkspace::new(&m, false, false, OrderingChoice::default());
-        f64_ws.begin();
-        let mut xf = Vec::new();
-        f64_ws.factor_solve(&rhs, &mut xf, &mut flops).unwrap();
-        let scale = xf.iter().fold(0.0f64, |a, v| a.max(v.abs()));
-        for (a, b) in x.iter().zip(xf.iter()) {
-            assert!((a - b).abs() <= 1e-12 * scale.max(1.0), "{a} vs {b}");
-        }
     }
 
     #[test]

@@ -37,7 +37,9 @@
 //! multi-RHS [`SparseLu::solve_many_into`] instead of one factor-structure
 //! walk per path. Per-path arithmetic is bit-identical to the serial
 //! per-path stepping (the batched kernel's lanes match independent solves
-//! bit for bit), so this is purely a throughput optimization.
+//! bit for bit), so this is purely a throughput optimization. With
+//! [`EmOptions::param_spread`] each path has its own `C` and solves
+//! against its own factors instead.
 //!
 //! **Supported circuits**: every MNA unknown must be a node voltage with
 //! capacitance to ground (no voltage sources, no inductors) — the standard
@@ -51,7 +53,7 @@ use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
 use nanosim_numeric::parallel::try_par_map;
 use nanosim_numeric::rng::Pcg64;
-use nanosim_numeric::sparse::{BatchedLu, CsrMatrix, OrderingChoice, PivotStrategy, SparseLu};
+use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice, PivotStrategy, SparseLu};
 use nanosim_numeric::stats::{percentile, RunningStats};
 use nanosim_numeric::{BudgetMeter, FlopCounter};
 use nanosim_sde::wiener::WienerPath;
@@ -84,8 +86,9 @@ pub struct EmOptions {
     /// Monte-Carlo path scales every capacitance entry and the conductance
     /// stamp by independent factors drawn uniformly from `[1-s, 1+s]`
     /// (path-ordered stream seeded from [`EmOptions::seed`]). With
-    /// `s > 0` every chunk factors its paths' distinct `C` matrices as one
-    /// interleaved [`BatchedLu`] batch and advances them in lockstep;
+    /// `s > 0` every chunk factors its first path's `C` once and refactors
+    /// that template with each path's values, then advances them in
+    /// lockstep;
     /// `s = 0` (the default) keeps the single shared factorization and is
     /// bit-identical to previous behavior. Ignored by
     /// [`EmEngine::run_with_paths`], which integrates nominal parameters.
@@ -340,8 +343,8 @@ impl EmEngine {
         };
         // Nominal parameters: factor C once; the factorization is immutable
         // and shared by every worker (each solves into its own buffers).
-        // With per-path spread each chunk instead factors its paths' C
-        // matrices as one interleaved batch.
+        // With per-path spread each chunk instead factors its own paths' C
+        // matrices (see `simulate_chunk`).
         let c_lu = if variation.is_none() {
             Some(SparseLu::factor(&mats.c_csr, &mut flops)?)
         } else {
@@ -509,11 +512,10 @@ impl EmEngine {
     /// `(variable, step)` accumulator the paths still push in ascending
     /// path order, so the reduction is bit-identical to per-path stepping.
     ///
-    /// With `variation` set the chunk instead factors its paths' distinct
-    /// capacitance matrices once as one interleaved [`BatchedLu`] batch and
-    /// each step runs a single lane-parallel batched solve — one elimination
-    /// traversal per step for the whole chunk instead of a refactor per
-    /// path switch.
+    /// With `variation` set the chunk instead factors its first path's
+    /// capacitance matrix once, gives every path a values-only refactor of
+    /// that template with its own values, and each step solves every path
+    /// against its own factors — no refactor per path switch.
     fn simulate_chunk(
         &self,
         mats: &CircuitMatrices,
@@ -532,22 +534,27 @@ impl EmEngine {
         let mut stats = EngineStats::new();
         let mut flops = FlopCounter::new();
 
-        // Per-path C factors advance as one interleaved batch.
-        let batch = match variation {
+        // Per-path C factors: lane 0's factorization fixes the pivot order
+        // and structure, and every lane refactors a copy with its values.
+        let lanes = match variation {
             Some(var) => {
                 let before = flops.total();
-                let lane_mats: Vec<&CsrMatrix> = var.cap_mats[lo..lo + npaths].iter().collect();
-                let b = BatchedLu::factor_ordered(
-                    &lane_mats,
+                let lane_mats = &var.cap_mats[lo..lo + npaths];
+                let template = SparseLu::factor_ordered(
+                    &lane_mats[0],
                     OrderingChoice::Natural,
                     PivotStrategy::default(),
                     &mut flops,
                 )?;
+                let mut lus = vec![template; npaths];
+                for (lu, mat) in lus.iter_mut().zip(lane_mats) {
+                    let ratio = lu.refactor_tolerant(mat, &mut flops)?;
+                    stats.min_recip_pivot = stats.min_recip_pivot.min(ratio);
+                }
                 stats.full_factors += 1;
                 stats.batched_factors += 1;
                 stats.factor_flops += flops.total() - before;
-                stats.min_recip_pivot = stats.min_recip_pivot.min(b.min_recip_pivot());
-                Some(b)
+                Some(lus)
             }
             None => None,
         };
@@ -600,11 +607,17 @@ impl EmEngine {
                 )?;
                 rhs_block[p * dim..(p + 1) * dim].copy_from_slice(&state.rhs);
             }
-            // One factor traversal advances the whole chunk.
-            match (&batch, c_lu) {
-                (Some(b), _) => {
-                    b.solve_all_into(&rhs_block, &mut delta_block, &mut solve_work, &mut flops)?
+            match (&lanes, c_lu) {
+                // Per-path factors: each path solves against its own.
+                (Some(lus), _) => {
+                    delta_block.resize(dim * npaths, 0.0);
+                    for (p, lu) in lus.iter().enumerate() {
+                        let rhs = &rhs_block[p * dim..(p + 1) * dim];
+                        lu.solve_into(rhs, &mut state.delta, &mut solve_work, &mut flops)?;
+                        delta_block[p * dim..(p + 1) * dim].copy_from_slice(&state.delta);
+                    }
                 }
+                // Shared factors: one traversal advances the whole chunk.
                 (None, Some(lu)) => lu.solve_many_into(
                     &rhs_block,
                     npaths,
@@ -743,8 +756,8 @@ impl EmEngine {
 #[derive(Debug)]
 struct PathVariation {
     /// One capacitance matrix per path, identical sparsity pattern to the
-    /// nominal `C` (values jittered, structure untouched) — the contract
-    /// [`BatchedLu`] needs to interleave them into one factor batch.
+    /// nominal `C` (values jittered, structure untouched), so each path's
+    /// factors are a values-only refactor of one template.
     cap_mats: Vec<CsrMatrix>,
     /// Per-path conductance scale applied to `G·x` during RHS assembly.
     g_scale: Vec<f64>,
@@ -894,10 +907,10 @@ mod tests {
     #[test]
     fn param_spread_batches_factors_and_stays_thread_deterministic() {
         // 21 paths over PATH_CHUNK=8 -> 3 chunks, each factoring its lanes
-        // as one interleaved batch. The chunk decomposition depends only on
+        // against one template. The chunk decomposition depends only on
         // path indices, so the spread ensemble is bit-identical at every
         // worker count, exactly like the nominal path. A coupling cap makes
-        // C non-diagonal so the batched elimination does real work.
+        // C non-diagonal so the lane refactors do real elimination work.
         let mut ckt = noisy_rc(1e-9, 1e-3);
         let n = ckt.node("v");
         let n2 = ckt.node("v2");

@@ -48,17 +48,9 @@ pub struct EngineStats {
     pub supernodes: u64,
     /// Factor columns covered by those supernodes.
     pub supernode_cols: u64,
-    /// Single-precision panel solves performed by the mixed-precision
-    /// ladder (initial f32 sweeps plus f32 correction solves; see
-    /// [`LuStats::f32_panel_solves`]).
-    pub f32_panel_solves: u64,
-    /// Mixed-precision solves whose refinement failed to contract and
-    /// fell back to the plain f64 path (0 on healthy decks — the bench
-    /// smoke gates on this in CI).
-    pub precision_fallbacks: u64,
-    /// Batched ensemble factorizations: `BatchedLu` passes that advanced
-    /// k same-pattern factors in lockstep (one per path chunk and step of
-    /// an EM run with per-path parameter variation).
+    /// Spread-chunk factorizations of an EM run with per-path parameter
+    /// variation: one per chunk of paths, which factors its paths'
+    /// capacitance matrices against one shared template analysis.
     pub batched_factors: u64,
     /// Nonlinear device model evaluations.
     pub device_evals: u64,
@@ -101,8 +93,6 @@ impl Default for EngineStats {
             fill_ratio: 0.0,
             supernodes: 0,
             supernode_cols: 0,
-            f32_panel_solves: 0,
-            precision_fallbacks: 0,
             batched_factors: 0,
             device_evals: 0,
             rescues: 0,
@@ -195,8 +185,6 @@ impl EngineStats {
             self.supernodes = other.supernodes;
             self.supernode_cols = other.supernode_cols;
         }
-        self.f32_panel_solves += other.f32_panel_solves;
-        self.precision_fallbacks += other.precision_fallbacks;
         self.batched_factors += other.batched_factors;
         self.device_evals += other.device_evals;
         self.rescues += other.rescues;
@@ -223,9 +211,6 @@ impl EngineStats {
         self.refactor_flops += after.refactor_flops - before.refactor_flops;
         self.solve_flops += after.solve_flops - before.solve_flops;
         self.refinement_steps += after.refinement_steps - before.refinement_steps;
-        self.f32_panel_solves += after.f32_panel_solves - before.f32_panel_solves;
-        self.precision_fallbacks += after.precision_fallbacks - before.precision_fallbacks;
-        self.batched_factors += after.batched_factors - before.batched_factors;
         if after.nnz_lu > self.nnz_lu
             || (after.nnz_lu == self.nnz_lu && after.fill_ratio() > self.fill_ratio)
         {
@@ -251,7 +236,7 @@ impl fmt::Display for EngineStats {
             "{} steps ({} rejected), {} iterations, {} solves ({} factor / {} refactor, \
              {} refinement), lu flops {} factor / {} refactor / {} solve, \
              lu nnz {} (fill {:.2}x, {} supernodes over {} cols), \
-             {} f32 panel solves ({} precision fallbacks), {} batched factors, \
+             {} batched factors, \
              {} device evals, \
              {} rescues ({} rungs), min pivot ratio {:.1e}, health {}, \
              {} preflight warnings, {}, {:.3} ms",
@@ -269,8 +254,6 @@ impl fmt::Display for EngineStats {
             self.fill_ratio,
             self.supernodes,
             self.supernode_cols,
-            self.f32_panel_solves,
-            self.precision_fallbacks,
             self.batched_factors,
             self.device_evals,
             self.rescues,
@@ -349,10 +332,7 @@ mod tests {
             nnz_a: 20,
             supernodes: 3,
             supernode_cols: 9,
-            f32_panel_solves: 6,
-            precision_fallbacks: 1,
             min_recip_pivot: 1e-3,
-            ..LuStats::default()
         };
         s.absorb_lu(&before, &after);
         assert_eq!(s.full_factors, 1);
@@ -361,8 +341,6 @@ mod tests {
         assert_eq!(s.refactor_flops, 40);
         assert_eq!(s.solve_flops, 20);
         assert_eq!(s.refinement_steps, 2);
-        assert_eq!(s.f32_panel_solves, 6);
-        assert_eq!(s.precision_fallbacks, 1);
         assert_eq!(s.batched_factors, 0);
         assert_eq!(s.supernodes, 3);
         assert_eq!(s.supernode_cols, 9);
@@ -398,7 +376,6 @@ mod tests {
         assert!(out.contains("7 steps"));
         assert!(out.contains("3 device evals"));
         assert!(out.contains("0 rescues"));
-        assert!(out.contains("0 f32 panel solves (0 precision fallbacks)"));
         assert!(out.contains("0 batched factors"));
         assert!(out.contains("health healthy"));
         assert!(out.contains("0 preflight warnings"));

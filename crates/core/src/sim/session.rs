@@ -19,7 +19,7 @@ use crate::swec::{DcMode, SwecDcSweep, SwecTransient};
 use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
 use nanosim_numeric::parallel::{try_par_map, try_par_map_partial};
-use nanosim_numeric::solve::{LuStats, PrecisionMode};
+use nanosim_numeric::solve::LuStats;
 use nanosim_numeric::sparse::OrderingChoice;
 use nanosim_numeric::{Budget, BudgetMeter, CancelToken, FlopCounter};
 use std::time::Instant;
@@ -73,15 +73,6 @@ pub struct SimOptions {
     /// Preflight is pattern-only — it performs no factorization and no
     /// numeric solve, so results are bit-identical with it on or off.
     pub preflight: PreflightMode,
-    /// Working precision of the session's sparse solves (default
-    /// [`PrecisionMode::F64`]). [`PrecisionMode::Mixed`] runs panel solves
-    /// in `f32` and polishes with `f64` iterative refinement to a residual
-    /// of at most `1e-12` of scale, falling back to the full `f64` path
-    /// (counted in [`LuStats::precision_fallbacks`]) whenever refinement
-    /// stops contracting — accuracy is gated, only the work mix changes.
-    /// Applied to every workspace the session creates, including sharded
-    /// sweep clones.
-    pub precision: PrecisionMode,
 }
 
 /// A simulation session bound to one circuit.
@@ -387,7 +378,6 @@ impl Simulator {
     fn ensure_dc_ws(&mut self) {
         if self.dc_ws.is_none() {
             let mut ws = AssemblyWorkspace::new(&self.mats, false, false, self.opts.ordering);
-            ws.set_precision(self.opts.precision);
             if let Some(plan) = &self.fault {
                 ws.arm_faults(plan.clone());
             }
@@ -399,7 +389,6 @@ impl Simulator {
     fn ensure_tran_ws(&mut self) {
         if self.tran_ws.is_none() {
             let mut ws = AssemblyWorkspace::new(&self.mats, false, true, self.opts.ordering);
-            ws.set_precision(self.opts.precision);
             if let Some(plan) = &self.fault {
                 ws.arm_faults(plan.clone());
             }

@@ -512,24 +512,9 @@ impl SwecDcSweep {
 
     /// One non-iterative SWEC step: stamp `Geq` at the previous solution
     /// `x0` and solve once — the paper's DC procedure ("a range of voltages
-    /// were applied ... SWEC is a non iterative method").
-    #[allow(dead_code)] // convenience wrapper kept for tests
-    pub(crate) fn solve_noniterative(
-        &self,
-        mats: &CircuitMatrices,
-        override_src: Option<(&str, f64)>,
-        x0: &[f64],
-        stats: &mut EngineStats,
-    ) -> Result<Vec<f64>> {
-        let mut ws = AssemblyWorkspace::new(mats, false, false, OrderingChoice::default());
-        let mut buf = DcBuffers::default();
-        let mut meter = self.meter.fork();
-        self.solve_noniterative_ws(mats, &mut ws, &mut buf, override_src, x0, stats, &mut meter)
-    }
-
-    /// [`SwecDcSweep::solve_noniterative`] against caller-owned workspace
-    /// and buffers (the sweep's per-point hot path; also the
-    /// [`crate::sim`] sharded-sweep building block).
+    /// were applied ... SWEC is a non iterative method") — against
+    /// caller-owned workspace and buffers (the sweep's per-point hot path;
+    /// also the [`crate::sim`] sharded-sweep building block).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_noniterative_ws(
         &self,

@@ -275,25 +275,19 @@ impl SwecTransient {
                 StepControl::PaperConstraints => {
                     // Closed-form constraints (paper eq. 12).
                     let source_slew = mna.max_source_slew(t);
-                    let mut constraints: Vec<StepConstraint> = Vec::new();
-                    for j in 0..mna.num_nodes() {
-                        constraints.push(StepConstraint::NodeRc {
-                            capacitance: node_caps[j],
-                            conductance: g_rowsum[j],
-                        });
-                    }
-                    for i in 0..bindings.len() {
-                        let v = tracker.voltage(i).abs().max(0.05);
-                        let alpha = tracker.slew(i).abs().max(source_slew * 0.1);
-                        constraints.push(StepConstraint::DeviceSlew { v, alpha });
-                    }
-                    for (vgs, _) in &mos_state {
-                        constraints.push(StepConstraint::DeviceSlew {
-                            v: vgs.abs().max(0.05),
-                            alpha: source_slew,
-                        });
-                    }
-                    controller.suggest(constraints.iter().copied(), t, tstop, next_bp)
+                    let nodes = (0..mna.num_nodes()).map(|j| StepConstraint::NodeRc {
+                        capacitance: node_caps[j],
+                        conductance: g_rowsum[j],
+                    });
+                    let devices = (0..bindings.len()).map(|i| StepConstraint::DeviceSlew {
+                        v: tracker.voltage(i).abs().max(0.05),
+                        alpha: tracker.slew(i).abs().max(source_slew * 0.1),
+                    });
+                    let mosfets = mos_state.iter().map(|(vgs, _)| StepConstraint::DeviceSlew {
+                        v: vgs.abs().max(0.05),
+                        alpha: source_slew,
+                    });
+                    controller.suggest(nodes.chain(devices).chain(mosfets), t, tstop, next_bp)
                 }
                 StepControl::LocalError => {
                     let mut h = h_ref.min(h_max).min(tstop - t);
@@ -773,6 +767,45 @@ mod tests {
         for w in vals.windows(2) {
             assert!((w[1] - w[0]).abs() <= 0.5 + 1e-9);
         }
+    }
+
+    #[test]
+    fn paper_constraint_stepping_is_pinned() {
+        // Paper eq. 11/12 step control on the RTD ramp: the node and
+        // device-slew bounds fix every step, so the whole run is pinned
+        // by one bitwise digest of its time axis and columns.
+        let mut ckt = Circuit::new();
+        let a = ckt.node("in");
+        let b = ckt.node("mid");
+        ckt.add_voltage_source(
+            "V1",
+            a,
+            Circuit::GROUND,
+            SourceWaveform::pwl(vec![(0.0, 0.0), (10e-9, 5.0), (20e-9, 5.0)]).unwrap(),
+        )
+        .unwrap();
+        ckt.add_resistor("R1", a, b, 50.0).unwrap();
+        ckt.add_rtd("X1", b, Circuit::GROUND, Rtd::date2005())
+            .unwrap();
+        ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-12).unwrap();
+        let result = SwecTransient::new(SwecOptions {
+            step_control: StepControl::PaperConstraints,
+            ..SwecOptions::default()
+        })
+        .run(&ckt, 0.1e-9, 2e-9)
+        .unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        let columns = result.names().iter().map(|n| result.column(n).unwrap());
+        for x in std::iter::once(result.times()).chain(columns).flatten() {
+            for byte in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+        assert_eq!(
+            (result.stats.steps, h),
+            (10_641, 0xff4e_d3dc_a7c8_9112),
+            "steps and digest {h:#018x}"
+        );
     }
 
     #[test]

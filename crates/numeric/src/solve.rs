@@ -104,28 +104,6 @@ pub trait LinearSolver: Debug {
     fn name(&self) -> &'static str;
 }
 
-/// Working precision of a [`SparseLuSolver`]'s triangular solves.
-///
-/// The factorization itself always runs in f64 — pivot health, the
-/// degraded-pivot ladder, and pattern fallback are precision-independent.
-/// What `Mixed` changes is the *solve*: the forward/backward sweeps run
-/// over `f32` factor mirrors (wider SIMD lanes, half the memory traffic),
-/// and f64 iterative refinement polishes the answer to a relative
-/// residual ≤ `1e-12` of the problem scale. When refinement fails to
-/// contract (degraded pivots, stiff collapse) the solve falls back to the
-/// plain f64 path transparently — counted in
-/// [`LuStats::precision_fallbacks`], never visible in the results beyond
-/// the last few bits.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PrecisionMode {
-    /// Pure double precision everywhere (the default).
-    #[default]
-    F64,
-    /// `f32` panel solves + f64 iterative refinement, with automatic
-    /// fallback to [`PrecisionMode::F64`] when refinement stalls.
-    Mixed,
-}
-
 /// Dense LU backend; reference implementation, O(n^3) factor.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DenseLuSolver;
@@ -177,21 +155,6 @@ pub struct LuStats {
     pub supernodes: u64,
     /// Factor columns covered by those supernodes (0 when cold).
     pub supernode_cols: u64,
-    /// Single-precision panel solves performed under
-    /// [`PrecisionMode::Mixed`] (initial f32 sweeps plus f32 correction
-    /// solves; the f64 refinement iterations around them are *not*
-    /// [`LuStats::refinement_steps`] — those count degraded-pivot
-    /// rescues, which flag the engine health as degraded).
-    pub f32_panel_solves: u64,
-    /// Mixed-precision solves whose refinement failed to contract and
-    /// fell back to the plain f64 path. Zero on healthy decks — gated in
-    /// CI by the bench smoke.
-    pub precision_fallbacks: u64,
-    /// Batched ensemble factorizations ([`crate::sparse::BatchedLu`]
-    /// passes advancing k same-pattern factors in lockstep). Always 0 at
-    /// the solver level — the EM engine drives the batch directly and
-    /// folds the count into its engine stats.
-    pub batched_factors: u64,
     /// Smallest `|pivot| / column-max` ratio seen across every numeric
     /// pass this solver has run — the reciprocal pivot-growth health
     /// monitor. `f64::INFINITY` when no factorization has run yet.
@@ -211,9 +174,6 @@ impl Default for LuStats {
             nnz_a: 0,
             supernodes: 0,
             supernode_cols: 0,
-            f32_panel_solves: 0,
-            precision_fallbacks: 0,
-            batched_factors: 0,
             min_recip_pivot: f64::INFINITY,
         }
     }
@@ -247,12 +207,7 @@ pub struct SparseLuSolver {
     /// consumed by the next `ensure_factors`, which then reports the pass
     /// degraded regardless of the measured pivot ratios.
     force_degrade: bool,
-    /// Working precision of the triangular solves (factorizations always
-    /// run f64; see [`PrecisionMode`]).
-    precision: PrecisionMode,
     work: Vec<f64>,
-    /// f32 scratch of the mixed-precision panel solves.
-    work32: Vec<f32>,
     /// Residual / correction scratch of the refinement step.
     resid: Vec<f64>,
     corr: Vec<f64>,
@@ -262,8 +217,6 @@ pub struct SparseLuSolver {
     refactor_flops: u64,
     solve_flops: u64,
     refinement_steps: u64,
-    f32_panel_solves: u64,
-    precision_fallbacks: u64,
     /// Smallest reciprocal pivot-growth ratio seen across the solver's
     /// lifetime (`None` before the first factorization).
     min_recip_pivot: Option<f64>,
@@ -331,28 +284,8 @@ impl SparseLuSolver {
             nnz_a,
             supernodes,
             supernode_cols,
-            f32_panel_solves: self.f32_panel_solves,
-            precision_fallbacks: self.precision_fallbacks,
-            batched_factors: 0,
             min_recip_pivot: self.min_recip_pivot.unwrap_or(f64::INFINITY),
         }
-    }
-
-    /// Selects the working precision of the triangular solves. Switching
-    /// to [`PrecisionMode::Mixed`] arms the cached factorization's f32
-    /// mirrors immediately (subsequent refactors keep them fresh);
-    /// switching back stops the mirror upkeep. Factorizations are
-    /// unaffected either way.
-    pub fn set_precision(&mut self, mode: PrecisionMode) {
-        self.precision = mode;
-        if let Some(lu) = &mut self.cached {
-            lu.set_mixed_precision(mode == PrecisionMode::Mixed);
-        }
-    }
-
-    /// The configured working precision.
-    pub fn precision(&self) -> PrecisionMode {
-        self.precision
     }
 
     /// Name of the ordering applied by the cached factorization, or the
@@ -425,10 +358,7 @@ impl SparseLuSolver {
                 }
             }
             None => {
-                let mut lu = SparseLu::factor_ordered(a, self.ordering, self.strategy, flops)?;
-                if self.precision == PrecisionMode::Mixed {
-                    lu.set_mixed_precision(true);
-                }
+                let lu = SparseLu::factor_ordered(a, self.ordering, self.strategy, flops)?;
                 let ratio = lu.min_recip_pivot();
                 self.cached = Some(lu);
                 self.full_factors += 1;
@@ -448,15 +378,12 @@ impl SparseLuSolver {
     /// change re-runs the ordering).
     fn full_factor(&mut self, a: &CsrMatrix, flops: &mut FlopCounter) -> Result<()> {
         let start = flops.total();
-        let mut fresh = match &self.cached {
+        let fresh = match &self.cached {
             Some(lu) if lu.symbolic().matches(a) => {
                 SparseLu::factor_symbolic(lu.symbolic().clone(), a, self.strategy, flops)?
             }
             _ => SparseLu::factor_ordered(a, self.ordering, self.strategy, flops)?,
         };
-        if self.precision == PrecisionMode::Mixed {
-            fresh.set_mixed_precision(true);
-        }
         let ratio = fresh.min_recip_pivot();
         self.cached = Some(fresh);
         self.full_factors += 1;
@@ -489,15 +416,6 @@ impl SparseLuSolver {
         x: &mut Vec<f64>,
         flops: &mut FlopCounter,
     ) -> Result<()> {
-        // Mixed precision only attempts the fast ladder on healthy
-        // factors — degraded pivots go straight to the f64 refinement
-        // path, which owns that regime.
-        if self.precision == PrecisionMode::Mixed
-            && !self.degraded
-            && self.solve_mixed(a, b, x, flops)?
-        {
-            return Self::screen_finite(x);
-        }
         let solve_start = flops.total();
         let lu = self.cached.as_ref().expect("factors ensured");
         lu.solve_into(b, x, &mut self.work, flops)?;
@@ -517,83 +435,6 @@ impl SparseLuSolver {
         }
         self.solve_flops += flops.total() - solve_start;
         Self::screen_finite(x)
-    }
-
-    /// The mixed-precision solve ladder: an f32 panel solve, then up to
-    /// [`MIXED_MAX_STEPS`] f64-residual / f32-correction refinement
-    /// iterations. Returns `Ok(true)` with `x` polished to a relative
-    /// residual ≤ `1e-12` of the problem scale, or `Ok(false)` when
-    /// refinement failed to contract — the caller then reruns the plain
-    /// f64 path (counted in [`LuStats::precision_fallbacks`]).
-    ///
-    /// These refinement iterations are part of the precision ladder, not
-    /// degraded-pivot rescues: they are counted in
-    /// [`LuStats::f32_panel_solves`] and deliberately **not** in
-    /// [`LuStats::refinement_steps`], which the engine health roll-up
-    /// treats as a degradation signal.
-    fn solve_mixed(
-        &mut self,
-        a: &CsrMatrix,
-        b: &[f64],
-        x: &mut Vec<f64>,
-        flops: &mut FlopCounter,
-    ) -> Result<bool> {
-        /// Refinement iterations before conceding to the f64 path.
-        const MIXED_MAX_STEPS: usize = 4;
-        /// Relative residual (∞-norm, against `max(‖A·x‖, ‖b‖)`) at which
-        /// a mixed-precision solve is accepted.
-        const MIXED_ACCEPT: f64 = 1e-12;
-        let solve_start = flops.total();
-        {
-            let Self { cached, work32, .. } = self;
-            let lu = cached.as_ref().expect("factors ensured");
-            lu.solve_into_f32(b, x, work32, flops)?;
-        }
-        self.f32_panel_solves += 1;
-        let n = x.len();
-        let mut prev = f64::INFINITY;
-        for _ in 0..=MIXED_MAX_STEPS {
-            self.resid.resize(n, 0.0);
-            a.matvec_into(x, &mut self.resid, flops)?;
-            let mut scale = 0.0f64;
-            let mut rmax = 0.0f64;
-            for (ax, bi) in self.resid.iter_mut().zip(b) {
-                scale = scale.max(ax.abs()).max(bi.abs());
-                *ax = bi - *ax;
-                rmax = rmax.max(ax.abs());
-            }
-            flops.add(n as u64);
-            if rmax.is_finite() && rmax <= MIXED_ACCEPT * scale.max(f64::MIN_POSITIVE) {
-                self.solve_flops += flops.total() - solve_start;
-                return Ok(true);
-            }
-            // Require at least a halving per iteration — anything slower
-            // means f32 has no digits left to contribute here (degraded
-            // pivots, stiff collapse) and the f64 path should take over.
-            if !rmax.is_finite() || rmax >= 0.5 * prev {
-                break;
-            }
-            prev = rmax;
-            {
-                let Self {
-                    cached,
-                    work32,
-                    resid,
-                    corr,
-                    ..
-                } = self;
-                let lu = cached.as_ref().expect("factors ensured");
-                lu.solve_into_f32(resid, corr, work32, flops)?;
-            }
-            self.f32_panel_solves += 1;
-            for (xi, c) in x.iter_mut().zip(&self.corr) {
-                *xi += c;
-            }
-            flops.add(n as u64);
-        }
-        self.precision_fallbacks += 1;
-        self.solve_flops += flops.total() - solve_start;
-        Ok(false)
     }
 
     /// One iterative-refinement step on `x` (`r = b − A·x`, solve the
@@ -676,10 +517,6 @@ impl LinearSolver for SparseLuSolver {
             });
         }
         self.ensure_factors(a, flops)?;
-        // The batched path stays f64 in every precision mode: the
-        // interleaved multi-RHS kernel is already bandwidth-optimal, and
-        // its bit-for-bit contract against `nrhs` independent solves is a
-        // CI gate that f32 lanes would break.
         if self.degraded {
             // Degraded factors refine per right-hand side, exactly like
             // `nrhs` independent `solve_into` calls would — keeping the

@@ -53,10 +53,6 @@ pub(crate) const MAX_SUPERNODE: usize = 32;
 /// 256-bit lanes without reassociating any per-row chain.
 pub(crate) const LANES_F64: usize = 4;
 
-/// Row-chunk width of the `f32` panel kernels (`[f32; 8]` — same 256-bit
-/// register budget, twice the lanes).
-pub(crate) const LANES_F32: usize = 8;
-
 /// Per-column absolute slack of the relaxation bound (lets very sparse
 /// neighboring columns amalgamate when the constant overhead dominates).
 pub(crate) const RELAX_SLACK: usize = 4;
@@ -142,16 +138,6 @@ pub(crate) struct SupernodePlan {
     pub u_tri_ptr: Vec<usize>,
     pub u_tri: Vec<f64>,
     pub u_tri_src: Vec<usize>,
-
-    /// Single-precision mirrors of the panels and triangles — the `f32`
-    /// storage mode behind mixed-precision solves. Empty (zero upkeep)
-    /// until [`SupernodePlan::refresh_f32`] first runs; refreshed from the
-    /// **f32 value mirrors** so panel entries are bitwise equal to the
-    /// per-entry `f32` fallback path.
-    pub l_panel32: Vec<f32>,
-    pub u_panel32: Vec<f32>,
-    pub l_tri32: Vec<f32>,
-    pub u_tri32: Vec<f32>,
 
     /// Per-supernode kernel gates: a side whose realized union padding is
     /// too high keeps no panel (`false`) and its columns run through the
@@ -464,21 +450,6 @@ impl SupernodePlan {
             self.u_tri_ptr[s + 1],
         );
     }
-
-    /// Refreshes (allocating on first use) the `f32` panel mirrors from the
-    /// single-precision value mirrors. Called only when mixed precision is
-    /// enabled, after the canonical `f64` panels are current — plans that
-    /// never solve in mixed mode pay nothing.
-    pub fn refresh_f32(&mut self, l_vals32: &[f32], u_vals32: &[f32]) {
-        self.l_panel32.resize(self.l_panel_src.len(), 0.0);
-        self.u_panel32.resize(self.u_panel_src.len(), 0.0);
-        self.l_tri32.resize(self.l_tri_src.len(), 0.0);
-        self.u_tri32.resize(self.u_tri_src.len(), 0.0);
-        refresh_range_f32(&mut self.l_panel32, &self.l_panel_src, l_vals32);
-        refresh_range_f32(&mut self.l_tri32, &self.l_tri_src, l_vals32);
-        refresh_range_f32(&mut self.u_panel32, &self.u_panel_src, u_vals32);
-        refresh_range_f32(&mut self.u_tri32, &self.u_tri_src, u_vals32);
-    }
 }
 
 /// Copies `vals[src[i]]` into `dst[i]` over `[lo, hi)` (`hi = usize::MAX`
@@ -488,13 +459,6 @@ fn refresh_range(dst: &mut [f64], src: &[usize], vals: &[f64], lo: usize, hi: us
     for i in lo..hi {
         let s = src[i];
         dst[i] = if s == usize::MAX { 0.0 } else { vals[s] };
-    }
-}
-
-/// Whole-array [`refresh_range`] analogue for the `f32` mirrors.
-fn refresh_range_f32(dst: &mut [f32], src: &[usize], vals: &[f32]) {
-    for (d, &s) in dst.iter_mut().zip(src) {
-        *d = if s == usize::MAX { 0.0 } else { vals[s] };
     }
 }
 
@@ -601,65 +565,6 @@ pub(crate) fn panel_update(
             }
         }
         for (&row, prow) in rc.remainder().iter().zip(pc.remainder().chunks_exact(w)) {
-            let mut acc = z[row];
-            for (p, x) in prow.iter().zip(&xs[..w]).rev() {
-                acc -= x * p;
-            }
-            z[row] = acc;
-        }
-    } else {
-        for (&row, prow) in rows.iter().zip(panel.chunks_exact(w)) {
-            let mut acc = z[row];
-            for &c in active {
-                acc -= xs[c] * prow[c];
-            }
-            z[row] = acc;
-        }
-    }
-}
-
-/// Single-precision [`panel_update`]: identical structure with `[f32; 8]`
-/// row chunks ([`LANES_F32`]). Serves the mixed-precision triangular
-/// sweeps, whose answers are polished back to f64 by iterative refinement
-/// — so this kernel has no bit-exactness obligation to the f64 path, only
-/// to the per-entry `f32` fallback loops (same chains, same order).
-#[inline]
-pub(crate) fn panel_update_f32(
-    z: &mut [f32],
-    rows: &[usize],
-    panel: &[f32],
-    w: usize,
-    xs: &[f32],
-    active: &[usize],
-) {
-    if active.len() == w && active[0] == 0 {
-        let mut rc = rows.chunks_exact(LANES_F32);
-        let mut pc = panel.chunks_exact(LANES_F32 * w);
-        for (rq, pq) in (&mut rc).zip(&mut pc) {
-            let mut acc = [0.0f32; LANES_F32];
-            for (a, &row) in acc.iter_mut().zip(rq) {
-                *a = z[row];
-            }
-            for (l, prow) in pq.chunks_exact(w).enumerate() {
-                let mut a = acc[l];
-                for (p, x) in prow.iter().zip(&xs[..w]) {
-                    a -= x * p;
-                }
-                acc[l] = a;
-            }
-            for (&row, &a) in rq.iter().zip(&acc) {
-                z[row] = a;
-            }
-        }
-        for (&row, prow) in rc.remainder().iter().zip(pc.remainder().chunks_exact(w)) {
-            let mut acc = z[row];
-            for (p, x) in prow.iter().zip(&xs[..w]) {
-                acc -= x * p;
-            }
-            z[row] = acc;
-        }
-    } else if active.len() == w {
-        for (&row, prow) in rows.iter().zip(panel.chunks_exact(w)) {
             let mut acc = z[row];
             for (p, x) in prow.iter().zip(&xs[..w]).rev() {
                 acc -= x * p;

@@ -15,7 +15,6 @@
 //!     factorization with threshold partial pivoting, values-only
 //!     refactorization, and ordering-transparent solves.
 
-mod batched;
 mod csr;
 mod kernels;
 mod lu;
@@ -23,7 +22,6 @@ pub mod order;
 mod symbolic;
 mod triplet;
 
-pub use batched::BatchedLu;
 pub use csr::CsrMatrix;
 pub(crate) use lu::REFACTOR_PIVOT_RATIO;
 pub use lu::{PivotStrategy, SparseLu, PIVOT_COLLAPSE_RATIO};

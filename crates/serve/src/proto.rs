@@ -352,14 +352,6 @@ fn engine_stats_json(s: &nanosim_core::EngineStats) -> Json {
         ("nnz_lu".to_string(), Json::from(s.nnz_lu)),
         ("fill_ratio".to_string(), Json::Num(s.fill_ratio)),
         ("supernodes".to_string(), Json::from(s.supernodes)),
-        (
-            "f32_panel_solves".to_string(),
-            Json::from(s.f32_panel_solves),
-        ),
-        (
-            "precision_fallbacks".to_string(),
-            Json::from(s.precision_fallbacks),
-        ),
         ("batched_factors".to_string(), Json::from(s.batched_factors)),
         ("device_evals".to_string(), Json::from(s.device_evals)),
         ("rescues".to_string(), Json::from(s.rescues)),

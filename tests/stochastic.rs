@@ -1,11 +1,14 @@
 //! Cross-crate integration of the stochastic stack: circuit-level EM
 //! against the closed-form Ornstein–Uhlenbeck facts from `nanosim-sde`.
 
-use nanosim::core::em::EmEngine;
+use nanosim::core::em::{EmEngine, EmResult};
 use nanosim::prelude::*;
 use nanosim::sde::ou::OrnsteinUhlenbeck;
 use nanosim::sde::wiener::WienerPath;
+use nanosim_devices::sources::SourceWaveform;
+use nanosim_numeric::flops::FlopCounter;
 use nanosim_numeric::rng::Pcg64;
+use nanosim_numeric::sparse::{CsrMatrix, SparseLu};
 
 const G: f64 = 1e-3;
 const C: f64 = 1e-12;
@@ -174,4 +177,124 @@ fn reproducible_with_same_seed() {
         b.sample_path().column("v").unwrap()
     );
     assert_eq!(a.peak_summary("v"), b.peak_summary("v"));
+}
+
+/// Two coupled RC nodes with a noise drive; the coupling capacitor makes
+/// `C` non-diagonal so factoring each path's `C` does real elimination.
+fn coupled_rc_pair() -> Circuit {
+    let mut ckt = Circuit::new();
+    let a = ckt.node("a");
+    let b = ckt.node("b");
+    ckt.add_current_source(
+        "In",
+        Circuit::GROUND,
+        a,
+        SourceWaveform::white_noise(1e-3, 1e-9).unwrap(),
+    )
+    .unwrap();
+    ckt.add_resistor("R1", a, Circuit::GROUND, 1e3).unwrap();
+    ckt.add_resistor("R2", b, Circuit::GROUND, 1e3).unwrap();
+    ckt.add_capacitor("C1", a, Circuit::GROUND, 1e-12).unwrap();
+    ckt.add_capacitor("C2", b, Circuit::GROUND, 1e-12).unwrap();
+    ckt.add_capacitor("Cc", a, b, 2e-13).unwrap();
+    ckt
+}
+
+/// FNV-1a over the bit patterns of every ensemble output: per node the
+/// mean and std envelopes, the running-maximum summary and the sample
+/// path column.
+fn ensemble_digest(r: &EmResult) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |xs: &[f64]| {
+        for x in xs {
+            for byte in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    };
+    eat(r.times());
+    for name in r.names() {
+        eat(r.mean_waveform(name).unwrap().values());
+        eat(r.std_waveform(name).unwrap().values());
+        let peak = r.peak_summary(name).unwrap();
+        eat(&[peak.mean_peak, peak.p95_peak, peak.worst_peak]);
+        eat(&[r.exceedance(name, peak.mean_peak).unwrap()]);
+        eat(r.sample_path().column(name).unwrap());
+    }
+    h
+}
+
+/// Per-path parameter spread results are pinned bit for bit: 21 paths
+/// (three chunks, the last one partial) over 100 steps with 5 % spread,
+/// at one and two workers. Any change to the per-path factor, refactor
+/// or solve arithmetic moves the digest.
+#[test]
+fn param_spread_ensemble_digest_is_pinned() {
+    const PINNED: u64 = 0xa5b7_bb16_16ff_052e;
+    let ckt = coupled_rc_pair();
+    for threads in [1, 2] {
+        let r = EmEngine::new(EmOptions {
+            dt: 1e-12,
+            paths: 21,
+            seed: 0x5EED_0005,
+            threads,
+            param_spread: 0.05,
+            ..EmOptions::default()
+        })
+        .run(&ckt, 1e-10)
+        .unwrap();
+        assert_eq!(r.stats.batched_factors, 3);
+        let digest = ensemble_digest(&r);
+        assert_eq!(
+            digest, PINNED,
+            "spread ensemble digest {digest:#018x} at {threads} threads"
+        );
+    }
+}
+
+/// EM ensembles with per-path parameter spread factor each chunk's `C`
+/// matrices once and reuse them for every step: at least 1.3× fewer
+/// factor flops per path than a shared solver re-refactoring at every
+/// path switch, i.e. `steps × R` per path.
+#[test]
+fn em_param_spread_factor_flops_beat_path_switch_refactoring() {
+    let ckt = coupled_rc_pair();
+    let dt = 1e-12;
+    let horizon = 1e-10; // 100 steps
+    let paths = 16usize; // 2 chunks of PATH_CHUNK = 8
+    let engine = EmEngine::new(EmOptions {
+        dt,
+        paths,
+        seed: 11,
+        threads: 1,
+        param_spread: 0.05,
+        ..EmOptions::default()
+    });
+    let result = engine.run(&ckt, horizon).unwrap();
+    let steps = (horizon / dt).round() as u64;
+    assert_eq!(result.stats.batched_factors, 2);
+    let per_path_chunked = result.stats.factor_flops as f64 / paths as f64;
+
+    // Naive baseline: the same C pattern (node caps + coupling, MNA
+    // stamping), refactored once per path switch per step.
+    let c_mat = CsrMatrix::from_triplets(
+        2,
+        2,
+        &[
+            (0, 0, 1e-12 + 2e-13),
+            (1, 1, 1e-12 + 2e-13),
+            (0, 1, -2e-13),
+            (1, 0, -2e-13),
+        ],
+    );
+    let mut lu = SparseLu::factor(&c_mat, &mut FlopCounter::new()).unwrap();
+    let mut refac_flops = FlopCounter::new();
+    lu.refactor(&c_mat, &mut refac_flops).unwrap();
+    let per_path_naive = (steps * refac_flops.total()) as f64;
+
+    let ratio = per_path_naive / per_path_chunked;
+    assert!(
+        ratio >= 1.3,
+        "chunked {per_path_chunked} vs per-switch {per_path_naive} flops/path ({ratio:.2}x)"
+    );
 }
