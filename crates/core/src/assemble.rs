@@ -12,7 +12,7 @@ use crate::Result;
 use nanosim_circuit::{Circuit, MnaSystem};
 use nanosim_numeric::solve::{LinearSolver, LuStats, SparseLuSolver};
 use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice, TripletMatrix};
-use nanosim_numeric::{FaultPlan, FlopCounter};
+use nanosim_numeric::{BudgetMeter, FaultPlan, FlopCounter};
 
 /// Pre-stamped circuit matrices: the linear part of `G`, the full `C`, and
 /// the MNA structure. Engines build an [`AssemblyWorkspace`] from these and
@@ -510,6 +510,87 @@ pub(crate) fn branch_voltage(x: &[f64], var_plus: Option<usize>, var_minus: Opti
     let vp = var_plus.map_or(0.0, |i| x[i]);
     let vm = var_minus.map_or(0.0, |i| x[i]);
     vp - vm
+}
+
+/// Number of points of a DC sweep from `start` to `stop` (inclusive) in
+/// increments of `step`.
+///
+/// # Errors
+/// [`crate::SimError::InvalidConfig`] for a zero, non-finite or
+/// wrong-signed step, and for a point count that is not finite or does not
+/// fit in a `Vec<f64>`.
+pub(crate) fn sweep_points(start: f64, stop: f64, step: f64) -> crate::Result<usize> {
+    let invalid = |why: &str| crate::SimError::InvalidConfig {
+        context: format!("dc sweep {start}..{stop} with step {step}{why}"),
+    };
+    if step == 0.0 || !step.is_finite() || (stop - start) * step < 0.0 {
+        return Err(invalid(""));
+    }
+    let n = ((stop - start) / step).round() + 1.0;
+    let max = (isize::MAX as usize / std::mem::size_of::<f64>()) as f64;
+    if !n.is_finite() || n > max {
+        return Err(invalid(": too many points"));
+    }
+    Ok(n as usize)
+}
+
+/// Charges the whole result of an `n_points` DC sweep — the axis plus every
+/// [`sweep_columns`] column — to `meter`'s byte budget. Engines call this
+/// before allocating any per-point buffer, so a budget too small for the
+/// sweep fails before any work.
+pub(crate) fn charge_sweep(
+    meter: &mut BudgetMeter,
+    mna: &MnaSystem,
+    n_points: usize,
+) -> crate::Result<()> {
+    let n_cols = 1 + mna.dim() + mna.nonlinear_bindings().len() + mna.mosfet_bindings().len();
+    meter
+        .charge_bytes((n_points as u64).saturating_mul(8 * n_cols as u64))
+        .map_err(|stop| {
+            crate::SimError::budget_exceeded(stop, format!("dc sweep of {n_points} points"))
+        })
+}
+
+/// The output columns of a DC sweep with one row per solution in `xs`: the
+/// MNA variables, then `I(<device>)` for every nonlinear two-terminal and
+/// every MOSFET, evaluated at that solution. Device-evaluation flops are
+/// added to `flops`.
+pub(crate) fn sweep_columns(
+    mna: &MnaSystem,
+    xs: &[Vec<f64>],
+    flops: &mut FlopCounter,
+) -> (Vec<String>, Vec<Vec<f64>>) {
+    let mut names = mna_var_names(mna);
+    let n_vars = names.len();
+    names.extend(
+        mna.nonlinear_bindings()
+            .iter()
+            .map(|b| format!("I({})", b.name)),
+    );
+    names.extend(
+        mna.mosfet_bindings()
+            .iter()
+            .map(|m| format!("I({})", m.name)),
+    );
+    let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(xs.len()); names.len()];
+    for x in xs {
+        let (vars, devices) = columns.split_at_mut(n_vars);
+        for (col, &xi) in vars.iter_mut().zip(x) {
+            col.push(xi);
+        }
+        let mut devices = devices.iter_mut();
+        for (b, col) in mna.nonlinear_bindings().iter().zip(&mut devices) {
+            let v = branch_voltage(x, b.var_plus, b.var_minus);
+            col.push(b.device.current(v, flops));
+        }
+        for (m, col) in mna.mosfet_bindings().iter().zip(&mut devices) {
+            let vd = m.var_drain.map_or(0.0, |i| x[i]);
+            let vg = m.var_gate.map_or(0.0, |i| x[i]);
+            let vs = m.var_source.map_or(0.0, |i| x[i]);
+            col.push(m.model.ids(vg - vs, vd - vs, flops));
+        }
+    }
+    (names, columns)
 }
 
 /// Validates that `source` names an *independent* V/I source that a DC

@@ -18,12 +18,12 @@
 //! [`EngineStats`].
 
 use crate::assemble::{
-    branch_voltage, mna_var_names, override_source_rhs, require_sweepable_source,
-    AssemblyWorkspace, CircuitMatrices,
+    branch_voltage, charge_sweep, mna_var_names, override_source_rhs, require_sweepable_source,
+    sweep_columns, sweep_points, AssemblyWorkspace, CircuitMatrices,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
-use crate::rescue::{RescueRung, RescueTrace};
+use crate::rescue::{self, RescueTrace, RungError, Shunt};
 use crate::waveform::{DcSweepResult, TransientResult};
 use crate::{Result, SimError};
 use nanosim_circuit::{Circuit, MnaSystem};
@@ -225,37 +225,18 @@ impl NrEngine {
         stop: f64,
         step: f64,
     ) -> Result<NrSweepResult> {
-        if step == 0.0 || !step.is_finite() || (stop - start) * step < 0.0 {
-            return Err(SimError::InvalidConfig {
-                context: format!("dc sweep {start}..{stop} with step {step}"),
-            });
-        }
+        let n_points = sweep_points(start, stop, step)?;
         let t0 = Instant::now();
         let mats = CircuitMatrices::new(circuit)?;
         require_sweepable_source(&mats.mna, source)?;
-        let mut stats = EngineStats::new();
-        let mut ws = AssemblyWorkspace::new(&mats, true, true, OrderingChoice::default());
-        let n_points = (((stop - start) / step).round() as i64 + 1).max(1) as usize;
-
-        let var_names = mna_var_names(&mats.mna);
-        let mut names = var_names.clone();
-        for b in mats.mna.nonlinear_bindings() {
-            names.push(format!("I({})", b.name));
-        }
-        for m in mats.mna.mosfet_bindings() {
-            names.push(format!("I({})", m.name));
-        }
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(n_points); names.len()];
-        let mut sweep = Vec::with_capacity(n_points);
-        let mut outcomes = Vec::with_capacity(n_points);
-
         // The result shape is known up front: charge it all before any work.
         let mut run_meter = self.meter.fork();
-        run_meter
-            .charge_bytes(8 * (n_points as u64) * (1 + names.len() as u64))
-            .map_err(|stop| {
-                SimError::budget_exceeded(stop, format!("dc sweep of {n_points} points"))
-            })?;
+        charge_sweep(&mut run_meter, &mats.mna, n_points)?;
+        let mut stats = EngineStats::new();
+        let mut ws = AssemblyWorkspace::new(&mats, true, true, OrderingChoice::default());
+        let mut sweep = Vec::with_capacity(n_points);
+        let mut solutions = Vec::with_capacity(n_points);
+        let mut outcomes = Vec::with_capacity(n_points);
 
         let mut x = vec![0.0; mats.mna.dim()];
         for k in 0..n_points {
@@ -280,6 +261,7 @@ impl NrEngine {
                         Some((source, v)),
                         &xs,
                         None,
+                        None,
                         &mut stats,
                         &mut pm,
                     )?;
@@ -296,6 +278,7 @@ impl NrEngine {
                     &mut ws,
                     Some((source, value)),
                     &x,
+                    None,
                     None,
                     &mut stats,
                     &mut pm,
@@ -317,6 +300,7 @@ impl NrEngine {
                         Some((source, v)),
                         &xs,
                         None,
+                        None,
                         &mut stats,
                         &mut pm,
                     )?;
@@ -335,26 +319,10 @@ impl NrEngine {
             x = x_new;
             sweep.push(value);
             outcomes.push(outcome);
-            for (i, &xi) in x.iter().enumerate() {
-                columns[i].push(xi);
-            }
-            let mut col = var_names.len();
-            let mut flops = FlopCounter::new();
-            for b in mats.mna.nonlinear_bindings() {
-                let v = branch_voltage(&x, b.var_plus, b.var_minus);
-                columns[col].push(b.device.current(v, &mut flops));
-                col += 1;
-            }
-            for m in mats.mna.mosfet_bindings() {
-                let vd = m.var_drain.map_or(0.0, |i| x[i]);
-                let vg = m.var_gate.map_or(0.0, |i| x[i]);
-                let vs = m.var_source.map_or(0.0, |i| x[i]);
-                columns[col].push(m.model.ids(vg - vs, vd - vs, &mut flops));
-                col += 1;
-            }
-            stats.flops += flops;
+            solutions.push(x.clone());
             stats.steps += 1;
         }
+        let (names, columns) = sweep_columns(&mats.mna, &solutions, &mut stats.flops);
         stats.absorb_lu(&LuStats::default(), &ws.lu_stats());
         stats.elapsed = t0.elapsed();
         Ok(NrSweepResult {
@@ -397,6 +365,7 @@ impl NrEngine {
             None,
             &vec![0.0; dim],
             None,
+            None,
             &mut stats,
             &mut op_meter,
         )?;
@@ -406,8 +375,16 @@ impl NrEngine {
             for s in 1..=steps {
                 let scale = s as f64 / steps as f64;
                 let mut sm = run_meter.fork();
-                let (xi, _) =
-                    self.solve_dc_ws(&mats, &mut ws, None, &xs, Some(scale), &mut stats, &mut sm)?;
+                let (xi, _) = self.solve_dc_ws(
+                    &mats,
+                    &mut ws,
+                    None,
+                    &xs,
+                    Some(scale),
+                    None,
+                    &mut stats,
+                    &mut sm,
+                )?;
                 xs = xi;
             }
             x = xs;
@@ -493,228 +470,80 @@ impl NrEngine {
         let dim = mats.mna.dim();
         let mut ws = AssemblyWorkspace::new(&mats, true, true, OrderingChoice::default());
         let mut stats = EngineStats::new();
-        let mut trace = RescueTrace::new();
+        let meter = self.meter.fork();
         let zeros = vec![0.0; dim];
-
-        let run_meter = self.meter.fork();
-        let mut om = run_meter.fork();
-        let (x0, outcome) =
-            self.solve_dc_ws(&mats, &mut ws, None, &zeros, None, &mut stats, &mut om)?;
-        let x = if outcome.is_converged() {
-            x0
+        let (x0, outcome) = self.solve_dc_ws(
+            &mats,
+            &mut ws,
+            None,
+            &zeros,
+            None,
+            None,
+            &mut stats,
+            &mut meter.fork(),
+        )?;
+        let (x, trace) = if outcome.is_converged() {
+            (x0, RescueTrace::new())
         } else if !self.opts.rescue.enabled {
             return Err(SimError::non_convergence(
                 0.0,
                 format!("newton operating point: {outcome:?} (rescue disabled)"),
             ));
         } else {
-            self.rescue_op(
-                &mats, &mut ws, &zeros, &outcome, &mut trace, &mut stats, &run_meter,
-            )?
+            // Every rung runs damped; a non-converged outcome fails the
+            // rung, an error aborts the rescue.
+            let damped = NrEngine::new(NrOptions {
+                damping: self.opts.rescue.damping,
+                ..self.opts.clone()
+            });
+            let (x, trace) = rescue::climb(
+                &self.opts.rescue,
+                dim,
+                &meter,
+                &mut stats,
+                |_, x0, shunt, source_scale, stats| {
+                    let (x, outcome) = damped
+                        .solve_dc_ws(
+                            &mats,
+                            &mut ws,
+                            None,
+                            x0,
+                            source_scale,
+                            shunt,
+                            stats,
+                            &mut meter.fork(),
+                        )
+                        .map_err(RungError::Abort)?;
+                    if outcome.is_converged() {
+                        Ok(x)
+                    } else {
+                        Err(RungError::Failed(format!("{outcome:?}")))
+                    }
+                },
+            )?;
+            let Some(x) = x else {
+                return Err(SimError::non_convergence_with(
+                    0.0,
+                    format!("newton operating point: {outcome:?}; rescue ladder exhausted"),
+                    Forensics {
+                        rescue_trace: trace,
+                        ..Forensics::default()
+                    },
+                ));
+            };
+            (x, trace)
         };
         stats.absorb_lu(&LuStats::default(), &ws.lu_stats());
         stats.elapsed = t0.elapsed();
         Ok(NrRescuedOp { x, trace, stats })
     }
 
-    /// Climbs the four-rung ladder for a failed Newton operating point.
-    /// Called only from [`NrEngine::solve_op_rescued`] after a plain-solve
-    /// failure with rescue enabled.
-    fn rescue_op(
-        &self,
-        mats: &CircuitMatrices,
-        ws: &mut AssemblyWorkspace,
-        zeros: &[f64],
-        outcome: &NrOutcome,
-        trace: &mut RescueTrace,
-        stats: &mut EngineStats,
-        meter: &BudgetMeter,
-    ) -> Result<Vec<f64>> {
-        // Budget checkpoint at the foot of every rung: a cancelled or
-        // expired run stops *between* rungs, with the partial ladder trace
-        // attached as forensics.
-        let rung_gate = |rung: RescueRung, trace: &RescueTrace| -> Result<()> {
-            meter.checkpoint().map_err(|stop| {
-                SimError::budget_exceeded_with(
-                    stop,
-                    format!("rescue rung {rung}"),
-                    Forensics {
-                        rescue_trace: trace.clone(),
-                        ..Forensics::default()
-                    },
-                )
-            })
-        };
-        let r = &self.opts.rescue;
-        let damped = NrEngine::new(NrOptions {
-            damping: r.damping,
-            ..self.opts.clone()
-        })
-        .with_meter(meter.fork());
-
-        // Rung 1 — damped retry from a cold start.
-        rung_gate(RescueRung::DampedRetry, trace)?;
-        stats.rescue_rungs += 1;
-        let (x1, o1) = damped.solve_dc_ws(mats, ws, None, zeros, None, stats, &mut meter.fork())?;
-        if o1.is_converged() {
-            trace.record(
-                RescueRung::DampedRetry,
-                true,
-                format!("damping = {}", r.damping),
-            );
-            stats.rescues += 1;
-            return Ok(x1);
-        }
-        trace.record(RescueRung::DampedRetry, false, format!("{o1:?}"));
-        let mut last = o1;
-
-        // Rung 2 — gmin stepping: a diagonal shunt to ground relaxed a
-        // decade at a time, each solve warm-started from the previous one,
-        // then an unshunted confirmation solve.
-        rung_gate(RescueRung::GminStep, trace)?;
-        stats.rescue_rungs += 1;
-        let mut x = zeros.to_vec();
-        let mut g = r.gmin_start;
-        let mut ok = true;
-        for _ in 0..r.gmin_steps.max(1) {
-            let (xi, oi) =
-                damped.solve_dc_shunted_ws(mats, ws, &x, (g, zeros), stats, &mut meter.fork())?;
-            ok = oi.is_converged();
-            last = oi;
-            if !ok {
-                break;
-            }
-            x = xi;
-            g *= 0.1;
-        }
-        if ok {
-            let (xf, of) =
-                damped.solve_dc_ws(mats, ws, None, &x, None, stats, &mut meter.fork())?;
-            if of.is_converged() {
-                trace.record(
-                    RescueRung::GminStep,
-                    true,
-                    format!(
-                        "{} decades from {:.1e} S",
-                        r.gmin_steps.max(1),
-                        r.gmin_start
-                    ),
-                );
-                stats.rescues += 1;
-                return Ok(xf);
-            }
-            last = of;
-        }
-        trace.record(RescueRung::GminStep, false, format!("{last:?}"));
-
-        // Rung 3 — source stepping: ramp every source 0 → 1, warm-started.
-        rung_gate(RescueRung::SourceStep, trace)?;
-        stats.rescue_rungs += 1;
-        let steps = r.source_steps.max(1);
-        let mut x = zeros.to_vec();
-        let mut ok = true;
-        for s in 1..=steps {
-            let scale = s as f64 / steps as f64;
-            let (xi, oi) =
-                damped.solve_dc_ws(mats, ws, None, &x, Some(scale), stats, &mut meter.fork())?;
-            ok = oi.is_converged();
-            last = oi;
-            if !ok {
-                break;
-            }
-            x = xi;
-        }
-        if ok {
-            trace.record(RescueRung::SourceStep, true, format!("{steps} substeps"));
-            stats.rescues += 1;
-            return Ok(x);
-        }
-        trace.record(RescueRung::SourceStep, false, format!("{last:?}"));
-
-        // Rung 4 — pseudo-transient continuation: a backward-Euler
-        // companion shunt decaying geometrically from 1 S to 1 pS,
-        // anchored at the previous pseudo-state, then an unshunted
-        // confirmation solve.
-        rung_gate(RescueRung::PseudoTransient, trace)?;
-        stats.rescue_rungs += 1;
-        let steps = r.ptran_steps.max(1);
-        let mut x = zeros.to_vec();
-        let mut g = 1.0_f64;
-        let decay = 1e-12_f64.powf(1.0 / steps as f64);
-        let mut ok = true;
-        for _ in 0..steps {
-            let anchor = x.clone();
-            let (xi, oi) = damped.solve_dc_shunted_ws(
-                mats,
-                ws,
-                &anchor,
-                (g, &anchor),
-                stats,
-                &mut meter.fork(),
-            )?;
-            ok = oi.is_converged();
-            last = oi;
-            if !ok {
-                break;
-            }
-            x = xi;
-            g *= decay;
-        }
-        if ok {
-            let (xf, of) =
-                damped.solve_dc_ws(mats, ws, None, &x, None, stats, &mut meter.fork())?;
-            if of.is_converged() {
-                trace.record(
-                    RescueRung::PseudoTransient,
-                    true,
-                    format!("{steps} pseudo-steps"),
-                );
-                stats.rescues += 1;
-                return Ok(xf);
-            }
-            last = of;
-        }
-        trace.record(RescueRung::PseudoTransient, false, format!("{last:?}"));
-
-        let fx = Forensics {
-            rescue_trace: std::mem::take(trace),
-            ..Forensics::default()
-        };
-        Err(SimError::non_convergence_with(
-            0.0,
-            format!("newton operating point: {outcome:?}; rescue ladder exhausted"),
-            fx,
-        ))
-    }
-
-    /// One Newton DC solve with a freshly built workspace. `override_src`
-    /// replaces a named source value; `source_scale` scales *all* sources
-    /// (source stepping). Engines with a loop of solves use
-    /// [`NrEngine::solve_dc_ws`] to share one workspace instead.
-    #[allow(dead_code)] // convenience wrapper kept for tests / one-off OP solves
-    pub(crate) fn solve_dc(
-        &self,
-        mats: &CircuitMatrices,
-        override_src: Option<(&str, f64)>,
-        x0: &[f64],
-        source_scale: Option<f64>,
-        stats: &mut EngineStats,
-    ) -> Result<(Vec<f64>, NrOutcome)> {
-        let mut ws = AssemblyWorkspace::new(mats, true, true, OrderingChoice::default());
-        let mut meter = self.meter.fork();
-        self.solve_dc_ws(
-            mats,
-            &mut ws,
-            override_src,
-            x0,
-            source_scale,
-            stats,
-            &mut meter,
-        )
-    }
-
-    /// [`NrEngine::solve_dc`] against a caller-owned [`AssemblyWorkspace`]
+    /// One Newton DC solve against a caller-owned [`AssemblyWorkspace`]
     /// (pattern, factorization and buffers reused across calls).
+    /// `override_src` replaces a named source value; `source_scale` scales
+    /// *all* sources (source stepping); `shunt` adds a conductance from
+    /// every node to an anchor state (the rescue ladder's gmin and
+    /// pseudo-transient rungs).
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_dc_ws(
         &self,
@@ -723,10 +552,11 @@ impl NrEngine {
         override_src: Option<(&str, f64)>,
         x0: &[f64],
         source_scale: Option<f64>,
+        shunt: Shunt<'_>,
         stats: &mut EngineStats,
         meter: &mut BudgetMeter,
     ) -> Result<(Vec<f64>, NrOutcome)> {
-        self.newton_loop(mats, ws, x0, None, stats, meter, |mna, rhs, flops| {
+        self.newton_loop(mats, ws, x0, shunt, stats, meter, |mna, rhs, flops| {
             mna.stamp_rhs(0.0, rhs);
             if let Some((name, value)) = override_src {
                 override_source_rhs(mna, name, value, 0.0, rhs);
@@ -739,34 +569,6 @@ impl NrEngine {
             }
             None
         })
-    }
-
-    /// DC solve with a diagonal conductance shunt `g` from every node to
-    /// ground, anchored at `anchor` (`rhs += g * anchor`). With a zero
-    /// anchor this is classic gmin stepping; with the previous iterate as
-    /// anchor it is one pseudo-transient (backward-Euler companion) step.
-    /// Only the rescue ladder calls this.
-    fn solve_dc_shunted_ws(
-        &self,
-        mats: &CircuitMatrices,
-        ws: &mut AssemblyWorkspace,
-        x0: &[f64],
-        shunt: (f64, &[f64]),
-        stats: &mut EngineStats,
-        meter: &mut BudgetMeter,
-    ) -> Result<(Vec<f64>, NrOutcome)> {
-        self.newton_loop(
-            mats,
-            ws,
-            x0,
-            Some(shunt),
-            stats,
-            meter,
-            |mna, rhs, _flops| {
-                mna.stamp_rhs(0.0, rhs);
-                None
-            },
-        )
     }
 
     /// One backward-Euler transient step solved with Newton.
@@ -1026,6 +828,30 @@ mod tests {
         NrEngine::new(NrOptions::default())
     }
 
+    /// One Newton DC solve from a zero start on a fresh workspace.
+    fn solve_dc(
+        engine: &NrEngine,
+        mats: &CircuitMatrices,
+        override_src: Option<(&str, f64)>,
+        stats: &mut EngineStats,
+    ) -> (Vec<f64>, NrOutcome) {
+        let mut ws = AssemblyWorkspace::new(mats, true, true, OrderingChoice::default());
+        let x0 = vec![0.0; mats.mna.dim()];
+        let mut meter = BudgetMeter::unlimited();
+        engine
+            .solve_dc_ws(
+                mats,
+                &mut ws,
+                override_src,
+                &x0,
+                None,
+                None,
+                stats,
+                &mut meter,
+            )
+            .unwrap()
+    }
+
     fn diode_divider() -> Circuit {
         let mut ckt = Circuit::new();
         let a = ckt.node("in");
@@ -1054,9 +880,7 @@ mod tests {
     fn diode_dc_converges() {
         let mats = CircuitMatrices::new(&diode_divider()).unwrap();
         let mut stats = EngineStats::new();
-        let (x, outcome) = engine()
-            .solve_dc(&mats, None, &vec![0.0; 3], None, &mut stats)
-            .unwrap();
+        let (x, outcome) = solve_dc(&engine(), &mats, None, &mut stats);
         match outcome {
             NrOutcome::Converged { iterations } => assert!(iterations < 60),
             other => panic!("unexpected {other:?}"),
@@ -1077,9 +901,7 @@ mod tests {
         ckt.add_resistor("R1", a, Circuit::GROUND, 1e3).unwrap();
         let mats = CircuitMatrices::new(&ckt).unwrap();
         let mut stats = EngineStats::new();
-        let (x, outcome) = engine()
-            .solve_dc(&mats, None, &vec![0.0; 2], None, &mut stats)
-            .unwrap();
+        let (x, outcome) = solve_dc(&engine(), &mats, None, &mut stats);
         assert!(outcome.is_converged());
         assert!(approx_eq(x[0], 1.0, 1e-9));
     }
@@ -1088,9 +910,7 @@ mod tests {
     fn rtd_in_pdr1_converges() {
         let mats = CircuitMatrices::new(&rtd_divider(50.0)).unwrap();
         let mut stats = EngineStats::new();
-        let (_, outcome) = engine()
-            .solve_dc(&mats, Some(("V1", 1.0)), &vec![0.0; 3], None, &mut stats)
-            .unwrap();
+        let (_, outcome) = solve_dc(&engine(), &mats, Some(("V1", 1.0)), &mut stats);
         assert!(outcome.is_converged(), "{outcome:?}");
     }
 
@@ -1115,9 +935,7 @@ mod tests {
         // NOT converge to a physical solution — the NDR problem of §3.1.
         let mats = CircuitMatrices::new(&current_driven_rtd()).unwrap();
         let mut stats = EngineStats::new();
-        let (x, outcome) = engine()
-            .solve_dc(&mats, Some(("I1", 1e-3)), &vec![0.0; 1], None, &mut stats)
-            .unwrap();
+        let (x, outcome) = solve_dc(&engine(), &mats, Some(("I1", 1e-3)), &mut stats);
         let physical = outcome.is_converged() && x[0].abs() < 10.0;
         assert!(
             !physical,
@@ -1137,9 +955,7 @@ mod tests {
         });
         let mats = CircuitMatrices::new(&current_driven_rtd()).unwrap();
         let mut stats = EngineStats::new();
-        let (x, outcome) = limited
-            .solve_dc(&mats, Some(("I1", 1e-3)), &vec![0.0; 1], None, &mut stats)
-            .unwrap();
+        let (x, outcome) = solve_dc(&limited, &mats, Some(("I1", 1e-3)), &mut stats);
         assert!(outcome.is_converged(), "{outcome:?}");
         let v = x[0];
         assert!(v > 0.0 && v < 10.0, "physical bias, got {v}");
@@ -1173,9 +989,7 @@ mod tests {
             .unwrap();
         let mats = CircuitMatrices::new(&ckt).unwrap();
         let mut stats = EngineStats::new();
-        let (x, outcome) = engine()
-            .solve_dc(&mats, None, &vec![0.0; 5], None, &mut stats)
-            .unwrap();
+        let (x, outcome) = solve_dc(&engine(), &mats, None, &mut stats);
         assert!(outcome.is_converged(), "{outcome:?}");
         let out_var = mats.mna.var_of_node_name("out").unwrap();
         assert!(x[out_var] < 1.0, "out = {}", x[out_var]);

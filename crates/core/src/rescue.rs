@@ -19,6 +19,13 @@
 //!    treat the DC problem as the steady state of an artificial transient
 //!    and let the physical damping of the integration find the attractor.
 //!
+//! Both engines climb the ladder through one driver, `climb`, which owns
+//! the rung order, the continuation schedules, the budget gate between
+//! rungs and the bookkeeping. Each engine supplies only a closure that runs
+//! one solve and classifies its result as converged, a failed rung, or an
+//! abort: SWEC fails the rung on any error but a budget stop, Newton on any
+//! non-converged outcome.
+//!
 //! Every attempt is recorded in a [`RescueTrace`], which travels inside the
 //! [`crate::error::Forensics`] payload of a terminal failure and feeds the
 //! `rescues` / `rescue_rungs` counters of [`crate::EngineStats`]. The
@@ -26,6 +33,10 @@
 //! that would otherwise have been returned to the caller, so enabling it
 //! cannot change the results of a deck that already converges.
 
+use crate::error::Forensics;
+use crate::report::EngineStats;
+use crate::{Result, SimError};
+use nanosim_numeric::BudgetMeter;
 use std::fmt;
 
 /// One strategy of the convergence-rescue ladder, in escalation order.
@@ -181,6 +192,135 @@ impl RescueOptions {
         RescueOptions {
             enabled: false,
             ..RescueOptions::default()
+        }
+    }
+}
+
+/// How one solve inside a rung went wrong, as classified by the engine
+/// that ran it.
+#[derive(Debug)]
+pub(crate) enum RungError {
+    /// The solve did not converge: the rung fails with this note and the
+    /// ladder moves on to the next rung.
+    Failed(String),
+    /// The whole rescue stops with this error (a budget stop, or a failure
+    /// the engine does not retry).
+    Abort(SimError),
+}
+
+/// The outcome of one solve inside a rung.
+pub(crate) type RungResult = std::result::Result<Vec<f64>, RungError>;
+
+/// A conductance `g` from every node to an anchor state: with a zero
+/// anchor a gmin shunt, with the previous iterate one pseudo-transient
+/// (backward-Euler) step.
+pub(crate) type Shunt<'a> = Option<(f64, &'a [f64])>;
+
+/// Climbs [`RescueRung::LADDER`] for a failed operating point of a system
+/// with `dim` unknowns, the one ladder driver both engines share.
+///
+/// `solve(rung, x0, shunt, source_scale, stats)` runs one solve from `x0`
+/// with an optional [`Shunt`] and all independent sources scaled by
+/// `source_scale`, and classifies its result. Every rung is gated by a
+/// budget checkpoint on `meter`, so a cancelled or expired run stops
+/// *between* rungs with the partial trace in its forensics. Each attempted
+/// rung counts one `rescue_rungs`, a success one `rescues`.
+///
+/// Returns the rescued solution (`None` when every rung failed) and the
+/// trace; the engine builds its own terminal error from the latter.
+pub(crate) fn climb<S>(
+    opts: &RescueOptions,
+    dim: usize,
+    meter: &BudgetMeter,
+    stats: &mut EngineStats,
+    mut solve: S,
+) -> Result<(Option<Vec<f64>>, RescueTrace)>
+where
+    S: FnMut(RescueRung, &[f64], Shunt<'_>, Option<f64>, &mut EngineStats) -> RungResult,
+{
+    let zeros = vec![0.0; dim];
+    let mut trace = RescueTrace::new();
+    for rung in RescueRung::LADDER {
+        meter.checkpoint().map_err(|stop| {
+            SimError::budget_exceeded_with(
+                stop,
+                format!("rescue rung {rung}"),
+                Forensics {
+                    rescue_trace: trace.clone(),
+                    ..Forensics::default()
+                },
+            )
+        })?;
+        stats.rescue_rungs += 1;
+        let mut rung_solve =
+            |x0: &[f64], shunt: Shunt<'_>, scale: Option<f64>| solve(rung, x0, shunt, scale, stats);
+        match climb_rung(rung, opts, &zeros, &mut rung_solve) {
+            Ok(x) => {
+                let detail = match rung {
+                    RescueRung::DampedRetry => format!("damping {}", opts.damping),
+                    RescueRung::GminStep => format!(
+                        "{} decades from {:.1e} S",
+                        opts.gmin_steps.max(1),
+                        opts.gmin_start
+                    ),
+                    RescueRung::SourceStep => format!("{} substeps", opts.source_steps.max(1)),
+                    RescueRung::PseudoTransient => {
+                        format!("{} pseudo-steps", opts.ptran_steps.max(1))
+                    }
+                };
+                trace.record(rung, true, detail);
+                stats.rescues += 1;
+                return Ok((Some(x), trace));
+            }
+            Err(RungError::Failed(note)) => trace.record(rung, false, note),
+            Err(RungError::Abort(e)) => return Err(e),
+        }
+    }
+    Ok((None, trace))
+}
+
+/// Runs the solves of one rung, each warm-started from the last.
+fn climb_rung<S>(rung: RescueRung, opts: &RescueOptions, zeros: &[f64], solve: &mut S) -> RungResult
+where
+    S: FnMut(&[f64], Shunt<'_>, Option<f64>) -> RungResult,
+{
+    match rung {
+        // Same cold start, heavier damping.
+        RescueRung::DampedRetry => solve(zeros, None, None),
+        // A shunt to ground on every node keeps the iteration contractive;
+        // relax it a decade at a time, then confirm without it.
+        RescueRung::GminStep => {
+            let mut x = zeros.to_vec();
+            let mut g = opts.gmin_start;
+            for _ in 0..opts.gmin_steps.max(1) {
+                x = solve(&x, Some((g, zeros)), None)?;
+                g *= 0.1;
+            }
+            solve(&x, None, None)
+        }
+        // Approach the bias from zero the way a power-up transient would,
+        // so bistable circuits land on the continuation branch.
+        RescueRung::SourceStep => {
+            let steps = opts.source_steps.max(1);
+            let mut x = zeros.to_vec();
+            for s in 1..=steps {
+                x = solve(&x, None, Some(s as f64 / steps as f64))?;
+            }
+            Ok(x)
+        }
+        // Anchor each solve to the previous pseudo-state through a
+        // conductance decaying from 1 S to 1 pS (a backward-Euler march
+        // with a growing time step), then confirm without it.
+        RescueRung::PseudoTransient => {
+            let steps = opts.ptran_steps.max(1);
+            let mut x = zeros.to_vec();
+            let mut g = 1.0_f64;
+            let decay = 1e-12_f64.powf(1.0 / steps as f64);
+            for _ in 0..steps {
+                x = solve(&x, Some((g, &x)), None)?;
+                g *= decay;
+            }
+            solve(&x, None, None)
         }
     }
 }

@@ -2,10 +2,10 @@
 //! state.
 
 use crate::assemble::{
-    branch_voltage, mna_var_names, require_sweepable_source, AssemblyWorkspace, CircuitMatrices,
+    charge_sweep, mna_var_names, require_sweepable_source, sweep_columns, sweep_points,
+    AssemblyWorkspace, CircuitMatrices,
 };
 use crate::em::EmEngine;
-use crate::error::Forensics;
 use crate::mla::MlaEngine;
 use crate::pwl::PwlEngine;
 use crate::report::EngineStats;
@@ -15,13 +15,12 @@ use crate::sim::request::{
     Analysis, BaselineRequest, DcSweep, EmEnsemble, Mla, Op, Pwl, Transient,
 };
 use crate::swec::dc::DcBuffers;
-use crate::swec::{DcMode, SwecDcSweep, SwecTransient};
+use crate::swec::{SwecDcSweep, SwecTransient};
 use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
 use nanosim_numeric::parallel::{try_par_map, try_par_map_partial};
-use nanosim_numeric::solve::LuStats;
 use nanosim_numeric::sparse::OrderingChoice;
-use nanosim_numeric::{Budget, BudgetMeter, CancelToken, FlopCounter};
+use nanosim_numeric::{Budget, BudgetMeter, CancelToken};
 use std::time::Instant;
 
 /// Sweep points per shard chunk. Chunk boundaries are a function of the
@@ -481,19 +480,16 @@ impl Simulator {
 
     /// Sharded (or serial — same algorithm, one worker) SWEC DC sweep.
     ///
-    /// The sweep is cut into fixed [`SWEEP_CHUNK`]-point chunks. The session
-    /// workspace is first warmed with one assembly + solve at the sweep
-    /// start, so every chunk clone inherits the same cached LU symbolic
-    /// analysis and refactors instead of re-factoring. Chunk 0 reproduces
-    /// the legacy serial sweep exactly (full fixed point at the first
-    /// value, continuation after); later chunks warm-start with a forward
-    /// non-iterative continuation ramp from the sweep start to the point
-    /// *before* their range — tracking the same branch a serial
-    /// continuation chain selects through NDR/hysteresis regions — then
-    /// refine that point to self-consistency (keeping the ramp iterate at a
-    /// genuine bistability fold) and continue like the serial sweep would.
-    /// Because chunk boundaries and warm-starts depend only on the point
-    /// index, results are bit-identical for every worker count.
+    /// The sweep is cut into fixed [`SWEEP_CHUNK`]-point chunks, each run
+    /// by the one SWEC sweep loop, [`SwecDcSweep::sweep_chunk`], on its own
+    /// clone of the session workspace. That workspace is first warmed with
+    /// one assembly + solve at the sweep start, so every clone inherits the
+    /// same cached LU symbolic analysis and refactors instead of
+    /// re-factoring. Chunk 0 is the serial sweep's chunk
+    /// ([`SwecDcSweep::run`] runs the whole range as one); later chunks
+    /// warm-start with the loop's continuation ramp. Because chunk
+    /// boundaries and warm-starts depend only on the point index, results
+    /// are bit-identical for every worker count.
     ///
     /// All chunks' *first* ramp points share one state (`x = 0`, the
     /// warmed `Geq(0)` matrix), so they are computed up front by a single
@@ -509,11 +505,7 @@ impl Simulator {
             options,
             plan,
         } = req;
-        if step == 0.0 || !step.is_finite() || (stop - start) * step < 0.0 {
-            return Err(SimError::InvalidConfig {
-                context: format!("dc sweep {start}..{stop} with step {step}"),
-            });
-        }
+        let n_points = sweep_points(start, stop, step)?;
         require_sweepable_source(&self.mats.mna, &source)?;
         let t0 = Instant::now();
         self.ensure_dc_ws();
@@ -542,24 +534,14 @@ impl Simulator {
             warm_stats.absorb_lu(&lu0, &warm_lu);
             warm_lu
         };
-        let n_points = ((stop - start) / step).round() as i64 + 1;
-        let n_points = n_points.max(1) as usize;
-        let values: Vec<f64> = (0..n_points).map(|k| start + step * k as f64).collect();
-        let n_chunks = n_points.div_ceil(SWEEP_CHUNK);
 
         // The result shape is known up front: charge the whole payload
-        // (axis + every output column) before any chunk work is fanned out,
-        // so a byte budget too small for the sweep fails immediately and
-        // identically at every worker count.
-        let n_cols = 1
-            + self.mats.mna.dim()
-            + self.mats.mna.nonlinear_bindings().len()
-            + self.mats.mna.mosfet_bindings().len();
-        run_meter
-            .charge_bytes(8 * (n_points as u64) * (n_cols as u64))
-            .map_err(|stop| {
-                SimError::budget_exceeded(stop, format!("dc sweep of {n_points} points"))
-            })?;
+        // before any chunk work is fanned out, so a byte budget too small
+        // for the sweep fails immediately and identically at every worker
+        // count.
+        charge_sweep(&mut run_meter, &self.mats.mna, n_points)?;
+        let values: Vec<f64> = (0..n_points).map(|k| start + step * k as f64).collect();
+        let n_chunks = n_points.div_ceil(SWEEP_CHUNK);
 
         // Every chunk past the first begins its continuation ramp at the
         // same state (`x = 0`, `Geq(0)` — exactly the warmed matrix), so
@@ -568,7 +550,7 @@ impl Simulator {
         // bit-identical to the solve the chunk would have performed, and
         // the batch happens before the fan-out, so worker counts cannot
         // affect it.
-        let (warm_lu, seeds) = if n_chunks > 1 {
+        let seeds = if n_chunks > 1 {
             let ramp_values: Vec<f64> = (1..n_chunks)
                 .map(|ci| {
                     let prev = values[ci * SWEEP_CHUNK - 1];
@@ -576,7 +558,6 @@ impl Simulator {
                 })
                 .collect();
             let ws = self.dc_ws.as_mut().expect("created above");
-            let lu0 = ws.lu_stats();
             let mut buf = DcBuffers::default();
             let x0 = vec![0.0; self.mats.mna.dim()];
             let seeds = engine.solve_noniterative_batch_ws(
@@ -589,39 +570,35 @@ impl Simulator {
                 &mut warm_stats,
                 &run_meter,
             )?;
-            let warm_lu = ws.lu_stats();
-            warm_stats.absorb_lu(&lu0, &warm_lu);
-            (warm_lu, seeds)
+            warm_stats.absorb_lu(&warm_lu, &ws.lu_stats());
+            seeds
         } else {
-            (warm_lu, Vec::new())
+            Vec::new()
         };
         let base_ws = self.dc_ws.as_ref().expect("created above");
         let mats = &self.mats;
 
-        let rescue_enabled = engine.options().rescue.enabled;
-        let chunk_meter = &run_meter;
-        let (chunks, failure) = try_par_map_partial(n_chunks, plan.workers(), |ci| {
+        // Each chunk runs the shared sweep loop on its own clone of the
+        // warmed workspace.
+        let run_chunk = |ci: usize, seed: Option<&[f64]>, ramp_steps: usize| {
             let lo = ci * SWEEP_CHUNK;
             let hi = n_points.min(lo + SWEEP_CHUNK);
-            let seed = if ci > 0 {
-                Some(&seeds[ci - 1][..])
-            } else {
-                None
-            };
-            match sweep_chunk(
-                &engine,
+            let mut ws = base_ws.clone();
+            engine.sweep_chunk(
                 mats,
-                base_ws,
-                warm_lu,
+                &mut ws,
                 &source,
-                start,
                 &values,
-                lo,
-                hi,
+                lo..hi,
                 seed,
-                WARM_START_RAMP,
-                chunk_meter,
-            ) {
+                ramp_steps,
+                &run_meter,
+            )
+        };
+        let rescue_enabled = engine.options().rescue.enabled;
+        let (chunks, failure) = try_par_map_partial(n_chunks, plan.workers(), |ci| {
+            let seed = ci.checked_sub(1).map(|i| &seeds[i][..]);
+            match run_chunk(ci, seed, WARM_START_RAMP) {
                 Ok(c) => Ok(c),
                 Err(SimError::NonConvergence { .. } | SimError::Numeric(_)) if rescue_enabled => {
                     // Rescue: retry the whole chunk with an 8x finer
@@ -632,20 +609,7 @@ impl Simulator {
                     // count — so sharded results stay bit-identical.
                     // Budget stops are excluded: a chunk killed by the
                     // budget must not burn 8x the work retrying.
-                    match sweep_chunk(
-                        &engine,
-                        mats,
-                        base_ws,
-                        warm_lu,
-                        &source,
-                        start,
-                        &values,
-                        lo,
-                        hi,
-                        None,
-                        WARM_START_RAMP * 8,
-                        chunk_meter,
-                    ) {
+                    match run_chunk(ci, None, WARM_START_RAMP * 8) {
                         Ok(mut c) => {
                             c.stats.rescues += 1;
                             c.stats.rescue_rungs += 1;
@@ -687,38 +651,7 @@ impl Simulator {
         }
         let mut values = values;
         values.truncate(solutions.len());
-
-        // Output columns: node voltages / branch currents, then per-device
-        // currents (same layout as the legacy engine result).
-        let var_names = mna_var_names(&mats.mna);
-        let mut names = var_names.clone();
-        for b in mats.mna.nonlinear_bindings() {
-            names.push(format!("I({})", b.name));
-        }
-        for m in mats.mna.mosfet_bindings() {
-            names.push(format!("I({})", m.name));
-        }
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(n_points); names.len()];
-        let mut flops = FlopCounter::new();
-        for x in &solutions {
-            for (i, &xi) in x.iter().enumerate() {
-                columns[i].push(xi);
-            }
-            let mut col = var_names.len();
-            for b in mats.mna.nonlinear_bindings() {
-                let v = branch_voltage(x, b.var_plus, b.var_minus);
-                columns[col].push(b.device.current(v, &mut flops));
-                col += 1;
-            }
-            for m in mats.mna.mosfet_bindings() {
-                let vd = m.var_drain.map_or(0.0, |i| x[i]);
-                let vg = m.var_gate.map_or(0.0, |i| x[i]);
-                let vs = m.var_source.map_or(0.0, |i| x[i]);
-                columns[col].push(m.model.ids(vg - vs, vd - vs, &mut flops));
-                col += 1;
-            }
-        }
-        stats.flops += flops;
+        let (names, columns) = sweep_columns(&mats.mna, &solutions, &mut stats.flops);
         stats.elapsed = t0.elapsed();
         let ds = Dataset::new(
             AnalysisKind::Dc,
@@ -733,12 +666,6 @@ impl Simulator {
             None => ds,
         })
     }
-}
-
-/// One chunk's solutions and work accounting.
-struct SweepChunk {
-    xs: Vec<Vec<f64>>,
-    stats: EngineStats,
 }
 
 /// Annotates a failed chunk's error with the chunk index (the failing
@@ -765,171 +692,6 @@ fn tag_chunk_failure(e: SimError, ci: usize) -> SimError {
         },
         other => other,
     }
-}
-
-/// Attaches the failing point index and sweep value to a per-point
-/// non-convergence error.
-fn tag_sweep_failure(e: SimError, k: usize, value: f64) -> SimError {
-    match e {
-        SimError::NonConvergence {
-            at,
-            context,
-            forensics,
-        } => {
-            let mut fx = forensics.map_or_else(Forensics::default, |b| *b);
-            fx.point_index = Some(k);
-            fx.sweep_value = Some(value);
-            SimError::non_convergence_with(at, context, fx)
-        }
-        SimError::BudgetExceeded {
-            stop,
-            context,
-            forensics,
-        } => {
-            let mut fx = forensics.map_or_else(Forensics::default, |b| *b);
-            fx.point_index = Some(k);
-            fx.sweep_value = Some(value);
-            SimError::budget_exceeded_with(stop, context, fx)
-        }
-        other => other,
-    }
-}
-
-/// Solves sweep points `lo..hi` on a fresh clone of `base_ws` (see
-/// [`Simulator::run_dc_sweep`] for the warm-start contract).
-#[allow(clippy::too_many_arguments)]
-fn sweep_chunk(
-    engine: &SwecDcSweep,
-    mats: &CircuitMatrices,
-    base_ws: &AssemblyWorkspace,
-    base_lu: LuStats,
-    source: &str,
-    sweep_start: f64,
-    values: &[f64],
-    lo: usize,
-    hi: usize,
-    warm_seed: Option<&[f64]>,
-    ramp_steps: usize,
-    meter: &BudgetMeter,
-) -> Result<SweepChunk> {
-    let mut ws = base_ws.clone();
-    let mut buf = DcBuffers::default();
-    let mut stats = EngineStats::new();
-    let dim = mats.mna.dim();
-    let fixed_point = engine.options().dc_mode == DcMode::FixedPoint;
-
-    // Per-shard warm start: approach the point *before* this chunk with a
-    // forward non-iterative continuation ramp from the sweep start — the
-    // quasi-transient the paper runs — so through an NDR/hysteresis region
-    // the shard lands on the same branch the serial continuation chain
-    // selects (a fixed point solved from zero could silently converge to
-    // the other branch of a bistable circuit). The ramp iterate is then
-    // refined to self-consistency; at a genuine fold (no unique fixed
-    // point) the ramp iterate is kept, exactly like the serial sweep's
-    // fold fallback.
-    let mut x = vec![0.0; dim];
-    if lo > 0 {
-        let prev = values[lo - 1];
-        meter.checkpoint().map_err(|stop| {
-            SimError::budget_exceeded(stop, format!("dc sweep warm start for point {lo}"))
-        })?;
-        // The first ramp point is normally computed centrally by the
-        // batched multi-RHS warm start (bit-identical to solving it here);
-        // the shard continues the ramp from that seed. On the finer-ramp
-        // rescue retry there is no seed and the whole ramp is recomputed
-        // locally.
-        let first_step = match warm_seed {
-            Some(seed) => {
-                x = seed.to_vec();
-                2
-            }
-            None => 1,
-        };
-        for s in first_step..=ramp_steps {
-            let frac = s as f64 / ramp_steps as f64;
-            let v = sweep_start + (prev - sweep_start) * frac;
-            x = engine
-                .solve_noniterative_ws(
-                    mats,
-                    &mut ws,
-                    &mut buf,
-                    Some((source, v)),
-                    &x,
-                    &mut stats,
-                    &mut meter.fork(),
-                )
-                .map_err(|e| tag_sweep_failure(e, lo - 1, v))?;
-        }
-        match engine.solve_point_ws(
-            mats,
-            &mut ws,
-            &mut buf,
-            Some((source, prev)),
-            &x,
-            None,
-            &mut stats,
-            &mut meter.fork(),
-        ) {
-            Ok(x_new) => x = x_new,
-            Err(SimError::NonConvergence { .. }) => {}
-            Err(e) => return Err(tag_sweep_failure(e, lo - 1, prev)),
-        }
-    }
-
-    let mut xs = Vec::with_capacity(hi - lo);
-    for k in lo..hi {
-        let value = values[k];
-        meter
-            .checkpoint()
-            .map_err(|stop| SimError::budget_exceeded(stop, format!("dc sweep point {k}")))?;
-        // Same per-point policy as the legacy serial engine: the very first
-        // sweep point is always solved to self-consistency; afterwards the
-        // non-iterative mode performs exactly one solve per point, and the
-        // fixed-point mode falls back to a non-iterative step across
-        // bistability folds.
-        x = if k == 0 || fixed_point {
-            match engine.solve_point_ws(
-                mats,
-                &mut ws,
-                &mut buf,
-                Some((source, value)),
-                &x,
-                None,
-                &mut stats,
-                &mut meter.fork(),
-            ) {
-                Ok(x_new) => x_new,
-                Err(SimError::NonConvergence { .. }) if k > 0 => engine
-                    .solve_noniterative_ws(
-                        mats,
-                        &mut ws,
-                        &mut buf,
-                        Some((source, value)),
-                        &x,
-                        &mut stats,
-                        &mut meter.fork(),
-                    )
-                    .map_err(|e| tag_sweep_failure(e, k, value))?,
-                Err(e) => return Err(tag_sweep_failure(e, k, value)),
-            }
-        } else {
-            engine
-                .solve_noniterative_ws(
-                    mats,
-                    &mut ws,
-                    &mut buf,
-                    Some((source, value)),
-                    &x,
-                    &mut stats,
-                    &mut meter.fork(),
-                )
-                .map_err(|e| tag_sweep_failure(e, k, value))?
-        };
-        stats.steps += 1;
-        xs.push(x.clone());
-    }
-    stats.absorb_lu(&base_lu, &ws.lu_stats());
-    Ok(SweepChunk { xs, stats })
 }
 
 /// Runs the same analysis over many circuit variants in parallel — the

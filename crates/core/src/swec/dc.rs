@@ -11,19 +11,20 @@
 //! solution (continuation), so a handful of iterations usually suffice.
 
 use crate::assemble::{
-    branch_voltage, mna_var_names, override_source_rhs, require_sweepable_source,
-    AssemblyWorkspace, CircuitMatrices,
+    branch_voltage, charge_sweep, mna_var_names, override_source_rhs, require_sweepable_source,
+    sweep_columns, sweep_points, AssemblyWorkspace, CircuitMatrices,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
-use crate::rescue::{RescueRung, RescueTrace};
-use crate::swec::SwecOptions;
+use crate::rescue::{self, RescueRung, RungError, Shunt};
+use crate::swec::{DcMode, SwecOptions};
 use crate::waveform::DcSweepResult;
 use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
 use nanosim_numeric::solve::LuStats;
 use nanosim_numeric::sparse::OrderingChoice;
 use nanosim_numeric::{BudgetMeter, FlopCounter};
+use std::ops::Range;
 use std::time::Instant;
 
 /// Reusable buffers of the DC fixed-point iteration; allocated once per run.
@@ -35,6 +36,51 @@ pub(crate) struct DcBuffers {
     /// Per-iteration update norms of the most recent fixed-point solve;
     /// becomes the forensics `residual_history` when the solve fails.
     history: Vec<f64>,
+}
+
+/// How one fixed-point solve ([`SwecDcSweep::solve_point`]) drives the
+/// circuit. The default is a plain solve at the sources' own values.
+#[derive(Debug)]
+pub(crate) struct PointOptions<'a> {
+    /// Replaces a named source's value.
+    pub override_src: Option<(&'a str, f64)>,
+    /// Scales every independent source (source stepping).
+    pub source_scale: Option<f64>,
+    /// Initial relaxation factor: `1.0` on healthy solves, damped on the
+    /// rescue ladder's.
+    pub lambda0: f64,
+    /// A conductance from every node to an anchor state (rescue ladder
+    /// only).
+    pub shunt: Shunt<'a>,
+}
+
+impl Default for PointOptions<'_> {
+    fn default() -> Self {
+        PointOptions {
+            override_src: None,
+            source_scale: None,
+            lambda0: 1.0,
+            shunt: None,
+        }
+    }
+}
+
+impl<'a> PointOptions<'a> {
+    /// A plain solve with `source` set to `value`.
+    fn at(source: &'a str, value: f64) -> Self {
+        PointOptions {
+            override_src: Some((source, value)),
+            ..PointOptions::default()
+        }
+    }
+}
+
+/// The solutions of a run of consecutive sweep points, and its work
+/// accounting.
+#[derive(Debug)]
+pub(crate) struct SweepChunk {
+    pub xs: Vec<Vec<f64>>,
+    pub stats: EngineStats,
 }
 
 /// The SWEC DC sweep engine.
@@ -71,7 +117,9 @@ impl SwecDcSweep {
     }
 
     /// Sweeps the named V/I source from `start` to `stop` (inclusive) in
-    /// increments of `step`.
+    /// increments of `step`: the serial reference sweep, one unbroken
+    /// continuation chain on a fresh workspace (the session's sharded
+    /// sweep runs the same loop chunk by chunk).
     ///
     /// # Errors
     /// Fails on invalid sweep parameters, unknown source names, singular
@@ -84,118 +132,155 @@ impl SwecDcSweep {
         stop: f64,
         step: f64,
     ) -> Result<DcSweepResult> {
-        if step == 0.0 || !step.is_finite() || (stop - start) * step < 0.0 {
-            return Err(SimError::InvalidConfig {
-                context: format!("dc sweep {start}..{stop} with step {step}"),
-            });
-        }
+        let n_points = sweep_points(start, stop, step)?;
         let t0 = Instant::now();
         let mats = CircuitMatrices::new(circuit)?;
         require_sweepable_source(&mats.mna, source)?;
-        let mut stats = EngineStats::new();
-        let mut ws = AssemblyWorkspace::new(&mats, false, false, OrderingChoice::default());
-        let mut buf = DcBuffers::default();
-        let n_points = ((stop - start) / step).round() as i64 + 1;
-        let n_points = n_points.max(1) as usize;
-
-        let var_names = mna_var_names(&mats.mna);
-        let mut names = var_names.clone();
-        for b in mats.mna.nonlinear_bindings() {
-            names.push(format!("I({})", b.name));
-        }
-        for m in mats.mna.mosfet_bindings() {
-            names.push(format!("I({})", m.name));
-        }
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(n_points); names.len()];
-        let mut sweep = Vec::with_capacity(n_points);
-
-        // The result shape is known up front: charge it all before any work.
         let mut run_meter = self.meter.fork();
-        run_meter
-            .charge_bytes(8 * (n_points as u64) * (1 + names.len() as u64))
-            .map_err(|stop| {
-                SimError::budget_exceeded(stop, format!("dc sweep of {n_points} points"))
-            })?;
+        charge_sweep(&mut run_meter, &mats.mna, n_points)?;
+        let values: Vec<f64> = (0..n_points).map(|k| start + step * k as f64).collect();
+        let mut ws = AssemblyWorkspace::new(&mats, false, false, OrderingChoice::default());
+        let SweepChunk { xs, mut stats } = self.sweep_chunk(
+            &mats,
+            &mut ws,
+            source,
+            &values,
+            0..n_points,
+            None,
+            0,
+            &run_meter,
+        )?;
+        let (names, columns) = sweep_columns(&mats.mna, &xs, &mut stats.flops);
+        stats.elapsed = t0.elapsed();
+        Ok(DcSweepResult::new(values, names, columns, stats))
+    }
 
+    /// Solves sweep points `points` of `values` (sweeping `source`) against
+    /// `ws`: the one SWEC sweep loop, shared by [`SwecDcSweep::run`] (all
+    /// points in one chunk) and the session's sharded sweep.
+    ///
+    /// The first sweep point is always solved to self-consistency; after
+    /// it, [`DcMode::NonIterative`] performs exactly one solve per point,
+    /// and [`DcMode::FixedPoint`] falls back to one non-iterative step
+    /// across a bistability fold (where the fixed point has no single
+    /// answer — stepping across it is the quasi-transient the paper runs).
+    ///
+    /// A chunk that does not start at point 0 first warm-starts: a forward
+    /// non-iterative continuation ramp of `ramp_steps` solves from the
+    /// sweep start to the point *before* the chunk — so through an
+    /// NDR/hysteresis region it lands on the branch the serial
+    /// continuation chain selects — continuing from `warm_seed` (the
+    /// ramp's first solve, computed by the caller) when given. The ramp
+    /// iterate is then refined to self-consistency, or kept at a genuine
+    /// fold.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sweep_chunk(
+        &self,
+        mats: &CircuitMatrices,
+        ws: &mut AssemblyWorkspace,
+        source: &str,
+        values: &[f64],
+        points: Range<usize>,
+        warm_seed: Option<&[f64]>,
+        ramp_steps: usize,
+        meter: &BudgetMeter,
+    ) -> Result<SweepChunk> {
+        let lu0 = ws.lu_stats();
+        let mut buf = DcBuffers::default();
+        let mut stats = EngineStats::new();
+        let fixed_point = self.opts.dc_mode == DcMode::FixedPoint;
         let mut x = vec![0.0; mats.mna.dim()];
-        for k in 0..n_points {
-            run_meter
+        if points.start > 0 {
+            let (start, prev) = (values[0], values[points.start - 1]);
+            meter.checkpoint().map_err(|stop| {
+                SimError::budget_exceeded(
+                    stop,
+                    format!("dc sweep warm start for point {}", points.start),
+                )
+            })?;
+            let first_step = match warm_seed {
+                Some(seed) => {
+                    x = seed.to_vec();
+                    2
+                }
+                None => 1,
+            };
+            for s in first_step..=ramp_steps {
+                let v = start + (prev - start) * (s as f64 / ramp_steps as f64);
+                x = self
+                    .solve_noniterative_ws(
+                        mats,
+                        ws,
+                        &mut buf,
+                        Some((source, v)),
+                        &x,
+                        &mut stats,
+                        &mut meter.fork(),
+                    )
+                    .map_err(|e| tag_sweep_failure(e, points.start - 1, v))?;
+            }
+            match self.solve_point(
+                mats,
+                ws,
+                &mut buf,
+                &x,
+                PointOptions::at(source, prev),
+                &mut stats,
+                &mut meter.fork(),
+            ) {
+                Ok(x_new) => x = x_new,
+                Err(SimError::NonConvergence { .. }) => {}
+                Err(e) => return Err(tag_sweep_failure(e, points.start - 1, prev)),
+            }
+        }
+
+        let mut xs = Vec::with_capacity(points.len());
+        for k in points {
+            let value = values[k];
+            meter
                 .checkpoint()
                 .map_err(|stop| SimError::budget_exceeded(stop, format!("dc sweep point {k}")))?;
-            // Iteration accounting restarts at every point (per-solve cap).
-            let mut pm = run_meter.fork();
-            let value = start + step * k as f64;
-            // The first point is always solved to self-consistency (there is
-            // no previous point to borrow Geq from); afterwards the
-            // non-iterative mode performs exactly one solve per point.
-            x = if k == 0 || self.opts.dc_mode == crate::swec::DcMode::FixedPoint {
-                match self.solve_point_ws(
-                    &mats,
-                    &mut ws,
+            // `None` takes one non-iterative step: every point past the
+            // first in `NonIterative` mode, and a fold in `FixedPoint` mode.
+            let solved = if k == 0 || fixed_point {
+                match self.solve_point(
+                    mats,
+                    ws,
                     &mut buf,
-                    Some((source, value)),
                     &x,
-                    None,
+                    PointOptions::at(source, value),
                     &mut stats,
-                    &mut pm,
+                    &mut meter.fork(),
                 ) {
-                    Ok(x_new) => x_new,
-                    // At a genuine bistability fold the fixed point has no
-                    // single answer; step across it like the quasi-transient
-                    // the paper runs.
-                    Err(SimError::NonConvergence { .. }) if k > 0 => self.solve_noniterative_ws(
-                        &mats,
-                        &mut ws,
+                    Err(SimError::NonConvergence { .. }) if k > 0 => None,
+                    result => Some(result),
+                }
+            } else {
+                None
+            };
+            x = solved
+                .unwrap_or_else(|| {
+                    self.solve_noniterative_ws(
+                        mats,
+                        ws,
                         &mut buf,
                         Some((source, value)),
                         &x,
                         &mut stats,
-                        &mut run_meter.fork(),
-                    )?,
-                    Err(e) => return Err(e),
-                }
-            } else {
-                self.solve_noniterative_ws(
-                    &mats,
-                    &mut ws,
-                    &mut buf,
-                    Some((source, value)),
-                    &x,
-                    &mut stats,
-                    &mut pm,
-                )?
-            };
-            sweep.push(value);
-            for (i, &xi) in x.iter().enumerate() {
-                columns[i].push(xi);
-            }
-            let mut col = var_names.len();
-            let mut flops = FlopCounter::new();
-            for b in mats.mna.nonlinear_bindings() {
-                let v = branch_voltage(&x, b.var_plus, b.var_minus);
-                columns[col].push(b.device.current(v, &mut flops));
-                col += 1;
-            }
-            for m in mats.mna.mosfet_bindings() {
-                let vd = m.var_drain.map_or(0.0, |i| x[i]);
-                let vg = m.var_gate.map_or(0.0, |i| x[i]);
-                let vs = m.var_source.map_or(0.0, |i| x[i]);
-                columns[col].push(m.model.ids(vg - vs, vd - vs, &mut flops));
-                col += 1;
-            }
-            stats.flops += flops;
+                        &mut meter.fork(),
+                    )
+                })
+                .map_err(|e| tag_sweep_failure(e, k, value))?;
             stats.steps += 1;
+            xs.push(x.clone());
         }
-        stats.absorb_lu(&LuStats::default(), &ws.lu_stats());
-        stats.elapsed = t0.elapsed();
-        Ok(DcSweepResult::new(sweep, names, columns, stats))
+        stats.absorb_lu(&lu0, &ws.lu_stats());
+        Ok(SweepChunk { xs, stats })
     }
 
     /// Solves the operating point of a circuit with all sources at their
     /// `t = 0` values, returning the MNA solution vector. Falls back to
-    /// source-ramp continuation (the paper's quasi-transient start) when
-    /// the direct fixed point cycles between branches of a bistable
-    /// circuit.
+    /// the convergence-rescue ladder when the direct fixed point fails.
     ///
     /// # Errors
     /// Fails on singular matrices or fixed-point non-convergence even
@@ -224,10 +309,12 @@ impl SwecDcSweep {
     /// workspace counts are cumulative, so a reused session workspace must
     /// be delta-accounted).
     ///
-    /// A converging deck never enters the ladder; a failing one escalates
-    /// deterministically through damped retry, gmin stepping, source
-    /// stepping (the paper's quasi-transient power-up) and pseudo-transient
-    /// continuation, in that order.
+    /// A converging deck never enters the ladder; a failing one climbs
+    /// [`rescue::climb`]. Its rungs run damped at the rescue damping,
+    /// except source stepping (the paper's quasi-transient power-up), which
+    /// runs undamped. A budget stop aborts the rescue; any other failure
+    /// fails the rung. On exhaustion the original error is returned, with
+    /// the full trace attached when it is a [`SimError::NonConvergence`].
     pub(crate) fn solve_op_ws(
         &self,
         mats: &CircuitMatrices,
@@ -235,279 +322,62 @@ impl SwecDcSweep {
         stats: &mut EngineStats,
     ) -> Result<Vec<f64>> {
         let mut buf = DcBuffers::default();
-        let x0 = vec![0.0; mats.mna.dim()];
+        let dim = mats.mna.dim();
         let meter = self.meter.fork();
-        match self.solve_point_ws(
-            mats,
-            ws,
-            &mut buf,
-            None,
-            &x0,
-            None,
-            stats,
-            &mut meter.fork(),
-        ) {
-            Ok(x) => Ok(x),
-            Err(e @ (SimError::NonConvergence { .. } | SimError::Numeric(_)))
-                if self.opts.rescue.enabled =>
-            {
-                self.rescue_op(mats, ws, &mut buf, stats, e, &meter)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    /// The convergence-rescue ladder for an operating point whose direct
-    /// solve failed with `original`. Each rung is attempted in order; the
-    /// first success returns its solution and counts one rescue. On
-    /// exhaustion the original error is returned, annotated (when it is a
-    /// [`SimError::NonConvergence`]) with the full [`RescueTrace`].
-    fn rescue_op(
-        &self,
-        mats: &CircuitMatrices,
-        ws: &mut AssemblyWorkspace,
-        buf: &mut DcBuffers,
-        stats: &mut EngineStats,
-        original: SimError,
-        meter: &BudgetMeter,
-    ) -> Result<Vec<f64>> {
-        // Budget checkpoint at the foot of every rung: a cancelled or
-        // expired run stops *between* rungs with the partial trace attached.
-        let rung_gate = |rung: RescueRung, trace: &RescueTrace| -> Result<()> {
-            meter.checkpoint().map_err(|stop| {
-                SimError::budget_exceeded_with(
-                    stop,
-                    format!("rescue rung {rung}"),
-                    Forensics {
-                        rescue_trace: trace.clone(),
-                        ..Forensics::default()
-                    },
-                )
-            })
-        };
+        let x0 = vec![0.0; dim];
+        let opts = PointOptions::default();
+        let original =
+            match self.solve_point(mats, ws, &mut buf, &x0, opts, stats, &mut meter.fork()) {
+                Err(e @ (SimError::NonConvergence { .. } | SimError::Numeric(_)))
+                    if self.opts.rescue.enabled =>
+                {
+                    e
+                }
+                result => return result,
+            };
         let r = &self.opts.rescue;
-        let zeros = vec![0.0; mats.mna.dim()];
-        let mut trace = RescueTrace::new();
-
-        // Rung 1 — damped retry: same cold start, heavier initial damping.
-        rung_gate(RescueRung::DampedRetry, &trace)?;
-        stats.rescue_rungs += 1;
-        match self.solve_point_inner(
-            mats,
-            ws,
-            buf,
-            None,
-            &zeros,
-            None,
-            r.damping,
-            None,
+        let (x, trace) = rescue::climb(
+            r,
+            dim,
+            &meter,
             stats,
-            &mut meter.fork(),
-        ) {
-            Ok(x) => {
-                trace.record(
-                    RescueRung::DampedRetry,
-                    true,
-                    format!("lambda0 = {}", r.damping),
-                );
-                stats.rescues += 1;
-                return Ok(x);
-            }
-            Err(e @ SimError::BudgetExceeded { .. }) => return Err(e),
-            Err(e) => trace.record(RescueRung::DampedRetry, false, e.to_string()),
-        }
-
-        // Rung 2 — gmin stepping: a shunt to ground on every node keeps the
-        // fixed-point map contractive; relax it a decade at a time, then
-        // confirm without it.
-        rung_gate(RescueRung::GminStep, &trace)?;
-        stats.rescue_rungs += 1;
-        match self.gmin_continuation(mats, ws, buf, stats, meter) {
-            Ok(x) => {
-                trace.record(
-                    RescueRung::GminStep,
-                    true,
-                    format!("{} steps from {:.1e} S", r.gmin_steps, r.gmin_start),
-                );
-                stats.rescues += 1;
-                return Ok(x);
-            }
-            Err(e @ SimError::BudgetExceeded { .. }) => return Err(e),
-            Err(e) => trace.record(RescueRung::GminStep, false, e.to_string()),
-        }
-
-        // Rung 3 — source stepping: approach the bias from zero the way a
-        // power-up transient would, so bistable circuits land on the
-        // continuation branch.
-        rung_gate(RescueRung::SourceStep, &trace)?;
-        stats.rescue_rungs += 1;
-        match self.source_continuation(mats, ws, buf, stats, meter) {
-            Ok(x) => {
-                trace.record(
-                    RescueRung::SourceStep,
-                    true,
-                    format!("{}-step ramp", r.source_steps.max(1)),
-                );
-                stats.rescues += 1;
-                return Ok(x);
-            }
-            Err(e @ SimError::BudgetExceeded { .. }) => return Err(e),
-            Err(e) => trace.record(RescueRung::SourceStep, false, e.to_string()),
-        }
-
-        // Rung 4 — pseudo-transient continuation: anchor each solve to the
-        // previous pseudo-state through a decaying diagonal conductance
-        // (a backward-Euler march with a growing implicit time step).
-        rung_gate(RescueRung::PseudoTransient, &trace)?;
-        stats.rescue_rungs += 1;
-        match self.ptran_continuation(mats, ws, buf, stats, meter) {
-            Ok(x) => {
-                trace.record(
-                    RescueRung::PseudoTransient,
-                    true,
-                    format!("{} pseudo-steps", r.ptran_steps.max(1)),
-                );
-                stats.rescues += 1;
-                return Ok(x);
-            }
-            Err(e @ SimError::BudgetExceeded { .. }) => return Err(e),
-            Err(e) => trace.record(RescueRung::PseudoTransient, false, e.to_string()),
-        }
-
-        match original {
-            SimError::NonConvergence {
-                at,
-                context,
-                forensics,
-            } => {
+            |rung, x0, shunt, source_scale, stats| {
+                let lambda0 = if rung == RescueRung::SourceStep {
+                    1.0
+                } else {
+                    r.damping
+                };
+                let opts = PointOptions {
+                    override_src: None,
+                    source_scale,
+                    lambda0,
+                    shunt,
+                };
+                self.solve_point(mats, ws, &mut buf, x0, opts, stats, &mut meter.fork())
+                    .map_err(|e| match e {
+                        SimError::BudgetExceeded { .. } => RungError::Abort(e),
+                        e => RungError::Failed(e.to_string()),
+                    })
+            },
+        )?;
+        match (x, original) {
+            (Some(x), _) => Ok(x),
+            (
+                None,
+                SimError::NonConvergence {
+                    at,
+                    context,
+                    forensics,
+                },
+            ) => {
                 let mut fx = forensics.map_or_else(Forensics::default, |b| *b);
                 fx.rescue_trace = trace;
                 Err(SimError::non_convergence_with(at, context, fx))
             }
             // Keep the error type (e.g. a structurally singular matrix
             // stays `SimError::Numeric`) so callers can still match on it.
-            other => Err(other),
+            (None, other) => Err(other),
         }
-    }
-
-    /// Gmin-stepping rung: solve with a node-diagonal shunt relaxed one
-    /// decade per step, then confirm the solution with the shunt removed.
-    fn gmin_continuation(
-        &self,
-        mats: &CircuitMatrices,
-        ws: &mut AssemblyWorkspace,
-        buf: &mut DcBuffers,
-        stats: &mut EngineStats,
-        meter: &BudgetMeter,
-    ) -> Result<Vec<f64>> {
-        let r = &self.opts.rescue;
-        let zeros = vec![0.0; mats.mna.dim()];
-        let mut x = zeros.clone();
-        let mut g = r.gmin_start;
-        for _ in 0..r.gmin_steps.max(1) {
-            x = self.solve_point_inner(
-                mats,
-                ws,
-                buf,
-                None,
-                &x,
-                None,
-                r.damping,
-                Some((g, &zeros)),
-                stats,
-                &mut meter.fork(),
-            )?;
-            g *= 0.1;
-        }
-        self.solve_point_inner(
-            mats,
-            ws,
-            buf,
-            None,
-            &x,
-            None,
-            r.damping,
-            None,
-            stats,
-            &mut meter.fork(),
-        )
-    }
-
-    /// Source-stepping rung: ramp every independent source from zero to its
-    /// full value, re-converging at each scale from the previous solution.
-    fn source_continuation(
-        &self,
-        mats: &CircuitMatrices,
-        ws: &mut AssemblyWorkspace,
-        buf: &mut DcBuffers,
-        stats: &mut EngineStats,
-        meter: &BudgetMeter,
-    ) -> Result<Vec<f64>> {
-        let steps = self.opts.rescue.source_steps.max(1);
-        let mut x = vec![0.0; mats.mna.dim()];
-        for s in 1..=steps {
-            let scale = s as f64 / steps as f64;
-            x = self.solve_point_ws(
-                mats,
-                ws,
-                buf,
-                None,
-                &x,
-                Some(scale),
-                stats,
-                &mut meter.fork(),
-            )?;
-        }
-        Ok(x)
-    }
-
-    /// Pseudo-transient rung: each pseudo-step solves the circuit with a
-    /// conductance `g` from every node to its previous pseudo-state (the
-    /// companion model of a grounded capacitor under backward Euler, so
-    /// `g = C/h`); `g` decays geometrically toward zero, equivalent to an
-    /// exponentially growing time step. A final unshunted solve confirms
-    /// the stationary point.
-    fn ptran_continuation(
-        &self,
-        mats: &CircuitMatrices,
-        ws: &mut AssemblyWorkspace,
-        buf: &mut DcBuffers,
-        stats: &mut EngineStats,
-        meter: &BudgetMeter,
-    ) -> Result<Vec<f64>> {
-        let r = &self.opts.rescue;
-        let steps = r.ptran_steps.max(1);
-        let mut x = vec![0.0; mats.mna.dim()];
-        let mut g = 1.0_f64;
-        let decay = (1e-12_f64).powf(1.0 / steps as f64);
-        for _ in 0..steps {
-            let anchor = x.clone();
-            x = self.solve_point_inner(
-                mats,
-                ws,
-                buf,
-                None,
-                &anchor,
-                None,
-                r.damping,
-                Some((g, &anchor)),
-                stats,
-                &mut meter.fork(),
-            )?;
-            g *= decay;
-        }
-        self.solve_point_inner(
-            mats,
-            ws,
-            buf,
-            None,
-            &x,
-            None,
-            r.damping,
-            None,
-            stats,
-            &mut meter.fork(),
-        )
     }
 
     /// One non-iterative SWEC step: stamp `Geq` at the previous solution
@@ -619,83 +489,29 @@ impl SwecDcSweep {
         }
     }
 
-    /// Damped Geq fixed point at one bias point. `override_src` optionally
-    /// replaces a named source's value; `x0` seeds the iteration
-    /// (continuation).
-    #[allow(dead_code)] // convenience wrapper kept for tests
+    /// Damped `Geq` fixed point at one bias point, seeded with `x0`
+    /// (continuation) and driven as `opts` says. The iteration assembles by
+    /// scatter-update into the prebuilt pattern and refactors the cached LU
+    /// — no allocation per iteration. A shunt `(g, anchor)` adds a
+    /// conductance `g` from every node to `anchor`: `(g, zeros)` is gmin
+    /// stepping, `(g, previous x)` a pseudo-transient backward-Euler step.
+    #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_point(
         &self,
         mats: &CircuitMatrices,
-        override_src: Option<(&str, f64)>,
-        x0: &[f64],
-        stats: &mut EngineStats,
-    ) -> Result<Vec<f64>> {
-        let mut ws = AssemblyWorkspace::new(mats, false, false, OrderingChoice::default());
-        let mut buf = DcBuffers::default();
-        let mut meter = self.meter.fork();
-        self.solve_point_ws(
-            mats,
-            &mut ws,
-            &mut buf,
-            override_src,
-            x0,
-            None,
-            stats,
-            &mut meter,
-        )
-    }
-
-    /// [`SwecDcSweep::solve_point`] against caller-owned workspace/buffers,
-    /// with all sources optionally scaled by `source_scale` (continuation
-    /// ramp). The iteration assembles by scatter-update into the prebuilt
-    /// pattern and refactors the cached LU — no allocation per iteration.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn solve_point_ws(
-        &self,
-        mats: &CircuitMatrices,
         ws: &mut AssemblyWorkspace,
         buf: &mut DcBuffers,
-        override_src: Option<(&str, f64)>,
         x0: &[f64],
-        source_scale: Option<f64>,
+        opts: PointOptions<'_>,
         stats: &mut EngineStats,
         meter: &mut BudgetMeter,
     ) -> Result<Vec<f64>> {
-        self.solve_point_inner(
-            mats,
-            ws,
-            buf,
+        let PointOptions {
             override_src,
-            x0,
             source_scale,
-            1.0,
-            None,
-            stats,
-            meter,
-        )
-    }
-
-    /// The fixed-point kernel behind [`SwecDcSweep::solve_point_ws`], with
-    /// two extra knobs used only by the rescue ladder: `lambda0` is the
-    /// initial relaxation factor (healthy callers pass `1.0`), and `shunt`
-    /// adds a conductance `g` from every node to the `anchor` state —
-    /// `(g, zeros)` is gmin stepping, `(g, previous x)` a pseudo-transient
-    /// backward-Euler step. With `lambda0 = 1.0` and no shunt this is
-    /// bit-identical to the historical implementation.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn solve_point_inner(
-        &self,
-        mats: &CircuitMatrices,
-        ws: &mut AssemblyWorkspace,
-        buf: &mut DcBuffers,
-        override_src: Option<(&str, f64)>,
-        x0: &[f64],
-        source_scale: Option<f64>,
-        lambda0: f64,
-        shunt: Option<(f64, &[f64])>,
-        stats: &mut EngineStats,
-        meter: &mut BudgetMeter,
-    ) -> Result<Vec<f64>> {
+            lambda0,
+            shunt,
+        } = opts;
         let mna = &mats.mna;
         let dim = mna.dim();
         let mut x = x0.to_vec();
@@ -813,6 +629,34 @@ impl SwecDcSweep {
     }
 }
 
+/// Attaches the failing point index and sweep value to a per-point
+/// non-convergence or budget error.
+fn tag_sweep_failure(e: SimError, k: usize, value: f64) -> SimError {
+    match e {
+        SimError::NonConvergence {
+            at,
+            context,
+            forensics,
+        } => {
+            let mut fx = forensics.map_or_else(Forensics::default, |b| *b);
+            fx.point_index = Some(k);
+            fx.sweep_value = Some(value);
+            SimError::non_convergence_with(at, context, fx)
+        }
+        SimError::BudgetExceeded {
+            stop,
+            context,
+            forensics,
+        } => {
+            let mut fx = forensics.map_or_else(Forensics::default, |b| *b);
+            fx.point_index = Some(k);
+            fx.sweep_value = Some(value);
+            SimError::budget_exceeded_with(stop, context, fx)
+        }
+        other => other,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -878,9 +722,17 @@ mod tests {
         let ckt = rtd_divider(50.0);
         let engine = engine();
         let mats = CircuitMatrices::new(&ckt).unwrap();
-        let mut stats = EngineStats::new();
+        let mut ws = AssemblyWorkspace::new(&mats, false, false, OrderingChoice::default());
         let x = engine
-            .solve_point(&mats, Some(("V1", 1.0)), &vec![0.0; 3], &mut stats)
+            .solve_point(
+                &mats,
+                &mut ws,
+                &mut DcBuffers::default(),
+                &[0.0; 3],
+                PointOptions::at("V1", 1.0),
+                &mut EngineStats::new(),
+                &mut BudgetMeter::unlimited(),
+            )
             .unwrap();
         let v = x[1];
         let mut f = FlopCounter::new();

@@ -79,6 +79,48 @@ fn unknown_sweep_source_named_in_error() {
     }
 }
 
+/// A step so small that the point count overflows every integer type must
+/// be refused up front by every DC sweep entry point, never truncated to a
+/// one-point sweep or allowed to overflow.
+#[test]
+fn sweep_point_count_overflow_is_invalid_config() {
+    let ckt = nanosim::workloads::rtd_divider(50.0);
+    let (start, stop, step) = (0.0, 1.0, 1e-300);
+    let results = [
+        (
+            "SwecDcSweep::run",
+            SwecDcSweep::new(SwecOptions::default())
+                .run(&ckt, "V1", start, stop, step)
+                .map(|_| ()),
+        ),
+        (
+            "Simulator::run",
+            Simulator::new(ckt.clone())
+                .unwrap()
+                .run(Analysis::dc_sweep("V1", start, stop, step))
+                .map(|_| ()),
+        ),
+        (
+            "NrEngine::run_dc_sweep",
+            NrEngine::new(NrOptions::default())
+                .run_dc_sweep(&ckt, "V1", start, stop, step)
+                .map(|_| ()),
+        ),
+        (
+            "PwlEngine::run_dc_sweep",
+            PwlEngine::new(PwlOptions::default())
+                .run_dc_sweep(&ckt, "V1", start, stop, step)
+                .map(|_| ()),
+        ),
+    ];
+    for (entry, r) in results {
+        assert!(
+            matches!(r, Err(SimError::InvalidConfig { .. })),
+            "{entry}: {r:?}"
+        );
+    }
+}
+
 #[test]
 fn parse_errors_carry_line_numbers() {
     let text = "V1 a 0 1\nR1 a 0 1k\nC1 a 0 frog\n";
