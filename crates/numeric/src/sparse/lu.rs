@@ -1788,6 +1788,90 @@ mod tests {
         t.to_csr()
     }
 
+    /// FNV-1a over 64-bit words: folds solution bits and flop counts into
+    /// one pinned value.
+    struct Digest(u64);
+
+    impl Digest {
+        fn word(&mut self, w: u64) {
+            for byte in w.to_le_bytes() {
+                self.0 = (self.0 ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+
+        fn floats(&mut self, xs: &[f64]) {
+            for x in xs {
+                self.word(x.to_bits());
+            }
+        }
+
+        fn flops(&mut self, f: &FlopCounter) {
+            for w in [f.adds(), f.muls(), f.divs(), f.funcs()] {
+                self.word(w);
+            }
+        }
+    }
+
+    #[test]
+    fn pinned_mesh30_factor_refactor_solves() {
+        // A 900-unknown grid under every ordering: factor, tolerant
+        // refactor, one solve and a 6-RHS batched solve, pinned bit for
+        // bit together with the exact flop count of each phase.
+        let a1 = mesh(30);
+        let n = a1.rows();
+        assert_eq!(n, 900);
+        let mut a2 = a1.clone();
+        for (i, v) in a2.values_mut().iter_mut().enumerate() {
+            *v += 0.01 * ((i % 5) as f64 - 2.0);
+        }
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.31).sin()).collect();
+        let k = 6;
+        // Lane 2 is zero but for one entry, so lanes go live at different
+        // columns and the per-lane flop accounting is exercised.
+        let bm: Vec<f64> = (0..n * k)
+            .map(|i| match i / n {
+                2 if i % n == n / 2 => 1.0,
+                2 => 0.0,
+                _ => (i as f64 * 0.17).sin(),
+            })
+            .collect();
+        let mut digests = Vec::new();
+        for choice in [
+            OrderingChoice::Natural,
+            OrderingChoice::Rcm,
+            OrderingChoice::Amd,
+        ] {
+            let mut d = Digest(0xcbf2_9ce4_8422_2325);
+            let mut f = FlopCounter::new();
+            let mut lu =
+                SparseLu::factor_ordered(&a1, choice, PivotStrategy::default(), &mut f).unwrap();
+            d.flops(&f);
+            let mut f = FlopCounter::new();
+            let ratio = lu.refactor_tolerant(&a2, &mut f).unwrap();
+            d.floats(&[ratio]);
+            d.flops(&f);
+            let (mut x, mut w) = (Vec::new(), Vec::new());
+            let mut f = FlopCounter::new();
+            lu.solve_into(&b, &mut x, &mut w, &mut f).unwrap();
+            d.floats(&x);
+            d.flops(&f);
+            let mut f = FlopCounter::new();
+            lu.solve_many_into(&bm, k, &mut x, &mut w, &mut f).unwrap();
+            d.floats(&x);
+            d.flops(&f);
+            digests.push(d.0);
+        }
+        assert_eq!(
+            digests,
+            [
+                0x4ad8_6e46_cade_c8ec,
+                0x6a6b_a8e2_49c4_d23f,
+                0x6409_172a_5b5d_5bf7
+            ],
+            "natural/RCM/AMD digests {digests:#018x?}"
+        );
+    }
+
     #[test]
     fn blocked_solve_bit_identical_to_scalar() {
         for choice in [

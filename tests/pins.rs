@@ -391,3 +391,52 @@ fn pinned_newton_sweep_mla_cold_start() {
         d.0
     );
 }
+
+// ---------------------------------------------------------------------------
+// The Table I mesh sweep, serial and sharded.
+// ---------------------------------------------------------------------------
+
+/// Digest of a session sweep: axis, every column, then the counters,
+/// including the factor/refactor/solve split of the sparse LU.
+fn dataset_digest(ds: &Dataset) -> u64 {
+    let mut d = Digest::new();
+    d.floats(ds.axis_values());
+    for name in ds.names() {
+        d.text(name);
+        d.floats(ds.column(name).unwrap());
+    }
+    let s = &ds.stats;
+    for w in [
+        s.steps as u64,
+        s.full_factors,
+        s.refactors,
+        s.factor_flops,
+        s.refactor_flops,
+        s.solve_flops,
+        s.device_evals,
+    ] {
+        d.word(w);
+    }
+    d.stats(s);
+    d.0
+}
+
+#[test]
+fn pinned_table1_mesh30_sweep() {
+    // The 902-unknown Table I mesh with default options, over four sweep
+    // chunks, serial and on two shards.
+    let sweep = |plan: ExecPlan| {
+        let mut sim = Simulator::new(nanosim::workloads::rtd_mesh_n(30)).unwrap();
+        sim.run(Analysis::dc_sweep("V1", 0.0, 5.0, 0.1).plan(plan))
+            .unwrap()
+    };
+    let serial = sweep(ExecPlan::Serial);
+    assert_eq!(serial.points(), 51);
+    assert!(serial.points() > 2 * nanosim::core::sim::SWEEP_CHUNK);
+    let sharded = sweep(ExecPlan::sharded(2));
+    let digests = [dataset_digest(&serial), dataset_digest(&sharded)];
+    assert_eq!(
+        digests, [0x1d61_348c_0542_4591; 2],
+        "serial/sharded mesh30 sweep digests {digests:#018x?}"
+    );
+}
