@@ -4,7 +4,7 @@
 //! sweep submit is measured three ways:
 //!
 //! * **cold** — a fresh `SimService` per iteration: pays parsing, the
-//!   sparse-LU symbolic analysis, the supernode plan and every factor;
+//!   sparse-LU symbolic analysis and every factor;
 //! * **warm_session** — one long-lived service, a new `rgrid` override per
 //!   iteration: same topology, different values, so the pooled session
 //!   rebinds and only *refactors* (0 full factors after the first submit);

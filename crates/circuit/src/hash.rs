@@ -16,7 +16,7 @@
 //!   branch-current bookkeeping and controlled-source references — never
 //!   component values. Circuits that differ only in values share a
 //!   topology fingerprint, and therefore share symbolic LU analyses and
-//!   supernode plans when sessions are pooled per topology.
+//!   factor structures when sessions are pooled per topology.
 //!
 //! Both are deterministic across processes and platforms (no
 //! `DefaultHasher` seeds, no pointer identity), which keeps service-level

@@ -258,7 +258,7 @@ impl AssemblyWorkspace {
     /// pattern*: rebuilds the base values and scatter maps from `mats`
     /// (built with the same `with_mos_gm`/`with_c` flags as this workspace)
     /// while keeping the cached solver — and with it the symbolic analysis
-    /// and supernode plan — alive, so the next solve refactors instead of
+    /// and pivot order — alive, so the next solve refactors instead of
     /// re-analyzing. Returns `false` (workspace untouched) when the new
     /// pattern differs; the caller must then build a fresh workspace.
     pub fn rebind(&mut self, mats: &CircuitMatrices, with_mos_gm: bool, with_c: bool) -> bool {

@@ -44,10 +44,6 @@ pub struct EngineStats {
     /// Fill ratio `nnz(L + U) / nnz(A)` of that analysis (1.0 = no
     /// fill-in; 0 when the run never factored).
     pub fill_ratio: f64,
-    /// Multi-column supernodes of that analysis's blocked kernel plan.
-    pub supernodes: u64,
-    /// Factor columns covered by those supernodes.
-    pub supernode_cols: u64,
     /// Spread-chunk factorizations of an EM run with per-path parameter
     /// variation: one per chunk of paths, which factors its paths'
     /// capacitance matrices against one shared template analysis.
@@ -91,8 +87,6 @@ impl Default for EngineStats {
             refinement_steps: 0,
             nnz_lu: 0,
             fill_ratio: 0.0,
-            supernodes: 0,
-            supernode_cols: 0,
             batched_factors: 0,
             device_evals: 0,
             rescues: 0,
@@ -173,17 +167,15 @@ impl EngineStats {
         self.refactor_flops += other.refactor_flops;
         self.solve_flops += other.solve_flops;
         self.refinement_steps += other.refinement_steps;
-        // Fill/supernode diagnostics describe an analysis, not a quantity
-        // of work: adopt the largest analysis seen, keeping its
-        // (nnz_lu, fill_ratio, supernodes) tuple coherent (never mixing
-        // one analysis's nnz with another's ratio).
+        // Fill diagnostics describe an analysis, not a quantity of work:
+        // adopt the largest analysis seen, keeping its (nnz_lu,
+        // fill_ratio) pair coherent (never mixing one analysis's nnz with
+        // another's ratio).
         if other.nnz_lu > self.nnz_lu
             || (other.nnz_lu == self.nnz_lu && other.fill_ratio > self.fill_ratio)
         {
             self.nnz_lu = other.nnz_lu;
             self.fill_ratio = other.fill_ratio;
-            self.supernodes = other.supernodes;
-            self.supernode_cols = other.supernode_cols;
         }
         self.batched_factors += other.batched_factors;
         self.device_evals += other.device_evals;
@@ -216,8 +208,6 @@ impl EngineStats {
         {
             self.nnz_lu = after.nnz_lu;
             self.fill_ratio = after.fill_ratio();
-            self.supernodes = after.supernodes;
-            self.supernode_cols = after.supernode_cols;
         }
         // `after.min_recip_pivot` is the solver's lifetime minimum, which
         // already includes everything `before` saw — min-folding it is both
@@ -235,7 +225,7 @@ impl fmt::Display for EngineStats {
             f,
             "{} steps ({} rejected), {} iterations, {} solves ({} factor / {} refactor, \
              {} refinement), lu flops {} factor / {} refactor / {} solve, \
-             lu nnz {} (fill {:.2}x, {} supernodes over {} cols), \
+             lu nnz {} (fill {:.2}x), \
              {} batched factors, \
              {} device evals, \
              {} rescues ({} rungs), min pivot ratio {:.1e}, health {}, \
@@ -252,8 +242,6 @@ impl fmt::Display for EngineStats {
             self.solve_flops,
             self.nnz_lu,
             self.fill_ratio,
-            self.supernodes,
-            self.supernode_cols,
             self.batched_factors,
             self.device_evals,
             self.rescues,
@@ -317,8 +305,6 @@ mod tests {
             refinement_steps: 0,
             nnz_lu: 40,
             nnz_a: 20,
-            supernodes: 3,
-            supernode_cols: 9,
             ..LuStats::default()
         };
         let after = LuStats {
@@ -330,8 +316,6 @@ mod tests {
             refinement_steps: 2,
             nnz_lu: 40,
             nnz_a: 20,
-            supernodes: 3,
-            supernode_cols: 9,
             min_recip_pivot: 1e-3,
         };
         s.absorb_lu(&before, &after);
@@ -342,8 +326,6 @@ mod tests {
         assert_eq!(s.solve_flops, 20);
         assert_eq!(s.refinement_steps, 2);
         assert_eq!(s.batched_factors, 0);
-        assert_eq!(s.supernodes, 3);
-        assert_eq!(s.supernode_cols, 9);
         assert_eq!(s.nnz_lu, 40);
         assert!((s.fill_ratio - 2.0).abs() < 1e-12);
         assert_eq!(s.min_recip_pivot, 1e-3);

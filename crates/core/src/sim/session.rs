@@ -217,7 +217,7 @@ impl Simulator {
     /// a service-layer session pool) submits many circuits that differ
     /// only in component values. Rebinding refreshes the assembled base
     /// values and device scatter maps while keeping each cached workspace's
-    /// solver — symbolic analysis, fill ordering and supernode plan — so
+    /// solver — symbolic analysis, fill ordering and pivot order — so
     /// the next analysis *refactors* instead of re-analyzing. Returns
     /// `Ok(true)` when at least one warmed workspace survived the swap
     /// (every subsequent solve reuses its analysis); `Ok(false)` means the

@@ -92,8 +92,6 @@ pub struct SwecOptions {
     pub gmin: f64,
     /// DC sweep mode (non-iterative per the paper, or fixed point).
     pub dc_mode: DcMode,
-    /// DC fixed-point: relaxation factor in `(0, 1]`.
-    pub dc_relaxation: f64,
     /// DC fixed-point: convergence tolerance on node voltages (V).
     pub dc_tolerance: f64,
     /// DC fixed-point: iteration cap per sweep point.
@@ -121,7 +119,6 @@ impl Default for SwecOptions {
             dv_max: 0.5,
             gmin: 1e-12,
             dc_mode: DcMode::default(),
-            dc_relaxation: 0.5,
             dc_tolerance: 1e-9,
             dc_max_iterations: 400,
             rescue: crate::rescue::RescueOptions::default(),
@@ -141,7 +138,6 @@ mod tests {
         assert!(o.h_min < 1e-12);
         assert!(o.taylor_extrapolation);
         assert_eq!(o.integration, IntegrationMethod::BackwardEuler);
-        assert!(o.dc_relaxation > 0.0 && o.dc_relaxation <= 1.0);
     }
 
     #[test]

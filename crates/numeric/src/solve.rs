@@ -23,8 +23,8 @@
 //! ordering → symbolic → numeric pipeline) and is completely transparent to
 //! callers — right-hand sides and solutions stay in original numbering.
 //! [`LuStats`] exposes the resulting fill and work telemetry (`nnz_lu`,
-//! fill ratio, supernode coverage, the factor/refactor/solve flop split
-//! and refinement counts) that the engine statistics surface.
+//! fill ratio, the factor/refactor/solve flop split and refinement
+//! counts) that the engine statistics surface.
 
 use crate::dense::DenseMatrix;
 use crate::flops::FlopCounter;
@@ -150,11 +150,6 @@ pub struct LuStats {
     pub nnz_lu: u64,
     /// `nnz(A)` of the current cached factorization (0 when cold).
     pub nnz_a: u64,
-    /// Multi-column supernodes of the cached factorization's blocked
-    /// kernel plan (0 when cold).
-    pub supernodes: u64,
-    /// Factor columns covered by those supernodes (0 when cold).
-    pub supernode_cols: u64,
     /// Smallest `|pivot| / column-max` ratio seen across every numeric
     /// pass this solver has run — the reciprocal pivot-growth health
     /// monitor. `f64::INFINITY` when no factorization has run yet.
@@ -172,8 +167,6 @@ impl Default for LuStats {
             refinement_steps: 0,
             nnz_lu: 0,
             nnz_a: 0,
-            supernodes: 0,
-            supernode_cols: 0,
             min_recip_pivot: f64::INFINITY,
         }
     }
@@ -264,14 +257,9 @@ impl SparseLuSolver {
     /// Cumulative factorization telemetry: counts, flop split, and the
     /// fill of the cached analysis.
     pub fn lu_stats(&self) -> LuStats {
-        let (nnz_lu, nnz_a, supernodes, supernode_cols) = match &self.cached {
-            Some(lu) => (
-                lu.nnz() as u64,
-                lu.nnz_a() as u64,
-                lu.supernode_count() as u64,
-                lu.supernode_cols() as u64,
-            ),
-            None => (0, 0, 0, 0),
+        let (nnz_lu, nnz_a) = match &self.cached {
+            Some(lu) => (lu.nnz() as u64, lu.nnz_a() as u64),
+            None => (0, 0),
         };
         LuStats {
             full_factors: self.full_factors,
@@ -282,8 +270,6 @@ impl SparseLuSolver {
             refinement_steps: self.refinement_steps,
             nnz_lu,
             nnz_a,
-            supernodes,
-            supernode_cols,
             min_recip_pivot: self.min_recip_pivot.unwrap_or(f64::INFINITY),
         }
     }
@@ -843,28 +829,6 @@ mod tests {
                 .unwrap();
             assert_eq!(&x[j * n..(j + 1) * n], &xj[..]);
         }
-    }
-
-    #[test]
-    fn lu_stats_report_supernodes() {
-        // Arrow matrix under AMD grows at least one multi-column supernode
-        // (the dense tail).
-        let n = 40;
-        let mut t = TripletMatrix::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 4.0);
-            if i > 0 {
-                t.push(0, i, 1.0);
-                t.push(i, 0, 1.0);
-            }
-        }
-        let a = t.to_csr();
-        let b = vec![1.0; n];
-        let mut solver = SparseLuSolver::with_ordering(OrderingChoice::Amd);
-        solver.solve(&a, &b, &mut FlopCounter::new()).unwrap();
-        let stats = solver.lu_stats();
-        assert!(stats.supernodes > 0, "{stats:?}");
-        assert!(stats.supernode_cols >= 2 * stats.supernodes);
     }
 
     #[test]

@@ -16,7 +16,6 @@
 //!     refactorization, and ordering-transparent solves.
 
 mod csr;
-mod kernels;
 mod lu;
 pub mod order;
 mod symbolic;

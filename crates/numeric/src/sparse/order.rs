@@ -192,10 +192,9 @@ impl Ordering for Rcm {
 /// boundary variables whose quotient-graph adjacency becomes identical are
 /// merged into one weighted supervariable, eliminated together, and emitted
 /// consecutively. That both sharpens the degree approximation (weights
-/// replace unit counts) and orders indistinguishable columns adjacently,
-/// which is exactly what grows the supernodes the blocked triangular-solve
-/// kernels of [`super::SparseLu`] batch over. Ties break on the smallest
-/// index, which keeps the ordering fully deterministic.
+/// replace unit counts) and orders indistinguishable columns adjacently.
+/// Ties break on the smallest index, which keeps the ordering fully
+/// deterministic.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Amd;
 
@@ -366,9 +365,8 @@ impl Ordering for Amd {
         }
         // Elimination-tree postorder: a topological reordering of the
         // etree leaves the fill unchanged (for the symmetrized pattern)
-        // but places each subtree's columns consecutively, which is what
-        // turns the factor's fundamental supernodes into *contiguous*
-        // column runs the blocked kernels can panel.
+        // but places each subtree's columns consecutively. It fixes the
+        // pivot order every AMD factor and its results are pinned to.
         etree_postorder(n, row_ptr, col_idx, &order)
     }
 

@@ -11,14 +11,11 @@
 //! factor-once/refactor-many strategy of production simulators, now with
 //! the ordering decision lifted out of the factorizer.
 //!
-//! Supernode detection deliberately does **not** live here: the blocked
-//! kernels' supernodes are runs of *factor* columns, and the factor's
-//! pattern depends on the pivot order the numeric phase chooses. Each
-//! [`super::SparseLu`] therefore compiles its own kernel plan (internal
-//! `kernels` module) once its pivots are fixed; the
-//! analysis's job is to hand the numeric phase a permutation (AMD with
-//! supervariables + elimination-tree postorder) under which those runs
-//! are long.
+//! The factor's own structure does **not** live here: the `L`/`U`
+//! pattern depends on the pivot order the numeric phase chooses, so
+//! [`super::SparseLu`] records it once its pivots are fixed. The
+//! analysis's job is to hand the numeric phase a fill-reducing permutation
+//! (AMD with supervariables + elimination-tree postorder).
 
 use super::order::OrderingChoice;
 use super::CsrMatrix;

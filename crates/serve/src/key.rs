@@ -11,7 +11,7 @@
 //! * [`TopologyKey`] (from [`nanosim_circuit::topology_fingerprint`])
 //!   ignores values — it guards the session pool, where circuits that
 //!   share an MNA sparsity pattern share symbolic LU analyses and
-//!   supernode plans via [`nanosim_core::Simulator::rebind`].
+//!   pivot orders via [`nanosim_core::Simulator::rebind`].
 //! * [`AnalysisKey`] canonically encodes an [`AnalysisDirective`]. The
 //!   execution plan is deliberately *not* part of the key: results are
 //!   bit-identical across worker counts, so a sweep sharded 4 ways may

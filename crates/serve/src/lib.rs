@@ -16,7 +16,7 @@
 //!   because the engines are deterministic), and a pattern-only
 //!   [`TopologyKey`] keys the [`SessionPool`], which rebinds pooled
 //!   sessions to same-topology circuits so sparse-LU symbolic analyses
-//!   and supernode plans are paid once and refactored forever.
+//!   and factor structures are paid once and refactored forever.
 //! * **Batch front-end** ([`service::BatchRequest`], [`proto`]) — a
 //!   parameter grid (`.param` overrides × the deck's analysis directives)
 //!   fans out into one run per grid point, sharing pooled sessions; the

@@ -1,7 +1,7 @@
 //! Pooled `Simulator` sessions keyed by circuit topology.
 //!
 //! A session's expensive state — the sparse-LU symbolic analysis, fill
-//! ordering and supernode plan inside its assembly workspaces — depends
+//! ordering and factor structure inside its assembly workspaces — depends
 //! only on the MNA sparsity pattern, never on component values. The pool
 //! therefore keys sessions by [`TopologyKey`] and serves a same-topology
 //! request by [`nanosim_core::Simulator::rebind`]ing the pooled session to

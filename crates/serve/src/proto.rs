@@ -351,7 +351,6 @@ fn engine_stats_json(s: &nanosim_core::EngineStats) -> Json {
         ("refactors".to_string(), Json::from(s.refactors)),
         ("nnz_lu".to_string(), Json::from(s.nnz_lu)),
         ("fill_ratio".to_string(), Json::Num(s.fill_ratio)),
-        ("supernodes".to_string(), Json::from(s.supernodes)),
         ("batched_factors".to_string(), Json::from(s.batched_factors)),
         ("device_evals".to_string(), Json::from(s.device_evals)),
         ("rescues".to_string(), Json::from(s.rescues)),

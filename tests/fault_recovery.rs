@@ -271,10 +271,10 @@ fn bistable_op_succeeds_from_cold_start_with_damping_disabled() {
     // source biased between valley and peak — the operating point the
     // voltage sweep's hysteresis region is made of, and the configuration
     // where the undamped secant fixed point fails outright (singular
-    // pivot on the first cold iterate). With every damping knob disabled
-    // (`dc_relaxation = 1`, rescue damping = 1, so the damped-retry rung
-    // is a plain retry), only the homotopy rungs (gmin / source /
-    // pseudo-transient) can deliver the OP.
+    // pivot on the first cold iterate). With rescue damping disabled
+    // (damping = 1, so the damped-retry rung is a plain retry), only the
+    // homotopy rungs (gmin / source / pseudo-transient) can deliver the
+    // OP.
     let mut ckt = Circuit::new();
     let m = ckt.node("mid");
     ckt.add_current_source("I1", Circuit::GROUND, m, SourceWaveform::dc(1e-3))
@@ -290,7 +290,6 @@ fn bistable_op_succeeds_from_cold_start_with_damping_disabled() {
     // Without the ladder the plain solve fails with a structured error.
     let mut sim = Simulator::new(ckt.clone()).unwrap();
     let plain = sim.run(Analysis::op().options(SwecOptions {
-        dc_relaxation: 1.0,
         rescue: RescueOptions::disabled(),
         ..SwecOptions::default()
     }));
@@ -302,7 +301,6 @@ fn bistable_op_succeeds_from_cold_start_with_damping_disabled() {
     let mut sim = Simulator::new(ckt).unwrap();
     let op = sim
         .run(Analysis::op().options(SwecOptions {
-            dc_relaxation: 1.0,
             rescue: undamped_rescue,
             ..SwecOptions::default()
         }))

@@ -102,20 +102,14 @@ fn fill_regression_amd_vs_rcm_mesh40() {
         amd.factor_flops,
         rcm.factor_flops
     );
-    // Supervariable-driven orders feed the blocked kernels: the factor
-    // must actually carry supernodes.
-    assert!(amd.supernodes > 0, "{amd}");
     println!(
-        "mesh40: nnz_lu rcm {} vs amd {} ({:+.1}%), factor flops rcm {} vs amd {} ({:+.1}%), \
-         {} supernodes over {} cols",
+        "mesh40: nnz_lu rcm {} vs amd {} ({:+.1}%), factor flops rcm {} vs amd {} ({:+.1}%)",
         rcm.nnz_lu,
         amd.nnz_lu,
         100.0 * (amd.nnz_lu as f64 - rcm.nnz_lu as f64) / rcm.nnz_lu as f64,
         rcm.factor_flops,
         amd.factor_flops,
         100.0 * (amd.factor_flops as f64 - rcm.factor_flops as f64) / rcm.factor_flops as f64,
-        amd.supernodes,
-        amd.supernode_cols,
     );
 }
 

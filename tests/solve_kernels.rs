@@ -1,14 +1,8 @@
-//! Blocked triangular-solve kernel equivalence: the supernodal panel path
-//! behind `SparseLu::solve_into` / `refactor` and the batched multi-RHS
-//! `solve_many_into` must be **bit-identical** to the scalar reference
-//! sweeps (`solve_into_scalar` / `refactor_scalar`) over random patterns,
-//! random orderings and every right-hand-side count — and engine results
-//! flowing through the kernels must stay bit-identical at every worker
-//! count.
-//!
-//! `blocked_matches_scalar` is the CI kernel-drift gate: it fails the
-//! build the moment the blocked path's floating-point behavior diverges
-//! from the scalar reference by a single bit.
+//! Triangular-solve equivalence: the batched multi-RHS
+//! `SparseLu::solve_many_into` must be **bit-identical** to independent
+//! `solve_into` calls over random patterns, random orderings and every
+//! right-hand-side count — and engine results flowing through the sparse
+//! LU must stay bit-identical at every worker count.
 
 use nanosim::core::sim::{Analysis, ExecPlan, SimOptions, Simulator};
 use nanosim::core::swec::SwecDcSweep;
@@ -51,58 +45,15 @@ const ORDERINGS: [OrderingChoice; 3] = [
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// CI gate: blocked solve and refactor are bit-identical to the scalar
-    /// reference path — solutions *and* flop accounting — over random
-    /// patterns and every ordering.
-    #[test]
-    fn blocked_matches_scalar((n, entries, rhs, _k) in dominant_system()) {
-        let a = CsrMatrix::from_triplets(n, n, &entries);
-        let b = &rhs[..n];
-        for choice in ORDERINGS {
-            let mut lu = SparseLu::factor_ordered(
-                &a, choice, PivotStrategy::default(), &mut FlopCounter::new(),
-            ).unwrap();
-            // These systems sit below the blocked-kernel size gate; force
-            // the panel kernels on so the proptest exercises them.
-            lu.set_blocked_kernels(true);
-            let (mut xb, mut wb) = (Vec::new(), Vec::new());
-            let (mut xs, mut ws) = (Vec::new(), Vec::new());
-            let mut fb = FlopCounter::new();
-            let mut fs = FlopCounter::new();
-            lu.solve_into(b, &mut xb, &mut wb, &mut fb).unwrap();
-            lu.solve_into_scalar(b, &mut xs, &mut ws, &mut fs).unwrap();
-            prop_assert_eq!(&xb, &xs, "{:?}: fresh-factor solve bits", choice);
-            prop_assert_eq!(fb, fs, "{:?}: solve flop accounting", choice);
-
-            // Refactor with perturbed values (same pattern), both paths.
-            let mut a2 = a.clone();
-            for (i, v) in a2.values_mut().iter_mut().enumerate() {
-                *v *= 1.0 + 0.01 * ((i % 7) as f64 - 3.0);
-            }
-            let mut scalar = lu.clone();
-            let mut fb = FlopCounter::new();
-            let mut fs = FlopCounter::new();
-            lu.refactor(&a2, &mut fb).unwrap();
-            scalar.refactor_scalar(&a2, &mut fs).unwrap();
-            prop_assert_eq!(fb, fs, "{:?}: refactor flop accounting", choice);
-            lu.solve_into(b, &mut xb, &mut wb, &mut FlopCounter::new()).unwrap();
-            scalar
-                .solve_into_scalar(b, &mut xs, &mut ws, &mut FlopCounter::new())
-                .unwrap();
-            prop_assert_eq!(&xb, &xs, "{:?}: post-refactor solve bits", choice);
-        }
-    }
-
     /// Batched multi-RHS solves are bit-identical to `k` independent
     /// single-RHS solves, column by column, flops included.
     #[test]
     fn multi_rhs_matches_singles((n, entries, rhs, k) in dominant_system()) {
         let a = CsrMatrix::from_triplets(n, n, &entries);
         for choice in ORDERINGS {
-            let mut lu = SparseLu::factor_ordered(
+            let lu = SparseLu::factor_ordered(
                 &a, choice, PivotStrategy::default(), &mut FlopCounter::new(),
             ).unwrap();
-            lu.set_blocked_kernels(true);
             let mut fm = FlopCounter::new();
             let xm = lu.solve_many(&rhs[..n * k], k, &mut fm).unwrap();
             let mut fs = FlopCounter::new();
@@ -115,8 +66,8 @@ proptest! {
     }
 }
 
-/// Sharded sweeps riding the blocked kernels (and the batched multi-RHS
-/// chunk warm-start) stay bit-identical to serial at every worker count,
+/// Sharded sweeps (and the batched multi-RHS chunk warm-start) stay
+/// bit-identical to serial at every worker count,
 /// for every ordering.
 #[test]
 fn sharded_sweep_bit_identical_at_every_worker_count() {
