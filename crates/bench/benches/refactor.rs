@@ -6,7 +6,6 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use nanosim::core::em::EmEngine;
 use nanosim::core::swec::SwecDcSweep;
 use nanosim::prelude::*;
-use nanosim_numeric::solve::LinearSolver;
 use nanosim_numeric::sparse::SparseLu;
 use std::hint::black_box;
 
@@ -41,7 +40,7 @@ fn bench_refactor(c: &mut Criterion) {
         })
     });
     group.bench_function("caching_solver_mesh10", |bch| {
-        // The LinearSolver-level view: alternating same-pattern matrices go
+        // The caching-solver view: alternating same-pattern matrices go
         // through refactor after the first call.
         let mut solver = nanosim_numeric::solve::SparseLuSolver::new();
         let mut x = Vec::new();

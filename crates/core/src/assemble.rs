@@ -10,7 +10,7 @@
 
 use crate::Result;
 use nanosim_circuit::{Circuit, MnaSystem};
-use nanosim_numeric::solve::{LinearSolver, LuStats, SparseLuSolver};
+use nanosim_numeric::solve::{LuStats, SparseLuSolver};
 use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice, TripletMatrix};
 use nanosim_numeric::{BudgetMeter, FaultPlan, FlopCounter};
 
@@ -478,8 +478,8 @@ impl AssemblyWorkspace {
         self.solver.lu_stats()
     }
 
-    /// Name of the fill ordering the solver applies ("natural", "rcm",
-    /// "amd"; the configured tag while cold).
+    /// Name of the fill ordering the solver applies ("natural" or "amd";
+    /// the configured tag while cold).
     pub fn ordering_name(&self) -> &'static str {
         self.solver.ordering_name()
     }

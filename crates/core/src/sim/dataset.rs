@@ -299,14 +299,15 @@ impl Dataset {
         self.column_index(name).map(|i| self.columns[i].as_slice())
     }
 
-    /// A named signal as an owned [`Waveform`] over the axis. `None` for
-    /// unknown names and for operating points (use [`Dataset::value`]).
+    /// A named signal as an owned [`Waveform`] over the axis, in ascending
+    /// axis order (a descending sweep is reversed). `None` for unknown
+    /// names and for operating points (use [`Dataset::value`]).
     pub fn curve(&self, name: &str) -> Option<Waveform> {
         if matches!(self.axis, Axis::None) {
             return None;
         }
         self.column(name)
-            .map(|c| Waveform::from_samples(self.axis_values().to_vec(), c.to_vec()))
+            .map(|c| Waveform::from_sweep(self.axis_values(), c))
     }
 
     /// The ensemble standard-deviation envelope of a node (EM datasets).

@@ -328,8 +328,8 @@ impl Simulator {
         &self.opts
     }
 
-    /// Name of the fill ordering the session's solver applies ("natural",
-    /// "rcm", "amd"). Before the first analysis warms a workspace this is
+    /// Name of the fill ordering the session's solver applies ("natural"
+    /// or "amd"). Before the first analysis warms a workspace this is
     /// the configured choice's tag (`Auto` reports "auto" until resolved
     /// against the system size).
     pub fn ordering_name(&self) -> &'static str {
@@ -747,6 +747,25 @@ mod tests {
         ckt.add_resistor("R2", b, Circuit::GROUND, 1e3).unwrap();
         ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-12).unwrap();
         ckt
+    }
+
+    #[test]
+    fn descending_sweep_reads_like_ascending() {
+        let mut sim = Simulator::new(rc_divider()).unwrap();
+        let up = sim.run(Analysis::dc_sweep("V1", 0.0, 1.0, 0.25)).unwrap();
+        let down = sim.run(Analysis::dc_sweep("V1", 1.0, 0.0, -0.25)).unwrap();
+        assert_eq!(down.axis_values(), &[1.0, 0.75, 0.5, 0.25, 0.0]);
+        for x in [-1.0, 0.0, 0.3, 0.5, 0.9, 1.0, 2.0] {
+            assert_eq!(down.at("b", x), up.at("b", x), "at {x}");
+        }
+        assert_eq!(down.peak("b"), up.peak("b"));
+        assert_eq!(down.peak("b").unwrap().0, 1.0);
+        assert!(down.at("b", f64::NAN).unwrap().is_nan());
+        let engine = crate::swec::SwecDcSweep::new(Default::default());
+        let legacy = engine.run(&rc_divider(), "V1", 1.0, 0.0, -0.25).unwrap();
+        let curve = legacy.curve("b").unwrap();
+        assert_eq!(curve.times(), &[0.0, 0.25, 0.5, 0.75, 1.0]);
+        assert_eq!(Some(curve.value_at(0.3)), up.at("b", 0.3));
     }
 
     #[test]

@@ -33,6 +33,17 @@ impl Waveform {
         Waveform { times, values }
     }
 
+    /// Builds a waveform over a monotone sweep axis, reversing a
+    /// descending sweep so the samples run in ascending axis order.
+    pub(crate) fn from_sweep(axis: &[f64], values: &[f64]) -> Self {
+        let (mut axis, mut values) = (axis.to_vec(), values.to_vec());
+        if axis.first() > axis.last() {
+            axis.reverse();
+            values.reverse();
+        }
+        Waveform::from_samples(axis, values)
+    }
+
     /// Sample times.
     pub fn times(&self) -> &[f64] {
         &self.times
@@ -64,9 +75,13 @@ impl Waveform {
         *self.values.last().expect("nonempty")
     }
 
-    /// Linear interpolation at `t`, clamped to the sampled range.
+    /// Linear interpolation at `t`, clamped to the sampled range; NaN
+    /// when `t` is NaN.
     pub fn value_at(&self, t: f64) -> f64 {
         let ts = &self.times;
+        if t.is_nan() {
+            return f64::NAN;
+        }
         if t <= ts[0] {
             return self.values[0];
         }
@@ -468,10 +483,11 @@ impl DcSweepResult {
     }
 
     /// The sweep as a `(sweep value, column value)` waveform (e.g. an I-V
-    /// curve when the column is a device current).
+    /// curve when the column is a device current), in ascending sweep
+    /// order whichever way the source was swept.
     pub fn curve(&self, name: &str) -> Option<Waveform> {
         self.column(name)
-            .map(|c| Waveform::from_samples(self.sweep.clone(), c.to_vec()))
+            .map(|c| Waveform::from_sweep(&self.sweep, c))
     }
 
     /// Writes CSV (`sweep,var1,...`).

@@ -255,8 +255,8 @@ proptest! {
         prop_assert!(peak <= vstep * 1.001);
     }
 
-    /// On random connected circuits, AMD- and RCM-ordered operating points
-    /// match the natural-order solution within 1e-10 relative error —
+    /// On random connected circuits, AMD-ordered operating points match
+    /// the natural-order solution within 1e-10 relative error —
     /// the fill permutation is invisible to the physics.
     #[test]
     fn ordered_ops_match_natural_on_random_circuits(ckt in connected_circuit()) {
@@ -266,16 +266,14 @@ proptest! {
             sim.run(Analysis::op()).expect("op solves")
         };
         let natural = solve(OrderingChoice::Natural);
-        for ordering in [OrderingChoice::Rcm, OrderingChoice::Amd] {
-            let ds = solve(ordering);
-            for name in natural.names() {
-                let a = ds.value(name).unwrap();
-                let b = natural.value(name).unwrap();
-                prop_assert!(
-                    (a - b).abs() <= 1e-10 * b.abs().max(1.0),
-                    "{ordering:?}/{name}: {a} vs {b}"
-                );
-            }
+        let ds = solve(OrderingChoice::Amd);
+        for name in natural.names() {
+            let a = ds.value(name).unwrap();
+            let b = natural.value(name).unwrap();
+            prop_assert!(
+                (a - b).abs() <= 1e-10 * b.abs().max(1.0),
+                "{name}: {a} vs {b}"
+            );
         }
     }
 

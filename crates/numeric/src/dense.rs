@@ -1,9 +1,9 @@
 //! Dense row-major matrices with LU factorization.
 //!
-//! Dense storage is used for small systems (reference results in tests, the
-//! capacitance matrix factored once by the Euler–Maruyama engine, and the
-//! dense fallback of [`crate::solve::LinearSolver`]). MNA systems of any real
-//! size go through [`crate::sparse`].
+//! Dense storage is used for small systems (the reference results tests
+//! compare [`crate::solve::SparseLuSolver`] against, and the capacitance
+//! matrix factored once by the Euler–Maruyama engine). MNA systems of any
+//! real size go through [`crate::sparse`].
 
 use crate::error::NumericError;
 use crate::flops::FlopCounter;

@@ -20,8 +20,9 @@
 //!   in wall-clock, iterations, steps or result bytes.
 //! * [`parallel`] — deterministic order-preserving scoped-thread map used
 //!   by the Monte-Carlo ensemble engine (offline stand-in for rayon).
-//! * [`solve`] — a [`solve::LinearSolver`] abstraction over the dense and
-//!   sparse factorizations.
+//! * [`solve`] — [`solve::SparseLuSolver`], the caching sparse solver the
+//!   engines call (factor once, refactor per point, refine degraded
+//!   pivots).
 //! * [`rng`] — a deterministic PCG64-family pseudo random number generator
 //!   plus Gaussian variates (Box–Muller), so stochastic experiments are
 //!   reproducible without external dependencies.
@@ -41,7 +42,7 @@
 //!
 //! ```
 //! use nanosim_numeric::sparse::TripletMatrix;
-//! use nanosim_numeric::solve::{LinearSolver, SparseLuSolver};
+//! use nanosim_numeric::solve::SparseLuSolver;
 //! use nanosim_numeric::flops::FlopCounter;
 //!
 //! # fn main() -> Result<(), nanosim_numeric::NumericError> {

@@ -5,7 +5,7 @@
 //! The pipeline has three explicit phases:
 //!
 //! 1. **ordering** ([`super::order`]) — a fill-reducing permutation computed
-//!    from the symmetrized pattern (natural / RCM / AMD, selected by
+//!    from the symmetrized pattern (natural or AMD, selected by
 //!    [`OrderingChoice`]);
 //! 2. **symbolic** ([`SymbolicAnalysis`]) — the permuted compressed-column
 //!    structure plus the CSR→CSC value shuffle, built once per pattern;
@@ -30,8 +30,7 @@
 //! simulators such as KLU. A refactorization that encounters a new nonzero
 //! or a numerically degraded pivot reports [`NumericError::PatternChanged`]
 //! so callers can fall back to a full factorization with fresh pivoting
-//! ([`SparseLu::refactor_or_factor`] packages that policy, preserving the
-//! ordering choice).
+//! ([`crate::solve::SparseLuSolver`] packages that policy).
 //!
 //! Callers never see permuted vectors: the fill permutation is applied on
 //! scatter-in ([`SymbolicAnalysis::scatter_values`] and the right-hand-side
@@ -52,7 +51,7 @@ use crate::error::NumericError;
 use crate::flops::FlopCounter;
 use crate::Result;
 
-/// Pivoting policy for [`SparseLu::factor_with`].
+/// Pivoting policy for [`SparseLu::factor_ordered`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PivotStrategy {
     /// Pick the largest-magnitude candidate in the column (classic partial
@@ -141,8 +140,6 @@ pub struct SparseLu {
     pub(crate) u_diag: Vec<f64>,
     /// `perm[k]` = permuted row chosen as the k-th pivot.
     pub(crate) perm: Vec<usize>,
-    /// Strategy used for the original factorization (reused on fallback).
-    pub(crate) strategy: PivotStrategy,
     /// Cached symbolic analysis: fill ordering, permuted CSC structure,
     /// value shuffle, pattern fingerprint.
     pub(crate) sym: SymbolicAnalysis,
@@ -161,25 +158,14 @@ pub struct SparseLu {
 impl SparseLu {
     /// Factors `a` with the default pivoting strategy in natural order
     /// (no fill-reducing permutation — bit-identical to the pre-pipeline
-    /// behavior; use [`SparseLu::factor_ordered`] for AMD/RCM).
+    /// behavior; use [`SparseLu::factor_ordered`] for AMD or another
+    /// [`PivotStrategy`]).
     ///
     /// # Errors
     /// Returns [`NumericError::SingularMatrix`] when a column has no usable
     /// pivot and [`NumericError::DimensionMismatch`] for non-square input.
     pub fn factor(a: &CsrMatrix, flops: &mut FlopCounter) -> Result<Self> {
-        Self::factor_with(a, PivotStrategy::default(), flops)
-    }
-
-    /// Factors `a` with an explicit [`PivotStrategy`] in natural order.
-    ///
-    /// # Errors
-    /// Same as [`SparseLu::factor`]; additionally rejects non-finite values.
-    pub fn factor_with(
-        a: &CsrMatrix,
-        strategy: PivotStrategy,
-        flops: &mut FlopCounter,
-    ) -> Result<Self> {
-        Self::factor_ordered(a, OrderingChoice::Natural, strategy, flops)
+        Self::factor_ordered(a, OrderingChoice::Natural, PivotStrategy::default(), flops)
     }
 
     /// The full three-phase entry point: computes (or resolves) the fill
@@ -393,7 +379,6 @@ impl SparseLu {
             u_vals,
             u_diag,
             perm,
-            strategy,
             sym,
             csc_vals: values,
             work: x,
@@ -416,7 +401,7 @@ impl SparseLu {
     /// [`NumericError::SingularMatrix`] for an exactly zero pivot. The
     /// latter two abort **mid-pass**, leaving the numeric factors partially
     /// updated and unusable: the caller must re-factor before solving
-    /// again ([`SparseLu::refactor_or_factor`] packages exactly that
+    /// again ([`crate::solve::SparseLuSolver`] packages exactly that
     /// fallback).
     pub fn refactor(&mut self, a: &CsrMatrix, flops: &mut FlopCounter) -> Result<()> {
         self.refactor_values(a, flops, true).map(|_| ())
@@ -541,34 +526,6 @@ impl SparseLu {
         Ok(worst_ratio)
     }
 
-    /// Refactors `a` in place, falling back to a full numeric
-    /// factorization with fresh pivoting when the pattern changed or a
-    /// pivot degraded. A degraded pivot on an unchanged pattern reuses the
-    /// cached symbolic analysis (the ordering and permuted structure are
-    /// still exact); only a genuine pattern change re-runs the ordering
-    /// under the same [`OrderingChoice`]. Returns `true` when the cached
-    /// numeric factors were refreshed in place, `false` when a full
-    /// factorization ran.
-    ///
-    /// # Errors
-    /// Returns [`NumericError::SingularMatrix`] /
-    /// [`NumericError::DimensionMismatch`] when even the full factorization
-    /// fails; the factors are then in an unspecified (but valid) state.
-    pub fn refactor_or_factor(&mut self, a: &CsrMatrix, flops: &mut FlopCounter) -> Result<bool> {
-        match self.refactor(a, flops) {
-            Ok(()) => Ok(true),
-            Err(NumericError::PatternChanged { .. }) | Err(NumericError::SingularMatrix { .. }) => {
-                *self = if self.sym.matches(a) {
-                    SparseLu::factor_symbolic(self.sym.clone(), a, self.strategy, flops)?
-                } else {
-                    SparseLu::factor_ordered(a, self.sym.choice(), self.strategy, flops)?
-                };
-                Ok(false)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
     /// Dimension of the factored matrix.
     pub fn dim(&self) -> usize {
         self.n
@@ -589,8 +546,7 @@ impl SparseLu {
         self.nnz() as f64 / self.nnz_a().max(1) as f64
     }
 
-    /// Name of the fill ordering actually applied ("natural", "rcm",
-    /// "amd").
+    /// Name of the fill ordering actually applied ("natural" or "amd").
     pub fn ordering_name(&self) -> &'static str {
         self.sym.ordering_name()
     }
@@ -922,8 +878,13 @@ mod tests {
     fn determinant_sign_with_permutation() {
         let entries = [(0, 1, 1.0), (1, 0, 1.0)];
         let a = CsrMatrix::from_triplets(2, 2, &entries);
-        let lu = SparseLu::factor_with(&a, PivotStrategy::PartialPivoting, &mut FlopCounter::new())
-            .unwrap();
+        let lu = SparseLu::factor_ordered(
+            &a,
+            OrderingChoice::Natural,
+            PivotStrategy::PartialPivoting,
+            &mut FlopCounter::new(),
+        )
+        .unwrap();
         assert!(approx_eq(lu.determinant(), -1.0, 1e-12));
     }
 
@@ -932,8 +893,13 @@ mod tests {
         // Column 0 has entries 1.0 (row 0) and -10.0 (row 1): PP must pick row 1.
         let entries = [(0, 0, 1.0), (1, 0, -10.0), (0, 1, 1.0), (1, 1, 1.0)];
         let a = CsrMatrix::from_triplets(2, 2, &entries);
-        let lu = SparseLu::factor_with(&a, PivotStrategy::PartialPivoting, &mut FlopCounter::new())
-            .unwrap();
+        let lu = SparseLu::factor_ordered(
+            &a,
+            OrderingChoice::Natural,
+            PivotStrategy::PartialPivoting,
+            &mut FlopCounter::new(),
+        )
+        .unwrap();
         assert_eq!(lu.pivot_perm()[0], 1);
     }
 
@@ -941,8 +907,9 @@ mod tests {
     fn threshold_diagonal_prefers_diagonal() {
         let entries = [(0, 0, 1.0), (1, 0, -5.0), (0, 1, 1.0), (1, 1, 1.0)];
         let a = CsrMatrix::from_triplets(2, 2, &entries);
-        let lu = SparseLu::factor_with(
+        let lu = SparseLu::factor_ordered(
             &a,
+            OrderingChoice::Natural,
             PivotStrategy::ThresholdDiagonal { threshold: 0.1 },
             &mut FlopCounter::new(),
         )
@@ -1045,9 +1012,8 @@ mod tests {
         // The original factors survive the failed refactor.
         let x = lu.solve(&[2.0, 8.0], &mut FlopCounter::new()).unwrap();
         assert_eq!(x, vec![1.0, 2.0]);
-        // The fallback wrapper recovers by re-factoring.
-        let reused = lu.refactor_or_factor(&a2, &mut FlopCounter::new()).unwrap();
-        assert!(!reused);
+        // A full factorization of the grown pattern solves it.
+        let lu = SparseLu::factor(&a2, &mut FlopCounter::new()).unwrap();
         let x = lu.solve(&[2.0, 4.0], &mut FlopCounter::new()).unwrap();
         assert!(approx_eq(x[0], 0.5, 1e-15), "{}", x[0]);
         assert!(approx_eq(x[1], 1.0, 1e-15), "{}", x[1]);
@@ -1067,9 +1033,8 @@ mod tests {
             Err(NumericError::PatternChanged { .. }) => {}
             other => panic!("expected degraded-pivot rejection, got {other:?}"),
         }
-        // The fallback re-pivots and solves correctly.
-        let reused = lu.refactor_or_factor(&a2, &mut FlopCounter::new()).unwrap();
-        assert!(!reused);
+        // A full factorization re-pivots and solves correctly.
+        let lu = SparseLu::factor(&a2, &mut FlopCounter::new()).unwrap();
         let x = lu.solve(&[1.0, 6.0], &mut FlopCounter::new()).unwrap();
         let ax0 = 1e-9 * x[0] + 1.0 * x[1];
         let ax1 = 1.0 * x[0] + 5.0 * x[1];
@@ -1078,26 +1043,18 @@ mod tests {
     }
 
     #[test]
-    fn refactor_or_factor_reuses_on_same_pattern() {
-        let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 2.0), (1, 1, 4.0)]);
-        let mut lu = SparseLu::factor(&a, &mut FlopCounter::new()).unwrap();
-        let mut a2 = a.clone();
-        a2.values_mut()[0] = 3.0;
-        let reused = lu.refactor_or_factor(&a2, &mut FlopCounter::new()).unwrap();
-        assert!(reused);
-        let x = lu.solve(&[3.0, 8.0], &mut FlopCounter::new()).unwrap();
-        assert_eq!(x, vec![1.0, 2.0]);
-    }
-
-    #[test]
     fn refactor_handles_permuted_factors() {
         // Force an off-diagonal pivot, then refactor with new values: the
         // permuted structure must still round-trip.
         let entries = [(0, 1, 2.0), (1, 0, 3.0), (1, 1, 0.5)];
         let a1 = CsrMatrix::from_triplets(2, 2, &entries);
-        let mut lu =
-            SparseLu::factor_with(&a1, PivotStrategy::PartialPivoting, &mut FlopCounter::new())
-                .unwrap();
+        let mut lu = SparseLu::factor_ordered(
+            &a1,
+            OrderingChoice::Natural,
+            PivotStrategy::PartialPivoting,
+            &mut FlopCounter::new(),
+        )
+        .unwrap();
         let entries2 = [(0, 1, 4.0), (1, 0, 5.0), (1, 1, 1.0)];
         let a2 = CsrMatrix::from_triplets(2, 2, &entries2);
         lu.refactor(&a2, &mut FlopCounter::new()).unwrap();
@@ -1204,14 +1161,12 @@ mod tests {
             .unwrap()
             .solve(&b, &mut f)
             .unwrap();
-        for choice in [OrderingChoice::Rcm, OrderingChoice::Amd] {
-            let x = SparseLu::factor_ordered(&a, choice, PivotStrategy::default(), &mut f)
-                .unwrap()
-                .solve(&b, &mut f)
-                .unwrap();
-            for (o, n) in x.iter().zip(x_nat.iter()) {
-                assert!(approx_eq(*o, *n, 1e-10), "{choice:?}: {o} vs {n}");
-            }
+        let x = SparseLu::factor_ordered(&a, OrderingChoice::Amd, PivotStrategy::default(), &mut f)
+            .unwrap()
+            .solve(&b, &mut f)
+            .unwrap();
+        for (o, n) in x.iter().zip(x_nat.iter()) {
+            assert!(approx_eq(*o, *n, 1e-10), "{o} vs {n}");
         }
     }
 
@@ -1242,21 +1197,19 @@ mod tests {
 
     #[test]
     fn ordered_fallback_keeps_ordering_choice() {
-        let a1 = arrow(15);
-        let mut lu = SparseLu::factor_ordered(
-            &a1,
-            OrderingChoice::Amd,
-            PivotStrategy::default(),
-            &mut FlopCounter::new(),
-        )
-        .unwrap();
-        // Different pattern forces the full-factor fallback, which must
-        // re-analyze under the same ordering choice.
-        let a2 = arrow(16);
-        let reused = lu.refactor_or_factor(&a2, &mut FlopCounter::new()).unwrap();
-        assert!(!reused);
-        assert_eq!(lu.ordering_name(), "amd");
-        assert_eq!(lu.dim(), 16);
+        let mut solver = crate::solve::SparseLuSolver::with_ordering(OrderingChoice::Amd);
+        let (mut x, mut f) = (Vec::new(), FlopCounter::new());
+        solver
+            .solve_into(&arrow(15), &[1.0; 15], &mut x, &mut f)
+            .unwrap();
+        // A different pattern forces the solver's full-factor fallback,
+        // which must re-analyze under the same ordering choice.
+        solver
+            .solve_into(&arrow(16), &[1.0; 16], &mut x, &mut f)
+            .unwrap();
+        assert_eq!(solver.lu_stats().full_factors, 2);
+        assert_eq!(solver.ordering_name(), "amd");
+        assert_eq!(x.len(), 16);
     }
 
     #[test]
@@ -1337,7 +1290,7 @@ mod tests {
 
     #[test]
     fn pinned_mesh30_factor_refactor_solves() {
-        // A 900-unknown grid under every ordering: factor, tolerant
+        // A 900-unknown grid under natural and AMD order: factor, tolerant
         // refactor, one solve and a 6-RHS batched solve, pinned bit for
         // bit together with the exact flop count of each phase.
         let a1 = mesh(30);
@@ -1359,11 +1312,7 @@ mod tests {
             })
             .collect();
         let mut digests = Vec::new();
-        for choice in [
-            OrderingChoice::Natural,
-            OrderingChoice::Rcm,
-            OrderingChoice::Amd,
-        ] {
+        for choice in [OrderingChoice::Natural, OrderingChoice::Amd] {
             let mut d = Digest(0xcbf2_9ce4_8422_2325);
             let mut f = FlopCounter::new();
             let mut lu =
@@ -1386,12 +1335,8 @@ mod tests {
         }
         assert_eq!(
             digests,
-            [
-                0x4ad8_6e46_cade_c8ec,
-                0x6a6b_a8e2_49c4_d23f,
-                0x6409_172a_5b5d_5bf7
-            ],
-            "natural/RCM/AMD digests {digests:#018x?}"
+            [0x4ad8_6e46_cade_c8ec, 0x6409_172a_5b5d_5bf7],
+            "natural/AMD digests {digests:#018x?}"
         );
     }
 
@@ -1470,12 +1415,10 @@ mod tests {
         let a = arrow(9);
         let mut f = FlopCounter::new();
         let d_nat = SparseLu::factor(&a, &mut f).unwrap().determinant();
-        for choice in [OrderingChoice::Rcm, OrderingChoice::Amd] {
-            let d = SparseLu::factor_ordered(&a, choice, PivotStrategy::default(), &mut f)
-                .unwrap()
-                .determinant();
-            let rel = (d - d_nat).abs() / d_nat.abs().max(1e-300);
-            assert!(rel < 1e-9, "{choice:?}: {d} vs {d_nat}");
-        }
+        let d = SparseLu::factor_ordered(&a, OrderingChoice::Amd, PivotStrategy::default(), &mut f)
+            .unwrap()
+            .determinant();
+        let rel = (d - d_nat).abs() / d_nat.abs().max(1e-300);
+        assert!(rel < 1e-9, "{d} vs {d_nat}");
     }
 }

@@ -7,8 +7,8 @@
 //! * [`TripletMatrix`] — coordinate-format assembly ("stamping") storage,
 //! * [`CsrMatrix`] — compressed sparse row storage with counted mat-vec,
 //! * the sparse-LU pipeline, split into explicit phases:
-//!   * [`order`] — fill-reducing orderings ([`Natural`], [`Rcm`], [`Amd`]),
-//!     selected by [`OrderingChoice`] (default `Auto`),
+//!   * [`order`] — the fill-reducing ordering (natural or AMD), selected
+//!     by [`OrderingChoice`] (default `Auto`),
 //!   * [`SymbolicAnalysis`] — the permuted pattern + scatter maps, built
 //!     once per sparsity structure,
 //!   * [`SparseLu`] — the left-looking (Gilbert–Peierls) numeric
@@ -24,6 +24,6 @@ mod triplet;
 pub use csr::CsrMatrix;
 pub(crate) use lu::REFACTOR_PIVOT_RATIO;
 pub use lu::{PivotStrategy, SparseLu, PIVOT_COLLAPSE_RATIO};
-pub use order::{Amd, Natural, Ordering, OrderingChoice, Rcm};
+pub use order::OrderingChoice;
 pub use symbolic::SymbolicAnalysis;
 pub use triplet::TripletMatrix;

@@ -10,179 +10,23 @@
 //!
 //! The pipeline is ordering → symbolic → numeric:
 //!
-//! 1. an [`Ordering`] implementation computes a permutation from the
+//! 1. [`OrderingChoice::perm`] computes a permutation from the
 //!    *symmetrized* sparsity pattern (values are never consulted),
 //! 2. [`super::SymbolicAnalysis`] applies it, building the permuted
 //!    compressed-column structure and scatter maps once,
 //! 3. the numeric factor/refactor of [`super::SparseLu`] runs entirely in
 //!    permuted index space.
 //!
-//! Three orderings are provided: [`Natural`] (identity — bit-compatible
-//! with the pre-ordering pipeline), [`Rcm`] (reverse Cuthill–McKee,
-//! bandwidth-reducing) and [`Amd`] (approximate minimum degree on a
-//! quotient graph — the fill-reducer production sparse solvers default to).
-//! [`OrderingChoice`] is the plumbing-friendly selector engines and the
-//! session API carry; its [`OrderingChoice::Auto`] default picks AMD for
-//! systems of at least [`OrderingChoice::AUTO_AMD_THRESHOLD`] unknowns and
-//! the natural order below, where ordering overhead outweighs the saved
-//! fill.
+//! Two orderings are provided: natural order (identity — bit-compatible
+//! with the pre-ordering pipeline) and approximate minimum degree on a
+//! quotient graph (the fill-reducer production sparse solvers default to).
+//! [`OrderingChoice`] is the selector engines and the session API carry;
+//! its [`OrderingChoice::Auto`] default picks AMD for systems of at least
+//! [`OrderingChoice::AUTO_AMD_THRESHOLD`] unknowns and the natural order
+//! below, where ordering overhead outweighs the saved fill.
 //!
 //! Every ordering is a pure function of the sparsity structure, so results
 //! are deterministic across runs, platforms and thread counts.
-
-use std::fmt::Debug;
-
-/// A fill-reducing ordering algorithm: computes a symmetric permutation of
-/// an `n × n` sparsity pattern given in CSR form (values are irrelevant;
-/// only the structure matters).
-pub trait Ordering: Debug {
-    /// Returns `perm`, where `perm[k]` is the original row/column index
-    /// placed at permuted position `k`. The result is always a valid
-    /// permutation of `0..n`.
-    fn order(&self, n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize>;
-
-    /// Short lowercase name for reports ("natural", "rcm", "amd").
-    fn name(&self) -> &'static str;
-}
-
-/// The identity ordering: factor in natural MNA index order. Bit-identical
-/// to the pre-pipeline behavior; the right choice for small systems where
-/// fill is negligible.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Natural;
-
-impl Ordering for Natural {
-    fn order(&self, n: usize, _row_ptr: &[usize], _col_idx: &[usize]) -> Vec<usize> {
-        (0..n).collect()
-    }
-
-    fn name(&self) -> &'static str {
-        "natural"
-    }
-}
-
-/// Reverse Cuthill–McKee: breadth-first levelization from a
-/// pseudo-peripheral start node, neighbors visited in ascending
-/// (degree, index) order, the whole order reversed. Minimizes bandwidth
-/// rather than fill directly, but on mesh/chain graphs that translates to
-/// a tight envelope and much less fill than the natural order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Rcm;
-
-impl Ordering for Rcm {
-    fn order(&self, n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> {
-        let (xadj, adj) = symmetrized_adjacency(n, row_ptr, col_idx);
-        let degree = |v: usize| xadj[v + 1] - xadj[v];
-        let mut order = Vec::with_capacity(n);
-        let mut visited = vec![false; n];
-        let mut level: Vec<usize> = Vec::new();
-        let mut next_level: Vec<usize> = Vec::new();
-        // One BFS tree per connected component.
-        for seed in 0..n {
-            if visited[seed] {
-                continue;
-            }
-            // Component min-degree node, then pseudo-peripheral refinement:
-            // repeat BFS to the farthest level and restart from its
-            // min-degree node until the eccentricity stops growing.
-            let mut comp: Vec<usize> = Vec::new();
-            {
-                level.clear();
-                level.push(seed);
-                visited[seed] = true;
-                comp.push(seed);
-                while !level.is_empty() {
-                    next_level.clear();
-                    for &v in &level {
-                        for &u in &adj[xadj[v]..xadj[v + 1]] {
-                            if !visited[u] {
-                                visited[u] = true;
-                                comp.push(u);
-                                next_level.push(u);
-                            }
-                        }
-                    }
-                    std::mem::swap(&mut level, &mut next_level);
-                }
-            }
-            let mut root = comp
-                .iter()
-                .copied()
-                .min_by_key(|&v| (degree(v), v))
-                .expect("component nonempty");
-            let mut ecc = 0usize;
-            let mut seen = vec![false; n];
-            loop {
-                // BFS from root recording the last level.
-                for &v in &comp {
-                    seen[v] = false;
-                }
-                level.clear();
-                level.push(root);
-                seen[root] = true;
-                let mut last: Vec<usize> = vec![root];
-                let mut depth = 0usize;
-                while !level.is_empty() {
-                    next_level.clear();
-                    for &v in &level {
-                        for &u in &adj[xadj[v]..xadj[v + 1]] {
-                            if !seen[u] {
-                                seen[u] = true;
-                                next_level.push(u);
-                            }
-                        }
-                    }
-                    if !next_level.is_empty() {
-                        depth += 1;
-                        last.clear();
-                        last.extend_from_slice(&next_level);
-                    }
-                    std::mem::swap(&mut level, &mut next_level);
-                }
-                if depth <= ecc {
-                    break;
-                }
-                ecc = depth;
-                root = last
-                    .iter()
-                    .copied()
-                    .min_by_key(|&v| (degree(v), v))
-                    .expect("last level nonempty");
-            }
-            // Cuthill–McKee BFS from the refined root.
-            for &v in &comp {
-                seen[v] = false;
-            }
-            let start = order.len();
-            order.push(root);
-            seen[root] = true;
-            let mut head = start;
-            let mut nbrs: Vec<usize> = Vec::new();
-            while head < order.len() {
-                let v = order[head];
-                head += 1;
-                nbrs.clear();
-                nbrs.extend(
-                    adj[xadj[v]..xadj[v + 1]]
-                        .iter()
-                        .copied()
-                        .filter(|&u| !seen[u]),
-                );
-                nbrs.sort_unstable_by_key(|&u| (degree(u), u));
-                for &u in &nbrs {
-                    seen[u] = true;
-                    order.push(u);
-                }
-            }
-        }
-        order.reverse();
-        order
-    }
-
-    fn name(&self) -> &'static str {
-        "rcm"
-    }
-}
 
 /// Approximate minimum degree on the symmetrized pattern: quotient-graph
 /// elimination (Amestoy/Davis/Duff style) where each pivot's boundary
@@ -194,9 +38,164 @@ impl Ordering for Rcm {
 /// consecutively. That both sharpens the degree approximation (weights
 /// replace unit counts) and orders indistinguishable columns adjacently.
 /// Ties break on the smallest index, which keeps the ordering fully
-/// deterministic.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Amd;
+/// deterministic. Returns `perm`, where `perm[k]` is the original index
+/// placed at permuted position `k`.
+fn amd(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> {
+    if n == 0 {
+        return Vec::new();
+    }
+    let (xadj, adj_flat) = symmetrized_adjacency(n, row_ptr, col_idx);
+    // Variable→variable edges still uncovered by an element. Lists stay
+    // sorted: they start sorted and are only ever filtered.
+    let mut adj: Vec<Vec<usize>> = (0..n)
+        .map(|v| adj_flat[xadj[v]..xadj[v + 1]].to_vec())
+        .collect();
+    // Elements (eliminated pivots) adjacent to each variable, and each
+    // element's boundary variables. Invariant: `e ∈ elems[v]` iff
+    // `v ∈ elem_nodes[e]` (modulo dead variables, filtered on use).
+    let mut elems: Vec<Vec<usize>> = vec![Vec::new(); n];
+    let mut elem_nodes: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Total weight of each element's boundary, fixed at creation: a
+    // boundary variable can only leave by whole-element absorption,
+    // and supervariable merges move mass between members of the same
+    // boundary — so the sum is invariant, making weighted degree
+    // updates O(#elements) instead of O(total boundary size).
+    let mut elem_weight: Vec<usize> = vec![0; n];
+    let mut absorbed = vec![false; n];
+    // Supervariable bookkeeping: `weight[v]` counts the original
+    // variables a representative stands for; `members[v]` lists them in
+    // merge order (the order they are emitted on elimination).
+    let mut weight: Vec<usize> = vec![1usize; n];
+    let mut members: Vec<Vec<usize>> = (0..n).map(|v| vec![v]).collect();
+    let mut degree: Vec<usize> = (0..n).map(|v| adj[v].len()).collect();
+    let mut alive = vec![true; n];
+    let mut mark = vec![usize::MAX; n];
+    let mut order = Vec::with_capacity(n);
+    let mut lp: Vec<usize> = Vec::new();
+    // Lazy min-heap over (degree, index): stale entries (dead vertices
+    // or superseded degrees) are skipped on pop, so selection is the
+    // exact lexicographic minimum the scan-based version would pick —
+    // same ordering, without the Θ(n) scan per pivot.
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+    let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
+        (0..n).map(|v| Reverse((degree[v], v))).collect();
+
+    let mut step = 0usize;
+    while order.len() < n {
+        // Minimum approximate degree, smallest index on ties.
+        let p = loop {
+            let Reverse((d, v)) = heap.pop().expect("alive variable remains");
+            if alive[v] && degree[v] == d {
+                break v;
+            }
+        };
+        // Boundary of the new element: uncovered neighbors plus the
+        // boundaries of every adjacent element.
+        lp.clear();
+        for &u in &adj[p] {
+            if alive[u] && mark[u] != step {
+                mark[u] = step;
+                lp.push(u);
+            }
+        }
+        for &e in &elems[p] {
+            for &u in &elem_nodes[e] {
+                if u != p && alive[u] && mark[u] != step {
+                    mark[u] = step;
+                    lp.push(u);
+                }
+            }
+        }
+        lp.sort_unstable();
+        alive[p] = false;
+        // Mass elimination: the pivot's merged variables leave together,
+        // consecutively.
+        order.append(&mut members[p]);
+        // Absorb the elements p touched (their boundaries are now
+        // covered by element p), then clean every boundary variable.
+        let old_elems = std::mem::take(&mut elems[p]);
+        for &e in &old_elems {
+            absorbed[e] = true;
+            elem_nodes[e].clear();
+        }
+        for &v in &lp {
+            // Edges into the new element's boundary (and to p itself)
+            // are covered by the element.
+            adj[v].retain(|&u| u != p && alive[u] && mark[u] != step);
+            elems[v].retain(|&e| !absorbed[e]);
+            elems[v].push(p);
+        }
+        // Supervariable detection: boundary variables with identical
+        // cleaned adjacency (same uncovered edges, same elements —
+        // mutual edges are covered by element p, so plain equality is
+        // the indistinguishability test) merge into the
+        // smallest-indexed representative.
+        if lp.len() > 1 {
+            let mut keyed: Vec<(u64, usize)> = lp
+                .iter()
+                .map(|&v| (quotient_hash(&adj[v], &elems[v]), v))
+                .collect();
+            keyed.sort_unstable();
+            let mut i = 0;
+            while i < keyed.len() {
+                let mut j = i + 1;
+                while j < keyed.len() && keyed[j].0 == keyed[i].0 {
+                    j += 1;
+                }
+                for a in i..j {
+                    let va = keyed[a].1;
+                    if !alive[va] {
+                        continue;
+                    }
+                    for b in a + 1..j {
+                        let vb = keyed[b].1;
+                        if alive[vb] && adj[va] == adj[vb] && elems[va] == elems[vb] {
+                            weight[va] += weight[vb];
+                            alive[vb] = false;
+                            let mut absorbed_members = std::mem::take(&mut members[vb]);
+                            members[va].append(&mut absorbed_members);
+                            adj[vb].clear();
+                            elems[vb].clear();
+                        }
+                    }
+                }
+                i = j;
+            }
+        }
+        // Weighted approximate external degrees for the surviving
+        // boundary variables (overlapping element boundaries counted
+        // once per element — the "approximate" in AMD). The new
+        // element's weight is installed first so it contributes like
+        // any other adjacent element, and the constant per-element
+        // weights keep this loop O(#elements) per variable.
+        let lp_weight: usize = lp.iter().filter(|&&u| alive[u]).map(|&u| weight[u]).sum();
+        elem_weight[p] = lp_weight;
+        for &v in &lp {
+            if !alive[v] {
+                continue;
+            }
+            let mut d: usize = adj[v]
+                .iter()
+                .filter(|&&u| alive[u])
+                .map(|&u| weight[u])
+                .sum();
+            for &e in &elems[v] {
+                d += elem_weight[e] - weight[v];
+            }
+            degree[v] = d;
+            heap.push(Reverse((d, v)));
+        }
+        adj[p].clear();
+        elem_nodes[p] = lp.iter().copied().filter(|&u| alive[u]).collect();
+        step += 1;
+    }
+    // Elimination-tree postorder: a topological reordering of the
+    // etree leaves the fill unchanged (for the symmetrized pattern)
+    // but places each subtree's columns consecutively. It fixes the
+    // pivot order every AMD factor and its results are pinned to.
+    etree_postorder(n, row_ptr, col_idx, &order)
+}
 
 /// FNV-1a hash of a variable's quotient-graph adjacency, used to bucket
 /// candidate supervariable merges before the exact comparison.
@@ -210,169 +209,6 @@ fn quotient_hash(adj: &[usize], elems: &[usize]) -> u64 {
         h = (h ^ (e as u64 + 1)).wrapping_mul(0x0000_0100_0000_01b3);
     }
     h
-}
-
-impl Ordering for Amd {
-    fn order(&self, n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> {
-        if n == 0 {
-            return Vec::new();
-        }
-        let (xadj, adj_flat) = symmetrized_adjacency(n, row_ptr, col_idx);
-        // Variable→variable edges still uncovered by an element. Lists stay
-        // sorted: they start sorted and are only ever filtered.
-        let mut adj: Vec<Vec<usize>> = (0..n)
-            .map(|v| adj_flat[xadj[v]..xadj[v + 1]].to_vec())
-            .collect();
-        // Elements (eliminated pivots) adjacent to each variable, and each
-        // element's boundary variables. Invariant: `e ∈ elems[v]` iff
-        // `v ∈ elem_nodes[e]` (modulo dead variables, filtered on use).
-        let mut elems: Vec<Vec<usize>> = vec![Vec::new(); n];
-        let mut elem_nodes: Vec<Vec<usize>> = vec![Vec::new(); n];
-        // Total weight of each element's boundary, fixed at creation: a
-        // boundary variable can only leave by whole-element absorption,
-        // and supervariable merges move mass between members of the same
-        // boundary — so the sum is invariant, making weighted degree
-        // updates O(#elements) instead of O(total boundary size).
-        let mut elem_weight: Vec<usize> = vec![0; n];
-        let mut absorbed = vec![false; n];
-        // Supervariable bookkeeping: `weight[v]` counts the original
-        // variables a representative stands for; `members[v]` lists them in
-        // merge order (the order they are emitted on elimination).
-        let mut weight: Vec<usize> = vec![1usize; n];
-        let mut members: Vec<Vec<usize>> = (0..n).map(|v| vec![v]).collect();
-        let mut degree: Vec<usize> = (0..n).map(|v| adj[v].len()).collect();
-        let mut alive = vec![true; n];
-        let mut mark = vec![usize::MAX; n];
-        let mut order = Vec::with_capacity(n);
-        let mut lp: Vec<usize> = Vec::new();
-        // Lazy min-heap over (degree, index): stale entries (dead vertices
-        // or superseded degrees) are skipped on pop, so selection is the
-        // exact lexicographic minimum the scan-based version would pick —
-        // same ordering, without the Θ(n) scan per pivot.
-        use std::cmp::Reverse;
-        use std::collections::BinaryHeap;
-        let mut heap: BinaryHeap<Reverse<(usize, usize)>> =
-            (0..n).map(|v| Reverse((degree[v], v))).collect();
-
-        let mut step = 0usize;
-        while order.len() < n {
-            // Minimum approximate degree, smallest index on ties.
-            let p = loop {
-                let Reverse((d, v)) = heap.pop().expect("alive variable remains");
-                if alive[v] && degree[v] == d {
-                    break v;
-                }
-            };
-            // Boundary of the new element: uncovered neighbors plus the
-            // boundaries of every adjacent element.
-            lp.clear();
-            for &u in &adj[p] {
-                if alive[u] && mark[u] != step {
-                    mark[u] = step;
-                    lp.push(u);
-                }
-            }
-            for &e in &elems[p] {
-                for &u in &elem_nodes[e] {
-                    if u != p && alive[u] && mark[u] != step {
-                        mark[u] = step;
-                        lp.push(u);
-                    }
-                }
-            }
-            lp.sort_unstable();
-            alive[p] = false;
-            // Mass elimination: the pivot's merged variables leave together,
-            // consecutively.
-            order.append(&mut members[p]);
-            // Absorb the elements p touched (their boundaries are now
-            // covered by element p), then clean every boundary variable.
-            let old_elems = std::mem::take(&mut elems[p]);
-            for &e in &old_elems {
-                absorbed[e] = true;
-                elem_nodes[e].clear();
-            }
-            for &v in &lp {
-                // Edges into the new element's boundary (and to p itself)
-                // are covered by the element.
-                adj[v].retain(|&u| u != p && alive[u] && mark[u] != step);
-                elems[v].retain(|&e| !absorbed[e]);
-                elems[v].push(p);
-            }
-            // Supervariable detection: boundary variables with identical
-            // cleaned adjacency (same uncovered edges, same elements —
-            // mutual edges are covered by element p, so plain equality is
-            // the indistinguishability test) merge into the
-            // smallest-indexed representative.
-            if lp.len() > 1 {
-                let mut keyed: Vec<(u64, usize)> = lp
-                    .iter()
-                    .map(|&v| (quotient_hash(&adj[v], &elems[v]), v))
-                    .collect();
-                keyed.sort_unstable();
-                let mut i = 0;
-                while i < keyed.len() {
-                    let mut j = i + 1;
-                    while j < keyed.len() && keyed[j].0 == keyed[i].0 {
-                        j += 1;
-                    }
-                    for a in i..j {
-                        let va = keyed[a].1;
-                        if !alive[va] {
-                            continue;
-                        }
-                        for b in a + 1..j {
-                            let vb = keyed[b].1;
-                            if alive[vb] && adj[va] == adj[vb] && elems[va] == elems[vb] {
-                                weight[va] += weight[vb];
-                                alive[vb] = false;
-                                let mut absorbed_members = std::mem::take(&mut members[vb]);
-                                members[va].append(&mut absorbed_members);
-                                adj[vb].clear();
-                                elems[vb].clear();
-                            }
-                        }
-                    }
-                    i = j;
-                }
-            }
-            // Weighted approximate external degrees for the surviving
-            // boundary variables (overlapping element boundaries counted
-            // once per element — the "approximate" in AMD). The new
-            // element's weight is installed first so it contributes like
-            // any other adjacent element, and the constant per-element
-            // weights keep this loop O(#elements) per variable.
-            let lp_weight: usize = lp.iter().filter(|&&u| alive[u]).map(|&u| weight[u]).sum();
-            elem_weight[p] = lp_weight;
-            for &v in &lp {
-                if !alive[v] {
-                    continue;
-                }
-                let mut d: usize = adj[v]
-                    .iter()
-                    .filter(|&&u| alive[u])
-                    .map(|&u| weight[u])
-                    .sum();
-                for &e in &elems[v] {
-                    d += elem_weight[e] - weight[v];
-                }
-                degree[v] = d;
-                heap.push(Reverse((d, v)));
-            }
-            adj[p].clear();
-            elem_nodes[p] = lp.iter().copied().filter(|&u| alive[u]).collect();
-            step += 1;
-        }
-        // Elimination-tree postorder: a topological reordering of the
-        // etree leaves the fill unchanged (for the symmetrized pattern)
-        // but places each subtree's columns consecutively. It fixes the
-        // pivot order every AMD factor and its results are pinned to.
-        etree_postorder(n, row_ptr, col_idx, &order)
-    }
-
-    fn name(&self) -> &'static str {
-        "amd"
-    }
 }
 
 /// Refines a fill permutation by postordering the elimination tree of the
@@ -449,8 +285,6 @@ fn etree_postorder(n: usize, row_ptr: &[usize], col_idx: &[usize], perm: &[usize
 pub enum OrderingChoice {
     /// Natural MNA index order (identity permutation).
     Natural,
-    /// Reverse Cuthill–McKee.
-    Rcm,
     /// Approximate minimum degree.
     Amd,
     /// AMD for systems with at least
@@ -482,30 +316,21 @@ impl OrderingChoice {
         }
     }
 
-    /// The [`Ordering`] algorithm behind a resolved choice.
-    ///
-    /// # Panics
-    /// Panics on `Auto` — call [`OrderingChoice::resolve`] first.
-    pub fn algorithm(self) -> &'static dyn Ordering {
-        match self {
-            OrderingChoice::Natural => &Natural,
-            OrderingChoice::Rcm => &Rcm,
-            OrderingChoice::Amd => &Amd,
-            OrderingChoice::Auto => panic!("resolve OrderingChoice::Auto before dispatch"),
-        }
-    }
-
     /// Computes the permutation for the given CSR pattern (resolving
-    /// `Auto` against `n` first).
+    /// `Auto` against `n` first): `perm[k]` is the original row/column
+    /// index placed at permuted position `k`.
     pub fn perm(self, n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> {
-        self.resolve(n).algorithm().order(n, row_ptr, col_idx)
+        if self.resolve(n) == OrderingChoice::Amd {
+            amd(n, row_ptr, col_idx)
+        } else {
+            (0..n).collect()
+        }
     }
 
     /// Lowercase tag for reports; `Auto` reports as "auto".
     pub fn name(self) -> &'static str {
         match self {
             OrderingChoice::Natural => "natural",
-            OrderingChoice::Rcm => "rcm",
             OrderingChoice::Amd => "amd",
             OrderingChoice::Auto => "auto",
         }
@@ -588,49 +413,22 @@ mod tests {
     #[test]
     fn natural_is_identity() {
         let (n, rp, ci) = mesh_pattern(4);
-        let perm = Natural.order(n, &rp, &ci);
+        let perm = OrderingChoice::Natural.perm(n, &rp, &ci);
         assert_eq!(perm, (0..n).collect::<Vec<_>>());
     }
 
     #[test]
-    fn rcm_and_amd_produce_valid_permutations() {
+    fn amd_produces_valid_permutations() {
         for m in [1, 2, 3, 5, 8] {
             let (n, rp, ci) = mesh_pattern(m);
-            assert_permutation(&Rcm.order(n, &rp, &ci), n);
-            assert_permutation(&Amd.order(n, &rp, &ci), n);
+            assert_permutation(&amd(n, &rp, &ci), n);
         }
     }
 
     #[test]
     fn orderings_are_deterministic() {
         let (n, rp, ci) = mesh_pattern(7);
-        assert_eq!(Rcm.order(n, &rp, &ci), Rcm.order(n, &rp, &ci));
-        assert_eq!(Amd.order(n, &rp, &ci), Amd.order(n, &rp, &ci));
-    }
-
-    #[test]
-    fn rcm_reduces_mesh_bandwidth() {
-        let (n, rp, ci) = mesh_pattern(8);
-        let perm = Rcm.order(n, &rp, &ci);
-        let mut pinv = vec![0usize; n];
-        for (k, &v) in perm.iter().enumerate() {
-            pinv[v] = k;
-        }
-        let bandwidth = |pinv: &[usize]| {
-            let mut bw = 0usize;
-            for r in 0..n {
-                for p in rp[r]..rp[r + 1] {
-                    bw = bw.max(pinv[r].abs_diff(pinv[ci[p]]));
-                }
-            }
-            bw
-        };
-        let natural_bw = bandwidth(&(0..n).collect::<Vec<_>>());
-        assert!(
-            bandwidth(&pinv) <= natural_bw,
-            "rcm bandwidth {} vs natural {natural_bw}",
-            bandwidth(&pinv)
-        );
+        assert_eq!(amd(n, &rp, &ci), amd(n, &rp, &ci));
     }
 
     #[test]
@@ -638,8 +436,7 @@ mod tests {
         // Two disjoint 2-cliques plus an isolated vertex.
         let row_ptr = vec![0, 1, 2, 3, 4, 4];
         let col_idx = vec![1, 0, 3, 2];
-        assert_permutation(&Rcm.order(5, &row_ptr, &col_idx), 5);
-        assert_permutation(&Amd.order(5, &row_ptr, &col_idx), 5);
+        assert_permutation(&amd(5, &row_ptr, &col_idx), 5);
     }
 
     #[test]
@@ -649,7 +446,7 @@ mod tests {
             OrderingChoice::Auto.resolve(OrderingChoice::AUTO_AMD_THRESHOLD),
             OrderingChoice::Amd
         );
-        assert_eq!(OrderingChoice::Rcm.resolve(10_000), OrderingChoice::Rcm);
+        assert_eq!(OrderingChoice::Amd.resolve(10), OrderingChoice::Amd);
         assert_eq!(OrderingChoice::default(), OrderingChoice::Auto);
         assert_eq!(OrderingChoice::Amd.name(), "amd");
         assert_eq!(OrderingChoice::Auto.name(), "auto");

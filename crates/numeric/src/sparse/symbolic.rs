@@ -28,9 +28,6 @@ use crate::Result;
 #[derive(Debug, Clone)]
 pub struct SymbolicAnalysis {
     pub(crate) n: usize,
-    /// The choice as requested (kept, `Auto` included, so a pattern-change
-    /// fallback re-resolves against the new dimension).
-    pub(crate) choice: OrderingChoice,
     /// Name of the resolved ordering actually applied.
     pub(crate) ordering_name: &'static str,
     /// `fill_perm[k]` = original index at permuted position `k`.
@@ -64,12 +61,7 @@ impl SymbolicAnalysis {
         }
         let n = a.rows();
         let (row_ptr, col_idx) = a.structure();
-        let resolved = choice.resolve(n);
-        let fill_perm = match resolved {
-            // Skip even building the adjacency for the identity.
-            OrderingChoice::Natural => (0..n).collect::<Vec<_>>(),
-            other => other.perm(n, row_ptr, col_idx),
-        };
+        let fill_perm = choice.perm(n, row_ptr, col_idx);
         let identity = fill_perm.iter().enumerate().all(|(k, &v)| k == v);
         let mut fill_pinv = vec![0usize; n];
         for (k, &v) in fill_perm.iter().enumerate() {
@@ -79,8 +71,7 @@ impl SymbolicAnalysis {
             permuted_csc_shuffle(n, row_ptr, col_idx, &fill_pinv);
         Ok(SymbolicAnalysis {
             n,
-            choice,
-            ordering_name: resolved.name(),
+            ordering_name: choice.resolve(n).name(),
             fill_perm,
             fill_pinv,
             identity,
@@ -102,15 +93,9 @@ impl SymbolicAnalysis {
         self.csr_colidx.len()
     }
 
-    /// Name of the resolved ordering ("natural", "rcm", "amd").
+    /// Name of the resolved ordering ("natural" or "amd").
     pub fn ordering_name(&self) -> &'static str {
         self.ordering_name
-    }
-
-    /// The ordering choice this analysis was requested with (`Auto`
-    /// preserved).
-    pub fn choice(&self) -> OrderingChoice {
-        self.choice
     }
 
     /// The fill permutation (`perm[k]` = original index at position `k`).
@@ -222,7 +207,6 @@ mod tests {
         let a = arrow_matrix(6);
         let s = SymbolicAnalysis::analyze(&a, OrderingChoice::Auto).unwrap();
         assert_eq!(s.ordering_name(), "natural");
-        assert_eq!(s.choice(), OrderingChoice::Auto);
     }
 
     #[test]

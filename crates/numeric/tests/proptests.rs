@@ -3,7 +3,7 @@
 use nanosim_numeric::flops::FlopCounter;
 use nanosim_numeric::interp::PwlFunction;
 use nanosim_numeric::rng::Pcg64;
-use nanosim_numeric::solve::{DenseLuSolver, LinearSolver, SparseLuSolver};
+use nanosim_numeric::solve::SparseLuSolver;
 use nanosim_numeric::sparse::{
     CsrMatrix, OrderingChoice, PivotStrategy, SparseLu, SymbolicAnalysis, TripletMatrix,
 };
@@ -40,9 +40,8 @@ proptest! {
     #[test]
     fn sparse_matches_dense((n, entries, b) in dominant_system()) {
         let a = CsrMatrix::from_triplets(n, n, &entries);
-        let mut dense = DenseLuSolver::new();
         let mut sparse = SparseLuSolver::new();
-        let xd = dense.solve(&a, &b, &mut FlopCounter::new()).unwrap();
+        let xd = a.to_dense().solve(&b, &mut FlopCounter::new()).unwrap();
         let xs = sparse.solve(&a, &b, &mut FlopCounter::new()).unwrap();
         for (d, s) in xd.iter().zip(xs.iter()) {
             prop_assert!((d - s).abs() < 1e-8 * (1.0 + d.abs()), "{d} vs {s}");
@@ -65,8 +64,13 @@ proptest! {
     #[test]
     fn pivot_strategies_agree((n, entries, b) in dominant_system()) {
         let a = CsrMatrix::from_triplets(n, n, &entries);
-        let pp = SparseLu::factor_with(&a, PivotStrategy::PartialPivoting, &mut FlopCounter::new())
-            .unwrap()
+        let pp = SparseLu::factor_ordered(
+            &a,
+            OrderingChoice::Natural,
+            PivotStrategy::PartialPivoting,
+            &mut FlopCounter::new(),
+        )
+        .unwrap()
             .solve(&b, &mut FlopCounter::new())
             .unwrap();
         let td = SparseLu::factor(&a, &mut FlopCounter::new())
@@ -92,22 +96,17 @@ proptest! {
         .unwrap()
         .solve(&b, &mut FlopCounter::new())
         .unwrap();
-        for choice in [OrderingChoice::Rcm, OrderingChoice::Amd] {
-            let x = SparseLu::factor_ordered(
-                &a,
-                choice,
-                PivotStrategy::default(),
-                &mut FlopCounter::new(),
-            )
-            .unwrap()
-            .solve(&b, &mut FlopCounter::new())
-            .unwrap();
-            for (o, nat) in x.iter().zip(xn.iter()) {
-                prop_assert!(
-                    (o - nat).abs() < 1e-10 * (1.0 + nat.abs()),
-                    "{choice:?}: {o} vs {nat}"
-                );
-            }
+        let x = SparseLu::factor_ordered(
+            &a,
+            OrderingChoice::Amd,
+            PivotStrategy::default(),
+            &mut FlopCounter::new(),
+        )
+        .unwrap()
+        .solve(&b, &mut FlopCounter::new())
+        .unwrap();
+        for (o, nat) in x.iter().zip(xn.iter()) {
+            prop_assert!((o - nat).abs() < 1e-10 * (1.0 + nat.abs()), "{o} vs {nat}");
         }
     }
 
@@ -117,7 +116,7 @@ proptest! {
     #[test]
     fn orderings_deterministic_across_threads((n, entries, _b) in dominant_system()) {
         let a = CsrMatrix::from_triplets(n, n, &entries);
-        for choice in [OrderingChoice::Rcm, OrderingChoice::Amd, OrderingChoice::Auto] {
+        for choice in [OrderingChoice::Amd, OrderingChoice::Auto] {
             let reference = SymbolicAnalysis::analyze(&a, choice).unwrap();
             // Valid permutation.
             let mut seen = vec![false; n];
@@ -303,8 +302,8 @@ proptest! {
     }
 
     /// A refactor against a matrix with any *new* structural nonzero is
-    /// detected and refused — never silent garbage — and the fallback path
-    /// recovers with a correct full factorization.
+    /// detected and refused — never silent garbage — and the caching
+    /// solver's fallback recovers with a correct full factorization.
     #[test]
     fn refactor_rejects_pattern_growth(
         (n, entries, b) in dominant_system(),
@@ -313,6 +312,9 @@ proptest! {
     ) {
         let a1 = CsrMatrix::from_triplets(n, n, &entries);
         let mut lu = SparseLu::factor(&a1, &mut FlopCounter::new()).unwrap();
+        let mut solver = SparseLuSolver::new();
+        let mut x = Vec::new();
+        solver.solve_into(&a1, &b, &mut x, &mut FlopCounter::new()).unwrap();
         let (r, c) = (extra_row % n, extra_col % n);
         prop_assume!(a1.position(r, c).is_none());
         let mut grown = entries.clone();
@@ -322,11 +324,11 @@ proptest! {
             Err(NumericError::PatternChanged { .. }) => {}
             other => prop_assert!(false, "expected PatternChanged, got {other:?}"),
         }
-        // refactor_or_factor falls back to a full factorization whose
-        // solution satisfies the grown system.
-        let reused = lu.refactor_or_factor(&a2, &mut FlopCounter::new()).unwrap();
-        prop_assert!(!reused);
-        let x = lu.solve(&b, &mut FlopCounter::new()).unwrap();
+        // The solver falls back to a full factorization whose solution
+        // satisfies the grown system.
+        solver.solve_into(&a2, &b, &mut x, &mut FlopCounter::new()).unwrap();
+        let stats = solver.lu_stats();
+        prop_assert_eq!((stats.full_factors, stats.refactors), (2, 0));
         let ax = a2.matvec(&x, &mut FlopCounter::new()).unwrap();
         for (l, rr) in ax.iter().zip(b.iter()) {
             prop_assert!((l - rr).abs() < 1e-7 * (1.0 + rr.abs()), "{l} vs {rr}");
@@ -350,8 +352,8 @@ proptest! {
                 prop_assert!((l - r).abs() < 1e-8 * (1.0 + r.abs()), "{l} vs {r}");
             }
         }
-        let (full, reused) = solver.factor_counts();
-        prop_assert_eq!(full, 1);
-        prop_assert_eq!(reused, 3);
+        let stats = solver.lu_stats();
+        prop_assert_eq!(stats.full_factors, 1);
+        prop_assert_eq!(stats.refactors, 3);
     }
 }

@@ -307,10 +307,10 @@ pub fn rtd_mesh(n: usize) -> Circuit {
     ckt
 }
 
-/// The ordering-bench entry point for arbitrary `n × n` meshes: the
+/// The ordering-test entry point for arbitrary `n × n` meshes: the
 /// Table I topology of [`rtd_mesh`] at any size, under the name the
-/// fill-reducing-ordering benches sweep (`N ∈ {10, 20, 40}` in
-/// `benches/ordering.rs`). The MNA system has `n² + 2` unknowns
+/// fill-reducing-ordering gates sweep (`N ∈ {10, 20, 40}` in
+/// `tests/ordering.rs`). The MNA system has `n² + 2` unknowns
 /// (`n²` grid nodes, the feed node, one source branch current), so
 /// `n = 10` stays below [`crate::prelude::OrderingChoice`]'s auto-AMD
 /// threshold while `n ≥ 12` crosses it.
