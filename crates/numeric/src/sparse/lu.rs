@@ -1410,6 +1410,92 @@ mod tests {
         assert!((ax[0] - 1.0).abs() < 1e-9 && (ax[1] - 6.0).abs() < 1e-9);
     }
 
+    /// `(adds, muls, divs)` of a counter, for exact flop pins.
+    fn tally(f: &FlopCounter) -> (u64, u64, u64) {
+        (f.adds(), f.muls(), f.divs())
+    }
+
+    #[test]
+    fn pinned_refactor_early_exits() {
+        // Every abort of the values-only refactor, pinned with its error
+        // variant and the exact flops charged before the abort. The 3×3
+        // tridiagonal factors healthy; the refactor values then cancel
+        // column 1's pivot after one elimination step.
+        let healthy = [
+            (0, 0, 4.0),
+            (0, 1, 1.0),
+            (1, 0, 1.0),
+            (1, 1, 4.0),
+            (1, 2, 1.0),
+            (2, 1, 1.0),
+            (2, 2, 4.0),
+        ];
+        let a = CsrMatrix::from_triplets(3, 3, &healthy);
+        let fresh = || SparseLu::factor(&a, &mut FlopCounter::new()).unwrap();
+        let with_diag1 = |v: f64| {
+            let mut e = healthy;
+            for t in &mut e {
+                t.2 = if t.0 == 1 && t.1 == 1 { v } else { 1.0 };
+            }
+            CsrMatrix::from_triplets(3, 3, &e)
+        };
+
+        // Strict, degraded pivot: 1 + 2^-40 - 1 against a column max of 1.
+        let mut f = FlopCounter::new();
+        let r = fresh().refactor(&with_diag1(1.0 + 2f64.powi(-40)), &mut f);
+        assert!(
+            matches!(r, Err(NumericError::PatternChanged { .. })),
+            "{r:?}"
+        );
+        assert_eq!(tally(&f), (1, 1, 1));
+
+        // Strict, pivot collapsed to exactly 0 in a nonzero column.
+        let mut f = FlopCounter::new();
+        let r = fresh().refactor(&with_diag1(1.0), &mut f);
+        assert!(
+            matches!(r, Err(NumericError::PatternChanged { .. })),
+            "{r:?}"
+        );
+        assert_eq!(tally(&f), (1, 1, 1));
+
+        // Tolerant, the same zero pivot.
+        let mut f = FlopCounter::new();
+        let r = fresh().refactor_tolerant(&with_diag1(1.0), &mut f);
+        assert!(
+            matches!(r, Err(NumericError::SingularMatrix { pivot: 1 })),
+            "{r:?}"
+        );
+        assert_eq!(tally(&f), (1, 1, 1));
+
+        // NaN pivot, strict and tolerant, deep in a 36-unknown grid.
+        let m = mesh(6);
+        let mut nan = m.clone();
+        nan.values_mut()[m.position(20, 20).unwrap()] = f64::NAN;
+        for strict in [true, false] {
+            let mut lu = SparseLu::factor(&m, &mut FlopCounter::new()).unwrap();
+            let mut f = FlopCounter::new();
+            let r = if strict {
+                lu.refactor(&nan, &mut f)
+            } else {
+                lu.refactor_tolerant(&nan, &mut f).map(|_| ())
+            };
+            assert!(
+                matches!(r, Err(NumericError::SingularMatrix { pivot: 20 })),
+                "{r:?}"
+            );
+            assert_eq!(tally(&f), (540, 540, 110), "strict={strict}");
+        }
+
+        // Pattern mismatch: rejected up front with zero flops.
+        let mut f = FlopCounter::new();
+        let r = fresh().refactor_tolerant(&m, &mut f);
+        assert!(
+            matches!(r, Err(NumericError::PatternChanged { .. })),
+            "{r:?}"
+        );
+        assert_eq!(tally(&f), (0, 0, 0));
+    }
+
     #[test]
     fn determinant_invariant_under_ordering() {
         let a = arrow(9);
