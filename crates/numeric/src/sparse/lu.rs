@@ -446,81 +446,110 @@ impl SparseLu {
             });
         }
 
+        // Every factor array is bound to a local slice before the column
+        // loop: stores into `work` would otherwise force the compiler to
+        // reload the `Vec` headers behind `&mut self` on every update.
+        let l_colptr = &self.l_colptr[..];
+        let l_rows = &self.l_rows[..];
+        let l_vals = &mut self.l_vals[..];
+        let u_colptr = &self.u_colptr[..];
+        let u_rows = &self.u_rows[..];
+        let u_vals = &mut self.u_vals[..];
+        let u_diag = &mut self.u_diag[..];
+        let perm = &self.perm[..];
+        let csc_colptr = &self.sym.csc_colptr[..];
+        let csc_rows = &self.sym.csc_rows[..];
+        let csc_vals = &mut self.csc_vals[..];
+        let work = &mut self.work[..];
+
         // Shuffle the new values into the cached permuted CSC order.
-        for (p, &v) in a.values().iter().enumerate() {
-            self.csc_vals[self.sym.csr_to_csc[p]] = v;
+        for (&dst, &v) in self.sym.csr_to_csc.iter().zip(a.values()) {
+            csc_vals[dst] = v;
         }
 
-        let n = self.n;
+        // Flop tallies stay local and reach `flops` once per call, on the
+        // success path and on the pivot-failure exit alike.
+        let (mut fma, mut div) = (0u64, 0u64);
         let mut worst_ratio = f64::INFINITY;
         let mut worst_col = 0usize;
-        for j in 0..n {
+        for j in 0..self.n {
+            let (ulo, uhi) = (u_colptr[j], u_colptr[j + 1]);
+            let (llo, lhi) = (l_colptr[j], l_colptr[j + 1]);
+            let (clo, chi) = (csc_colptr[j], csc_colptr[j + 1]);
             // Zero the working column over this column's pattern, then
             // scatter A'(:, j). The pattern is exactly: the pivot rows of
             // the U entries, the pivot row itself, and the L rows.
-            for p in self.u_colptr[j]..self.u_colptr[j + 1] {
-                self.work[self.perm[self.u_rows[p]]] = 0.0;
+            for &k in &u_rows[ulo..uhi] {
+                work[perm[k]] = 0.0;
             }
-            self.work[self.perm[j]] = 0.0;
-            for p in self.l_colptr[j]..self.l_colptr[j + 1] {
-                self.work[self.l_rows[p]] = 0.0;
+            work[perm[j]] = 0.0;
+            for &r in &l_rows[llo..lhi] {
+                work[r] = 0.0;
             }
-            for p in self.sym.csc_colptr[j]..self.sym.csc_colptr[j + 1] {
-                self.work[self.sym.csc_rows[p]] = self.csc_vals[p];
+            for (&r, &v) in csc_rows[clo..chi].iter().zip(&csc_vals[clo..chi]) {
+                work[r] = v;
             }
 
             // Eliminate with already-final columns in ascending pivot order
             // (a topological order, since L[r, k] with pinv[r] = k' implies
             // k < k').
-            for p in self.u_colptr[j]..self.u_colptr[j + 1] {
-                let k = self.u_rows[p];
-                let ukj = self.work[self.perm[k]];
-                self.u_vals[p] = ukj;
+            for (&k, uv) in u_rows[ulo..uhi].iter().zip(&mut u_vals[ulo..uhi]) {
+                let ukj = work[perm[k]];
+                *uv = ukj;
                 if ukj != 0.0 {
-                    for q in self.l_colptr[k]..self.l_colptr[k + 1] {
-                        self.work[self.l_rows[q]] -= ukj * self.l_vals[q];
+                    let (lo, hi) = (l_colptr[k], l_colptr[k + 1]);
+                    for (&r, &lv) in l_rows[lo..hi].iter().zip(&l_vals[lo..hi]) {
+                        work[r] -= ukj * lv;
                     }
-                    flops.fma((self.l_colptr[k + 1] - self.l_colptr[k]) as u64);
+                    fma += (hi - lo) as u64;
                 }
             }
 
             // Fixed pivot: check it is still numerically sound.
-            let pivot_row = self.perm[j];
-            let pivot_val = self.work[pivot_row];
+            let pivot_val = work[perm[j]];
             let mut col_max = pivot_val.abs();
-            for p in self.l_colptr[j]..self.l_colptr[j + 1] {
-                col_max = col_max.max(self.work[self.l_rows[p]].abs());
+            for &r in &l_rows[llo..lhi] {
+                col_max = col_max.max(work[r].abs());
             }
-            if !pivot_val.is_finite() || pivot_val == 0.0 {
-                if pivot_val == 0.0 && col_max > 0.0 && strict {
-                    return Err(NumericError::PatternChanged {
+            let ratio = pivot_val.abs() / col_max;
+            let failure = if !pivot_val.is_finite() || pivot_val == 0.0 {
+                Some(if pivot_val == 0.0 && col_max > 0.0 && strict {
+                    NumericError::PatternChanged {
                         context: format!(
                             "pivot {j} collapsed to 0 against column max {col_max:.3e}"
                         ),
-                    });
-                }
-                return Err(NumericError::SingularMatrix { pivot: j });
-            }
-            let ratio = pivot_val.abs() / col_max;
-            if strict && ratio < REFACTOR_PIVOT_RATIO {
-                return Err(NumericError::PatternChanged {
+                    }
+                } else {
+                    NumericError::SingularMatrix { pivot: j }
+                })
+            } else if strict && ratio < REFACTOR_PIVOT_RATIO {
+                Some(NumericError::PatternChanged {
                     context: format!(
                         "pivot {j} degraded to {:.3e} against column max {:.3e}",
                         pivot_val.abs(),
                         col_max
                     ),
-                });
+                })
+            } else {
+                None
+            };
+            if let Some(err) = failure {
+                flops.fma(fma);
+                flops.div(div);
+                return Err(err);
             }
             if ratio < worst_ratio {
                 worst_ratio = ratio;
                 worst_col = j;
             }
-            self.u_diag[j] = pivot_val;
-            for p in self.l_colptr[j]..self.l_colptr[j + 1] {
-                self.l_vals[p] = self.work[self.l_rows[p]] / pivot_val;
+            u_diag[j] = pivot_val;
+            for (lv, &r) in l_vals[llo..lhi].iter_mut().zip(&l_rows[llo..lhi]) {
+                *lv = work[r] / pivot_val;
             }
-            flops.div((self.l_colptr[j + 1] - self.l_colptr[j]) as u64);
+            div += (lhi - llo) as u64;
         }
+        flops.fma(fma);
+        flops.div(div);
         self.worst_ratio = worst_ratio;
         self.worst_col = worst_col;
         Ok(worst_ratio)
@@ -605,44 +634,54 @@ impl SparseLu {
         let n = self.n;
         x.resize(n, 0.0);
         work.resize(n, 0.0);
+        // Local slices keep the factor arrays out of reach of the stores
+        // into `x` and `work` (see `refactor_values`).
+        let (x, work) = (&mut x[..], &mut work[..]);
+        let (l_colptr, l_rows, l_vals) = (&self.l_colptr[..], &self.l_rows[..], &self.l_vals[..]);
+        let (u_colptr, u_rows, u_vals) = (&self.u_colptr[..], &self.u_rows[..], &self.u_vals[..]);
+        let fill_perm = &self.sym.fill_perm[..];
         // Forward solve L·z = P·b', working in permuted row numbering
         // (b'[i] = b[q[i]]; the identity fast path keeps the natural-order
         // pipeline bit-exact).
         if self.sym.identity {
             work.copy_from_slice(b);
         } else {
-            for (i, w) in work.iter_mut().enumerate() {
-                *w = b[self.sym.fill_perm[i]];
+            for (w, &src) in work.iter_mut().zip(fill_perm) {
+                *w = b[src];
             }
         }
-        for k in 0..n {
-            let val = work[self.perm[k]];
+        let mut fma = 0u64;
+        for (k, &row) in self.perm.iter().enumerate() {
+            let val = work[row];
             x[k] = val;
             if val != 0.0 {
-                for p in self.l_colptr[k]..self.l_colptr[k + 1] {
-                    work[self.l_rows[p]] -= val * self.l_vals[p];
+                let (lo, hi) = (l_colptr[k], l_colptr[k + 1]);
+                for (&r, &lv) in l_rows[lo..hi].iter().zip(&l_vals[lo..hi]) {
+                    work[r] -= val * lv;
                 }
-                flops.fma((self.l_colptr[k + 1] - self.l_colptr[k]) as u64);
+                fma += (hi - lo) as u64;
             }
         }
         // Backward solve U·y = z; the solution index equals the permuted
         // column index.
-        for k in (0..n).rev() {
-            x[k] /= self.u_diag[k];
-            flops.div(1);
+        for (k, &d) in self.u_diag.iter().enumerate().rev() {
+            x[k] /= d;
             let xk = x[k];
             if xk != 0.0 {
-                for p in self.u_colptr[k]..self.u_colptr[k + 1] {
-                    x[self.u_rows[p]] -= self.u_vals[p] * xk;
+                let (lo, hi) = (u_colptr[k], u_colptr[k + 1]);
+                for (&r, &uv) in u_rows[lo..hi].iter().zip(&u_vals[lo..hi]) {
+                    x[r] -= uv * xk;
                 }
-                flops.fma((self.u_colptr[k + 1] - self.u_colptr[k]) as u64);
+                fma += (hi - lo) as u64;
             }
         }
+        flops.fma(fma);
+        flops.div(n as u64);
         // Undo the fill permutation: x_out[q[k]] = y[k].
         if !self.sym.identity {
-            work[..n].copy_from_slice(&x[..n]);
-            for (k, &w) in work.iter().enumerate() {
-                x[self.sym.fill_perm[k]] = w;
+            work.copy_from_slice(x);
+            for (&w, &dst) in work.iter().zip(fill_perm) {
+                x[dst] = w;
             }
         }
         Ok(())
@@ -684,8 +723,10 @@ impl SparseLu {
         // backward sweep.
         work.resize(2 * n * nrhs, 0.0);
         let (z, y) = work.split_at_mut(n * nrhs);
-        for (i, zi) in z.chunks_exact_mut(nrhs).enumerate() {
-            let src = self.sym.fill_perm[i];
+        let (l_colptr, l_rows, l_vals) = (&self.l_colptr[..], &self.l_rows[..], &self.l_vals[..]);
+        let (u_colptr, u_rows, u_vals) = (&self.u_colptr[..], &self.u_rows[..], &self.u_vals[..]);
+        let fill_perm = &self.sym.fill_perm[..];
+        for (zi, &src) in z.chunks_exact_mut(nrhs).zip(fill_perm) {
             for (r, v) in zi.iter_mut().enumerate() {
                 *v = b[r * n + src];
             }
@@ -693,44 +734,42 @@ impl SparseLu {
         // Forward solve L·z = P·b'. A column is skipped only when every
         // lane is zero; the flop count charges the nonzero lanes alone,
         // as `nrhs` single solves would.
-        for k in 0..n {
-            let row = self.perm[k];
-            let vals = &mut y[k * nrhs..(k + 1) * nrhs];
+        let mut fma = 0u64;
+        for (k, (vals, &row)) in y.chunks_exact_mut(nrhs).zip(&self.perm).enumerate() {
             vals.copy_from_slice(&z[row * nrhs..(row + 1) * nrhs]);
             let nz = nonzero_lanes(vals);
             if nz > 0 {
-                for p in self.l_colptr[k]..self.l_colptr[k + 1] {
-                    let (r, lv) = (self.l_rows[p], self.l_vals[p]);
-                    for (d, &v) in z[r * nrhs..(r + 1) * nrhs].iter_mut().zip(vals.iter()) {
+                let (lo, hi) = (l_colptr[k], l_colptr[k + 1]);
+                for (&r, &lv) in l_rows[lo..hi].iter().zip(&l_vals[lo..hi]) {
+                    for (d, &v) in z[r * nrhs..(r + 1) * nrhs].iter_mut().zip(&*vals) {
                         *d -= v * lv;
                     }
                 }
-                flops.fma(nz * (self.l_colptr[k + 1] - self.l_colptr[k]) as u64);
+                fma += nz * (hi - lo) as u64;
             }
         }
         // Backward solve U·y = z.
-        for k in (0..n).rev() {
+        for (k, &d) in self.u_diag.iter().enumerate().rev() {
             let (head, tail) = y.split_at_mut(k * nrhs);
             let vals = &mut tail[..nrhs];
-            let d = self.u_diag[k];
             for v in vals.iter_mut() {
                 *v /= d;
             }
-            flops.div(nrhs as u64);
             let nz = nonzero_lanes(vals);
             if nz > 0 {
-                for p in self.u_colptr[k]..self.u_colptr[k + 1] {
-                    let (r, uv) = (self.u_rows[p], self.u_vals[p]);
-                    for (d, &v) in head[r * nrhs..(r + 1) * nrhs].iter_mut().zip(vals.iter()) {
+                let (lo, hi) = (u_colptr[k], u_colptr[k + 1]);
+                for (&r, &uv) in u_rows[lo..hi].iter().zip(&u_vals[lo..hi]) {
+                    for (d, &v) in head[r * nrhs..(r + 1) * nrhs].iter_mut().zip(&*vals) {
                         *d -= uv * v;
                     }
                 }
-                flops.fma(nz * (self.u_colptr[k + 1] - self.u_colptr[k]) as u64);
+                fma += nz * (hi - lo) as u64;
             }
         }
+        flops.fma(fma);
+        flops.div((n * nrhs) as u64);
         // Scatter out, undoing the fill permutation per lane.
-        for (k, yk) in y.chunks_exact(nrhs).enumerate() {
-            let dst = self.sym.fill_perm[k];
+        for (yk, &dst) in y.chunks_exact(nrhs).zip(fill_perm) {
             for (r, &v) in yk.iter().enumerate() {
                 x[r * n + dst] = v;
             }
