@@ -513,7 +513,10 @@ pub(crate) fn branch_voltage(x: &[f64], var_plus: Option<usize>, var_minus: Opti
 }
 
 /// Number of points of a DC sweep from `start` to `stop` (inclusive) in
-/// increments of `step`.
+/// increments of `step`. Like SPICE `.DC`, the sweep never passes `stop`:
+/// the step count is floored, with a relative tolerance of a few ulps so a
+/// `stop` that is a whole number of steps away in exact arithmetic (0 to 5
+/// in steps of 0.05) still lands on it.
 ///
 /// # Errors
 /// [`crate::SimError::InvalidConfig`] for a zero, non-finite or
@@ -526,7 +529,8 @@ pub(crate) fn sweep_points(start: f64, stop: f64, step: f64) -> crate::Result<us
     if step == 0.0 || !step.is_finite() || (stop - start) * step < 0.0 {
         return Err(invalid(""));
     }
-    let n = ((stop - start) / step).round() + 1.0;
+    let steps = (stop - start) / step;
+    let n = (steps + 1e-9 * steps.max(1.0)).floor() + 1.0;
     let max = (isize::MAX as usize / std::mem::size_of::<f64>()) as f64;
     if !n.is_finite() || n > max {
         return Err(invalid(": too many points"));

@@ -121,6 +121,80 @@ fn sweep_point_count_overflow_is_invalid_config() {
     }
 }
 
+/// Like SPICE `.DC`, a sweep whose step does not divide `stop - start`
+/// stops at the last whole step short of `stop`, never past it, on every
+/// DC sweep entry point — while a sweep that is a whole number of steps
+/// long in exact arithmetic still ends on `stop`.
+#[test]
+fn dc_sweep_never_passes_stop() {
+    let mut ckt = Circuit::new();
+    let (a, mid) = (ckt.node("in"), ckt.node("mid"));
+    ckt.add_voltage_source("V1", a, Circuit::GROUND, SourceWaveform::dc(1.0))
+        .unwrap();
+    ckt.add_resistor("R1", a, mid, 1e3).unwrap();
+    ckt.add_resistor("R2", mid, Circuit::GROUND, 1e3).unwrap();
+    for (stop, step, points, last) in [
+        (1.0, 2.0, 1, 0.0),
+        (1.0, 0.4, 3, 0.8),
+        (5.0, 0.05, 101, 5.0),
+    ] {
+        let axes = [
+            (
+                "SwecDcSweep::run",
+                SwecDcSweep::new(SwecOptions::default())
+                    .run(&ckt, "V1", 0.0, stop, step)
+                    .unwrap()
+                    .sweep_values()
+                    .to_vec(),
+            ),
+            (
+                "Simulator::run",
+                Simulator::new(ckt.clone())
+                    .unwrap()
+                    .run(Analysis::dc_sweep("V1", 0.0, stop, step))
+                    .unwrap()
+                    .axis_values()
+                    .to_vec(),
+            ),
+            (
+                "NrEngine::run_dc_sweep",
+                NrEngine::new(NrOptions::default())
+                    .run_dc_sweep(&ckt, "V1", 0.0, stop, step)
+                    .unwrap()
+                    .sweep
+                    .sweep_values()
+                    .to_vec(),
+            ),
+            (
+                "PwlEngine::run_dc_sweep",
+                PwlEngine::new(PwlOptions::default())
+                    .run_dc_sweep(&ckt, "V1", 0.0, stop, step)
+                    .unwrap()
+                    .sweep_values()
+                    .to_vec(),
+            ),
+        ];
+        for (entry, axis) in axes {
+            assert_eq!(axis.len(), points, "{entry} ({stop}, {step}): {axis:?}");
+            let end = *axis.last().unwrap();
+            assert!(
+                (end - last).abs() < 1e-12,
+                "{entry} ({stop}, {step}) ends at {end}"
+            );
+        }
+    }
+    // The peak of the divider's midpoint sits at the last point swept.
+    let ds = Simulator::new(ckt)
+        .unwrap()
+        .run(Analysis::dc_sweep("V1", 0.0, 1.0, 0.4))
+        .unwrap();
+    let (v, mid) = ds.peak("mid").unwrap();
+    assert!(
+        (v - 0.8).abs() < 1e-12 && (mid - 0.4).abs() < 1e-12,
+        "{v} {mid}"
+    );
+}
+
 #[test]
 fn parse_errors_carry_line_numbers() {
     let text = "V1 a 0 1\nR1 a 0 1k\nC1 a 0 frog\n";
