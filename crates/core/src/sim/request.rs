@@ -95,7 +95,9 @@ pub struct DcSweep {
 
 impl DcSweep {
     /// Starts a sweep request over `source` from `start` to `stop`
-    /// (inclusive) in increments of `step`.
+    /// (inclusive) in increments of `step`. As in SPICE `.DC`, a step that
+    /// does not divide the range ends the sweep at the last whole step
+    /// before `stop`, never past it.
     pub fn new(source: impl Into<String>, start: f64, stop: f64, step: f64) -> Self {
         DcSweep {
             source: source.into(),
