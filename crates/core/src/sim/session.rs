@@ -749,6 +749,24 @@ mod tests {
         ckt
     }
 
+    /// Asserts two datasets carry the same kind, engine tag and axis
+    /// (sweep source included) and bit-identical columns.
+    fn assert_same_data(a: &Dataset, b: &Dataset) {
+        assert_eq!(a.kind(), b.kind());
+        assert_eq!(a.engine(), b.engine());
+        assert_eq!(a.axis().label(), b.axis().label());
+        assert_eq!(a.names(), b.names());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(a.axis_values()), bits(b.axis_values()));
+        for name in a.names() {
+            assert_eq!(
+                bits(a.column(name).unwrap()),
+                bits(b.column(name).unwrap()),
+                "column {name}"
+            );
+        }
+    }
+
     #[test]
     fn descending_sweep_reads_like_ascending() {
         let mut sim = Simulator::new(rc_divider()).unwrap();
@@ -806,8 +824,7 @@ mod tests {
         let legacy = SwecTransient::new(Default::default())
             .run(&rc_divider(), 0.05e-9, 5e-9)
             .unwrap();
-        assert_eq!(ds.points(), legacy.points());
-        assert_eq!(ds.column("b").unwrap(), legacy.column("b").unwrap());
+        assert_same_data(&ds, &Dataset::from_transient("swec", legacy));
         // A second transient on the same session reuses both cached
         // workspaces (the transient LU and the initial operating point's
         // no-C workspace): zero full factors.
@@ -829,8 +846,7 @@ mod tests {
         let legacy = SwecDcSweep::new(Default::default())
             .run(&rtd_divider(), "V1", 0.0, (n - 1.0) * 0.05, 0.05)
             .unwrap();
-        assert_eq!(ds.column("mid").unwrap(), legacy.column("mid").unwrap());
-        assert_eq!(ds.column("I(X1)").unwrap(), legacy.column("I(X1)").unwrap());
+        assert_same_data(&ds, &Dataset::from_dc_sweep("swec", "V1", legacy));
     }
 
     #[test]

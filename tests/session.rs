@@ -260,3 +260,75 @@ fn dataset_model_is_uniform_across_kinds() {
         other => panic!("expected sweep axis, got {other:?}"),
     }
 }
+
+#[test]
+fn every_analysis_reports_its_kind_engine_and_axis() {
+    // serve renders `Dataset::engine()` as the `engine` field of every
+    // response, so each analysis variant's tag is part of the protocol.
+    let mut sim = Simulator::new(nanosim::workloads::rtd_divider(50.0)).unwrap();
+    let mut em_sim = Simulator::new(nanosim::workloads::noisy_rc_node_fig10()).unwrap();
+    let em_opts = EmOptions {
+        dt: 1e-11,
+        paths: 8,
+        ..EmOptions::default()
+    };
+    let cases: Vec<(Dataset, AnalysisKind, &str, &str)> = vec![
+        (
+            sim.run(Analysis::op()).unwrap(),
+            AnalysisKind::Op,
+            "swec",
+            "op",
+        ),
+        (
+            sim.run(Analysis::dc_sweep("V1", 0.0, 1.0, 0.25)).unwrap(),
+            AnalysisKind::Dc,
+            "swec",
+            "sweep(V1)",
+        ),
+        (
+            sim.run(Analysis::transient(0.5e-9, 2e-9)).unwrap(),
+            AnalysisKind::Tran,
+            "swec",
+            "time",
+        ),
+        (
+            em_sim
+                .run(Analysis::em_ensemble(1e-10).options(em_opts))
+                .unwrap(),
+            AnalysisKind::Em,
+            "em",
+            "time",
+        ),
+        (
+            sim.run(Analysis::mla_dc_sweep("V1", 0.0, 1.0, 0.25))
+                .unwrap(),
+            AnalysisKind::Dc,
+            "mla",
+            "sweep(V1)",
+        ),
+        (
+            sim.run(Analysis::mla_transient(0.5e-9, 2e-9)).unwrap(),
+            AnalysisKind::Tran,
+            "mla",
+            "time",
+        ),
+        (
+            sim.run(Analysis::pwl_dc_sweep("V1", 0.0, 1.0, 0.25))
+                .unwrap(),
+            AnalysisKind::Dc,
+            "pwl",
+            "sweep(V1)",
+        ),
+        (
+            sim.run(Analysis::pwl_transient(0.5e-9, 2e-9)).unwrap(),
+            AnalysisKind::Tran,
+            "pwl",
+            "time",
+        ),
+    ];
+    for (ds, kind, engine, label) in &cases {
+        assert_eq!(ds.kind(), *kind, "{ds}");
+        assert_eq!(ds.engine(), *engine, "{ds}");
+        assert_eq!(ds.axis().label(), *label, "{ds}");
+    }
+}
