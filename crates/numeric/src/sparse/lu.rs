@@ -777,18 +777,6 @@ impl SparseLu {
         Ok(())
     }
 
-    /// Convenience wrapper over [`SparseLu::solve_many_into`] allocating
-    /// the `n × nrhs` solution block.
-    ///
-    /// # Errors
-    /// Same as [`SparseLu::solve_many_into`].
-    pub fn solve_many(&self, b: &[f64], nrhs: usize, flops: &mut FlopCounter) -> Result<Vec<f64>> {
-        let mut x = Vec::new();
-        let mut work = Vec::new();
-        self.solve_many_into(b, nrhs, &mut x, &mut work, flops)?;
-        Ok(x)
-    }
-
     /// Determinant of the original matrix (product of pivots times the
     /// pivot-permutation parity; the symmetric fill permutation has even
     /// combined parity and never changes the sign).
@@ -1393,7 +1381,9 @@ mod tests {
         let k = 5;
         let b: Vec<f64> = (0..n * k).map(|i| ((i as f64) * 0.17).sin()).collect();
         let mut fm = FlopCounter::new();
-        let xm = lu.solve_many(&b, k, &mut fm).unwrap();
+        let (mut xm, mut work) = (Vec::new(), Vec::new());
+        lu.solve_many_into(&b, k, &mut xm, &mut work, &mut fm)
+            .unwrap();
         let mut fs = FlopCounter::new();
         for j in 0..k {
             let xj = lu.solve(&b[j * n..(j + 1) * n], &mut fs).unwrap();
@@ -1406,15 +1396,13 @@ mod tests {
     fn solve_many_validates_shapes() {
         let a = CsrMatrix::from_triplets(2, 2, &[(0, 0, 1.0), (1, 1, 1.0)]);
         let lu = SparseLu::factor(&a, &mut FlopCounter::new()).unwrap();
-        assert!(lu
-            .solve_many(&[1.0, 2.0], 0, &mut FlopCounter::new())
-            .is_err());
-        assert!(lu
-            .solve_many(&[1.0, 2.0, 3.0], 2, &mut FlopCounter::new())
-            .is_err());
-        let x = lu
-            .solve_many(&[1.0, 2.0, 3.0, 4.0], 2, &mut FlopCounter::new())
-            .unwrap();
+        let (mut x, mut work) = (Vec::new(), Vec::new());
+        let mut solve = |b: &[f64], nrhs| {
+            lu.solve_many_into(b, nrhs, &mut x, &mut work, &mut FlopCounter::new())
+        };
+        assert!(solve(&[1.0, 2.0], 0).is_err());
+        assert!(solve(&[1.0, 2.0, 3.0], 2).is_err());
+        solve(&[1.0, 2.0, 3.0, 4.0], 2).unwrap();
         assert_eq!(x, vec![1.0, 2.0, 3.0, 4.0]);
     }
 

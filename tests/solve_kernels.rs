@@ -51,7 +51,8 @@ proptest! {
                 &a, choice, PivotStrategy::default(), &mut FlopCounter::new(),
             ).unwrap();
             let mut fm = FlopCounter::new();
-            let xm = lu.solve_many(&rhs[..n * k], k, &mut fm).unwrap();
+            let (mut xm, mut work) = (Vec::new(), Vec::new());
+            lu.solve_many_into(&rhs[..n * k], k, &mut xm, &mut work, &mut fm).unwrap();
             let mut fs = FlopCounter::new();
             for j in 0..k {
                 let xj = lu.solve(&rhs[j * n..(j + 1) * n], &mut fs).unwrap();
