@@ -512,11 +512,19 @@ pub(crate) fn branch_voltage(x: &[f64], var_plus: Option<usize>, var_minus: Opti
     vp - vm
 }
 
+/// Number of whole `step`s that fit in `span` (same signs): the quotient
+/// floored, with a relative tolerance of a few ulps so a `span` that is a
+/// whole number of steps in exact arithmetic (5 in steps of 0.05, 1 ns in
+/// steps of 10 ps) counts every step. DC sweeps and EM ensembles both take
+/// their step count here, so neither ever passes its end point.
+pub(crate) fn whole_steps(span: f64, step: f64) -> f64 {
+    let steps = span / step;
+    (steps + 1e-9 * steps.max(1.0)).floor()
+}
+
 /// Number of points of a DC sweep from `start` to `stop` (inclusive) in
-/// increments of `step`. Like SPICE `.DC`, the sweep never passes `stop`:
-/// the step count is floored, with a relative tolerance of a few ulps so a
-/// `stop` that is a whole number of steps away in exact arithmetic (0 to 5
-/// in steps of 0.05) still lands on it.
+/// increments of `step`. Like SPICE `.DC`, the sweep never passes `stop`
+/// (see [`whole_steps`]).
 ///
 /// # Errors
 /// [`crate::SimError::InvalidConfig`] for a zero, non-finite or
@@ -529,8 +537,7 @@ pub(crate) fn sweep_points(start: f64, stop: f64, step: f64) -> crate::Result<us
     if step == 0.0 || !step.is_finite() || (stop - start) * step < 0.0 {
         return Err(invalid(""));
     }
-    let steps = (stop - start) / step;
-    let n = (steps + 1e-9 * steps.max(1.0)).floor() + 1.0;
+    let n = whole_steps(stop - start, step) + 1.0;
     let max = (isize::MAX as usize / std::mem::size_of::<f64>()) as f64;
     if !n.is_finite() || n > max {
         return Err(invalid(": too many points"));

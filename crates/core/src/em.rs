@@ -46,7 +46,9 @@
 //! state-space form. Drive the circuit with current sources; a Thevenin
 //! source becomes a Norton equivalent.
 
-use crate::assemble::{branch_voltage, mna_var_names, AssemblyWorkspace, CircuitMatrices};
+use crate::assemble::{
+    branch_voltage, mna_var_names, whole_steps, AssemblyWorkspace, CircuitMatrices,
+};
 use crate::report::EngineStats;
 use crate::waveform::{TransientResult, Waveform};
 use crate::{Result, SimError};
@@ -278,8 +280,9 @@ impl EmEngine {
         Ok(mats)
     }
 
-    /// Runs the Monte-Carlo ensemble from `t = 0` to `horizon`, distributing
-    /// paths over [`EmOptions::threads`] workers. Statistics stream through
+    /// Runs the Monte-Carlo ensemble from `t = 0` in whole steps of
+    /// [`EmOptions::dt`], never past `horizon`, distributing paths over
+    /// [`EmOptions::threads`] workers. Statistics stream through
     /// per-chunk Welford accumulators merged in chunk order, so no path
     /// series is ever materialized beyond the recorded sample path and the
     /// result is bit-identical at any thread count.
@@ -311,7 +314,9 @@ impl EmEngine {
         let t0 = Instant::now();
         let mats = self.prepare(circuit)?;
         let dim = mats.mna.dim();
-        let steps = (horizon / self.opts.dt).round() as usize;
+        // Never integrate past the horizon: a dt that does not divide it
+        // stops at the last whole step before it.
+        let steps = whole_steps(horizon, self.opts.dt) as usize;
         let paths = self.opts.paths;
         let mut stats = EngineStats::new();
         let mut flops = FlopCounter::new();
@@ -829,6 +834,7 @@ struct ChunkStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim::{Analysis, Simulator};
     use nanosim_devices::sources::SourceWaveform;
     use nanosim_sde::ou::OrnsteinUhlenbeck;
 
@@ -1130,5 +1136,37 @@ mod tests {
         let r = engine.run(&ckt, 1e-9).unwrap();
         assert_eq!(r.sample_path().points(), r.times().len());
         assert_eq!(r.names(), r.sample_path().names());
+    }
+
+    #[test]
+    fn ensemble_never_integrates_past_the_horizon() {
+        let ckt = noisy_rc(1e-9, 0.0);
+        let run = |horizon: f64, dt: f64| {
+            let engine = EmEngine::new(EmOptions {
+                dt,
+                paths: 2,
+                ..EmOptions::default()
+            });
+            engine.run(&ckt, horizon).unwrap()
+        };
+        // A dt that does not divide the horizon stops at the last whole
+        // step before it: 1 ns in steps of 0.4 ns ends at 0.8 ns.
+        let r = run(1e-9, 0.4e-9);
+        assert_eq!(r.stats.steps, 2 * 2);
+        assert_eq!(r.times(), &[0.0, 0.4e-9, 0.8e-9]);
+        let opts = EmOptions {
+            dt: 0.4e-9,
+            paths: 2,
+            ..EmOptions::default()
+        };
+        let mut sim = Simulator::new(ckt.clone()).unwrap();
+        let ds = sim.run(Analysis::em_ensemble(1e-9).options(opts)).unwrap();
+        assert_eq!(ds.axis_values(), r.times());
+        // Whole step counts are kept despite rounding in horizon / dt.
+        for (dt, steps) in [(1e-11, 100), (1e-12, 1000), (5e-12, 200)] {
+            let r = run(1e-9, dt);
+            assert_eq!(r.times().len(), steps + 1, "dt {dt}");
+            assert!(*r.times().last().unwrap() <= 1e-9 * (1.0 + 1e-9));
+        }
     }
 }
