@@ -25,7 +25,7 @@ fn main() -> Result<(), SimError> {
     let mut rng = Pcg64::seed_from_u64(777);
     let path = WienerPath::generate(horizon, steps, &mut rng);
     let em = engine.run_with_paths(&circuit, &[path.clone()])?;
-    let em_v = em.waveform("v").expect("node exists");
+    let em_v = em.curve("v").expect("node exists");
     let ou = OrnsteinUhlenbeck::from_rc_node(g, c, i_dc, i_noise);
     let exact = ou.pathwise_reference(0.0, &path, 4, &mut rng);
 

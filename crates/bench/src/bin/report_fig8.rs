@@ -33,7 +33,7 @@ fn main() -> Result<(), SimError> {
     let pwl = sim.run(Analysis::pwl_transient(tstep, tstop))?;
 
     let s_out = swec.curve("out").expect("node exists");
-    let n_out = nr.result.waveform("out").expect("node exists");
+    let n_out = nr.result.curve("out").expect("node exists");
     let p_out = pwl.curve("out").expect("node exists");
     let vin = swec.curve("in").expect("node exists");
 

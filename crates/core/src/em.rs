@@ -50,7 +50,8 @@ use crate::assemble::{
     branch_voltage, mna_var_names, whole_steps, AssemblyWorkspace, CircuitMatrices,
 };
 use crate::report::EngineStats;
-use crate::waveform::{TransientResult, Waveform};
+use crate::sim::{AnalysisKind, Axis, Dataset};
+use crate::waveform::Waveform;
 use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
 use nanosim_numeric::parallel::try_par_map;
@@ -130,7 +131,7 @@ pub struct EmResult {
     mean: Vec<Vec<f64>>,
     std_dev: Vec<Vec<f64>>,
     maxima: Vec<Vec<f64>>,
-    sample: TransientResult,
+    sample: Dataset,
     /// Work accounting over the whole ensemble.
     pub stats: EngineStats,
 }
@@ -170,8 +171,8 @@ impl EmResult {
     }
 
     /// The first simulated path (the "one realization" plotted in
-    /// Figure 10).
-    pub fn sample_path(&self) -> &TransientResult {
+    /// Figure 10), as a transient dataset tagged "em".
+    pub fn sample_path(&self) -> &Dataset {
         &self.sample
     }
 
@@ -417,8 +418,10 @@ impl EmEngine {
         stats.flops += flops;
         stats.steps = steps * paths;
         stats.elapsed = t0.elapsed();
-        let sample = TransientResult::new(
-            times.clone(),
+        let sample = Dataset::new(
+            AnalysisKind::Tran,
+            "em",
+            Axis::Time(times.clone()),
             names.clone(),
             sample_columns,
             EngineStats::new(),
@@ -441,11 +444,7 @@ impl EmEngine {
     /// # Errors
     /// Fails when the number or shape of the paths does not match the
     /// circuit's noise sources.
-    pub fn run_with_paths(
-        &self,
-        circuit: &Circuit,
-        wieners: &[WienerPath],
-    ) -> Result<TransientResult> {
+    pub fn run_with_paths(&self, circuit: &Circuit, wieners: &[WienerPath]) -> Result<Dataset> {
         let t0 = Instant::now();
         let mats = self.prepare(circuit)?;
         let noise_count = mats.mna.noise_bindings().len();
@@ -495,8 +494,10 @@ impl EmEngine {
         stats.steps = steps;
         stats.flops += flops;
         stats.elapsed = t0.elapsed();
-        Ok(TransientResult::new(
-            times,
+        Ok(Dataset::new(
+            AnalysisKind::Tran,
+            "em",
+            Axis::Time(times),
             mna_var_names(&mats.mna),
             columns,
             stats,
@@ -1136,6 +1137,9 @@ mod tests {
         let r = engine.run(&ckt, 1e-9).unwrap();
         assert_eq!(r.sample_path().points(), r.times().len());
         assert_eq!(r.names(), r.sample_path().names());
+        assert_eq!(r.sample_path().axis_values(), r.times());
+        assert_eq!(r.sample_path().kind(), AnalysisKind::Tran);
+        assert_eq!(r.sample_path().engine(), "em");
     }
 
     #[test]

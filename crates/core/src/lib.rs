@@ -29,9 +29,9 @@
 //!   Wiener-process inputs, with ensemble statistics and peak prediction
 //!   (Figure 10).
 //!
-//! Results come back as [`waveform::TransientResult`] /
-//! [`waveform::DcSweepResult`] with [`report::EngineStats`] carrying the
-//! FLOP counts behind the paper's Table I.
+//! Every engine returns its result as one [`Dataset`]: named signals over
+//! a time or sweep axis, with [`report::EngineStats`] carrying the FLOP
+//! counts behind the paper's Table I.
 //!
 //! # Example
 //!
@@ -78,7 +78,7 @@ pub use nanosim_numeric::{Budget, BudgetMeter, BudgetStop, CancelToken, FaultPla
 pub use report::{EngineStats, HealthVerdict};
 pub use rescue::{RescueOptions, RescueRung, RescueTrace};
 pub use sim::{Analysis, AnalysisKind, Dataset, ExecPlan, PreflightMode, SimOptions, Simulator};
-pub use waveform::{DcSweepResult, TransientResult, Waveform};
+pub use waveform::Waveform;
 
 /// Convenience alias for fallible simulation results.
 pub type Result<T> = std::result::Result<T, SimError>;

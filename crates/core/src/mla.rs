@@ -20,7 +20,7 @@
 //! solve. That cost difference is exactly the paper's **Table I**.
 
 use crate::nr::{FailurePolicy, NrEngine, NrOptions, NrSweepResult, NrTransientResult};
-use crate::waveform::DcSweepResult;
+use crate::sim::Dataset;
 use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
 
@@ -69,25 +69,31 @@ impl MlaOptions {
 }
 
 /// The MLA engine — a configured [`NrEngine`] exposing the same analyses.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct MlaEngine {
     inner: NrEngine,
+}
+
+impl Default for MlaEngine {
+    fn default() -> Self {
+        MlaEngine::new(MlaOptions::default())
+    }
 }
 
 impl MlaEngine {
     /// Creates the engine with the given options.
     pub fn new(opts: MlaOptions) -> Self {
-        MlaEngine {
-            inner: NrEngine::new(NrOptions {
-                max_iterations: opts.max_iterations,
-                device_v_limit: Some(opts.device_v_limit),
-                source_steps: opts.source_steps,
-                cold_start: opts.cold_start,
-                failure_policy: FailurePolicy::ReduceStep,
-                h_min: opts.h_min,
-                ..NrOptions::default()
-            }),
-        }
+        let mut inner = NrEngine::new(NrOptions {
+            max_iterations: opts.max_iterations,
+            device_v_limit: Some(opts.device_v_limit),
+            source_steps: opts.source_steps,
+            cold_start: opts.cold_start,
+            failure_policy: FailurePolicy::ReduceStep,
+            h_min: opts.h_min,
+            ..NrOptions::default()
+        });
+        inner.tag = "mla";
+        MlaEngine { inner }
     }
 
     /// Attaches a run budget (forwarded to the underlying [`NrEngine`]).
@@ -116,7 +122,7 @@ impl MlaEngine {
         start: f64,
         stop: f64,
         step: f64,
-    ) -> Result<DcSweepResult> {
+    ) -> Result<Dataset> {
         let r: NrSweepResult = self
             .inner
             .run_dc_sweep(circuit, source, start, stop, step)?;
@@ -128,7 +134,7 @@ impl MlaEngine {
                 .iter()
                 .position(|o| !o.is_converged())
                 .unwrap_or(0);
-            let value = r.sweep.sweep_values().get(idx).copied();
+            let value = r.sweep.axis_values().get(idx).copied();
             let at = value.unwrap_or(start);
             let fx = crate::error::Forensics {
                 point_index: Some(idx),
@@ -250,7 +256,7 @@ mod tests {
         ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-13).unwrap();
         let engine = MlaEngine::new(MlaOptions::default());
         let r = engine.run_transient(&ckt, 0.05e-9, 10e-9).unwrap();
-        let mid = r.result.waveform("mid").unwrap();
+        let mid = r.result.curve("mid").unwrap();
         let end = mid.final_value();
         assert!(end > 2.0 && end < 3.0, "end {end}");
     }

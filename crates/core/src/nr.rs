@@ -24,7 +24,7 @@ use crate::assemble::{
 use crate::error::Forensics;
 use crate::report::EngineStats;
 use crate::rescue::{self, RescueTrace, RungError, Shunt};
-use crate::waveform::{DcSweepResult, TransientResult};
+use crate::sim::{AnalysisKind, Axis, Dataset};
 use crate::{Result, SimError};
 use nanosim_circuit::{Circuit, MnaSystem};
 use nanosim_numeric::solve::LuStats;
@@ -158,7 +158,7 @@ impl NrOptions {
 #[derive(Debug, Clone)]
 pub struct NrSweepResult {
     /// The numeric sweep data (whatever Newton produced, converged or not).
-    pub sweep: DcSweepResult,
+    pub sweep: Dataset,
     /// Outcome at each sweep point.
     pub outcomes: Vec<NrOutcome>,
 }
@@ -174,16 +174,25 @@ impl NrSweepResult {
 #[derive(Debug, Clone)]
 pub struct NrTransientResult {
     /// The waveform data.
-    pub result: TransientResult,
+    pub result: Dataset,
     /// `(time, outcome)` for every step where Newton did not converge.
     pub failures: Vec<(f64, NrOutcome)>,
 }
 
 /// The Newton–Raphson engine.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct NrEngine {
     opts: NrOptions,
     meter: BudgetMeter,
+    /// Engine tag of the datasets this engine returns ("newton", or "mla"
+    /// when it runs inside [`crate::mla::MlaEngine`]).
+    pub(crate) tag: &'static str,
+}
+
+impl Default for NrEngine {
+    fn default() -> Self {
+        NrEngine::new(NrOptions::default())
+    }
 }
 
 impl NrEngine {
@@ -192,6 +201,7 @@ impl NrEngine {
         NrEngine {
             opts,
             meter: BudgetMeter::unlimited(),
+            tag: "newton",
         }
     }
 
@@ -325,8 +335,12 @@ impl NrEngine {
         let (names, columns) = sweep_columns(&mats.mna, &solutions, &mut stats.flops);
         stats.absorb_lu(&LuStats::default(), &ws.lu_stats());
         stats.elapsed = t0.elapsed();
+        let axis = Axis::Sweep {
+            source: source.to_string(),
+            values: sweep,
+        };
         Ok(NrSweepResult {
-            sweep: DcSweepResult::new(sweep, names, columns, stats),
+            sweep: Dataset::new(AnalysisKind::Dc, self.tag, axis, names, columns, stats),
             outcomes,
         })
     }
@@ -443,8 +457,9 @@ impl NrEngine {
         }
         stats.absorb_lu(&LuStats::default(), &ws.lu_stats());
         stats.elapsed = t0.elapsed();
+        let axis = Axis::Time(times);
         Ok(NrTransientResult {
-            result: TransientResult::new(times, names, columns, stats),
+            result: Dataset::new(AnalysisKind::Tran, self.tag, axis, names, columns, stats),
             failures,
         })
     }
@@ -1011,7 +1026,7 @@ mod tests {
         ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-12).unwrap();
         let r = engine().run_transient(&ckt, 0.02e-9, 5e-9).unwrap();
         assert!(r.failures.is_empty());
-        let out = r.result.waveform("out").unwrap();
+        let out = r.result.curve("out").unwrap();
         let got = out.value_at(1e-9);
         let expected = 1.0 - (-1.0f64).exp();
         assert!((got - expected).abs() < 0.02, "{got} vs {expected}");

@@ -16,7 +16,7 @@ use crate::assemble::{
     CircuitMatrices,
 };
 use crate::report::EngineStats;
-use crate::waveform::{DcSweepResult, TransientResult};
+use crate::sim::{AnalysisKind, Axis, Dataset};
 use crate::{Result, SimError};
 use nanosim_circuit::element::SharedDevice;
 use nanosim_circuit::{Circuit, MnaSystem};
@@ -155,7 +155,7 @@ impl PwlEngine {
         start: f64,
         stop: f64,
         step: f64,
-    ) -> Result<DcSweepResult> {
+    ) -> Result<Dataset> {
         let n_points = sweep_points(start, stop, step)?;
         let t0 = Instant::now();
         let mats = CircuitMatrices::new(circuit)?;
@@ -189,7 +189,18 @@ impl PwlEngine {
             stats.steps += 1;
         }
         stats.elapsed = t0.elapsed();
-        Ok(DcSweepResult::new(sweep, names, columns, stats))
+        let axis = Axis::Sweep {
+            source: source.to_string(),
+            values: sweep,
+        };
+        Ok(Dataset::new(
+            AnalysisKind::Dc,
+            "pwl",
+            axis,
+            names,
+            columns,
+            stats,
+        ))
     }
 
     /// Transient analysis: backward Euler with segment companions, step
@@ -197,12 +208,7 @@ impl PwlEngine {
     ///
     /// # Errors
     /// Fails on invalid parameters, singular matrices or step underflow.
-    pub fn run_transient(
-        &self,
-        circuit: &Circuit,
-        tstep: f64,
-        tstop: f64,
-    ) -> Result<TransientResult> {
+    pub fn run_transient(&self, circuit: &Circuit, tstep: f64, tstop: f64) -> Result<Dataset> {
         if !(tstep > 0.0 && tstop > 0.0 && tstep <= tstop) {
             return Err(SimError::InvalidConfig {
                 context: format!("transient needs 0 < tstep <= tstop (got {tstep}, {tstop})"),
@@ -264,9 +270,15 @@ impl PwlEngine {
                 c.push(x[i]);
             }
         }
-        stats.flops += FlopCounter::new();
         stats.elapsed = t0.elapsed();
-        Ok(TransientResult::new(times, names, columns, stats))
+        Ok(Dataset::new(
+            AnalysisKind::Tran,
+            "pwl",
+            Axis::Time(times),
+            names,
+            columns,
+            stats,
+        ))
     }
 
     fn tabulate_all(&self, mats: &CircuitMatrices) -> Vec<PwlDeviceTable> {
@@ -480,7 +492,7 @@ mod tests {
         let r = PwlEngine::new(PwlOptions::default())
             .run_transient(&ckt, 0.02e-9, 5e-9)
             .unwrap();
-        let out = r.waveform("out").unwrap();
+        let out = r.curve("out").unwrap();
         let expected = 1.0 - (-1.0f64).exp();
         assert!((out.value_at(1e-9) - expected).abs() < 0.02);
     }
@@ -504,7 +516,7 @@ mod tests {
         let r = PwlEngine::new(PwlOptions::default())
             .run_transient(&ckt, 0.05e-9, 20e-9)
             .unwrap();
-        let end = r.waveform("mid").unwrap().final_value();
+        let end = r.curve("mid").unwrap().final_value();
         assert!(end > 4.0 && end < 5.0, "end {end}");
         // The segment-crossing control had to shrink steps somewhere.
         assert!(r.stats.steps > 0);

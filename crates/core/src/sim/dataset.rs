@@ -2,13 +2,13 @@
 //!
 //! A dataset is a set of named signal columns over one independent axis
 //! (time, a swept source value, or none for an operating point) plus the
-//! [`EngineStats`] of the run that produced it. The `curve()` / `peak()` /
-//! `at()` accessors replace the per-engine result methods, so downstream
-//! code handles every analysis kind with the same few calls.
+//! [`EngineStats`] of the run that produced it. Every engine builds its
+//! result as a dataset directly, so downstream code handles every analysis
+//! kind with the same few calls (`curve()` / `peak()` / `at()`).
 
 use crate::em::{EmResult, PeakSummary};
 use crate::report::EngineStats;
-use crate::waveform::{DcSweepResult, TransientResult, Waveform};
+use crate::waveform::Waveform;
 use crate::{Result, SimError};
 use std::fmt;
 
@@ -154,22 +154,6 @@ impl Dataset {
         }
     }
 
-    /// Wraps a legacy transient result (including a truncated partial
-    /// prefix — see [`Dataset::truncated_at`]).
-    pub fn from_transient(engine: &'static str, r: TransientResult) -> Self {
-        let (times, names, columns, stats, truncated_at) = r.into_parts();
-        let mut ds = Dataset::new(
-            AnalysisKind::Tran,
-            engine,
-            Axis::Time(times),
-            names,
-            columns,
-            stats,
-        );
-        ds.truncated_at = truncated_at;
-        ds
-    }
-
     /// Marks this dataset as the accepted prefix of a run that stopped
     /// early (step-size underflow or an exhausted run budget under
     /// `SwecOptions::allow_partial`); `at` is the last accepted axis value.
@@ -191,23 +175,6 @@ impl Dataset {
     /// truncated run gave up.
     pub fn truncated_at(&self) -> Option<f64> {
         self.truncated_at
-    }
-
-    /// Wraps a legacy DC sweep result (the sweep source name is not stored
-    /// in [`DcSweepResult`], so the caller supplies it).
-    pub fn from_dc_sweep(engine: &'static str, source: &str, r: DcSweepResult) -> Self {
-        let (values, names, columns, stats) = r.into_parts();
-        Dataset::new(
-            AnalysisKind::Dc,
-            engine,
-            Axis::Sweep {
-                source: source.to_string(),
-                values,
-            },
-            names,
-            columns,
-            stats,
-        )
     }
 
     /// Wraps an operating-point solution.
@@ -247,7 +214,8 @@ impl Dataset {
         self.kind
     }
 
-    /// The engine that produced it ("swec", "mla", "pwl", "em").
+    /// The engine that produced it: "swec", "mla", "pwl", "em", or
+    /// "newton" for a standalone [`crate::nr::NrEngine`].
     pub fn engine(&self) -> &'static str {
         self.engine
     }
@@ -389,12 +357,6 @@ impl Dataset {
     }
 }
 
-impl From<TransientResult> for Dataset {
-    fn from(r: TransientResult) -> Self {
-        Dataset::from_transient("swec", r)
-    }
-}
-
 impl From<EmResult> for Dataset {
     fn from(r: EmResult) -> Self {
         Dataset::from_em(r)
@@ -444,6 +406,7 @@ mod tests {
         assert_eq!(ds.value("mid").unwrap(), 0.9);
         assert_eq!(ds.peak("I(X1)").unwrap(), (0.5, 2e-3));
         assert!(ds.curve("nope").is_none());
+        assert_eq!(ds.curve("I(X1)").unwrap().value_at(0.25), 1e-3);
         assert_eq!(ds.paths(), 0);
         assert!(ds.peak_summary("mid").is_none());
     }
@@ -492,6 +455,32 @@ mod tests {
         assert!(csv.starts_with("sweep(V1),mid,I(X1)"));
         assert_eq!(csv.lines().count(), 4);
         assert!(ds.to_string().contains("dc[swec]"));
+    }
+
+    #[test]
+    fn transient_dataset_roundtrip() {
+        let mut stats = EngineStats::new();
+        stats.steps = 2;
+        let ds = Dataset::new(
+            AnalysisKind::Tran,
+            "swec",
+            Axis::Time(vec![0.0, 1e-9, 2e-9]),
+            vec!["out".into(), "I(V1)".into()],
+            vec![vec![0.0, 2.5, 5.0], vec![0.0, -1e-3, -2e-3]],
+            stats,
+        );
+        assert_eq!(ds.points(), 3);
+        assert_eq!(ds.column_index("out"), Some(0));
+        assert_eq!(ds.column("I(V1)").unwrap()[2], -2e-3);
+        assert_eq!(ds.curve("out").unwrap().final_value(), 5.0);
+        assert!(ds.curve("nope").is_none());
+        assert!(!ds.is_truncated());
+        let csv = ds.to_csv();
+        assert!(csv.starts_with("time,out,I(V1)"));
+        assert_eq!(csv.lines().count(), 4);
+        assert!(ds.to_string().contains("tran[swec]: 2 signals x 3 points"));
+        let partial = ds.truncated(2e-9);
+        assert_eq!(partial.truncated_at(), Some(2e-9));
     }
 
     #[test]

@@ -416,8 +416,7 @@ impl Simulator {
         let ws = self.tran_ws.as_mut().expect("created above");
         let op_ws = self.dc_ws.as_mut().expect("created above");
         let engine = SwecTransient::new(tran.options).with_meter(meter.fork());
-        let result = engine.run_with(&self.mats, ws, Some(op_ws), tran.tstep, tran.tstop)?;
-        Ok(Dataset::from_transient("swec", result))
+        engine.run_with(&self.mats, ws, Some(op_ws), tran.tstep, tran.tstop)
     }
 
     fn run_em(&mut self, em: EmEnsemble, meter: &BudgetMeter) -> Result<Dataset> {
@@ -439,10 +438,7 @@ impl Simulator {
                 start,
                 stop,
                 step,
-            } => {
-                let r = engine.run_dc_sweep(&self.circuit, &source, start, stop, step)?;
-                Ok(Dataset::from_dc_sweep("mla", &source, r))
-            }
+            } => engine.run_dc_sweep(&self.circuit, &source, start, stop, step),
             BaselineRequest::Transient { tstep, tstop } => {
                 let r = engine.run_transient(&self.circuit, tstep, tstop)?;
                 if let Some((t, outcome)) = r.failures.first() {
@@ -454,7 +450,7 @@ impl Simulator {
                         ),
                     ));
                 }
-                Ok(Dataset::from_transient("mla", r.result))
+                Ok(r.result)
             }
         }
     }
@@ -467,13 +463,9 @@ impl Simulator {
                 start,
                 stop,
                 step,
-            } => {
-                let r = engine.run_dc_sweep(&self.circuit, &source, start, stop, step)?;
-                Ok(Dataset::from_dc_sweep("pwl", &source, r))
-            }
+            } => engine.run_dc_sweep(&self.circuit, &source, start, stop, step),
             BaselineRequest::Transient { tstep, tstop } => {
-                let r = engine.run_transient(&self.circuit, tstep, tstop)?;
-                Ok(Dataset::from_transient("pwl", r))
+                engine.run_transient(&self.circuit, tstep, tstop)
             }
         }
     }
@@ -780,8 +772,8 @@ mod tests {
         assert_eq!(down.peak("b").unwrap().0, 1.0);
         assert!(down.at("b", f64::NAN).unwrap().is_nan());
         let engine = crate::swec::SwecDcSweep::new(Default::default());
-        let legacy = engine.run(&rc_divider(), "V1", 1.0, 0.0, -0.25).unwrap();
-        let curve = legacy.curve("b").unwrap();
+        let serial = engine.run(&rc_divider(), "V1", 1.0, 0.0, -0.25).unwrap();
+        let curve = serial.curve("b").unwrap();
         assert_eq!(curve.times(), &[0.0, 0.25, 0.5, 0.75, 1.0]);
         assert_eq!(Some(curve.value_at(0.3)), up.at("b", 0.3));
     }
@@ -821,10 +813,10 @@ mod tests {
         let mut sim = Simulator::new(rc_divider()).unwrap();
         let ds = sim.run(Analysis::transient(0.05e-9, 5e-9)).unwrap();
         assert_eq!(ds.kind(), AnalysisKind::Tran);
-        let legacy = SwecTransient::new(Default::default())
+        let engine_ds = SwecTransient::new(Default::default())
             .run(&rc_divider(), 0.05e-9, 5e-9)
             .unwrap();
-        assert_same_data(&ds, &Dataset::from_transient("swec", legacy));
+        assert_same_data(&ds, &engine_ds);
         // A second transient on the same session reuses both cached
         // workspaces (the transient LU and the initial operating point's
         // no-C workspace): zero full factors.
@@ -835,18 +827,18 @@ mod tests {
 
     #[test]
     fn first_chunk_matches_legacy_serial_sweep_exactly() {
-        // Chunk 0 is algorithmically identical to the legacy engine, so a
-        // sweep short enough to fit one chunk must be bit-equal to it.
+        // Chunk 0 is algorithmically identical to the serial engine sweep,
+        // so a sweep short enough to fit one chunk must be bit-equal to it.
         let mut sim = Simulator::new(rtd_divider()).unwrap();
         let n = SWEEP_CHUNK as f64;
         let ds = sim
             .run(Analysis::dc_sweep("V1", 0.0, (n - 1.0) * 0.05, 0.05))
             .unwrap();
         assert_eq!(ds.points(), SWEEP_CHUNK);
-        let legacy = SwecDcSweep::new(Default::default())
+        let engine_ds = SwecDcSweep::new(Default::default())
             .run(&rtd_divider(), "V1", 0.0, (n - 1.0) * 0.05, 0.05)
             .unwrap();
-        assert_same_data(&ds, &Dataset::from_dc_sweep("swec", "V1", legacy));
+        assert_same_data(&ds, &engine_ds);
     }
 
     #[test]

@@ -17,8 +17,8 @@ use crate::assemble::{
 use crate::error::Forensics;
 use crate::report::EngineStats;
 use crate::rescue::{self, RescueRung, RungError, Shunt};
+use crate::sim::{AnalysisKind, Axis, Dataset};
 use crate::swec::{DcMode, SwecOptions};
-use crate::waveform::DcSweepResult;
 use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
 use nanosim_numeric::solve::LuStats;
@@ -131,7 +131,7 @@ impl SwecDcSweep {
         start: f64,
         stop: f64,
         step: f64,
-    ) -> Result<DcSweepResult> {
+    ) -> Result<Dataset> {
         let n_points = sweep_points(start, stop, step)?;
         let t0 = Instant::now();
         let mats = CircuitMatrices::new(circuit)?;
@@ -152,7 +152,18 @@ impl SwecDcSweep {
         )?;
         let (names, columns) = sweep_columns(&mats.mna, &xs, &mut stats.flops);
         stats.elapsed = t0.elapsed();
-        Ok(DcSweepResult::new(values, names, columns, stats))
+        let axis = Axis::Sweep {
+            source: source.to_string(),
+            values,
+        };
+        Ok(Dataset::new(
+            AnalysisKind::Dc,
+            "swec",
+            axis,
+            names,
+            columns,
+            stats,
+        ))
     }
 
     /// Solves sweep points `points` of `values` (sweeping `source`) against
@@ -708,7 +719,7 @@ mod tests {
             .run(&resistive_divider(), "V1", 0.0, 1.0, 0.25)
             .unwrap();
         assert_eq!(r.points(), 5);
-        assert_eq!(r.sweep_values(), &[0.0, 0.25, 0.5, 0.75, 1.0]);
+        assert_eq!(r.axis_values(), &[0.0, 0.25, 0.5, 0.75, 1.0]);
         assert!(r.names().contains(&"b".to_string()));
         assert!(r.names().contains(&"I(V1)".to_string()));
         // Divider ratio holds across the sweep.
@@ -835,6 +846,6 @@ mod tests {
         let r = engine()
             .run(&resistive_divider(), "V1", 1.0, 0.0, -0.5)
             .unwrap();
-        assert_eq!(r.sweep_values(), &[1.0, 0.5, 0.0]);
+        assert_eq!(r.axis_values(), &[1.0, 0.5, 0.0]);
     }
 }

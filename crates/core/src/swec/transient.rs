@@ -21,16 +21,17 @@
 use crate::assemble::{branch_voltage, mna_var_names, AssemblyWorkspace, CircuitMatrices};
 use crate::error::LastAccepted;
 use crate::report::EngineStats;
+use crate::sim::{AnalysisKind, Axis, Dataset};
 use crate::swec::conductance::GeqTracker;
 use crate::swec::dc::SwecDcSweep;
 use crate::swec::timestep::{StepConstraint, TimeStepController, TimeStepOptions};
 use crate::swec::{IntegrationMethod, StepControl, SwecOptions};
-use crate::waveform::TransientResult;
 use crate::{Result, SimError};
 use nanosim_circuit::element::ElementKind;
 use nanosim_circuit::{Circuit, MnaSystem};
+use nanosim_numeric::solve::LuStats;
 use nanosim_numeric::sparse::OrderingChoice;
-use nanosim_numeric::{BudgetMeter, BudgetStop, FlopCounter};
+use nanosim_numeric::{BudgetMeter, FlopCounter};
 use std::time::Instant;
 
 /// Maximum consecutive step rejections before giving up.
@@ -68,7 +69,7 @@ struct StepBuffers {
 /// ckt.add_resistor("R1", a, b, 1e3)?;
 /// ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-12)?;
 /// let result = SwecTransient::new(SwecOptions::default()).run(&ckt, 0.05e-9, 5e-9)?;
-/// let out = result.waveform("out").expect("node exists");
+/// let out = result.curve("out").expect("node exists");
 /// assert!((out.final_value() - 1.0).abs() < 0.02);
 /// # Ok(())
 /// # }
@@ -108,7 +109,7 @@ impl SwecTransient {
     /// # Errors
     /// Fails on invalid parameters, singular matrices, step-size underflow
     /// or a failed initial operating point.
-    pub fn run(&self, circuit: &Circuit, tstep: f64, tstop: f64) -> Result<TransientResult> {
+    pub fn run(&self, circuit: &Circuit, tstep: f64, tstop: f64) -> Result<Dataset> {
         if !(tstep > 0.0 && tstop > 0.0 && tstep <= tstop) {
             return Err(SimError::InvalidConfig {
                 context: format!("transient needs 0 < tstep <= tstop (got {tstep}, {tstop})"),
@@ -134,7 +135,7 @@ impl SwecTransient {
         op_ws: Option<&mut AssemblyWorkspace>,
         tstep: f64,
         tstop: f64,
-    ) -> Result<TransientResult> {
+    ) -> Result<Dataset> {
         if !(tstep > 0.0 && tstop > 0.0 && tstep <= tstop) {
             return Err(SimError::InvalidConfig {
                 context: format!("transient needs 0 < tstep <= tstop (got {tstep}, {tstop})"),
@@ -235,9 +236,8 @@ impl SwecTransient {
 
         // The initial point is already recorded; charge it before stepping.
         if let Err(stop) = run_meter.charge_bytes(8 * (1 + dim as u64)) {
-            return self.budget_exit(
-                stop,
-                "swec transient initial point".to_string(),
+            return self.partial_exit(
+                SimError::budget_exceeded(stop, "swec transient initial point"),
                 0.0,
                 names,
                 times,
@@ -256,9 +256,8 @@ impl SwecTransient {
             // Deterministic budget checkpoint: once per candidate time
             // point, before any step attempt.
             if let Err(stop) = run_meter.checkpoint() {
-                return self.budget_exit(
-                    stop,
-                    format!("swec transient at t = {t:.3e} s"),
+                return self.partial_exit(
+                    SimError::budget_exceeded(stop, format!("swec transient at t = {t:.3e} s")),
                     t,
                     names,
                     times,
@@ -305,8 +304,9 @@ impl SwecTransient {
             let mut error_ratio = 0.0f64;
             for _ in 0..MAX_REJECTIONS {
                 if h < self.opts.h_min {
-                    return self.underflow_exit(
-                        t, h, &x, names, times, columns, stats, flops, &lu0, ws, t_start,
+                    let err = underflow_error(t, h, &x, &names, &stats);
+                    return self.partial_exit(
+                        err, t, names, times, columns, stats, flops, &lu0, ws, t_start,
                     );
                 }
                 if let Err(e) = self.step(
@@ -403,8 +403,9 @@ impl SwecTransient {
                 break;
             }
             if !accepted {
-                return self.underflow_exit(
-                    t, h, &x, names, times, columns, stats, flops, &lu0, ws, t_start,
+                let err = underflow_error(t, h, &x, &names, &stats);
+                return self.partial_exit(
+                    err, t, names, times, columns, stats, flops, &lu0, ws, t_start,
                 );
             }
 
@@ -417,9 +418,8 @@ impl SwecTransient {
                 .tick_step()
                 .and_then(|()| run_meter.charge_bytes(8 * (1 + dim as u64)))
             {
-                return self.budget_exit(
-                    stop,
-                    format!("swec transient at t = {t:.3e} s"),
+                return self.partial_exit(
+                    SimError::budget_exceeded(stop, format!("swec transient at t = {t:.3e} s")),
                     t,
                     names,
                     times,
@@ -477,80 +477,34 @@ impl SwecTransient {
                 c.push(x[i]);
             }
         }
-        stats.flops += flops;
-        stats.absorb_lu(&lu0, &ws.lu_stats());
-        stats.elapsed = t_start.elapsed();
-        Ok(TransientResult::new(times, names, columns, stats))
-    }
-
-    /// Terminal handling of a step-size underflow at `t`: with
-    /// `allow_partial` set, the accepted prefix is returned as a result
-    /// marked truncated; otherwise a [`SimError::StepSizeUnderflow`]
-    /// carrying the last accepted time/state summary is raised.
-    #[allow(clippy::too_many_arguments)]
-    fn underflow_exit(
-        &self,
-        t: f64,
-        h: f64,
-        x: &[f64],
-        names: Vec<String>,
-        times: Vec<f64>,
-        columns: Vec<Vec<f64>>,
-        mut stats: EngineStats,
-        flops: FlopCounter,
-        lu0: &nanosim_numeric::solve::LuStats,
-        ws: &AssemblyWorkspace,
-        t_start: Instant,
-    ) -> Result<TransientResult> {
-        if self.opts.allow_partial {
-            stats.flops += flops;
-            stats.absorb_lu(lu0, &ws.lu_stats());
-            stats.elapsed = t_start.elapsed();
-            return Ok(TransientResult::new_truncated(
-                times, names, columns, stats, t,
-            ));
-        }
-        let state = names.into_iter().zip(x.iter().copied()).collect();
-        Err(SimError::step_underflow_with(
-            t,
-            h,
-            LastAccepted {
-                time: t,
-                steps: stats.steps as usize,
-                state,
-            },
+        Ok(finish(
+            names, times, columns, stats, flops, &lu0, ws, t_start,
         ))
     }
 
-    /// Terminal handling of a budget stop at `t`: with `allow_partial` set,
-    /// the accepted prefix is returned as a result marked truncated;
-    /// otherwise a [`SimError::BudgetExceeded`] is raised. Mirrors
-    /// [`SwecTransient::underflow_exit`] so budget kills and step-size
-    /// underflows salvage through the same machinery.
+    /// Terminal handling of a run stopped at `t` by `err` (a step-size
+    /// underflow or a budget stop): with `allow_partial` set, the accepted
+    /// prefix is returned marked truncated at `t`; otherwise `err` is
+    /// raised.
     #[allow(clippy::too_many_arguments)]
-    fn budget_exit(
+    fn partial_exit(
         &self,
-        stop: BudgetStop,
-        context: String,
+        err: SimError,
         t: f64,
         names: Vec<String>,
         times: Vec<f64>,
         columns: Vec<Vec<f64>>,
-        mut stats: EngineStats,
+        stats: EngineStats,
         flops: FlopCounter,
-        lu0: &nanosim_numeric::solve::LuStats,
+        lu0: &LuStats,
         ws: &AssemblyWorkspace,
         t_start: Instant,
-    ) -> Result<TransientResult> {
-        if self.opts.allow_partial {
-            stats.flops += flops;
-            stats.absorb_lu(lu0, &ws.lu_stats());
-            stats.elapsed = t_start.elapsed();
-            return Ok(TransientResult::new_truncated(
-                times, names, columns, stats, t,
-            ));
+    ) -> Result<Dataset> {
+        if !self.opts.allow_partial {
+            return Err(err);
         }
-        Err(SimError::budget_exceeded(stop, context))
+        let ds = finish(names, times, columns, stats, flops, lu0, ws, t_start);
+        Ok(ds.truncated(t))
     }
 
     /// Assembles and solves one candidate step in place: the workspace
@@ -642,6 +596,47 @@ impl SwecTransient {
     }
 }
 
+/// Closes a run's work accounting and packs its accepted time points
+/// into the result dataset.
+#[allow(clippy::too_many_arguments)]
+fn finish(
+    names: Vec<String>,
+    times: Vec<f64>,
+    columns: Vec<Vec<f64>>,
+    mut stats: EngineStats,
+    flops: FlopCounter,
+    lu0: &LuStats,
+    ws: &AssemblyWorkspace,
+    t_start: Instant,
+) -> Dataset {
+    stats.flops += flops;
+    stats.absorb_lu(lu0, &ws.lu_stats());
+    stats.elapsed = t_start.elapsed();
+    Dataset::new(
+        AnalysisKind::Tran,
+        "swec",
+        Axis::Time(times),
+        names,
+        columns,
+        stats,
+    )
+}
+
+/// The [`SimError::StepSizeUnderflow`] of a run that could not step past
+/// `t` with `h`, carrying the last accepted time and state.
+fn underflow_error(t: f64, h: f64, x: &[f64], names: &[String], stats: &EngineStats) -> SimError {
+    let state = names.iter().cloned().zip(x.iter().copied()).collect();
+    SimError::step_underflow_with(
+        t,
+        h,
+        LastAccepted {
+            time: t,
+            steps: stats.steps as usize,
+            state,
+        },
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -676,7 +671,7 @@ mod tests {
         let result = engine()
             .run(&rc_step_circuit(1e3, 1e-12), 0.05e-9, 5e-9)
             .unwrap();
-        let out = result.waveform("out").unwrap();
+        let out = result.curve("out").unwrap();
         for frac in [0.5, 1.0, 2.0, 3.0] {
             let t = frac * 1e-9;
             let expected = 1.0 - (-frac as f64).exp();
@@ -695,7 +690,7 @@ mod tests {
         ckt.add_capacitor_ic("C1", b, Circuit::GROUND, 1e-12, Some(2.0))
             .unwrap();
         let result = engine().run(&ckt, 0.05e-9, 5e-9).unwrap();
-        let out = result.waveform("out").unwrap();
+        let out = result.curve("out").unwrap();
         assert!(approx_eq(out.first_value(), 2.0, 1e-9));
         // Discharges toward zero with tau = 1 ns.
         let at_tau = out.value_at(1e-9);
@@ -726,14 +721,17 @@ mod tests {
         ckt.add_resistor("R1", a, b, 100.0).unwrap();
         ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-13).unwrap();
         let result = engine().run(&ckt, 0.05e-9, 6e-9).unwrap();
-        let out = result.waveform("out").unwrap();
+        let out = result.curve("out").unwrap();
         // Before the pulse: 0; on the plateau: ~5; after the fall: ~0.
         assert!(out.value_at(0.5e-9).abs() < 1e-3);
         assert!((out.value_at(2.5e-9) - 5.0).abs() < 0.05);
         assert!(out.value_at(5.0e-9).abs() < 0.1);
         // A time point lands exactly on the pulse start.
         assert!(
-            result.times().iter().any(|&t| (t - 1e-9).abs() < 1e-15),
+            result
+                .axis_values()
+                .iter()
+                .any(|&t| (t - 1e-9).abs() < 1e-15),
             "breakpoint not hit"
         );
     }
@@ -757,7 +755,7 @@ mod tests {
             .unwrap();
         ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-13).unwrap();
         let result = engine().run(&ckt, 0.1e-9, 20e-9).unwrap();
-        let mid = result.waveform("mid").unwrap();
+        let mid = result.curve("mid").unwrap();
         // The node follows the ramp monotonically-ish and ends near 5 V
         // minus the RTD drop across 50 ohms.
         let end = mid.final_value();
@@ -796,7 +794,10 @@ mod tests {
         .unwrap();
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         let columns = result.names().iter().map(|n| result.column(n).unwrap());
-        for x in std::iter::once(result.times()).chain(columns).flatten() {
+        for x in std::iter::once(result.axis_values())
+            .chain(columns)
+            .flatten()
+        {
             for byte in x.to_bits().to_le_bytes() {
                 h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
             }
@@ -818,8 +819,8 @@ mod tests {
         })
         .run(&ckt, 0.05e-9, 5e-9)
         .unwrap();
-        let wb = be.waveform("out").unwrap();
-        let wt = tr.waveform("out").unwrap();
+        let wb = be.curve("out").unwrap();
+        let wt = tr.curve("out").unwrap();
         assert!(wb.rms_difference(&wt) < 0.02, "{}", wb.rms_difference(&wt));
     }
 
@@ -846,8 +847,8 @@ mod tests {
         })
         .run(&ckt, 0.1e-9, 10e-9)
         .unwrap();
-        let a1 = with.waveform("mid").unwrap();
-        let a2 = without.waveform("mid").unwrap();
+        let a1 = with.curve("mid").unwrap();
+        let a2 = without.curve("mid").unwrap();
         assert!(a1.rms_difference(&a2) < 0.05);
     }
 
@@ -865,7 +866,7 @@ mod tests {
         let result = engine()
             .run(&rc_step_circuit(1e3, 1e-12), 0.05e-9, 5e-9)
             .unwrap();
-        let i_v1: Waveform = result.waveform("I(V1)").unwrap();
+        let i_v1: Waveform = result.curve("I(V1)").unwrap();
         // After charging, the source current decays to ~0; early it is
         // ~-1 mA (current flows out of the source's + terminal).
         assert!(i_v1.value_at(0.05e-9) < -0.5e-3);

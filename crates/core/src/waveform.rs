@@ -1,7 +1,4 @@
-//! Waveforms, simulation results, measurements and export.
-
-use crate::report::EngineStats;
-use std::fmt;
+//! Sampled waveforms and their measurements.
 
 /// A sampled signal `(t_k, v_k)` with non-decreasing time stamps.
 ///
@@ -262,273 +259,6 @@ impl Waveform {
     }
 }
 
-/// Result of a transient analysis: shared time axis plus one column per MNA
-/// variable (node voltages first, then branch currents).
-#[derive(Debug, Clone)]
-pub struct TransientResult {
-    times: Vec<f64>,
-    names: Vec<String>,
-    columns: Vec<Vec<f64>>,
-    /// Work accounting for the run.
-    pub stats: EngineStats,
-    /// `Some(t)` when the run died of step-size underflow at `t` and the
-    /// caller opted into the accepted prefix (`allow_partial`).
-    truncated_at: Option<f64>,
-}
-
-impl TransientResult {
-    /// Assembles a result; engines push one row per accepted time point.
-    ///
-    /// # Panics
-    /// Panics if column lengths disagree with the time axis.
-    pub fn new(
-        times: Vec<f64>,
-        names: Vec<String>,
-        columns: Vec<Vec<f64>>,
-        stats: EngineStats,
-    ) -> Self {
-        assert_eq!(names.len(), columns.len(), "one name per column");
-        for c in &columns {
-            assert_eq!(c.len(), times.len(), "column length mismatch");
-        }
-        TransientResult {
-            times,
-            names,
-            columns,
-            stats,
-            truncated_at: None,
-        }
-    }
-
-    /// Assembles a *partial* result whose integration stopped early at
-    /// `at` (step-size underflow with `allow_partial` set); the data is
-    /// the accepted prefix.
-    ///
-    /// # Panics
-    /// Panics if column lengths disagree with the time axis.
-    pub fn new_truncated(
-        times: Vec<f64>,
-        names: Vec<String>,
-        columns: Vec<Vec<f64>>,
-        stats: EngineStats,
-        at: f64,
-    ) -> Self {
-        let mut r = TransientResult::new(times, names, columns, stats);
-        r.truncated_at = Some(at);
-        r
-    }
-
-    /// Whether this result is an accepted prefix of a run that failed.
-    pub fn is_truncated(&self) -> bool {
-        self.truncated_at.is_some()
-    }
-
-    /// The time at which integration gave up, for truncated results.
-    pub fn truncated_at(&self) -> Option<f64> {
-        self.truncated_at
-    }
-
-    /// The time axis.
-    pub fn times(&self) -> &[f64] {
-        &self.times
-    }
-
-    /// Variable names in column order.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Number of accepted time points.
-    pub fn points(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Column index of a named variable.
-    pub fn column_index(&self, name: &str) -> Option<usize> {
-        self.names.iter().position(|n| n == name)
-    }
-
-    /// Raw column data for a variable.
-    pub fn column(&self, name: &str) -> Option<&[f64]> {
-        self.column_index(name).map(|i| self.columns[i].as_slice())
-    }
-
-    /// Extracts a named signal as an owned [`Waveform`].
-    pub fn waveform(&self, name: &str) -> Option<Waveform> {
-        self.column(name)
-            .map(|c| Waveform::from_samples(self.times.clone(), c.to_vec()))
-    }
-
-    /// Writes CSV (`time,var1,var2,...`) to any writer.
-    ///
-    /// # Errors
-    /// Propagates I/O errors from the writer.
-    pub fn write_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        write!(w, "time")?;
-        for n in &self.names {
-            write!(w, ",{n}")?;
-        }
-        writeln!(w)?;
-        for (k, &t) in self.times.iter().enumerate() {
-            write!(w, "{t:.9e}")?;
-            for c in &self.columns {
-                write!(w, ",{:.9e}", c[k])?;
-            }
-            writeln!(w)?;
-        }
-        Ok(())
-    }
-
-    /// CSV as a string (convenience for examples and tests).
-    pub fn to_csv(&self) -> String {
-        let mut buf = Vec::new();
-        self.write_csv(&mut buf).expect("vec write cannot fail");
-        String::from_utf8(buf).expect("csv is utf8")
-    }
-
-    /// Decomposes into `(times, names, columns, stats, truncated_at)` —
-    /// the [`crate::sim::Dataset`] conversion path.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        Vec<f64>,
-        Vec<String>,
-        Vec<Vec<f64>>,
-        EngineStats,
-        Option<f64>,
-    ) {
-        (
-            self.times,
-            self.names,
-            self.columns,
-            self.stats,
-            self.truncated_at,
-        )
-    }
-}
-
-impl fmt::Display for TransientResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "transient: {} vars x {} points, {}",
-            self.names.len(),
-            self.times.len(),
-            self.stats
-        )?;
-        if let Some(at) = self.truncated_at {
-            write!(f, " [truncated at t = {at:.6e}]")?;
-        }
-        Ok(())
-    }
-}
-
-/// Result of a DC sweep: the swept source values plus node voltages and
-/// per-device branch currents at each point.
-#[derive(Debug, Clone)]
-pub struct DcSweepResult {
-    sweep: Vec<f64>,
-    names: Vec<String>,
-    columns: Vec<Vec<f64>>,
-    /// Work accounting for the run.
-    pub stats: EngineStats,
-}
-
-impl DcSweepResult {
-    /// Assembles a sweep result.
-    ///
-    /// # Panics
-    /// Panics if column lengths disagree with the sweep axis.
-    pub fn new(
-        sweep: Vec<f64>,
-        names: Vec<String>,
-        columns: Vec<Vec<f64>>,
-        stats: EngineStats,
-    ) -> Self {
-        assert_eq!(names.len(), columns.len(), "one name per column");
-        for c in &columns {
-            assert_eq!(c.len(), sweep.len(), "column length mismatch");
-        }
-        DcSweepResult {
-            sweep,
-            names,
-            columns,
-            stats,
-        }
-    }
-
-    /// The swept source values.
-    pub fn sweep_values(&self) -> &[f64] {
-        &self.sweep
-    }
-
-    /// Number of sweep points.
-    pub fn points(&self) -> usize {
-        self.sweep.len()
-    }
-
-    /// Variable names in column order (node voltages, then `I(<element>)`
-    /// device currents).
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Raw column for a variable.
-    pub fn column(&self, name: &str) -> Option<&[f64]> {
-        self.names
-            .iter()
-            .position(|n| n == name)
-            .map(|i| self.columns[i].as_slice())
-    }
-
-    /// The sweep as a `(sweep value, column value)` waveform (e.g. an I-V
-    /// curve when the column is a device current), in ascending sweep
-    /// order whichever way the source was swept.
-    pub fn curve(&self, name: &str) -> Option<Waveform> {
-        self.column(name)
-            .map(|c| Waveform::from_sweep(&self.sweep, c))
-    }
-
-    /// Writes CSV (`sweep,var1,...`).
-    ///
-    /// # Errors
-    /// Propagates I/O errors from the writer.
-    pub fn write_csv<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        write!(w, "sweep")?;
-        for n in &self.names {
-            write!(w, ",{n}")?;
-        }
-        writeln!(w)?;
-        for (k, &s) in self.sweep.iter().enumerate() {
-            write!(w, "{s:.9e}")?;
-            for c in &self.columns {
-                write!(w, ",{:.9e}", c[k])?;
-            }
-            writeln!(w)?;
-        }
-        Ok(())
-    }
-
-    /// Decomposes into `(sweep, names, columns, stats)` — the
-    /// [`crate::sim::Dataset`] conversion path.
-    pub(crate) fn into_parts(self) -> (Vec<f64>, Vec<String>, Vec<Vec<f64>>, EngineStats) {
-        (self.sweep, self.names, self.columns, self.stats)
-    }
-}
-
-impl fmt::Display for DcSweepResult {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "dc sweep: {} vars x {} points, {}",
-            self.names.len(),
-            self.sweep.len(),
-            self.stats
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -643,44 +373,5 @@ mod tests {
         let p = ramp().ascii_plot(8, 40);
         assert!(p.contains('*'));
         assert!(p.lines().count() >= 10);
-    }
-
-    #[test]
-    fn transient_result_roundtrip() {
-        let mut stats = EngineStats::new();
-        stats.steps = 3;
-        let r = TransientResult::new(
-            vec![0.0, 1e-9, 2e-9],
-            vec!["out".into(), "I(V1)".into()],
-            vec![vec![0.0, 2.5, 5.0], vec![0.0, -1e-3, -2e-3]],
-            stats,
-        );
-        assert_eq!(r.points(), 3);
-        assert_eq!(r.column_index("out"), Some(0));
-        assert_eq!(r.column("I(V1)").unwrap()[2], -2e-3);
-        let w = r.waveform("out").unwrap();
-        assert_eq!(w.final_value(), 5.0);
-        let csv = r.to_csv();
-        assert!(csv.starts_with("time,out,I(V1)"));
-        assert_eq!(csv.lines().count(), 4);
-        assert!(r.to_string().contains("2 vars x 3 points"));
-        assert!(r.waveform("nope").is_none());
-    }
-
-    #[test]
-    fn dc_sweep_result_roundtrip() {
-        let r = DcSweepResult::new(
-            vec![0.0, 0.5, 1.0],
-            vec!["mid".into(), "I(X1)".into()],
-            vec![vec![0.0, 0.4, 0.9], vec![0.0, 1e-3, 2e-3]],
-            EngineStats::new(),
-        );
-        assert_eq!(r.points(), 3);
-        let iv = r.curve("I(X1)").unwrap();
-        assert_eq!(iv.value_at(0.25), 0.5e-3);
-        let mut buf = Vec::new();
-        r.write_csv(&mut buf).unwrap();
-        assert!(String::from_utf8(buf).unwrap().starts_with("sweep,mid"));
-        assert!(r.to_string().contains("dc sweep"));
     }
 }

@@ -243,7 +243,7 @@ proptest! {
         let result = SwecTransient::new(SwecOptions::default())
             .run(&ckt, tau / 10.0, 5.0 * tau)
             .unwrap();
-        let out = result.waveform("out").unwrap();
+        let out = result.curve("out").unwrap();
         let expected = vstep * (1.0 - (-5.0f64).exp());
         prop_assert!(
             (out.final_value() - expected).abs() < 0.02 * vstep,
@@ -332,7 +332,7 @@ proptest! {
         let result = SwecTransient::new(SwecOptions::default())
             .run(&ckt, 0.1e-9, 20e-9)
             .unwrap();
-        let mid = result.waveform("mid").unwrap();
+        let mid = result.curve("mid").unwrap();
         for &v in mid.values() {
             prop_assert!(v >= -0.05 && v <= vtop + 0.05, "v={v} outside [0, {vtop}]");
         }

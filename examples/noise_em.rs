@@ -34,11 +34,11 @@ fn main() -> Result<(), SimError> {
     let mut rng = Pcg64::seed_from_u64(777);
     let path = WienerPath::generate(horizon, 500, &mut rng);
     let em_path = engine.run_with_paths(&circuit, &[path.clone()])?;
-    let em_v = em_path.waveform("v").expect("node exists");
+    let em_v = em_path.curve("v").expect("node exists");
 
     let ou = OrnsteinUhlenbeck::from_rc_node(g, c, i_dc, i_noise);
     let reference = ou.pathwise_reference(0.0, &path, 4, &mut rng);
-    let ref_wave = Waveform::from_samples(em_path.times().to_vec(), reference);
+    let ref_wave = Waveform::from_samples(em_path.axis_values().to_vec(), reference);
 
     println!("Figure 10 — EM (one realization) vs true solution, 0..1 ns:");
     println!("{}", em_v.ascii_plot(12, 64));

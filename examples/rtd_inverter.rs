@@ -36,7 +36,7 @@ fn main() -> Result<(), SimError> {
     if let Some((t, outcome)) = nr.failures.first() {
         println!("first failure at t = {:.2} ns: {:?}", t * 1e9, outcome);
     }
-    let nr_out = nr.result.waveform("out").expect("node exists");
+    let nr_out = nr.result.curve("out").expect("node exists");
     println!(
         "NR-vs-SWEC rms difference: {:.3} V{}",
         nr_out.rms_difference(&out),

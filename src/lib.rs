@@ -87,7 +87,7 @@ pub mod prelude {
     pub use nanosim_core::swec::{DcMode, IntegrationMethod, SwecOptions};
     pub use nanosim_core::OrderingChoice;
     pub use nanosim_core::{Budget, BudgetStop, CancelToken, SimError};
-    pub use nanosim_core::{DcSweepResult, EngineStats, TransientResult, Waveform};
+    pub use nanosim_core::{EngineStats, Waveform};
     pub use nanosim_core::{HealthVerdict, RescueOptions, RescueRung, RescueTrace};
     pub use nanosim_devices::mosfet::{MosType, Mosfet, MosfetParams};
     pub use nanosim_devices::nanowire::{Nanowire, NanowireParams};
@@ -98,10 +98,9 @@ pub mod prelude {
     pub use nanosim_numeric::fault::{Fault, FaultPlan};
     pub use nanosim_numeric::FlopCounter;
 
-    // The engine types predating the session API (`SwecDcSweep`,
-    // `SwecTransient`, `EmEngine`, `MlaEngine`, `PwlEngine`) were
-    // deprecated here for one release and are now gone from the prelude.
-    // They remain available under `nanosim::core::{swec, em, mla, pwl}`
-    // for engine-level comparisons and failure forensics; new code should
-    // go through `Simulator::run(Analysis::...)`.
+    // The engine types (`SwecDcSweep`, `SwecTransient`, `EmEngine`,
+    // `MlaEngine`, `PwlEngine`) are not in the prelude. They live under
+    // `nanosim::core::{swec, em, mla, pwl}` for engine-level comparisons
+    // and failure forensics, and return the same `Dataset` as
+    // `Simulator::run(Analysis::...)`, which new code should go through.
 }

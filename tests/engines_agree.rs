@@ -36,9 +36,9 @@ fn all_engines_agree_on_linear_rc() {
     let pwl = PwlEngine::new(PwlOptions::default())
         .run_transient(&ckt, tstep, tstop)
         .unwrap();
-    let s = swec.waveform("out").unwrap();
-    let n = nr.result.waveform("out").unwrap();
-    let p = pwl.waveform("out").unwrap();
+    let s = swec.curve("out").unwrap();
+    let n = nr.result.curve("out").unwrap();
+    let p = pwl.curve("out").unwrap();
     assert!(
         s.rms_difference(&n) < 5e-3,
         "swec vs nr: {}",
@@ -96,7 +96,7 @@ fn swec_succeeds_where_plain_nr_fails() {
     let swec = SwecTransient::new(SwecOptions::default())
         .run(&ckt, tstep, tstop)
         .unwrap();
-    let out = swec.waveform("out").unwrap();
+    let out = swec.curve("out").unwrap();
     assert!(out.values().iter().all(|v| v.is_finite()));
 }
 
@@ -147,7 +147,7 @@ fn netlist_deck_runs_end_to_end() {
     let r = SwecTransient::new(SwecOptions::default())
         .run(&deck.circuit, tstep, tstop)
         .unwrap();
-    let mid = r.waveform("mid").unwrap();
+    let mid = r.curve("mid").unwrap();
     // Ramp to 5 V: the RTD ends up past its peak.
     assert!(mid.final_value() > 4.0);
     // And the deck's device is the same model as the builder's.
@@ -175,7 +175,7 @@ fn integration_methods_agree_on_smooth_problem() {
     })
     .run(&ckt, 0.05e-9, 5e-9)
     .unwrap();
-    let a = be.waveform("out").unwrap();
-    let b = tr.waveform("out").unwrap();
+    let a = be.curve("out").unwrap();
+    let b = tr.curve("out").unwrap();
     assert!(a.rms_difference(&b) < 0.01);
 }

@@ -144,7 +144,7 @@ fn dc_sweep_never_passes_stop() {
                 SwecDcSweep::new(SwecOptions::default())
                     .run(&ckt, "V1", 0.0, stop, step)
                     .unwrap()
-                    .sweep_values()
+                    .axis_values()
                     .to_vec(),
             ),
             (
@@ -162,7 +162,7 @@ fn dc_sweep_never_passes_stop() {
                     .run_dc_sweep(&ckt, "V1", 0.0, stop, step)
                     .unwrap()
                     .sweep
-                    .sweep_values()
+                    .axis_values()
                     .to_vec(),
             ),
             (
@@ -170,7 +170,7 @@ fn dc_sweep_never_passes_stop() {
                 PwlEngine::new(PwlOptions::default())
                     .run_dc_sweep(&ckt, "V1", 0.0, stop, step)
                     .unwrap()
-                    .sweep_values()
+                    .axis_values()
                     .to_vec(),
             ),
         ];
@@ -240,7 +240,7 @@ fn transient_of_pure_resistive_circuit_works() {
     let r = SwecTransient::new(SwecOptions::default())
         .run(&ckt, 0.05e-9, 2e-9)
         .unwrap();
-    let out = r.waveform("b").unwrap();
+    let out = r.curve("b").unwrap();
     assert!((out.final_value() - 0.5).abs() < 1e-9);
 }
 
@@ -276,7 +276,7 @@ fn near_instant_source_step_survives() {
     let r = SwecTransient::new(SwecOptions::default())
         .run(&ckt, 0.05e-9, 2e-9)
         .unwrap();
-    let out = r.waveform("out").unwrap();
+    let out = r.curve("out").unwrap();
     assert!(out.values().iter().all(|v| v.is_finite()));
     assert!((out.final_value() - 5.0).abs() < 0.01);
     // ~63% at one time constant after the edge.
@@ -308,7 +308,7 @@ fn dv_max_guard_bounds_rtd_branch_voltage_steps() {
     let opts = SwecOptions::default();
     let dv_max = opts.dv_max;
     let r = SwecTransient::new(opts).run(&ckt, 0.05e-9, 5e-9).unwrap();
-    let mid = r.waveform("mid").unwrap();
+    let mid = r.curve("mid").unwrap();
     for w in mid.values().windows(2) {
         assert!(
             (w[1] - w[0]).abs() <= dv_max + 1e-9,

@@ -328,9 +328,9 @@ fn nr_budget_stop_between_rungs_keeps_partial_trace() {
 // ---------------------------------------------------------------------------
 
 /// Digest of a sweep result: axis, every column, then the counters.
-fn sweep_digest(r: &DcSweepResult) -> u64 {
+fn sweep_digest(r: &Dataset) -> u64 {
     let mut d = Digest::new();
-    d.floats(r.sweep_values());
+    d.floats(r.axis_values());
     for name in r.names() {
         d.text(name);
         d.floats(r.column(name).unwrap());
@@ -341,7 +341,7 @@ fn sweep_digest(r: &DcSweepResult) -> u64 {
 }
 
 /// The 251-point Figure 7(a) sweep through the serial SWEC engine.
-fn fig7a_serial(mode: DcMode) -> DcSweepResult {
+fn fig7a_serial(mode: DcMode) -> Dataset {
     let r = SwecDcSweep::new(SwecOptions {
         dc_mode: mode,
         ..SwecOptions::default()
