@@ -252,6 +252,62 @@ fn param_spread_ensemble_digest_is_pinned() {
     }
 }
 
+/// FNV-1a over a session EM dataset: the time axis, then every column in
+/// name order (means, then `std(..)` envelopes), each node's column
+/// followed by its running-maximum summary and the exceedance of its mean
+/// peak.
+fn dataset_digest(ds: &Dataset) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut eat = |xs: &[f64]| {
+        for x in xs {
+            for byte in x.to_bits().to_le_bytes() {
+                h = (h ^ u64::from(byte)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        }
+    };
+    eat(ds.axis_values());
+    for name in ds.names() {
+        eat(ds.column(name).unwrap());
+        // Only node columns carry per-path maxima; `std(..)` columns do not.
+        if let Some(peak) = ds.peak_summary(name) {
+            eat(&[peak.mean_peak, peak.p95_peak, peak.worst_peak]);
+            eat(&[ds.exceedance(name, peak.mean_peak).unwrap()]);
+        }
+    }
+    h
+}
+
+/// The spread ensemble as the session returns it is pinned bit for bit:
+/// the same 21 paths x 100 steps with 5 % spread, through
+/// `Simulator::run` serially and sharded over two workers.
+#[test]
+fn param_spread_session_dataset_digest_is_pinned() {
+    const PINNED: u64 = 0x88e4_7f3e_0b12_8031;
+    let mut sim = Simulator::new(coupled_rc_pair()).unwrap();
+    for plan in [ExecPlan::Serial, ExecPlan::sharded(2)] {
+        let ds = sim
+            .run(
+                Analysis::em_ensemble(1e-10)
+                    .options(EmOptions {
+                        dt: 1e-12,
+                        paths: 21,
+                        seed: 0x5EED_0005,
+                        param_spread: 0.05,
+                        ..EmOptions::default()
+                    })
+                    .plan(plan),
+            )
+            .unwrap();
+        assert_eq!(ds.stats.batched_factors, 3);
+        assert_eq!(ds.paths(), 21);
+        let digest = dataset_digest(&ds);
+        assert_eq!(
+            digest, PINNED,
+            "spread session dataset digest {digest:#018x} under {plan:?}"
+        );
+    }
+}
+
 /// EM ensembles with per-path parameter spread factor each chunk's `C`
 /// matrices once and reuse them for every step: at least 1.3× fewer
 /// factor flops per path than a shared solver re-refactoring at every
