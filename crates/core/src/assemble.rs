@@ -522,6 +522,20 @@ pub(crate) fn whole_steps(span: f64, step: f64) -> f64 {
     (steps + 1e-9 * steps.max(1.0)).floor()
 }
 
+/// Checks a transient window: `0 < tstep <= tstop`.
+///
+/// # Errors
+/// [`crate::SimError::InvalidConfig`] for any other window.
+pub(crate) fn check_transient_window(tstep: f64, tstop: f64) -> crate::Result<()> {
+    if tstep > 0.0 && tstop > 0.0 && tstep <= tstop {
+        Ok(())
+    } else {
+        Err(crate::SimError::InvalidConfig {
+            context: format!("transient needs 0 < tstep <= tstop (got {tstep}, {tstop})"),
+        })
+    }
+}
+
 /// Number of points of a DC sweep from `start` to `stop` (inclusive) in
 /// increments of `step`. Like SPICE `.DC`, the sweep never passes `stop`
 /// (see [`whole_steps`]).

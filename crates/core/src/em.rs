@@ -17,8 +17,9 @@
 //! nonlinear nano-devices are handled exactly as the paper notes ("Since G
 //! is time variant, Equation (13) also includes cases with the nonlinear
 //! nanodevices"). The engine factors `C` once, runs an ensemble of Wiener
-//! paths, and reports per-node mean/std envelopes, a sample path, and
-//! running-maximum ("peak performance") statistics.
+//! paths, and returns one [`AnalysisKind::Em`] [`Dataset`]: per-node mean
+//! and `std(<name>)` envelopes over the time axis, plus the per-path
+//! running maxima behind its "peak performance" statistics.
 //!
 //! **Parallelism and determinism.** Monte-Carlo paths are independent, so
 //! the ensemble executes on a scoped-thread worker pool
@@ -51,13 +52,12 @@ use crate::assemble::{
 };
 use crate::report::EngineStats;
 use crate::sim::{AnalysisKind, Axis, Dataset};
-use crate::waveform::Waveform;
 use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
 use nanosim_numeric::parallel::try_par_map;
 use nanosim_numeric::rng::Pcg64;
 use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice, PivotStrategy, SparseLu};
-use nanosim_numeric::stats::{percentile, RunningStats};
+use nanosim_numeric::stats::RunningStats;
 use nanosim_numeric::{BudgetMeter, FlopCounter};
 use nanosim_sde::wiener::WienerPath;
 use std::time::Instant;
@@ -76,9 +76,6 @@ pub struct EmOptions {
     pub paths: usize,
     /// RNG seed (runs are reproducible).
     pub seed: u64,
-    /// Re-evaluate nonlinear `Geq` every step (`true`) or freeze it at the
-    /// initial state (`false`, linear-circuit fast path).
-    pub update_geq: bool,
     /// Parallel conductance across nonlinear devices.
     pub gmin: f64,
     /// Worker threads for the ensemble: `0` = one per hardware thread,
@@ -104,7 +101,6 @@ impl Default for EmOptions {
             dt: 1e-12,
             paths: 200,
             seed: 0x5eed_cafe,
-            update_geq: true,
             gmin: 1e-12,
             threads: 0,
             param_spread: 0.0,
@@ -121,112 +117,6 @@ pub struct PeakSummary {
     pub p95_peak: f64,
     /// Largest maximum seen in the ensemble.
     pub worst_peak: f64,
-}
-
-/// Ensemble result of a stochastic transient.
-#[derive(Debug, Clone)]
-pub struct EmResult {
-    times: Vec<f64>,
-    names: Vec<String>,
-    mean: Vec<Vec<f64>>,
-    std_dev: Vec<Vec<f64>>,
-    maxima: Vec<Vec<f64>>,
-    sample: Dataset,
-    /// Work accounting over the whole ensemble.
-    pub stats: EngineStats,
-}
-
-impl EmResult {
-    /// The shared time axis.
-    pub fn times(&self) -> &[f64] {
-        &self.times
-    }
-
-    /// Node/variable names.
-    pub fn names(&self) -> &[String] {
-        &self.names
-    }
-
-    /// Number of paths simulated.
-    pub fn paths(&self) -> usize {
-        self.maxima.first().map_or(0, Vec::len)
-    }
-
-    /// Ensemble-mean waveform of a node.
-    pub fn mean_waveform(&self, name: &str) -> Option<Waveform> {
-        let i = self.names.iter().position(|n| n == name)?;
-        Some(Waveform::from_samples(
-            self.times.clone(),
-            self.mean[i].clone(),
-        ))
-    }
-
-    /// Ensemble standard-deviation envelope of a node.
-    pub fn std_waveform(&self, name: &str) -> Option<Waveform> {
-        let i = self.names.iter().position(|n| n == name)?;
-        Some(Waveform::from_samples(
-            self.times.clone(),
-            self.std_dev[i].clone(),
-        ))
-    }
-
-    /// The first simulated path (the "one realization" plotted in
-    /// Figure 10), as a transient dataset tagged "em".
-    pub fn sample_path(&self) -> &Dataset {
-        &self.sample
-    }
-
-    /// Running-maximum statistics of a node over the ensemble.
-    pub fn peak_summary(&self, name: &str) -> Option<PeakSummary> {
-        let i = self.names.iter().position(|n| n == name)?;
-        peak_summary_of(&self.maxima[i])
-    }
-
-    /// Fraction of paths whose running maximum of `name` reached `level`.
-    pub fn exceedance(&self, name: &str, level: f64) -> Option<f64> {
-        let i = self.names.iter().position(|n| n == name)?;
-        Some(exceedance_of(&self.maxima[i], level))
-    }
-
-    /// Decomposes into `(times, names, mean, std_dev, maxima, stats)` — the
-    /// [`crate::sim::Dataset`] conversion path (the sample path is dropped).
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_parts(
-        self,
-    ) -> (
-        Vec<f64>,
-        Vec<String>,
-        Vec<Vec<f64>>,
-        Vec<Vec<f64>>,
-        Vec<Vec<f64>>,
-        EngineStats,
-    ) {
-        (
-            self.times,
-            self.names,
-            self.mean,
-            self.std_dev,
-            self.maxima,
-            self.stats,
-        )
-    }
-}
-
-/// [`PeakSummary`] of one variable's per-path running maxima (shared by
-/// [`EmResult`] and [`crate::sim::Dataset`] so the two stay in lockstep).
-pub(crate) fn peak_summary_of(maxima: &[f64]) -> Option<PeakSummary> {
-    let stats: RunningStats = maxima.iter().copied().collect();
-    Some(PeakSummary {
-        mean_peak: stats.mean(),
-        p95_peak: percentile(maxima, 0.95)?,
-        worst_peak: stats.max(),
-    })
-}
-
-/// Fraction of per-path maxima at or above `level`.
-pub(crate) fn exceedance_of(maxima: &[f64], level: f64) -> f64 {
-    let hits = maxima.iter().filter(|&&m| m >= level).count();
-    hits as f64 / maxima.len() as f64
 }
 
 /// The Euler–Maruyama circuit engine.
@@ -285,12 +175,17 @@ impl EmEngine {
     /// [`EmOptions::dt`], never past `horizon`, distributing paths over
     /// [`EmOptions::threads`] workers. Statistics stream through
     /// per-chunk Welford accumulators merged in chunk order, so no path
-    /// series is ever materialized beyond the recorded sample path and the
-    /// result is bit-identical at any thread count.
+    /// series is ever materialized and the result is bit-identical at any
+    /// thread count.
+    ///
+    /// Returns an [`AnalysisKind::Em`] dataset tagged "em": one mean column
+    /// per MNA variable, then one `std(<name>)` envelope per variable, with
+    /// the per-path running maxima behind [`Dataset::peak_summary`] and
+    /// [`Dataset::exceedance`].
     ///
     /// # Errors
     /// Fails on unsupported circuits, invalid options or singular matrices.
-    pub fn run(&self, circuit: &Circuit, horizon: f64) -> Result<EmResult> {
+    pub fn run(&self, circuit: &Circuit, horizon: f64) -> Result<Dataset> {
         if !(self.opts.dt > 0.0 && horizon > self.opts.dt) {
             return Err(SimError::InvalidConfig {
                 context: format!(
@@ -322,12 +217,12 @@ impl EmEngine {
         let mut stats = EngineStats::new();
         let mut flops = FlopCounter::new();
 
-        // The result shape (mean + std-dev + sample series, per-path
+        // The result shape (time axis, mean and std-dev columns, per-path
         // maxima) is known up front: charge it before any path work so a
         // byte budget too small for the ensemble fails immediately and
         // identically at every worker count.
         let mut run_meter = self.meter.fork();
-        let result_f64s = (steps as u64 + 1) * (1 + 3 * dim as u64) + (paths as u64) * dim as u64;
+        let result_f64s = (steps as u64 + 1) * (1 + 2 * dim as u64) + (paths as u64) * dim as u64;
         run_meter.charge_bytes(8 * result_f64s).map_err(|stop| {
             SimError::budget_exceeded(
                 stop,
@@ -356,7 +251,6 @@ impl EmEngine {
         } else {
             None
         };
-        let names = mna_var_names(&mats.mna);
         let times: Vec<f64> = (0..=steps).map(|k| k as f64 * self.opts.dt).collect();
 
         // Per-path generators derived up front in path order: the stream of
@@ -384,7 +278,6 @@ impl EmEngine {
         // and concatenate per-path maxima, both in chunk order.
         let mut welford = vec![RunningStats::new(); dim * (steps + 1)];
         let mut maxima: Vec<Vec<f64>> = vec![Vec::with_capacity(paths); dim];
-        let mut sample_columns: Vec<Vec<f64>> = Vec::new();
         for chunk in &chunks {
             for (total, part) in welford.iter_mut().zip(chunk.welford.iter()) {
                 total.merge(part);
@@ -394,47 +287,32 @@ impl EmEngine {
             }
             stats.merge(&chunk.stats);
         }
-        if let Some(cols) = chunks.into_iter().next().and_then(|c| c.sample) {
-            sample_columns = cols;
-        }
 
-        let mean: Vec<Vec<f64>> = (0..dim)
-            .map(|i| {
-                welford[i * (steps + 1)..(i + 1) * (steps + 1)]
-                    .iter()
-                    .map(RunningStats::mean)
-                    .collect()
-            })
+        // Columns: every variable's mean, then every variable's std-dev.
+        let envelope = |f: fn(&RunningStats) -> f64| {
+            welford
+                .chunks(steps + 1)
+                .map(move |series| series.iter().map(f).collect::<Vec<f64>>())
+        };
+        let columns = envelope(RunningStats::mean)
+            .chain(envelope(RunningStats::std_dev))
             .collect();
-        let std_dev: Vec<Vec<f64>> = (0..dim)
-            .map(|i| {
-                welford[i * (steps + 1)..(i + 1) * (steps + 1)]
-                    .iter()
-                    .map(RunningStats::std_dev)
-                    .collect()
-            })
-            .collect();
+        let mut names = mna_var_names(&mats.mna);
+        let std_names: Vec<String> = names.iter().map(|n| format!("std({n})")).collect();
+        names.extend(std_names);
 
         stats.flops += flops;
         stats.steps = steps * paths;
         stats.elapsed = t0.elapsed();
-        let sample = Dataset::new(
-            AnalysisKind::Tran,
+        Ok(Dataset::new(
+            AnalysisKind::Em,
             "em",
-            Axis::Time(times.clone()),
-            names.clone(),
-            sample_columns,
-            EngineStats::new(),
-        );
-        Ok(EmResult {
-            times,
+            Axis::Time(times),
             names,
-            mean,
-            std_dev,
-            maxima,
-            sample,
+            columns,
             stats,
-        })
+        )
+        .with_maxima(maxima))
     }
 
     /// Integrates a single realization along caller-provided Wiener paths
@@ -507,8 +385,7 @@ impl EmEngine {
     /// Simulates one chunk of consecutive paths (global indices
     /// `lo..lo + path_rngs.len()`), streaming every sample into chunk-local
     /// Welford accumulators (`welford[i * (steps+1) + k]`) and per-path
-    /// running maxima. The first chunk (`lo == 0`) captures the first
-    /// path's series (the Figure 10 "one realization").
+    /// running maxima.
     ///
     /// Paths advance in **lockstep**: at each time step every path's
     /// right-hand side is assembled (each with its own generator and
@@ -532,7 +409,6 @@ impl EmEngine {
         variation: Option<&PathVariation>,
         meter: &BudgetMeter,
     ) -> Result<ChunkStats> {
-        let record_sample = lo == 0;
         let dim = mats.mna.dim();
         let npaths = path_rngs.len();
         let sqrt_dt = self.opts.dt.sqrt();
@@ -566,7 +442,6 @@ impl EmEngine {
         };
         let mut welford = vec![RunningStats::new(); dim * (steps + 1)];
         let mut maxima: Vec<Vec<f64>> = vec![Vec::with_capacity(npaths); dim];
-        let mut sample: Option<Vec<Vec<f64>>> = None;
 
         // Per-path evolution state; the assembly workspace and scratch
         // vectors in `state` are shared across paths (re-stamped per
@@ -578,14 +453,11 @@ impl EmEngine {
         let mut delta_block: Vec<f64> = Vec::new();
         let mut solve_work: Vec<f64> = Vec::new();
 
-        for (p, (x, mv)) in xs.iter().zip(max_v.iter_mut()).enumerate() {
+        for (x, mv) in xs.iter().zip(max_v.iter_mut()) {
             for (i, m) in mv.iter_mut().enumerate() {
                 let v = x[i];
                 welford[i * (steps + 1)].push(v);
                 *m = v;
-            }
-            if record_sample && p == 0 {
-                sample = Some((0..dim).map(|i| vec![x[i]]).collect());
             }
         }
         for k in 0..steps {
@@ -643,13 +515,6 @@ impl EmEngine {
                         mv[i] = v;
                     }
                 }
-                if p == 0 {
-                    if let Some(cols) = sample.as_mut() {
-                        for (i, c) in cols.iter_mut().enumerate() {
-                            c.push(x[i]);
-                        }
-                    }
-                }
             }
             flops.add((dim * npaths) as u64);
         }
@@ -662,7 +527,6 @@ impl EmEngine {
         Ok(ChunkStats {
             welford,
             maxima,
-            sample,
             stats,
         })
     }
@@ -689,12 +553,8 @@ impl EmEngine {
         state.ws.begin();
         for (i, b) in mna.nonlinear_bindings().iter().enumerate() {
             let v = branch_voltage(&state.x, b.var_plus, b.var_minus);
-            let geq = if self.opts.update_geq {
-                stats.device_evals += 1;
-                b.device.equivalent_conductance(v, flops) + self.opts.gmin
-            } else {
-                self.opts.gmin
-            };
+            let geq = b.device.equivalent_conductance(v, flops) + self.opts.gmin;
+            stats.device_evals += 1;
             state.ws.stamp_nonlinear(i, geq);
         }
         for (k, m) in mna.mosfet_bindings().iter().enumerate() {
@@ -826,8 +686,6 @@ struct ChunkStats {
     welford: Vec<RunningStats>,
     /// Per-variable running maxima, one entry per path in the chunk.
     maxima: Vec<Vec<f64>>,
-    /// The first path's series (only from the first chunk).
-    sample: Option<Vec<Vec<f64>>>,
     /// Work accounting of the chunk.
     stats: EngineStats,
 }
@@ -938,7 +796,7 @@ mod tests {
         assert!(serial.stats.factor_flops > 0);
         // Spread jitters C and scales G per path: with drive the paths now
         // disagree even before noise does.
-        let sd = serial.std_waveform("v").unwrap();
+        let sd = serial.std_curve("v").unwrap();
         assert!(sd.final_value() > 0.0);
         for threads in [2, 3, 8] {
             let par = EmEngine::new(EmOptions {
@@ -948,9 +806,8 @@ mod tests {
             .run(&ckt, 1e-10)
             .unwrap();
             for name in par.names() {
-                let a = serial.mean_waveform(name).unwrap();
-                let b = par.mean_waveform(name).unwrap();
-                assert_eq!(a.values(), b.values(), "threads={threads} {name}");
+                let (a, b) = (serial.column(name), par.column(name));
+                assert_eq!(a, b, "threads={threads} {name}");
             }
         }
     }
@@ -984,7 +841,7 @@ mod tests {
         });
         let r = engine.run(&ckt, 3e-9).unwrap();
         let ou = ou_equivalent(sigma_i, 0.0);
-        let sd = r.std_waveform("v").unwrap();
+        let sd = r.std_curve("v").unwrap();
         let expected_sd = ou.variance(3e-9).sqrt();
         let got = sd.final_value();
         assert!(
@@ -992,7 +849,7 @@ mod tests {
             "sd {got} vs {expected_sd}"
         );
         // Mean stays near zero.
-        let mean = r.mean_waveform("v").unwrap();
+        let mean = r.curve("v").unwrap();
         assert!(mean.final_value().abs() < 0.2 * expected_sd);
         assert_eq!(r.paths(), 400);
     }
@@ -1007,14 +864,14 @@ mod tests {
             ..EmOptions::default()
         });
         let r = engine.run(&ckt, 5e-9).unwrap();
-        let mean = r.mean_waveform("v").unwrap();
+        let mean = r.curve("v").unwrap();
         assert!(
             (mean.final_value() - 1.0).abs() < 0.02,
             "{}",
             mean.final_value()
         );
         // All paths identical without noise.
-        let sd = r.std_waveform("v").unwrap();
+        let sd = r.std_curve("v").unwrap();
         assert!(sd.final_value() < 1e-12);
     }
 
@@ -1078,7 +935,8 @@ mod tests {
         // A noisy node loaded by an RTD: "Since G is time variant, Equation
         // (13) also includes cases with the nonlinear nanodevices" (§4.1).
         // Drive the node near 1 V where the RTD conducts strongly; the
-        // mean must settle where I_rtd(v) + v/R = i_dc.
+        // mean must settle where I_rtd(v) + v/R = i_dc, which it only does
+        // because `Geq` is re-evaluated at every step.
         use nanosim_devices::rtd::Rtd;
         use nanosim_devices::traits::NonlinearTwoTerminal as _;
         let mut ckt = Circuit::new();
@@ -1101,7 +959,9 @@ mod tests {
             ..EmOptions::default()
         });
         let r = engine.run(&ckt, 3e-9).unwrap();
-        let v_end = r.mean_waveform("v").unwrap().final_value();
+        // One `Geq` evaluation per path per step.
+        assert_eq!(r.stats.device_evals, r.stats.steps as u64);
+        let v_end = r.curve("v").unwrap().final_value();
         // Self-consistency of the mean operating point.
         let mut f = nanosim_numeric::FlopCounter::new();
         let residual = Rtd::date2005().current(v_end, &mut f) + v_end / 1e3 - 8e-3;
@@ -1109,37 +969,6 @@ mod tests {
             residual.abs() < 8e-4,
             "operating point residual {residual} at v = {v_end}"
         );
-        // Frozen-Geq mode solves the same circuit but linearized at 0 —
-        // a different (higher) voltage, demonstrating the update matters.
-        let frozen = EmEngine::new(EmOptions {
-            dt: 2e-12,
-            paths: 20,
-            seed: 11,
-            update_geq: false,
-            ..EmOptions::default()
-        });
-        let rf = frozen.run(&ckt, 3e-9).unwrap();
-        let v_frozen = rf.mean_waveform("v").unwrap().final_value();
-        assert!(
-            (v_frozen - v_end).abs() > 0.05,
-            "frozen {v_frozen} vs updated {v_end} should differ"
-        );
-    }
-
-    #[test]
-    fn sample_path_is_recorded() {
-        let ckt = noisy_rc(1e-9, 0.0);
-        let engine = EmEngine::new(EmOptions {
-            dt: 1e-11,
-            paths: 5,
-            ..EmOptions::default()
-        });
-        let r = engine.run(&ckt, 1e-9).unwrap();
-        assert_eq!(r.sample_path().points(), r.times().len());
-        assert_eq!(r.names(), r.sample_path().names());
-        assert_eq!(r.sample_path().axis_values(), r.times());
-        assert_eq!(r.sample_path().kind(), AnalysisKind::Tran);
-        assert_eq!(r.sample_path().engine(), "em");
     }
 
     #[test]
@@ -1157,7 +986,7 @@ mod tests {
         // step before it: 1 ns in steps of 0.4 ns ends at 0.8 ns.
         let r = run(1e-9, 0.4e-9);
         assert_eq!(r.stats.steps, 2 * 2);
-        assert_eq!(r.times(), &[0.0, 0.4e-9, 0.8e-9]);
+        assert_eq!(r.axis_values(), &[0.0, 0.4e-9, 0.8e-9]);
         let opts = EmOptions {
             dt: 0.4e-9,
             paths: 2,
@@ -1165,12 +994,12 @@ mod tests {
         };
         let mut sim = Simulator::new(ckt.clone()).unwrap();
         let ds = sim.run(Analysis::em_ensemble(1e-9).options(opts)).unwrap();
-        assert_eq!(ds.axis_values(), r.times());
+        assert_eq!(ds.axis_values(), r.axis_values());
         // Whole step counts are kept despite rounding in horizon / dt.
         for (dt, steps) in [(1e-11, 100), (1e-12, 1000), (5e-12, 200)] {
             let r = run(1e-9, dt);
-            assert_eq!(r.times().len(), steps + 1, "dt {dt}");
-            assert!(*r.times().last().unwrap() <= 1e-9 * (1.0 + 1e-9));
+            assert_eq!(r.points(), steps + 1, "dt {dt}");
+            assert!(*r.axis_values().last().unwrap() <= 1e-9 * (1.0 + 1e-9));
         }
     }
 }

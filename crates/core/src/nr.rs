@@ -18,8 +18,8 @@
 //! [`EngineStats`].
 
 use crate::assemble::{
-    branch_voltage, charge_sweep, mna_var_names, override_source_rhs, require_sweepable_source,
-    sweep_columns, sweep_points, AssemblyWorkspace, CircuitMatrices,
+    branch_voltage, charge_sweep, check_transient_window, mna_var_names, override_source_rhs,
+    require_sweepable_source, sweep_columns, sweep_points, AssemblyWorkspace, CircuitMatrices,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
@@ -357,11 +357,7 @@ impl NrEngine {
         tstep: f64,
         tstop: f64,
     ) -> Result<NrTransientResult> {
-        if !(tstep > 0.0 && tstop > 0.0 && tstep <= tstop) {
-            return Err(SimError::InvalidConfig {
-                context: format!("transient needs 0 < tstep <= tstop (got {tstep}, {tstop})"),
-            });
-        }
+        check_transient_window(tstep, tstop)?;
         let t0 = Instant::now();
         let mats = CircuitMatrices::new(circuit)?;
         let mna = &mats.mna;

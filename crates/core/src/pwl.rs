@@ -12,8 +12,8 @@
 //! current stepping approach" of \[2\]).
 
 use crate::assemble::{
-    branch_voltage, mna_var_names, override_source_rhs, require_sweepable_source, sweep_points,
-    CircuitMatrices,
+    branch_voltage, charge_sweep, check_transient_window, mna_var_names, override_source_rhs,
+    require_sweepable_source, sweep_points, CircuitMatrices,
 };
 use crate::report::EngineStats;
 use crate::sim::{AnalysisKind, Axis, Dataset};
@@ -22,7 +22,7 @@ use nanosim_circuit::element::SharedDevice;
 use nanosim_circuit::{Circuit, MnaSystem};
 use nanosim_numeric::interp::PwlFunction;
 use nanosim_numeric::sparse::SparseLu;
-use nanosim_numeric::FlopCounter;
+use nanosim_numeric::{BudgetMeter, FlopCounter};
 use std::time::Instant;
 
 /// A piecewise-linear tabulation of a device I-V curve.
@@ -128,12 +128,25 @@ impl Default for PwlOptions {
 #[derive(Debug, Clone, Default)]
 pub struct PwlEngine {
     opts: PwlOptions,
+    meter: BudgetMeter,
 }
 
 impl PwlEngine {
     /// Creates the engine with the given options.
     pub fn new(opts: PwlOptions) -> Self {
-        PwlEngine { opts }
+        PwlEngine {
+            opts,
+            meter: BudgetMeter::unlimited(),
+        }
+    }
+
+    /// Attaches a run budget / cancellation meter. A DC sweep charges its
+    /// whole result up front and checkpoints per point; a transient charges
+    /// every accepted step. Defaults to an inert unlimited meter.
+    #[must_use]
+    pub fn with_meter(mut self, meter: BudgetMeter) -> Self {
+        self.meter = meter;
+        self
     }
 
     /// The engine options.
@@ -160,6 +173,9 @@ impl PwlEngine {
         let t0 = Instant::now();
         let mats = CircuitMatrices::new(circuit)?;
         require_sweepable_source(&mats.mna, source)?;
+        // The result shape is known up front: charge it all before any work.
+        let mut run_meter = self.meter.fork();
+        charge_sweep(&mut run_meter, &mats.mna, n_points)?;
         let tables = self.tabulate_all(&mats);
         let mut stats = EngineStats::new();
 
@@ -172,6 +188,9 @@ impl PwlEngine {
         let mut sweep = Vec::with_capacity(n_points);
         let mut x = vec![0.0; mats.mna.dim()];
         for k in 0..n_points {
+            run_meter
+                .checkpoint()
+                .map_err(|stop| SimError::budget_exceeded(stop, format!("dc sweep point {k}")))?;
             let value = start + step * k as f64;
             x = self.solve_point(&mats, &tables, Some((source, value)), &x, &mut stats)?;
             sweep.push(value);
@@ -209,17 +228,14 @@ impl PwlEngine {
     /// # Errors
     /// Fails on invalid parameters, singular matrices or step underflow.
     pub fn run_transient(&self, circuit: &Circuit, tstep: f64, tstop: f64) -> Result<Dataset> {
-        if !(tstep > 0.0 && tstop > 0.0 && tstep <= tstop) {
-            return Err(SimError::InvalidConfig {
-                context: format!("transient needs 0 < tstep <= tstop (got {tstep}, {tstop})"),
-            });
-        }
+        check_transient_window(tstep, tstop)?;
         let t0 = Instant::now();
         let mats = CircuitMatrices::new(circuit)?;
         let mna = &mats.mna;
         let dim = mna.dim();
         let tables = self.tabulate_all(&mats);
         let mut stats = EngineStats::new();
+        let mut run_meter = self.meter.fork();
 
         // Operating point via the same companion stamping, iterated a few
         // times (the tables are linear, so this settles fast).
@@ -265,6 +281,12 @@ impl PwlEngine {
             }
             t += h;
             stats.steps += 1;
+            run_meter
+                .tick_step()
+                .and_then(|()| run_meter.charge_bytes(8 * (1 + dim as u64)))
+                .map_err(|stop| {
+                    SimError::budget_exceeded(stop, format!("pwl transient at t = {t:.3e} s"))
+                })?;
             times.push(t);
             for (i, c) in columns.iter_mut().enumerate() {
                 c.push(x[i]);

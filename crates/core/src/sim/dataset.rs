@@ -6,10 +6,11 @@
 //! result as a dataset directly, so downstream code handles every analysis
 //! kind with the same few calls (`curve()` / `peak()` / `at()`).
 
-use crate::em::{EmResult, PeakSummary};
+use crate::em::PeakSummary;
 use crate::report::EngineStats;
 use crate::waveform::Waveform;
 use crate::{Result, SimError};
+use nanosim_numeric::stats::{percentile, RunningStats};
 use std::fmt;
 
 /// What kind of analysis a [`Dataset`] came from.
@@ -188,25 +189,13 @@ impl Dataset {
         Dataset::new(AnalysisKind::Op, engine, Axis::None, names, columns, stats)
     }
 
-    /// Wraps an Euler–Maruyama ensemble: one mean column per variable, one
-    /// `std(<name>)` envelope per variable, and the per-path running maxima
-    /// behind [`Dataset::peak_summary`] / [`Dataset::exceedance`].
-    pub fn from_em(r: EmResult) -> Self {
-        let (times, names, mean, std_dev, maxima, stats) = r.into_parts();
-        let mut all_names = names.clone();
-        all_names.extend(names.iter().map(|n| format!("std({n})")));
-        let mut columns = mean;
-        columns.extend(std_dev);
-        let mut ds = Dataset::new(
-            AnalysisKind::Em,
-            "em",
-            Axis::Time(times),
-            all_names,
-            columns,
-            stats,
-        );
-        ds.maxima = maxima;
-        ds
+    /// Attaches an EM ensemble's per-variable, per-path running maxima
+    /// (`maxima[i]` belongs to column `i`), the data behind
+    /// [`Dataset::peak_summary`] / [`Dataset::exceedance`].
+    #[must_use]
+    pub(crate) fn with_maxima(mut self, maxima: Vec<Vec<f64>>) -> Self {
+        self.maxima = maxima;
+        self
     }
 
     /// The analysis kind this dataset came from.
@@ -311,15 +300,21 @@ impl Dataset {
     /// Running-maximum statistics of a node over an EM ensemble; `None`
     /// for non-ensemble datasets or unknown names.
     pub fn peak_summary(&self, name: &str) -> Option<PeakSummary> {
-        let i = self.column_index(name)?;
-        crate::em::peak_summary_of(self.maxima.get(i)?)
+        let maxima = self.maxima.get(self.column_index(name)?)?;
+        let stats: RunningStats = maxima.iter().copied().collect();
+        Some(PeakSummary {
+            mean_peak: stats.mean(),
+            p95_peak: percentile(maxima, 0.95)?,
+            worst_peak: stats.max(),
+        })
     }
 
     /// Fraction of EM paths whose running maximum of `name` reached
     /// `level`; `None` for non-ensemble datasets or unknown names.
     pub fn exceedance(&self, name: &str, level: f64) -> Option<f64> {
-        let i = self.column_index(name)?;
-        Some(crate::em::exceedance_of(self.maxima.get(i)?, level))
+        let maxima = self.maxima.get(self.column_index(name)?)?;
+        let hits = maxima.iter().filter(|&&m| m >= level).count();
+        Some(hits as f64 / maxima.len() as f64)
     }
 
     /// Number of ensemble paths behind an EM dataset (0 otherwise).
@@ -354,12 +349,6 @@ impl Dataset {
         let mut buf = Vec::new();
         self.write_csv(&mut buf).expect("vec write cannot fail");
         String::from_utf8(buf).expect("csv is utf8")
-    }
-}
-
-impl From<EmResult> for Dataset {
-    fn from(r: EmResult) -> Self {
-        Dataset::from_em(r)
     }
 }
 

@@ -158,16 +158,7 @@ impl Simulator {
     /// Returns [`SimError::Preflight`] for circuits the analyzer rejects,
     /// and propagates circuit validation / MNA construction failures.
     pub fn with_options(circuit: Circuit, opts: SimOptions) -> Result<Simulator> {
-        let preflight = match opts.preflight {
-            PreflightMode::Off => nanosim_circuit::LintReport::default(),
-            PreflightMode::Enforce | PreflightMode::WarnOnly => {
-                let report = nanosim_circuit::lint_circuit(&circuit);
-                if opts.preflight == PreflightMode::Enforce && report.has_errors() {
-                    return Err(SimError::Preflight(Box::new(report)));
-                }
-                report
-            }
-        };
+        let preflight = run_preflight(&circuit, opts.preflight)?;
         let mats = CircuitMatrices::new(&circuit)?;
         Ok(Simulator {
             circuit,
@@ -251,16 +242,7 @@ impl Simulator {
     /// # }
     /// ```
     pub fn rebind(&mut self, circuit: Circuit) -> Result<bool> {
-        let preflight = match self.opts.preflight {
-            PreflightMode::Off => nanosim_circuit::LintReport::default(),
-            PreflightMode::Enforce | PreflightMode::WarnOnly => {
-                let report = nanosim_circuit::lint_circuit(&circuit);
-                if self.opts.preflight == PreflightMode::Enforce && report.has_errors() {
-                    return Err(SimError::Preflight(Box::new(report)));
-                }
-                report
-            }
-        };
+        let preflight = run_preflight(&circuit, self.opts.preflight)?;
         let mats = CircuitMatrices::new(&circuit)?;
         let had_warm = self.dc_ws.is_some() || self.tran_ws.is_some();
         let mut all_rebound = true;
@@ -367,37 +349,32 @@ impl Simulator {
             Analysis::Transient(tran) => self.run_transient(tran, &meter),
             Analysis::EmEnsemble(em) => self.run_em(em, &meter),
             Analysis::Mla(mla) => self.run_mla(mla, &meter),
-            Analysis::Pwl(pwl) => self.run_pwl(pwl),
+            Analysis::Pwl(pwl) => self.run_pwl(pwl, &meter),
         }?;
         ds.stats.preflight_warnings = self.preflight.warning_count() as u64;
         Ok(ds)
     }
 
-    /// Lazily creates the no-C workspace, arming any session fault plan.
-    fn ensure_dc_ws(&mut self) {
-        if self.dc_ws.is_none() {
-            let mut ws = AssemblyWorkspace::new(&self.mats, false, false, self.opts.ordering);
+    /// Lazily creates the with-C (`tran_ws`) or no-C (`dc_ws`) workspace,
+    /// arming any session fault plan.
+    fn ensure_ws(&mut self, with_c: bool) {
+        let slot = if with_c {
+            &mut self.tran_ws
+        } else {
+            &mut self.dc_ws
+        };
+        if slot.is_none() {
+            let mut ws = AssemblyWorkspace::new(&self.mats, false, with_c, self.opts.ordering);
             if let Some(plan) = &self.fault {
                 ws.arm_faults(plan.clone());
             }
-            self.dc_ws = Some(ws);
-        }
-    }
-
-    /// Lazily creates the with-C workspace, arming any session fault plan.
-    fn ensure_tran_ws(&mut self) {
-        if self.tran_ws.is_none() {
-            let mut ws = AssemblyWorkspace::new(&self.mats, false, true, self.opts.ordering);
-            if let Some(plan) = &self.fault {
-                ws.arm_faults(plan.clone());
-            }
-            self.tran_ws = Some(ws);
+            *slot = Some(ws);
         }
     }
 
     fn run_op(&mut self, op: Op, meter: &BudgetMeter) -> Result<Dataset> {
         let t0 = Instant::now();
-        self.ensure_dc_ws();
+        self.ensure_ws(false);
         let ws = self.dc_ws.as_mut().expect("created above");
         let lu0 = ws.lu_stats();
         let engine = SwecDcSweep::new(op.options).with_meter(meter.fork());
@@ -411,8 +388,8 @@ impl Simulator {
     }
 
     fn run_transient(&mut self, tran: Transient, meter: &BudgetMeter) -> Result<Dataset> {
-        self.ensure_tran_ws();
-        self.ensure_dc_ws();
+        self.ensure_ws(true);
+        self.ensure_ws(false);
         let ws = self.tran_ws.as_mut().expect("created above");
         let op_ws = self.dc_ws.as_mut().expect("created above");
         let engine = SwecTransient::new(tran.options).with_meter(meter.fork());
@@ -424,10 +401,9 @@ impl Simulator {
         // The plan owns scheduling: Serial runs one worker, Sharded{n} runs
         // n (`ExecPlan::sharded(0)` already resolved auto at build time).
         options.threads = em.plan.workers();
-        let result = EmEngine::new(options)
+        EmEngine::new(options)
             .with_meter(meter.fork())
-            .run(&self.circuit, em.horizon)?;
-        Ok(Dataset::from_em(result))
+            .run(&self.circuit, em.horizon)
     }
 
     fn run_mla(&mut self, mla: Mla, meter: &BudgetMeter) -> Result<Dataset> {
@@ -455,8 +431,8 @@ impl Simulator {
         }
     }
 
-    fn run_pwl(&mut self, pwl: Pwl) -> Result<Dataset> {
-        let engine = PwlEngine::new(pwl.options);
+    fn run_pwl(&mut self, pwl: Pwl, meter: &BudgetMeter) -> Result<Dataset> {
+        let engine = PwlEngine::new(pwl.options).with_meter(meter.fork());
         match pwl.request {
             BaselineRequest::DcSweep {
                 source,
@@ -500,7 +476,7 @@ impl Simulator {
         let n_points = sweep_points(start, stop, step)?;
         require_sweepable_source(&self.mats.mna, &source)?;
         let t0 = Instant::now();
-        self.ensure_dc_ws();
+        self.ensure_ws(false);
         let engine = SwecDcSweep::new(options);
         let mut run_meter = meter.fork();
         let mut warm_stats = EngineStats::new();
@@ -658,6 +634,20 @@ impl Simulator {
             None => ds,
         })
     }
+}
+
+/// Runs the preflight analyzer on `circuit` under `mode`: an empty report
+/// when [`PreflightMode::Off`], and an error for a report with errors under
+/// [`PreflightMode::Enforce`].
+fn run_preflight(circuit: &Circuit, mode: PreflightMode) -> Result<nanosim_circuit::LintReport> {
+    if mode == PreflightMode::Off {
+        return Ok(nanosim_circuit::LintReport::default());
+    }
+    let report = nanosim_circuit::lint_circuit(circuit);
+    if mode == PreflightMode::Enforce && report.has_errors() {
+        return Err(SimError::Preflight(Box::new(report)));
+    }
+    Ok(report)
 }
 
 /// Annotates a failed chunk's error with the chunk index (the failing

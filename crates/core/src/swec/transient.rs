@@ -18,7 +18,9 @@
 //! the analysis (and its supernodal kernel plan) survives the stiff
 //! stretch — `EngineStats::refinement_steps` counts those recoveries.
 
-use crate::assemble::{branch_voltage, mna_var_names, AssemblyWorkspace, CircuitMatrices};
+use crate::assemble::{
+    branch_voltage, check_transient_window, mna_var_names, AssemblyWorkspace, CircuitMatrices,
+};
 use crate::error::LastAccepted;
 use crate::report::EngineStats;
 use crate::sim::{AnalysisKind, Axis, Dataset};
@@ -110,11 +112,6 @@ impl SwecTransient {
     /// Fails on invalid parameters, singular matrices, step-size underflow
     /// or a failed initial operating point.
     pub fn run(&self, circuit: &Circuit, tstep: f64, tstop: f64) -> Result<Dataset> {
-        if !(tstep > 0.0 && tstop > 0.0 && tstep <= tstop) {
-            return Err(SimError::InvalidConfig {
-                context: format!("transient needs 0 < tstep <= tstop (got {tstep}, {tstop})"),
-            });
-        }
         let mats = CircuitMatrices::new(circuit)?;
         let mut ws = AssemblyWorkspace::new(&mats, false, true, OrderingChoice::default());
         self.run_with(&mats, &mut ws, None, tstep, tstop)
@@ -136,11 +133,7 @@ impl SwecTransient {
         tstep: f64,
         tstop: f64,
     ) -> Result<Dataset> {
-        if !(tstep > 0.0 && tstop > 0.0 && tstep <= tstop) {
-            return Err(SimError::InvalidConfig {
-                context: format!("transient needs 0 < tstep <= tstop (got {tstep}, {tstop})"),
-            });
-        }
+        check_transient_window(tstep, tstop)?;
         let t_start = Instant::now();
         let lu0 = ws.lu_stats();
         let mna = &mats.mna;

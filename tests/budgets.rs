@@ -5,6 +5,7 @@
 //! bit-identical to runs with no budget machinery engaged at all.
 
 use nanosim::core::em::EmOptions;
+use nanosim::core::sim::Pwl;
 use nanosim::prelude::*;
 use proptest::prelude::*;
 
@@ -201,6 +202,73 @@ fn em_ensemble_byte_budget_fails_identically_at_every_plan() {
     for plan in [ExecPlan::sharded(2), ExecPlan::sharded(4)] {
         let e = run(plan).expect_err("same budget, same death");
         assert_eq!(fingerprint(&e), fingerprint(&serial), "plan {plan:?}");
+    }
+}
+
+#[test]
+fn em_byte_charge_equals_the_dataset_size() {
+    // The ensemble charges exactly the f64s it returns: the time axis, a
+    // mean and a std(..) column per variable, and one running maximum per
+    // path per variable. A budget of exactly that size runs; a byte less
+    // does not.
+    let (dim, paths, steps) = (1u64, 8u64, 250u64); // 1 ns in 4 ps steps
+    let bytes = 8 * ((steps + 1) * (1 + 2 * dim) + paths * dim);
+    let run = |limit: u64| -> Result<Dataset, SimError> {
+        let mut sim = Simulator::new(nanosim::workloads::noisy_rc_node_fig10())
+            .expect("fig10 node assembles");
+        sim.set_budget(Budget::unlimited().with_max_result_bytes(limit));
+        sim.run(Analysis::em_ensemble(1e-9).options(EmOptions {
+            dt: 4e-12,
+            paths: paths as usize,
+            seed: 2005,
+            ..EmOptions::default()
+        }))
+    };
+    let ds = run(bytes).expect("a budget of the dataset's size suffices");
+    let f64s = ds.points() * (1 + ds.names().len()) + ds.paths() * ds.names().len() / 2;
+    assert_eq!(8 * f64s as u64, bytes);
+    let e = run(bytes - 1).expect_err("one byte short");
+    assert_eq!(
+        e.budget_stop(),
+        Some(BudgetStop::ResultBytes { limit: bytes - 1 })
+    );
+}
+
+#[test]
+fn pwl_analyses_obey_the_session_budget() {
+    let run = |budget: Budget, analysis: Pwl| -> Result<Dataset, SimError> {
+        let mut sim =
+            Simulator::new(nanosim::workloads::rtd_divider(50.0)).expect("divider assembles");
+        sim.set_budget(budget);
+        sim.run(analysis)
+    };
+    let tran = || Analysis::pwl_transient(0.05e-9, 5e-9);
+    let sweep = || Analysis::pwl_dc_sweep("V1", 0.0, 5.0, 0.025);
+
+    // A step cap stops the transient; a byte cap stops the sweep before
+    // any point is solved.
+    let e = run(Budget::unlimited().with_max_transient_steps(5), tran())
+        .expect_err("5 steps cannot cover 100");
+    assert_eq!(
+        e.budget_stop(),
+        Some(BudgetStop::TransientSteps { limit: 5 })
+    );
+    let e = run(Budget::unlimited().with_max_result_bytes(64), sweep())
+        .expect_err("64 bytes cannot hold 201 points");
+    assert_eq!(e.budget_stop(), Some(BudgetStop::ResultBytes { limit: 64 }));
+
+    // Budgets that do not bite leave every bit of the result unchanged.
+    let roomy = Budget::unlimited()
+        .with_max_transient_steps(1_000)
+        .with_max_result_bytes(1 << 30);
+    for analysis in [tran(), sweep()] {
+        let free = run(Budget::unlimited(), analysis.clone()).expect("unbudgeted run");
+        let capped = run(roomy, analysis).expect("roomy budget");
+        assert!(free.points() > 100);
+        assert_eq!(free.axis_values(), capped.axis_values());
+        for name in free.names() {
+            assert_eq!(free.column(name), capped.column(name), "{name}");
+        }
     }
 }
 

@@ -171,13 +171,19 @@ fn em_ensemble_plan_is_a_pure_wall_clock_knob() {
             .run(Analysis::em_ensemble(1e-9).options(opts.clone()).plan(plan))
             .unwrap();
         assert_eq!(ds.kind(), AnalysisKind::Em);
+        assert_eq!(ds.engine(), engine_ref.engine());
         assert_eq!(ds.paths(), 64);
-        let mean = ds.curve("v").unwrap();
-        let ref_mean = engine_ref.mean_waveform("v").unwrap();
-        assert_eq!(mean.values(), ref_mean.values(), "plan {plan:?}");
-        let sd = ds.std_curve("v").unwrap();
-        let ref_sd = engine_ref.std_waveform("v").unwrap();
-        assert_eq!(sd.values(), ref_sd.values());
+        assert_eq!(ds.names(), engine_ref.names());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(ds.axis_values()), bits(engine_ref.axis_values()));
+        // Every mean and std(..) column, bit for bit.
+        for name in ds.names() {
+            assert_eq!(
+                bits(ds.column(name).unwrap()),
+                bits(engine_ref.column(name).unwrap()),
+                "{name} under {plan:?}"
+            );
+        }
         assert_eq!(
             ds.peak_summary("v").unwrap(),
             engine_ref.peak_summary("v").unwrap()
