@@ -1,9 +1,10 @@
-//! Session-API benches: serial vs sharded DC sweep wall-time on the
-//! Table I RTD mesh, and the cost of the session facade itself (the
+//! Session-API benches: serial vs sharded chunked DC sweep wall-time on
+//! the Table I RTD mesh, and the cost of the session facade itself (the
 //! sharded runs are bit-identical to serial — see `tests/session.rs` —
 //! so this measures pure scheduling).
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use nanosim::core::sim::SWEEP_CHUNK;
 use nanosim::prelude::*;
 use std::hint::black_box;
 
@@ -11,7 +12,7 @@ fn bench_sharded_sweep(c: &mut Criterion) {
     let mut group = c.benchmark_group("session_sweep");
     group.sample_size(10);
     // Table I mesh: 10x10 grid = 101 MNA variables, 100 RTDs; 121 sweep
-    // points = 8 shard chunks.
+    // points = 8 chunks of `SWEEP_CHUNK` points.
     let circuit = nanosim::workloads::rtd_mesh(10);
     let mut sim = Simulator::new(circuit).expect("mesh assembles");
     for workers in [1usize, 2, 4, 8] {
@@ -23,7 +24,9 @@ fn bench_sharded_sweep(c: &mut Criterion) {
         group.bench_function(&format!("dc_mesh10_121pts_w{workers}"), |b| {
             b.iter(|| {
                 sim.run(black_box(
-                    Analysis::dc_sweep("V1", 0.0, 3.0, 0.025).plan(plan),
+                    Analysis::dc_sweep("V1", 0.0, 3.0, 0.025)
+                        .chunk_points(SWEEP_CHUNK)
+                        .plan(plan),
                 ))
                 .expect("sweep runs")
             })

@@ -166,8 +166,8 @@ impl Dataset {
 
     /// Whether this dataset is the accepted prefix of a run that stopped
     /// early — a transient that died of step-size underflow or ran out of
-    /// budget, or a sharded sweep whose tail was budget-killed (only
-    /// possible with `SwecOptions::allow_partial` set).
+    /// budget, or a sweep whose tail was budget-killed (only possible
+    /// with `SwecOptions::allow_partial` set).
     pub fn is_truncated(&self) -> bool {
         self.truncated_at.is_some()
     }

@@ -18,12 +18,13 @@
 //!
 //! # Determinism contract
 //!
-//! Work is cut into fixed-size chunks whose boundaries depend only on item
-//! indices ([`SWEEP_CHUNK`] sweep points, [`crate::em::PATH_CHUNK`]
-//! Monte-Carlo paths), each chunk computes on its own workspace from a
-//! deterministic warm start, and chunk results are stitched back in chunk
-//! order. Threads only decide *when* a chunk runs, never what it computes —
-//! so `Sharded { workers: n }` is **bit-identical** to `Serial` for every
+//! Work is cut into chunks whose boundaries depend only on item indices
+//! (the sweep points per chunk a [`DcSweep`] requests — the whole sweep by
+//! default — and [`crate::em::PATH_CHUNK`] Monte-Carlo paths), each chunk
+//! computes on its own workspace from a deterministic warm start, and
+//! chunk results are stitched back in chunk order. Threads only decide
+//! *when* a chunk runs, never what it computes — so for a given request
+//! `Sharded { workers: n }` is **bit-identical** to `Serial` for every
 //! `n`, and `tests/session.rs` locks that in.
 //!
 //! Engine-level types ([`crate::swec::SwecDcSweep`],
@@ -39,5 +40,7 @@ pub mod session;
 
 pub use dataset::{AnalysisKind, Axis, Dataset};
 pub use plan::ExecPlan;
-pub use request::{Analysis, BaselineRequest, DcSweep, EmEnsemble, Mla, Op, Pwl, Transient};
-pub use session::{run_ensemble, PreflightMode, SimOptions, Simulator, SWEEP_CHUNK};
+pub use request::{
+    Analysis, BaselineRequest, DcSweep, EmEnsemble, Mla, Op, Pwl, Transient, SWEEP_CHUNK,
+};
+pub use session::{run_ensemble, PreflightMode, SimOptions, Simulator};

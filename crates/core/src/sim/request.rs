@@ -16,8 +16,13 @@ use crate::pwl::PwlOptions;
 use crate::sim::dataset::AnalysisKind;
 use crate::sim::plan::ExecPlan;
 use crate::swec::SwecOptions;
-use crate::Result;
+use crate::{Result, SimError};
 use nanosim_circuit::AnalysisDirective;
+
+/// Sweep points per chunk of the chunked layout the worker-count and
+/// chunk-boundary tests request through [`DcSweep::chunk_points`]: small
+/// enough that a sweep of a few dozen points spreads over several workers.
+pub const SWEEP_CHUNK: usize = 16;
 
 /// A typed analysis request.
 #[derive(Debug, Clone)]
@@ -76,6 +81,14 @@ impl Op {
 }
 
 /// Builder for a SWEC DC sweep.
+///
+/// By default the sweep is one unbroken continuation chain: one linear
+/// solve per point after the first, as in [`crate::swec::SwecDcSweep::run`]
+/// and bit-identical to it. [`DcSweep::chunk_points`] cuts it into chunks
+/// that an [`ExecPlan::Sharded`] plan can run in parallel; each chunk past
+/// the first then re-derives its start with a short continuation ramp from
+/// the sweep start. Chunk boundaries depend only on the point index, so
+/// for a given request every worker count gives the same bits.
 #[derive(Debug, Clone)]
 pub struct DcSweep {
     /// Name of the swept V/I source.
@@ -89,8 +102,12 @@ pub struct DcSweep {
     /// SWEC engine options.
     pub options: SwecOptions,
     /// Execution plan ([`ExecPlan::Serial`] by default; sweeps also accept
-    /// [`ExecPlan::Sharded`]).
+    /// [`ExecPlan::Sharded`]). The plan only picks how many workers run the
+    /// chunks; a one-chunk sweep runs on one whatever the plan.
     pub plan: ExecPlan,
+    /// Sweep points per chunk; `None` (the default) runs the whole sweep as
+    /// one chunk. `Some(0)` is rejected by validation.
+    pub chunk_points: Option<usize>,
 }
 
 impl DcSweep {
@@ -106,6 +123,7 @@ impl DcSweep {
             step,
             options: SwecOptions::default(),
             plan: ExecPlan::Serial,
+            chunk_points: None,
         }
     }
 
@@ -123,10 +141,20 @@ impl DcSweep {
         self
     }
 
+    /// Cuts the sweep into chunks of `n` points (the last may be shorter),
+    /// so that a sharded plan can run them in parallel. Each chunk past the
+    /// first pays a continuation ramp from the sweep start, so a serial run
+    /// is fastest with the default single chunk.
+    #[must_use]
+    pub fn chunk_points(mut self, n: usize) -> Self {
+        self.chunk_points = Some(n);
+        self
+    }
+
     /// Opts into partial results: a sweep killed by a run budget returns
-    /// the accepted chunk prefix (marked truncated — see
+    /// every point accepted before the stop (marked truncated — see
     /// [`crate::sim::Dataset::is_truncated`]) instead of an error, as long
-    /// as at least one chunk completed.
+    /// as at least one point was accepted.
     #[must_use]
     pub fn allow_partial(mut self) -> Self {
         self.options.allow_partial = true;
@@ -386,9 +414,12 @@ impl Analysis {
     /// # Errors
     /// [`crate::SimError::InvalidConfig`] on invalid plans (a literal
     /// `Sharded { workers: 0 }`, or a sharded plan on an analysis that
-    /// cannot shard).
+    /// cannot shard) and on a zero-point sweep chunk.
     pub fn validate(&self) -> Result<()> {
         match self {
+            Analysis::DcSweep(s) if s.chunk_points == Some(0) => Err(SimError::InvalidConfig {
+                context: "DcSweep::chunk_points(0): a chunk needs at least one point".into(),
+            }),
             Analysis::DcSweep(s) => s.plan.validate(),
             Analysis::EmEnsemble(e) => e.plan.validate(),
             _ => Ok(()),
@@ -412,7 +443,6 @@ impl Analysis {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SimError;
 
     #[test]
     fn builders_convert_into_analysis() {
@@ -444,6 +474,20 @@ mod tests {
     }
 
     #[test]
+    fn zero_point_chunks_rejected_at_validation() {
+        let a: Analysis = Analysis::dc_sweep("V1", 0.0, 1.0, 0.1).into();
+        assert!(a.validate().is_ok());
+        let a: Analysis = Analysis::dc_sweep("V1", 0.0, 1.0, 0.1)
+            .chunk_points(0)
+            .into();
+        assert!(matches!(a.validate(), Err(SimError::InvalidConfig { .. })));
+        let a: Analysis = Analysis::dc_sweep("V1", 0.0, 1.0, 0.1)
+            .chunk_points(1)
+            .into();
+        assert!(a.validate().is_ok());
+    }
+
+    #[test]
     fn directive_lowering_preserves_parameters() {
         let opts = SwecOptions {
             epsilon: 0.05,
@@ -465,6 +509,7 @@ mod tests {
         assert_eq!(s.step, 0.5);
         assert_eq!(s.options.epsilon, 0.05);
         assert_eq!(s.plan, ExecPlan::Serial);
+        assert_eq!(s.chunk_points, None, "decks run the one-chunk layout");
 
         let a = Analysis::from_directive(&AnalysisDirective::Op, &opts);
         assert_eq!(a.kind(), AnalysisKind::Op);

@@ -1,37 +1,24 @@
 //! The [`Simulator`] session: one circuit, many analyses, shared solver
 //! state.
 
-use crate::assemble::{
-    charge_sweep, mna_var_names, require_sweepable_source, sweep_columns, sweep_points,
-    AssemblyWorkspace, CircuitMatrices,
-};
+use crate::assemble::{mna_var_names, AssemblyWorkspace, CircuitMatrices};
 use crate::em::EmEngine;
 use crate::mla::MlaEngine;
 use crate::pwl::PwlEngine;
 use crate::report::EngineStats;
-use crate::sim::dataset::{AnalysisKind, Axis, Dataset};
+use crate::sim::dataset::Dataset;
 use crate::sim::plan::ExecPlan;
 use crate::sim::request::{
     Analysis, BaselineRequest, DcSweep, EmEnsemble, Mla, Op, Pwl, Transient,
 };
-use crate::swec::dc::DcBuffers;
+use crate::swec::dc::checked_sweep_points;
 use crate::swec::{SwecDcSweep, SwecTransient};
 use crate::{Result, SimError};
 use nanosim_circuit::Circuit;
-use nanosim_numeric::parallel::{try_par_map, try_par_map_partial};
+use nanosim_numeric::parallel::try_par_map;
 use nanosim_numeric::sparse::OrderingChoice;
 use nanosim_numeric::{Budget, BudgetMeter, CancelToken};
 use std::time::Instant;
-
-/// Sweep points per shard chunk. Chunk boundaries are a function of the
-/// point index only (never of the worker count), which is what keeps
-/// sharded DC sweeps bit-identical at any parallelism level — the same
-/// contract as [`crate::em::PATH_CHUNK`] for Monte-Carlo ensembles.
-pub const SWEEP_CHUNK: usize = 16;
-
-/// Non-iterative warm-up solves a shard performs to approach its first
-/// point from the sweep's start value (the per-shard continuation ramp).
-const WARM_START_RAMP: usize = 8;
 
 /// What the session does with the preflight static-analysis report
 /// ([`nanosim_circuit::lint`]) computed when it opens.
@@ -101,11 +88,12 @@ pub struct SimOptions {
 /// let mut sim = Simulator::new(ckt)?;
 /// let sweep = sim.run(Analysis::dc_sweep("V1", 0.0, 2.5, 0.1))?;
 /// assert_eq!(sweep.points(), 26);
-/// // The same request sharded over 4 workers is bit-identical.
-/// let sharded = sim.run(
-///     Analysis::dc_sweep("V1", 0.0, 2.5, 0.1).plan(ExecPlan::sharded(4)),
-/// )?;
-/// assert_eq!(sweep.column("mid"), sharded.column("mid"));
+/// // Cut into 8-point chunks, the sweep can run on 4 workers; every
+/// // worker count gives the bits of the serial run of the same chunks.
+/// let chunked = Analysis::dc_sweep("V1", 0.0, 2.5, 0.1).chunk_points(8);
+/// let serial = sim.run(chunked.clone())?;
+/// let sharded = sim.run(chunked.plan(ExecPlan::sharded(4)))?;
+/// assert_eq!(serial.column("mid"), sharded.column("mid"));
 /// # Ok(())
 /// # }
 /// ```
@@ -446,24 +434,10 @@ impl Simulator {
         }
     }
 
-    /// Sharded (or serial — same algorithm, one worker) SWEC DC sweep.
-    ///
-    /// The sweep is cut into fixed [`SWEEP_CHUNK`]-point chunks, each run
-    /// by the one SWEC sweep loop, [`SwecDcSweep::sweep_chunk`], on its own
-    /// clone of the session workspace. That workspace is first warmed with
-    /// one assembly + solve at the sweep start, so every clone inherits the
-    /// same cached LU symbolic analysis and refactors instead of
-    /// re-factoring. Chunk 0 is the serial sweep's chunk
-    /// ([`SwecDcSweep::run`] runs the whole range as one); later chunks
-    /// warm-start with the loop's continuation ramp. Because chunk
-    /// boundaries and warm-starts depend only on the point index, results
-    /// are bit-identical for every worker count.
-    ///
-    /// All chunks' *first* ramp points share one state (`x = 0`, the
-    /// warmed `Geq(0)` matrix), so they are computed up front by a single
-    /// batched multi-RHS solve ([`AssemblyWorkspace::factor_solve_many`])
-    /// before the fan-out — one refactor and one factor traversal replace
-    /// one refactor per chunk, bit-identically.
+    /// SWEC DC sweep on the session workspace, cut into the chunks the
+    /// request asks for and run on the plan's workers
+    /// ([`SwecDcSweep::sweep_ws`]). The workspace is warmed at the sweep
+    /// start first, so every run starts from the same LU state.
     fn run_dc_sweep(&mut self, req: DcSweep, meter: &BudgetMeter) -> Result<Dataset> {
         let DcSweep {
             source,
@@ -472,167 +446,22 @@ impl Simulator {
             step,
             options,
             plan,
+            chunk_points,
         } = req;
-        let n_points = sweep_points(start, stop, step)?;
-        require_sweepable_source(&self.mats.mna, &source)?;
-        let t0 = Instant::now();
+        let n_points = checked_sweep_points(&self.mats.mna, &source, start, stop, step)?;
         self.ensure_ws(false);
-        let engine = SwecDcSweep::new(options);
-        let mut run_meter = meter.fork();
-        let mut warm_stats = EngineStats::new();
-        let warm_lu = {
-            // Warm the session workspace with one assembly + solve at the
-            // sweep start (the matrix the first chunk assembles first), so
-            // every chunk clone starts from the same cached symbolic
-            // analysis and refactors instead of paying a full factor.
-            let ws = self.dc_ws.as_mut().expect("created above");
-            let lu0 = ws.lu_stats();
-            let mut buf = DcBuffers::default();
-            let x0 = vec![0.0; self.mats.mna.dim()];
-            engine.solve_noniterative_ws(
-                &self.mats,
-                ws,
-                &mut buf,
-                Some((&source, start)),
-                &x0,
-                &mut warm_stats,
-                &mut run_meter.fork(),
-            )?;
-            let warm_lu = ws.lu_stats();
-            warm_stats.absorb_lu(&lu0, &warm_lu);
-            warm_lu
-        };
-
-        // The result shape is known up front: charge the whole payload
-        // before any chunk work is fanned out, so a byte budget too small
-        // for the sweep fails immediately and identically at every worker
-        // count.
-        charge_sweep(&mut run_meter, &self.mats.mna, n_points)?;
-        let values: Vec<f64> = (0..n_points).map(|k| start + step * k as f64).collect();
-        let n_chunks = n_points.div_ceil(SWEEP_CHUNK);
-
-        // Every chunk past the first begins its continuation ramp at the
-        // same state (`x = 0`, `Geq(0)` — exactly the warmed matrix), so
-        // all first ramp points are computed up front with **one** batched
-        // multi-RHS solve instead of one refactor per chunk. Each seed is
-        // bit-identical to the solve the chunk would have performed, and
-        // the batch happens before the fan-out, so worker counts cannot
-        // affect it.
-        let seeds = if n_chunks > 1 {
-            let ramp_values: Vec<f64> = (1..n_chunks)
-                .map(|ci| {
-                    let prev = values[ci * SWEEP_CHUNK - 1];
-                    start + (prev - start) / WARM_START_RAMP as f64
-                })
-                .collect();
-            let ws = self.dc_ws.as_mut().expect("created above");
-            let mut buf = DcBuffers::default();
-            let x0 = vec![0.0; self.mats.mna.dim()];
-            let seeds = engine.solve_noniterative_batch_ws(
-                &self.mats,
-                ws,
-                &mut buf,
-                &source,
-                &ramp_values,
-                &x0,
-                &mut warm_stats,
-                &run_meter,
-            )?;
-            warm_stats.absorb_lu(&warm_lu, &ws.lu_stats());
-            seeds
-        } else {
-            Vec::new()
-        };
-        let base_ws = self.dc_ws.as_ref().expect("created above");
-        let mats = &self.mats;
-
-        // Each chunk runs the shared sweep loop on its own clone of the
-        // warmed workspace.
-        let run_chunk = |ci: usize, seed: Option<&[f64]>, ramp_steps: usize| {
-            let lo = ci * SWEEP_CHUNK;
-            let hi = n_points.min(lo + SWEEP_CHUNK);
-            let mut ws = base_ws.clone();
-            engine.sweep_chunk(
-                mats,
-                &mut ws,
-                &source,
-                &values,
-                lo..hi,
-                seed,
-                ramp_steps,
-                &run_meter,
-            )
-        };
-        let rescue_enabled = engine.options().rescue.enabled;
-        let (chunks, failure) = try_par_map_partial(n_chunks, plan.workers(), |ci| {
-            let seed = ci.checked_sub(1).map(|i| &seeds[i][..]);
-            match run_chunk(ci, seed, WARM_START_RAMP) {
-                Ok(c) => Ok(c),
-                Err(SimError::NonConvergence { .. } | SimError::Numeric(_)) if rescue_enabled => {
-                    // Rescue: retry the whole chunk with an 8x finer
-                    // continuation ramp, recomputed locally (the batched
-                    // seed only applies to the default ramp). Healthy
-                    // chunks never take this path, and the decision
-                    // depends only on the chunk index — never the worker
-                    // count — so sharded results stay bit-identical.
-                    // Budget stops are excluded: a chunk killed by the
-                    // budget must not burn 8x the work retrying.
-                    match run_chunk(ci, None, WARM_START_RAMP * 8) {
-                        Ok(mut c) => {
-                            c.stats.rescues += 1;
-                            c.stats.rescue_rungs += 1;
-                            Ok(c)
-                        }
-                        Err(e) => Err(tag_chunk_failure(e, ci)),
-                    }
-                }
-                Err(e) => Err(tag_chunk_failure(e, ci)),
-            }
-        });
-
-        // Partial salvage: a sweep killed by its budget keeps the accepted
-        // chunk prefix when the caller opted in. `try_par_map_partial`
-        // reports the smallest failing chunk index, so chunks `0..fi` are
-        // all present and the salvaged prefix is bit-identical at every
-        // worker count. Non-budget failures (and budget stops with nothing
-        // accepted) propagate as errors exactly as before.
-        let (kept_chunks, truncated_after) = match failure {
-            None => (n_chunks, None),
-            Some((fi, e)) => {
-                let salvage = engine.options().allow_partial
-                    && matches!(e, SimError::BudgetExceeded { .. })
-                    && fi > 0;
-                if !salvage {
-                    return Err(e);
-                }
-                (fi, Some(values[fi * SWEEP_CHUNK - 1]))
-            }
-        };
-
-        // Deterministic stitch: solutions and statistics in chunk order.
-        let mut stats = warm_stats;
-        let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(n_points);
-        for chunk in chunks.into_iter().take(kept_chunks) {
-            let chunk = chunk.expect("chunks before the smallest failing index all succeeded");
-            solutions.extend(chunk.xs);
-            stats.merge(&chunk.stats);
-        }
-        let mut values = values;
-        values.truncate(solutions.len());
-        let (names, columns) = sweep_columns(&mats.mna, &solutions, &mut stats.flops);
-        stats.elapsed = t0.elapsed();
-        let ds = Dataset::new(
-            AnalysisKind::Dc,
-            "swec",
-            Axis::Sweep { source, values },
-            names,
-            columns,
-            stats,
-        );
-        Ok(match truncated_after {
-            Some(at) => ds.truncated(at),
-            None => ds,
-        })
+        let ws = self.dc_ws.as_mut().expect("created above");
+        SwecDcSweep::new(options).with_meter(meter.fork()).sweep_ws(
+            &self.mats,
+            ws,
+            &source,
+            start,
+            step,
+            n_points,
+            chunk_points,
+            plan.workers(),
+            true,
+        )
     }
 }
 
@@ -648,32 +477,6 @@ fn run_preflight(circuit: &Circuit, mode: PreflightMode) -> Result<nanosim_circu
         return Err(SimError::Preflight(Box::new(report)));
     }
     Ok(report)
-}
-
-/// Annotates a failed chunk's error with the chunk index (the failing
-/// point index and sweep value ride in the forensics payload).
-fn tag_chunk_failure(e: SimError, ci: usize) -> SimError {
-    match e {
-        SimError::NonConvergence {
-            at,
-            context,
-            forensics,
-        } => SimError::NonConvergence {
-            at,
-            context: format!("{context} [sweep chunk {ci}]"),
-            forensics,
-        },
-        SimError::BudgetExceeded {
-            stop,
-            context,
-            forensics,
-        } => SimError::BudgetExceeded {
-            stop,
-            context: format!("{context} [sweep chunk {ci}]"),
-            forensics,
-        },
-        other => other,
-    }
 }
 
 /// Runs the same analysis over many circuit variants in parallel — the
@@ -703,9 +506,12 @@ pub fn run_ensemble(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::request::Analysis;
+    use crate::sim::dataset::AnalysisKind;
+    use crate::sim::request::{Analysis, SWEEP_CHUNK};
+    use crate::swec::dc::CHUNK_RUNS;
     use nanosim_devices::rtd::Rtd;
     use nanosim_devices::sources::SourceWaveform;
+    use nanosim_numeric::FaultPlan;
 
     fn rtd_divider() -> Circuit {
         let mut ckt = Circuit::new();
@@ -779,7 +585,7 @@ mod tests {
         let op2 = sim.run(Analysis::op()).unwrap();
         assert_eq!(op2.stats.full_factors, 0);
         assert!(op2.stats.refactors >= 1);
-        // And so does a sweep: the warm-up solve plus every chunk refactor
+        // And so does a sweep: the warm-up solve plus every point refactor
         // against the analysis cached by the ops.
         let sweep = sim.run(Analysis::dc_sweep("V1", 0.0, 2.0, 0.05)).unwrap();
         assert_eq!(sweep.stats.full_factors, 0);
@@ -792,7 +598,9 @@ mod tests {
         // matter how many chunks it spans — every chunk clone inherits the
         // warmed analysis.
         let mut sim = Simulator::new(rtd_divider()).unwrap();
-        let ds = sim.run(Analysis::dc_sweep("V1", 0.0, 5.0, 0.02)).unwrap();
+        let ds = sim
+            .run(Analysis::dc_sweep("V1", 0.0, 5.0, 0.02).chunk_points(SWEEP_CHUNK))
+            .unwrap();
         assert!(ds.points() > 10 * SWEEP_CHUNK);
         assert_eq!(ds.stats.full_factors, 1, "{}", ds.stats);
         assert!(ds.stats.refactors >= ds.points() as u64);
@@ -822,13 +630,32 @@ mod tests {
         let mut sim = Simulator::new(rtd_divider()).unwrap();
         let n = SWEEP_CHUNK as f64;
         let ds = sim
-            .run(Analysis::dc_sweep("V1", 0.0, (n - 1.0) * 0.05, 0.05))
+            .run(Analysis::dc_sweep("V1", 0.0, (n - 1.0) * 0.05, 0.05).chunk_points(SWEEP_CHUNK))
             .unwrap();
         assert_eq!(ds.points(), SWEEP_CHUNK);
         let engine_ds = SwecDcSweep::new(Default::default())
             .run(&rtd_divider(), "V1", 0.0, (n - 1.0) * 0.05, 0.05)
             .unwrap();
         assert_same_data(&ds, &engine_ds);
+    }
+
+    #[test]
+    fn failing_first_chunk_runs_once() {
+        // A pivot fault kills the sweep's first chunk. Its clone replays
+        // the same fault plan and it has no ramp to refine, so the rescue
+        // retry is skipped; every later chunk still gets one retry.
+        let runs = |chunk_points: Option<usize>| {
+            let mut sim = Simulator::new(rtd_divider()).unwrap();
+            sim.arm_faults(FaultPlan::new().with_singular_pivot(5, 1));
+            let mut req = Analysis::dc_sweep("V1", 0.0, 5.0, 0.05);
+            req.chunk_points = chunk_points;
+            let before = CHUNK_RUNS.with(|n| n.get());
+            let err = sim.run(req).unwrap_err();
+            assert!(matches!(err, SimError::Numeric(_)), "{err}");
+            CHUNK_RUNS.with(|n| n.get()) - before
+        };
+        assert_eq!(runs(None), 1, "the default one-chunk sweep");
+        assert_eq!(runs(Some(SWEEP_CHUNK)), 1 + 2 * 6, "7 chunks, 6 retried");
     }
 
     #[test]
@@ -844,6 +671,10 @@ mod tests {
         ));
         assert!(matches!(
             sim.run(Analysis::dc_sweep("V1", 0.0, 1.0, 0.1).plan(ExecPlan::Sharded { workers: 0 })),
+            Err(SimError::InvalidConfig { .. })
+        ));
+        assert!(matches!(
+            sim.run(Analysis::dc_sweep("V1", 0.0, 1.0, 0.1).chunk_points(0)),
             Err(SimError::InvalidConfig { .. })
         ));
     }

@@ -20,7 +20,8 @@ use crate::rescue::{self, RescueRung, RungError, Shunt};
 use crate::sim::{AnalysisKind, Axis, Dataset};
 use crate::swec::{DcMode, SwecOptions};
 use crate::{Result, SimError};
-use nanosim_circuit::Circuit;
+use nanosim_circuit::{Circuit, MnaSystem};
+use nanosim_numeric::parallel::par_map;
 use nanosim_numeric::solve::LuStats;
 use nanosim_numeric::sparse::OrderingChoice;
 use nanosim_numeric::{BudgetMeter, FlopCounter};
@@ -75,12 +76,26 @@ impl<'a> PointOptions<'a> {
     }
 }
 
+/// Non-iterative solves a chunk past the first spends to approach its first
+/// point from the sweep start (the per-chunk continuation ramp).
+const WARM_START_RAMP: usize = 8;
+
+#[cfg(test)]
+thread_local! {
+    /// Chunks [`SwecDcSweep::sweep_chunk`] has run on this thread; lets
+    /// tests count rescue retries.
+    pub(crate) static CHUNK_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
 /// The solutions of a run of consecutive sweep points, and its work
 /// accounting.
 #[derive(Debug)]
 pub(crate) struct SweepChunk {
+    /// The points accepted, in order: all of them unless `failure` is set.
     pub xs: Vec<Vec<f64>>,
     pub stats: EngineStats,
+    /// The error that stopped the chunk before its last point.
+    pub failure: Option<SimError>,
 }
 
 /// The SWEC DC sweep engine.
@@ -117,9 +132,8 @@ impl SwecDcSweep {
     }
 
     /// Sweeps the named V/I source from `start` to `stop` (inclusive) in
-    /// increments of `step`: the serial reference sweep, one unbroken
-    /// continuation chain on a fresh workspace (the session's sharded
-    /// sweep runs the same loop chunk by chunk).
+    /// increments of `step`: one unbroken continuation chain on a fresh
+    /// workspace, bit-identical to a default session sweep.
     ///
     /// # Errors
     /// Fails on invalid sweep parameters, unknown source names, singular
@@ -132,43 +146,160 @@ impl SwecDcSweep {
         stop: f64,
         step: f64,
     ) -> Result<Dataset> {
-        let n_points = sweep_points(start, stop, step)?;
-        let t0 = Instant::now();
         let mats = CircuitMatrices::new(circuit)?;
-        require_sweepable_source(&mats.mna, source)?;
+        let n_points = checked_sweep_points(&mats.mna, source, start, stop, step)?;
+        let mut ws = AssemblyWorkspace::new(&mats, false, false, OrderingChoice::default());
+        self.sweep_ws(
+            &mats, &mut ws, source, start, step, n_points, None, 1, false,
+        )
+    }
+
+    /// The sweep driver behind [`SwecDcSweep::run`] and the session's
+    /// sweeps: solves `n_points` points of `source` from `start` in
+    /// increments of `step`, cut into chunks of `chunk_points` points (the
+    /// whole sweep when `None`) run by the one sweep loop,
+    /// [`SwecDcSweep::sweep_chunk`], each on its own clone of `ws`, on
+    /// `workers` threads. The caller has checked the range with
+    /// [`checked_sweep_points`].
+    ///
+    /// With `warm_up`, `ws` is first solved once at the sweep start, the
+    /// matrix the first chunk assembles first. A session workspace lives
+    /// across runs; the warm-up puts it in the same LU state for every run,
+    /// and every chunk clone inherits that state and refactors.
+    ///
+    /// Every chunk past the first begins its continuation ramp at the same
+    /// state (`x = 0`, `Geq(0)`), so all those first ramp points are
+    /// computed up front by one batched multi-RHS solve
+    /// ([`AssemblyWorkspace::factor_solve_many`]) instead of one refactor
+    /// per chunk, bit-identically and before the fan-out. Chunk boundaries,
+    /// warm starts and rescue retries depend only on the point index, so
+    /// results are bit-identical for every worker count.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sweep_ws(
+        &self,
+        mats: &CircuitMatrices,
+        ws: &mut AssemblyWorkspace,
+        source: &str,
+        start: f64,
+        step: f64,
+        n_points: usize,
+        chunk_points: Option<usize>,
+        workers: usize,
+        warm_up: bool,
+    ) -> Result<Dataset> {
+        let t0 = Instant::now();
         let mut run_meter = self.meter.fork();
+        let mut stats = EngineStats::new();
+        let lu0 = ws.lu_stats();
+        let mut buf = DcBuffers::default();
+        let x0 = vec![0.0; mats.mna.dim()];
+        if warm_up {
+            self.solve_noniterative_ws(
+                mats,
+                ws,
+                &mut buf,
+                Some((source, start)),
+                &x0,
+                &mut stats,
+                &mut run_meter.fork(),
+            )?;
+        }
+        // The result shape is known up front: charge the whole payload
+        // before any chunk work is fanned out, so a byte budget too small
+        // for the sweep fails immediately and identically at every worker
+        // count.
         charge_sweep(&mut run_meter, &mats.mna, n_points)?;
         let values: Vec<f64> = (0..n_points).map(|k| start + step * k as f64).collect();
-        let mut ws = AssemblyWorkspace::new(&mats, false, false, OrderingChoice::default());
-        let SweepChunk { xs, mut stats } = self.sweep_chunk(
-            &mats,
-            &mut ws,
+        let chunk = chunk_points.unwrap_or(n_points);
+        let n_chunks = n_points.div_ceil(chunk);
+        let ramp_values: Vec<f64> = (1..n_chunks)
+            .map(|ci| start + (values[ci * chunk - 1] - start) / WARM_START_RAMP as f64)
+            .collect();
+        let seeds = self.solve_noniterative_batch_ws(
+            mats,
+            ws,
+            &mut buf,
             source,
-            &values,
-            0..n_points,
-            None,
-            0,
+            &ramp_values,
+            &x0,
+            &mut stats,
             &run_meter,
         )?;
-        let (names, columns) = sweep_columns(&mats.mna, &xs, &mut stats.flops);
+        stats.absorb_lu(&lu0, &ws.lu_stats());
+
+        let base_ws = &*ws;
+        let run_chunk = |ci: usize, seed: Option<&[f64]>, ramp_steps: usize| {
+            let points = ci * chunk..n_points.min((ci + 1) * chunk);
+            let mut ws = base_ws.clone();
+            self.sweep_chunk(
+                mats, &mut ws, source, &values, points, seed, ramp_steps, &run_meter,
+            )
+        };
+        let chunks = par_map(n_chunks, workers, |ci| {
+            let seed = ci.checked_sub(1).map(|i| &seeds[i][..]);
+            let first = run_chunk(ci, seed, WARM_START_RAMP);
+            // Rescue: retry a failed chunk with an 8x finer continuation
+            // ramp, recomputed locally (the batched seed only applies to
+            // the default ramp). Chunk 0 has no ramp, and its clone replays
+            // the same faults, so a retry could only repeat its failure.
+            // Budget stops are excluded: a chunk killed by the budget must
+            // not burn 8x the work retrying.
+            let retry = ci > 0
+                && self.opts.rescue.enabled
+                && matches!(
+                    first.failure,
+                    Some(SimError::NonConvergence { .. } | SimError::Numeric(_))
+                );
+            if !retry {
+                return first;
+            }
+            let mut c = run_chunk(ci, None, WARM_START_RAMP * 8);
+            if c.failure.is_none() {
+                c.stats.rescues += 1;
+                c.stats.rescue_rungs += 1;
+            }
+            c
+        });
+
+        // Deterministic stitch in chunk order. The first failure ends the
+        // sweep: with `allow_partial`, a budget stop keeps every point
+        // accepted before it (the chunks before the failing one plus that
+        // chunk's accepted prefix), so the salvage is bit-identical at
+        // every worker count; any other failure is an error.
+        let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(n_points);
+        let mut truncated_at = None;
+        for (ci, c) in chunks.into_iter().enumerate() {
+            solutions.extend(c.xs);
+            stats.merge(&c.stats);
+            if let Some(e) = c.failure {
+                let salvage = self.opts.allow_partial
+                    && matches!(e, SimError::BudgetExceeded { .. })
+                    && !solutions.is_empty();
+                if !salvage {
+                    return Err(tag_chunk_failure(e, ci));
+                }
+                truncated_at = Some(values[solutions.len() - 1]);
+                break;
+            }
+        }
+        let mut values = values;
+        values.truncate(solutions.len());
+        let (names, columns) = sweep_columns(&mats.mna, &solutions, &mut stats.flops);
         stats.elapsed = t0.elapsed();
         let axis = Axis::Sweep {
             source: source.to_string(),
             values,
         };
-        Ok(Dataset::new(
-            AnalysisKind::Dc,
-            "swec",
-            axis,
-            names,
-            columns,
-            stats,
-        ))
+        let ds = Dataset::new(AnalysisKind::Dc, "swec", axis, names, columns, stats);
+        Ok(match truncated_at {
+            Some(at) => ds.truncated(at),
+            None => ds,
+        })
     }
 
     /// Solves sweep points `points` of `values` (sweeping `source`) against
-    /// `ws`: the one SWEC sweep loop, shared by [`SwecDcSweep::run`] (all
-    /// points in one chunk) and the session's sharded sweep.
+    /// `ws`: the one SWEC sweep loop, run once per chunk by
+    /// [`SwecDcSweep::sweep_ws`].
     ///
     /// The first sweep point is always solved to self-consistency; after
     /// it, [`DcMode::NonIterative`] performs exactly one solve per point,
@@ -184,6 +315,9 @@ impl SwecDcSweep {
     /// ramp's first solve, computed by the caller) when given. The ramp
     /// iterate is then refined to self-consistency, or kept at a genuine
     /// fold.
+    ///
+    /// A failure stops the chunk; the points accepted before it stay in
+    /// the returned chunk next to the error.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sweep_chunk(
         &self,
@@ -195,98 +329,105 @@ impl SwecDcSweep {
         warm_seed: Option<&[f64]>,
         ramp_steps: usize,
         meter: &BudgetMeter,
-    ) -> Result<SweepChunk> {
+    ) -> SweepChunk {
+        #[cfg(test)]
+        CHUNK_RUNS.with(|n| n.set(n.get() + 1));
         let lu0 = ws.lu_stats();
         let mut buf = DcBuffers::default();
         let mut stats = EngineStats::new();
-        let fixed_point = self.opts.dc_mode == DcMode::FixedPoint;
-        let mut x = vec![0.0; mats.mna.dim()];
-        if points.start > 0 {
-            let (start, prev) = (values[0], values[points.start - 1]);
-            meter.checkpoint().map_err(|stop| {
-                SimError::budget_exceeded(
-                    stop,
-                    format!("dc sweep warm start for point {}", points.start),
-                )
-            })?;
-            let first_step = match warm_seed {
-                Some(seed) => {
-                    x = seed.to_vec();
-                    2
-                }
-                None => 1,
-            };
-            for s in first_step..=ramp_steps {
-                let v = start + (prev - start) * (s as f64 / ramp_steps as f64);
-                x = self
-                    .solve_noniterative_ws(
-                        mats,
-                        ws,
-                        &mut buf,
-                        Some((source, v)),
-                        &x,
-                        &mut stats,
-                        &mut meter.fork(),
-                    )
-                    .map_err(|e| tag_sweep_failure(e, points.start - 1, v))?;
-            }
-            match self.solve_point(
-                mats,
-                ws,
-                &mut buf,
-                &x,
-                PointOptions::at(source, prev),
-                &mut stats,
-                &mut meter.fork(),
-            ) {
-                Ok(x_new) => x = x_new,
-                Err(SimError::NonConvergence { .. }) => {}
-                Err(e) => return Err(tag_sweep_failure(e, points.start - 1, prev)),
-            }
-        }
-
         let mut xs = Vec::with_capacity(points.len());
-        for k in points {
-            let value = values[k];
-            meter
-                .checkpoint()
-                .map_err(|stop| SimError::budget_exceeded(stop, format!("dc sweep point {k}")))?;
-            // `None` takes one non-iterative step: every point past the
-            // first in `NonIterative` mode, and a fold in `FixedPoint` mode.
-            let solved = if k == 0 || fixed_point {
+        let fixed_point = self.opts.dc_mode == DcMode::FixedPoint;
+        let mut solve = || -> Result<()> {
+            let mut x = vec![0.0; mats.mna.dim()];
+            if points.start > 0 {
+                let (start, prev) = (values[0], values[points.start - 1]);
+                meter.checkpoint().map_err(|stop| {
+                    SimError::budget_exceeded(
+                        stop,
+                        format!("dc sweep warm start for point {}", points.start),
+                    )
+                })?;
+                let first_step = match warm_seed {
+                    Some(seed) => {
+                        x = seed.to_vec();
+                        2
+                    }
+                    None => 1,
+                };
+                for s in first_step..=ramp_steps {
+                    let v = start + (prev - start) * (s as f64 / ramp_steps as f64);
+                    x = self
+                        .solve_noniterative_ws(
+                            mats,
+                            ws,
+                            &mut buf,
+                            Some((source, v)),
+                            &x,
+                            &mut stats,
+                            &mut meter.fork(),
+                        )
+                        .map_err(|e| tag_sweep_failure(e, points.start - 1, v))?;
+                }
                 match self.solve_point(
                     mats,
                     ws,
                     &mut buf,
                     &x,
-                    PointOptions::at(source, value),
+                    PointOptions::at(source, prev),
                     &mut stats,
                     &mut meter.fork(),
                 ) {
-                    Err(SimError::NonConvergence { .. }) if k > 0 => None,
-                    result => Some(result),
+                    Ok(x_new) => x = x_new,
+                    Err(SimError::NonConvergence { .. }) => {}
+                    Err(e) => return Err(tag_sweep_failure(e, points.start - 1, prev)),
                 }
-            } else {
-                None
-            };
-            x = solved
-                .unwrap_or_else(|| {
-                    self.solve_noniterative_ws(
+            }
+
+            for k in points.clone() {
+                let value = values[k];
+                meter.checkpoint().map_err(|stop| {
+                    SimError::budget_exceeded(stop, format!("dc sweep point {k}"))
+                })?;
+                // `None` takes one non-iterative step: every point past the
+                // first in `NonIterative` mode, and a fold in `FixedPoint`
+                // mode.
+                let solved = if k == 0 || fixed_point {
+                    match self.solve_point(
                         mats,
                         ws,
                         &mut buf,
-                        Some((source, value)),
                         &x,
+                        PointOptions::at(source, value),
                         &mut stats,
                         &mut meter.fork(),
-                    )
-                })
-                .map_err(|e| tag_sweep_failure(e, k, value))?;
-            stats.steps += 1;
-            xs.push(x.clone());
-        }
+                    ) {
+                        Err(SimError::NonConvergence { .. }) if k > 0 => None,
+                        result => Some(result),
+                    }
+                } else {
+                    None
+                };
+                x = solved
+                    .unwrap_or_else(|| {
+                        self.solve_noniterative_ws(
+                            mats,
+                            ws,
+                            &mut buf,
+                            Some((source, value)),
+                            &x,
+                            &mut stats,
+                            &mut meter.fork(),
+                        )
+                    })
+                    .map_err(|e| tag_sweep_failure(e, k, value))?;
+                stats.steps += 1;
+                xs.push(x.clone());
+            }
+            Ok(())
+        };
+        let failure = solve().err();
         stats.absorb_lu(&lu0, &ws.lu_stats());
-        Ok(SweepChunk { xs, stats })
+        SweepChunk { xs, stats, failure }
     }
 
     /// Solves the operating point of a circuit with all sources at their
@@ -637,6 +778,46 @@ impl SwecDcSweep {
             ),
             fx,
         ))
+    }
+}
+
+/// Checks a sweep of `source` from `start` to `stop` in increments of
+/// `step` against the circuit, and returns its point count.
+pub(crate) fn checked_sweep_points(
+    mna: &MnaSystem,
+    source: &str,
+    start: f64,
+    stop: f64,
+    step: f64,
+) -> Result<usize> {
+    let n_points = sweep_points(start, stop, step)?;
+    require_sweepable_source(mna, source)?;
+    Ok(n_points)
+}
+
+/// Annotates a failed chunk's error with the chunk index (the failing
+/// point index and sweep value ride in the forensics payload).
+fn tag_chunk_failure(e: SimError, ci: usize) -> SimError {
+    match e {
+        SimError::NonConvergence {
+            at,
+            context,
+            forensics,
+        } => SimError::NonConvergence {
+            at,
+            context: format!("{context} [sweep chunk {ci}]"),
+            forensics,
+        },
+        SimError::BudgetExceeded {
+            stop,
+            context,
+            forensics,
+        } => SimError::BudgetExceeded {
+            stop,
+            context: format!("{context} [sweep chunk {ci}]"),
+            forensics,
+        },
+        other => other,
     }
 }
 

@@ -100,9 +100,10 @@ pub struct SwecOptions {
     /// The ladder only runs after a solve has already failed, so enabling
     /// it cannot change the results of a deck that converges directly.
     pub rescue: crate::rescue::RescueOptions,
-    /// When `true`, a transient that dies of step-size underflow returns
-    /// the accepted prefix (marked truncated) instead of an error. Off by
-    /// default: partial data must be asked for explicitly.
+    /// When `true`, a transient that dies of step-size underflow, or a
+    /// DC sweep stopped by its budget, returns the accepted prefix (marked
+    /// truncated) instead of an error. Off by default: partial data must
+    /// be asked for explicitly.
     pub allow_partial: bool,
 }
 

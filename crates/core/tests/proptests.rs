@@ -7,7 +7,7 @@
 
 use nanosim_circuit::Circuit;
 use nanosim_core::nr::{NrEngine, NrOptions};
-use nanosim_core::sim::{Analysis, SimOptions, Simulator};
+use nanosim_core::sim::{Analysis, SimOptions, Simulator, SWEEP_CHUNK};
 use nanosim_core::swec::{DcMode, SwecDcSweep, SwecOptions, SwecTransient};
 use nanosim_core::OrderingChoice;
 use nanosim_devices::rtd::{Rtd, RtdParams};
@@ -289,7 +289,7 @@ proptest! {
                 SimOptions { ordering: OrderingChoice::Amd, ..Default::default() },
             )
             .expect("assembles");
-            let a = Analysis::dc_sweep("V1", 0.0, 1.0, 0.05);
+            let a = Analysis::dc_sweep("V1", 0.0, 1.0, 0.05).chunk_points(SWEEP_CHUNK);
             let a = if workers == 0 { a } else { a.plan(ExecPlan::sharded(workers)) };
             sim.run(a).expect("sweep runs")
         };

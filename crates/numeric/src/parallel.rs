@@ -100,42 +100,6 @@ where
     par_map(n, threads, f).into_iter().collect()
 }
 
-/// Like [`try_par_map`], but keeps the successful items alongside the
-/// first-by-index error instead of discarding them: returns
-/// `(results, error)` where `results[i]` is `Some` for every item that
-/// succeeded and `error` is `Some((i, e))` for the smallest failing index.
-///
-/// All items are evaluated either way (same contract as [`try_par_map`]),
-/// so the partition of successes/failures — and therefore any prefix a
-/// caller salvages from it — is identical at every thread count. This is
-/// the partial-result path of budget-killed sharded sweeps: chunks before
-/// the failing index form a deterministic accepted prefix.
-pub fn try_par_map_partial<R, E, F>(
-    n: usize,
-    threads: usize,
-    f: F,
-) -> (Vec<Option<R>>, Option<(usize, E)>)
-where
-    R: Send,
-    E: Send,
-    F: Fn(usize) -> Result<R, E> + Sync,
-{
-    let mut results: Vec<Option<R>> = Vec::with_capacity(n);
-    let mut error: Option<(usize, E)> = None;
-    for (i, item) in par_map(n, threads, f).into_iter().enumerate() {
-        match item {
-            Ok(r) => results.push(Some(r)),
-            Err(e) => {
-                results.push(None);
-                if error.is_none() {
-                    error = Some((i, e));
-                }
-            }
-        }
-    }
-    (results, error)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -172,23 +136,6 @@ mod tests {
         assert_eq!(r.unwrap_err(), 3);
         let ok: Result<Vec<usize>, usize> = try_par_map(5, 2, Ok);
         assert_eq!(ok.unwrap(), vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn try_par_map_partial_keeps_successes_and_smallest_error() {
-        let f = |i: usize| if i % 4 == 3 { Err(i) } else { Ok(i * 2) };
-        for threads in [1, 2, 4] {
-            let (results, err) = try_par_map_partial(10, threads, f);
-            assert_eq!(err, Some((3, 3)), "threads={threads}");
-            assert_eq!(results.len(), 10);
-            assert_eq!(results[2], Some(4));
-            assert_eq!(results[3], None);
-            assert_eq!(results[7], None);
-            assert_eq!(results[8], Some(16));
-        }
-        let (all, err) = try_par_map_partial(5, 2, Ok::<_, ()>);
-        assert!(err.is_none());
-        assert!(all.iter().all(Option::is_some));
     }
 
     #[test]

@@ -15,7 +15,8 @@
 //! * [`AnalysisKey`] canonically encodes an [`AnalysisDirective`]. The
 //!   execution plan is deliberately *not* part of the key: results are
 //!   bit-identical across worker counts, so a sweep sharded 4 ways may
-//!   answer a serial request from cache.
+//!   answer a serial request from cache. Neither is the sweep's chunk
+//!   layout: every `.dc` directive lowers to the same one-chunk layout.
 
 use nanosim_circuit::{deck_fingerprint, fnv1a, fnv1a_extend, topology_fingerprint};
 use nanosim_circuit::{AnalysisDirective, Circuit};

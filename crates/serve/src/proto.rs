@@ -5,8 +5,8 @@
 //!
 //! | cmd      | fields                                         | response |
 //! |----------|------------------------------------------------|----------|
-//! | `submit` | `deck`, opt. `params` (obj), `workers`, `timeout_ms`, `budget` (obj), `allow_partial`, `hold` | `runs`: per-directive `{run, analysis, status, cache, full_factors}` |
-//! | `batch`  | `deck`, `grid` (array of objs) or `sweep` (obj of arrays), opt. `workers` | `runs` as above |
+//! | `submit` | `deck`, opt. `params` (obj), `workers` (does not split a `.dc` sweep: it runs as one chunk), `timeout_ms`, `budget` (obj), `allow_partial`, `hold` | `runs`: per-directive `{run, analysis, status, cache, full_factors}` |
+//! | `batch`  | `deck`, `grid` (array of objs) or `sweep` (obj of arrays), opt. `workers` (as for `submit`) | `runs` as above |
 //! | `status` | `run`                                          | `{run, analysis, status[, error]}` |
 //! | `result` | `run`, opt. `data` (bool, default true)        | status + dataset columns + engine stats |
 //! | `cancel` | `run`                                          | `{run, cancelled}` |

@@ -25,7 +25,9 @@ pub struct ServiceOptions {
     /// Maximum entries in the full-result cache.
     pub result_cache_capacity: usize,
     /// Default execution plan for sweep analyses ([`ExecPlan::Serial`]
-    /// unless configured; per-request `workers` overrides it).
+    /// unless configured; per-request `workers` overrides it). A `.dc`
+    /// directive lowers to the default one-chunk sweep, which runs on one
+    /// worker whatever the plan.
     pub plan: ExecPlan,
     /// Default run budget applied to every engine run; unlimited unless
     /// configured. Per-request `timeout_ms` / `budget` members tighten it.
@@ -70,7 +72,8 @@ impl Default for ServiceOptions {
 pub struct SubmitOptions {
     /// `.param` overrides applied during parsing.
     pub overrides: Vec<(String, f64)>,
-    /// Worker-count override for sweep analyses (`Some(0)` = auto).
+    /// Worker-count override for sweep analyses (`Some(0)` = auto); see
+    /// [`ServiceOptions::plan`].
     pub workers: Option<usize>,
     /// Per-request deadline, intersected with the service budget's.
     pub timeout: Option<Duration>,

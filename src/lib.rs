@@ -21,9 +21,9 @@
 //! [`Simulator`](crate::core::sim::Simulator) on a circuit, run typed
 //! [`Analysis`](crate::core::sim::Analysis) requests through it, and read
 //! every result through the one [`Dataset`](crate::core::sim::Dataset)
-//! model. Scale-out (sharded DC sweeps, parallel ensembles) is an
+//! model. Scale-out (chunked DC sweeps, parallel ensembles) is an
 //! [`ExecPlan`](crate::core::sim::ExecPlan), not a different engine — and
-//! sharded runs are bit-identical to serial ones.
+//! sharded runs are bit-identical to serial runs of the same request.
 //!
 //! This facade crate re-exports the workspace and provides the
 //! [`workloads`] used by the paper's experiments (RTD dividers, the FET-RTD
@@ -44,11 +44,12 @@
 //! assert!(v_peak > 2.0 && v_peak < 4.5);
 //! assert!(i_peak > 1e-3);
 //!
-//! // The same sweep sharded over 4 workers: faster, bit-identical.
-//! let sharded = sim.run(
-//!     Analysis::dc_sweep("V1", 0.0, 5.0, 0.05).plan(ExecPlan::sharded(4)),
-//! )?;
-//! assert_eq!(sweep.column("I(X1)"), sharded.column("I(X1)"));
+//! // Cut into 16-point chunks, the sweep can run on 4 workers, and every
+//! // worker count gives the bits of the serial run of the same chunks.
+//! let chunked = Analysis::dc_sweep("V1", 0.0, 5.0, 0.05).chunk_points(16);
+//! let serial = sim.run(chunked.clone())?;
+//! let sharded = sim.run(chunked.plan(ExecPlan::sharded(4)))?;
+//! assert_eq!(serial.column("I(X1)"), sharded.column("I(X1)"));
 //! # Ok(())
 //! # }
 //! ```

@@ -5,15 +5,18 @@
 //! bit-identical to runs with no budget machinery engaged at all.
 
 use nanosim::core::em::EmOptions;
-use nanosim::core::sim::Pwl;
+use nanosim::core::sim::{Pwl, SWEEP_CHUNK};
 use nanosim::prelude::*;
 use proptest::prelude::*;
 
-/// Runs the Table I 4x4 RTD mesh sweep under a per-solve iteration cap.
+/// Runs the Table I 4x4 RTD mesh sweep, in [`SWEEP_CHUNK`]-point chunks,
+/// under a per-solve iteration cap.
 fn budgeted_sweep(limit: u64, workers: usize, partial: bool) -> Result<Dataset, SimError> {
     let mut sim = Simulator::new(nanosim::workloads::rtd_mesh(4)).expect("mesh assembles");
     sim.set_budget(Budget::unlimited().with_max_newton_iterations(limit));
-    let mut req = Analysis::dc_sweep("V1", 0.0, 3.0, 0.05).plan(ExecPlan::sharded(workers));
+    let mut req = Analysis::dc_sweep("V1", 0.0, 3.0, 0.05)
+        .chunk_points(SWEEP_CHUNK)
+        .plan(ExecPlan::sharded(workers));
     if partial {
         req = req.allow_partial();
     }
@@ -280,7 +283,11 @@ fn pre_cancelled_token_kills_every_plan_with_the_same_error() {
         token.cancel();
         sim.set_cancel_token(token);
         let e = sim
-            .run(Analysis::dc_sweep("V1", 0.0, 3.0, 0.05).plan(ExecPlan::sharded(workers)))
+            .run(
+                Analysis::dc_sweep("V1", 0.0, 3.0, 0.05)
+                    .chunk_points(SWEEP_CHUNK)
+                    .plan(ExecPlan::sharded(workers)),
+            )
             .expect_err("cancelled before start");
         assert_eq!(e.budget_stop(), Some(BudgetStop::Cancelled));
         assert_eq!(
@@ -310,4 +317,61 @@ fn unlimited_budget_is_bit_identical_to_no_budget() {
         assert_eq!(baseline.column(name), threaded.column(name));
     }
     assert_eq!(baseline.stats.linear_solves, threaded.stats.linear_solves);
+}
+
+/// Runs the 4x4 mesh sweep in one chunk, in [`DcMode::FixedPoint`], under a
+/// per-solve iteration cap, with partial results allowed.
+fn capped_fixed_point_sweep(limit: u64, workers: usize) -> Result<Dataset, SimError> {
+    let mut sim = Simulator::new(nanosim::workloads::rtd_mesh(4)).expect("mesh assembles");
+    sim.set_budget(Budget::unlimited().with_max_newton_iterations(limit));
+    let options = SwecOptions {
+        dc_mode: DcMode::FixedPoint,
+        ..SwecOptions::default()
+    };
+    sim.run(
+        Analysis::dc_sweep("V1", 0.0, 3.0, 0.05)
+            .options(options)
+            .plan(ExecPlan::sharded(workers))
+            .allow_partial(),
+    )
+}
+
+#[test]
+fn one_chunk_sweep_salvages_every_point_accepted_before_the_stop() {
+    // In one chunk, the points accepted before a budget stop are the
+    // chunk's own prefix. The smallest cap that stops the sweep past its
+    // first 10 points is scanned, not hard-coded.
+    let full = capped_fixed_point_sweep(u64::MAX, 1).expect("no cap, no stop");
+    assert!(!full.is_truncated());
+    let (limit, partial) = (1..200)
+        .find_map(|limit| {
+            let ds = capped_fixed_point_sweep(limit, 1).ok()?;
+            (ds.is_truncated() && ds.points() > 10).then_some((limit, ds))
+        })
+        .expect("some cap truncates the sweep mid-way");
+    let kept = partial.points();
+    assert!(kept < full.points(), "the budget must actually bite");
+    assert_eq!(
+        partial.truncated_at(),
+        partial.axis_values().last().copied()
+    );
+    assert_eq!(&full.axis_values()[..kept], partial.axis_values());
+    for name in full.names() {
+        assert_eq!(
+            &full.column(name).unwrap()[..kept],
+            partial.column(name).unwrap(),
+            "column {name} is not a bit-exact prefix (cap {limit})"
+        );
+    }
+    for workers in [2usize, 4] {
+        let ds = capped_fixed_point_sweep(limit, workers).expect("salvage is plan-invariant");
+        assert_eq!(
+            ds.truncated_at(),
+            partial.truncated_at(),
+            "workers = {workers}"
+        );
+        for name in full.names() {
+            assert_eq!(ds.column(name), partial.column(name), "workers = {workers}");
+        }
+    }
 }

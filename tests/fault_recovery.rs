@@ -8,6 +8,7 @@
 
 use nanosim::core::error::Forensics;
 use nanosim::core::mla::{MlaEngine, MlaOptions};
+use nanosim::core::sim::{DcSweep, SWEEP_CHUNK};
 use nanosim::prelude::*;
 use proptest::prelude::*;
 
@@ -54,12 +55,15 @@ fn bits(v: &[f64]) -> Vec<u64> {
 
 #[test]
 fn healthy_golden_workloads_report_zero_rescues() {
-    // DC sweep of the Figure 7(a) divider, serial and sharded.
+    // DC sweep of the Figure 7(a) divider: serial in one chunk, and
+    // sharded in SWEEP_CHUNK-point chunks.
     let mut sim = Simulator::new(nanosim::workloads::rtd_divider(50.0)).unwrap();
-    for plan in [ExecPlan::Serial, ExecPlan::sharded(4)] {
-        let dc = sim
-            .run(Analysis::dc_sweep("V1", 0.0, 5.0, 0.05).plan(plan))
-            .unwrap();
+    for req in [
+        Analysis::dc_sweep("V1", 0.0, 5.0, 0.05),
+        chunked_sweep().plan(ExecPlan::sharded(4)),
+    ] {
+        let plan = req.plan;
+        let dc = sim.run(req).unwrap();
         assert_eq!(dc.stats.rescues, 0, "plan {plan:?}");
         assert_eq!(dc.stats.rescue_rungs, 0, "plan {plan:?}");
         assert_eq!(dc.stats.health(), HealthVerdict::Healthy, "plan {plan:?}");
@@ -153,11 +157,16 @@ fn op_singular_pivot_is_rescued_by_the_ladder() {
 // Sweep faults: structured, worker-count-invariant outcomes.
 // ---------------------------------------------------------------------------
 
-/// Runs the divider sweep with `plan_faults` armed, at `workers`.
+/// The divider sweep in [`SWEEP_CHUNK`]-point chunks.
+fn chunked_sweep() -> DcSweep {
+    Analysis::dc_sweep("V1", 0.0, 5.0, 0.05).chunk_points(SWEEP_CHUNK)
+}
+
+/// Runs the chunked divider sweep with `plan_faults` armed, at `workers`.
 fn faulted_sweep(fault: FaultPlan, workers: usize) -> Result<Dataset, SimError> {
     let mut sim = Simulator::new(nanosim::workloads::rtd_divider(50.0)).unwrap();
     sim.arm_faults(fault);
-    sim.run(Analysis::dc_sweep("V1", 0.0, 5.0, 0.05).plan(ExecPlan::sharded(workers)))
+    sim.run(chunked_sweep().plan(ExecPlan::sharded(workers)))
 }
 
 #[test]
@@ -195,7 +204,7 @@ fn sweep_conductance_collapse_never_panics() {
     // completes near the clean result, or the failure is structured.
     let clean = Simulator::new(nanosim::workloads::rtd_divider(50.0))
         .unwrap()
-        .run(Analysis::dc_sweep("V1", 0.0, 5.0, 0.05))
+        .run(chunked_sweep())
         .unwrap();
     for at in [5u64, 40, 120] {
         let plan = FaultPlan::new().with_entry_scale(at, 1, 1, 1e-12);

@@ -8,6 +8,7 @@
 //! produces more fill than natural order on the Table I 10×10 mesh, or more
 //! fill or factor flops than its recorded bounds on the 40×40 mesh.
 
+use nanosim::core::sim::SWEEP_CHUNK;
 use nanosim::prelude::*;
 use nanosim::workloads;
 
@@ -283,7 +284,7 @@ fn ordered_sharded_sweep_bit_identical_across_worker_counts() {
             },
         )
         .expect("assembles");
-        let analysis = Analysis::dc_sweep("V1", 0.0, 2.0, 0.05);
+        let analysis = Analysis::dc_sweep("V1", 0.0, 2.0, 0.05).chunk_points(SWEEP_CHUNK);
         let analysis = if workers == 0 {
             analysis
         } else {

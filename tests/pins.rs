@@ -12,6 +12,7 @@
 //! [`RescueTrace`] in its forensics.
 
 use nanosim::core::mla::{MlaEngine, MlaOptions};
+use nanosim::core::sim::SWEEP_CHUNK;
 use nanosim::core::swec::SwecDcSweep;
 use nanosim::numeric::BudgetMeter;
 use nanosim::prelude::*;
@@ -423,20 +424,89 @@ fn dataset_digest(ds: &Dataset) -> u64 {
 
 #[test]
 fn pinned_table1_mesh30_sweep() {
-    // The 902-unknown Table I mesh with default options, over four sweep
-    // chunks, serial and on two shards.
+    // The 902-unknown Table I mesh with default options, over four
+    // SWEEP_CHUNK-point chunks, serial and on two shards.
     let sweep = |plan: ExecPlan| {
         let mut sim = Simulator::new(nanosim::workloads::rtd_mesh_n(30)).unwrap();
-        sim.run(Analysis::dc_sweep("V1", 0.0, 5.0, 0.1).plan(plan))
-            .unwrap()
+        sim.run(
+            Analysis::dc_sweep("V1", 0.0, 5.0, 0.1)
+                .chunk_points(SWEEP_CHUNK)
+                .plan(plan),
+        )
+        .unwrap()
     };
     let serial = sweep(ExecPlan::Serial);
     assert_eq!(serial.points(), 51);
-    assert!(serial.points() > 2 * nanosim::core::sim::SWEEP_CHUNK);
+    assert!(serial.points() > 2 * SWEEP_CHUNK);
     let sharded = sweep(ExecPlan::sharded(2));
     let digests = [dataset_digest(&serial), dataset_digest(&sharded)];
     assert_eq!(
         digests, [0x1d61_348c_0542_4591; 2],
         "serial/sharded mesh30 sweep digests {digests:#018x?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The default one-chunk layout.
+// ---------------------------------------------------------------------------
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+#[test]
+fn pinned_one_chunk_sweep_matches_serial_engine() {
+    // A default session sweep is one unbroken continuation chain: the bits
+    // of `SwecDcSweep::run`, on the Table I mesh10 sweep and on the Figure
+    // 7(a) divider sweep through its hysteresis. The session pays one
+    // warm-up solve more and nothing else.
+    for (circuit, stop, step, points) in [
+        (nanosim::workloads::rtd_mesh(10), 3.0, 0.05, 61),
+        (nanosim::workloads::rtd_divider(50.0), 5.0, 0.02, 251),
+    ] {
+        let engine = SwecDcSweep::new(SwecOptions::default())
+            .run(&circuit, "V1", 0.0, stop, step)
+            .unwrap();
+        let mut sim = Simulator::new(circuit).unwrap();
+        let session = sim.run(Analysis::dc_sweep("V1", 0.0, stop, step)).unwrap();
+        assert_eq!(session.points(), points);
+        assert_eq!(bits(session.axis_values()), bits(engine.axis_values()));
+        assert_eq!(session.names(), engine.names());
+        for name in engine.names() {
+            assert_eq!(
+                bits(session.column(name).unwrap()),
+                bits(engine.column(name).unwrap()),
+                "{points}-point sweep: column {name}"
+            );
+        }
+        assert_eq!(session.stats.steps, engine.stats.steps);
+        assert_eq!(
+            session.stats.linear_solves,
+            engine.stats.linear_solves + 1,
+            "{points}-point sweep"
+        );
+    }
+}
+
+#[test]
+fn pinned_one_chunk_mesh30_sweep_counts() {
+    // The `dc_mesh30` op: the 101-point Table I sweep of the 902-unknown
+    // mesh on a warm session, in the default layout: one solve per point
+    // plus the warm-up, each one a refactor. In 16-point chunks the same
+    // op takes 185 solves, 180 refactors, 162 000 device evaluations and
+    // 76 728 169 flops.
+    let mut sim = Simulator::new(nanosim::workloads::rtd_mesh_n(30)).unwrap();
+    let sweep = || Analysis::dc_sweep("V1", 0.0, 5.0, 0.05);
+    sim.run(sweep()).unwrap();
+    let ds = sim.run(sweep()).unwrap();
+    let s = &ds.stats;
+    let counts = [
+        ds.points() as u64,
+        s.linear_solves,
+        s.full_factors,
+        s.refactors,
+        s.device_evals,
+        s.flops.total(),
+    ];
+    assert_eq!(counts, [101, 102, 0, 102, 91_800, 44_411_712], "{s}");
 }

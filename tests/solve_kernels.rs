@@ -4,7 +4,7 @@
 //! right-hand-side count — and engine results flowing through the sparse
 //! LU must stay bit-identical at every worker count.
 
-use nanosim::core::sim::{Analysis, ExecPlan, SimOptions, Simulator};
+use nanosim::core::sim::{Analysis, ExecPlan, SimOptions, Simulator, SWEEP_CHUNK};
 use nanosim::core::swec::SwecDcSweep;
 use nanosim::workloads;
 use nanosim_numeric::flops::FlopCounter;
@@ -79,7 +79,7 @@ fn sharded_sweep_bit_identical_at_every_worker_count() {
             )
             .expect("assembles")
         };
-        let request = || Analysis::dc_sweep("V1", 0.0, 3.0, 0.05);
+        let request = || Analysis::dc_sweep("V1", 0.0, 3.0, 0.05).chunk_points(SWEEP_CHUNK);
         let serial = mk().run(request()).unwrap();
         for workers in [1usize, 2, 4, 7] {
             let sharded = mk()
@@ -216,7 +216,9 @@ fn batched_warm_start_matches_legacy_continuation() {
     // branch-tracking contract holds, covered by tests/session.rs).
     let ckt = workloads::rtd_mesh_n(5);
     let mut sim = Simulator::new(ckt.clone()).unwrap();
-    let ds = sim.run(Analysis::dc_sweep("V1", 0.0, 1.5, 0.01)).unwrap();
+    let ds = sim
+        .run(Analysis::dc_sweep("V1", 0.0, 1.5, 0.01).chunk_points(SWEEP_CHUNK))
+        .unwrap();
     let legacy = SwecDcSweep::new(Default::default())
         .run(&ckt, "V1", 0.0, 1.5, 0.01)
         .unwrap();
