@@ -9,7 +9,7 @@
 //!   iteration: same topology, different values, so the pooled session
 //!   rebinds and only *refactors* (0 full factors after the first submit);
 //! * **result_hit** — the identical deck resubmitted: answered from the
-//!   full result cache, bit-identically, with no engine work at all.
+//!   full result cache, bit-identically, with no parse and no engine work.
 //!
 //! The acceptance bar for the service layer is warm_session and
 //! result_hit strictly below cold on mesh20.
@@ -44,7 +44,7 @@ fn bench_service_ladder(c: &mut Criterion) {
                 variant += 1;
                 let rgrid = 100.0 + variant as f64 * 1e-3;
                 warm_svc
-                    .submit_opts(black_box(&deck), &[("rgrid".into(), rgrid)], None)
+                    .submit_opts(black_box(&deck), &[("rgrid".into(), rgrid)])
                     .expect("deck submits")
             })
         });

@@ -341,7 +341,17 @@ impl EmEngine {
                 context: "wiener paths must be nonempty and equal length".into(),
             });
         }
+        // Every path is integrated on one time grid, so their steps must
+        // agree too.
         let dt = wieners[0].dt();
+        if let Some(w) = wieners.iter().find(|w| w.dt() != dt) {
+            return Err(SimError::InvalidConfig {
+                context: format!(
+                    "wiener paths must share one time step (dt {dt:e} and {:e})",
+                    w.dt()
+                ),
+            });
+        }
         let mut stats = EngineStats::new();
         let mut flops = FlopCounter::new();
         let dim = mats.mna.dim();
@@ -907,6 +917,33 @@ mod tests {
         let p2 = WienerPath::generate(1e-9, 50, &mut rng);
         assert!(engine.run_with_paths(&ckt, &[p1.clone(), p2]).is_err());
         assert!(engine.run_with_paths(&ckt, &[p1]).is_ok());
+    }
+
+    #[test]
+    fn run_with_paths_rejects_paths_on_different_time_steps() {
+        // Two noise sources whose paths have equal step counts but cover
+        // different horizons: integrating both at the first path's dt
+        // would silently rescale the second path's increments.
+        let mut ckt = noisy_rc(1e-9, 0.0);
+        let v = ckt.node("v");
+        ckt.add_current_source(
+            "In2",
+            Circuit::GROUND,
+            v,
+            SourceWaveform::white_noise(0.0, 1e-9).unwrap(),
+        )
+        .unwrap();
+        let engine = EmEngine::new(EmOptions::default());
+        let mut rng = Pcg64::seed_from_u64(3);
+        let p1 = WienerPath::generate(1e-9, 100, &mut rng);
+        let p2 = WienerPath::generate(2e-9, 100, &mut rng);
+        let err = engine
+            .run_with_paths(&ckt, &[p1.clone(), p2])
+            .expect_err("paths on different time steps");
+        assert!(matches!(err, SimError::InvalidConfig { .. }), "{err}");
+        assert!(err.to_string().contains("time step"), "{err}");
+        let p3 = WienerPath::generate(1e-9, 100, &mut rng);
+        assert!(engine.run_with_paths(&ckt, &[p1, p3]).is_ok());
     }
 
     #[test]

@@ -107,7 +107,8 @@ impl Json {
         out
     }
 
-    fn write(&self, out: &mut String) {
+    /// Appends the compact rendering to `out`.
+    pub(crate) fn write(&self, out: &mut String) {
         match self {
             Json::Null => out.push_str("null"),
             Json::Bool(true) => out.push_str("true"),
@@ -178,7 +179,7 @@ impl From<String> for Json {
 
 /// JSON has no NaN/Infinity; non-finite values render as `null` (they only
 /// appear in health telemetry, never in dataset columns).
-fn write_number(v: f64, out: &mut String) {
+pub(crate) fn write_number(v: f64, out: &mut String) {
     if !v.is_finite() {
         out.push_str("null");
         return;
@@ -195,7 +196,8 @@ fn write_number(v: f64, out: &mut String) {
     }
 }
 
-fn write_escaped(s: &str, out: &mut String) {
+/// Appends `s` as a quoted JSON string.
+pub(crate) fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {

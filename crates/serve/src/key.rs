@@ -17,6 +17,10 @@
 //!   bit-identical across worker counts, so a sweep sharded 4 ways may
 //!   answer a serial request from cache. Neither is the sweep's chunk
 //!   layout: every `.dc` directive lowers to the same one-chunk layout.
+//! * [`RequestKey`] hashes a submit request as sent — deck text and
+//!   `.param` overrides — before any parse. It keys the service's memo of
+//!   parsed-deck facts, so an exact resubmit whose results are cached is
+//!   answered without parsing its deck again.
 
 use nanosim_circuit::{deck_fingerprint, fnv1a, fnv1a_extend, topology_fingerprint};
 use nanosim_circuit::{AnalysisDirective, Circuit};
@@ -32,6 +36,11 @@ pub struct TopologyKey(pub u64);
 /// Canonical fingerprint of one analysis directive.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct AnalysisKey(pub u64);
+
+/// Fingerprint of a submit request's deck text and `.param` overrides, in
+/// request order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct RequestKey(pub u64);
 
 impl DeckKey {
     /// Fingerprints a flattened circuit (value-sensitive).
@@ -81,6 +90,24 @@ impl AnalysisKey {
     }
 }
 
+impl RequestKey {
+    /// Fingerprints the request text: the deck, then each override's name
+    /// and exact `f64` bits. Lengths are hashed ahead of the deck and of
+    /// every name, so no deck text can pass for a shorter deck plus
+    /// overrides.
+    #[must_use]
+    pub fn of(deck: &str, overrides: &[(String, f64)]) -> RequestKey {
+        let mut h = fnv1a(&(deck.len() as u64).to_le_bytes());
+        h = fnv1a_extend(h, deck.as_bytes());
+        for (name, value) in overrides {
+            h = fnv1a_extend(h, &(name.len() as u64).to_le_bytes());
+            h = fnv1a_extend(h, name.as_bytes());
+            h = fnv1a_extend(h, &value.to_bits().to_le_bytes());
+        }
+        RequestKey(h)
+    }
+}
+
 impl std::fmt::Display for DeckKey {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:016x}", self.0)
@@ -125,6 +152,27 @@ mod tests {
         assert_ne!(op, dc);
         assert_ne!(dc, dc2);
         assert_ne!(dc, tran);
+    }
+
+    #[test]
+    fn request_keys_see_every_byte_and_bit_of_the_request() {
+        let deck = "V1 in 0 DC 1\nR1 in 0 {r}\n.op\n.end\n";
+        let r = |v: f64| vec![("r".to_string(), v)];
+        let base = RequestKey::of(deck, &r(100.0));
+        assert_eq!(base, RequestKey::of(deck, &r(100.0)));
+        assert_ne!(
+            base,
+            RequestKey::of(&deck.replace("DC 1", "DC 2"), &r(100.0))
+        );
+        assert_ne!(
+            base,
+            RequestKey::of(deck, &r(f64::from_bits(100f64.to_bits() + 1)))
+        );
+        assert_ne!(base, RequestKey::of(deck, &[]));
+        // Override order is part of the request.
+        let ab = [("a".to_string(), 1.0), ("b".to_string(), 2.0)];
+        let ba = [("b".to_string(), 2.0), ("a".to_string(), 1.0)];
+        assert_ne!(RequestKey::of(deck, &ab), RequestKey::of(deck, &ba));
     }
 
     #[test]

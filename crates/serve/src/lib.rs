@@ -16,7 +16,9 @@
 //!   because the engines are deterministic), and a pattern-only
 //!   [`TopologyKey`] keys the [`SessionPool`], which rebinds pooled
 //!   sessions to same-topology circuits so sparse-LU symbolic analyses
-//!   and factor structures are paid once and refactored forever.
+//!   and factor structures are paid once and refactored forever. A
+//!   bounded memo keyed by [`RequestKey`] (deck text + overrides) lets an
+//!   exact resubmit whose results are all cached skip the parse.
 //! * **Batch front-end** ([`service::BatchRequest`], [`proto`]) — a
 //!   parameter grid (`.param` overrides × the deck's analysis directives)
 //!   fans out into one run per grid point, sharing pooled sessions; the
@@ -65,7 +67,7 @@ pub mod store;
 
 pub use error::ServeError;
 pub use json::Json;
-pub use key::{AnalysisKey, DeckKey, TopologyKey};
+pub use key::{AnalysisKey, DeckKey, RequestKey, TopologyKey};
 pub use pool::SessionPool;
 pub use proto::{handle_line, mask_volatile};
 pub use service::{expand_axes, BatchRequest, ServiceOptions, SimService, SubmitOptions};

@@ -5,8 +5,8 @@
 //!
 //! | cmd      | fields                                         | response |
 //! |----------|------------------------------------------------|----------|
-//! | `submit` | `deck`, opt. `params` (obj), `workers` (does not split a `.dc` sweep: it runs as one chunk), `timeout_ms`, `budget` (obj), `allow_partial`, `hold` | `runs`: per-directive `{run, analysis, status, cache, full_factors}` |
-//! | `batch`  | `deck`, `grid` (array of objs) or `sweep` (obj of arrays), opt. `workers` (as for `submit`) | `runs` as above |
+//! | `submit` | `deck`, opt. `params` (obj), `timeout_ms`, `budget` (obj), `allow_partial`, `hold` | `runs`: per-directive `{run, analysis, status, cache, full_factors}` |
+//! | `batch`  | `deck`, `grid` (array of objs) or `sweep` (obj of arrays) | `runs` as above |
 //! | `status` | `run`                                          | `{run, analysis, status[, error]}` |
 //! | `result` | `run`, opt. `data` (bool, default true)        | status + dataset columns + engine stats |
 //! | `cancel` | `run`                                          | `{run, cancelled}` |
@@ -20,12 +20,15 @@
 //! applies. Requests past the service's admission limits answer
 //! `{"ok":false,"code":"overloaded",...}` without registering anything.
 //!
+//! Members a command does not know are ignored.
+//!
 //! Every response carries `"ok"`; failures are `{"ok":false,"error":{...}}`
 //! with a structured [`ServeError`] body — junk input can never panic this
-//! layer (property-tested).
+//! layer (property-tested). `result` responses are written straight into
+//! the output line; the other, small responses are built as [`Json`].
 
 use crate::error::ServeError;
-use crate::json::{self, Json};
+use crate::json::{self, write_escaped, write_number, Json};
 use crate::service::{BatchRequest, SimService, SubmitOptions};
 use crate::store::{RunId, RunRecord, RunStatus};
 use nanosim_core::Budget;
@@ -36,50 +39,40 @@ use std::time::Duration;
 /// structured error response.
 pub fn handle_line(svc: &mut SimService, line: &str) -> String {
     svc.stats_mut().requests += 1;
-    let response = match dispatch(svc, line) {
-        Ok(v) => v,
+    match dispatch(svc, line) {
+        Ok(response) => response,
         Err(e) => {
             svc.stats_mut().errors += 1;
-            e.to_response()
+            e.to_response().render()
         }
-    };
-    response.render()
+    }
 }
 
-fn dispatch(svc: &mut SimService, line: &str) -> Result<Json, ServeError> {
+fn dispatch(svc: &mut SimService, line: &str) -> Result<String, ServeError> {
     let req =
         json::parse(line.trim()).map_err(|m| ServeError::protocol(format!("bad JSON: {m}")))?;
     let cmd = req
         .get("cmd")
         .and_then(Json::as_str)
         .ok_or_else(|| ServeError::protocol("request needs a string `cmd` member"))?;
-    match cmd {
+    let response = match cmd {
         "submit" => submit(svc, &req),
         "batch" => batch(svc, &req),
         "status" => status(svc, &req),
-        "result" => result(svc, &req),
+        "result" => return result(svc, &req),
         "cancel" => cancel(svc, &req),
         "run" => run_held(svc, &req),
         "stats" => Ok(stats(svc)),
         "evict" => evict(svc, &req),
         other => Err(ServeError::protocol(format!("unknown cmd `{other}`"))),
-    }
+    };
+    response.map(|v| v.render())
 }
 
 fn deck_of(req: &Json) -> Result<&str, ServeError> {
     req.get("deck")
         .and_then(Json::as_str)
         .ok_or_else(|| ServeError::protocol("request needs a string `deck` member"))
-}
-
-fn workers_of(req: &Json) -> Result<Option<usize>, ServeError> {
-    match req.get("workers") {
-        None => Ok(None),
-        Some(v) => v
-            .as_u64()
-            .map(|n| Some(n as usize))
-            .ok_or_else(|| ServeError::protocol("`workers` must be a non-negative integer")),
-    }
 }
 
 fn run_of(req: &Json) -> Result<RunId, ServeError> {
@@ -103,9 +96,10 @@ fn overrides_of(v: &Json) -> Result<Vec<(String, f64)>, ServeError> {
         .collect()
 }
 
-fn bool_of(req: &Json, key: &str) -> Result<bool, ServeError> {
+/// An optional boolean member; `default` when absent.
+fn bool_of(req: &Json, key: &str, default: bool) -> Result<bool, ServeError> {
     match req.get(key) {
-        None => Ok(false),
+        None => Ok(default),
         Some(v) => v
             .as_bool()
             .ok_or_else(|| ServeError::protocol(format!("`{key}` must be a boolean"))),
@@ -154,15 +148,13 @@ fn submit(svc: &mut SimService, req: &Json) -> Result<Json, ServeError> {
         None => Vec::new(),
         Some(v) => overrides_of(v)?,
     };
-    let workers = workers_of(req)?;
     let (budget, timeout) = budget_of(req)?;
     let opts = SubmitOptions {
         overrides,
-        workers,
         timeout,
         budget,
-        allow_partial: bool_of(req, "allow_partial")?,
-        hold: bool_of(req, "hold")?,
+        allow_partial: bool_of(req, "allow_partial", false)?,
+        hold: bool_of(req, "hold", false)?,
     };
     let ids = svc.submit_with(deck, &opts)?;
     Ok(runs_response(svc, &ids))
@@ -191,7 +183,6 @@ fn run_held(svc: &mut SimService, req: &Json) -> Result<Json, ServeError> {
 
 fn batch(svc: &mut SimService, req: &Json) -> Result<Json, ServeError> {
     let deck = deck_of(req)?.to_string();
-    let workers = workers_of(req)?;
     let grid = match (req.get("grid"), req.get("sweep")) {
         (Some(_), Some(_)) => {
             return Err(ServeError::protocol(
@@ -235,11 +226,7 @@ fn batch(svc: &mut SimService, req: &Json) -> Result<Json, ServeError> {
             ));
         }
     };
-    let ids = svc.batch(&BatchRequest {
-        deck,
-        grid,
-        workers,
-    })?;
+    let ids = svc.batch(&BatchRequest { deck, grid })?;
     Ok(runs_response(svc, &ids))
 }
 
@@ -292,77 +279,113 @@ fn status(svc: &mut SimService, req: &Json) -> Result<Json, ServeError> {
     Ok(Json::Obj(members))
 }
 
-fn result(svc: &mut SimService, req: &Json) -> Result<Json, ServeError> {
+/// Renders the `result` response straight into its line: a dataset's
+/// columns can run to thousands of numbers, so they skip the [`Json`] tree.
+fn result(svc: &mut SimService, req: &Json) -> Result<String, ServeError> {
     let id = run_of(req)?;
-    let with_data = req.get("data").and_then(Json::as_bool).unwrap_or(true);
+    let with_data = bool_of(req, "data", true)?;
     let rec = svc.result(id)?;
-    let mut members = vec![("ok".to_string(), Json::Bool(true))];
-    if let Json::Obj(rest) = run_summary(rec) {
-        members.extend(rest);
+    let values = match &rec.result {
+        Some(p) if with_data => p.dataset.points() * (p.dataset.names().len() + 1),
+        _ => 0,
+    };
+    // A shortest round-trip f64 takes at most 24 bytes.
+    let mut out = String::with_capacity(512 + 25 * values);
+    out.push_str("{\"ok\":true");
+    if let Json::Obj(summary) = run_summary(rec) {
+        for (k, v) in &summary {
+            member(&mut out, k);
+            v.write(&mut out);
+        }
     }
     if let Some(payload) = &rec.result {
-        members.push((
-            "dataset".to_string(),
-            dataset_json(&payload.dataset, with_data),
-        ));
-        members.push((
-            "stats".to_string(),
-            engine_stats_json(&payload.dataset.stats),
-        ));
+        member(&mut out, "dataset");
+        write_dataset(&payload.dataset, with_data, &mut out);
+        member(&mut out, "stats");
+        write_engine_stats(&payload.dataset.stats, &mut out);
     }
-    Ok(Json::Obj(members))
+    out.push('}');
+    Ok(out)
 }
 
-fn dataset_json(ds: &nanosim_core::Dataset, with_data: bool) -> Json {
-    let mut members = vec![
-        ("kind".to_string(), Json::str(ds.kind().as_str())),
-        ("engine".to_string(), Json::str(ds.engine())),
-        ("axis".to_string(), Json::str(ds.axis().label())),
-        ("points".to_string(), Json::from(ds.points())),
-        (
-            "names".to_string(),
-            Json::Arr(ds.names().iter().map(|n| Json::str(n.clone())).collect()),
-        ),
-    ];
+/// Appends `,"key":` — every streamed member follows an earlier one.
+fn member(out: &mut String, key: &str) {
+    out.push(',');
+    write_escaped(key, out);
+    out.push(':');
+}
+
+fn write_numbers(values: impl IntoIterator<Item = f64>, out: &mut String) {
+    out.push('[');
+    for (i, v) in values.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_number(v, out);
+    }
+    out.push(']');
+}
+
+fn write_dataset(ds: &nanosim_core::Dataset, with_data: bool, out: &mut String) {
+    out.push_str("{\"kind\":");
+    write_escaped(ds.kind().as_str(), out);
+    member(out, "engine");
+    write_escaped(ds.engine(), out);
+    member(out, "axis");
+    write_escaped(&ds.axis().label(), out);
+    member(out, "points");
+    write_number(ds.points() as f64, out);
+    member(out, "names");
+    out.push('[');
+    for (i, n) in ds.names().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped(n, out);
+    }
+    out.push(']');
     if with_data {
-        members.push((
-            "axis_values".to_string(),
-            Json::Arr(ds.axis_values().iter().map(|&v| Json::Num(v)).collect()),
-        ));
-        let columns = ds
-            .names()
-            .iter()
-            .map(|n| {
-                let col = ds.column(n).unwrap_or(&[]);
-                Json::Arr(col.iter().map(|&v| Json::Num(v)).collect())
-            })
-            .collect();
-        members.push(("columns".to_string(), Json::Arr(columns)));
+        member(out, "axis_values");
+        write_numbers(ds.axis_values().iter().copied(), out);
+        member(out, "columns");
+        out.push('[');
+        for (i, n) in ds.names().iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            write_numbers(ds.column(n).unwrap_or(&[]).iter().copied(), out);
+        }
+        out.push(']');
     }
-    Json::Obj(members)
+    out.push('}');
 }
 
-fn engine_stats_json(s: &nanosim_core::EngineStats) -> Json {
-    Json::Obj(vec![
-        ("steps".to_string(), Json::from(s.steps)),
-        ("iterations".to_string(), Json::from(s.iterations)),
-        ("linear_solves".to_string(), Json::from(s.linear_solves)),
-        ("full_factors".to_string(), Json::from(s.full_factors)),
-        ("refactors".to_string(), Json::from(s.refactors)),
-        ("nnz_lu".to_string(), Json::from(s.nnz_lu)),
-        ("fill_ratio".to_string(), Json::Num(s.fill_ratio)),
-        ("batched_factors".to_string(), Json::from(s.batched_factors)),
-        ("device_evals".to_string(), Json::from(s.device_evals)),
-        ("rescues".to_string(), Json::from(s.rescues)),
-        (
-            "preflight_warnings".to_string(),
-            Json::from(s.preflight_warnings),
-        ),
-        (
-            "elapsed_ms".to_string(),
-            Json::Num(s.elapsed.as_secs_f64() * 1e3),
-        ),
-    ])
+#[allow(clippy::cast_precision_loss)]
+fn write_engine_stats(s: &nanosim_core::EngineStats, out: &mut String) {
+    let members = [
+        ("steps", s.steps as f64),
+        ("iterations", s.iterations as f64),
+        ("linear_solves", s.linear_solves as f64),
+        ("full_factors", s.full_factors as f64),
+        ("refactors", s.refactors as f64),
+        ("nnz_lu", s.nnz_lu as f64),
+        ("fill_ratio", s.fill_ratio),
+        ("batched_factors", s.batched_factors as f64),
+        ("device_evals", s.device_evals as f64),
+        ("rescues", s.rescues as f64),
+        ("preflight_warnings", s.preflight_warnings as f64),
+        ("elapsed_ms", s.elapsed.as_secs_f64() * 1e3),
+    ];
+    out.push('{');
+    for (i, (k, v)) in members.into_iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        write_escaped(k, out);
+        out.push(':');
+        write_number(v, out);
+    }
+    out.push('}');
 }
 
 fn stats(svc: &SimService) -> Json {
@@ -445,6 +468,44 @@ mod tests {
         assert!(r.contains("\"ok\":false") && r.contains("protocol"), "{r}");
         let r = handle_line(&mut svc, r#"{"cmd":"stats"}"#);
         assert!(r.contains("\"requests\":5"), "{r}");
+    }
+
+    #[test]
+    fn streamed_result_is_the_canonical_json_rendering() {
+        let mut svc = SimService::default();
+        handle_line(
+            &mut svc,
+            r#"{"cmd":"submit","deck":"V1 in 0 DC 1\nR1 in out 3\nR2 out 0 7\n.dc V1 -1 1 0.25\n.end\n"}"#,
+        );
+        let lean = handle_line(&mut svc, r#"{"cmd":"result","run":1,"data":false}"#);
+        let full = handle_line(&mut svc, r#"{"cmd":"result","run":1}"#);
+        for r in [&lean, &full] {
+            let parsed = json::parse(r).expect("result responses are JSON");
+            assert_eq!(&parsed.render(), r);
+            assert!(parsed.get("stats").and_then(|s| s.get("steps")).is_some());
+        }
+        assert!(!lean.contains("\"columns\""), "{lean}");
+
+        // Every streamed value decodes to the stored bits.
+        let parsed = json::parse(&full).unwrap();
+        let columns = parsed.get("dataset").and_then(|d| d.get("columns"));
+        let rec = svc.result(RunId(1)).unwrap();
+        let ds = &rec.result.as_ref().unwrap().dataset;
+        for (name, col) in ds.names().iter().zip(columns.unwrap().as_array().unwrap()) {
+            let got: Vec<u64> = col
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|v| v.as_f64().unwrap().to_bits())
+                .collect();
+            let want: Vec<u64> = ds
+                .column(name)
+                .unwrap()
+                .iter()
+                .map(|v| v.to_bits())
+                .collect();
+            assert_eq!(got, want, "column {name}");
+        }
     }
 
     #[test]

@@ -3,14 +3,14 @@
 //! registers every run in the [`ResultStore`].
 
 use crate::error::ServeError;
-use crate::key::{AnalysisKey, DeckKey, TopologyKey};
+use crate::key::{AnalysisKey, DeckKey, RequestKey, TopologyKey};
 use crate::pool::SessionPool;
 use crate::stats::ServeStats;
 use crate::store::{CacheDisposition, ResultStore, RunId, RunRecord, RunResult, RunStatus};
 use nanosim_circuit::{parse_netlist_with_params, AnalysisDirective, ParsedDeck};
 use nanosim_core::swec::SwecOptions;
-use nanosim_core::{Analysis, Budget, BudgetStop, CancelToken, Dataset, ExecPlan, SimOptions};
-use std::collections::HashMap;
+use nanosim_core::{Analysis, Budget, BudgetStop, CancelToken, Dataset, SimOptions};
+use std::collections::{HashMap, VecDeque};
 use std::time::{Duration, Instant};
 
 /// Service configuration.
@@ -22,13 +22,9 @@ pub struct ServiceOptions {
     pub session_capacity: usize,
     /// Result-store payload capacity in approximate bytes.
     pub store_capacity_bytes: usize,
-    /// Maximum entries in the full-result cache.
+    /// Maximum entries in the full-result cache, and in the memo of
+    /// parsed requests that lets a cached resubmit skip its parse.
     pub result_cache_capacity: usize,
-    /// Default execution plan for sweep analyses ([`ExecPlan::Serial`]
-    /// unless configured; per-request `workers` overrides it). A `.dc`
-    /// directive lowers to the default one-chunk sweep, which runs on one
-    /// worker whatever the plan.
-    pub plan: ExecPlan,
     /// Default run budget applied to every engine run; unlimited unless
     /// configured. Per-request `timeout_ms` / `budget` members tighten it.
     pub budget: Budget,
@@ -56,7 +52,6 @@ impl Default for ServiceOptions {
             session_capacity: 8,
             store_capacity_bytes: 64 << 20,
             result_cache_capacity: 256,
-            plan: ExecPlan::Serial,
             budget: Budget::unlimited(),
             max_pending_runs: 256,
             max_deck_bytes: 1 << 20,
@@ -66,15 +61,12 @@ impl Default for ServiceOptions {
     }
 }
 
-/// Per-request submit options: `.param` overrides, worker counts, run
-/// budgets, and queue-only registration.
+/// Per-request submit options: `.param` overrides, run budgets, and
+/// queue-only registration.
 #[derive(Debug, Clone, Default)]
 pub struct SubmitOptions {
     /// `.param` overrides applied during parsing.
     pub overrides: Vec<(String, f64)>,
-    /// Worker-count override for sweep analyses (`Some(0)` = auto); see
-    /// [`ServiceOptions::plan`].
-    pub workers: Option<usize>,
     /// Per-request deadline, intersected with the service budget's.
     pub timeout: Option<Duration>,
     /// Per-request budget (replaces the service default; `timeout` still
@@ -95,9 +87,69 @@ struct HeldRun {
     deck: String,
     overrides: Vec<(String, f64)>,
     directive: usize,
-    plan: ExecPlan,
     budget: Budget,
     allow_partial: bool,
+}
+
+/// What starting one directive's run needs besides the engine: its cache
+/// key, its analysis tag and the payload bytes reserved while it runs.
+#[derive(Debug, Clone, Copy)]
+struct DirectiveFacts {
+    key: AnalysisKey,
+    tag: &'static str,
+    reserve: usize,
+}
+
+/// The facts of a parsed deck that admission, registration and a
+/// result-cache hit need — everything but the circuit itself, so a memo
+/// entry stays a few dozen bytes however large the deck.
+#[derive(Debug, Clone)]
+struct DeckFacts {
+    deck_key: DeckKey,
+    elements: usize,
+    directives: Vec<DirectiveFacts>,
+}
+
+impl DirectiveFacts {
+    fn of(directive: &AnalysisDirective, elements: usize) -> DirectiveFacts {
+        DirectiveFacts {
+            key: AnalysisKey::of(directive),
+            tag: directive_tag(directive),
+            reserve: projected_bytes(directive, elements),
+        }
+    }
+}
+
+impl DeckFacts {
+    fn of(parsed: &ParsedDeck) -> DeckFacts {
+        let elements = parsed.circuit.elements().len();
+        DeckFacts {
+            deck_key: DeckKey::of(&parsed.circuit),
+            elements,
+            directives: parsed
+                .analyses
+                .iter()
+                .map(|d| DirectiveFacts::of(d, elements))
+                .collect(),
+        }
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Decks the service has parsed on this thread; lets tests tell the
+    /// memo path from the parse path.
+    static DECK_PARSES: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// [`parse_netlist_with_params`], counted under test.
+fn parse_deck(
+    deck: &str,
+    overrides: &[(String, f64)],
+) -> Result<ParsedDeck, nanosim_circuit::CircuitError> {
+    #[cfg(test)]
+    DECK_PARSES.with(|n| n.set(n.get() + 1));
+    parse_netlist_with_params(deck, overrides)
 }
 
 /// A batch request: one deck fanned out over a parameter grid. Every grid
@@ -111,9 +163,6 @@ pub struct BatchRequest {
     /// Override sets, one per grid point. An empty grid means a single
     /// point with no overrides.
     pub grid: Vec<Vec<(String, f64)>>,
-    /// Optional worker-count override for sweep analyses
-    /// (`Some(0)` = auto).
-    pub workers: Option<usize>,
 }
 
 /// Expands named parameter axes into their cartesian product, first axis
@@ -145,6 +194,12 @@ pub struct SimService {
     result_cache: HashMap<(DeckKey, AnalysisKey), Dataset>,
     /// Result-cache keys, least-recently-used first.
     cache_lru: Vec<(DeckKey, AnalysisKey)>,
+    /// Facts of parsed requests, so an exact resubmit whose results are
+    /// all cached is answered without a parse. At most
+    /// `result_cache_capacity` entries.
+    memo: HashMap<RequestKey, DeckFacts>,
+    /// Memo keys, oldest first: the first to go when the memo is full.
+    memo_order: VecDeque<RequestKey>,
     /// Replay context of held (queued-only) runs.
     held: HashMap<RunId, HeldRun>,
     stats: ServeStats,
@@ -164,6 +219,8 @@ impl SimService {
             store: ResultStore::new(opts.store_capacity_bytes),
             result_cache: HashMap::new(),
             cache_lru: Vec::new(),
+            memo: HashMap::new(),
+            memo_order: VecDeque::new(),
             held: HashMap::new(),
             stats: ServeStats::default(),
             opts,
@@ -178,11 +235,10 @@ impl SimService {
     /// Returns a structured [`ServeError`] when the deck fails to parse or
     /// declares no analyses — no runs are registered in that case.
     pub fn submit(&mut self, deck: &str) -> Result<Vec<RunId>, ServeError> {
-        self.submit_opts(deck, &[], None)
+        self.submit_opts(deck, &[])
     }
 
-    /// [`SimService::submit`] with `.param` overrides and an optional
-    /// worker-count override for sweep analyses (`Some(0)` = auto-size).
+    /// [`SimService::submit`] with `.param` overrides.
     ///
     /// # Errors
     /// Same contract as [`SimService::submit`].
@@ -190,13 +246,11 @@ impl SimService {
         &mut self,
         deck: &str,
         overrides: &[(String, f64)],
-        workers: Option<usize>,
     ) -> Result<Vec<RunId>, ServeError> {
         self.submit_with(
             deck,
             &SubmitOptions {
                 overrides: overrides.to_vec(),
-                workers,
                 ..SubmitOptions::default()
             },
         )
@@ -236,43 +290,38 @@ impl SimService {
             let (got, max) = (deck.len(), self.opts.max_deck_bytes);
             return Err(self.shed(format!("deck is {got} bytes (limit {max})")));
         }
-        let parsed = parse_netlist_with_params(deck, &opts.overrides)?;
+        // Level 0: the memo of parsed requests. Held runs replay their
+        // parse later, and chaos services never cache results, so neither
+        // looks.
+        let request = (!opts.hold && self.opts.chaos_seed.is_none())
+            .then(|| RequestKey::of(deck, &opts.overrides));
+        if let Some(facts) = request.and_then(|k| self.memo.get(&k)) {
+            let deck_key = facts.deck_key;
+            let cached = |d: &DirectiveFacts| self.result_cache.contains_key(&(deck_key, d.key));
+            if facts.directives.iter().all(cached) {
+                let facts = facts.clone();
+                return self.answer_from_cache(&facts);
+            }
+        }
+
+        let parsed = parse_deck(deck, &opts.overrides)?;
         if parsed.analyses.is_empty() {
             return Err(ServeError::protocol(
                 "deck declares no analyses (.op/.dc/.tran)",
             ));
         }
-        let elements = parsed.circuit.elements().len();
-        if elements > self.opts.max_deck_elements {
-            let max = self.opts.max_deck_elements;
-            return Err(self.shed(format!("deck has {elements} elements (limit {max})")));
-        }
-        let pending = self.store.pending() + parsed.analyses.len();
-        if pending > self.opts.max_pending_runs {
-            let max = self.opts.max_pending_runs;
-            return Err(self.shed(format!("{pending} runs pending (limit {max})")));
+        let facts = DeckFacts::of(&parsed);
+        self.admit(&facts)?;
+        if let Some(key) = request {
+            self.remember(key, &facts);
         }
 
-        let plan = match opts.workers {
-            Some(n) => ExecPlan::sharded(n),
-            None => self.opts.plan,
-        };
         let budget = self.effective_budget(opts);
-        let deck_key = DeckKey::of(&parsed.circuit);
         let topology = TopologyKey::of(&parsed.circuit);
-
         // Register every directive before running, so a multi-analysis
         // deck's later runs are observable as queued while earlier ones
         // execute.
-        let ids: Vec<RunId> = parsed
-            .analyses
-            .iter()
-            .map(|d| {
-                self.stats.runs += 1;
-                self.store
-                    .create(deck_key, AnalysisKey::of(d), directive_tag(d))
-            })
-            .collect();
+        let ids = self.register(&facts);
         if opts.hold {
             for (di, id) in ids.iter().enumerate() {
                 self.held.insert(
@@ -281,7 +330,6 @@ impl SimService {
                         deck: deck.to_string(),
                         overrides: opts.overrides.clone(),
                         directive: di,
-                        plan,
                         budget,
                         allow_partial: opts.allow_partial,
                     },
@@ -289,17 +337,75 @@ impl SimService {
             }
             return Ok(ids);
         }
-        for (id, directive) in ids.iter().zip(parsed.analyses.iter()) {
+        for ((id, directive), run) in ids
+            .iter()
+            .zip(parsed.analyses.iter())
+            .zip(facts.directives.iter())
+        {
             self.run_one(
                 *id,
                 &parsed,
                 directive,
-                deck_key,
+                run,
+                facts.deck_key,
                 topology,
-                plan,
                 budget,
                 opts.allow_partial,
             );
+        }
+        Ok(ids)
+    }
+
+    /// The element and pending-run gates of admission control, shared by
+    /// the parse and memo paths so both shed alike.
+    fn admit(&mut self, facts: &DeckFacts) -> Result<(), ServeError> {
+        if facts.elements > self.opts.max_deck_elements {
+            let (got, max) = (facts.elements, self.opts.max_deck_elements);
+            return Err(self.shed(format!("deck has {got} elements (limit {max})")));
+        }
+        let pending = self.store.pending() + facts.directives.len();
+        if pending > self.opts.max_pending_runs {
+            let max = self.opts.max_pending_runs;
+            return Err(self.shed(format!("{pending} runs pending (limit {max})")));
+        }
+        Ok(())
+    }
+
+    /// Registers one queued run per directive.
+    fn register(&mut self, facts: &DeckFacts) -> Vec<RunId> {
+        facts
+            .directives
+            .iter()
+            .map(|d| {
+                self.stats.runs += 1;
+                self.store.create(facts.deck_key, d.key, d.tag)
+            })
+            .collect()
+    }
+
+    /// Remembers a parsed request's facts, dropping the oldest entry past
+    /// `result_cache_capacity`.
+    fn remember(&mut self, key: RequestKey, facts: &DeckFacts) {
+        if self.memo.insert(key, facts.clone()).is_none() {
+            self.memo_order.push_back(key);
+        }
+        while self.memo_order.len() > self.opts.result_cache_capacity.max(1) {
+            if let Some(old) = self.memo_order.pop_front() {
+                self.memo.remove(&old);
+            }
+        }
+    }
+
+    /// Admits, registers and finishes a remembered request whose every
+    /// directive is in the result cache, without parsing its deck.
+    fn answer_from_cache(&mut self, facts: &DeckFacts) -> Result<Vec<RunId>, ServeError> {
+        self.admit(facts)?;
+        let ids = self.register(facts);
+        for (id, run) in ids.iter().zip(&facts.directives) {
+            self.store.start(*id, run.reserve);
+            let answered =
+                self.finish_from_cache(*id, (facts.deck_key, run.key), run.tag, Instant::now());
+            debug_assert!(answered, "memo path checked every directive is cached");
         }
         Ok(ids)
     }
@@ -328,7 +434,7 @@ impl SimService {
         // Replay the parse; the deck was accepted at submit time, so this
         // can only fail if the service is misused across incompatible
         // versions — surface that as a failed run, not a panic.
-        let parsed = match parse_netlist_with_params(&held.deck, &held.overrides) {
+        let parsed = match parse_deck(&held.deck, &held.overrides) {
             Ok(p) => p,
             Err(e) => {
                 self.store.fail(id, nanosim_core::SimError::from(e));
@@ -344,15 +450,14 @@ impl SimService {
             );
             return Ok(());
         };
-        let deck_key = DeckKey::of(&parsed.circuit);
-        let topology = TopologyKey::of(&parsed.circuit);
+        let run = DirectiveFacts::of(&directive, parsed.circuit.elements().len());
         self.run_one(
             id,
             &parsed,
             &directive,
-            deck_key,
-            topology,
-            held.plan,
+            &run,
+            DeckKey::of(&parsed.circuit),
+            TopologyKey::of(&parsed.circuit),
             held.budget,
             held.allow_partial,
         );
@@ -393,7 +498,7 @@ impl SimService {
         };
         let mut ids = Vec::new();
         for point in grid {
-            ids.extend(self.submit_opts(&req.deck, point, req.workers)?);
+            ids.extend(self.submit_opts(&req.deck, point)?);
         }
         Ok(ids)
     }
@@ -404,28 +509,18 @@ impl SimService {
         id: RunId,
         parsed: &ParsedDeck,
         directive: &AnalysisDirective,
+        run: &DirectiveFacts,
         deck_key: DeckKey,
         topology: TopologyKey,
-        plan: ExecPlan,
         budget: Budget,
         allow_partial: bool,
     ) {
-        let analysis_key = AnalysisKey::of(directive);
-        let tag = directive_tag(directive);
-        let reserve = projected_bytes(directive, parsed.circuit.elements().len());
-        self.store.start(id, reserve);
+        let (analysis_key, tag) = (run.key, run.tag);
+        self.store.start(id, run.reserve);
         let t0 = Instant::now();
 
-        // Level 1: the full-result cache. Hits are bit-identical to cold
-        // runs because every engine is deterministic for a given deck.
-        if let Some(ds) = self.result_cache.get(&(deck_key, analysis_key)) {
-            let dataset = ds.clone();
-            self.touch_cache_key((deck_key, analysis_key));
-            self.stats.result_hits += 1;
-            self.stats.record_run(tag, t0.elapsed());
-            self.store
-                .finish(id, RunResult { dataset }, CacheDisposition::ResultHit, 0, 0);
-            self.stats.store_evictions = self.store.evictions();
+        // Level 1: the full-result cache.
+        if self.finish_from_cache(id, (deck_key, analysis_key), tag, t0) {
             return;
         }
         self.stats.result_misses += 1;
@@ -452,10 +547,7 @@ impl SimService {
             allow_partial,
             ..SwecOptions::default()
         };
-        let mut analysis = Analysis::from_directive(directive, &swec);
-        if let Analysis::DcSweep(ref mut sweep) = analysis {
-            sweep.plan = plan;
-        }
+        let analysis = Analysis::from_directive(directive, &swec);
         if let Some(seed) = self.opts.chaos_seed {
             let n = parsed.circuit.elements().len().max(1);
             let plan = if id.0 % 2 == 0 {
@@ -510,6 +602,29 @@ impl SimService {
                 self.store.fail(id, e);
             }
         }
+    }
+
+    /// Finishes a started run from the result cache when `key` is cached,
+    /// returning whether it did. Hits are bit-identical to cold runs
+    /// because every engine is deterministic for a given deck.
+    fn finish_from_cache(
+        &mut self,
+        id: RunId,
+        key: (DeckKey, AnalysisKey),
+        tag: &'static str,
+        t0: Instant,
+    ) -> bool {
+        let Some(ds) = self.result_cache.get(&key) else {
+            return false;
+        };
+        let dataset = ds.clone();
+        self.touch_cache_key(key);
+        self.stats.result_hits += 1;
+        self.stats.record_run(tag, t0.elapsed());
+        self.store
+            .finish(id, RunResult { dataset }, CacheDisposition::ResultHit, 0, 0);
+        self.stats.store_evictions = self.store.evictions();
+        true
     }
 
     fn touch_cache_key(&mut self, key: (DeckKey, AnalysisKey)) {
@@ -692,6 +807,189 @@ mod tests {
             vec![("r".to_string(), 2.0), ("c".to_string(), 5.0)]
         );
         assert_eq!(expand_axes(&[]), vec![Vec::new()]);
+    }
+
+    /// Two directives over one `.param`, so a hit must cover both.
+    const PARAM_DECK: &str =
+        ".param r=100\nV1 in 0 DC 1\nR1 in out {r}\nR2 out 0 100\n.op\n.dc V1 0 1 0.5\n.end\n";
+
+    fn r(v: f64) -> Vec<(String, f64)> {
+        vec![("r".to_string(), v)]
+    }
+
+    fn parses() -> usize {
+        DECK_PARSES.with(std::cell::Cell::get)
+    }
+
+    /// Each run's cache disposition and the bits of every dataset column.
+    fn answers(svc: &mut SimService, ids: &[RunId]) -> Vec<(CacheDisposition, Vec<Vec<u64>>)> {
+        ids.iter()
+            .map(|&id| {
+                let rec = svc.result(id).unwrap();
+                let ds = &rec.result.as_ref().expect("run finished").dataset;
+                let bits = ds
+                    .names()
+                    .iter()
+                    .map(|n| ds.column(n).unwrap().iter().map(|v| v.to_bits()).collect())
+                    .collect();
+                (rec.cache, bits)
+            })
+            .collect()
+    }
+
+    /// Asserts `ids` answered with the given dispositions and the dataset
+    /// bits a fresh service computes for the same request.
+    fn assert_answers(
+        svc: &mut SimService,
+        ids: &[RunId],
+        want: &[CacheDisposition],
+        deck: &str,
+        overrides: &[(String, f64)],
+    ) {
+        let got = answers(svc, ids);
+        let mut fresh = SimService::default();
+        let fresh_ids = fresh.submit_opts(deck, overrides).unwrap();
+        let cold = answers(&mut fresh, &fresh_ids);
+        let dispositions: Vec<_> = got.iter().map(|a| a.0).collect();
+        assert_eq!(dispositions, want);
+        for (g, c) in got.iter().zip(&cold) {
+            assert_eq!(g.1, c.1, "dataset bits differ from a fresh service");
+        }
+    }
+
+    #[test]
+    fn identical_resubmit_of_a_cached_deck_parses_once() {
+        let mut svc = SimService::default();
+        let before = parses();
+        let first = svc.submit_opts(PARAM_DECK, &r(120.0)).unwrap();
+        let second = svc.submit_opts(PARAM_DECK, &r(120.0)).unwrap();
+        assert_eq!(parses() - before, 1, "the resubmit must not parse");
+        assert_eq!(second, vec![RunId(3), RunId(4)]);
+        let want = [CacheDisposition::ResultHit; 2];
+        assert_answers(&mut svc, &second, &want, PARAM_DECK, &r(120.0));
+        let (a, b) = (answers(&mut svc, &first), answers(&mut svc, &second));
+        assert_eq!(
+            a.iter().map(|x| &x.1).collect::<Vec<_>>(),
+            b.iter().map(|x| &x.1).collect::<Vec<_>>()
+        );
+        let st = svc.stats();
+        assert_eq!((st.runs, st.result_hits, st.result_misses), (4, 2, 2));
+        assert_eq!(svc.store.reserved(), 0, "hits release their reservations");
+    }
+
+    #[test]
+    fn changed_deck_text_takes_the_parse_path() {
+        let mut svc = SimService::default();
+        svc.submit_opts(PARAM_DECK, &r(120.0)).unwrap();
+
+        // One byte that changes a value: a new deck key, a warm session.
+        let changed = PARAM_DECK.replace("R2 out 0 100", "R2 out 0 101");
+        let before = parses();
+        let ids = svc.submit_opts(&changed, &r(120.0)).unwrap();
+        assert_eq!(parses() - before, 1);
+        // The `.dc` follows the `.op` on the session it just rebound.
+        let want = [CacheDisposition::WarmSession, CacheDisposition::SameDeck];
+        assert_answers(&mut svc, &ids, &want, &changed, &r(120.0));
+
+        // One byte that changes no value: the parse finds the same deck key
+        // and answers from the result cache.
+        let spaced = PARAM_DECK.replace("R2 out 0 100", "R2 out 0  100");
+        let before = parses();
+        let ids = svc.submit_opts(&spaced, &r(120.0)).unwrap();
+        assert_eq!(parses() - before, 1);
+        let want = [CacheDisposition::ResultHit; 2];
+        assert_answers(&mut svc, &ids, &want, &spaced, &r(120.0));
+    }
+
+    #[test]
+    fn override_one_ulp_apart_takes_the_parse_path() {
+        let mut svc = SimService::default();
+        svc.submit_opts(PARAM_DECK, &r(120.0)).unwrap();
+        let nudged = r(f64::from_bits(120f64.to_bits() + 1));
+        let before = parses();
+        let ids = svc.submit_opts(PARAM_DECK, &nudged).unwrap();
+        assert_eq!(parses() - before, 1);
+        // The `.dc` follows the `.op` on the session it just rebound.
+        let want = [CacheDisposition::WarmSession, CacheDisposition::SameDeck];
+        assert_answers(&mut svc, &ids, &want, PARAM_DECK, &nudged);
+    }
+
+    #[test]
+    fn held_resubmit_takes_the_parse_path() {
+        let mut svc = SimService::default();
+        svc.submit_opts(PARAM_DECK, &r(120.0)).unwrap();
+        let hold = SubmitOptions {
+            overrides: r(120.0),
+            hold: true,
+            ..SubmitOptions::default()
+        };
+        let before = parses();
+        let ids = svc.submit_with(PARAM_DECK, &hold).unwrap();
+        assert_eq!(parses() - before, 1);
+        for &id in &ids {
+            assert_eq!(svc.status(id).unwrap().status.tag(), "queued");
+            svc.run_queued(id).unwrap();
+        }
+        assert_eq!(parses() - before, 3, "each held run replays its parse");
+        let want = [CacheDisposition::ResultHit; 2];
+        assert_answers(&mut svc, &ids, &want, PARAM_DECK, &r(120.0));
+    }
+
+    #[test]
+    fn evicted_result_takes_the_parse_path() {
+        let mut svc = SimService::default();
+        let first = svc.submit_opts(PARAM_DECK, &r(120.0)).unwrap();
+        assert!(svc.evict(first[0]).unwrap());
+        let before = parses();
+        let ids = svc.submit_opts(PARAM_DECK, &r(120.0)).unwrap();
+        assert_eq!(parses() - before, 1);
+        // The evicted `.op` re-runs on its pooled session; the `.dc` still
+        // hits.
+        let want = [CacheDisposition::SameDeck, CacheDisposition::ResultHit];
+        assert_answers(&mut svc, &ids, &want, PARAM_DECK, &r(120.0));
+    }
+
+    #[test]
+    fn result_pushed_out_of_the_cache_takes_the_parse_path() {
+        let mut svc = SimService::new(ServiceOptions {
+            result_cache_capacity: 1,
+            ..ServiceOptions::default()
+        });
+        // The `.dc` result pushes the `.op` result out of a one-entry cache.
+        svc.submit_opts(PARAM_DECK, &r(120.0)).unwrap();
+        let before = parses();
+        let ids = svc.submit_opts(PARAM_DECK, &r(120.0)).unwrap();
+        assert_eq!(parses() - before, 1);
+        let want = [CacheDisposition::SameDeck; 2];
+        assert_answers(&mut svc, &ids, &want, PARAM_DECK, &r(120.0));
+
+        // The memo is bounded by the same capacity.
+        svc.submit_opts(PARAM_DECK, &r(130.0)).unwrap();
+        assert_eq!((svc.memo.len(), svc.memo_order.len()), (1, 1));
+    }
+
+    #[test]
+    fn memo_path_sheds_like_the_parse_path() {
+        let mut svc = SimService::new(ServiceOptions {
+            max_pending_runs: 2,
+            ..ServiceOptions::default()
+        });
+        svc.submit_opts(PARAM_DECK, &r(120.0)).unwrap();
+        let hold = SubmitOptions {
+            hold: true,
+            ..SubmitOptions::default()
+        };
+        svc.submit_with(DIVIDER, &hold).unwrap();
+        let runs = svc.runs();
+        let before = parses();
+        let err = svc.submit_opts(PARAM_DECK, &r(120.0)).unwrap_err();
+        assert_eq!(parses(), before, "shed from the memo path");
+        assert_eq!(err.kind(), "overloaded");
+        assert!(
+            err.to_string().contains("3 runs pending (limit 2)"),
+            "{err}"
+        );
+        assert_eq!((svc.runs(), svc.stats().shed), (runs, 1));
     }
 
     #[test]

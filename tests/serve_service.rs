@@ -1,9 +1,8 @@
 //! Integration tests of the `nanosim-serve` service layer.
 //!
 //! The contracts under test: result-cache hits are **bit-identical** to
-//! cold runs (including across `ExecPlan` worker counts — the key
-//! deliberately excludes the plan because sharded engines are
-//! bit-identical to serial); value-only deck changes never collide on
+//! cold runs, in the same service and in a fresh one; value-only deck
+//! changes never collide on
 //! `DeckKey` but share a `TopologyKey`; a same-topology resubmit rides a
 //! warm session and pays **zero** new full factorizations; the store
 //! evicts by bytes without forgetting run metadata; batch fan-out shares
@@ -33,12 +32,12 @@ fn assert_bit_identical(a: &nanosim::core::sim::Dataset, b: &nanosim::core::sim:
 }
 
 #[test]
-fn result_cache_hit_is_bit_identical_across_worker_counts() {
+fn result_cache_hit_is_bit_identical_to_the_cold_run() {
     let deck = rtd_mesh_param_deck(4);
 
-    // Cold serial run.
+    // Cold run.
     let mut svc = SimService::new(ServiceOptions::default());
-    let ids = svc.submit_opts(&deck, &[], Some(1)).unwrap();
+    let ids = svc.submit(&deck).unwrap();
     assert_eq!(ids.len(), 1);
     let cold = {
         let rec = svc.result(ids[0]).unwrap();
@@ -46,21 +45,20 @@ fn result_cache_hit_is_bit_identical_across_worker_counts() {
         rec.result.as_ref().unwrap().dataset.clone()
     };
 
-    // Same deck requested with a different worker count: the analysis key
-    // excludes the plan, so this answers from the result cache — and must
-    // be bit-identical anyway.
-    let ids = svc.submit_opts(&deck, &[], Some(4)).unwrap();
+    // The identical request answers from the result cache — without even
+    // a parse — and must be bit-identical to the run that seeded it.
+    let ids = svc.submit(&deck).unwrap();
     let rec = svc.result(ids[0]).unwrap();
     assert_eq!(rec.cache, CacheDisposition::ResultHit);
     assert_eq!(rec.full_factors, 0);
     assert_bit_identical(&cold, &rec.result.as_ref().unwrap().dataset);
     assert_eq!(svc.stats().result_hits, 1);
 
-    // And a genuinely cold sharded run in a fresh service agrees bit for
-    // bit, which is what makes the plan-free key sound.
-    let mut sharded = SimService::new(ServiceOptions::default());
-    let ids = sharded.submit_opts(&deck, &[], Some(4)).unwrap();
-    let rec = sharded.result(ids[0]).unwrap();
+    // And a cold run in a fresh service agrees bit for bit, which is what
+    // lets a cache keyed by deck and directive answer for the engine.
+    let mut fresh = SimService::new(ServiceOptions::default());
+    let ids = fresh.submit(&deck).unwrap();
+    let rec = fresh.result(ids[0]).unwrap();
     assert_eq!(rec.cache, CacheDisposition::Cold);
     assert_bit_identical(&cold, &rec.result.as_ref().unwrap().dataset);
 }
@@ -86,9 +84,7 @@ fn param_override_changes_deck_key_but_not_topology_key() {
     // deck's result cache.
     let mut svc = SimService::new(ServiceOptions::default());
     let a = svc.submit(&deck).unwrap();
-    let b = svc
-        .submit_opts(&deck, &[("rgrid".into(), 220.0)], None)
-        .unwrap();
+    let b = svc.submit_opts(&deck, &[("rgrid".into(), 220.0)]).unwrap();
     let rec_b = svc.result(b[0]).unwrap();
     assert_ne!(rec_b.cache, CacheDisposition::ResultHit);
     let rec_a = svc.result(a[0]).unwrap();
@@ -119,9 +115,7 @@ fn warm_session_resubmit_pays_zero_full_factors() {
 
     // New values, same pattern: the pooled session rebinds and only
     // refactors — ServeStats reports zero *new* full factors.
-    let second = svc
-        .submit_opts(&deck, &[("rgrid".into(), 150.0)], None)
-        .unwrap();
+    let second = svc.submit_opts(&deck, &[("rgrid".into(), 150.0)]).unwrap();
     let rec = svc.status(second[0]).unwrap();
     assert_eq!(rec.cache, CacheDisposition::WarmSession);
     assert_eq!(rec.full_factors, 0, "warm session must not re-factor");
@@ -168,13 +162,7 @@ fn batch_grid_shares_one_pooled_session() {
     let deck = rtd_mesh_param_deck(3);
     let grid = param_grid(&[("rgrid".into(), vec![50.0, 100.0, 150.0])]);
     let mut svc = SimService::new(ServiceOptions::default());
-    let ids = svc
-        .batch(&BatchRequest {
-            deck,
-            grid,
-            workers: None,
-        })
-        .unwrap();
+    let ids = svc.batch(&BatchRequest { deck, grid }).unwrap();
     assert_eq!(ids.len(), 3, "one run per grid point");
     for id in &ids {
         let rec = svc.status(*id).unwrap();
@@ -500,4 +488,58 @@ fn sixty_four_kilobyte_submit_line_runs_to_completion() {
     let ds = &rec.result.as_ref().unwrap().dataset;
     assert_eq!(ds.points(), 7);
     assert!(ds.column("g29_29").unwrap().iter().all(|v| v.is_finite()));
+}
+
+#[test]
+fn result_rejects_a_non_boolean_data_member() {
+    let mut svc = SimService::new(ServiceOptions::default());
+    handle_line(
+        &mut svc,
+        &submit_line("V1 a 0 DC 1\nR1 a 0 100\n.op\n.end\n"),
+    );
+    for junk in ["\"no\"", "0", "1", "null", "[]", "{}"] {
+        let r = handle_line(
+            &mut svc,
+            &format!("{{\"cmd\":\"result\",\"run\":1,\"data\":{junk}}}"),
+        );
+        assert!(
+            r.contains("\"ok\":false") && r.contains("`data` must be a boolean"),
+            "data {junk}: {r}"
+        );
+    }
+    // Absent means true; an explicit false drops the columns.
+    let with = handle_line(&mut svc, r#"{"cmd":"result","run":1}"#);
+    assert!(with.contains("\"columns\""), "{with}");
+    let without = handle_line(&mut svc, r#"{"cmd":"result","run":1,"data":false}"#);
+    assert!(
+        without.contains("\"ok\":true") && !without.contains("\"columns\""),
+        "{without}"
+    );
+}
+
+#[test]
+fn workers_member_is_ignored_like_any_unknown_member() {
+    let deck = "V1 a 0 DC 0\nR1 a 0 100\n.dc V1 0 1 0.5\n.end\n";
+    let deck_json = nanosim::serve::Json::Str(deck.to_string()).render();
+    let mut svc = SimService::new(ServiceOptions::default());
+    for (line, cache) in [
+        (
+            format!("{{\"cmd\":\"submit\",\"deck\":{deck_json},\"workers\":4}}"),
+            "cold",
+        ),
+        (
+            format!("{{\"cmd\":\"submit\",\"deck\":{deck_json},\"workers\":\"junk\"}}"),
+            "result-hit",
+        ),
+        (
+            format!("{{\"cmd\":\"batch\",\"deck\":{deck_json},\"grid\":[{{}}],\"workers\":-1}}"),
+            "result-hit",
+        ),
+    ] {
+        assert_eq!(
+            first_cache_tag(&handle_line(&mut svc, &line)),
+            cache,
+            "{line}"
+        );
+    }
 }
