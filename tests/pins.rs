@@ -510,3 +510,78 @@ fn pinned_one_chunk_mesh30_sweep_counts() {
     ];
     assert_eq!(counts, [101, 102, 0, 102, 91_800, 44_411_712], "{s}");
 }
+
+// ---------------------------------------------------------------------------
+// The Figure 8 and Figure 9 SWEC transients.
+// ---------------------------------------------------------------------------
+
+/// Digest of a transient: the time axis, then every column by name.
+fn transient_digest(ds: &Dataset) -> u64 {
+    let mut d = Digest::new();
+    d.floats(ds.axis_values());
+    for name in ds.names() {
+        d.text(name);
+        d.floats(ds.column(name).unwrap());
+    }
+    d.0
+}
+
+#[test]
+fn pinned_fig8_fig9_transients() {
+    // The `tran_fig8_fig9` transients on fresh default sessions, plus the
+    // Figure 8 inverter without Taylor extrapolation and under the
+    // trapezoidal rule: every axis and column bit, and the step, rejection,
+    // refactor and solve counts. Model-evaluation and flop counts are not
+    // pinned; they measure how the stamps are computed, not what they are.
+    let run = |ckt: Circuit, tstop: f64, opts: SwecOptions| {
+        let mut sim = Simulator::new(ckt).unwrap();
+        let ds = sim
+            .run(Analysis::transient(0.2e-9, tstop).options(opts))
+            .unwrap();
+        let s = &ds.stats;
+        (
+            transient_digest(&ds),
+            [
+                s.steps as u64,
+                s.rejected_steps as u64,
+                s.refactors,
+                s.linear_solves,
+            ],
+        )
+    };
+    let fig8 = nanosim::workloads::fet_rtd_inverter;
+    let got = [
+        run(fig8(), 100e-9, SwecOptions::default()),
+        run(
+            nanosim::workloads::rtd_d_flip_flop(),
+            500e-9,
+            SwecOptions::default(),
+        ),
+        run(
+            fig8(),
+            100e-9,
+            SwecOptions {
+                taylor_extrapolation: false,
+                ..SwecOptions::default()
+            },
+        ),
+        run(
+            fig8(),
+            100e-9,
+            SwecOptions {
+                integration: IntegrationMethod::Trapezoidal,
+                ..SwecOptions::default()
+            },
+        ),
+    ];
+    let want: [(u64, [u64; 4]); 4] = [
+        (0xcc54_b1ca_a47a_a2ae, [8_867, 8_289, 17_156, 17_158]),
+        (0x06f9_575b_f422_4582, [11_140, 3_343, 14_482, 14_484]),
+        (0x3785_61f4_ab60_2af5, [9_304, 8_734, 18_038, 18_040]),
+        (0x44f2_144e_23b8_84a7, [7_533, 6_877, 14_410, 14_412]),
+    ];
+    assert_eq!(
+        got, want,
+        "fig 8, fig 9, fig 8 no-taylor, fig 8 trapezoidal: {got:#x?}"
+    );
+}
