@@ -25,11 +25,7 @@ fn bench_devices(c: &mut Criterion) {
     });
     group.bench_function("rtd_geq_with_taylor_term", |b| {
         let mut flops = FlopCounter::new();
-        b.iter(|| {
-            let g = rtd.equivalent_conductance(black_box(3.1), &mut flops);
-            let dg = rtd.d_equivalent_conductance_dv(black_box(3.1), &mut flops);
-            (g, dg)
-        })
+        b.iter(|| rtd.equivalent_conductance_and_slope(black_box(3.1), &mut flops))
     });
     group.finish();
 }

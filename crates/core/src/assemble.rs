@@ -9,6 +9,7 @@
 //! and reusable right-hand-side/solution buffers.
 
 use crate::Result;
+use nanosim_circuit::mna::MosfetBinding;
 use nanosim_circuit::{Circuit, MnaSystem};
 use nanosim_numeric::solve::{LuStats, SparseLuSolver};
 use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice, TripletMatrix};
@@ -512,6 +513,15 @@ pub(crate) fn branch_voltage(x: &[f64], var_plus: Option<usize>, var_minus: Opti
     vp - vm
 }
 
+/// `(V_GS, V_DS)` of MOSFET `m` given the MNA solution vector.
+#[inline]
+pub(crate) fn mosfet_bias(m: &MosfetBinding, x: &[f64]) -> (f64, f64) {
+    let vd = m.var_drain.map_or(0.0, |i| x[i]);
+    let vg = m.var_gate.map_or(0.0, |i| x[i]);
+    let vs = m.var_source.map_or(0.0, |i| x[i]);
+    (vg - vs, vd - vs)
+}
+
 /// Number of whole `step`s that fit in `span` (same signs): the quotient
 /// floored, with a relative tolerance of a few ulps so a `span` that is a
 /// whole number of steps in exact arithmetic (5 in steps of 0.05, 1 ns in
@@ -597,7 +607,9 @@ pub(crate) fn sweep_columns(
             .iter()
             .map(|m| format!("I({})", m.name)),
     );
-    let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(xs.len()); names.len()];
+    let mut columns: Vec<Vec<f64>> = (0..names.len())
+        .map(|_| Vec::with_capacity(xs.len()))
+        .collect();
     for x in xs {
         let (vars, devices) = columns.split_at_mut(n_vars);
         for (col, &xi) in vars.iter_mut().zip(x) {
@@ -609,10 +621,8 @@ pub(crate) fn sweep_columns(
             col.push(b.device.current(v, flops));
         }
         for (m, col) in mna.mosfet_bindings().iter().zip(&mut devices) {
-            let vd = m.var_drain.map_or(0.0, |i| x[i]);
-            let vg = m.var_gate.map_or(0.0, |i| x[i]);
-            let vs = m.var_source.map_or(0.0, |i| x[i]);
-            col.push(m.model.ids(vg - vs, vd - vs, flops));
+            let (vgs, vds) = mosfet_bias(m, x);
+            col.push(m.model.ids(vgs, vds, flops));
         }
     }
     (names, columns)
@@ -724,6 +734,38 @@ mod tests {
         assert_eq!(branch_voltage(&x, Some(0), None), 2.0);
         assert_eq!(branch_voltage(&x, None, Some(1)), -0.5);
         assert_eq!(branch_voltage(&x, None, None), 0.0);
+    }
+
+    #[test]
+    fn sweep_columns_reserve_every_column() {
+        // Variables, a two-terminal device and a MOSFET: each column holds
+        // one value per point in exactly the room reserved up front.
+        let mut ckt = divider();
+        let b = ckt.node("b");
+        let a = ckt.node("a");
+        ckt.add_rtd(
+            "X1",
+            b,
+            Circuit::GROUND,
+            nanosim_devices::rtd::Rtd::date2005(),
+        )
+        .unwrap();
+        ckt.add_mosfet(
+            "M1",
+            a,
+            b,
+            Circuit::GROUND,
+            nanosim_devices::mosfet::Mosfet::nmos(),
+        )
+        .unwrap();
+        let mna = MnaSystem::new(&ckt).unwrap();
+        let xs: Vec<Vec<f64>> = (0..37).map(|k| vec![0.1 * k as f64; mna.dim()]).collect();
+        let (names, columns) = sweep_columns(&mna, &xs, &mut FlopCounter::new());
+        assert_eq!(names.len(), mna.dim() + 2);
+        assert_eq!(columns.len(), names.len());
+        for (name, col) in names.iter().zip(&columns) {
+            assert_eq!((col.len(), col.capacity()), (37, 37), "{name}");
+        }
     }
 
     #[test]

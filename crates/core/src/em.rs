@@ -48,7 +48,7 @@
 //! source becomes a Norton equivalent.
 
 use crate::assemble::{
-    branch_voltage, mna_var_names, whole_steps, AssemblyWorkspace, CircuitMatrices,
+    branch_voltage, mna_var_names, mosfet_bias, whole_steps, AssemblyWorkspace, CircuitMatrices,
 };
 use crate::report::EngineStats;
 use crate::sim::{AnalysisKind, Axis, Dataset};
@@ -277,7 +277,7 @@ impl EmEngine {
         // Order-deterministic reduction: Welford-merge chunk accumulators
         // and concatenate per-path maxima, both in chunk order.
         let mut welford = vec![RunningStats::new(); dim * (steps + 1)];
-        let mut maxima: Vec<Vec<f64>> = vec![Vec::with_capacity(paths); dim];
+        let mut maxima: Vec<Vec<f64>> = (0..dim).map(|_| Vec::with_capacity(paths)).collect();
         for chunk in &chunks {
             for (total, part) in welford.iter_mut().zip(chunk.welford.iter()) {
                 total.merge(part);
@@ -451,7 +451,7 @@ impl EmEngine {
             None => None,
         };
         let mut welford = vec![RunningStats::new(); dim * (steps + 1)];
-        let mut maxima: Vec<Vec<f64>> = vec![Vec::with_capacity(npaths); dim];
+        let mut maxima: Vec<Vec<f64>> = (0..dim).map(|_| Vec::with_capacity(npaths)).collect();
 
         // Per-path evolution state; the assembly workspace and scratch
         // vectors in `state` are shared across paths (re-stamped per
@@ -568,10 +568,8 @@ impl EmEngine {
             state.ws.stamp_nonlinear(i, geq);
         }
         for (k, m) in mna.mosfet_bindings().iter().enumerate() {
-            let vd = m.var_drain.map_or(0.0, |i| state.x[i]);
-            let vg = m.var_gate.map_or(0.0, |i| state.x[i]);
-            let vs = m.var_source.map_or(0.0, |i| state.x[i]);
-            let geq = m.model.geq(vg - vs, vd - vs, flops) + self.opts.gmin;
+            let (vgs, vds) = mosfet_bias(m, &state.x);
+            let geq = m.model.geq(vgs, vds, flops) + self.opts.gmin;
             stats.device_evals += 1;
             state.ws.stamp_mosfet_cond(k, geq);
         }

@@ -18,8 +18,9 @@
 //! [`EngineStats`].
 
 use crate::assemble::{
-    branch_voltage, charge_sweep, check_transient_window, mna_var_names, override_source_rhs,
-    require_sweepable_source, sweep_columns, sweep_points, AssemblyWorkspace, CircuitMatrices,
+    branch_voltage, charge_sweep, check_transient_window, mna_var_names, mosfet_bias,
+    override_source_rhs, require_sweepable_source, sweep_columns, sweep_points, AssemblyWorkspace,
+    CircuitMatrices,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
@@ -678,10 +679,7 @@ impl NrEngine {
                 flops.add(2);
             }
             for (k, m) in mna.mosfet_bindings().iter().enumerate() {
-                let vd = m.var_drain.map_or(0.0, |i| x[i]);
-                let vg = m.var_gate.map_or(0.0, |i| x[i]);
-                let vs = m.var_source.map_or(0.0, |i| x[i]);
-                let (vgs, vds) = (vg - vs, vd - vs);
+                let (vgs, vds) = mosfet_bias(m, &x);
                 let id = m.model.ids(vgs, vds, &mut flops);
                 let gds = m.model.gds(vgs, vds, &mut flops) + self.opts.gmin;
                 let gm = m.model.gm(vgs, vds, &mut flops);

@@ -12,8 +12,8 @@
 //! current stepping approach" of \[2\]).
 
 use crate::assemble::{
-    branch_voltage, charge_sweep, check_transient_window, mna_var_names, override_source_rhs,
-    require_sweepable_source, sweep_points, CircuitMatrices,
+    branch_voltage, charge_sweep, check_transient_window, mna_var_names, mosfet_bias,
+    override_source_rhs, require_sweepable_source, sweep_points, CircuitMatrices,
 };
 use crate::report::EngineStats;
 use crate::sim::{AnalysisKind, Axis, Dataset};
@@ -184,7 +184,9 @@ impl PwlEngine {
         for b in mats.mna.nonlinear_bindings() {
             names.push(format!("I({})", b.name));
         }
-        let mut columns: Vec<Vec<f64>> = vec![Vec::with_capacity(n_points); names.len()];
+        let mut columns: Vec<Vec<f64>> = (0..names.len())
+            .map(|_| Vec::with_capacity(n_points))
+            .collect();
         let mut sweep = Vec::with_capacity(n_points);
         let mut x = vec![0.0; mats.mna.dim()];
         for k in 0..n_points {
@@ -403,10 +405,8 @@ impl PwlEngine {
         // — [2]'s PWL treatment targets the nano-devices; the FET is not the
         // problem device.
         for m in mna.mosfet_bindings() {
-            let vd = m.var_drain.map_or(0.0, |i| x0[i]);
-            let vg = m.var_gate.map_or(0.0, |i| x0[i]);
-            let vs = m.var_source.map_or(0.0, |i| x0[i]);
-            let geq = m.model.geq(vg - vs, vd - vs, flops) + self.opts.gmin;
+            let (vgs, vds) = mosfet_bias(m, x0);
+            let geq = m.model.geq(vgs, vds, flops) + self.opts.gmin;
             stats.device_evals += 1;
             MnaSystem::stamp_conductance(g, m.var_drain, m.var_source, geq);
         }

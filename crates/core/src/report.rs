@@ -48,7 +48,12 @@ pub struct EngineStats {
     /// variation: one per chunk of paths, which factors its paths'
     /// capacitance matrices against one shared template analysis.
     pub batched_factors: u64,
-    /// Nonlinear device model evaluations.
+    /// Nonlinear device model evaluations. The SWEC, PWL and EM engines
+    /// count one per device per state they evaluate it at; a SWEC
+    /// transient evaluates once per accepted time point, so its rejected
+    /// step attempts add none. The Newton engines count each model call:
+    /// `I` and `dI/dV` of a two-terminal device, `I`, `gds` and `gm` of a
+    /// MOSFET.
     pub device_evals: u64,
     /// Convergence rescues: points/steps that initially failed and were
     /// recovered by the rescue ladder (0 on a healthy run — the golden

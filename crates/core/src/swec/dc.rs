@@ -11,8 +11,8 @@
 //! solution (continuation), so a handful of iterations usually suffice.
 
 use crate::assemble::{
-    branch_voltage, charge_sweep, mna_var_names, override_source_rhs, require_sweepable_source,
-    sweep_columns, sweep_points, AssemblyWorkspace, CircuitMatrices,
+    branch_voltage, charge_sweep, mna_var_names, mosfet_bias, override_source_rhs,
+    require_sweepable_source, sweep_columns, sweep_points, AssemblyWorkspace, CircuitMatrices,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
@@ -632,10 +632,8 @@ impl SwecDcSweep {
             ws.stamp_nonlinear(i, geq);
         }
         for (k, m) in mna.mosfet_bindings().iter().enumerate() {
-            let vd = m.var_drain.map_or(0.0, |i| x0[i]);
-            let vg = m.var_gate.map_or(0.0, |i| x0[i]);
-            let vs = m.var_source.map_or(0.0, |i| x0[i]);
-            let geq = m.model.geq(vg - vs, vd - vs, flops) + self.opts.gmin;
+            let (vgs, vds) = mosfet_bias(m, x0);
+            let geq = m.model.geq(vgs, vds, flops) + self.opts.gmin;
             stats.device_evals += 1;
             ws.stamp_mosfet_cond(k, geq);
         }

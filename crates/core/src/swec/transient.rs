@@ -1,14 +1,16 @@
 //! SWEC transient analysis: implicit integration of the linear
 //! time-varying system (paper §3.2–3.4).
 //!
-//! Per accepted time point the engine performs exactly **one sparse LU
-//! solve**: the nonlinear devices enter as positive step-wise equivalent
-//! conductances predicted from the previous point (optionally
+//! Each step attempt performs exactly **one sparse LU solve**: the
+//! nonlinear devices enter as positive step-wise equivalent conductances
+//! predicted from the previous accepted point (optionally
 //! Taylor-extrapolated, eq. 5), so no Newton iteration ever runs. The
 //! step size comes from the adaptive controller of §3.4 and steps are
 //! additionally rejected (and halved) when a node moves more than
 //! `dv_max` in one step — the "too large a time step might lead to the
-//! failure of implicit integration" guard of §3.2.
+//! failure of implicit integration" guard of §3.2. The device models are
+//! evaluated once per accepted point, not per attempt (see
+//! [`crate::swec::conductance`]).
 //!
 //! The per-step solve is a values-only refactorization of one cached
 //! analysis. On stiff transients whose conductances swing over many
@@ -19,7 +21,8 @@
 //! stretch — `EngineStats::refinement_steps` counts those recoveries.
 
 use crate::assemble::{
-    branch_voltage, check_transient_window, mna_var_names, AssemblyWorkspace, CircuitMatrices,
+    branch_voltage, check_transient_window, mna_var_names, mosfet_bias, AssemblyWorkspace,
+    CircuitMatrices,
 };
 use crate::error::LastAccepted;
 use crate::report::EngineStats;
@@ -173,20 +176,19 @@ impl SwecTransient {
 
         // Device history trackers.
         let bindings = mna.nonlinear_bindings();
-        let mut tracker = GeqTracker::new(bindings.len(), self.opts.taylor_extrapolation);
+        let mosfets = mna.mosfet_bindings();
+        let mut tracker = GeqTracker::new(
+            bindings.len(),
+            mosfets.len(),
+            self.opts.taylor_extrapolation,
+        );
         for (i, b) in bindings.iter().enumerate() {
             tracker.seed(i, branch_voltage(&x, b.var_plus, b.var_minus));
         }
-        let mosfets = mna.mosfet_bindings();
-        let mut mos_state: Vec<(f64, f64)> = mosfets
-            .iter()
-            .map(|m| {
-                let vd = m.var_drain.map_or(0.0, |i| x[i]);
-                let vg = m.var_gate.map_or(0.0, |i| x[i]);
-                let vs = m.var_source.map_or(0.0, |i| x[i]);
-                (vg - vs, vd - vs)
-            })
-            .collect();
+        for (k, m) in mosfets.iter().enumerate() {
+            let (vgs, vds) = mosfet_bias(m, &x);
+            tracker.set_mosfet_bias(k, vgs, vds);
+        }
 
         let node_caps = mna.node_capacitance();
         let h_max = self.opts.h_max.min(tstep);
@@ -275,8 +277,8 @@ impl SwecTransient {
                         v: tracker.voltage(i).abs().max(0.05),
                         alpha: tracker.slew(i).abs().max(source_slew * 0.1),
                     });
-                    let mosfets = mos_state.iter().map(|(vgs, _)| StepConstraint::DeviceSlew {
-                        v: vgs.abs().max(0.05),
+                    let mosfets = (0..mosfets.len()).map(|k| StepConstraint::DeviceSlew {
+                        v: tracker.mosfet_bias(k).0.abs().max(0.05),
                         alpha: source_slew,
                     });
                     controller.suggest(nodes.chain(devices).chain(mosfets), t, tstop, next_bp)
@@ -305,8 +307,7 @@ impl SwecTransient {
                 if let Err(e) = self.step(
                     mats,
                     ws,
-                    &tracker,
-                    &mos_state,
+                    &mut tracker,
                     &x,
                     t,
                     h,
@@ -327,8 +328,7 @@ impl SwecTransient {
                             self.step(
                                 mats,
                                 ws,
-                                &tracker,
-                                &mos_state,
+                                &mut tracker,
                                 &x,
                                 t,
                                 h,
@@ -355,13 +355,9 @@ impl SwecTransient {
                     max_dv = max_dv.max((v_new - v_old).abs());
                 }
                 for (k, m) in mosfets.iter().enumerate() {
-                    let vd = m.var_drain.map_or(0.0, |i| solution[i]);
-                    let vg = m.var_gate.map_or(0.0, |i| solution[i]);
-                    let vs = m.var_source.map_or(0.0, |i| solution[i]);
-                    let (vgs_old, vds_old) = mos_state[k];
-                    max_dv = max_dv
-                        .max((vg - vs - vgs_old).abs())
-                        .max((vd - vs - vds_old).abs());
+                    let (vgs, vds) = mosfet_bias(m, solution);
+                    let (vgs_old, vds_old) = tracker.mosfet_bias(k);
+                    max_dv = max_dv.max((vgs - vgs_old).abs()).max((vds - vds_old).abs());
                 }
                 if max_dv > self.opts.dv_max {
                     stats.rejected_steps += 1;
@@ -430,10 +426,8 @@ impl SwecTransient {
                 tracker.commit(i, branch_voltage(&buf.x_new, b.var_plus, b.var_minus), h);
             }
             for (k, m) in mosfets.iter().enumerate() {
-                let vd = m.var_drain.map_or(0.0, |i| buf.x_new[i]);
-                let vg = m.var_gate.map_or(0.0, |i| buf.x_new[i]);
-                let vs = m.var_source.map_or(0.0, |i| buf.x_new[i]);
-                mos_state[k] = (vg - vs, vd - vs);
+                let (vgs, vds) = mosfet_bias(m, &buf.x_new);
+                tracker.set_mosfet_bias(k, vgs, vds);
             }
             // Refresh node conductance row sums from the stamped G.
             ws.row_abs_sums(&buf.g_vals, &mut g_rowsum);
@@ -510,8 +504,7 @@ impl SwecTransient {
         &self,
         mats: &CircuitMatrices,
         ws: &mut AssemblyWorkspace,
-        tracker: &GeqTracker,
-        mos_state: &[(f64, f64)],
+        tracker: &mut GeqTracker,
         x: &[f64],
         t: f64,
         h: f64,
@@ -528,18 +521,18 @@ impl SwecTransient {
             g_vals,
             x_new,
         } = buf;
-        // G(t+h) with SWEC device stamps.
+        // G(t+h) with SWEC device stamps. The device models are evaluated
+        // at the accepted point before its first attempt; every attempt
+        // only extrapolates to its own `h`.
+        stats.device_evals +=
+            tracker.evaluate(mna.nonlinear_bindings(), mna.mosfet_bindings(), flops);
         ws.begin();
-        for (i, b) in mna.nonlinear_bindings().iter().enumerate() {
-            let geq = tracker.predict(i, b, h, flops) + self.opts.gmin;
-            stats.device_evals += 1;
+        for i in 0..tracker.len() {
+            let geq = tracker.predict(i, h, flops) + self.opts.gmin;
             ws.stamp_nonlinear(i, geq);
         }
-        for (k, m) in mna.mosfet_bindings().iter().enumerate() {
-            let (vgs, vds) = mos_state[k];
-            let geq = m.model.geq(vgs, vds, flops) + self.opts.gmin;
-            stats.device_evals += 1;
-            ws.stamp_mosfet_cond(k, geq);
+        for k in 0..mna.mosfet_bindings().len() {
+            ws.stamp_mosfet_cond(k, tracker.mosfet_geq(k) + self.opts.gmin);
         }
         ws.snapshot_values(g_vals);
 
@@ -636,6 +629,7 @@ mod tests {
     use crate::waveform::Waveform;
     use nanosim_devices::rtd::Rtd;
     use nanosim_devices::sources::{PulseParams, SourceWaveform};
+    use nanosim_devices::NonlinearTwoTerminal;
     use nanosim_numeric::approx_eq;
 
     fn engine() -> SwecTransient {
@@ -800,6 +794,88 @@ mod tests {
             (10_641, 0xff4e_d3dc_a7c8_9112),
             "steps and digest {h:#018x}"
         );
+    }
+
+    /// An RTD that counts its model evaluations: calls of `Geq`, alone or
+    /// with its slope.
+    #[derive(Debug)]
+    struct CountingRtd {
+        rtd: Rtd,
+        evals: std::sync::atomic::AtomicU64,
+    }
+
+    impl CountingRtd {
+        fn count(&self) {
+            self.evals
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+    }
+
+    impl NonlinearTwoTerminal for CountingRtd {
+        fn current(&self, v: f64, flops: &mut FlopCounter) -> f64 {
+            self.rtd.current(v, flops)
+        }
+
+        fn differential_conductance(&self, v: f64, flops: &mut FlopCounter) -> f64 {
+            self.rtd.differential_conductance(v, flops)
+        }
+
+        fn equivalent_conductance(&self, v: f64, flops: &mut FlopCounter) -> f64 {
+            self.count();
+            self.rtd.equivalent_conductance(v, flops)
+        }
+
+        fn equivalent_conductance_and_slope(&self, v: f64, flops: &mut FlopCounter) -> (f64, f64) {
+            self.count();
+            self.rtd.equivalent_conductance_and_slope(v, flops)
+        }
+
+        fn device_kind(&self) -> &'static str {
+            "counting-rtd"
+        }
+
+        fn for_each_param(&self, f: &mut dyn FnMut(&'static str, f64)) {
+            self.rtd.for_each_param(f);
+        }
+    }
+
+    #[test]
+    fn devices_are_evaluated_once_per_accepted_point() {
+        // The RTD ramp from a capacitor initial condition (no operating
+        // point): the controller rejects many attempts, yet each device
+        // model runs once per accepted point that a step starts from.
+        for taylor in [true, false] {
+            let mut ckt = Circuit::new();
+            let a = ckt.node("in");
+            let b = ckt.node("mid");
+            ckt.add_voltage_source(
+                "V1",
+                a,
+                Circuit::GROUND,
+                SourceWaveform::pwl(vec![(0.0, 0.0), (10e-9, 5.0), (20e-9, 5.0)]).unwrap(),
+            )
+            .unwrap();
+            ckt.add_resistor("R1", a, b, 50.0).unwrap();
+            let device = std::sync::Arc::new(CountingRtd {
+                rtd: Rtd::date2005(),
+                evals: Default::default(),
+            });
+            ckt.add_nonlinear("X1", b, Circuit::GROUND, device.clone())
+                .unwrap();
+            ckt.add_capacitor_ic("C1", b, Circuit::GROUND, 1e-13, Some(0.0))
+                .unwrap();
+            let result = SwecTransient::new(SwecOptions {
+                taylor_extrapolation: taylor,
+                ..SwecOptions::default()
+            })
+            .run(&ckt, 0.1e-9, 20e-9)
+            .unwrap();
+            let s = &result.stats;
+            assert!(s.rejected_steps > 100, "taylor {taylor}: {s}");
+            let evals = device.evals.load(std::sync::atomic::Ordering::Relaxed);
+            assert_eq!(evals, s.steps as u64, "taylor {taylor}: {s}");
+            assert_eq!(s.device_evals, evals, "taylor {taylor}");
+        }
     }
 
     #[test]

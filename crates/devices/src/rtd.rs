@@ -469,7 +469,7 @@ mod tests {
             let num = (rtd.equivalent_conductance(v + h, &mut flops())
                 - rtd.equivalent_conductance(v - h, &mut flops()))
                 / (2.0 * h);
-            let ana = rtd.d_equivalent_conductance_dv(v, &mut flops());
+            let (_, ana) = rtd.equivalent_conductance_and_slope(v, &mut flops());
             assert!(
                 approx_eq(num, ana, 1e-4),
                 "v={v}: numeric {num} vs analytic {ana}"

@@ -11,6 +11,15 @@ use std::fmt::Debug;
 /// Voltage below which `I(V)/V` switches to its analytic `V -> 0` limit.
 pub const GEQ_ZERO_VOLTAGE: f64 = 1e-9;
 
+/// Voltage below which `dGeq/dV` is a symmetric finite difference of `Geq`
+/// (with this half-width) instead of the quotient rule, which cancels
+/// catastrophically as `v -> 0`.
+pub const GEQ_SLOPE_FD_VOLTAGE: f64 = 1e-6;
+
+// The quotient-rule branch computes the secant `I(v)/v` itself, which is
+// `Geq` only where the `v -> 0` limit does not apply.
+const _: () = assert!(GEQ_SLOPE_FD_VOLTAGE > GEQ_ZERO_VOLTAGE);
+
 /// A voltage-controlled two-terminal nonlinear branch `i = I(v)`.
 ///
 /// All methods thread a [`FlopCounter`] because the paper's Table I compares
@@ -42,29 +51,31 @@ pub trait NonlinearTwoTerminal: Debug {
         }
     }
 
-    /// Voltage derivative of the equivalent conductance,
-    /// `dGeq/dV = (I'(v)·v - I(v)) / v²` (paper eq. 7–8), used by the SWEC
-    /// engine's first-order Taylor extrapolation (paper eq. 5).
+    /// The equivalent conductance and its voltage derivative together,
+    /// `(Geq(v), dGeq/dV(v))`, with `dGeq/dV = (I'(v)·v - I(v)) / v²`
+    /// (paper eq. 7–8). The SWEC engine's first-order Taylor extrapolation
+    /// (paper eq. 5) needs both at every accepted time point.
     ///
-    /// The default implementation evaluates the quotient rule from
-    /// [`NonlinearTwoTerminal::current`] and
-    /// [`NonlinearTwoTerminal::differential_conductance`]; near `v = 0` it
-    /// falls back to a symmetric finite difference of `Geq`.
-    fn d_equivalent_conductance_dv(&self, v: f64, flops: &mut FlopCounter) -> f64 {
-        if v.abs() < 1e-6 {
-            let h = 1e-6;
+    /// `Geq` is bit for bit [`NonlinearTwoTerminal::equivalent_conductance`].
+    /// Away from zero one [`NonlinearTwoTerminal::current`] call feeds both
+    /// the secant and the quotient rule; below [`GEQ_SLOPE_FD_VOLTAGE`] the
+    /// slope is a symmetric finite difference of `Geq` of that half-width.
+    fn equivalent_conductance_and_slope(&self, v: f64, flops: &mut FlopCounter) -> (f64, f64) {
+        if v.abs() < GEQ_SLOPE_FD_VOLTAGE {
+            let h = GEQ_SLOPE_FD_VOLTAGE;
+            let geq = self.equivalent_conductance(v, flops);
             let gp = self.equivalent_conductance(v + h, flops);
             let gm = self.equivalent_conductance(v - h, flops);
             flops.add(1);
             flops.div(1);
-            (gp - gm) / (2.0 * h)
+            (geq, (gp - gm) / (2.0 * h))
         } else {
             let i = self.current(v, flops);
             let di = self.differential_conductance(v, flops);
             flops.mul(2);
             flops.add(1);
-            flops.div(1);
-            (di * v - i) / (v * v)
+            flops.div(2);
+            (i / v, (di * v - i) / (v * v))
         }
     }
 
@@ -130,11 +141,9 @@ mod tests {
         let d = Cubic;
         let mut f = FlopCounter::new();
         // Geq = v^2 so dGeq/dv = 2v.
-        assert!(approx_eq(
-            d.d_equivalent_conductance_dv(1.5, &mut f),
-            3.0,
-            1e-9
-        ));
+        let (geq, slope) = d.equivalent_conductance_and_slope(1.5, &mut f);
+        assert!(approx_eq(geq, 2.25, 1e-12));
+        assert!(approx_eq(slope, 3.0, 1e-9));
     }
 
     #[test]
@@ -142,7 +151,61 @@ mod tests {
         let d = Cubic;
         let mut f = FlopCounter::new();
         // dGeq/dv at 0 is 0 for Geq = v^2.
-        assert!(d.d_equivalent_conductance_dv(0.0, &mut f).abs() < 1e-5);
+        let (_, slope) = d.equivalent_conductance_and_slope(0.0, &mut f);
+        assert!(slope.abs() < 1e-5);
+    }
+
+    /// The slope as it was computed on its own before `Geq` and `dGeq/dV`
+    /// shared one `current` call: a finite difference of `Geq` near zero,
+    /// the quotient rule from fresh `current` and `dI/dV` calls elsewhere.
+    fn separate_slope(d: &dyn NonlinearTwoTerminal, v: f64, flops: &mut FlopCounter) -> f64 {
+        if v.abs() < 1e-6 {
+            let h = 1e-6;
+            let gp = d.equivalent_conductance(v + h, flops);
+            let gm = d.equivalent_conductance(v - h, flops);
+            flops.add(1);
+            flops.div(1);
+            (gp - gm) / (2.0 * h)
+        } else {
+            let i = d.current(v, flops);
+            let di = d.differential_conductance(v, flops);
+            flops.mul(2);
+            flops.add(1);
+            flops.div(1);
+            (di * v - i) / (v * v)
+        }
+    }
+
+    #[test]
+    fn combined_geq_and_slope_match_separate_evaluations_bit_for_bit() {
+        use crate::{Diode, Nanowire, Rtd, Rtt};
+        let devices: [&dyn NonlinearTwoTerminal; 5] = [
+            &Rtd::date2005(),
+            &Nanowire::metallic_cnt(),
+            &Rtt::three_peak(),
+            &Diode::silicon(),
+            &Cubic,
+        ];
+        let magnitudes = [0.0, 5e-10, 1e-9, 5e-7, 1e-6, 0.3, 1.5, 4.0];
+        for d in devices {
+            for v in magnitudes.iter().flat_map(|&m| [m, -m]) {
+                let mut separate = FlopCounter::new();
+                let geq = d.equivalent_conductance(v, &mut separate);
+                let slope = separate_slope(d, v, &mut separate);
+                let mut combined = FlopCounter::new();
+                let (geq_c, slope_c) = d.equivalent_conductance_and_slope(v, &mut combined);
+                let kind = d.device_kind();
+                assert_eq!(geq_c.to_bits(), geq.to_bits(), "{kind} Geq at {v}");
+                assert_eq!(slope_c.to_bits(), slope.to_bits(), "{kind} slope at {v}");
+                // Away from zero the shared `current` call is the saving.
+                let mut one_current = FlopCounter::new();
+                if v.abs() >= GEQ_SLOPE_FD_VOLTAGE {
+                    d.current(v, &mut one_current);
+                }
+                let saved = separate.since(&combined);
+                assert_eq!(saved, one_current, "{kind} flops at {v}");
+            }
+        }
     }
 
     #[test]

@@ -71,7 +71,7 @@ proptest! {
         let num = (rtd.equivalent_conductance(v + h, &mut flops())
             - rtd.equivalent_conductance(v - h, &mut flops()))
             / (2.0 * h);
-        let ana = rtd.d_equivalent_conductance_dv(v, &mut flops());
+        let (_, ana) = rtd.equivalent_conductance_and_slope(v, &mut flops());
         let scale = num.abs().max(ana.abs()).max(1e-9);
         prop_assert!((num - ana).abs() / scale < 1e-3, "v={v}: {num} vs {ana}");
     }

@@ -120,11 +120,6 @@ impl CancelToken {
     pub fn is_cancelled(&self) -> bool {
         self.flag.load(Ordering::Relaxed)
     }
-
-    /// Whether `self` and `other` share the same underlying flag.
-    pub fn same_as(&self, other: &CancelToken) -> bool {
-        Arc::ptr_eq(&self.flag, &other.flag)
-    }
 }
 
 /// Why a budgeted run was stopped. Deliberately free of wall-clock values
@@ -237,12 +232,6 @@ impl BudgetMeter {
         &self.token
     }
 
-    /// `true` when no limit is set and the token is untripped — i.e. the
-    /// meter can never stop the run (the bit-identity fast path).
-    pub fn is_inert(&self) -> bool {
-        self.budget.is_unlimited() && !self.token.is_cancelled()
-    }
-
     /// The pure cancel + deadline check every checkpoint performs.
     ///
     /// # Errors
@@ -346,14 +335,11 @@ mod tests {
         assert!(!u.is_cancelled());
         t.cancel();
         assert!(u.is_cancelled());
-        assert!(t.same_as(&u));
-        assert!(!t.same_as(&CancelToken::new()));
     }
 
     #[test]
     fn inert_meter_never_stops() {
         let mut m = BudgetMeter::unlimited();
-        assert!(m.is_inert());
         for _ in 0..1000 {
             m.tick_iteration().unwrap();
             m.tick_step().unwrap();
@@ -407,7 +393,6 @@ mod tests {
         token.cancel();
         assert_eq!(m.checkpoint(), Err(BudgetStop::Cancelled));
         assert_eq!(m.tick_iteration(), Err(BudgetStop::Cancelled));
-        assert!(!m.is_inert());
     }
 
     #[test]

@@ -99,11 +99,6 @@ impl FlopCounter {
         self.adds + self.muls + self.divs + self.funcs
     }
 
-    /// Resets every tally to zero.
-    pub fn reset(&mut self) {
-        *self = Self::default();
-    }
-
     /// Difference `self - earlier`, useful to attribute operations to a
     /// phase of a larger computation.
     ///
@@ -205,14 +200,6 @@ mod tests {
         assert_eq!(c.muls(), 3);
         assert_eq!(c.funcs(), 2);
         assert_eq!(c.total(), 6);
-    }
-
-    #[test]
-    fn reset_clears_all() {
-        let mut c = FlopCounter::new();
-        c.fma(100);
-        c.reset();
-        assert_eq!(c.total(), 0);
     }
 
     #[test]

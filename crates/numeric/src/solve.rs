@@ -159,12 +159,6 @@ impl SparseLuSolver {
         }
     }
 
-    /// Drops the cached factorization (next solve runs a full factor).
-    pub fn invalidate(&mut self) {
-        self.cached = None;
-        self.degraded = false;
-    }
-
     /// Test-support hook for the fault-injection harness: routes the next
     /// solve through the degraded-pivot refinement path as if its
     /// factorization pass had reported pivot decay. One-shot — the flag is
@@ -506,11 +500,6 @@ mod tests {
             .unwrap();
         assert_eq!(counts(&sparse), (2, 1));
         assert_eq!(x, b);
-        sparse.invalidate();
-        sparse
-            .solve_into(&t.to_csr(), &b, &mut x, &mut FlopCounter::new())
-            .unwrap();
-        assert_eq!(counts(&sparse), (3, 1));
     }
 
     #[test]

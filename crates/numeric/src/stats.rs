@@ -239,16 +239,6 @@ impl Histogram {
     pub fn total(&self) -> u64 {
         self.bins.iter().sum::<u64>() + self.underflow + self.overflow
     }
-
-    /// Center value of bin `i`.
-    ///
-    /// # Panics
-    /// Panics if `i` is out of range.
-    pub fn bin_center(&self, i: usize) -> f64 {
-        assert!(i < self.bins.len(), "bin {i} out of range");
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        self.lo + (i as f64 + 0.5) * w
-    }
 }
 
 #[cfg(test)]
@@ -328,7 +318,6 @@ mod tests {
         assert_eq!(h.underflow(), 1);
         assert_eq!(h.overflow(), 2);
         assert_eq!(h.total(), 7);
-        assert!(approx_eq(h.bin_center(0), 1.0, 1e-12));
     }
 
     #[test]

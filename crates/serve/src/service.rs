@@ -11,6 +11,7 @@ use nanosim_circuit::{parse_netlist_with_params, AnalysisDirective, ParsedDeck};
 use nanosim_core::swec::SwecOptions;
 use nanosim_core::{Analysis, Budget, BudgetStop, CancelToken, Dataset, SimOptions};
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Service configuration.
@@ -81,12 +82,16 @@ pub struct SubmitOptions {
     pub hold: bool,
 }
 
-/// A held (queued, not yet executed) run's replay context.
+/// A held (queued, not yet executed) run: its directive in the submit's
+/// parsed deck, which every held run of that submit shares, and what
+/// starting it needs.
 #[derive(Debug, Clone)]
 struct HeldRun {
-    deck: String,
-    overrides: Vec<(String, f64)>,
+    parsed: Arc<ParsedDeck>,
     directive: usize,
+    run: DirectiveFacts,
+    deck_key: DeckKey,
+    topology: TopologyKey,
     budget: Budget,
     allow_partial: bool,
 }
@@ -290,9 +295,9 @@ impl SimService {
             let (got, max) = (deck.len(), self.opts.max_deck_bytes);
             return Err(self.shed(format!("deck is {got} bytes (limit {max})")));
         }
-        // Level 0: the memo of parsed requests. Held runs replay their
-        // parse later, and chaos services never cache results, so neither
-        // looks.
+        // Level 0: the memo of parsed requests. Held runs keep their parse
+        // until they start, and chaos services never cache results, so
+        // neither looks.
         let request = (!opts.hold && self.opts.chaos_seed.is_none())
             .then(|| RequestKey::of(deck, &opts.overrides));
         if let Some(facts) = request.and_then(|k| self.memo.get(&k)) {
@@ -323,13 +328,16 @@ impl SimService {
         // execute.
         let ids = self.register(&facts);
         if opts.hold {
-            for (di, id) in ids.iter().enumerate() {
+            let parsed = Arc::new(parsed);
+            for ((directive, id), run) in ids.iter().enumerate().zip(&facts.directives) {
                 self.held.insert(
                     *id,
                     HeldRun {
-                        deck: deck.to_string(),
-                        overrides: opts.overrides.clone(),
-                        directive: di,
+                        parsed: Arc::clone(&parsed),
+                        directive,
+                        run: *run,
+                        deck_key: facts.deck_key,
+                        topology,
                         budget,
                         allow_partial: opts.allow_partial,
                     },
@@ -431,33 +439,13 @@ impl SimService {
             .held
             .remove(&id)
             .ok_or_else(|| ServeError::protocol(format!("run {id} was not submitted with hold")))?;
-        // Replay the parse; the deck was accepted at submit time, so this
-        // can only fail if the service is misused across incompatible
-        // versions — surface that as a failed run, not a panic.
-        let parsed = match parse_deck(&held.deck, &held.overrides) {
-            Ok(p) => p,
-            Err(e) => {
-                self.store.fail(id, nanosim_core::SimError::from(e));
-                return Ok(());
-            }
-        };
-        let Some(directive) = parsed.analyses.get(held.directive).cloned() else {
-            self.store.fail(
-                id,
-                nanosim_core::SimError::InvalidConfig {
-                    context: format!("held directive {} vanished on replay", held.directive),
-                },
-            );
-            return Ok(());
-        };
-        let run = DirectiveFacts::of(&directive, parsed.circuit.elements().len());
         self.run_one(
             id,
-            &parsed,
-            &directive,
-            &run,
-            DeckKey::of(&parsed.circuit),
-            TopologyKey::of(&parsed.circuit),
+            &held.parsed,
+            &held.parsed.analyses[held.directive],
+            &held.run,
+            held.deck_key,
+            held.topology,
             held.budget,
             held.allow_partial,
         );
@@ -930,7 +918,7 @@ mod tests {
             assert_eq!(svc.status(id).unwrap().status.tag(), "queued");
             svc.run_queued(id).unwrap();
         }
-        assert_eq!(parses() - before, 3, "each held run replays its parse");
+        assert_eq!(parses() - before, 1, "held runs share the submit's parse");
         let want = [CacheDisposition::ResultHit; 2];
         assert_answers(&mut svc, &ids, &want, PARAM_DECK, &r(120.0));
     }
