@@ -292,3 +292,211 @@ fn em_param_spread_factor_flops_beat_path_switch_refactoring() {
         "chunked {per_path_chunked} vs per-switch {per_path_naive} flops/path ({ratio:.2}x)"
     );
 }
+
+/// The bitwise dataset digest of an EM run next to its exact work counts.
+/// A change to the stepping kernel that keeps every result bit must keep
+/// every one of these fields too.
+#[derive(Debug, PartialEq)]
+struct EmPin {
+    digest: u64,
+    /// Flops by kind: adds, muls, divs, funcs.
+    flops: [u64; 4],
+    linear_solves: u64,
+    device_evals: u64,
+    steps: usize,
+    batched_factors: u64,
+}
+
+fn em_pin(ds: &Dataset) -> EmPin {
+    let f = &ds.stats.flops;
+    EmPin {
+        digest: dataset_digest(ds),
+        flops: [f.adds(), f.muls(), f.divs(), f.funcs()],
+        linear_solves: ds.stats.linear_solves,
+        device_evals: ds.stats.device_evals,
+        steps: ds.stats.steps,
+        batched_factors: ds.stats.batched_factors,
+    }
+}
+
+/// Runs the ensemble through a session serially and over two workers and
+/// asserts both match `want`.
+fn assert_ensemble_pin(ckt: Circuit, horizon: f64, opts: EmOptions, want: &EmPin) {
+    let mut sim = Simulator::new(ckt).unwrap();
+    for plan in [ExecPlan::Serial, ExecPlan::sharded(2)] {
+        let ds = sim
+            .run(
+                Analysis::em_ensemble(horizon)
+                    .options(opts.clone())
+                    .plan(plan),
+            )
+            .unwrap();
+        assert_eq!(ds.paths(), opts.paths);
+        let got = em_pin(&ds);
+        assert_eq!(&got, want, "under {plan:?}: {got:#x?}");
+    }
+}
+
+/// Nominal parameters: the shared factorization of `C` and one batched
+/// solve per step. 21 paths leave the last chunk partial.
+#[test]
+fn nominal_shared_factor_ensemble_is_pinned() {
+    let opts = EmOptions {
+        dt: 1e-12,
+        paths: 21,
+        seed: 0x5EED_0021,
+        ..EmOptions::default()
+    };
+    let want = EmPin {
+        digest: 0x5cea_6caa_3b20_bf0b,
+        flops: [18_901, 14_701, 4_201, 0],
+        linear_solves: 2_100,
+        device_evals: 0,
+        steps: 2_100,
+        batched_factors: 0,
+    };
+    assert_ensemble_pin(coupled_rc_pair(), 1e-10, opts, &want);
+}
+
+/// A noisy node loaded by an RTD and a MOSFET whose gate sits on a second
+/// noisy node: `G` is restamped per path at every step. Pinned with nominal
+/// parameters and with 5 % spread.
+fn rtd_mosfet_node() -> Circuit {
+    let mut ckt = Circuit::new();
+    let v = ckt.node("v");
+    let g = ckt.node("g");
+    ckt.add_current_source(
+        "In",
+        Circuit::GROUND,
+        v,
+        SourceWaveform::white_noise(8e-3, 1e-9).unwrap(),
+    )
+    .unwrap();
+    ckt.add_rtd("X1", v, Circuit::GROUND, Rtd::date2005())
+        .unwrap();
+    ckt.add_resistor("R1", v, Circuit::GROUND, 1e3).unwrap();
+    ckt.add_capacitor("C1", v, Circuit::GROUND, 1e-12).unwrap();
+    ckt.add_current_source(
+        "Ig",
+        Circuit::GROUND,
+        g,
+        SourceWaveform::white_noise(2e-3, 1e-9).unwrap(),
+    )
+    .unwrap();
+    ckt.add_resistor("Rg", g, Circuit::GROUND, 1e3).unwrap();
+    ckt.add_capacitor("Cg", g, Circuit::GROUND, 1e-12).unwrap();
+    ckt.add_mosfet("M1", v, g, Circuit::GROUND, Mosfet::nmos())
+        .unwrap();
+    ckt
+}
+
+#[test]
+fn nonlinear_ensemble_is_pinned() {
+    let cases = [
+        (
+            0.0,
+            EmPin {
+                digest: 0xe38f_bb39_c2c5_9324,
+                flops: [42_000, 33_768, 10_479, 8_442],
+                linear_solves: 2_100,
+                device_evals: 4_200,
+                steps: 2_100,
+                batched_factors: 0,
+            },
+        ),
+        (
+            0.05,
+            EmPin {
+                digest: 0x375e_7a91_4480_cd56,
+                flops: [42_000, 37_968, 10_479, 8_442],
+                linear_solves: 2_100,
+                device_evals: 4_200,
+                steps: 2_100,
+                batched_factors: 3,
+            },
+        ),
+    ];
+    for (param_spread, want) in &cases {
+        let opts = EmOptions {
+            dt: 2e-12,
+            paths: 21,
+            seed: 0x5EED_00A7,
+            param_spread: *param_spread,
+            ..EmOptions::default()
+        };
+        assert_ensemble_pin(rtd_mosfet_node(), 2e-10, opts, want);
+    }
+}
+
+/// `em_spread_mesh8`'s shape at 4×4: at every node 1 kΩ and 1 pF to ground
+/// and the Fig 10 noise drive, 1 kΩ between grid neighbours.
+fn noisy_rc_mesh(n: usize) -> Circuit {
+    let mut ckt = Circuit::new();
+    let nodes: Vec<Vec<_>> = (0..n)
+        .map(|r| (0..n).map(|c| ckt.node(&format!("n{r}_{c}"))).collect())
+        .collect();
+    for r in 0..n {
+        for c in 0..n {
+            let v = nodes[r][c];
+            let noise = SourceWaveform::white_noise(0.85e-3, 2.2e-9).unwrap();
+            ckt.add_current_source(&format!("I{r}_{c}"), Circuit::GROUND, v, noise)
+                .unwrap();
+            ckt.add_resistor(&format!("Rg{r}_{c}"), v, Circuit::GROUND, 1e3)
+                .unwrap();
+            ckt.add_capacitor(&format!("C{r}_{c}"), v, Circuit::GROUND, 1e-12)
+                .unwrap();
+            if c + 1 < n {
+                ckt.add_resistor(&format!("Rh{r}_{c}"), v, nodes[r][c + 1], 1e3)
+                    .unwrap();
+            }
+            if r + 1 < n {
+                ckt.add_resistor(&format!("Rv{r}_{c}"), v, nodes[r + 1][c], 1e3)
+                    .unwrap();
+            }
+        }
+    }
+    ckt
+}
+
+#[test]
+fn spread_rc_mesh_ensemble_is_pinned() {
+    let opts = EmOptions {
+        dt: 1e-11,
+        paths: 20,
+        seed: 0x5EED_0044,
+        param_spread: 0.05,
+        ..EmOptions::default()
+    };
+    let want = EmPin {
+        digest: 0xd49b_4771_7258_5b1f,
+        flops: [224_000, 224_000, 32_000, 0],
+        linear_solves: 2_000,
+        device_evals: 0,
+        steps: 2_000,
+        batched_factors: 3,
+    };
+    assert_ensemble_pin(noisy_rc_mesh(4), 1e-9, opts, &want);
+}
+
+/// One realization along caller-provided Wiener paths, one per noise
+/// source of the RTD/MOSFET circuit.
+#[test]
+fn run_with_paths_realization_is_pinned() {
+    let mut rng = Pcg64::seed_from_u64(0x5EED_0001);
+    let wieners: Vec<WienerPath> = (0..2)
+        .map(|_| WienerPath::generate(2e-10, 100, &mut rng))
+        .collect();
+    let ds = EmEngine::new(EmOptions::default())
+        .run_with_paths(&rtd_mosfet_node(), &wieners)
+        .unwrap();
+    let want = EmPin {
+        digest: 0x5585_4f9c_0f34_5a33,
+        flops: [2_000, 1_608, 499, 402],
+        linear_solves: 100,
+        device_evals: 200,
+        steps: 100,
+        batched_factors: 0,
+    };
+    let got = em_pin(&ds);
+    assert_eq!(got, want, "{got:#x?}");
+}
