@@ -32,15 +32,29 @@
 //! identical for every [`EmOptions::threads`] setting**, including the
 //! serial `threads = 1`; `tests/stochastic.rs` locks this guarantee in.
 //!
-//! **Batched solves.** Within a chunk the paths advance in *lockstep*:
-//! every path shares the one factorization of `C`, so each time step
-//! assembles all paths' right-hand sides and performs a single
-//! multi-RHS [`SparseLu::solve_many_into`] instead of one factor-structure
-//! walk per path. Per-path arithmetic is bit-identical to the serial
-//! per-path stepping (the batched kernel's lanes match independent solves
-//! bit for bit), so this is purely a throughput optimization. With
-//! [`EmOptions::param_spread`] each path has its own `C` and solves
-//! against its own factors instead.
+//! **The lockstep kernel.** Within a chunk the paths advance as one block
+//! (`PathBlock`), so each time step does the path-independent work once:
+//!
+//! - `b(t)` is stamped once per step for the whole chunk;
+//! - a circuit without nonlinear devices or MOSFETs assembles `G` once;
+//!   otherwise every path restamps its own `G` at its own state;
+//! - `G·x` for every path comes from one walk of `G`'s CSR pattern, with
+//!   the chunk's states interleaved and one accumulator per path;
+//! - with nominal parameters every path shares the one factorization of
+//!   `C`, so a single multi-RHS [`SparseLu::solve_many_into`] advances the
+//!   chunk; with [`EmOptions::param_spread`] each path solves against its
+//!   own factors;
+//! - the chunk's statistics are time-major structure-of-arrays Welford
+//!   moments ([`MomentBlock`]: `mean` and `m2` per `(step, variable)`,
+//!   one shared count), merged across chunks with
+//!   [`nanosim_numeric::stats::RunningStats::merge`]'s arithmetic.
+//!
+//! Every path keeps the arithmetic of a lone path — its own generator, its
+//! own summation order in `G·x`, the batched solve's lanes matching
+//! independent solves bit for bit — and the accumulators see the paths in
+//! ascending order, so the kernel is purely a throughput optimization.
+//! [`EmEngine::run_with_paths`] steps its one realization through the same
+//! kernel.
 //!
 //! **Supported circuits**: every MNA unknown must be a node voltage with
 //! capacitance to ground (no voltage sources, no inductors) — the standard
@@ -53,11 +67,11 @@ use crate::assemble::{
 use crate::report::EngineStats;
 use crate::sim::{AnalysisKind, Axis, Dataset};
 use crate::{Result, SimError};
-use nanosim_circuit::Circuit;
+use nanosim_circuit::{Circuit, MnaSystem};
 use nanosim_numeric::parallel::try_par_map;
 use nanosim_numeric::rng::Pcg64;
 use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice, PivotStrategy, SparseLu};
-use nanosim_numeric::stats::RunningStats;
+use nanosim_numeric::stats::MomentBlock;
 use nanosim_numeric::{BudgetMeter, FlopCounter};
 use nanosim_sde::wiener::WienerPath;
 use std::time::Instant;
@@ -234,7 +248,7 @@ impl EmEngine {
         // seed-derived stream so enabling it never perturbs the noise RNGs.
         let variation = if self.opts.param_spread > 0.0 {
             Some(PathVariation::build(
-                &mats,
+                &mats.c_csr,
                 paths,
                 self.opts.param_spread,
                 self.opts.seed,
@@ -274,28 +288,26 @@ impl EmEngine {
             )
         })?;
 
-        // Order-deterministic reduction: Welford-merge chunk accumulators
-        // and concatenate per-path maxima, both in chunk order.
-        let mut welford = vec![RunningStats::new(); dim * (steps + 1)];
+        // Order-deterministic reduction: Welford-merge chunk moments and
+        // concatenate per-path maxima, both in chunk order.
+        let mut moments = MomentBlock::new((steps + 1) * dim);
         let mut maxima: Vec<Vec<f64>> = (0..dim).map(|_| Vec::with_capacity(paths)).collect();
         for chunk in &chunks {
-            for (total, part) in welford.iter_mut().zip(chunk.welford.iter()) {
-                total.merge(part);
-            }
+            moments.merge(&chunk.moments);
             for (i, m) in maxima.iter_mut().enumerate() {
                 m.extend_from_slice(&chunk.maxima[i]);
             }
             stats.merge(&chunk.stats);
         }
 
-        // Columns: every variable's mean, then every variable's std-dev.
-        let envelope = |f: fn(&RunningStats) -> f64| {
-            welford
-                .chunks(steps + 1)
-                .map(move |series| series.iter().map(f).collect::<Vec<f64>>())
+        // Columns: every variable's mean, then every variable's std-dev,
+        // read out of the time-major moments (`k * dim + i`).
+        let moments = &moments;
+        let envelope = |f: fn(&MomentBlock, usize) -> f64| {
+            (0..dim).map(move |i| (0..=steps).map(|k| f(moments, k * dim + i)).collect())
         };
-        let columns = envelope(RunningStats::mean)
-            .chain(envelope(RunningStats::std_dev))
+        let columns = envelope(MomentBlock::mean)
+            .chain(envelope(MomentBlock::std_dev))
             .collect();
         let mut names = mna_var_names(&mats.mna);
         let std_names: Vec<String> = names.iter().map(|n| format!("std({n})")).collect();
@@ -362,21 +374,23 @@ impl EmEngine {
                 SimError::budget_exceeded(stop, format!("em realization of {steps} steps"))
             })?;
         let c_lu = SparseLu::factor(&mats.c_csr, &mut flops)?;
-        let mut state = PathState::new(&mats);
-        let mut columns: Vec<Vec<f64>> = (0..dim).map(|i| vec![state.x[i]]).collect();
+        let factors = Factors::PerPath(std::slice::from_ref(&c_lu));
+        // The ensemble's kernel with one nominal path.
+        let mut block = PathBlock::new(&mats, vec![1.0], dt, self.opts.gmin);
+        let mut columns: Vec<Vec<f64>> = block.x.iter().map(|&x| vec![x]).collect();
         let mut times = vec![0.0];
         for k in 0..steps {
             run_meter.checkpoint().map_err(|stop| {
                 SimError::budget_exceeded(stop, format!("em realization at step {k}"))
             })?;
             let t = k as f64 * dt;
-            for (dw, w) in state.dws.iter_mut().zip(wieners.iter()) {
+            for (dw, w) in block.dws.iter_mut().zip(wieners.iter()) {
                 *dw = w.increment(k);
             }
-            self.em_step(&mats, &c_lu, &mut state, t, dt, &mut stats, &mut flops)?;
+            block.step(&mats.mna, factors, t, &mut stats, &mut flops)?;
             times.push(t + dt);
-            for (i, c) in columns.iter_mut().enumerate() {
-                c.push(state.x[i]);
+            for (c, &x) in columns.iter_mut().zip(&block.x) {
+                c.push(x);
             }
         }
         stats.steps = steps;
@@ -393,21 +407,21 @@ impl EmEngine {
     }
 
     /// Simulates one chunk of consecutive paths (global indices
-    /// `lo..lo + path_rngs.len()`), streaming every sample into chunk-local
-    /// Welford accumulators (`welford[i * (steps+1) + k]`) and per-path
-    /// running maxima.
+    /// `lo..lo + path_rngs.len()`), streaming every sample into the chunk's
+    /// time-major moments (`moments[k * dim + i]`) and per-path running
+    /// maxima.
     ///
-    /// Paths advance in **lockstep**: at each time step every path's
-    /// right-hand side is assembled (each with its own generator and
-    /// state, so per-path sequences are untouched), then one batched
-    /// multi-RHS solve against the shared `C` factorization advances them
-    /// all — amortizing the factor traversal across the chunk. For every
-    /// `(variable, step)` accumulator the paths still push in ascending
-    /// path order, so the reduction is bit-identical to per-path stepping.
+    /// The paths advance in **lockstep** through one [`PathBlock`]: at
+    /// each time step every path draws its increments from its own
+    /// generator, then the block assembles all right-hand sides and solves
+    /// them together. Path `p` pushes its samples as sample `p + 1` of
+    /// each accumulator, so every `(step, variable)` accumulator sees the
+    /// paths in ascending order, exactly as if the paths were stepped one
+    /// after another.
     ///
-    /// With `variation` set the chunk instead factors its first path's
-    /// capacitance matrix once, gives every path a values-only refactor of
-    /// that template with its own values, and each step solves every path
+    /// With `variation` set the chunk factors its first path's capacitance
+    /// matrix once, gives every path a values-only refactor of that
+    /// template with its own values, and each step solves every path
     /// against its own factors — no refactor per path switch.
     fn simulate_chunk(
         &self,
@@ -422,25 +436,27 @@ impl EmEngine {
         let dim = mats.mna.dim();
         let npaths = path_rngs.len();
         let sqrt_dt = self.opts.dt.sqrt();
-        let mut state = PathState::new(mats);
         let mut stats = EngineStats::new();
         let mut flops = FlopCounter::new();
 
-        // Per-path C factors: lane 0's factorization fixes the pivot order
-        // and structure, and every lane refactors a copy with its values.
-        let lanes = match variation {
+        // Per-path C factors: path 0's factorization fixes the pivot order
+        // and structure, and every path refactors a copy with its values,
+        // written in turn into one scratch matrix on C's pattern.
+        let path_lus = match variation {
             Some(var) => {
                 let before = flops.total();
-                let lane_mats = &var.cap_mats[lo..lo + npaths];
+                let mut path_c = mats.c_csr.clone();
+                path_c.values_mut().copy_from_slice(var.path_c(lo));
                 let template = SparseLu::factor_ordered(
-                    &lane_mats[0],
+                    &path_c,
                     OrderingChoice::Natural,
                     PivotStrategy::default(),
                     &mut flops,
                 )?;
                 let mut lus = vec![template; npaths];
-                for (lu, mat) in lus.iter_mut().zip(lane_mats) {
-                    let ratio = lu.refactor_tolerant(mat, &mut flops)?;
+                for (p, lu) in lus.iter_mut().enumerate() {
+                    path_c.values_mut().copy_from_slice(var.path_c(lo + p));
+                    let ratio = lu.refactor_tolerant(&path_c, &mut flops)?;
                     stats.min_recip_pivot = stats.min_recip_pivot.min(ratio);
                 }
                 stats.full_factors += 1;
@@ -450,25 +466,21 @@ impl EmEngine {
             }
             None => None,
         };
-        let mut welford = vec![RunningStats::new(); dim * (steps + 1)];
-        let mut maxima: Vec<Vec<f64>> = (0..dim).map(|_| Vec::with_capacity(npaths)).collect();
-
-        // Per-path evolution state; the assembly workspace and scratch
-        // vectors in `state` are shared across paths (re-stamped per
-        // path), the batched blocks are column-major `dim × npaths`.
-        let mut rngs: Vec<Pcg64> = path_rngs.to_vec();
-        let mut xs: Vec<Vec<f64>> = vec![vec![0.0; dim]; npaths];
-        let mut max_v = vec![vec![f64::NEG_INFINITY; dim]; npaths];
-        let mut rhs_block = vec![0.0f64; dim * npaths];
-        let mut delta_block: Vec<f64> = Vec::new();
-        let mut solve_work: Vec<f64> = Vec::new();
-
-        for (x, mv) in xs.iter().zip(max_v.iter_mut()) {
-            for (i, m) in mv.iter_mut().enumerate() {
-                let v = x[i];
-                welford[i * (steps + 1)].push(v);
-                *m = v;
+        let (factors, g_scale) = match (&path_lus, c_lu, variation) {
+            (Some(lus), _, Some(var)) => {
+                (Factors::PerPath(lus), var.g_scale[lo..lo + npaths].to_vec())
             }
+            (None, Some(lu), _) => (Factors::Batched(lu), vec![1.0; npaths]),
+            _ => unreachable!("run() factors C when no per-path variation is set"),
+        };
+        let mut block = PathBlock::new(mats, g_scale, self.opts.dt, self.opts.gmin);
+        let noise = mats.mna.noise_bindings().len();
+        let mut rngs: Vec<Pcg64> = path_rngs.to_vec();
+        let mut moments = MomentBlock::new(dim * (steps + 1));
+        // Every path starts at `x = 0`, which is also its first maximum.
+        let mut max_v = block.x.clone();
+        for (p, x) in block.x.chunks_exact(dim).enumerate() {
+            moments.push(p as u64 + 1, 0, x);
         }
         for k in 0..steps {
             // Deterministic budget checkpoint: once per lockstep time step.
@@ -477,212 +489,304 @@ impl EmEngine {
             meter.checkpoint().map_err(|stop| {
                 SimError::budget_exceeded(stop, format!("em paths {lo}.. at step {k}"))
             })?;
-            let t = k as f64 * self.opts.dt;
-            for (p, (x, rng)) in xs.iter().zip(rngs.iter_mut()).enumerate() {
-                for dw in state.dws.iter_mut() {
+            for (p, rng) in rngs.iter_mut().enumerate() {
+                for dw in &mut block.dws[p * noise..(p + 1) * noise] {
                     *dw = sqrt_dt * rng.next_gaussian();
                 }
-                state.x.copy_from_slice(x);
-                let g_scale = variation.map_or(1.0, |v| v.g_scale[lo + p]);
-                self.assemble_rhs(
-                    mats,
-                    &mut state,
-                    t,
-                    self.opts.dt,
-                    g_scale,
-                    &mut stats,
-                    &mut flops,
-                )?;
-                rhs_block[p * dim..(p + 1) * dim].copy_from_slice(&state.rhs);
             }
-            match (&lanes, c_lu) {
-                // Per-path factors: each path solves against its own.
-                (Some(lus), _) => {
-                    delta_block.resize(dim * npaths, 0.0);
-                    for (p, lu) in lus.iter().enumerate() {
-                        let rhs = &rhs_block[p * dim..(p + 1) * dim];
-                        lu.solve_into(rhs, &mut state.delta, &mut solve_work, &mut flops)?;
-                        delta_block[p * dim..(p + 1) * dim].copy_from_slice(&state.delta);
-                    }
-                }
-                // Shared factors: one traversal advances the whole chunk.
-                (None, Some(lu)) => lu.solve_many_into(
-                    &rhs_block,
-                    npaths,
-                    &mut delta_block,
-                    &mut solve_work,
-                    &mut flops,
-                )?,
-                (None, None) => unreachable!("run() factors C when no per-path variation is set"),
-            }
-            stats.linear_solves += npaths as u64;
-            for (p, (x, mv)) in xs.iter_mut().zip(max_v.iter_mut()).enumerate() {
-                for (i, xi) in x.iter_mut().enumerate() {
-                    *xi += delta_block[p * dim + i];
-                    let v = *xi;
-                    welford[i * (steps + 1) + k + 1].push(v);
-                    if v > mv[i] {
-                        mv[i] = v;
-                    }
+            let t = k as f64 * self.opts.dt;
+            block.step(&mats.mna, factors, t, &mut stats, &mut flops)?;
+            let row = (k + 1) * dim;
+            for (p, (x, mv)) in block
+                .x
+                .chunks_exact(dim)
+                .zip(max_v.chunks_exact_mut(dim))
+                .enumerate()
+            {
+                moments.push(p as u64 + 1, row, x);
+                for (m, &v) in mv.iter_mut().zip(x) {
+                    // A select, not a branch: a rising path would
+                    // mispredict it at random.
+                    *m = if v > *m { v } else { *m };
                 }
             }
-            flops.add((dim * npaths) as u64);
         }
-        for mv in &max_v {
-            for (i, m) in maxima.iter_mut().enumerate() {
-                m.push(mv[i]);
-            }
-        }
+        let maxima = (0..dim)
+            .map(|i| max_v.iter().skip(i).step_by(dim).copied().collect())
+            .collect();
         stats.flops += flops;
         Ok(ChunkStats {
-            welford,
+            moments,
             maxima,
             stats,
         })
     }
-
-    /// Assembles one path's right-hand side
-    /// `rhs = (b - g_scale·G(x)·x)·dt + B·dW` into `state.rhs` (`G`
-    /// re-stamped at the path's current state; the increments already in
-    /// `state.dws`). `g_scale` is the path's conductance spread factor;
-    /// `1.0` (nominal) is bit-identical to the unscaled assembly. Shared
-    /// by the serial stepper and the lockstep batched chunks.
-    fn assemble_rhs(
-        &self,
-        mats: &CircuitMatrices,
-        state: &mut PathState,
-        t: f64,
-        dt: f64,
-        g_scale: f64,
-        stats: &mut EngineStats,
-        flops: &mut FlopCounter,
-    ) -> Result<()> {
-        let mna = &mats.mna;
-        let dim = mna.dim();
-        // Assemble G (linear + SWEC conductances at the current state).
-        state.ws.begin();
-        for (i, b) in mna.nonlinear_bindings().iter().enumerate() {
-            let v = branch_voltage(&state.x, b.var_plus, b.var_minus);
-            let geq = b.device.equivalent_conductance(v, flops) + self.opts.gmin;
-            stats.device_evals += 1;
-            state.ws.stamp_nonlinear(i, geq);
-        }
-        for (k, m) in mna.mosfet_bindings().iter().enumerate() {
-            let (vgs, vds) = mosfet_bias(m, &state.x);
-            let geq = m.model.geq(vgs, vds, flops) + self.opts.gmin;
-            stats.device_evals += 1;
-            state.ws.stamp_mosfet_cond(k, geq);
-        }
-        // rhs = (b - G x) dt + B dW.
-        mna.stamp_rhs(t, &mut state.rhs);
-        state
-            .ws
-            .matrix()
-            .matvec_into(&state.x, &mut state.gx, flops)?;
-        for i in 0..dim {
-            // `1.0 * x == x` bitwise, so the nominal path is unchanged.
-            state.rhs[i] = (state.rhs[i] - g_scale * state.gx[i]) * dt;
-        }
-        flops.fma(dim as u64);
-        if g_scale != 1.0 {
-            flops.mul(dim as u64);
-        }
-        for (nb, &dw) in mna.noise_bindings().iter().zip(state.dws.iter()) {
-            for &(row, coeff) in &nb.rows {
-                state.rhs[row] += coeff * dw;
-                flops.fma(1);
-            }
-        }
-        Ok(())
-    }
-
-    /// One EM step in place: `x += C^{-1}[(b - Gx)·dt + B·dW]`, with the
-    /// increments already in `state.dws`. Assembly scatter-updates the
-    /// workspace pattern and every vector lives in `state` — zero heap
-    /// allocations per step.
-    fn em_step(
-        &self,
-        mats: &CircuitMatrices,
-        c_lu: &SparseLu,
-        state: &mut PathState,
-        t: f64,
-        dt: f64,
-        stats: &mut EngineStats,
-        flops: &mut FlopCounter,
-    ) -> Result<()> {
-        let dim = mats.mna.dim();
-        self.assemble_rhs(mats, state, t, dt, 1.0, stats, flops)?;
-        // x += C^{-1} rhs.
-        c_lu.solve_into(&state.rhs, &mut state.delta, &mut state.solve_work, flops)?;
-        stats.linear_solves += 1;
-        for i in 0..dim {
-            state.x[i] += state.delta[i];
-        }
-        flops.add(dim as u64);
-        Ok(())
-    }
 }
 
 /// Per-path parameter realizations for [`EmOptions::param_spread`]: the
-/// jittered capacitance matrix and conductance scale of every path, drawn
+/// jittered capacitance values and conductance scale of every path, drawn
 /// in path order from a dedicated seed-derived stream (independent of the
 /// noise generators, so enabling spread never shifts the Wiener paths).
 #[derive(Debug)]
 struct PathVariation {
-    /// One capacitance matrix per path, identical sparsity pattern to the
-    /// nominal `C` (values jittered, structure untouched), so each path's
-    /// factors are a values-only refactor of one template.
-    cap_mats: Vec<CsrMatrix>,
+    /// Every path's values on the nominal `C` pattern, path-major (`nnz`
+    /// per path): the structure is untouched, so each path's factors are a
+    /// values-only refactor of one template.
+    c_values: Vec<f64>,
+    /// Stored entries of `C`.
+    nnz: usize,
     /// Per-path conductance scale applied to `G·x` during RHS assembly.
     g_scale: Vec<f64>,
 }
 
 impl PathVariation {
-    fn build(mats: &CircuitMatrices, paths: usize, spread: f64, seed: u64) -> Self {
+    fn build(c: &CsrMatrix, paths: usize, spread: f64, seed: u64) -> Self {
         let mut rng = Pcg64::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let mut cap_mats = Vec::with_capacity(paths);
+        let nominal = c.values();
+        let mut c_values = Vec::with_capacity(paths * nominal.len());
         let mut g_scale = Vec::with_capacity(paths);
         for _ in 0..paths {
-            let mut c = mats.c_csr.clone();
-            for v in c.values_mut() {
-                *v *= 1.0 + spread * rng.uniform(-1.0, 1.0);
+            for &v in nominal {
+                c_values.push(v * (1.0 + spread * rng.uniform(-1.0, 1.0)));
             }
-            cap_mats.push(c);
             g_scale.push(1.0 + spread * rng.uniform(-1.0, 1.0));
         }
-        PathVariation { cap_mats, g_scale }
+        PathVariation {
+            c_values,
+            nnz: nominal.len(),
+            g_scale,
+        }
+    }
+
+    /// Path `p`'s capacitance values, aligned with `C`'s stored entries.
+    fn path_c(&self, p: usize) -> &[f64] {
+        &self.c_values[p * self.nnz..(p + 1) * self.nnz]
     }
 }
 
-/// Per-worker integration state: the assembly workspace plus every vector
-/// the stepper touches, so a path advances with zero allocation per step.
-#[derive(Debug)]
-struct PathState {
-    ws: AssemblyWorkspace,
-    x: Vec<f64>,
-    rhs: Vec<f64>,
-    gx: Vec<f64>,
-    delta: Vec<f64>,
-    solve_work: Vec<f64>,
-    dws: Vec<f64>,
+/// The factors a [`PathBlock`] solves against.
+#[derive(Debug, Clone, Copy)]
+enum Factors<'a> {
+    /// Nominal `C`, shared: one multi-RHS solve advances the whole block.
+    Batched(&'a SparseLu),
+    /// One factorization per path, in path order.
+    PerPath(&'a [SparseLu]),
 }
 
-impl PathState {
-    fn new(mats: &CircuitMatrices) -> Self {
-        let dim = mats.mna.dim();
-        PathState {
-            ws: AssemblyWorkspace::new(
-                mats,
-                false,
-                false,
-                nanosim_numeric::sparse::OrderingChoice::default(),
-            ),
-            x: vec![0.0; dim],
-            rhs: vec![0.0; dim],
-            gx: vec![0.0; dim],
-            delta: Vec::with_capacity(dim),
+/// The [`PATH_CHUNK`] values of entry `i` of an interleaved array. The
+/// width is a compile-time constant, so a `G·x` row's accumulators stay in
+/// registers.
+fn lanes(v: &[f64], i: usize) -> &[f64; PATH_CHUNK] {
+    v[i * PATH_CHUNK..(i + 1) * PATH_CHUNK]
+        .try_into()
+        .expect("PATH_CHUNK values")
+}
+
+/// A block of up to [`PATH_CHUNK`] paths advancing in lockstep: the time-step
+/// kernel of every EM run. Per-path vectors are stored path-major (path
+/// `p`'s `dim` values at `[p * dim..(p + 1) * dim]`), which is the
+/// column-major block the multi-RHS solve takes.
+///
+/// Each [`PathBlock::step`] stamps `b(t)` once for the block, forms `G·x`
+/// for every path in one walk of `G`'s CSR pattern with one accumulator
+/// per path, and solves all right-hand sides. A path's arithmetic —
+/// summation order included — is that of a lone path, so results do not
+/// depend on the block size. The walk always runs [`PATH_CHUNK`] lanes
+/// wide; the lanes of a smaller block hold zeros and are never read.
+#[derive(Debug)]
+struct PathBlock {
+    /// Carries `G`'s pattern and restamps nonlinear circuits per path.
+    ws: AssemblyWorkspace,
+    /// The fixed step `Δt`.
+    dt: f64,
+    /// Conductance in parallel with every nonlinear device.
+    gmin: f64,
+    /// Whether `G` is the same for every path at every step: a circuit
+    /// without nonlinear devices or MOSFETs.
+    linear: bool,
+    /// `G` values on the pattern: the one array of a linear circuit,
+    /// stamped once; else every path's values at its state, interleaved
+    /// (`g_vals[e * PATH_CHUNK + p]`).
+    g_vals: Vec<f64>,
+    /// Paths in the block.
+    paths: usize,
+    /// Per-path conductance spread factor (`1.0` when nominal).
+    g_scale: Vec<f64>,
+    /// `b(t)` of the current step, shared by every path.
+    b: Vec<f64>,
+    /// States, right-hand sides and updates, path-major.
+    x: Vec<f64>,
+    rhs: Vec<f64>,
+    delta: Vec<f64>,
+    /// The states interleaved (`xt[i * PATH_CHUNK + p]`), so one pattern entry
+    /// meets every path's operand side by side.
+    xt: Vec<f64>,
+    /// Wiener increments, path-major, one per noise source.
+    dws: Vec<f64>,
+    /// `B`'s entries as `(source, row, coefficient)`, in source order.
+    noise: Vec<(usize, usize, f64)>,
+    /// One path's update and the solver scratch.
+    path_delta: Vec<f64>,
+    solve_work: Vec<f64>,
+}
+
+impl PathBlock {
+    /// A block of `g_scale.len()` paths at `x = 0`, stepping by `dt`. A
+    /// circuit without nonlinear devices or MOSFETs has its `G` assembled
+    /// here, once.
+    fn new(mats: &CircuitMatrices, g_scale: Vec<f64>, dt: f64, gmin: f64) -> Self {
+        let mna = &mats.mna;
+        let (dim, npaths) = (mna.dim(), g_scale.len());
+        assert!(
+            npaths <= PATH_CHUNK,
+            "{npaths} paths in a block of {PATH_CHUNK} lanes"
+        );
+        let mut ws = AssemblyWorkspace::new(mats, false, false, OrderingChoice::default());
+        ws.begin();
+        let linear = mna.nonlinear_bindings().is_empty() && mna.mosfet_bindings().is_empty();
+        let g_vals = if linear {
+            ws.matrix().values().to_vec()
+        } else {
+            vec![0.0; ws.matrix().nnz() * PATH_CHUNK]
+        };
+        let noise = mna.noise_bindings();
+        PathBlock {
+            ws,
+            dt,
+            gmin,
+            linear,
+            g_vals,
+            paths: npaths,
+            g_scale,
+            b: vec![0.0; dim],
+            x: vec![0.0; dim * npaths],
+            rhs: vec![0.0; dim * npaths],
+            delta: Vec::with_capacity(dim * npaths),
+            xt: vec![0.0; dim * PATH_CHUNK],
+            dws: vec![0.0; noise.len() * npaths],
+            noise: noise
+                .iter()
+                .enumerate()
+                .flat_map(|(s, nb)| nb.rows.iter().map(move |&(row, coeff)| (s, row, coeff)))
+                .collect(),
+            path_delta: Vec::with_capacity(dim),
             solve_work: Vec::with_capacity(dim),
-            dws: vec![0.0; mats.mna.noise_bindings().len()],
+        }
+    }
+
+    /// One EM step of every path in place,
+    /// `x += C⁻¹·[(b(t) - g_scale·G(x)·x)·dt + B·dW]`, with the increments
+    /// already in `dws`. Zero heap allocations after the first step.
+    fn step(
+        &mut self,
+        mna: &MnaSystem,
+        factors: Factors<'_>,
+        t: f64,
+        stats: &mut EngineStats,
+        flops: &mut FlopCounter,
+    ) -> Result<()> {
+        self.stamp_g(mna, stats, flops);
+        self.assemble_rhs(mna, t, flops);
+        let (dim, npaths) = (self.b.len(), self.paths);
+        match factors {
+            Factors::Batched(lu) => lu.solve_many_into(
+                &self.rhs,
+                npaths,
+                &mut self.delta,
+                &mut self.solve_work,
+                flops,
+            )?,
+            Factors::PerPath(lus) => {
+                self.delta.resize(dim * npaths, 0.0);
+                let paths = self
+                    .rhs
+                    .chunks_exact(dim)
+                    .zip(self.delta.chunks_exact_mut(dim));
+                for (lu, (rhs, delta)) in lus.iter().zip(paths) {
+                    lu.solve_into(rhs, &mut self.path_delta, &mut self.solve_work, flops)?;
+                    delta.copy_from_slice(&self.path_delta);
+                }
+            }
+        }
+        stats.linear_solves += npaths as u64;
+        for (x, d) in self.x.iter_mut().zip(&self.delta) {
+            *x += d;
+        }
+        flops.add(self.x.len() as u64);
+        Ok(())
+    }
+
+    /// Restamps every path's `G` at its current state (linear + SWEC
+    /// conductances); a linear circuit's `G` never changes.
+    fn stamp_g(&mut self, mna: &MnaSystem, stats: &mut EngineStats, flops: &mut FlopCounter) {
+        if self.linear {
+            return;
+        }
+        let dim = self.b.len();
+        for (p, x) in self.x.chunks_exact(dim).enumerate() {
+            self.ws.begin();
+            for (i, b) in mna.nonlinear_bindings().iter().enumerate() {
+                let v = branch_voltage(x, b.var_plus, b.var_minus);
+                let geq = b.device.equivalent_conductance(v, flops) + self.gmin;
+                self.ws.stamp_nonlinear(i, geq);
+            }
+            for (k, m) in mna.mosfet_bindings().iter().enumerate() {
+                let (vgs, vds) = mosfet_bias(m, x);
+                let geq = m.model.geq(vgs, vds, flops) + self.gmin;
+                self.ws.stamp_mosfet_cond(k, geq);
+            }
+            for (e, &v) in self.ws.matrix().values().iter().enumerate() {
+                self.g_vals[e * PATH_CHUNK + p] = v;
+            }
+        }
+        let devices = mna.nonlinear_bindings().len() + mna.mosfet_bindings().len();
+        stats.device_evals += (devices * self.paths) as u64;
+    }
+
+    /// Assembles every path's `rhs = (b(t) - g_scale·G·x)·dt + B·dW`:
+    /// `b(t)` is stamped once, and one walk of `G`'s pattern forms all the
+    /// paths' `G·x` rows, each summed in the order of a lone matvec.
+    fn assemble_rhs(&mut self, mna: &MnaSystem, t: f64, flops: &mut FlopCounter) {
+        let (dim, npaths) = (self.b.len(), self.paths);
+        mna.stamp_rhs(t, &mut self.b);
+        for (p, x) in self.x.chunks_exact(dim).enumerate() {
+            for (i, &v) in x.iter().enumerate() {
+                self.xt[i * PATH_CHUNK + p] = v;
+            }
+        }
+        let (row_ptr, col_idx) = self.ws.matrix().structure();
+        for (r, &b) in self.b.iter().enumerate() {
+            let mut acc = [0.0; PATH_CHUNK];
+            let entries = row_ptr[r]..row_ptr[r + 1];
+            if self.linear {
+                for (&g, &c) in self.g_vals[entries.clone()].iter().zip(&col_idx[entries]) {
+                    for (a, &x) in acc.iter_mut().zip(lanes(&self.xt, c)) {
+                        *a += g * x;
+                    }
+                }
+            } else {
+                for (e, &c) in entries.clone().zip(&col_idx[entries]) {
+                    let (gs, xs) = (lanes(&self.g_vals, e), lanes(&self.xt, c));
+                    for ((a, &g), &x) in acc.iter_mut().zip(gs).zip(xs) {
+                        *a += g * x;
+                    }
+                }
+            }
+            // `g_scale` has one entry per live path: dead lanes stop here.
+            for (p, (&a, &g)) in acc.iter().zip(&self.g_scale).enumerate() {
+                // `1.0 * x == x` bitwise, so nominal paths are unchanged.
+                self.rhs[p * dim + r] = (b - g * a) * self.dt;
+            }
+        }
+        let scaled = self.g_scale.iter().filter(|&&g| g != 1.0).count();
+        flops.fma(((col_idx.len() + dim + self.noise.len()) * npaths) as u64);
+        flops.mul((dim * scaled) as u64);
+        let sources = self.dws.len() / npaths;
+        for (p, rhs) in self.rhs.chunks_exact_mut(dim).enumerate() {
+            let dws = &self.dws[p * sources..(p + 1) * sources];
+            for &(s, row, coeff) in &self.noise {
+                rhs[row] += coeff * dws[s];
+            }
         }
     }
 }
@@ -690,8 +794,8 @@ impl PathState {
 /// One chunk's contribution to the ensemble reduction.
 #[derive(Debug)]
 struct ChunkStats {
-    /// Flattened `dim x (steps + 1)` Welford accumulators.
-    welford: Vec<RunningStats>,
+    /// Time-major `(steps + 1) x dim` Welford moments.
+    moments: MomentBlock,
     /// Per-variable running maxima, one entry per path in the chunk.
     maxima: Vec<Vec<f64>>,
     /// Work accounting of the chunk.

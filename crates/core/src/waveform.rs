@@ -62,11 +62,6 @@ impl Waveform {
         self.times.is_empty()
     }
 
-    /// First sampled value.
-    pub fn first_value(&self) -> f64 {
-        self.values[0]
-    }
-
     /// Last sampled value.
     pub fn final_value(&self) -> f64 {
         *self.values.last().expect("nonempty")
@@ -162,20 +157,6 @@ impl Waveform {
             self.trough()?.1
         };
         Some(((extreme - target) / swing).max(0.0))
-    }
-
-    /// First time after which the signal stays within `±band` of `target`
-    /// until the end of the record.
-    pub fn settling_time(&self, target: f64, band: f64) -> Option<f64> {
-        let mut settled_since: Option<f64> = None;
-        for (&t, &v) in self.times.iter().zip(self.values.iter()) {
-            if (v - target).abs() <= band {
-                settled_since.get_or_insert(t);
-            } else {
-                settled_since = None;
-            }
-        }
-        settled_since
     }
 
     /// Estimates the period of a repetitive signal from successive rising
@@ -284,7 +265,6 @@ mod tests {
         let w = ramp();
         assert_eq!(w.peak(), Some((2.0, 4.0)));
         assert_eq!(w.trough(), Some((0.0, 0.0)));
-        assert_eq!(w.first_value(), 0.0);
         assert_eq!(w.final_value(), 2.0);
     }
 
@@ -321,18 +301,6 @@ mod tests {
         let os3 = w3.overshoot(1.0, 0.0).unwrap();
         assert!((os3 - 0.2).abs() < 1e-12);
         assert_eq!(w3.overshoot(0.5, 0.5), None);
-    }
-
-    #[test]
-    fn settling_time_finds_last_entry_into_band() {
-        let w = Waveform::from_samples(
-            vec![0.0, 1.0, 2.0, 3.0, 4.0],
-            vec![0.0, 1.3, 0.96, 1.02, 1.01],
-        );
-        let ts = w.settling_time(1.0, 0.05).unwrap();
-        assert_eq!(ts, 2.0);
-        // Never settles within a tight band.
-        assert_eq!(w.settling_time(1.0, 0.001), None);
     }
 
     #[test]

@@ -42,10 +42,7 @@ impl RunningStats {
     /// Adds a sample.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.n as f64;
-        let delta2 = x - self.mean;
-        self.m2 += delta * delta2;
+        welford_push(self.n, &mut self.mean, &mut self.m2, x);
         if x < self.min {
             self.min = x;
         }
@@ -70,11 +67,7 @@ impl RunningStats {
 
     /// Unbiased sample variance (0 with fewer than two samples).
     pub fn variance(&self) -> f64 {
-        if self.n < 2 {
-            0.0
-        } else {
-            self.m2 / (self.n - 1) as f64
-        }
+        sample_variance(self.n, self.m2)
     }
 
     /// Sample standard deviation.
@@ -110,15 +103,142 @@ impl RunningStats {
             *self = *other;
             return;
         }
-        let total = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / total as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / total as f64;
-        self.n = total;
-        self.mean = mean;
-        self.m2 = m2;
+        (self.mean, self.m2) = welford_merge(
+            (self.n, self.mean, self.m2),
+            (other.n, other.mean, other.m2),
+        );
+        self.n += other.n;
         self.min = self.min.min(other.min);
         self.max = self.max.max(other.max);
+    }
+}
+
+/// Welford update of one accumulator by its `n`-th sample (1-based).
+#[inline]
+fn welford_push(n: u64, mean: &mut f64, m2: &mut f64, x: f64) {
+    let delta = x - *mean;
+    *mean += delta / n as f64;
+    let delta2 = x - *mean;
+    *m2 += delta * delta2;
+}
+
+/// Chan's pairwise combination of two non-empty `(n, mean, m2)`
+/// accumulators; returns the merged `(mean, m2)`.
+#[inline]
+fn welford_merge(a: (u64, f64, f64), b: (u64, f64, f64)) -> (f64, f64) {
+    let ((na, mean_a, m2_a), (nb, mean_b, m2_b)) = (a, b);
+    let total = na + nb;
+    let delta = mean_b - mean_a;
+    let mean = mean_a + delta * nb as f64 / total as f64;
+    let m2 = m2_a + m2_b + delta * delta * na as f64 * nb as f64 / total as f64;
+    (mean, m2)
+}
+
+/// Unbiased variance from a Welford `m2` over `n` samples (0 below two).
+#[inline]
+fn sample_variance(n: u64, m2: f64) -> f64 {
+    if n < 2 {
+        0.0
+    } else {
+        m2 / (n - 1) as f64
+    }
+}
+
+/// A block of Welford mean/variance accumulators that all see the same
+/// number of samples, stored as two flat arrays (`mean`, `m2`) with one
+/// shared count — 16 bytes per accumulator against a [`RunningStats`]'s 40,
+/// and no min/max.
+///
+/// Every accumulator is updated with exactly the arithmetic of
+/// [`RunningStats::push`] and [`RunningStats::merge`], so a block fed the
+/// same samples in the same order holds the same bits as a vector of
+/// [`RunningStats`].
+///
+/// # Example
+/// ```
+/// use nanosim_numeric::stats::{MomentBlock, RunningStats};
+/// // Two accumulators, three samples each.
+/// let samples = [[1.0, 4.0], [2.0, 6.0], [3.0, 11.0]];
+/// let mut block = MomentBlock::new(2);
+/// for (j, row) in samples.iter().enumerate() {
+///     block.push(j as u64 + 1, 0, row);
+/// }
+/// let second: RunningStats = samples.iter().map(|r| r[1]).collect();
+/// assert_eq!(block.mean(1), second.mean());
+/// assert_eq!(block.std_dev(1), second.std_dev());
+/// ```
+#[derive(Debug, Clone)]
+pub struct MomentBlock {
+    n: u64,
+    mean: Vec<f64>,
+    m2: Vec<f64>,
+}
+
+impl MomentBlock {
+    /// `len` empty accumulators.
+    pub fn new(len: usize) -> Self {
+        MomentBlock {
+            n: 0,
+            mean: vec![0.0; len],
+            m2: vec![0.0; len],
+        }
+    }
+
+    /// Pushes `xs[i]` as the `j`-th sample (1-based) of accumulator
+    /// `start + i`. The caller numbers the samples, so accumulators may be
+    /// filled in any interleaving; every accumulator must end with the same
+    /// `j` samples, since the block keeps one count (the largest `j`).
+    ///
+    /// # Panics
+    /// Panics if `j == 0` or the range runs past the block.
+    pub fn push(&mut self, j: u64, start: usize, xs: &[f64]) {
+        assert!(j > 0, "sample numbers are 1-based");
+        let end = start + xs.len();
+        let (means, m2s) = (&mut self.mean[start..end], &mut self.m2[start..end]);
+        for ((mean, m2), &x) in means.iter_mut().zip(m2s.iter_mut()).zip(xs) {
+            welford_push(j, mean, m2, x);
+        }
+        self.n = self.n.max(j);
+    }
+
+    /// Merges another block of the same length into this one, element by
+    /// element with [`RunningStats::merge`]'s arithmetic.
+    ///
+    /// # Panics
+    /// Panics on a length mismatch.
+    pub fn merge(&mut self, other: &MomentBlock) {
+        assert_eq!(
+            self.mean.len(),
+            other.mean.len(),
+            "moment blocks differ in length"
+        );
+        if other.n == 0 {
+            return;
+        }
+        if self.n == 0 {
+            self.clone_from(other);
+            return;
+        }
+        let (na, nb) = (self.n, other.n);
+        let merged = self.mean.iter_mut().zip(self.m2.iter_mut());
+        for ((mean, m2), (&mean_b, &m2_b)) in merged.zip(other.mean.iter().zip(&other.m2)) {
+            (*mean, *m2) = welford_merge((na, *mean, *m2), (nb, mean_b, m2_b));
+        }
+        self.n += nb;
+    }
+
+    /// Sample mean of accumulator `i` (0 when empty).
+    pub fn mean(&self, i: usize) -> f64 {
+        if self.n == 0 {
+            0.0
+        } else {
+            self.mean[i]
+        }
+    }
+
+    /// Sample standard deviation of accumulator `i` (0 below two samples).
+    pub fn std_dev(&self, i: usize) -> f64 {
+        sample_variance(self.n, self.m2[i]).sqrt()
     }
 }
 
@@ -279,6 +399,41 @@ mod tests {
         assert!(approx_eq(merged.mean(), all.mean(), 1e-12));
         assert!(approx_eq(merged.variance(), all.variance(), 1e-12));
         assert_eq!(merged.min(), all.min());
+    }
+
+    #[test]
+    fn moment_block_matches_running_stats_bit_for_bit() {
+        // Three accumulators fed interleaved, merged in two uneven parts:
+        // each must equal a RunningStats fed the same samples.
+        let sample = |j: usize, i: usize| ((j * 7 + i * 3) as f64 * 0.37).sin() * 1e-3 + 0.5;
+        let (parts, len) = ([5usize, 3], 3);
+        let mut total = MomentBlock::new(len);
+        let mut reference = vec![RunningStats::new(); len];
+        let mut offset = 0;
+        for &n in &parts {
+            let mut block = MomentBlock::new(len);
+            let mut part = vec![RunningStats::new(); len];
+            for j in 0..n {
+                let row: Vec<f64> = (0..len).map(|i| sample(offset + j, i)).collect();
+                // Accumulator 0 alone, then the other two.
+                block.push(j as u64 + 1, 0, &row[..1]);
+                block.push(j as u64 + 1, 1, &row[1..]);
+                for (s, &x) in part.iter_mut().zip(&row) {
+                    s.push(x);
+                }
+            }
+            total.merge(&block);
+            for (r, p) in reference.iter_mut().zip(&part) {
+                r.merge(p);
+            }
+            offset += n;
+        }
+        for (i, r) in reference.iter().enumerate() {
+            assert_eq!(total.mean(i).to_bits(), r.mean().to_bits());
+            assert_eq!(total.std_dev(i).to_bits(), r.std_dev().to_bits());
+        }
+        let empty = MomentBlock::new(2);
+        assert_eq!((empty.mean(0), empty.std_dev(1)), (0.0, 0.0));
     }
 
     #[test]
