@@ -67,7 +67,7 @@ pub use element::{Element, ElementKind};
 pub use error::CircuitError;
 pub use hash::{deck_fingerprint, fnv1a, fnv1a_extend, topology_fingerprint};
 pub use lint::{
-    lint_circuit, lint_circuit_with, lint_deck, Diagnostic, LintCode, LintReport, Severity,
+    lint_circuit, lint_deck, lint_system, Diagnostic, LintCode, LintReport, Severity,
     SourceMap, Span,
 };
 pub use mna::MnaSystem;

@@ -43,7 +43,7 @@ use crate::error::CircuitError;
 use crate::mna::MnaSystem;
 use crate::netlist::Circuit;
 use crate::parser::{parse_netlist, ParsedDeck};
-use nanosim_numeric::sparse::TripletMatrix;
+use crate::Result;
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::fmt;
 
@@ -493,16 +493,19 @@ impl fmt::Display for LintReport {
 }
 
 /// Lints an already-flattened circuit: the structural passes only (no
-/// source spans, no deck hygiene, no suppression). This is what
-/// `Simulator`-level preflight runs.
+/// source spans, no deck hygiene, no suppression). Builds the circuit's
+/// MNA system for the structural-rank pass; a caller that already holds
+/// one passes it to [`lint_system`] instead.
 pub fn lint_circuit(circuit: &Circuit) -> LintReport {
-    lint_circuit_with(circuit, &SourceMap::default())
+    lint_system(circuit, &MnaSystem::new(circuit))
 }
 
-/// Lints a flattened circuit with a [`SourceMap`] so diagnostics carry the
-/// deck positions of the offending elements.
-pub fn lint_circuit_with(circuit: &Circuit, sources: &SourceMap) -> LintReport {
-    finish(lint_circuit_raw(circuit, sources), &[])
+/// Lints a flattened circuit against its already-built MNA system, or the
+/// error building it failed with (reported as a diagnostic when no earlier
+/// pass found an error). This is what the simulation session's preflight
+/// runs, so one [`MnaSystem`] serves both the analyzer and assembly.
+pub fn lint_system(circuit: &Circuit, mna: &Result<MnaSystem>) -> LintReport {
+    finish(lint_circuit_raw(circuit, &SourceMap::default(), mna), &[])
 }
 
 /// Lints netlist text: parses it, runs every structural pass over the
@@ -515,7 +518,8 @@ pub fn lint_deck(text: &str) -> LintReport {
     match parse_netlist(text) {
         Err(e) => diags.push(diagnostic_from_error(&e)),
         Ok(deck) => {
-            diags.extend(lint_circuit_raw(&deck.circuit, &deck.spans));
+            let mna = MnaSystem::new(&deck.circuit);
+            diags.extend(lint_circuit_raw(&deck.circuit, &deck.spans, &mna));
             deck_hygiene(text, &deck, &mut diags);
         }
     }
@@ -656,7 +660,11 @@ fn node_list(names: &[String]) -> String {
     }
 }
 
-fn lint_circuit_raw(circuit: &Circuit, sources: &SourceMap) -> Vec<Diagnostic> {
+fn lint_circuit_raw(
+    circuit: &Circuit,
+    sources: &SourceMap,
+    mna: &Result<MnaSystem>,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     if circuit.elements().is_empty() {
         diags.push(Diagnostic::new(
@@ -673,7 +681,10 @@ fn lint_circuit_raw(circuit: &Circuit, sources: &SourceMap) -> Vec<Diagnostic> {
     pass_controls(circuit, sources, &mut diags);
     pass_suspicious_values(circuit, sources, &mut diags);
     if !diags.iter().any(|d| d.severity == Severity::Error) {
-        pass_structural_rank(circuit, &mut diags);
+        match mna {
+            Ok(mna) => pass_structural_rank(mna, &mut diags),
+            Err(e) => diags.push(diagnostic_from_error(e)),
+        }
     }
     diags
 }
@@ -1022,55 +1033,23 @@ fn pass_suspicious_values(circuit: &Circuit, sources: &SourceMap, diags: &mut Ve
     }
 }
 
-/// Pass 4: maximum bipartite matching over the assembled DC MNA pattern
-/// (linear G stamps plus every possible device stamp site — exactly the
-/// pattern the operating-point workspace factors, capacitors excluded).
-/// A maximum matching smaller than the dimension proves LU will hit a zero
-/// pivot no matter the values; the Dulmage–Mendelsohn coarse decomposition
-/// names the unmatched equations and variables.
+/// Pass 4: maximum bipartite matching over the operating-point system
+/// pattern ([`MnaSystem::system_pattern`] without MOSFET transconductance
+/// or C sites — exactly the pattern the operating-point workspace
+/// factors). A maximum matching smaller than the dimension proves LU will
+/// hit a zero pivot no matter the values; the Dulmage–Mendelsohn coarse
+/// decomposition names the unmatched equations and variables.
 ///
 /// Only runs when the earlier passes found no errors (MNA construction
 /// requires a validating circuit).
-fn pass_structural_rank(circuit: &Circuit, diags: &mut Vec<Diagnostic>) {
-    let mna = match MnaSystem::new(circuit) {
-        Ok(m) => m,
-        Err(e) => {
-            diags.push(diagnostic_from_error(&e));
-            return;
-        }
-    };
+fn pass_structural_rank(mna: &MnaSystem, diags: &mut Vec<Diagnostic>) {
+    let circuit = mna.circuit();
     let dim = mna.dim();
-    let mut pattern = TripletMatrix::new(dim, dim);
-    mna.stamp_linear_g(&mut pattern);
-    let mut adj: Vec<Vec<usize>> = vec![Vec::new(); dim];
-    for &(r, c, _) in pattern.iter() {
-        adj[r].push(c);
-    }
-    // Device stamp sites, mirroring the assembly workspace's DC pattern.
-    let mut push_pair = |p: Option<usize>, m: Option<usize>| {
-        if let Some(i) = p {
-            adj[i].push(i);
-        }
-        if let Some(i) = m {
-            adj[i].push(i);
-        }
-        if let (Some(i), Some(j)) = (p, m) {
-            adj[i].push(j);
-            adj[j].push(i);
-        }
-    };
-    for b in mna.nonlinear_bindings() {
-        push_pair(b.var_plus, b.var_minus);
-    }
-    for m in mna.mosfet_bindings() {
-        push_pair(m.var_drain, m.var_source);
-    }
-    for row in &mut adj {
-        row.sort_unstable();
-        row.dedup();
-    }
+    let pattern = mna.system_pattern(false, false);
+    let (row_ptr, col_idx) = pattern.structure();
+    let adj = |r: usize| &col_idx[row_ptr[r]..row_ptr[r + 1]];
 
-    let (matched, match_of_row, match_of_col) = max_bipartite_matching(dim, &adj);
+    let (matched, match_of_row, match_of_col) = max_bipartite_matching(dim, row_ptr, col_idx);
     if matched == dim {
         return;
     }
@@ -1111,7 +1090,7 @@ fn pass_structural_rank(circuit: &Circuit, diags: &mut Vec<Diagnostic>) {
         over_rows[r] = true;
     }
     while let Some(r) = queue.pop() {
-        for &c in &adj[r] {
+        for &c in adj(r) {
             if !over_cols[c] {
                 over_cols[c] = true;
                 if let Some(r2) = match_of_col[c] {
@@ -1124,13 +1103,9 @@ fn pass_structural_rank(circuit: &Circuit, diags: &mut Vec<Diagnostic>) {
         }
     }
     // Under-determined block: alternate col ->(edge) row ->(match) col from
-    // unmatched cols (needs the transpose adjacency).
-    let mut radj: Vec<Vec<usize>> = vec![Vec::new(); dim];
-    for (r, cols) in adj.iter().enumerate() {
-        for &c in cols {
-            radj[c].push(r);
-        }
-    }
+    // unmatched cols, over the transposed pattern.
+    let transposed = pattern.transpose();
+    let (col_ptr, row_idx) = transposed.structure();
     let mut under_rows = vec![false; dim];
     let mut under_cols = vec![false; dim];
     let mut queue: Vec<usize> = unmatched_cols.clone();
@@ -1138,7 +1113,7 @@ fn pass_structural_rank(circuit: &Circuit, diags: &mut Vec<Diagnostic>) {
         under_cols[c] = true;
     }
     while let Some(c) = queue.pop() {
-        for &r in &radj[c] {
+        for &r in &row_idx[col_ptr[c]..col_ptr[c + 1]] {
             if !under_rows[r] {
                 under_rows[r] = true;
                 if let Some(c2) = match_of_row[r] {
@@ -1191,12 +1166,13 @@ fn pass_structural_rank(circuit: &Circuit, diags: &mut Vec<Diagnostic>) {
     );
 }
 
-/// Kuhn's augmenting-path maximum bipartite matching, deterministic (rows
-/// in order, columns in sorted adjacency order). Returns the matching size
-/// and both match maps.
+/// Kuhn's augmenting-path maximum bipartite matching over a CSR pattern,
+/// deterministic (rows in order, columns in row order). Returns the
+/// matching size and both match maps.
 fn max_bipartite_matching(
     n: usize,
-    adj: &[Vec<usize>],
+    row_ptr: &[usize],
+    col_idx: &[usize],
 ) -> (usize, Vec<Option<usize>>, Vec<Option<usize>>) {
     let mut match_of_col: Vec<Option<usize>> = vec![None; n];
     let mut match_of_row: Vec<Option<usize>> = vec![None; n];
@@ -1206,7 +1182,8 @@ fn max_bipartite_matching(
         if augment(
             r,
             r,
-            adj,
+            row_ptr,
+            col_idx,
             &mut visited,
             &mut match_of_col,
             &mut match_of_row,
@@ -1220,19 +1197,28 @@ fn max_bipartite_matching(
 fn augment(
     r: usize,
     stamp: usize,
-    adj: &[Vec<usize>],
+    row_ptr: &[usize],
+    col_idx: &[usize],
     visited: &mut [usize],
     match_of_col: &mut [Option<usize>],
     match_of_row: &mut [Option<usize>],
 ) -> bool {
-    for &c in &adj[r] {
+    for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
         if visited[c] == stamp {
             continue;
         }
         visited[c] = stamp;
         let free = match match_of_col[c] {
             None => true,
-            Some(r2) => augment(r2, stamp, adj, visited, match_of_col, match_of_row),
+            Some(r2) => augment(
+                r2,
+                stamp,
+                row_ptr,
+                col_idx,
+                visited,
+                match_of_col,
+                match_of_row,
+            ),
         };
         if free {
             match_of_col[c] = Some(r);

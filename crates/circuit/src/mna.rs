@@ -20,7 +20,7 @@ use crate::node::NodeId;
 use crate::Result;
 use nanosim_devices::mosfet::Mosfet;
 use nanosim_devices::sources::SourceWaveform;
-use nanosim_numeric::sparse::TripletMatrix;
+use nanosim_numeric::sparse::{CsrMatrix, TripletMatrix};
 
 /// A nonlinear two-terminal device bound to its MNA variables.
 #[derive(Debug, Clone)]
@@ -405,6 +405,62 @@ impl MnaSystem {
                 _ => {}
             }
         }
+    }
+
+    /// The system-matrix pattern every engine assembles into, in CSR form,
+    /// and the one place that decides which `(row, col)` slots a stamp may
+    /// write. Its values are the linear part of `G`; every nonlinear-device
+    /// and MOSFET drain–source conductance site holds a structural zero, as
+    /// do the MOSFET transconductance sites `(d,g)`, `(d,s)`, `(s,g)`,
+    /// `(s,s)` when `with_mos_gm` (Newton companions) and the `C` sites when
+    /// `with_c` (transient `G + C/h`). `(false, false)` is the pattern every
+    /// operating point factors.
+    pub fn system_pattern(&self, with_mos_gm: bool, with_c: bool) -> CsrMatrix {
+        let dim = self.dim();
+        let mut t = TripletMatrix::new(dim, dim);
+        self.stamp_linear_g(&mut t);
+        let push_pair = |t: &mut TripletMatrix, p: Option<usize>, m: Option<usize>| {
+            if let Some(i) = p {
+                t.push(i, i, 0.0);
+            }
+            if let Some(i) = m {
+                t.push(i, i, 0.0);
+            }
+            if let (Some(i), Some(j)) = (p, m) {
+                t.push(i, j, 0.0);
+                t.push(j, i, 0.0);
+            }
+        };
+        for b in &self.nonlinear {
+            push_pair(&mut t, b.var_plus, b.var_minus);
+        }
+        for m in &self.mosfets {
+            push_pair(&mut t, m.var_drain, m.var_source);
+            if with_mos_gm {
+                if let Some(d) = m.var_drain {
+                    if let Some(g) = m.var_gate {
+                        t.push(d, g, 0.0);
+                    }
+                    if let Some(s) = m.var_source {
+                        t.push(d, s, 0.0);
+                    }
+                }
+                if let Some(s) = m.var_source {
+                    if let Some(g) = m.var_gate {
+                        t.push(s, g, 0.0);
+                    }
+                    t.push(s, s, 0.0);
+                }
+            }
+        }
+        if with_c {
+            let mut c = TripletMatrix::new(dim, dim);
+            self.stamp_c(&mut c);
+            for &(r, col, _) in c.iter() {
+                t.push(r, col, 0.0);
+            }
+        }
+        t.to_csr()
     }
 
     /// Fills the deterministic right-hand side `b(t)`: current-source

@@ -31,19 +31,23 @@ pub(crate) struct CircuitMatrices {
 
 impl CircuitMatrices {
     pub fn new(circuit: &Circuit) -> Result<Self> {
-        let mna = MnaSystem::new(circuit)?;
+        Ok(Self::from_mna(MnaSystem::new(circuit)?))
+    }
+
+    /// Stamps the matrices of an already-built MNA system.
+    pub fn from_mna(mna: MnaSystem) -> Self {
         let dim = mna.dim();
         let mut g_lin = TripletMatrix::new(dim, dim);
         mna.stamp_linear_g(&mut g_lin);
         let mut c_triplets = TripletMatrix::new(dim, dim);
         mna.stamp_c(&mut c_triplets);
         let c_csr = c_triplets.to_csr();
-        Ok(CircuitMatrices {
+        CircuitMatrices {
             mna,
             g_lin,
             c_triplets,
             c_csr,
-        })
+        }
     }
 }
 
@@ -131,48 +135,7 @@ struct PatternParts {
 impl PatternParts {
     fn build(mats: &CircuitMatrices, with_mos_gm: bool, with_c: bool) -> Self {
         let mna = &mats.mna;
-        let dim = mna.dim();
-        let mut trip: Vec<(usize, usize, f64)> = mats.g_lin.iter().cloned().collect();
-        let push_pair = |t: &mut Vec<(usize, usize, f64)>, p: Option<usize>, m: Option<usize>| {
-            if let Some(i) = p {
-                t.push((i, i, 0.0));
-            }
-            if let Some(i) = m {
-                t.push((i, i, 0.0));
-            }
-            if let (Some(i), Some(j)) = (p, m) {
-                t.push((i, j, 0.0));
-                t.push((j, i, 0.0));
-            }
-        };
-        for b in mna.nonlinear_bindings() {
-            push_pair(&mut trip, b.var_plus, b.var_minus);
-        }
-        for m in mna.mosfet_bindings() {
-            push_pair(&mut trip, m.var_drain, m.var_source);
-            if with_mos_gm {
-                if let Some(d) = m.var_drain {
-                    if let Some(g) = m.var_gate {
-                        trip.push((d, g, 0.0));
-                    }
-                    if let Some(s) = m.var_source {
-                        trip.push((d, s, 0.0));
-                    }
-                }
-                if let Some(s) = m.var_source {
-                    if let Some(g) = m.var_gate {
-                        trip.push((s, g, 0.0));
-                    }
-                    trip.push((s, s, 0.0));
-                }
-            }
-        }
-        if with_c {
-            for &(r, c, _) in mats.c_triplets.iter() {
-                trip.push((r, c, 0.0));
-            }
-        }
-        let a = CsrMatrix::from_triplets(dim, dim, &trip);
+        let a = mna.system_pattern(with_mos_gm, with_c);
         let base_vals = a.values().to_vec();
 
         let c_sites = if with_c {

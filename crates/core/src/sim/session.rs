@@ -14,7 +14,7 @@ use crate::sim::request::{
 use crate::swec::dc::checked_sweep_points;
 use crate::swec::{SwecDcSweep, SwecTransient};
 use crate::{Result, SimError};
-use nanosim_circuit::Circuit;
+use nanosim_circuit::{Circuit, MnaSystem};
 use nanosim_numeric::parallel::try_par_map;
 use nanosim_numeric::sparse::OrderingChoice;
 use nanosim_numeric::{Budget, BudgetMeter, CancelToken};
@@ -73,7 +73,7 @@ pub struct SimOptions {
 /// # Example
 /// ```
 /// use nanosim_core::sim::{Analysis, ExecPlan, Simulator};
-/// use nanosim_circuit::Circuit;
+/// use nanosim_circuit::{Circuit, MnaSystem};
 /// use nanosim_devices::rtd::Rtd;
 /// use nanosim_devices::sources::SourceWaveform;
 ///
@@ -99,7 +99,6 @@ pub struct SimOptions {
 /// ```
 #[derive(Debug)]
 pub struct Simulator {
-    circuit: Circuit,
     mats: CircuitMatrices,
     opts: SimOptions,
     /// Cached no-C assembly workspace (operating points, DC sweeps).
@@ -146,10 +145,10 @@ impl Simulator {
     /// Returns [`SimError::Preflight`] for circuits the analyzer rejects,
     /// and propagates circuit validation / MNA construction failures.
     pub fn with_options(circuit: Circuit, opts: SimOptions) -> Result<Simulator> {
-        let preflight = run_preflight(&circuit, opts.preflight)?;
-        let mats = CircuitMatrices::new(&circuit)?;
+        let mna = MnaSystem::new(&circuit);
+        let preflight = run_preflight(&circuit, &mna, opts.preflight)?;
+        let mats = CircuitMatrices::from_mna(mna?);
         Ok(Simulator {
-            circuit,
             mats,
             opts,
             dc_ws: None,
@@ -230,8 +229,9 @@ impl Simulator {
     /// # }
     /// ```
     pub fn rebind(&mut self, circuit: Circuit) -> Result<bool> {
-        let preflight = run_preflight(&circuit, self.opts.preflight)?;
-        let mats = CircuitMatrices::new(&circuit)?;
+        let mna = MnaSystem::new(&circuit);
+        let preflight = run_preflight(&circuit, &mna, self.opts.preflight)?;
+        let mats = CircuitMatrices::from_mna(mna?);
         let had_warm = self.dc_ws.is_some() || self.tran_ws.is_some();
         let mut all_rebound = true;
         if let Some(mut ws) = self.dc_ws.take() {
@@ -248,7 +248,6 @@ impl Simulator {
                 all_rebound = false;
             }
         }
-        self.circuit = circuit;
         self.mats = mats;
         self.preflight = preflight;
         Ok(had_warm && all_rebound)
@@ -290,7 +289,7 @@ impl Simulator {
 
     /// The session's circuit.
     pub fn circuit(&self) -> &Circuit {
-        &self.circuit
+        self.mats.mna.circuit()
     }
 
     /// The session options.
@@ -391,7 +390,7 @@ impl Simulator {
         options.threads = em.plan.workers();
         EmEngine::new(options)
             .with_meter(meter.fork())
-            .run(&self.circuit, em.horizon)
+            .run(self.circuit(), em.horizon)
     }
 
     fn run_mla(&mut self, mla: Mla, meter: &BudgetMeter) -> Result<Dataset> {
@@ -402,9 +401,9 @@ impl Simulator {
                 start,
                 stop,
                 step,
-            } => engine.run_dc_sweep(&self.circuit, &source, start, stop, step),
+            } => engine.run_dc_sweep(self.circuit(), &source, start, stop, step),
             BaselineRequest::Transient { tstep, tstop } => {
-                let r = engine.run_transient(&self.circuit, tstep, tstop)?;
+                let r = engine.run_transient(self.circuit(), tstep, tstop)?;
                 if let Some((t, outcome)) = r.failures.first() {
                     return Err(SimError::non_convergence(
                         *t,
@@ -427,9 +426,9 @@ impl Simulator {
                 start,
                 stop,
                 step,
-            } => engine.run_dc_sweep(&self.circuit, &source, start, stop, step),
+            } => engine.run_dc_sweep(self.circuit(), &source, start, stop, step),
             BaselineRequest::Transient { tstep, tstop } => {
-                engine.run_transient(&self.circuit, tstep, tstop)
+                engine.run_transient(self.circuit(), tstep, tstop)
             }
         }
     }
@@ -465,14 +464,19 @@ impl Simulator {
     }
 }
 
-/// Runs the preflight analyzer on `circuit` under `mode`: an empty report
-/// when [`PreflightMode::Off`], and an error for a report with errors under
+/// Runs the preflight analyzer on `circuit` and its MNA system (or the
+/// error building it failed with) under `mode`: an empty report when
+/// [`PreflightMode::Off`], and an error for a report with errors under
 /// [`PreflightMode::Enforce`].
-fn run_preflight(circuit: &Circuit, mode: PreflightMode) -> Result<nanosim_circuit::LintReport> {
+fn run_preflight(
+    circuit: &Circuit,
+    mna: &nanosim_circuit::Result<MnaSystem>,
+    mode: PreflightMode,
+) -> Result<nanosim_circuit::LintReport> {
     if mode == PreflightMode::Off {
         return Ok(nanosim_circuit::LintReport::default());
     }
-    let report = nanosim_circuit::lint_circuit(circuit);
+    let report = nanosim_circuit::lint_system(circuit, mna);
     if mode == PreflightMode::Enforce && report.has_errors() {
         return Err(SimError::Preflight(Box::new(report)));
     }
