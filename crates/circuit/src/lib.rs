@@ -67,8 +67,8 @@ pub use element::{Element, ElementKind};
 pub use error::CircuitError;
 pub use hash::{deck_fingerprint, fnv1a, fnv1a_extend, topology_fingerprint};
 pub use lint::{
-    lint_circuit, lint_deck, lint_system, Diagnostic, LintCode, LintReport, Severity,
-    SourceMap, Span,
+    lint_circuit, lint_deck, lint_system, Diagnostic, LintCode, LintReport, Severity, SourceMap,
+    Span,
 };
 pub use mna::MnaSystem;
 pub use netlist::Circuit;

@@ -1,10 +1,10 @@
 //! Pass-based static analysis of circuits and decks — the preflight layer.
 //!
 //! Every check here is *structural*: union-find connectivity, cycle/cut
-//! detection over the branch graph, and maximum bipartite matching over the
-//! MNA sparsity pattern. No matrix is ever factored and no value is ever
-//! solved for, so a full report costs microseconds and can run before any
-//! assembly.
+//! detection over the branch graph, and a maximum transversal of the MNA
+//! sparsity pattern. No matrix is ever factored and no value is ever
+//! solved for, and every pass is near-linear in the circuit's size, so a
+//! report costs on the order of one MNA build.
 //!
 //! The passes, in order:
 //!
@@ -21,10 +21,11 @@
 //!    all-ones vector over its voltage columns is a null vector — a
 //!    guaranteed-singular operating point (`isource-cutset`,
 //!    `no-dc-path`).
-//! 4. **Structural rank** — maximum bipartite matching (Kuhn's algorithm)
-//!    over the assembled DC MNA pattern, with Dulmage–Mendelsohn coarse
-//!    blocks naming the unmatched equations and variables
-//!    (`structural-singular`, `unknown-control`).
+//! 4. **Structural rank** — maximum transversal (Duff's MC21) of the
+//!    operating-point system pattern, the one
+//!    [`MnaSystem::system_pattern`] builds for the assembly workspace too,
+//!    with Dulmage–Mendelsohn coarse blocks naming the unmatched equations
+//!    and variables (`structural-singular`, `unknown-control`).
 //! 5. **Hygiene** — duplicate element names, dangling subckt ports,
 //!    unused/shadowed `.param`s, suspicious value ranges.
 //!
@@ -35,8 +36,10 @@
 //! ```
 //!
 //! Entry points: [`lint_deck`] for netlist text (spans, suppression,
-//! hygiene), [`lint_circuit`] for an already-built [`Circuit`] (the form
-//! the simulation session's preflight uses).
+//! hygiene), [`lint_circuit`] for an already-built [`Circuit`], and
+//! [`lint_system`] for a circuit whose [`MnaSystem`] the caller has already
+//! built — the form the simulation session's preflight uses, so the
+//! session builds one MNA system for both the analyzer and assembly.
 
 use crate::element::ElementKind;
 use crate::error::CircuitError;
@@ -1033,12 +1036,13 @@ fn pass_suspicious_values(circuit: &Circuit, sources: &SourceMap, diags: &mut Ve
     }
 }
 
-/// Pass 4: maximum bipartite matching over the operating-point system
-/// pattern ([`MnaSystem::system_pattern`] without MOSFET transconductance
-/// or C sites — exactly the pattern the operating-point workspace
-/// factors). A maximum matching smaller than the dimension proves LU will
-/// hit a zero pivot no matter the values; the Dulmage–Mendelsohn coarse
-/// decomposition names the unmatched equations and variables.
+/// Pass 4: maximum transversal ([`max_transversal`]) of the
+/// operating-point system pattern ([`MnaSystem::system_pattern`] without
+/// MOSFET transconductance or C sites — exactly the pattern the
+/// operating-point workspace factors). A maximum matching smaller than the
+/// dimension proves LU will hit a zero pivot no matter the values; the
+/// Dulmage–Mendelsohn coarse decomposition names the unmatched equations
+/// and variables.
 ///
 /// Only runs when the earlier passes found no errors (MNA construction
 /// requires a validating circuit).
@@ -1049,7 +1053,7 @@ fn pass_structural_rank(mna: &MnaSystem, diags: &mut Vec<Diagnostic>) {
     let (row_ptr, col_idx) = pattern.structure();
     let adj = |r: usize| &col_idx[row_ptr[r]..row_ptr[r + 1]];
 
-    let (matched, match_of_row, match_of_col) = max_bipartite_matching(dim, row_ptr, col_idx);
+    let (matched, match_of_row, match_of_col) = max_transversal(dim, row_ptr, col_idx);
     if matched == dim {
         return;
     }
@@ -1166,67 +1170,91 @@ fn pass_structural_rank(mna: &MnaSystem, diags: &mut Vec<Diagnostic>) {
     );
 }
 
-/// Kuhn's augmenting-path maximum bipartite matching over a CSR pattern,
-/// deterministic (rows in order, columns in row order). Returns the
+#[cfg(test)]
+thread_local! {
+    /// Pattern entries [`max_transversal`] has examined on this thread;
+    /// lets tests bound the matching's work by the pattern's size.
+    static MATCH_VISITS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Maximum transversal of a square CSR pattern by Duff's MC21 (ACM TOMS
+/// 7(3), 1981). Rows are matched in order. A row first takes a free column
+/// of its own (the cheap assignment: a per-row pointer that only moves
+/// forward, since a matched column never becomes free again); otherwise it
+/// searches depth first for an augmenting path, with the same one-step
+/// lookahead at every row it reaches. The search runs on an explicit
+/// stack, so a path as long as the matrix costs no call depth. Returns the
 /// matching size and both match maps.
-fn max_bipartite_matching(
+fn max_transversal(
     n: usize,
     row_ptr: &[usize],
     col_idx: &[usize],
 ) -> (usize, Vec<Option<usize>>, Vec<Option<usize>>) {
-    let mut match_of_col: Vec<Option<usize>> = vec![None; n];
     let mut match_of_row: Vec<Option<usize>> = vec![None; n];
-    let mut visited = vec![usize::MAX; n];
+    let mut match_of_col: Vec<Option<usize>> = vec![None; n];
+    // Next entry of each row the lookahead tries.
+    let mut cheap = row_ptr[..n].to_vec();
+    // Next entry of each row on the search stack the search tries.
+    let mut next = vec![0usize; n];
+    // The root whose search last reached each row.
+    let mut seen = vec![usize::MAX; n];
+    // The rows of the current path, root first.
+    let mut path: Vec<usize> = Vec::new();
     let mut matched = 0;
-    for r in 0..n {
-        if augment(
-            r,
-            r,
-            row_ptr,
-            col_idx,
-            &mut visited,
-            &mut match_of_col,
-            &mut match_of_row,
-        ) {
+    for root in 0..n {
+        path.clear();
+        path.push(root);
+        let mut free = None;
+        while let Some(&r) = path.last() {
+            let end = row_ptr[r + 1];
+            if seen[r] != root {
+                seen[r] = root;
+                let start = cheap[r];
+                let p = (start..end)
+                    .find(|&p| match_of_col[col_idx[p]].is_none())
+                    .unwrap_or(end);
+                #[cfg(test)]
+                MATCH_VISITS.with(|v| v.set(v.get() + (p + 1).min(end) - start));
+                if p < end {
+                    cheap[r] = p + 1;
+                    free = Some(col_idx[p]);
+                    break;
+                }
+                cheap[r] = end;
+                next[r] = row_ptr[r];
+            }
+            // Every column of `r` is matched: descend into the first row
+            // matched to one of them that this search has not reached.
+            let mut deeper = None;
+            while next[r] < end && deeper.is_none() {
+                #[cfg(test)]
+                MATCH_VISITS.with(|v| v.set(v.get() + 1));
+                let r2 = match_of_col[col_idx[next[r]]].expect("lookahead found no free column");
+                next[r] += 1;
+                if seen[r2] != root {
+                    deeper = Some(r2);
+                }
+            }
+            match deeper {
+                Some(r2) => path.push(r2),
+                None => {
+                    path.pop();
+                }
+            }
+        }
+        // Augment: each row on the path takes the column its successor
+        // held, and the last row takes the free column.
+        if let Some(mut c) = free {
+            for &r in path.iter().rev() {
+                match_of_col[c] = Some(r);
+                if let Some(held) = match_of_row[r].replace(c) {
+                    c = held;
+                }
+            }
             matched += 1;
         }
     }
     (matched, match_of_row, match_of_col)
-}
-
-fn augment(
-    r: usize,
-    stamp: usize,
-    row_ptr: &[usize],
-    col_idx: &[usize],
-    visited: &mut [usize],
-    match_of_col: &mut [Option<usize>],
-    match_of_row: &mut [Option<usize>],
-) -> bool {
-    for &c in &col_idx[row_ptr[r]..row_ptr[r + 1]] {
-        if visited[c] == stamp {
-            continue;
-        }
-        visited[c] = stamp;
-        let free = match match_of_col[c] {
-            None => true,
-            Some(r2) => augment(
-                r2,
-                stamp,
-                row_ptr,
-                col_idx,
-                visited,
-                match_of_col,
-                match_of_row,
-            ),
-        };
-        if free {
-            match_of_col[c] = Some(r);
-            match_of_row[r] = Some(c);
-            return true;
-        }
-    }
-    false
 }
 
 // ---------------------------------------------------------------------------
@@ -1668,5 +1696,76 @@ mod tests {
                     .op\n.end\n";
         let r = lint_deck(deck);
         assert!(r.is_clean(), "{r}");
+    }
+
+    /// The Table I mesh at `n × n` as flat deck text: a resistor grid with
+    /// an RTD to ground at every node and the source at the corner.
+    fn rtd_grid_deck(n: usize) -> String {
+        let mut deck = String::from("* rtd grid\nV1 in 0 DC 0\nRin in g0_0 50\n");
+        for r in 0..n {
+            for c in 0..n {
+                deck += &format!("YRTD{r}_{c} g{r}_{c} 0\n");
+                if c + 1 < n {
+                    deck += &format!("Rh{r}_{c} g{r}_{c} g{r}_{} 100\n", c + 1);
+                }
+                if r + 1 < n {
+                    deck += &format!("Rv{r}_{c} g{r}_{c} g{}_{c} 100\n", r + 1);
+                }
+            }
+        }
+        deck + ".end\n"
+    }
+
+    /// A resistor ladder of `n` series/shunt sections behind one source.
+    fn ladder_deck(n: usize) -> String {
+        let mut deck = String::from("* ladder\nV1 n0 0 DC 1\n");
+        for k in 0..n {
+            deck += &format!("Rs{k} n{k} n{} 10\nRp{k} n{} 0 1k\n", k + 1, k + 1);
+        }
+        deck + ".end\n"
+    }
+
+    /// `n` voltage sources in series, loaded by one resistor: no node row
+    /// or branch row of the pattern carries a diagonal entry but the last.
+    fn vchain_deck(n: usize) -> String {
+        let mut deck = String::from("* series sources\nV0 n0 0 DC 1\n");
+        for k in 1..n {
+            deck += &format!("V{k} n{k} n{} DC 1\n", k - 1);
+        }
+        deck + &format!("R1 n{} 0 1k\n.end\n", n - 1)
+    }
+
+    #[test]
+    fn matching_work_is_linear_in_the_pattern() {
+        for deck in [rtd_grid_deck(120), ladder_deck(40_000), vchain_deck(40_000)] {
+            let circuit = parse_netlist(&deck).unwrap().circuit;
+            let mna = MnaSystem::new(&circuit).unwrap();
+            let pattern = mna.system_pattern(false, false);
+            let (row_ptr, col_idx) = pattern.structure();
+            let before = MATCH_VISITS.with(std::cell::Cell::get);
+            let (matched, ..) = max_transversal(mna.dim(), row_ptr, col_idx);
+            let visits = MATCH_VISITS.with(std::cell::Cell::get) - before;
+            assert_eq!(matched, mna.dim());
+            assert!(
+                visits <= 2 * pattern.nnz(),
+                "{visits} visits for {} entries",
+                pattern.nnz()
+            );
+        }
+    }
+
+    #[test]
+    fn long_paths_lint_on_a_small_stack() {
+        // 2 MiB is the stack of `par_map` workers and test threads.
+        for deck in [ladder_deck(40_000), vchain_deck(40_000)] {
+            let circuit = parse_netlist(&deck).unwrap().circuit;
+            let report = std::thread::Builder::new()
+                .stack_size(2 << 20)
+                .spawn(move || lint_circuit(&circuit))
+                .unwrap()
+                .join()
+                .unwrap();
+            assert!(report.is_clean(), "{report}");
+        }
     }
 }
