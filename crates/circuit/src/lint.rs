@@ -1051,7 +1051,6 @@ fn pass_structural_rank(mna: &MnaSystem, diags: &mut Vec<Diagnostic>) {
     let dim = mna.dim();
     let pattern = mna.system_pattern(false, false);
     let (row_ptr, col_idx) = pattern.structure();
-    let adj = |r: usize| &col_idx[row_ptr[r]..row_ptr[r + 1]];
 
     let (matched, match_of_row, match_of_col) = max_transversal(dim, row_ptr, col_idx);
     if matched == dim {
@@ -1082,64 +1081,21 @@ fn pass_structural_rank(mna: &MnaSystem, diags: &mut Vec<Diagnostic>) {
         }
     };
 
-    // Dulmage-Mendelsohn coarse blocks via alternating reachability.
+    // Dulmage-Mendelsohn coarse blocks via alternating reachability: the
+    // over-determined block from the unmatched rows, the under-determined
+    // block from the unmatched columns over the transposed pattern.
     let unmatched_rows: Vec<usize> = (0..dim).filter(|&r| match_of_row[r].is_none()).collect();
     let unmatched_cols: Vec<usize> = (0..dim).filter(|&c| match_of_col[c].is_none()).collect();
-    // Over-determined block: alternate row ->(edge) col ->(match) row from
-    // unmatched rows.
-    let mut over_rows = vec![false; dim];
-    let mut over_cols = vec![false; dim];
-    let mut queue: Vec<usize> = unmatched_rows.clone();
-    for &r in &queue {
-        over_rows[r] = true;
-    }
-    while let Some(r) = queue.pop() {
-        for &c in adj(r) {
-            if !over_cols[c] {
-                over_cols[c] = true;
-                if let Some(r2) = match_of_col[c] {
-                    if !over_rows[r2] {
-                        over_rows[r2] = true;
-                        queue.push(r2);
-                    }
-                }
-            }
-        }
-    }
-    // Under-determined block: alternate col ->(edge) row ->(match) col from
-    // unmatched cols, over the transposed pattern.
+    let (over_rows, over_cols) =
+        alternating_reach(row_ptr, col_idx, &match_of_col, &unmatched_rows);
     let transposed = pattern.transpose();
     let (col_ptr, row_idx) = transposed.structure();
-    let mut under_rows = vec![false; dim];
-    let mut under_cols = vec![false; dim];
-    let mut queue: Vec<usize> = unmatched_cols.clone();
-    for &c in &queue {
-        under_cols[c] = true;
-    }
-    while let Some(c) = queue.pop() {
-        for &r in &row_idx[col_ptr[c]..col_ptr[c + 1]] {
-            if !under_rows[r] {
-                under_rows[r] = true;
-                if let Some(c2) = match_of_row[r] {
-                    if !under_cols[c2] {
-                        under_cols[c2] = true;
-                        queue.push(c2);
-                    }
-                }
-            }
-        }
-    }
+    let (under_cols, under_rows) =
+        alternating_reach(col_ptr, row_idx, &match_of_row, &unmatched_cols);
 
     let eq_names: Vec<String> = unmatched_rows.iter().map(|&r| row_name(r)).collect();
     let var_names: Vec<String> = unmatched_cols.iter().map(|&c| col_name(c)).collect();
-    let over = (
-        over_rows.iter().filter(|&&x| x).count(),
-        over_cols.iter().filter(|&&x| x).count(),
-    );
-    let under = (
-        under_rows.iter().filter(|&&x| x).count(),
-        under_cols.iter().filter(|&&x| x).count(),
-    );
+    let count = |reached: &[bool]| reached.iter().filter(|&&x| x).count();
     let mut elements: Vec<String> = branch_names
         .iter()
         .enumerate()
@@ -1160,14 +1116,44 @@ fn pass_structural_rank(mna: &MnaSystem, diags: &mut Vec<Diagnostic>) {
                 node_list(&eq_names),
                 if var_names.len() == 1 { "" } else { "s" },
                 node_list(&var_names),
-                over.0,
-                over.1,
-                under.0,
-                under.1
+                count(&over_rows),
+                count(&over_cols),
+                count(&under_rows),
+                count(&under_cols)
             ),
         )
         .elements(elements),
     );
+}
+
+/// Alternating reachability over a bipartite pattern given in CSR form
+/// from the `starts` side (`ptr`/`idx`): from each start vertex, follow a
+/// pattern entry to the other side and the matching (`back`) home again.
+/// Returns the reached vertices of the start side, then of the other side.
+fn alternating_reach(
+    ptr: &[usize],
+    idx: &[usize],
+    back: &[Option<usize>],
+    starts: &[usize],
+) -> (Vec<bool>, Vec<bool>) {
+    let mut home = vec![false; back.len()];
+    let mut away = vec![false; back.len()];
+    for &v in starts {
+        home[v] = true;
+    }
+    let mut queue = starts.to_vec();
+    while let Some(v) = queue.pop() {
+        for &w in &idx[ptr[v]..ptr[v + 1]] {
+            if !away[w] {
+                away[w] = true;
+                if let Some(v2) = back[w].filter(|&v2| !home[v2]) {
+                    home[v2] = true;
+                    queue.push(v2);
+                }
+            }
+        }
+    }
+    (home, away)
 }
 
 #[cfg(test)]

@@ -224,27 +224,9 @@ impl MnaSystem {
         }
     }
 
-    /// MNA variable index of the node with the given name, if it exists and
-    /// is not ground.
-    pub fn var_of_node_name(&self, name: &str) -> Option<usize> {
-        self.circuit
-            .find_node(name)
-            .and_then(|n| self.var_of_node(n))
-    }
-
     /// Branch-current variable of an element, if it has one.
     pub fn branch_var(&self, element_index: usize) -> Option<usize> {
         self.branch_of
-            .get(element_index)
-            .copied()
-            .flatten()
-            .map(|b| self.num_nodes + b)
-    }
-
-    /// Branch-current variable of the element *controlling* a CCCS/CCVS,
-    /// if `element_index` names one.
-    pub fn control_branch_var(&self, element_index: usize) -> Option<usize> {
-        self.ctrl_branch_of
             .get(element_index)
             .copied()
             .flatten()
@@ -419,38 +401,24 @@ impl MnaSystem {
         let dim = self.dim();
         let mut t = TripletMatrix::new(dim, dim);
         self.stamp_linear_g(&mut t);
-        let push_pair = |t: &mut TripletMatrix, p: Option<usize>, m: Option<usize>| {
-            if let Some(i) = p {
-                t.push(i, i, 0.0);
-            }
-            if let Some(i) = m {
-                t.push(i, i, 0.0);
-            }
-            if let (Some(i), Some(j)) = (p, m) {
-                t.push(i, j, 0.0);
-                t.push(j, i, 0.0);
+        // Structural zeros. The push order fixes the order `to_csr` sums
+        // duplicates in, so keep it: assembled values stay bit for bit.
+        let zeros = |t: &mut TripletMatrix, sites: [(Option<usize>, Option<usize>); 4]| {
+            for (r, c) in sites {
+                if let (Some(r), Some(c)) = (r, c) {
+                    t.push(r, c, 0.0);
+                }
             }
         };
         for b in &self.nonlinear {
-            push_pair(&mut t, b.var_plus, b.var_minus);
+            let (p, m) = (b.var_plus, b.var_minus);
+            zeros(&mut t, [(p, p), (m, m), (p, m), (m, p)]);
         }
         for m in &self.mosfets {
-            push_pair(&mut t, m.var_drain, m.var_source);
+            let (d, g, s) = (m.var_drain, m.var_gate, m.var_source);
+            zeros(&mut t, [(d, d), (s, s), (d, s), (s, d)]);
             if with_mos_gm {
-                if let Some(d) = m.var_drain {
-                    if let Some(g) = m.var_gate {
-                        t.push(d, g, 0.0);
-                    }
-                    if let Some(s) = m.var_source {
-                        t.push(d, s, 0.0);
-                    }
-                }
-                if let Some(s) = m.var_source {
-                    if let Some(g) = m.var_gate {
-                        t.push(s, g, 0.0);
-                    }
-                    t.push(s, s, 0.0);
-                }
+                zeros(&mut t, [(d, g), (d, s), (s, g), (s, s)]);
             }
         }
         if with_c {
@@ -557,11 +525,6 @@ impl MnaSystem {
         }
         c
     }
-
-    /// Whether any source in the circuit is stochastic.
-    pub fn has_noise(&self) -> bool {
-        !self.noise.is_empty()
-    }
 }
 
 #[cfg(test)]
@@ -597,9 +560,8 @@ mod tests {
         assert_eq!(mna.var_of_node(Circuit::GROUND), None);
         let a = ckt.find_node("a").unwrap();
         assert_eq!(mna.var_of_node(a), Some(0));
-        assert_eq!(mna.var_of_node_name("b"), Some(1));
-        assert_eq!(mna.var_of_node_name("0"), None);
-        assert_eq!(mna.var_of_node_name("zz"), None);
+        assert_eq!(mna.var_of_node(ckt.find_node("b").unwrap()), Some(1));
+        assert_eq!(ckt.find_node("zz"), None);
     }
 
     #[test]
@@ -732,7 +694,7 @@ mod tests {
         ckt.add_resistor("R1", a, Circuit::GROUND, 1e3).unwrap();
         ckt.add_capacitor("C1", a, Circuit::GROUND, 1e-12).unwrap();
         let mna = MnaSystem::new(&ckt).unwrap();
-        assert!(mna.has_noise());
+        assert!(!mna.noise_bindings().is_empty());
         let nb = mna.noise_bindings();
         assert_eq!(nb.len(), 1);
         assert_eq!(nb[0].rows, vec![(0, -1e-3)]);
@@ -741,7 +703,6 @@ mod tests {
     #[test]
     fn deterministic_circuit_has_no_noise() {
         let mna = MnaSystem::new(&rc_circuit()).unwrap();
-        assert!(!mna.has_noise());
         assert!(mna.noise_bindings().is_empty());
     }
 
@@ -815,7 +776,7 @@ mod tests {
             .unwrap();
         ckt.add_resistor("R1", out, Circuit::GROUND, 1e3).unwrap();
         let (mna, x) = solve_op(&ckt);
-        assert!((x[mna.var_of_node_name("out").unwrap()] - 2.0).abs() < 1e-12);
+        assert!((x[mna.var_of_node(out).unwrap()] - 2.0).abs() < 1e-12);
         // KCL at `out`: v/R + i_E = 0  =>  i_E = -2 mA.
         let i_e = x[mna.branch_var(1).unwrap()];
         assert!((i_e + 2e-3).abs() < 1e-15);
@@ -834,7 +795,7 @@ mod tests {
             .unwrap();
         ckt.add_resistor("RL", out, Circuit::GROUND, 2e3).unwrap();
         let (mna, x) = solve_op(&ckt);
-        assert!((x[mna.var_of_node_name("out").unwrap()] + 2.0).abs() < 1e-12);
+        assert!((x[mna.var_of_node(out).unwrap()] + 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -851,8 +812,7 @@ mod tests {
         ckt.add_resistor("RL", out, Circuit::GROUND, 1e3).unwrap();
         let (mna, x) = solve_op(&ckt);
         assert!((x[mna.branch_var(0).unwrap()] + 1e-3).abs() < 1e-15);
-        assert!((x[mna.var_of_node_name("out").unwrap()] - 2.0).abs() < 1e-12);
-        assert_eq!(mna.control_branch_var(2), mna.branch_var(0));
+        assert!((x[mna.var_of_node(out).unwrap()] - 2.0).abs() < 1e-12);
     }
 
     #[test]
@@ -868,7 +828,7 @@ mod tests {
             .unwrap();
         ckt.add_resistor("RL", out, Circuit::GROUND, 1e3).unwrap();
         let (mna, x) = solve_op(&ckt);
-        assert!((x[mna.var_of_node_name("out").unwrap()] + 0.5).abs() < 1e-12);
+        assert!((x[mna.var_of_node(out).unwrap()] + 0.5).abs() < 1e-12);
         assert_eq!(mna.num_branches(), 2);
     }
 

@@ -50,19 +50,20 @@ proptest! {
         let mut flops = FlopCounter::new();
         let lu = SparseLu::factor(&g.to_csr(), &mut flops).unwrap();
         let x = lu.solve(&rhs, &mut flops).unwrap();
+        let var = |name: &str| mna.var_of_node(ckt.find_node(name).unwrap()).unwrap();
         // Voltage at the source node equals the source.
-        let vin = mna.var_of_node_name("in").unwrap();
+        let vin = var("in");
         prop_assert!((x[vin] - vs).abs() < 1e-9 * (1.0 + vs.abs()));
         // KCL at every internal node.
         for (k, &(rs, rp)) in sections.iter().enumerate() {
-            let v_here = x[mna.var_of_node_name(&format!("n{k}")).unwrap()];
+            let v_here = x[var(&format!("n{k}"))];
             let v_prev = if k == 0 {
                 x[vin]
             } else {
-                x[mna.var_of_node_name(&format!("n{}", k - 1)).unwrap()]
+                x[var(&format!("n{}", k - 1))]
             };
             let v_next = sections.get(k + 1).map(|&(rs_next, _)| {
-                let vn = x[mna.var_of_node_name(&format!("n{}", k + 1)).unwrap()];
+                let vn = x[var(&format!("n{}", k + 1))];
                 (vn - v_here) / rs_next
             });
             let i_in = (v_prev - v_here) / rs;
@@ -76,7 +77,7 @@ proptest! {
         // Voltages decay monotonically along the ladder.
         let mut last = x[vin].abs();
         for k in 0..sections.len() {
-            let v = x[mna.var_of_node_name(&format!("n{k}")).unwrap()].abs();
+            let v = x[var(&format!("n{k}"))].abs();
             prop_assert!(v <= last + 1e-9);
             last = v;
         }

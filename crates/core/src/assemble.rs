@@ -1,12 +1,15 @@
 //! Shared matrix-assembly state used by every engine.
 //!
-//! [`CircuitMatrices`] holds the per-circuit constants; [`AssemblyWorkspace`]
-//! holds the per-run mutable state that makes the hot loops allocation-free:
-//! a CSR matrix whose sparsity pattern (linear G + every possible device
-//! stamp + optionally C) is computed **once per circuit**, value-scatter maps
-//! from each device to its slots in that pattern, a cached LU factorization
-//! that is *refactored* (values-only) instead of re-analyzed every solve,
-//! and reusable right-hand-side/solution buffers.
+//! [`CircuitMatrices`] holds the per-circuit constants, stamped from one
+//! [`MnaSystem`] (the session builds that system once and lints it before
+//! handing it here); [`AssemblyWorkspace`] holds the per-run mutable state
+//! that makes the hot loops allocation-free: a CSR matrix whose sparsity
+//! pattern is [`MnaSystem::system_pattern`] (linear G + every possible
+//! device stamp + optionally C — the pattern the preflight rank pass
+//! matches over too), built **once per circuit**, value-scatter maps from
+//! each device to its slots in that pattern, a cached LU factorization that
+//! is *refactored* (values-only) instead of re-analyzed every solve, and
+//! reusable right-hand-side/solution buffers.
 
 use crate::Result;
 use nanosim_circuit::mna::MosfetBinding;

@@ -1000,7 +1000,7 @@ mod tests {
         let mut stats = EngineStats::new();
         let (x, outcome) = solve_dc(&engine(), &mats, None, &mut stats);
         assert!(outcome.is_converged(), "{outcome:?}");
-        let out_var = mats.mna.var_of_node_name("out").unwrap();
+        let out_var = mats.mna.var_of_node(out).unwrap();
         assert!(x[out_var] < 1.0, "out = {}", x[out_var]);
     }
 

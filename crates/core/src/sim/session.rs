@@ -135,15 +135,19 @@ impl Simulator {
     /// Opens a session with explicit [`SimOptions`] (e.g. a pinned
     /// [`OrderingChoice`] or a [`PreflightMode`]).
     ///
-    /// Unless preflight is [`PreflightMode::Off`], the static analyzer
-    /// runs here — before any matrix is assembled — and, under
+    /// The circuit's [`MnaSystem`] is built once; unless preflight is
+    /// [`PreflightMode::Off`], the static analyzer runs on it here —
+    /// before any matrix is assembled — and, under
     /// [`PreflightMode::Enforce`], error-severity diagnostics (guaranteed
     /// singular topologies, duplicate names, ...) abort construction with
-    /// [`SimError::Preflight`].
+    /// [`SimError::Preflight`]. The same system then backs every
+    /// assembly workspace.
     ///
     /// # Errors
-    /// Returns [`SimError::Preflight`] for circuits the analyzer rejects,
-    /// and propagates circuit validation / MNA construction failures.
+    /// Returns [`SimError::Preflight`] for circuits the analyzer rejects
+    /// (an MNA construction failure is one of its errors under
+    /// [`PreflightMode::Enforce`]), and otherwise propagates circuit
+    /// validation / MNA construction failures.
     pub fn with_options(circuit: Circuit, opts: SimOptions) -> Result<Simulator> {
         let mna = MnaSystem::new(&circuit);
         let preflight = run_preflight(&circuit, &mna, opts.preflight)?;
