@@ -41,15 +41,14 @@ fn bench_table1(c: &mut Criterion) {
 /// refactorization that the sweep's inner loop performs after its first
 /// solve, against the full symbolic + numeric factorization.
 fn bench_table1_refactor(c: &mut Criterion) {
-    use nanosim_numeric::sparse::{SparseLu, TripletMatrix};
+    use nanosim_numeric::sparse::SparseLu;
     let mut group = c.benchmark_group("table1_refactor");
     group.sample_size(30);
     let mesh = nanosim::workloads::rtd_mesh(8);
     let mna = MnaSystem::new(&mesh).expect("mesh assembles");
     let mut flops = FlopCounter::new();
     let assemble = |bias: f64, flops: &mut FlopCounter| {
-        let mut g = TripletMatrix::new(mna.dim(), mna.dim());
-        mna.stamp_linear_g(&mut g);
+        let mut g = mna.linear_g().clone();
         for b in mna.nonlinear_bindings() {
             let geq = b.device.equivalent_conductance(bias, flops) + 1e-12;
             MnaSystem::stamp_conductance(&mut g, b.var_plus, b.var_minus, geq);

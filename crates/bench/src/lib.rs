@@ -9,7 +9,7 @@
 #![deny(missing_docs)]
 
 use nanosim::prelude::*;
-use nanosim_numeric::sparse::{CsrMatrix, TripletMatrix};
+use nanosim_numeric::sparse::CsrMatrix;
 
 /// Assembles the DC SWEC matrix `G_lin + Geq(x)` of the Table I N×N RTD
 /// mesh at a fixed bias-like state, as CSR — the standard matrix of the
@@ -19,8 +19,7 @@ pub fn table1_mesh_matrix(n: usize, bias: f64) -> CsrMatrix {
     let ckt = nanosim::workloads::rtd_mesh_n(n);
     let mna = MnaSystem::new(&ckt).expect("mesh assembles");
     let mut flops = FlopCounter::new();
-    let mut g = TripletMatrix::new(mna.dim(), mna.dim());
-    mna.stamp_linear_g(&mut g);
+    let mut g = mna.linear_g().clone();
     for b in mna.nonlinear_bindings() {
         let geq = b.device.equivalent_conductance(bias, &mut flops) + 1e-12;
         MnaSystem::stamp_conductance(&mut g, b.var_plus, b.var_minus, geq);

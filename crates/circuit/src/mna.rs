@@ -66,10 +66,15 @@ pub struct NoiseBinding {
     pub rows: Vec<(usize, f64)>,
 }
 
-/// The MNA view of a circuit: variable numbering plus stamping routines.
+/// The MNA view of a circuit: variable numbering, the stamped linear parts
+/// of `G` and `C`, and stamping routines.
 #[derive(Debug, Clone)]
 pub struct MnaSystem {
     circuit: Circuit,
+    /// The linear (time-invariant) part of `G` as triplets.
+    g_lin: TripletMatrix,
+    /// The capacitance/inductance matrix `C` as triplets.
+    c: TripletMatrix,
     num_nodes: usize,
     num_branches: usize,
     /// element index -> branch variable offset (voltage sources, inductors,
@@ -183,8 +188,11 @@ impl MnaSystem {
                 _ => {}
             }
         }
-        Ok(MnaSystem {
+        let dim = num_nodes + num_branches;
+        let mut mna = MnaSystem {
             circuit: circuit.clone(),
+            g_lin: TripletMatrix::default(),
+            c: TripletMatrix::default(),
             num_nodes,
             num_branches,
             branch_of,
@@ -192,7 +200,12 @@ impl MnaSystem {
             nonlinear,
             mosfets,
             noise,
-        })
+        };
+        let (mut g_lin, mut c) = (TripletMatrix::new(dim, dim), TripletMatrix::new(dim, dim));
+        mna.stamp_linear_g(&mut g_lin);
+        mna.stamp_c(&mut c);
+        (mna.g_lin, mna.c) = (g_lin, c);
+        Ok(mna)
     }
 
     /// The underlying circuit.
@@ -267,9 +280,21 @@ impl MnaSystem {
         }
     }
 
-    /// Stamps the linear (time-invariant) part of `G`: resistors plus the
-    /// voltage-source and inductor branch relations.
-    pub fn stamp_linear_g(&self, t: &mut TripletMatrix) {
+    /// The linear (time-invariant) part of `G` as triplets: resistors plus
+    /// the voltage-source, inductor and controlled-source relations.
+    pub fn linear_g(&self) -> &TripletMatrix {
+        &self.g_lin
+    }
+
+    /// The capacitance matrix `C` as triplets: capacitors on node variables
+    /// and `-L` on inductor branch diagonals (the branch equation
+    /// `v - L·di/dt = 0`).
+    pub fn c_triplets(&self) -> &TripletMatrix {
+        &self.c
+    }
+
+    /// Stamps the linear part of `G` (see [`MnaSystem::linear_g`]).
+    fn stamp_linear_g(&self, t: &mut TripletMatrix) {
         for (i, e) in self.circuit.elements().iter().enumerate() {
             let vp = self.var_of_node(e.node_plus());
             let vm = if e.nodes().len() >= 2 {
@@ -277,46 +302,31 @@ impl MnaSystem {
             } else {
                 None
             };
+            // Branch incidence: the branch current enters at p and leaves
+            // at m, and the branch row reads v(p) - v(m).
+            let incidence = |t: &mut TripletMatrix, br: usize| {
+                if let Some(p) = vp {
+                    t.push(p, br, 1.0);
+                    t.push(br, p, 1.0);
+                }
+                if let Some(m) = vm {
+                    t.push(m, br, -1.0);
+                    t.push(br, m, -1.0);
+                }
+            };
             match e.kind() {
                 ElementKind::Resistor { resistance } => {
                     Self::stamp_conductance(t, vp, vm, 1.0 / resistance);
                 }
-                ElementKind::VoltageSource { .. } => {
-                    let br = self.num_nodes + self.branch_of[i].expect("branch");
-                    if let Some(p) = vp {
-                        t.push(p, br, 1.0);
-                        t.push(br, p, 1.0);
-                    }
-                    if let Some(m) = vm {
-                        t.push(m, br, -1.0);
-                        t.push(br, m, -1.0);
-                    }
-                }
-                ElementKind::Inductor { .. } => {
-                    let br = self.num_nodes + self.branch_of[i].expect("branch");
-                    if let Some(p) = vp {
-                        t.push(p, br, 1.0);
-                        t.push(br, p, 1.0);
-                    }
-                    if let Some(m) = vm {
-                        t.push(m, br, -1.0);
-                        t.push(br, m, -1.0);
-                    }
+                ElementKind::VoltageSource { .. } | ElementKind::Inductor { .. } => {
+                    incidence(t, self.num_nodes + self.branch_of[i].expect("branch"));
                 }
                 ElementKind::Vcvs { gain } => {
-                    // Branch row: v(p) - v(m) - gain·(v(cp) - v(cm)) = 0;
-                    // KCL: the branch current enters at p, leaves at m.
+                    // Branch row: v(p) - v(m) - gain·(v(cp) - v(cm)) = 0.
                     let br = self.num_nodes + self.branch_of[i].expect("branch");
                     let vcp = self.var_of_node(e.nodes()[2]);
                     let vcm = self.var_of_node(e.nodes()[3]);
-                    if let Some(p) = vp {
-                        t.push(p, br, 1.0);
-                        t.push(br, p, 1.0);
-                    }
-                    if let Some(m) = vm {
-                        t.push(m, br, -1.0);
-                        t.push(br, m, -1.0);
-                    }
+                    incidence(t, br);
                     if let Some(cp) = vcp {
                         t.push(br, cp, -gain);
                     }
@@ -354,14 +364,7 @@ impl MnaSystem {
                     // Branch row: v(p) - v(m) - r·i(control) = 0.
                     let br = self.num_nodes + self.branch_of[i].expect("branch");
                     let bc = self.num_nodes + self.ctrl_branch_of[i].expect("resolved control");
-                    if let Some(p) = vp {
-                        t.push(p, br, 1.0);
-                        t.push(br, p, 1.0);
-                    }
-                    if let Some(m) = vm {
-                        t.push(m, br, -1.0);
-                        t.push(br, m, -1.0);
-                    }
+                    incidence(t, br);
                     t.push(br, bc, -r);
                 }
                 _ => {}
@@ -369,10 +372,8 @@ impl MnaSystem {
         }
     }
 
-    /// Stamps the capacitance matrix `C`: capacitors on node variables and
-    /// `-L` on inductor branch diagonals (the branch equation
-    /// `v - L·di/dt = 0`).
-    pub fn stamp_c(&self, t: &mut TripletMatrix) {
+    /// Stamps `C` (see [`MnaSystem::c_triplets`]).
+    fn stamp_c(&self, t: &mut TripletMatrix) {
         for (i, e) in self.circuit.elements().iter().enumerate() {
             match e.kind() {
                 ElementKind::Capacitor { capacitance, .. } => {
@@ -399,8 +400,12 @@ impl MnaSystem {
     /// operating point factors.
     pub fn system_pattern(&self, with_mos_gm: bool, with_c: bool) -> CsrMatrix {
         let dim = self.dim();
-        let mut t = TripletMatrix::new(dim, dim);
-        self.stamp_linear_g(&mut t);
+        let zero_sites = 4 * self.nonlinear.len() + 8 * self.mosfets.len();
+        let c_sites = if with_c { self.c.len() } else { 0 };
+        let mut t = TripletMatrix::with_capacity(dim, dim, self.g_lin.len() + zero_sites + c_sites);
+        for &(r, c, v) in self.g_lin.iter() {
+            t.push(r, c, v);
+        }
         // Structural zeros. The push order fixes the order `to_csr` sums
         // duplicates in, so keep it: assembled values stay bit for bit.
         let zeros = |t: &mut TripletMatrix, sites: [(Option<usize>, Option<usize>); 4]| {
@@ -422,10 +427,8 @@ impl MnaSystem {
             }
         }
         if with_c {
-            let mut c = TripletMatrix::new(dim, dim);
-            self.stamp_c(&mut c);
-            for &(r, col, _) in c.iter() {
-                t.push(r, col, 0.0);
+            for &(r, c, _) in self.c.iter() {
+                t.push(r, c, 0.0);
             }
         }
         t.to_csr()
@@ -439,12 +442,6 @@ impl MnaSystem {
     pub fn stamp_rhs(&self, time: f64, out: &mut [f64]) {
         assert_eq!(out.len(), self.dim(), "rhs length mismatch");
         out.fill(0.0);
-        self.add_rhs(time, out);
-    }
-
-    /// Adds the deterministic sources into an existing right-hand side
-    /// (used by engines that pre-fill companion-model terms).
-    pub fn add_rhs(&self, time: f64, out: &mut [f64]) {
         for (i, e) in self.circuit.elements().iter().enumerate() {
             match e.kind() {
                 ElementKind::CurrentSource { waveform } => {
@@ -567,9 +564,7 @@ mod tests {
     #[test]
     fn linear_g_stamp_matches_hand_mna() {
         let mna = MnaSystem::new(&rc_circuit()).unwrap();
-        let mut t = TripletMatrix::new(3, 3);
-        mna.stamp_linear_g(&mut t);
-        let g = t.to_dense();
+        let g = mna.linear_g().to_dense();
         let k = 1.0 / 1e3;
         // Node a (var 0): resistor + branch column.
         assert_eq!(g[(0, 0)], k);
@@ -585,9 +580,7 @@ mod tests {
     #[test]
     fn c_stamp_and_node_capacitance() {
         let mna = MnaSystem::new(&rc_circuit()).unwrap();
-        let mut t = TripletMatrix::new(3, 3);
-        mna.stamp_c(&mut t);
-        let c = t.to_dense();
+        let c = mna.c_triplets().to_dense();
         assert_eq!(c[(1, 1)], 1e-9);
         assert_eq!(c[(0, 0)], 0.0);
         assert_eq!(mna.node_capacitance(), vec![0.0, 1e-9]);
@@ -614,9 +607,8 @@ mod tests {
         // Current flows a -> ground through the source, so it leaves node a.
         assert_eq!(b[0], -2e-3);
         // Solving G v = b gives v = -2 V, consistent with SPICE conventions.
-        let mut t = TripletMatrix::new(1, 1);
-        mna.stamp_linear_g(&mut t);
-        let v = t.to_dense().solve(&b, &mut FlopCounter::new()).unwrap();
+        let g = mna.linear_g().to_dense();
+        let v = g.solve(&b, &mut FlopCounter::new()).unwrap();
         assert!((v[0] + 2.0).abs() < 1e-12);
     }
 
@@ -629,9 +621,7 @@ mod tests {
         ckt.add_inductor("L1", a, Circuit::GROUND, 2e-9).unwrap();
         let mna = MnaSystem::new(&ckt).unwrap();
         assert_eq!(mna.num_branches(), 2);
-        let mut t = TripletMatrix::new(mna.dim(), mna.dim());
-        mna.stamp_c(&mut t);
-        let c = t.to_dense();
+        let c = mna.c_triplets().to_dense();
         // Inductor branch is the second branch (var index 1 + 1 = 2).
         assert_eq!(c[(2, 2)], -2e-9);
     }
@@ -756,8 +746,7 @@ mod tests {
     fn solve_op(ckt: &Circuit) -> (MnaSystem, Vec<f64>) {
         let mna = MnaSystem::new(ckt).unwrap();
         let dim = mna.dim();
-        let mut g = TripletMatrix::new(dim, dim);
-        mna.stamp_linear_g(&mut g);
+        let g = mna.linear_g();
         let mut b = vec![0.0; dim];
         mna.stamp_rhs(0.0, &mut b);
         let x = g.to_dense().solve(&b, &mut FlopCounter::new()).unwrap();

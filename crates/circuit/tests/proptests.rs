@@ -7,7 +7,7 @@
 
 use nanosim_circuit::{deck_fingerprint, parse_netlist, write_netlist, Circuit, MnaSystem};
 use nanosim_devices::sources::SourceWaveform;
-use nanosim_numeric::sparse::{SparseLu, TripletMatrix};
+use nanosim_numeric::sparse::SparseLu;
 use nanosim_numeric::FlopCounter;
 use proptest::prelude::*;
 
@@ -43,8 +43,7 @@ proptest! {
         let ckt = build_ladder(vs, &sections);
         let mna = MnaSystem::new(&ckt).unwrap();
         let dim = mna.dim();
-        let mut g = TripletMatrix::new(dim, dim);
-        mna.stamp_linear_g(&mut g);
+        let g = mna.linear_g();
         let mut rhs = vec![0.0; dim];
         mna.stamp_rhs(0.0, &mut rhs);
         let mut flops = FlopCounter::new();
@@ -106,8 +105,7 @@ proptest! {
         let ckt = build_ladder(vs, &sections);
         let mna = MnaSystem::new(&ckt).unwrap();
         let dim = mna.dim();
-        let mut g = TripletMatrix::new(dim, dim);
-        mna.stamp_linear_g(&mut g);
+        let g = mna.linear_g();
         let mut rhs = vec![0.0; dim];
         mna.stamp_rhs(0.0, &mut rhs);
         let mut flops = FlopCounter::new();
@@ -128,8 +126,7 @@ proptest! {
             let ckt = build_ladder(v, &sections);
             let mna = MnaSystem::new(&ckt).unwrap();
             let dim = mna.dim();
-            let mut g = TripletMatrix::new(dim, dim);
-            mna.stamp_linear_g(&mut g);
+            let g = mna.linear_g();
             let mut rhs = vec![0.0; dim];
             mna.stamp_rhs(0.0, &mut rhs);
             let mut flops = FlopCounter::new();

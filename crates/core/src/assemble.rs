@@ -15,19 +15,16 @@ use crate::Result;
 use nanosim_circuit::mna::MosfetBinding;
 use nanosim_circuit::{Circuit, MnaSystem};
 use nanosim_numeric::solve::{LuStats, SparseLuSolver};
-use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice, TripletMatrix};
+use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice};
 use nanosim_numeric::{BudgetMeter, FaultPlan, FlopCounter};
 
-/// Pre-stamped circuit matrices: the linear part of `G`, the full `C`, and
-/// the MNA structure. Engines build an [`AssemblyWorkspace`] from these and
-/// re-stamp only the device values each step/iteration.
+/// Pre-stamped circuit matrices: the MNA structure with its linear `G`
+/// and `C` triplets, plus `C` in CSR form. Engines build an
+/// [`AssemblyWorkspace`] from these and re-stamp only the device values
+/// each step/iteration.
 #[derive(Debug, Clone)]
 pub(crate) struct CircuitMatrices {
     pub mna: MnaSystem,
-    /// Linear (time-invariant) part of `G` as triplets.
-    pub g_lin: TripletMatrix,
-    /// Capacitance/inductance matrix `C` as triplets (for re-stamping).
-    pub c_triplets: TripletMatrix,
     /// `C` in CSR form (for `C·x` products).
     pub c_csr: CsrMatrix,
 }
@@ -37,20 +34,10 @@ impl CircuitMatrices {
         Ok(Self::from_mna(MnaSystem::new(circuit)?))
     }
 
-    /// Stamps the matrices of an already-built MNA system.
+    /// The matrices of an already-built MNA system.
     pub fn from_mna(mna: MnaSystem) -> Self {
-        let dim = mna.dim();
-        let mut g_lin = TripletMatrix::new(dim, dim);
-        mna.stamp_linear_g(&mut g_lin);
-        let mut c_triplets = TripletMatrix::new(dim, dim);
-        mna.stamp_c(&mut c_triplets);
-        let c_csr = c_triplets.to_csr();
-        CircuitMatrices {
-            mna,
-            g_lin,
-            c_triplets,
-            c_csr,
-        }
+        let c_csr = mna.c_triplets().to_csr();
+        CircuitMatrices { mna, c_csr }
     }
 }
 
@@ -145,7 +132,7 @@ impl PatternParts {
             // Duplicate C triplets at one position are pre-summed so the
             // per-step loop touches each slot once.
             let mut summed: Vec<(usize, f64)> = Vec::new();
-            for &(r, c, v) in mats.c_triplets.iter() {
+            for &(r, c, v) in mats.mna.c_triplets().iter() {
                 let s = slot(&a, r, c);
                 match summed.iter_mut().find(|(slot, _)| *slot == s) {
                     Some((_, acc)) => *acc += v,
@@ -688,7 +675,7 @@ mod tests {
     fn matrices_have_consistent_shapes() {
         let m = CircuitMatrices::new(&divider()).unwrap();
         assert_eq!(m.mna.dim(), 3);
-        assert_eq!(m.g_lin.rows(), 3);
+        assert_eq!(m.mna.linear_g().rows(), 3);
         assert_eq!(m.c_csr.rows(), 3);
         assert_eq!(m.c_csr.get(1, 1), 1e-12);
     }

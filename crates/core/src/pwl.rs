@@ -332,7 +332,7 @@ impl PwlEngine {
         let mna = &mats.mna;
         let dim = mna.dim();
         let mut flops = FlopCounter::new();
-        let mut g = mats.g_lin.clone();
+        let mut g = mna.linear_g().clone();
         let mut rhs = vec![0.0; dim];
         mna.stamp_rhs(0.0, &mut rhs);
         if let Some((name, value)) = override_src {
@@ -360,11 +360,11 @@ impl PwlEngine {
         let mna = &mats.mna;
         let dim = mna.dim();
         let mut flops = FlopCounter::new();
-        let mut g = mats.g_lin.clone();
-        for &(r, c, v) in mats.c_triplets.iter() {
+        let mut g = mna.linear_g().clone();
+        for &(r, c, v) in mna.c_triplets().iter() {
             g.push(r, c, v / h);
         }
-        flops.div(mats.c_triplets.len() as u64);
+        flops.div(mna.c_triplets().len() as u64);
         let mut rhs = vec![0.0; dim];
         mna.stamp_rhs(t + h, &mut rhs);
         mats.c_csr.matvec_acc(1.0 / h, x0, &mut rhs, &mut flops)?;

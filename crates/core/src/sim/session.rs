@@ -73,7 +73,7 @@ pub struct SimOptions {
 /// # Example
 /// ```
 /// use nanosim_core::sim::{Analysis, ExecPlan, Simulator};
-/// use nanosim_circuit::{Circuit, MnaSystem};
+/// use nanosim_circuit::Circuit;
 /// use nanosim_devices::rtd::Rtd;
 /// use nanosim_devices::sources::SourceWaveform;
 ///
