@@ -400,9 +400,9 @@ impl MnaSystem {
     /// operating point factors.
     pub fn system_pattern(&self, with_mos_gm: bool, with_c: bool) -> CsrMatrix {
         let dim = self.dim();
-        let zero_sites = 4 * self.nonlinear.len() + 8 * self.mosfets.len();
-        let c_sites = if with_c { self.c.len() } else { 0 };
-        let mut t = TripletMatrix::with_capacity(dim, dim, self.g_lin.len() + zero_sites + c_sites);
+        // One allocation: the linear-G entries plus a bound on the rest.
+        let sites = self.c.len() + 4 * self.nonlinear.len() + 8 * self.mosfets.len();
+        let mut t = TripletMatrix::with_capacity(dim, dim, self.g_lin.len() + sites);
         for &(r, c, v) in self.g_lin.iter() {
             t.push(r, c, v);
         }

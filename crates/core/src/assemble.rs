@@ -132,7 +132,7 @@ impl PatternParts {
             // Duplicate C triplets at one position are pre-summed so the
             // per-step loop touches each slot once.
             let mut summed: Vec<(usize, f64)> = Vec::new();
-            for &(r, c, v) in mats.mna.c_triplets().iter() {
+            for &(r, c, v) in mna.c_triplets().iter() {
                 let s = slot(&a, r, c);
                 match summed.iter_mut().find(|(slot, _)| *slot == s) {
                     Some((_, acc)) => *acc += v,
