@@ -1196,17 +1196,14 @@ fn max_transversal(
             if seen[r] != root {
                 seen[r] = root;
                 let start = cheap[r];
-                let p = (start..end)
-                    .find(|&p| match_of_col[col_idx[p]].is_none())
-                    .unwrap_or(end);
+                let p = (start..end).find(|&p| match_of_col[col_idx[p]].is_none());
+                cheap[r] = p.map_or(end, |p| p + 1);
                 #[cfg(test)]
-                MATCH_VISITS.with(|v| v.set(v.get() + (p + 1).min(end) - start));
-                if p < end {
-                    cheap[r] = p + 1;
+                MATCH_VISITS.with(|v| v.set(v.get() + cheap[r] - start));
+                if let Some(p) = p {
                     free = Some(col_idx[p]);
                     break;
                 }
-                cheap[r] = end;
                 next[r] = row_ptr[r];
             }
             // Every column of `r` is matched: descend into the first row
