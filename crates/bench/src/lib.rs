@@ -16,7 +16,7 @@ use nanosim_numeric::sparse::CsrMatrix;
 /// solver benches (`refactor`, `ordering`, `solve`) and their report
 /// bins, kept in one place so every comparison stamps identical values.
 pub fn table1_mesh_matrix(n: usize, bias: f64) -> CsrMatrix {
-    let ckt = nanosim::workloads::rtd_mesh_n(n);
+    let ckt = nanosim::workloads::rtd_mesh(n);
     let mna = MnaSystem::new(&ckt).expect("mesh assembles");
     let mut flops = FlopCounter::new();
     let mut g = mna.linear_g().clone();

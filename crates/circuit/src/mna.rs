@@ -75,6 +75,8 @@ pub struct MnaSystem {
     g_lin: TripletMatrix,
     /// The capacitance/inductance matrix `C` as triplets.
     c: TripletMatrix,
+    /// `C` in CSR form, for `C·x` products and EM's factorization.
+    c_csr: CsrMatrix,
     num_nodes: usize,
     num_branches: usize,
     /// element index -> branch variable offset (voltage sources, inductors,
@@ -193,6 +195,7 @@ impl MnaSystem {
             circuit: circuit.clone(),
             g_lin: TripletMatrix::default(),
             c: TripletMatrix::default(),
+            c_csr: CsrMatrix::from_triplets(0, 0, &[]),
             num_nodes,
             num_branches,
             branch_of,
@@ -204,6 +207,7 @@ impl MnaSystem {
         let (mut g_lin, mut c) = (TripletMatrix::new(dim, dim), TripletMatrix::new(dim, dim));
         mna.stamp_linear_g(&mut g_lin);
         mna.stamp_c(&mut c);
+        mna.c_csr = c.to_csr();
         (mna.g_lin, mna.c) = (g_lin, c);
         Ok(mna)
     }
@@ -291,6 +295,12 @@ impl MnaSystem {
     /// `v - L·di/dt = 0`).
     pub fn c_triplets(&self) -> &TripletMatrix {
         &self.c
+    }
+
+    /// `C` in CSR form (see [`MnaSystem::c_triplets`]), built once with
+    /// the system.
+    pub fn c_matrix(&self) -> &CsrMatrix {
+        &self.c_csr
     }
 
     /// Stamps the linear part of `G` (see [`MnaSystem::linear_g`]).

@@ -1,45 +1,22 @@
 //! Shared matrix-assembly state used by every engine.
 //!
-//! [`CircuitMatrices`] holds the per-circuit constants, stamped from one
-//! [`MnaSystem`] (the session builds that system once and lints it before
-//! handing it here); [`AssemblyWorkspace`] holds the per-run mutable state
-//! that makes the hot loops allocation-free: a CSR matrix whose sparsity
-//! pattern is [`MnaSystem::system_pattern`] (linear G + every possible
-//! device stamp + optionally C — the pattern the preflight rank pass
-//! matches over too), built **once per circuit**, value-scatter maps from
-//! each device to its slots in that pattern, a cached LU factorization that
-//! is *refactored* (values-only) instead of re-analyzed every solve, and
-//! reusable right-hand-side/solution buffers.
+//! Every engine runs on one [`MnaSystem`]: its variable numbering, its
+//! stamped linear `G` and its `C` (triplets and CSR). The session builds
+//! that system once, lints it, and hands it to every analysis.
+//! [`AssemblyWorkspace`] holds the per-run mutable state that makes the hot
+//! loops allocation-free: a CSR matrix whose sparsity pattern is
+//! [`MnaSystem::system_pattern`] (linear G + every possible device stamp +
+//! optionally C — the pattern the preflight rank pass matches over too),
+//! built **once per circuit**, value-scatter maps from each device to its
+//! slots in that pattern, a cached LU factorization that is *refactored*
+//! (values-only) instead of re-analyzed every solve, and reusable
+//! right-hand-side/solution buffers.
 
-use crate::Result;
 use nanosim_circuit::mna::MosfetBinding;
 use nanosim_circuit::{Circuit, MnaSystem};
 use nanosim_numeric::solve::{LuStats, SparseLuSolver};
 use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice};
 use nanosim_numeric::{BudgetMeter, FaultPlan, FlopCounter};
-
-/// Pre-stamped circuit matrices: the MNA structure with its linear `G`
-/// and `C` triplets, plus `C` in CSR form. Engines build an
-/// [`AssemblyWorkspace`] from these and re-stamp only the device values
-/// each step/iteration.
-#[derive(Debug, Clone)]
-pub(crate) struct CircuitMatrices {
-    pub mna: MnaSystem,
-    /// `C` in CSR form (for `C·x` products).
-    pub c_csr: CsrMatrix,
-}
-
-impl CircuitMatrices {
-    pub fn new(circuit: &Circuit) -> Result<Self> {
-        Ok(Self::from_mna(MnaSystem::new(circuit)?))
-    }
-
-    /// The matrices of an already-built MNA system.
-    pub fn from_mna(mna: MnaSystem) -> Self {
-        let c_csr = mna.c_triplets().to_csr();
-        CircuitMatrices { mna, c_csr }
-    }
-}
 
 /// Value-slot indices of one two-terminal conductance stamp
 /// (`+g` at `(p,p)`/`(m,m)`, `-g` at `(p,m)`/`(m,p)`); `None` = grounded
@@ -89,6 +66,23 @@ fn slot(a: &CsrMatrix, r: usize, c: usize) -> usize {
 /// solve, one `begin → stamp → solve` cycle performs zero heap allocations.
 #[derive(Debug, Clone)]
 pub(crate) struct AssemblyWorkspace {
+    /// The pattern, its linear-G values and the stamp-site maps.
+    parts: PatternParts,
+    /// Caching sparse solver (factor once, refactor on same pattern).
+    solver: SparseLuSolver,
+    /// Armed fault-injection plan: advanced once per factor-solve, right
+    /// after assembly and before factorization (so injected faults hit the
+    /// exact matrix the solver sees). `None` — the production default —
+    /// costs one branch per solve.
+    fault: Option<FaultPlan>,
+}
+
+/// The value-and-scatter half of a workspace: everything derived from the
+/// MNA system except the caching solver. Split out so
+/// [`AssemblyWorkspace::rebind`] can rebuild it for a same-pattern circuit
+/// while the solver (and its symbolic analysis) survives.
+#[derive(Debug, Clone)]
+struct PatternParts {
     /// The system matrix; pattern fixed, values rewritten per assembly.
     a: CsrMatrix,
     /// Linear-G values aligned with `a`'s value slots (structural zeros at
@@ -100,31 +94,10 @@ pub(crate) struct AssemblyWorkspace {
     nl_sites: Vec<CondSites>,
     /// Stamp sites per MOSFET binding.
     mos_sites: Vec<MosSites>,
-    /// Caching sparse solver (factor once, refactor on same pattern).
-    solver: SparseLuSolver,
-    /// Armed fault-injection plan: advanced once per factor-solve, right
-    /// after assembly and before factorization (so injected faults hit the
-    /// exact matrix the solver sees). `None` — the production default —
-    /// costs one branch per solve.
-    fault: Option<FaultPlan>,
-}
-
-/// The value-and-scatter half of a workspace: everything derived from the
-/// circuit's matrices except the caching solver. Split out so
-/// [`AssemblyWorkspace::rebind`] can rebuild it for a same-pattern circuit
-/// while the solver (and its symbolic analysis) survives.
-#[derive(Debug)]
-struct PatternParts {
-    a: CsrMatrix,
-    base_vals: Vec<f64>,
-    c_sites: Vec<(usize, f64)>,
-    nl_sites: Vec<CondSites>,
-    mos_sites: Vec<MosSites>,
 }
 
 impl PatternParts {
-    fn build(mats: &CircuitMatrices, with_mos_gm: bool, with_c: bool) -> Self {
-        let mna = &mats.mna;
+    fn build(mna: &MnaSystem, with_mos_gm: bool, with_c: bool) -> Self {
         let a = mna.system_pattern(with_mos_gm, with_c);
         let base_vals = a.values().to_vec();
 
@@ -182,49 +155,35 @@ impl PatternParts {
 }
 
 impl AssemblyWorkspace {
-    /// Builds the workspace for a circuit. `with_mos_gm` reserves slots for
-    /// the Newton transconductance stamps (NR/MLA engines); `with_c` merges
-    /// the C pattern into the matrix so `G + C/h` systems assemble in place
-    /// (transient engines); `ordering` selects the fill-reducing ordering
-    /// the embedded sparse solver applies inside its cached symbolic
-    /// analysis (the scatter maps are in original numbering either
+    /// Builds the workspace for an MNA system. `with_mos_gm` reserves slots
+    /// for the Newton transconductance stamps (NR/MLA engines); `with_c`
+    /// merges the C pattern into the matrix so `G + C/h` systems assemble in
+    /// place (transient engines); `ordering` selects the fill-reducing
+    /// ordering the embedded sparse solver applies inside its cached
+    /// symbolic analysis (the scatter maps are in original numbering either
     /// way — the solver permutes on scatter-in/solve-out, so per-step
     /// assembly stays zero-alloc and ordering-agnostic).
-    pub fn new(
-        mats: &CircuitMatrices,
-        with_mos_gm: bool,
-        with_c: bool,
-        ordering: OrderingChoice,
-    ) -> Self {
-        let parts = PatternParts::build(mats, with_mos_gm, with_c);
+    pub fn new(mna: &MnaSystem, with_mos_gm: bool, with_c: bool, ordering: OrderingChoice) -> Self {
         AssemblyWorkspace {
-            a: parts.a,
-            base_vals: parts.base_vals,
-            c_sites: parts.c_sites,
-            nl_sites: parts.nl_sites,
-            mos_sites: parts.mos_sites,
+            parts: PatternParts::build(mna, with_mos_gm, with_c),
             solver: SparseLuSolver::with_ordering(ordering),
             fault: None,
         }
     }
 
     /// Rebinds the workspace to a *different circuit with the same sparsity
-    /// pattern*: rebuilds the base values and scatter maps from `mats`
+    /// pattern*: rebuilds the base values and scatter maps from `mna`
     /// (built with the same `with_mos_gm`/`with_c` flags as this workspace)
     /// while keeping the cached solver — and with it the symbolic analysis
     /// and pivot order — alive, so the next solve refactors instead of
     /// re-analyzing. Returns `false` (workspace untouched) when the new
     /// pattern differs; the caller must then build a fresh workspace.
-    pub fn rebind(&mut self, mats: &CircuitMatrices, with_mos_gm: bool, with_c: bool) -> bool {
-        let parts = PatternParts::build(mats, with_mos_gm, with_c);
-        if parts.a.structure() != self.a.structure() {
+    pub fn rebind(&mut self, mna: &MnaSystem, with_mos_gm: bool, with_c: bool) -> bool {
+        let parts = PatternParts::build(mna, with_mos_gm, with_c);
+        if parts.a.structure() != self.parts.a.structure() {
             return false;
         }
-        self.a = parts.a;
-        self.base_vals = parts.base_vals;
-        self.c_sites = parts.c_sites;
-        self.nl_sites = parts.nl_sites;
-        self.mos_sites = parts.mos_sites;
+        self.parts = parts;
         true
     }
 
@@ -247,7 +206,7 @@ impl AssemblyWorkspace {
     /// matrix, returning an error for a scheduled singular pivot.
     fn apply_faults(&mut self) -> nanosim_numeric::Result<()> {
         if let Some(plan) = &mut self.fault {
-            let action = plan.advance(&mut self.a);
+            let action = plan.advance(&mut self.parts.a);
             if let Some(pivot) = action.singular_pivot {
                 return Err(nanosim_numeric::NumericError::SingularMatrix { pivot });
             }
@@ -261,25 +220,28 @@ impl AssemblyWorkspace {
     /// Starts a fresh assembly: resets the matrix values to the linear part
     /// of `G` (device and C slots back to zero).
     pub fn begin(&mut self) {
-        self.a.values_mut().copy_from_slice(&self.base_vals);
+        self.parts
+            .a
+            .values_mut()
+            .copy_from_slice(&self.parts.base_vals);
     }
 
     /// Adds conductance `g` across nonlinear binding `i`'s terminals.
     pub fn stamp_nonlinear(&mut self, i: usize, g: f64) {
-        Self::stamp_cond(self.a.values_mut(), &self.nl_sites[i], g);
+        Self::stamp_cond(self.parts.a.values_mut(), &self.parts.nl_sites[i], g);
     }
 
     /// Adds conductance `g` across MOSFET `k`'s drain–source terminals.
     pub fn stamp_mosfet_cond(&mut self, k: usize, g: f64) {
-        let sites = self.mos_sites[k].cond;
-        Self::stamp_cond(self.a.values_mut(), &sites, g);
+        let sites = self.parts.mos_sites[k].cond;
+        Self::stamp_cond(self.parts.a.values_mut(), &sites, g);
     }
 
     /// Adds the Newton transconductance stamps of MOSFET `k` (requires the
     /// workspace to have been built `with_mos_gm`).
     pub fn stamp_mosfet_gm(&mut self, k: usize, gm: f64) {
-        let sites = self.mos_sites[k];
-        let vals = self.a.values_mut();
+        let sites = self.parts.mos_sites[k];
+        let vals = self.parts.a.values_mut();
         if let Some(p) = sites.dg {
             vals[p] += gm;
         }
@@ -316,40 +278,40 @@ impl AssemblyWorkspace {
     /// only by branch-current constraints) are skipped, which is safe: the
     /// shunt is a regularization aid, not a correctness requirement.
     pub fn stamp_diag_shunt(&mut self, rows: usize, g: f64) {
-        for r in 0..rows.min(self.a.rows()) {
-            if let Some(p) = self.a.position(r, r) {
-                self.a.values_mut()[p] += g;
+        for r in 0..rows.min(self.parts.a.rows()) {
+            if let Some(p) = self.parts.a.position(r, r) {
+                self.parts.a.values_mut()[p] += g;
             }
         }
     }
 
     /// Adds `C/h` over the merged C pattern (requires `with_c`).
     pub fn add_c_over_h(&mut self, h: f64, flops: &mut FlopCounter) {
-        let vals = self.a.values_mut();
-        for &(s, c) in &self.c_sites {
+        let vals = self.parts.a.values_mut();
+        for &(s, c) in &self.parts.c_sites {
             vals[s] += c / h;
         }
-        flops.div(self.c_sites.len() as u64);
+        flops.div(self.parts.c_sites.len() as u64);
     }
 
     /// Scales every assembled value by `alpha` (trapezoidal's `G/2`).
     pub fn scale_values(&mut self, alpha: f64, flops: &mut FlopCounter) {
-        for v in self.a.values_mut() {
+        for v in self.parts.a.values_mut() {
             *v *= alpha;
         }
-        flops.mul(self.a.nnz() as u64);
+        flops.mul(self.parts.a.nnz() as u64);
     }
 
     /// The assembled matrix (for matvec products against the current state).
     pub fn matrix(&self) -> &CsrMatrix {
-        &self.a
+        &self.parts.a
     }
 
     /// Snapshots the assembled values into `out` (e.g. the G-only values
     /// before `C/h` is added).
     pub fn snapshot_values(&self, out: &mut Vec<f64>) {
         out.clear();
-        out.extend_from_slice(self.a.values());
+        out.extend_from_slice(self.parts.a.values());
     }
 
     /// Accumulates `y += alpha · A(vals)·x` where `vals` is a value snapshot
@@ -362,7 +324,7 @@ impl AssemblyWorkspace {
         y: &mut [f64],
         flops: &mut FlopCounter,
     ) {
-        let (row_ptr, col_idx) = self.a.structure();
+        let (row_ptr, col_idx) = self.parts.a.structure();
         debug_assert_eq!(vals.len(), col_idx.len());
         for (r, yr) in y.iter_mut().enumerate() {
             let mut acc = 0.0;
@@ -377,7 +339,7 @@ impl AssemblyWorkspace {
     /// Per-row sums of `|A(vals)|` over the first `out.len()` rows (the RC
     /// time-step constraint of the SWEC controller).
     pub fn row_abs_sums(&self, vals: &[f64], out: &mut [f64]) {
-        let (row_ptr, _) = self.a.structure();
+        let (row_ptr, _) = self.parts.a.structure();
         for (r, o) in out.iter_mut().enumerate() {
             let mut acc = 0.0;
             for p in row_ptr[r]..row_ptr[r + 1] {
@@ -399,7 +361,7 @@ impl AssemblyWorkspace {
         flops: &mut FlopCounter,
     ) -> nanosim_numeric::Result<()> {
         self.apply_faults()?;
-        self.solver.solve_into(&self.a, rhs, x, flops)
+        self.solver.solve_into(&self.parts.a, rhs, x, flops)
     }
 
     /// Batched variant of [`AssemblyWorkspace::factor_solve`]: one factor
@@ -420,7 +382,8 @@ impl AssemblyWorkspace {
         flops: &mut FlopCounter,
     ) -> nanosim_numeric::Result<()> {
         self.apply_faults()?;
-        self.solver.solve_many_into(&self.a, rhs, nrhs, x, flops)
+        self.solver
+            .solve_many_into(&self.parts.a, rhs, nrhs, x, flops)
     }
 
     /// Cumulative sparse-LU telemetry of the embedded solver: factor /
@@ -522,6 +485,23 @@ pub(crate) fn sweep_points(start: f64, stop: f64, step: f64) -> crate::Result<us
     Ok(n as usize)
 }
 
+/// Checks a sweep of `source` from `start` to `stop` in increments of
+/// `step` against the system, and returns its point count.
+///
+/// # Errors
+/// As [`sweep_points`] and [`require_sweepable_source`].
+pub(crate) fn checked_sweep_points(
+    mna: &MnaSystem,
+    source: &str,
+    start: f64,
+    stop: f64,
+    step: f64,
+) -> crate::Result<usize> {
+    let n_points = sweep_points(start, stop, step)?;
+    require_sweepable_source(mna, source)?;
+    Ok(n_points)
+}
+
 /// Charges the whole result of an `n_points` DC sweep — the axis plus every
 /// [`sweep_columns`] column — to `meter`'s byte budget. Engines call this
 /// before allocating any per-point buffer, so a budget too small for the
@@ -607,7 +587,7 @@ pub(crate) fn require_sweepable_source(mna: &MnaSystem, source: &str) -> crate::
 /// decks are case-insensitive, so `.dc v1 ...` must find `V1`). Shared by
 /// [`require_sweepable_source`] and [`override_source_rhs`] so validation
 /// and the per-point override always resolve the same element.
-fn find_element_index(circuit: &nanosim_circuit::Circuit, name: &str) -> Option<usize> {
+fn find_element_index(circuit: &Circuit, name: &str) -> Option<usize> {
     circuit
         .elements()
         .iter()
@@ -673,11 +653,11 @@ mod tests {
 
     #[test]
     fn matrices_have_consistent_shapes() {
-        let m = CircuitMatrices::new(&divider()).unwrap();
-        assert_eq!(m.mna.dim(), 3);
-        assert_eq!(m.mna.linear_g().rows(), 3);
-        assert_eq!(m.c_csr.rows(), 3);
-        assert_eq!(m.c_csr.get(1, 1), 1e-12);
+        let m = MnaSystem::new(&divider()).unwrap();
+        assert_eq!(m.dim(), 3);
+        assert_eq!(m.linear_g().rows(), 3);
+        assert_eq!(m.c_matrix().rows(), 3);
+        assert_eq!(m.c_matrix().get(1, 1), 1e-12);
     }
 
     #[test]
@@ -724,29 +704,29 @@ mod tests {
     #[test]
     fn override_voltage_source() {
         let ckt = divider();
-        let m = CircuitMatrices::new(&ckt).unwrap();
+        let m = MnaSystem::new(&ckt).unwrap();
         let mut rhs = vec![0.0; 3];
-        m.mna.stamp_rhs(0.0, &mut rhs);
+        m.stamp_rhs(0.0, &mut rhs);
         assert_eq!(rhs[2], 1.0);
-        assert!(override_source_rhs(&m.mna, "V1", 2.5, 0.0, &mut rhs));
+        assert!(override_source_rhs(&m, "V1", 2.5, 0.0, &mut rhs));
         assert_eq!(rhs[2], 2.5);
-        assert!(!override_source_rhs(&m.mna, "R1", 2.5, 0.0, &mut rhs));
-        assert!(!override_source_rhs(&m.mna, "nope", 2.5, 0.0, &mut rhs));
+        assert!(!override_source_rhs(&m, "R1", 2.5, 0.0, &mut rhs));
+        assert!(!override_source_rhs(&m, "nope", 2.5, 0.0, &mut rhs));
     }
 
     #[test]
     fn sweep_source_resolution_is_case_insensitive() {
         let ckt = divider();
-        let m = CircuitMatrices::new(&ckt).unwrap();
-        assert!(require_sweepable_source(&m.mna, "V1").is_ok());
-        assert!(require_sweepable_source(&m.mna, "v1").is_ok());
-        assert!(require_sweepable_source(&m.mna, "V9").is_err());
+        let m = MnaSystem::new(&ckt).unwrap();
+        assert!(require_sweepable_source(&m, "V1").is_ok());
+        assert!(require_sweepable_source(&m, "v1").is_ok());
+        assert!(require_sweepable_source(&m, "V9").is_err());
         // Passives are not sweepable, whatever the case.
-        assert!(require_sweepable_source(&m.mna, "r1").is_err());
+        assert!(require_sweepable_source(&m, "r1").is_err());
         // The per-point override resolves the same element.
         let mut rhs = vec![0.0; 3];
-        m.mna.stamp_rhs(0.0, &mut rhs);
-        assert!(override_source_rhs(&m.mna, "v1", 2.5, 0.0, &mut rhs));
+        m.stamp_rhs(0.0, &mut rhs);
+        assert!(override_source_rhs(&m, "v1", 2.5, 0.0, &mut rhs));
         assert_eq!(rhs[2], 2.5);
     }
 
@@ -761,19 +741,19 @@ mod tests {
         ckt.add_vcvs("E1", b, Circuit::GROUND, a, Circuit::GROUND, 2.0)
             .unwrap();
         ckt.add_resistor("RL", b, Circuit::GROUND, 1e3).unwrap();
-        let m = CircuitMatrices::new(&ckt).unwrap();
-        let err = require_sweepable_source(&m.mna, "E1").unwrap_err();
+        let m = MnaSystem::new(&ckt).unwrap();
+        let err = require_sweepable_source(&m, "E1").unwrap_err();
         assert!(err.to_string().contains("independent"), "{err}");
     }
 
     #[test]
     fn armed_faults_fire_once_then_clear() {
-        let m = CircuitMatrices::new(&divider()).unwrap();
+        let m = MnaSystem::new(&divider()).unwrap();
         let mut ws = AssemblyWorkspace::new(&m, false, false, OrderingChoice::default());
         ws.arm_faults(FaultPlan::new().with_singular_pivot(0, 1));
         ws.begin();
         let mut rhs = vec![0.0; 3];
-        m.mna.stamp_rhs(0.0, &mut rhs);
+        m.stamp_rhs(0.0, &mut rhs);
         let mut x = Vec::new();
         let mut flops = FlopCounter::new();
         let err = ws.factor_solve(&rhs, &mut x, &mut flops).unwrap_err();
@@ -795,7 +775,7 @@ mod tests {
 
     #[test]
     fn diag_shunt_stamps_node_rows() {
-        let m = CircuitMatrices::new(&divider()).unwrap();
+        let m = MnaSystem::new(&divider()).unwrap();
         let mut ws = AssemblyWorkspace::new(&m, false, false, OrderingChoice::default());
         ws.begin();
         let before: Vec<f64> = (0..2).map(|i| ws.matrix().get(i, i)).collect();
@@ -807,11 +787,11 @@ mod tests {
 
     #[test]
     fn rebind_same_pattern_refactors_instead_of_reanalyzing() {
-        let m = CircuitMatrices::new(&divider()).unwrap();
+        let m = MnaSystem::new(&divider()).unwrap();
         let mut ws = AssemblyWorkspace::new(&m, false, false, OrderingChoice::default());
         ws.begin();
         let mut rhs = vec![0.0; 3];
-        m.mna.stamp_rhs(0.0, &mut rhs);
+        m.stamp_rhs(0.0, &mut rhs);
         let mut x = Vec::new();
         let mut flops = FlopCounter::new();
         ws.factor_solve(&rhs, &mut x, &mut flops).unwrap();
@@ -826,11 +806,11 @@ mod tests {
         ckt2.add_resistor("R1", a, b, 2e3).unwrap();
         ckt2.add_resistor("R2", b, Circuit::GROUND, 2e3).unwrap();
         ckt2.add_capacitor("C1", b, Circuit::GROUND, 2e-12).unwrap();
-        let m2 = CircuitMatrices::new(&ckt2).unwrap();
+        let m2 = MnaSystem::new(&ckt2).unwrap();
         assert!(ws.rebind(&m2, false, false));
         ws.begin();
         let mut rhs2 = vec![0.0; 3];
-        m2.mna.stamp_rhs(0.0, &mut rhs2);
+        m2.stamp_rhs(0.0, &mut rhs2);
         ws.factor_solve(&rhs2, &mut x, &mut flops).unwrap();
         let stats = ws.lu_stats();
         assert_eq!(stats.full_factors, 1, "rebind must not force a re-analysis");
@@ -843,7 +823,7 @@ mod tests {
         ckt3.add_voltage_source("V1", a3, Circuit::GROUND, SourceWaveform::dc(1.0))
             .unwrap();
         ckt3.add_resistor("R1", a3, Circuit::GROUND, 1e3).unwrap();
-        let m3 = CircuitMatrices::new(&ckt3).unwrap();
+        let m3 = MnaSystem::new(&ckt3).unwrap();
         assert!(!ws.rebind(&m3, false, false));
         ws.begin();
         ws.factor_solve(&rhs2, &mut x, &mut flops).unwrap();
@@ -857,11 +837,11 @@ mod tests {
         ckt.add_current_source("I1", a, Circuit::GROUND, SourceWaveform::dc(1e-3))
             .unwrap();
         ckt.add_resistor("R1", a, Circuit::GROUND, 1e3).unwrap();
-        let m = CircuitMatrices::new(&ckt).unwrap();
+        let m = MnaSystem::new(&ckt).unwrap();
         let mut rhs = vec![0.0; 1];
-        m.mna.stamp_rhs(0.0, &mut rhs);
+        m.stamp_rhs(0.0, &mut rhs);
         assert_eq!(rhs[0], -1e-3);
-        assert!(override_source_rhs(&m.mna, "I1", 3e-3, 0.0, &mut rhs));
+        assert!(override_source_rhs(&m, "I1", 3e-3, 0.0, &mut rhs));
         assert_eq!(rhs[0], -3e-3);
     }
 }

@@ -61,9 +61,7 @@
 //! state-space form. Drive the circuit with current sources; a Thevenin
 //! source becomes a Norton equivalent.
 
-use crate::assemble::{
-    branch_voltage, mna_var_names, mosfet_bias, whole_steps, AssemblyWorkspace, CircuitMatrices,
-};
+use crate::assemble::{branch_voltage, mna_var_names, mosfet_bias, whole_steps, AssemblyWorkspace};
 use crate::report::EngineStats;
 use crate::sim::{AnalysisKind, Axis, Dataset};
 use crate::{Result, SimError};
@@ -158,33 +156,6 @@ impl EmEngine {
         self
     }
 
-    /// The engine options.
-    pub fn options(&self) -> &EmOptions {
-        &self.opts
-    }
-
-    /// Checks the circuit satisfies the state-space restrictions and
-    /// returns its matrices.
-    fn prepare(&self, circuit: &Circuit) -> Result<CircuitMatrices> {
-        let mats = CircuitMatrices::new(circuit)?;
-        if mats.mna.num_branches() > 0 {
-            return Err(SimError::UnsupportedCircuit {
-                reason: "EM engine needs a pure state-space circuit: replace voltage sources \
-                         with Norton equivalents and remove inductors"
-                    .into(),
-            });
-        }
-        // Every node needs capacitance for C to be invertible.
-        let caps = mats.mna.node_capacitance();
-        if let Some(j) = caps.iter().position(|&c| c <= 0.0) {
-            let name = mna_var_names(&mats.mna)[j].clone();
-            return Err(SimError::UnsupportedCircuit {
-                reason: format!("node {name} has no capacitance; C must be nonsingular"),
-            });
-        }
-        Ok(mats)
-    }
-
     /// Runs the Monte-Carlo ensemble from `t = 0` in whole steps of
     /// [`EmOptions::dt`], never past `horizon`, distributing paths over
     /// [`EmOptions::threads`] workers. Statistics stream through
@@ -200,6 +171,16 @@ impl EmEngine {
     /// # Errors
     /// Fails on unsupported circuits, invalid options or singular matrices.
     pub fn run(&self, circuit: &Circuit, horizon: f64) -> Result<Dataset> {
+        self.check_run(horizon)?;
+        self.run_mna(&MnaSystem::new(circuit)?, horizon)
+    }
+
+    /// Checks the options of an ensemble run to `horizon`.
+    ///
+    /// # Errors
+    /// [`SimError::InvalidConfig`] for a step outside `0 < dt < horizon`,
+    /// no paths, or a spread outside `0 <= s < 1`.
+    pub(crate) fn check_run(&self, horizon: f64) -> Result<()> {
         if !(self.opts.dt > 0.0 && horizon > self.opts.dt) {
             return Err(SimError::InvalidConfig {
                 context: format!(
@@ -221,9 +202,15 @@ impl EmEngine {
                 ),
             });
         }
+        Ok(())
+    }
+
+    /// [`EmEngine::run`] on a built system, with options checked by
+    /// [`EmEngine::check_run`].
+    pub(crate) fn run_mna(&self, mna: &MnaSystem, horizon: f64) -> Result<Dataset> {
         let t0 = Instant::now();
-        let mats = self.prepare(circuit)?;
-        let dim = mats.mna.dim();
+        check_state_space(mna)?;
+        let dim = mna.dim();
         // Never integrate past the horizon: a dt that does not divide it
         // stops at the last whole step before it.
         let steps = whole_steps(horizon, self.opts.dt) as usize;
@@ -248,7 +235,7 @@ impl EmEngine {
         // seed-derived stream so enabling it never perturbs the noise RNGs.
         let variation = if self.opts.param_spread > 0.0 {
             Some(PathVariation::build(
-                &mats.c_csr,
+                mna.c_matrix(),
                 paths,
                 self.opts.param_spread,
                 self.opts.seed,
@@ -261,7 +248,7 @@ impl EmEngine {
         // With per-path spread each chunk instead factors its own paths' C
         // matrices (see `simulate_chunk`).
         let c_lu = if variation.is_none() {
-            Some(SparseLu::factor(&mats.c_csr, &mut flops)?)
+            Some(SparseLu::factor(mna.c_matrix(), &mut flops)?)
         } else {
             None
         };
@@ -272,13 +259,16 @@ impl EmEngine {
         let mut rng = Pcg64::seed_from_u64(self.opts.seed);
         let path_rngs: Vec<Pcg64> = (0..paths).map(|_| rng.split()).collect();
 
+        // One pattern and set of scatter maps for every chunk's block.
+        let template = AssemblyWorkspace::new(mna, false, false, OrderingChoice::default());
         let n_chunks = paths.div_ceil(PATH_CHUNK);
         let chunk_meter = &run_meter;
         let chunks = try_par_map(n_chunks, self.opts.threads, |ci| {
             let lo = ci * PATH_CHUNK;
             let hi = paths.min(lo + PATH_CHUNK);
             self.simulate_chunk(
-                &mats,
+                mna,
+                &template,
                 c_lu.as_ref(),
                 steps,
                 &path_rngs[lo..hi],
@@ -309,7 +299,7 @@ impl EmEngine {
         let columns = envelope(MomentBlock::mean)
             .chain(envelope(MomentBlock::std_dev))
             .collect();
-        let mut names = mna_var_names(&mats.mna);
+        let mut names = mna_var_names(mna);
         let std_names: Vec<String> = names.iter().map(|n| format!("std({n})")).collect();
         names.extend(std_names);
 
@@ -336,8 +326,9 @@ impl EmEngine {
     /// circuit's noise sources.
     pub fn run_with_paths(&self, circuit: &Circuit, wieners: &[WienerPath]) -> Result<Dataset> {
         let t0 = Instant::now();
-        let mats = self.prepare(circuit)?;
-        let noise_count = mats.mna.noise_bindings().len();
+        let mna = MnaSystem::new(circuit)?;
+        check_state_space(&mna)?;
+        let noise_count = mna.noise_bindings().len();
         if wieners.len() != noise_count {
             return Err(SimError::InvalidConfig {
                 context: format!(
@@ -366,17 +357,18 @@ impl EmEngine {
         }
         let mut stats = EngineStats::new();
         let mut flops = FlopCounter::new();
-        let dim = mats.mna.dim();
+        let dim = mna.dim();
         let mut run_meter = self.meter.fork();
         run_meter
             .charge_bytes(8 * (steps as u64 + 1) * (1 + dim as u64))
             .map_err(|stop| {
                 SimError::budget_exceeded(stop, format!("em realization of {steps} steps"))
             })?;
-        let c_lu = SparseLu::factor(&mats.c_csr, &mut flops)?;
+        let c_lu = SparseLu::factor(mna.c_matrix(), &mut flops)?;
         let factors = Factors::PerPath(std::slice::from_ref(&c_lu));
         // The ensemble's kernel with one nominal path.
-        let mut block = PathBlock::new(&mats, vec![1.0], dt, self.opts.gmin);
+        let ws = AssemblyWorkspace::new(&mna, false, false, OrderingChoice::default());
+        let mut block = PathBlock::new(&mna, ws, vec![1.0], dt, self.opts.gmin);
         let mut columns: Vec<Vec<f64>> = block.x.iter().map(|&x| vec![x]).collect();
         let mut times = vec![0.0];
         for k in 0..steps {
@@ -387,7 +379,7 @@ impl EmEngine {
             for (dw, w) in block.dws.iter_mut().zip(wieners.iter()) {
                 *dw = w.increment(k);
             }
-            block.step(&mats.mna, factors, t, &mut stats, &mut flops)?;
+            block.step(&mna, factors, t, &mut stats, &mut flops)?;
             times.push(t + dt);
             for (c, &x) in columns.iter_mut().zip(&block.x) {
                 c.push(x);
@@ -400,7 +392,7 @@ impl EmEngine {
             AnalysisKind::Tran,
             "em",
             Axis::Time(times),
-            mna_var_names(&mats.mna),
+            mna_var_names(&mna),
             columns,
             stats,
         ))
@@ -423,9 +415,11 @@ impl EmEngine {
     /// matrix once, gives every path a values-only refactor of that
     /// template with its own values, and each step solves every path
     /// against its own factors — no refactor per path switch.
+    #[allow(clippy::too_many_arguments)]
     fn simulate_chunk(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
+        template: &AssemblyWorkspace,
         c_lu: Option<&SparseLu>,
         steps: usize,
         path_rngs: &[Pcg64],
@@ -433,7 +427,7 @@ impl EmEngine {
         variation: Option<&PathVariation>,
         meter: &BudgetMeter,
     ) -> Result<ChunkStats> {
-        let dim = mats.mna.dim();
+        let dim = mna.dim();
         let npaths = path_rngs.len();
         let sqrt_dt = self.opts.dt.sqrt();
         let mut stats = EngineStats::new();
@@ -445,7 +439,7 @@ impl EmEngine {
         let path_lus = match variation {
             Some(var) => {
                 let before = flops.total();
-                let mut path_c = mats.c_csr.clone();
+                let mut path_c = mna.c_matrix().clone();
                 path_c.values_mut().copy_from_slice(var.path_c(lo));
                 let template = SparseLu::factor_ordered(
                     &path_c,
@@ -471,10 +465,11 @@ impl EmEngine {
                 (Factors::PerPath(lus), var.g_scale[lo..lo + npaths].to_vec())
             }
             (None, Some(lu), _) => (Factors::Batched(lu), vec![1.0; npaths]),
-            _ => unreachable!("run() factors C when no per-path variation is set"),
+            _ => unreachable!("run_mna() factors C when no per-path variation is set"),
         };
-        let mut block = PathBlock::new(mats, g_scale, self.opts.dt, self.opts.gmin);
-        let noise = mats.mna.noise_bindings().len();
+        let mut block =
+            PathBlock::new(mna, template.clone(), g_scale, self.opts.dt, self.opts.gmin);
+        let noise = mna.noise_bindings().len();
         let mut rngs: Vec<Pcg64> = path_rngs.to_vec();
         let mut moments = MomentBlock::new(dim * (steps + 1));
         // Every path starts at `x = 0`, which is also its first maximum.
@@ -495,7 +490,7 @@ impl EmEngine {
                 }
             }
             let t = k as f64 * self.opts.dt;
-            block.step(&mats.mna, factors, t, &mut stats, &mut flops)?;
+            block.step(mna, factors, t, &mut stats, &mut flops)?;
             let row = (k + 1) * dim;
             for (p, (x, mv)) in block
                 .x
@@ -521,6 +516,30 @@ impl EmEngine {
             stats,
         })
     }
+}
+
+/// Checks that `mna` satisfies the EM engine's state-space restrictions.
+///
+/// # Errors
+/// [`SimError::UnsupportedCircuit`] for a branch-current unknown or a node
+/// without capacitance.
+fn check_state_space(mna: &MnaSystem) -> Result<()> {
+    if mna.num_branches() > 0 {
+        return Err(SimError::UnsupportedCircuit {
+            reason: "EM engine needs a pure state-space circuit: replace voltage sources \
+                     with Norton equivalents and remove inductors"
+                .into(),
+        });
+    }
+    // Every node needs capacitance for C to be invertible.
+    let caps = mna.node_capacitance();
+    if let Some(j) = caps.iter().position(|&c| c <= 0.0) {
+        let name = mna_var_names(mna)[j].clone();
+        return Err(SimError::UnsupportedCircuit {
+            reason: format!("node {name} has no capacitance; C must be nonsingular"),
+        });
+    }
+    Ok(())
 }
 
 /// Per-path parameter realizations for [`EmOptions::param_spread`]: the
@@ -631,17 +650,21 @@ struct PathBlock {
 }
 
 impl PathBlock {
-    /// A block of `g_scale.len()` paths at `x = 0`, stepping by `dt`. A
-    /// circuit without nonlinear devices or MOSFETs has its `G` assembled
-    /// here, once.
-    fn new(mats: &CircuitMatrices, g_scale: Vec<f64>, dt: f64, gmin: f64) -> Self {
-        let mna = &mats.mna;
+    /// A block of `g_scale.len()` paths at `x = 0`, stepping by `dt` and
+    /// assembling `G` in `ws`, a no-C workspace of `mna`. A circuit without
+    /// nonlinear devices or MOSFETs has its `G` assembled here, once.
+    fn new(
+        mna: &MnaSystem,
+        mut ws: AssemblyWorkspace,
+        g_scale: Vec<f64>,
+        dt: f64,
+        gmin: f64,
+    ) -> Self {
         let (dim, npaths) = (mna.dim(), g_scale.len());
         assert!(
             npaths <= PATH_CHUNK,
             "{npaths} paths in a block of {PATH_CHUNK} lanes"
         );
-        let mut ws = AssemblyWorkspace::new(mats, false, false, OrderingChoice::default());
         ws.begin();
         let linear = mna.nonlinear_bindings().is_empty() && mna.mosfet_bindings().is_empty();
         let g_vals = if linear {

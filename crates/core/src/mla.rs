@@ -22,7 +22,7 @@
 use crate::nr::{FailurePolicy, NrEngine, NrOptions, NrSweepResult, NrTransientResult};
 use crate::sim::Dataset;
 use crate::{Result, SimError};
-use nanosim_circuit::Circuit;
+use nanosim_circuit::{Circuit, MnaSystem};
 
 /// Options of the MLA baseline.
 #[derive(Debug, Clone, PartialEq)]
@@ -123,36 +123,26 @@ impl MlaEngine {
         stop: f64,
         step: f64,
     ) -> Result<Dataset> {
-        let r: NrSweepResult = self
-            .inner
-            .run_dc_sweep(circuit, source, start, stop, step)?;
-        if r.failures() > 0 {
-            // Pinpoint the first failing point so the sweep can be triaged
-            // without re-running it.
-            let idx = r
-                .outcomes
-                .iter()
-                .position(|o| !o.is_converged())
-                .unwrap_or(0);
-            let value = r.sweep.axis_values().get(idx).copied();
-            let at = value.unwrap_or(start);
-            let fx = crate::error::Forensics {
-                point_index: Some(idx),
-                sweep_value: value,
-                ..crate::error::Forensics::default()
-            };
-            return Err(SimError::non_convergence_with(
-                at,
-                format!(
-                    "MLA failed on {} of {} points (first at point {})",
-                    r.failures(),
-                    r.outcomes.len(),
-                    idx
-                ),
-                fx,
-            ));
-        }
-        Ok(r.sweep)
+        converged(
+            self.inner
+                .run_dc_sweep(circuit, source, start, stop, step)?,
+        )
+    }
+
+    /// [`MlaEngine::run_dc_sweep`] on a built system (see
+    /// [`NrEngine::run_dc_sweep_mna`]).
+    pub(crate) fn run_dc_sweep_mna(
+        &self,
+        mna: &MnaSystem,
+        source: &str,
+        start: f64,
+        step: f64,
+        n_points: usize,
+    ) -> Result<Dataset> {
+        converged(
+            self.inner
+                .run_dc_sweep_mna(mna, source, start, step, n_points)?,
+        )
     }
 
     /// Transient analysis with automatic step reduction
@@ -168,6 +158,42 @@ impl MlaEngine {
     ) -> Result<NrTransientResult> {
         self.inner.run_transient(circuit, tstep, tstop)
     }
+
+    /// [`MlaEngine::run_transient`] on a built system (see
+    /// [`NrEngine::run_transient_mna`]).
+    pub(crate) fn run_transient_mna(
+        &self,
+        mna: &MnaSystem,
+        tstep: f64,
+        tstop: f64,
+    ) -> Result<NrTransientResult> {
+        self.inner.run_transient_mna(mna, tstep, tstop)
+    }
+}
+
+/// The sweep of an MLA run, or a [`SimError::NonConvergence`] pinpointing
+/// its first failed point: MLA is expected to converge everywhere.
+fn converged(r: NrSweepResult) -> Result<Dataset> {
+    let Some(idx) = r.outcomes.iter().position(|o| !o.is_converged()) else {
+        return Ok(r.sweep);
+    };
+    // Every outcome has its sweep value.
+    let at = r.sweep.axis_values()[idx];
+    let fx = crate::error::Forensics {
+        point_index: Some(idx),
+        sweep_value: Some(at),
+        ..crate::error::Forensics::default()
+    };
+    Err(SimError::non_convergence_with(
+        at,
+        format!(
+            "MLA failed on {} of {} points (first at point {})",
+            r.failures(),
+            r.outcomes.len(),
+            idx
+        ),
+        fx,
+    ))
 }
 
 #[cfg(test)]

@@ -20,7 +20,6 @@
 use crate::assemble::{
     branch_voltage, charge_sweep, check_transient_window, mna_var_names, mosfet_bias,
     override_source_rhs, require_sweepable_source, sweep_columns, sweep_points, AssemblyWorkspace,
-    CircuitMatrices,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
@@ -237,19 +236,33 @@ impl NrEngine {
         step: f64,
     ) -> Result<NrSweepResult> {
         let n_points = sweep_points(start, stop, step)?;
+        let mna = MnaSystem::new(circuit)?;
+        require_sweepable_source(&mna, source)?;
+        self.run_dc_sweep_mna(&mna, source, start, step, n_points)
+    }
+
+    /// [`NrEngine::run_dc_sweep`] on a built system: `n_points` points of
+    /// `source` from `start` in increments of `step`, as checked by
+    /// [`crate::assemble::checked_sweep_points`].
+    pub(crate) fn run_dc_sweep_mna(
+        &self,
+        mna: &MnaSystem,
+        source: &str,
+        start: f64,
+        step: f64,
+        n_points: usize,
+    ) -> Result<NrSweepResult> {
         let t0 = Instant::now();
-        let mats = CircuitMatrices::new(circuit)?;
-        require_sweepable_source(&mats.mna, source)?;
         // The result shape is known up front: charge it all before any work.
         let mut run_meter = self.meter.fork();
-        charge_sweep(&mut run_meter, &mats.mna, n_points)?;
+        charge_sweep(&mut run_meter, mna, n_points)?;
         let mut stats = EngineStats::new();
-        let mut ws = AssemblyWorkspace::new(&mats, true, true, OrderingChoice::default());
+        let mut ws = AssemblyWorkspace::new(mna, true, true, OrderingChoice::default());
         let mut sweep = Vec::with_capacity(n_points);
         let mut solutions = Vec::with_capacity(n_points);
         let mut outcomes = Vec::with_capacity(n_points);
 
-        let mut x = vec![0.0; mats.mna.dim()];
+        let mut x = vec![0.0; mna.dim()];
         for k in 0..n_points {
             run_meter
                 .checkpoint()
@@ -262,12 +275,12 @@ impl NrEngine {
                 // Current/source stepping from zero at every point, as the
                 // MLA description in [1] prescribes.
                 let ramp = self.opts.source_steps.max(1);
-                let mut xs = vec![0.0; mats.mna.dim()];
+                let mut xs = vec![0.0; mna.dim()];
                 let mut oc = NrOutcome::MaxIterations;
                 for s in 1..=ramp {
                     let v = value * s as f64 / ramp as f64;
                     let (xi, oi) = self.solve_dc_ws(
-                        &mats,
+                        mna,
                         &mut ws,
                         Some((source, v)),
                         &xs,
@@ -285,7 +298,7 @@ impl NrEngine {
                 (xs, oc)
             } else {
                 self.solve_dc_ws(
-                    &mats,
+                    mna,
                     &mut ws,
                     Some((source, value)),
                     &x,
@@ -306,7 +319,7 @@ impl NrEngine {
                     let frac = s as f64 / self.opts.source_steps as f64;
                     let v = prev + (value - prev) * frac;
                     let (xi, oi) = self.solve_dc_ws(
-                        &mats,
+                        mna,
                         &mut ws,
                         Some((source, v)),
                         &xs,
@@ -333,7 +346,7 @@ impl NrEngine {
             solutions.push(x.clone());
             stats.steps += 1;
         }
-        let (names, columns) = sweep_columns(&mats.mna, &solutions, &mut stats.flops);
+        let (names, columns) = sweep_columns(mna, &solutions, &mut stats.flops);
         stats.absorb_lu(&LuStats::default(), &ws.lu_stats());
         stats.elapsed = t0.elapsed();
         let axis = Axis::Sweep {
@@ -359,19 +372,28 @@ impl NrEngine {
         tstop: f64,
     ) -> Result<NrTransientResult> {
         check_transient_window(tstep, tstop)?;
+        self.run_transient_mna(&MnaSystem::new(circuit)?, tstep, tstop)
+    }
+
+    /// [`NrEngine::run_transient`] on a built system, for a window checked
+    /// by [`crate::assemble::check_transient_window`].
+    pub(crate) fn run_transient_mna(
+        &self,
+        mna: &MnaSystem,
+        tstep: f64,
+        tstop: f64,
+    ) -> Result<NrTransientResult> {
         let t0 = Instant::now();
-        let mats = CircuitMatrices::new(circuit)?;
-        let mna = &mats.mna;
         let dim = mna.dim();
         let mut stats = EngineStats::new();
-        let mut ws = AssemblyWorkspace::new(&mats, true, true, OrderingChoice::default());
+        let mut ws = AssemblyWorkspace::new(mna, true, true, OrderingChoice::default());
 
         let mut run_meter = self.meter.fork();
 
         // DC operating point at t = 0 (with source stepping as fallback).
         let mut op_meter = run_meter.fork();
         let (mut x, op_outcome) = self.solve_dc_ws(
-            &mats,
+            mna,
             &mut ws,
             None,
             &vec![0.0; dim],
@@ -387,7 +409,7 @@ impl NrEngine {
                 let scale = s as f64 / steps as f64;
                 let mut sm = run_meter.fork();
                 let (xi, _) = self.solve_dc_ws(
-                    &mats,
+                    mna,
                     &mut ws,
                     None,
                     &xs,
@@ -413,7 +435,7 @@ impl NrEngine {
             loop {
                 let mut sm = run_meter.fork();
                 let (x_new, outcome) =
-                    self.solve_transient_step(&mats, &mut ws, &x, t, h, &mut stats, &mut sm)?;
+                    self.solve_transient_step(mna, &mut ws, &x, t, h, &mut stats, &mut sm)?;
                 if outcome.is_converged() {
                     x = x_new;
                     break;
@@ -478,14 +500,14 @@ impl NrEngine {
     /// [`SimError::NonConvergence`] with the trace attached as forensics.
     pub fn solve_op_rescued(&self, circuit: &Circuit) -> Result<NrRescuedOp> {
         let t0 = Instant::now();
-        let mats = CircuitMatrices::new(circuit)?;
-        let dim = mats.mna.dim();
-        let mut ws = AssemblyWorkspace::new(&mats, true, true, OrderingChoice::default());
+        let mna = MnaSystem::new(circuit)?;
+        let dim = mna.dim();
+        let mut ws = AssemblyWorkspace::new(&mna, true, true, OrderingChoice::default());
         let mut stats = EngineStats::new();
         let meter = self.meter.fork();
         let zeros = vec![0.0; dim];
         let (x0, outcome) = self.solve_dc_ws(
-            &mats,
+            &mna,
             &mut ws,
             None,
             &zeros,
@@ -516,7 +538,7 @@ impl NrEngine {
                 |_, x0, shunt, source_scale, stats| {
                     let (x, outcome) = damped
                         .solve_dc_ws(
-                            &mats,
+                            &mna,
                             &mut ws,
                             None,
                             x0,
@@ -559,7 +581,7 @@ impl NrEngine {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_dc_ws(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         ws: &mut AssemblyWorkspace,
         override_src: Option<(&str, f64)>,
         x0: &[f64],
@@ -568,7 +590,7 @@ impl NrEngine {
         stats: &mut EngineStats,
         meter: &mut BudgetMeter,
     ) -> Result<(Vec<f64>, NrOutcome)> {
-        self.newton_loop(mats, ws, x0, shunt, stats, meter, |mna, rhs, flops| {
+        self.newton_loop(mna, ws, x0, shunt, stats, meter, |mna, rhs, flops| {
             mna.stamp_rhs(0.0, rhs);
             if let Some((name, value)) = override_src {
                 override_source_rhs(mna, name, value, 0.0, rhs);
@@ -587,7 +609,7 @@ impl NrEngine {
     #[allow(clippy::too_many_arguments)]
     fn solve_transient_step(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         ws: &mut AssemblyWorkspace,
         x_prev: &[f64],
         t: f64,
@@ -595,10 +617,10 @@ impl NrEngine {
         stats: &mut EngineStats,
         meter: &mut BudgetMeter,
     ) -> Result<(Vec<f64>, NrOutcome)> {
-        self.newton_loop(mats, ws, x_prev, None, stats, meter, |mna, rhs, flops| {
+        self.newton_loop(mna, ws, x_prev, None, stats, meter, |mna, rhs, flops| {
             mna.stamp_rhs(t + h, rhs);
             // rhs += (C/h) x_prev; the matrix side adds C/h stamps.
-            mats.c_csr
+            mna.c_matrix()
                 .matvec_acc(1.0 / h, x_prev, rhs, flops)
                 .expect("shape checked at construction");
             Some(h)
@@ -620,7 +642,7 @@ impl NrEngine {
     #[allow(clippy::too_many_arguments)]
     fn newton_loop<F>(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         ws: &mut AssemblyWorkspace,
         x0: &[f64],
         shunt: Option<(f64, &[f64])>,
@@ -631,7 +653,6 @@ impl NrEngine {
     where
         F: Fn(&MnaSystem, &mut [f64], &mut FlopCounter) -> Option<f64>,
     {
-        let mna = &mats.mna;
         let dim = mna.dim();
         let mut flops = FlopCounter::new();
         let mut x = x0.to_vec();
@@ -840,16 +861,16 @@ mod tests {
     /// One Newton DC solve from a zero start on a fresh workspace.
     fn solve_dc(
         engine: &NrEngine,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         override_src: Option<(&str, f64)>,
         stats: &mut EngineStats,
     ) -> (Vec<f64>, NrOutcome) {
-        let mut ws = AssemblyWorkspace::new(mats, true, true, OrderingChoice::default());
-        let x0 = vec![0.0; mats.mna.dim()];
+        let mut ws = AssemblyWorkspace::new(mna, true, true, OrderingChoice::default());
+        let x0 = vec![0.0; mna.dim()];
         let mut meter = BudgetMeter::unlimited();
         engine
             .solve_dc_ws(
-                mats,
+                mna,
                 &mut ws,
                 override_src,
                 &x0,
@@ -887,9 +908,9 @@ mod tests {
 
     #[test]
     fn diode_dc_converges() {
-        let mats = CircuitMatrices::new(&diode_divider()).unwrap();
+        let mna = MnaSystem::new(&diode_divider()).unwrap();
         let mut stats = EngineStats::new();
-        let (x, outcome) = solve_dc(&engine(), &mats, None, &mut stats);
+        let (x, outcome) = solve_dc(&engine(), &mna, None, &mut stats);
         match outcome {
             NrOutcome::Converged { iterations } => assert!(iterations < 60),
             other => panic!("unexpected {other:?}"),
@@ -908,18 +929,18 @@ mod tests {
         ckt.add_voltage_source("V1", a, Circuit::GROUND, SourceWaveform::dc(1.0))
             .unwrap();
         ckt.add_resistor("R1", a, Circuit::GROUND, 1e3).unwrap();
-        let mats = CircuitMatrices::new(&ckt).unwrap();
+        let mna = MnaSystem::new(&ckt).unwrap();
         let mut stats = EngineStats::new();
-        let (x, outcome) = solve_dc(&engine(), &mats, None, &mut stats);
+        let (x, outcome) = solve_dc(&engine(), &mna, None, &mut stats);
         assert!(outcome.is_converged());
         assert!(approx_eq(x[0], 1.0, 1e-9));
     }
 
     #[test]
     fn rtd_in_pdr1_converges() {
-        let mats = CircuitMatrices::new(&rtd_divider(50.0)).unwrap();
+        let mna = MnaSystem::new(&rtd_divider(50.0)).unwrap();
         let mut stats = EngineStats::new();
-        let (_, outcome) = solve_dc(&engine(), &mats, Some(("V1", 1.0)), &mut stats);
+        let (_, outcome) = solve_dc(&engine(), &mna, Some(("V1", 1.0)), &mut stats);
         assert!(outcome.is_converged(), "{outcome:?}");
     }
 
@@ -942,9 +963,9 @@ mod tests {
         // Bias between the valley (~0.34 mA) and peak (~1.4 mA) currents
         // from a zero initial guess: plain differential-conductance NR must
         // NOT converge to a physical solution — the NDR problem of §3.1.
-        let mats = CircuitMatrices::new(&current_driven_rtd()).unwrap();
+        let mna = MnaSystem::new(&current_driven_rtd()).unwrap();
         let mut stats = EngineStats::new();
-        let (x, outcome) = solve_dc(&engine(), &mats, Some(("I1", 1e-3)), &mut stats);
+        let (x, outcome) = solve_dc(&engine(), &mna, Some(("I1", 1e-3)), &mut stats);
         let physical = outcome.is_converged() && x[0].abs() < 10.0;
         assert!(
             !physical,
@@ -962,9 +983,9 @@ mod tests {
             max_iterations: 500,
             ..NrOptions::default()
         });
-        let mats = CircuitMatrices::new(&current_driven_rtd()).unwrap();
+        let mna = MnaSystem::new(&current_driven_rtd()).unwrap();
         let mut stats = EngineStats::new();
-        let (x, outcome) = solve_dc(&limited, &mats, Some(("I1", 1e-3)), &mut stats);
+        let (x, outcome) = solve_dc(&limited, &mna, Some(("I1", 1e-3)), &mut stats);
         assert!(outcome.is_converged(), "{outcome:?}");
         let v = x[0];
         assert!(v > 0.0 && v < 10.0, "physical bias, got {v}");
@@ -996,11 +1017,11 @@ mod tests {
         ckt.add_resistor("RL", vdd, out, 10e3).unwrap();
         ckt.add_mosfet("M1", out, gate, Circuit::GROUND, Mosfet::nmos())
             .unwrap();
-        let mats = CircuitMatrices::new(&ckt).unwrap();
+        let mna = MnaSystem::new(&ckt).unwrap();
         let mut stats = EngineStats::new();
-        let (x, outcome) = solve_dc(&engine(), &mats, None, &mut stats);
+        let (x, outcome) = solve_dc(&engine(), &mna, None, &mut stats);
         assert!(outcome.is_converged(), "{outcome:?}");
-        let out_var = mats.mna.var_of_node(out).unwrap();
+        let out_var = mna.var_of_node(out).unwrap();
         assert!(x[out_var] < 1.0, "out = {}", x[out_var]);
     }
 

@@ -13,7 +13,7 @@
 
 use crate::assemble::{
     branch_voltage, charge_sweep, check_transient_window, mna_var_names, mosfet_bias,
-    override_source_rhs, require_sweepable_source, sweep_points, CircuitMatrices,
+    override_source_rhs, require_sweepable_source, sweep_points,
 };
 use crate::report::EngineStats;
 use crate::sim::{AnalysisKind, Axis, Dataset};
@@ -149,11 +149,6 @@ impl PwlEngine {
         self
     }
 
-    /// The engine options.
-    pub fn options(&self) -> &PwlOptions {
-        &self.opts
-    }
-
     /// DC sweep: one linear solve per point with segment companions taken
     /// at the previous point's voltages (non-iterative, like \[2\]).
     ///
@@ -170,38 +165,52 @@ impl PwlEngine {
         step: f64,
     ) -> Result<Dataset> {
         let n_points = sweep_points(start, stop, step)?;
+        let mna = MnaSystem::new(circuit)?;
+        require_sweepable_source(&mna, source)?;
+        self.run_dc_sweep_mna(&mna, source, start, step, n_points)
+    }
+
+    /// [`PwlEngine::run_dc_sweep`] on a built system: `n_points` points of
+    /// `source` from `start` in increments of `step`, as checked by
+    /// [`crate::assemble::checked_sweep_points`].
+    pub(crate) fn run_dc_sweep_mna(
+        &self,
+        mna: &MnaSystem,
+        source: &str,
+        start: f64,
+        step: f64,
+        n_points: usize,
+    ) -> Result<Dataset> {
         let t0 = Instant::now();
-        let mats = CircuitMatrices::new(circuit)?;
-        require_sweepable_source(&mats.mna, source)?;
         // The result shape is known up front: charge it all before any work.
         let mut run_meter = self.meter.fork();
-        charge_sweep(&mut run_meter, &mats.mna, n_points)?;
-        let tables = self.tabulate_all(&mats);
+        charge_sweep(&mut run_meter, mna, n_points)?;
+        let tables = self.tabulate_all(mna);
         let mut stats = EngineStats::new();
 
-        let var_names = mna_var_names(&mats.mna);
+        let var_names = mna_var_names(mna);
         let mut names = var_names.clone();
-        for b in mats.mna.nonlinear_bindings() {
+        for b in mna.nonlinear_bindings() {
             names.push(format!("I({})", b.name));
         }
         let mut columns: Vec<Vec<f64>> = (0..names.len())
             .map(|_| Vec::with_capacity(n_points))
             .collect();
         let mut sweep = Vec::with_capacity(n_points);
-        let mut x = vec![0.0; mats.mna.dim()];
+        let mut x = vec![0.0; mna.dim()];
         for k in 0..n_points {
             run_meter
                 .checkpoint()
                 .map_err(|stop| SimError::budget_exceeded(stop, format!("dc sweep point {k}")))?;
             let value = start + step * k as f64;
-            x = self.solve_point(&mats, &tables, Some((source, value)), &x, &mut stats)?;
+            x = self.solve_point(mna, &tables, Some((source, value)), &x, &mut stats)?;
             sweep.push(value);
             for (i, &xi) in x.iter().enumerate() {
                 columns[i].push(xi);
             }
             let mut col = var_names.len();
             let mut flops = FlopCounter::new();
-            for (bi, b) in mats.mna.nonlinear_bindings().iter().enumerate() {
+            for (bi, b) in mna.nonlinear_bindings().iter().enumerate() {
                 let v = branch_voltage(&x, b.var_plus, b.var_minus);
                 columns[col].push(tables[bi].current(v, &mut flops));
                 col += 1;
@@ -231,11 +240,20 @@ impl PwlEngine {
     /// Fails on invalid parameters, singular matrices or step underflow.
     pub fn run_transient(&self, circuit: &Circuit, tstep: f64, tstop: f64) -> Result<Dataset> {
         check_transient_window(tstep, tstop)?;
+        self.run_transient_mna(&MnaSystem::new(circuit)?, tstep, tstop)
+    }
+
+    /// [`PwlEngine::run_transient`] on a built system, for a window checked
+    /// by [`crate::assemble::check_transient_window`].
+    pub(crate) fn run_transient_mna(
+        &self,
+        mna: &MnaSystem,
+        tstep: f64,
+        tstop: f64,
+    ) -> Result<Dataset> {
         let t0 = Instant::now();
-        let mats = CircuitMatrices::new(circuit)?;
-        let mna = &mats.mna;
         let dim = mna.dim();
-        let tables = self.tabulate_all(&mats);
+        let tables = self.tabulate_all(mna);
         let mut stats = EngineStats::new();
         let mut run_meter = self.meter.fork();
 
@@ -243,7 +261,7 @@ impl PwlEngine {
         // times (the tables are linear, so this settles fast).
         let mut x = vec![0.0; dim];
         for _ in 0..8 {
-            x = self.solve_point(&mats, &tables, None, &x, &mut stats)?;
+            x = self.solve_point(mna, &tables, None, &x, &mut stats)?;
         }
 
         let names = mna_var_names(mna);
@@ -262,7 +280,7 @@ impl PwlEngine {
                 if h < self.opts.h_min {
                     return Err(SimError::step_underflow(t, h));
                 }
-                let x_new = self.solve_step(&mats, &tables, &x, t, h, &mut stats)?;
+                let x_new = self.solve_step(mna, &tables, &x, t, h, &mut stats)?;
                 // Segment-crossing control: each device may move at most one
                 // segment width per step.
                 let mut ok = true;
@@ -305,9 +323,8 @@ impl PwlEngine {
         ))
     }
 
-    fn tabulate_all(&self, mats: &CircuitMatrices) -> Vec<PwlDeviceTable> {
-        mats.mna
-            .nonlinear_bindings()
+    fn tabulate_all(&self, mna: &MnaSystem) -> Vec<PwlDeviceTable> {
+        mna.nonlinear_bindings()
             .iter()
             .map(|b| {
                 PwlDeviceTable::tabulate(
@@ -323,13 +340,12 @@ impl PwlEngine {
     /// One DC solve with segment companions at `x0`.
     fn solve_point(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         tables: &[PwlDeviceTable],
         override_src: Option<(&str, f64)>,
         x0: &[f64],
         stats: &mut EngineStats,
     ) -> Result<Vec<f64>> {
-        let mna = &mats.mna;
         let dim = mna.dim();
         let mut flops = FlopCounter::new();
         let mut g = mna.linear_g().clone();
@@ -338,7 +354,7 @@ impl PwlEngine {
         if let Some((name, value)) = override_src {
             override_source_rhs(mna, name, value, 0.0, &mut rhs);
         }
-        self.stamp_companions(mats, tables, x0, &mut g, &mut rhs, stats, &mut flops);
+        self.stamp_companions(mna, tables, x0, &mut g, &mut rhs, stats, &mut flops);
         let lu = SparseLu::factor(&g.to_csr(), &mut flops)?;
         let x = lu.solve(&rhs, &mut flops)?;
         stats.linear_solves += 1;
@@ -350,14 +366,13 @@ impl PwlEngine {
     /// One backward-Euler step with segment companions at `x0`.
     fn solve_step(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         tables: &[PwlDeviceTable],
         x0: &[f64],
         t: f64,
         h: f64,
         stats: &mut EngineStats,
     ) -> Result<Vec<f64>> {
-        let mna = &mats.mna;
         let dim = mna.dim();
         let mut flops = FlopCounter::new();
         let mut g = mna.linear_g().clone();
@@ -367,8 +382,9 @@ impl PwlEngine {
         flops.div(mna.c_triplets().len() as u64);
         let mut rhs = vec![0.0; dim];
         mna.stamp_rhs(t + h, &mut rhs);
-        mats.c_csr.matvec_acc(1.0 / h, x0, &mut rhs, &mut flops)?;
-        self.stamp_companions(mats, tables, x0, &mut g, &mut rhs, stats, &mut flops);
+        mna.c_matrix()
+            .matvec_acc(1.0 / h, x0, &mut rhs, &mut flops)?;
+        self.stamp_companions(mna, tables, x0, &mut g, &mut rhs, stats, &mut flops);
         let lu = SparseLu::factor(&g.to_csr(), &mut flops)?;
         let x = lu.solve(&rhs, &mut flops)?;
         stats.linear_solves += 1;
@@ -379,7 +395,7 @@ impl PwlEngine {
     #[allow(clippy::too_many_arguments)]
     fn stamp_companions(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         tables: &[PwlDeviceTable],
         x0: &[f64],
         g: &mut nanosim_numeric::sparse::TripletMatrix,
@@ -387,7 +403,6 @@ impl PwlEngine {
         stats: &mut EngineStats,
         flops: &mut FlopCounter,
     ) {
-        let mna = &mats.mna;
         for (bi, b) in mna.nonlinear_bindings().iter().enumerate() {
             let v = branch_voltage(x0, b.var_plus, b.var_minus);
             let (g_seg, i_eq) = tables[bi].companion(v, flops);

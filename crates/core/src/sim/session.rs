@@ -1,7 +1,9 @@
 //! The [`Simulator`] session: one circuit, many analyses, shared solver
 //! state.
 
-use crate::assemble::{mna_var_names, AssemblyWorkspace, CircuitMatrices};
+use crate::assemble::{
+    check_transient_window, checked_sweep_points, mna_var_names, AssemblyWorkspace,
+};
 use crate::em::EmEngine;
 use crate::mla::MlaEngine;
 use crate::pwl::PwlEngine;
@@ -11,7 +13,6 @@ use crate::sim::plan::ExecPlan;
 use crate::sim::request::{
     Analysis, BaselineRequest, DcSweep, EmEnsemble, Mla, Op, Pwl, Transient,
 };
-use crate::swec::dc::checked_sweep_points;
 use crate::swec::{SwecDcSweep, SwecTransient};
 use crate::{Result, SimError};
 use nanosim_circuit::{Circuit, MnaSystem};
@@ -63,12 +64,14 @@ pub struct SimOptions {
 
 /// A simulation session bound to one circuit.
 ///
-/// `Simulator::new` assembles the MNA structure once; every analysis run
-/// through the session shares it, along with cached assembly workspaces
-/// whose sparse-LU symbolic analyses survive across analyses (an `.op`
-/// followed by a `.dc` refactors instead of re-analyzing). Analyses are
-/// typed [`Analysis`] requests built with builders, every result is a
-/// [`Dataset`], and scale-out is an [`ExecPlan`] — not a different engine.
+/// `Simulator::new` builds the circuit's [`MnaSystem`] once, and every
+/// analysis run through the session — SWEC, EM, MLA and PWL alike — runs
+/// on that one system. The SWEC analyses also share cached assembly
+/// workspaces whose sparse-LU symbolic analyses survive across analyses
+/// (an `.op` followed by a `.dc` refactors instead of re-analyzing).
+/// Analyses are typed [`Analysis`] requests built with builders, every
+/// result is a [`Dataset`], and scale-out is an [`ExecPlan`] — not a
+/// different engine.
 ///
 /// # Example
 /// ```
@@ -99,7 +102,8 @@ pub struct SimOptions {
 /// ```
 #[derive(Debug)]
 pub struct Simulator {
-    mats: CircuitMatrices,
+    /// The circuit's MNA system, built and linted once.
+    mna: MnaSystem,
     opts: SimOptions,
     /// Cached no-C assembly workspace (operating points, DC sweeps).
     dc_ws: Option<AssemblyWorkspace>,
@@ -151,9 +155,8 @@ impl Simulator {
     pub fn with_options(circuit: Circuit, opts: SimOptions) -> Result<Simulator> {
         let mna = MnaSystem::new(&circuit);
         let preflight = run_preflight(&circuit, &mna, opts.preflight)?;
-        let mats = CircuitMatrices::from_mna(mna?);
         Ok(Simulator {
-            mats,
+            mna: mna?,
             opts,
             dc_ws: None,
             tran_ws: None,
@@ -235,24 +238,24 @@ impl Simulator {
     pub fn rebind(&mut self, circuit: Circuit) -> Result<bool> {
         let mna = MnaSystem::new(&circuit);
         let preflight = run_preflight(&circuit, &mna, self.opts.preflight)?;
-        let mats = CircuitMatrices::from_mna(mna?);
+        let mna = mna?;
         let had_warm = self.dc_ws.is_some() || self.tran_ws.is_some();
         let mut all_rebound = true;
         if let Some(mut ws) = self.dc_ws.take() {
-            if ws.rebind(&mats, false, false) {
+            if ws.rebind(&mna, false, false) {
                 self.dc_ws = Some(ws);
             } else {
                 all_rebound = false;
             }
         }
         if let Some(mut ws) = self.tran_ws.take() {
-            if ws.rebind(&mats, false, true) {
+            if ws.rebind(&mna, false, true) {
                 self.tran_ws = Some(ws);
             } else {
                 all_rebound = false;
             }
         }
-        self.mats = mats;
+        self.mna = mna;
         self.preflight = preflight;
         Ok(had_warm && all_rebound)
     }
@@ -293,12 +296,7 @@ impl Simulator {
 
     /// The session's circuit.
     pub fn circuit(&self) -> &Circuit {
-        self.mats.mna.circuit()
-    }
-
-    /// The session options.
-    pub fn options(&self) -> &SimOptions {
-        &self.opts
+        self.mna.circuit()
     }
 
     /// Name of the fill ordering the session's solver applies ("natural"
@@ -316,7 +314,7 @@ impl Simulator {
     /// Names of all MNA variables in solution order (node voltages, then
     /// branch currents).
     pub fn var_names(&self) -> Vec<String> {
-        mna_var_names(&self.mats.mna)
+        mna_var_names(&self.mna)
     }
 
     /// Runs one analysis and returns its [`Dataset`].
@@ -355,7 +353,7 @@ impl Simulator {
             &mut self.dc_ws
         };
         if slot.is_none() {
-            let mut ws = AssemblyWorkspace::new(&self.mats, false, with_c, self.opts.ordering);
+            let mut ws = AssemblyWorkspace::new(&self.mna, false, with_c, self.opts.ordering);
             if let Some(plan) = &self.fault {
                 ws.arm_faults(plan.clone());
             }
@@ -370,11 +368,11 @@ impl Simulator {
         let lu0 = ws.lu_stats();
         let engine = SwecDcSweep::new(op.options).with_meter(meter.fork());
         let mut stats = EngineStats::new();
-        let values = engine.solve_op_ws(&self.mats, ws, &mut stats)?;
+        let values = engine.solve_op_ws(&self.mna, ws, &mut stats)?;
         stats.absorb_lu(&lu0, &ws.lu_stats());
         stats.steps += 1;
         stats.elapsed = t0.elapsed();
-        let names = mna_var_names(&self.mats.mna);
+        let names = mna_var_names(&self.mna);
         Ok(Dataset::from_op("swec", names, values, stats))
     }
 
@@ -384,7 +382,7 @@ impl Simulator {
         let ws = self.tran_ws.as_mut().expect("created above");
         let op_ws = self.dc_ws.as_mut().expect("created above");
         let engine = SwecTransient::new(tran.options).with_meter(meter.fork());
-        engine.run_with(&self.mats, ws, Some(op_ws), tran.tstep, tran.tstop)
+        engine.run_with(&self.mna, ws, op_ws, tran.tstep, tran.tstop)
     }
 
     fn run_em(&mut self, em: EmEnsemble, meter: &BudgetMeter) -> Result<Dataset> {
@@ -392,9 +390,9 @@ impl Simulator {
         // The plan owns scheduling: Serial runs one worker, Sharded{n} runs
         // n (`ExecPlan::sharded(0)` already resolved auto at build time).
         options.threads = em.plan.workers();
-        EmEngine::new(options)
-            .with_meter(meter.fork())
-            .run(self.circuit(), em.horizon)
+        let engine = EmEngine::new(options).with_meter(meter.fork());
+        engine.check_run(em.horizon)?;
+        engine.run_mna(&self.mna, em.horizon)
     }
 
     fn run_mla(&mut self, mla: Mla, meter: &BudgetMeter) -> Result<Dataset> {
@@ -405,9 +403,13 @@ impl Simulator {
                 start,
                 stop,
                 step,
-            } => engine.run_dc_sweep(self.circuit(), &source, start, stop, step),
+            } => {
+                let n_points = checked_sweep_points(&self.mna, &source, start, stop, step)?;
+                engine.run_dc_sweep_mna(&self.mna, &source, start, step, n_points)
+            }
             BaselineRequest::Transient { tstep, tstop } => {
-                let r = engine.run_transient(self.circuit(), tstep, tstop)?;
+                check_transient_window(tstep, tstop)?;
+                let r = engine.run_transient_mna(&self.mna, tstep, tstop)?;
                 if let Some((t, outcome)) = r.failures.first() {
                     return Err(SimError::non_convergence(
                         *t,
@@ -430,9 +432,13 @@ impl Simulator {
                 start,
                 stop,
                 step,
-            } => engine.run_dc_sweep(self.circuit(), &source, start, stop, step),
+            } => {
+                let n_points = checked_sweep_points(&self.mna, &source, start, stop, step)?;
+                engine.run_dc_sweep_mna(&self.mna, &source, start, step, n_points)
+            }
             BaselineRequest::Transient { tstep, tstop } => {
-                engine.run_transient(self.circuit(), tstep, tstop)
+                check_transient_window(tstep, tstop)?;
+                engine.run_transient_mna(&self.mna, tstep, tstop)
             }
         }
     }
@@ -451,11 +457,11 @@ impl Simulator {
             plan,
             chunk_points,
         } = req;
-        let n_points = checked_sweep_points(&self.mats.mna, &source, start, stop, step)?;
+        let n_points = checked_sweep_points(&self.mna, &source, start, stop, step)?;
         self.ensure_ws(false);
         let ws = self.dc_ws.as_mut().expect("created above");
         SwecDcSweep::new(options).with_meter(meter.fork()).sweep_ws(
-            &self.mats,
+            &self.mna,
             ws,
             &source,
             start,

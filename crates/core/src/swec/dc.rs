@@ -11,8 +11,8 @@
 //! solution (continuation), so a handful of iterations usually suffice.
 
 use crate::assemble::{
-    branch_voltage, charge_sweep, mna_var_names, mosfet_bias, override_source_rhs,
-    require_sweepable_source, sweep_columns, sweep_points, AssemblyWorkspace, CircuitMatrices,
+    branch_voltage, charge_sweep, checked_sweep_points, mna_var_names, mosfet_bias,
+    override_source_rhs, sweep_columns, AssemblyWorkspace,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
@@ -22,7 +22,6 @@ use crate::swec::{DcMode, SwecOptions};
 use crate::{Result, SimError};
 use nanosim_circuit::{Circuit, MnaSystem};
 use nanosim_numeric::parallel::par_map;
-use nanosim_numeric::solve::LuStats;
 use nanosim_numeric::sparse::OrderingChoice;
 use nanosim_numeric::{BudgetMeter, FlopCounter};
 use std::ops::Range;
@@ -126,11 +125,6 @@ impl SwecDcSweep {
         self
     }
 
-    /// The engine options.
-    pub fn options(&self) -> &SwecOptions {
-        &self.opts
-    }
-
     /// Sweeps the named V/I source from `start` to `stop` (inclusive) in
     /// increments of `step`: one unbroken continuation chain on a fresh
     /// workspace, bit-identical to a default session sweep.
@@ -146,12 +140,10 @@ impl SwecDcSweep {
         stop: f64,
         step: f64,
     ) -> Result<Dataset> {
-        let mats = CircuitMatrices::new(circuit)?;
-        let n_points = checked_sweep_points(&mats.mna, source, start, stop, step)?;
-        let mut ws = AssemblyWorkspace::new(&mats, false, false, OrderingChoice::default());
-        self.sweep_ws(
-            &mats, &mut ws, source, start, step, n_points, None, 1, false,
-        )
+        let mna = MnaSystem::new(circuit)?;
+        let n_points = checked_sweep_points(&mna, source, start, stop, step)?;
+        let mut ws = AssemblyWorkspace::new(&mna, false, false, OrderingChoice::default());
+        self.sweep_ws(&mna, &mut ws, source, start, step, n_points, None, 1, false)
     }
 
     /// The sweep driver behind [`SwecDcSweep::run`] and the session's
@@ -177,7 +169,7 @@ impl SwecDcSweep {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sweep_ws(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         ws: &mut AssemblyWorkspace,
         source: &str,
         start: f64,
@@ -192,10 +184,10 @@ impl SwecDcSweep {
         let mut stats = EngineStats::new();
         let lu0 = ws.lu_stats();
         let mut buf = DcBuffers::default();
-        let x0 = vec![0.0; mats.mna.dim()];
+        let x0 = vec![0.0; mna.dim()];
         if warm_up {
             self.solve_noniterative_ws(
-                mats,
+                mna,
                 ws,
                 &mut buf,
                 Some((source, start)),
@@ -208,7 +200,7 @@ impl SwecDcSweep {
         // before any chunk work is fanned out, so a byte budget too small
         // for the sweep fails immediately and identically at every worker
         // count.
-        charge_sweep(&mut run_meter, &mats.mna, n_points)?;
+        charge_sweep(&mut run_meter, mna, n_points)?;
         let values: Vec<f64> = (0..n_points).map(|k| start + step * k as f64).collect();
         let chunk = chunk_points.unwrap_or(n_points);
         let n_chunks = n_points.div_ceil(chunk);
@@ -216,7 +208,7 @@ impl SwecDcSweep {
             .map(|ci| start + (values[ci * chunk - 1] - start) / WARM_START_RAMP as f64)
             .collect();
         let seeds = self.solve_noniterative_batch_ws(
-            mats,
+            mna,
             ws,
             &mut buf,
             source,
@@ -232,7 +224,7 @@ impl SwecDcSweep {
             let points = ci * chunk..n_points.min((ci + 1) * chunk);
             let mut ws = base_ws.clone();
             self.sweep_chunk(
-                mats, &mut ws, source, &values, points, seed, ramp_steps, &run_meter,
+                mna, &mut ws, source, &values, points, seed, ramp_steps, &run_meter,
             )
         };
         let chunks = par_map(n_chunks, workers, |ci| {
@@ -284,7 +276,7 @@ impl SwecDcSweep {
         }
         let mut values = values;
         values.truncate(solutions.len());
-        let (names, columns) = sweep_columns(&mats.mna, &solutions, &mut stats.flops);
+        let (names, columns) = sweep_columns(mna, &solutions, &mut stats.flops);
         stats.elapsed = t0.elapsed();
         let axis = Axis::Sweep {
             source: source.to_string(),
@@ -321,7 +313,7 @@ impl SwecDcSweep {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn sweep_chunk(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         ws: &mut AssemblyWorkspace,
         source: &str,
         values: &[f64],
@@ -338,7 +330,7 @@ impl SwecDcSweep {
         let mut xs = Vec::with_capacity(points.len());
         let fixed_point = self.opts.dc_mode == DcMode::FixedPoint;
         let mut solve = || -> Result<()> {
-            let mut x = vec![0.0; mats.mna.dim()];
+            let mut x = vec![0.0; mna.dim()];
             if points.start > 0 {
                 let (start, prev) = (values[0], values[points.start - 1]);
                 meter.checkpoint().map_err(|stop| {
@@ -358,7 +350,7 @@ impl SwecDcSweep {
                     let v = start + (prev - start) * (s as f64 / ramp_steps as f64);
                     x = self
                         .solve_noniterative_ws(
-                            mats,
+                            mna,
                             ws,
                             &mut buf,
                             Some((source, v)),
@@ -369,7 +361,7 @@ impl SwecDcSweep {
                         .map_err(|e| tag_sweep_failure(e, points.start - 1, v))?;
                 }
                 match self.solve_point(
-                    mats,
+                    mna,
                     ws,
                     &mut buf,
                     &x,
@@ -393,7 +385,7 @@ impl SwecDcSweep {
                 // mode.
                 let solved = if k == 0 || fixed_point {
                     match self.solve_point(
-                        mats,
+                        mna,
                         ws,
                         &mut buf,
                         &x,
@@ -410,7 +402,7 @@ impl SwecDcSweep {
                 x = solved
                     .unwrap_or_else(|| {
                         self.solve_noniterative_ws(
-                            mats,
+                            mna,
                             ws,
                             &mut buf,
                             Some((source, value)),
@@ -438,22 +430,9 @@ impl SwecDcSweep {
     /// Fails on singular matrices or fixed-point non-convergence even
     /// under continuation.
     pub fn solve_op(&self, circuit: &Circuit) -> Result<Vec<f64>> {
-        let mats = CircuitMatrices::new(circuit)?;
-        let mut stats = EngineStats::new();
-        self.solve_op_inner(&mats, &mut stats)
-    }
-
-    /// Operating point with continuation fallback (internal; shares stats
-    /// with the calling engine).
-    pub(crate) fn solve_op_inner(
-        &self,
-        mats: &CircuitMatrices,
-        stats: &mut EngineStats,
-    ) -> Result<Vec<f64>> {
-        let mut ws = AssemblyWorkspace::new(mats, false, false, OrderingChoice::default());
-        let result = self.solve_op_ws(mats, &mut ws, stats);
-        stats.absorb_lu(&LuStats::default(), &ws.lu_stats());
-        result
+        let mna = MnaSystem::new(circuit)?;
+        let mut ws = AssemblyWorkspace::new(&mna, false, false, OrderingChoice::default());
+        self.solve_op_ws(&mna, &mut ws, &mut EngineStats::new())
     }
 
     /// Operating point with rescue-ladder fallback against a caller-owned
@@ -469,17 +448,17 @@ impl SwecDcSweep {
     /// the full trace attached when it is a [`SimError::NonConvergence`].
     pub(crate) fn solve_op_ws(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         ws: &mut AssemblyWorkspace,
         stats: &mut EngineStats,
     ) -> Result<Vec<f64>> {
         let mut buf = DcBuffers::default();
-        let dim = mats.mna.dim();
+        let dim = mna.dim();
         let meter = self.meter.fork();
         let x0 = vec![0.0; dim];
         let opts = PointOptions::default();
         let original =
-            match self.solve_point(mats, ws, &mut buf, &x0, opts, stats, &mut meter.fork()) {
+            match self.solve_point(mna, ws, &mut buf, &x0, opts, stats, &mut meter.fork()) {
                 Err(e @ (SimError::NonConvergence { .. } | SimError::Numeric(_)))
                     if self.opts.rescue.enabled =>
                 {
@@ -505,7 +484,7 @@ impl SwecDcSweep {
                     lambda0,
                     shunt,
                 };
-                self.solve_point(mats, ws, &mut buf, x0, opts, stats, &mut meter.fork())
+                self.solve_point(mna, ws, &mut buf, x0, opts, stats, &mut meter.fork())
                     .map_err(|e| match e {
                         SimError::BudgetExceeded { .. } => RungError::Abort(e),
                         e => RungError::Failed(e.to_string()),
@@ -540,7 +519,7 @@ impl SwecDcSweep {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_noniterative_ws(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         ws: &mut AssemblyWorkspace,
         buf: &mut DcBuffers,
         override_src: Option<(&str, f64)>,
@@ -548,13 +527,12 @@ impl SwecDcSweep {
         stats: &mut EngineStats,
         meter: &mut BudgetMeter,
     ) -> Result<Vec<f64>> {
-        let mna = &mats.mna;
         let dim = mna.dim();
         meter
             .tick_iteration()
             .map_err(|stop| SimError::budget_exceeded(stop, "swec non-iterative solve"))?;
         let mut flops = FlopCounter::new();
-        self.stamp_geq(mats, ws, x0, stats, &mut flops);
+        self.stamp_geq(mna, ws, x0, stats, &mut flops);
         buf.rhs.resize(dim, 0.0);
         mna.stamp_rhs(0.0, &mut buf.rhs);
         if let Some((name, value)) = override_src {
@@ -577,7 +555,7 @@ impl SwecDcSweep {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_noniterative_batch_ws(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         ws: &mut AssemblyWorkspace,
         buf: &mut DcBuffers,
         source: &str,
@@ -586,7 +564,6 @@ impl SwecDcSweep {
         stats: &mut EngineStats,
         meter: &BudgetMeter,
     ) -> Result<Vec<Vec<f64>>> {
-        let mna = &mats.mna;
         let dim = mna.dim();
         let k = values.len();
         if k == 0 {
@@ -596,7 +573,7 @@ impl SwecDcSweep {
             .checkpoint()
             .map_err(|stop| SimError::budget_exceeded(stop, "swec batched ramp solve"))?;
         let mut flops = FlopCounter::new();
-        self.stamp_geq(mats, ws, x0, stats, &mut flops);
+        self.stamp_geq(mna, ws, x0, stats, &mut flops);
         buf.rhs.resize(dim, 0.0);
         let mut rhs_block = vec![0.0; dim * k];
         for (j, &value) in values.iter().enumerate() {
@@ -617,13 +594,12 @@ impl SwecDcSweep {
     /// Stamps the linear G plus every device's `Geq(x0)` into the workspace.
     fn stamp_geq(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         ws: &mut AssemblyWorkspace,
         x0: &[f64],
         stats: &mut EngineStats,
         flops: &mut FlopCounter,
     ) {
-        let mna = &mats.mna;
         ws.begin();
         for (i, b) in mna.nonlinear_bindings().iter().enumerate() {
             let v = branch_voltage(x0, b.var_plus, b.var_minus);
@@ -648,7 +624,7 @@ impl SwecDcSweep {
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn solve_point(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         ws: &mut AssemblyWorkspace,
         buf: &mut DcBuffers,
         x0: &[f64],
@@ -662,7 +638,6 @@ impl SwecDcSweep {
             lambda0,
             shunt,
         } = opts;
-        let mna = &mats.mna;
         let dim = mna.dim();
         let mut x = x0.to_vec();
         let mut flops = FlopCounter::new();
@@ -684,7 +659,7 @@ impl SwecDcSweep {
                 ));
             }
             // Stamp G with Geq at the current iterate.
-            self.stamp_geq(mats, ws, &x, stats, &mut flops);
+            self.stamp_geq(mna, ws, &x, stats, &mut flops);
             if let Some((g, _)) = shunt {
                 ws.stamp_diag_shunt(mna.num_nodes(), g);
             }
@@ -777,20 +752,6 @@ impl SwecDcSweep {
             fx,
         ))
     }
-}
-
-/// Checks a sweep of `source` from `start` to `stop` in increments of
-/// `step` against the circuit, and returns its point count.
-pub(crate) fn checked_sweep_points(
-    mna: &MnaSystem,
-    source: &str,
-    start: f64,
-    stop: f64,
-    step: f64,
-) -> Result<usize> {
-    let n_points = sweep_points(start, stop, step)?;
-    require_sweepable_source(mna, source)?;
-    Ok(n_points)
 }
 
 /// Annotates a failed chunk's error with the chunk index (the failing
@@ -911,11 +872,11 @@ mod tests {
         // The solution must satisfy KCL: (Vs - v)/R = I_rtd(v).
         let ckt = rtd_divider(50.0);
         let engine = engine();
-        let mats = CircuitMatrices::new(&ckt).unwrap();
-        let mut ws = AssemblyWorkspace::new(&mats, false, false, OrderingChoice::default());
+        let mna = MnaSystem::new(&ckt).unwrap();
+        let mut ws = AssemblyWorkspace::new(&mna, false, false, OrderingChoice::default());
         let x = engine
             .solve_point(
-                &mats,
+                &mna,
                 &mut ws,
                 &mut DcBuffers::default(),
                 &[0.0; 3],

@@ -22,7 +22,6 @@
 
 use crate::assemble::{
     branch_voltage, check_transient_window, mna_var_names, mosfet_bias, AssemblyWorkspace,
-    CircuitMatrices,
 };
 use crate::error::LastAccepted;
 use crate::report::EngineStats;
@@ -102,11 +101,6 @@ impl SwecTransient {
         self
     }
 
-    /// The engine options.
-    pub fn options(&self) -> &SwecOptions {
-        &self.opts
-    }
-
     /// Runs a transient from `t = 0` to `tstop`. `tstep` bounds the maximum
     /// step (the `.tran` print step); the adaptive controller works below
     /// it.
@@ -115,31 +109,30 @@ impl SwecTransient {
     /// Fails on invalid parameters, singular matrices, step-size underflow
     /// or a failed initial operating point.
     pub fn run(&self, circuit: &Circuit, tstep: f64, tstop: f64) -> Result<Dataset> {
-        let mats = CircuitMatrices::new(circuit)?;
-        let mut ws = AssemblyWorkspace::new(&mats, false, true, OrderingChoice::default());
-        self.run_with(&mats, &mut ws, None, tstep, tstop)
+        let mna = MnaSystem::new(circuit)?;
+        let mut ws = AssemblyWorkspace::new(&mna, false, true, OrderingChoice::default());
+        let mut op_ws = AssemblyWorkspace::new(&mna, false, false, OrderingChoice::default());
+        self.run_with(&mna, &mut ws, &mut op_ws, tstep, tstop)
     }
 
-    /// [`SwecTransient::run`] against caller-owned matrices and assembly
-    /// workspace (the [`crate::sim::Simulator`] path: the workspace's cached
-    /// LU analysis survives across analyses). The workspace must have been
-    /// built from `mats` with `with_c = true`. `op_ws` optionally supplies a
-    /// no-C workspace for the initial operating point (so a session's
-    /// cached DC workspace is reused instead of re-analyzing); factor and
-    /// refactor accounting is delta-based on both workspaces so warm caches
-    /// are not double counted.
+    /// [`SwecTransient::run`] against a caller-owned MNA system and
+    /// assembly workspaces (the [`crate::sim::Simulator`] path: the
+    /// workspaces' cached LU analyses survive across analyses). `ws` must
+    /// have been built from `mna` with `with_c = true`, and `op_ws`, which
+    /// solves the initial operating point, with `with_c = false`. Factor
+    /// and refactor accounting is delta-based on both workspaces, so warm
+    /// caches are not double counted.
     pub(crate) fn run_with(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         ws: &mut AssemblyWorkspace,
-        op_ws: Option<&mut AssemblyWorkspace>,
+        op_ws: &mut AssemblyWorkspace,
         tstep: f64,
         tstop: f64,
     ) -> Result<Dataset> {
         check_transient_window(tstep, tstop)?;
         let t_start = Instant::now();
         let lu0 = ws.lu_stats();
-        let mna = &mats.mna;
         let dim = mna.dim();
         let mut stats = EngineStats::new();
         let mut flops = FlopCounter::new();
@@ -161,15 +154,9 @@ impl SwecTransient {
         } else {
             let dc = SwecDcSweep::new(self.opts.clone()).with_meter(run_meter.fork());
             let mut op_stats = EngineStats::new();
-            let op = match op_ws {
-                Some(ows) => {
-                    let op_lu0 = ows.lu_stats();
-                    let op = dc.solve_op_ws(mats, ows, &mut op_stats)?;
-                    op_stats.absorb_lu(&op_lu0, &ows.lu_stats());
-                    op
-                }
-                None => dc.solve_op_inner(mats, &mut op_stats)?,
-            };
+            let op_lu0 = op_ws.lu_stats();
+            let op = dc.solve_op_ws(mna, op_ws, &mut op_stats)?;
+            op_stats.absorb_lu(&op_lu0, &op_ws.lu_stats());
             stats.merge(&op_stats);
             op
         };
@@ -305,7 +292,7 @@ impl SwecTransient {
                     );
                 }
                 if let Err(e) = self.step(
-                    mats,
+                    mna,
                     ws,
                     &mut tracker,
                     &x,
@@ -326,7 +313,7 @@ impl SwecTransient {
                         SimError::Numeric(_) => {
                             stats.rescue_rungs += 1;
                             self.step(
-                                mats,
+                                mna,
                                 ws,
                                 &mut tracker,
                                 &x,
@@ -502,7 +489,7 @@ impl SwecTransient {
     #[allow(clippy::too_many_arguments)]
     fn step(
         &self,
-        mats: &CircuitMatrices,
+        mna: &MnaSystem,
         ws: &mut AssemblyWorkspace,
         tracker: &mut GeqTracker,
         x: &[f64],
@@ -513,7 +500,6 @@ impl SwecTransient {
         stats: &mut EngineStats,
         flops: &mut FlopCounter,
     ) -> Result<()> {
-        let mna = &mats.mna;
         let dim = mna.dim();
         let StepBuffers {
             rhs,
@@ -542,7 +528,7 @@ impl SwecTransient {
                 // (G + C/h) x_{n+1} = b(t+h) + (C/h) x_n
                 ws.add_c_over_h(h, flops);
                 mna.stamp_rhs(t + h, rhs);
-                mats.c_csr.matvec_acc(1.0 / h, x, rhs, flops)?;
+                mna.c_matrix().matvec_acc(1.0 / h, x, rhs, flops)?;
             }
             IntegrationMethod::Trapezoidal => {
                 // (C/h + G_{n+1}/2) x_{n+1}
@@ -555,7 +541,7 @@ impl SwecTransient {
                     rhs[i] = 0.5 * (rhs[i] + b_now[i]);
                 }
                 flops.fma(dim as u64);
-                mats.c_csr.matvec_acc(1.0 / h, x, rhs, flops)?;
+                mna.c_matrix().matvec_acc(1.0 / h, x, rhs, flops)?;
                 let g_n: &[f64] = g_prev.unwrap_or(g_vals);
                 ws.matvec_acc_with(g_n, -0.5, x, rhs, flops);
             }

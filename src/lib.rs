@@ -103,5 +103,7 @@ pub mod prelude {
     // `MlaEngine`, `PwlEngine`) are not in the prelude. They live under
     // `nanosim::core::{swec, em, mla, pwl}` for engine-level comparisons
     // and failure forensics, and return the same `Dataset` as
-    // `Simulator::run(Analysis::...)`, which new code should go through.
+    // `Simulator::run(Analysis::...)`, which new code should go through:
+    // each engine call builds the circuit's `MnaSystem` anew, while a
+    // session builds it once for all its analyses.
 }

@@ -275,6 +275,12 @@ pub fn rtd_chain(n: usize) -> Circuit {
 /// at every grid node and the source at the corner. Grid nodes are named
 /// `g<r>_<c>`.
 ///
+/// The MNA system has `n² + 2` unknowns (`n²` grid nodes, the feed node,
+/// one source branch current), so `n = 10` stays below
+/// [`crate::prelude::OrderingChoice`]'s auto-AMD threshold while `n ≥ 12`
+/// crosses it. [`rtd_mesh_cells`] (builder + `.subckt`) and
+/// [`rtd_mesh_deck`] (deck text) produce the same flat topology.
+///
 /// # Panics
 /// Panics if `n == 0`.
 pub fn rtd_mesh(n: usize) -> Circuit {
@@ -305,34 +311,6 @@ pub fn rtd_mesh(n: usize) -> Circuit {
         }
     }
     ckt
-}
-
-/// The ordering-test entry point for arbitrary `n × n` meshes: the
-/// Table I topology of [`rtd_mesh`] at any size, under the name the
-/// fill-reducing-ordering gates sweep (`N ∈ {10, 20, 40}` in
-/// `tests/ordering.rs`). The MNA system has `n² + 2` unknowns
-/// (`n²` grid nodes, the feed node, one source branch current), so
-/// `n = 10` stays below [`crate::prelude::OrderingChoice`]'s auto-AMD
-/// threshold while `n ≥ 12` crosses it.
-///
-/// Equivalent hierarchical variants: [`rtd_mesh_cells`] (builder +
-/// `.subckt`) and [`rtd_mesh_n_deck`] / [`rtd_mesh_deck`] (deck text) —
-/// all produce the same flat topology, so ordering comparisons carry over.
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub fn rtd_mesh_n(n: usize) -> Circuit {
-    rtd_mesh(n)
-}
-
-/// The `.subckt` deck variant of [`rtd_mesh_n`] (same text as
-/// [`rtd_mesh_deck`]): parse it to exercise the hierarchy frontend on the
-/// exact meshes the ordering benches sweep.
-///
-/// # Panics
-/// Panics if `n == 0`.
-pub fn rtd_mesh_n_deck(n: usize) -> String {
-    rtd_mesh_deck(n)
 }
 
 /// The Table I mesh expressed hierarchically: one `.subckt cell` holding
@@ -563,12 +541,12 @@ mod tests {
     #[test]
     fn rtd_mesh_n_scales_to_bench_sizes() {
         for n in [10usize, 20, 40] {
-            let ckt = rtd_mesh_n(n);
+            let ckt = rtd_mesh(n);
             let expected = 2 + n * n + 2 * n * (n - 1);
             assert_eq!(ckt.elements().len(), expected, "n = {n}");
             assert!(ckt.validate().is_ok(), "n = {n}");
             // The deck variant names the same cells.
-            let deck = rtd_mesh_n_deck(n);
+            let deck = rtd_mesh_deck(n);
             assert!(deck.contains(&format!("X{}_{} g{}_{} cell", n - 1, n - 1, n - 1, n - 1)));
         }
     }

@@ -44,8 +44,8 @@ fn assert_columns_close(a: &[f64], b: &[f64], tol: f64, what: &str) {
 fn fill_regression_amd_vs_natural_mesh10() {
     // CI gate: AMD may never produce more LU fill than natural order on
     // the Table I 10×10 mesh.
-    let natural = op_stats(workloads::rtd_mesh_n(10), OrderingChoice::Natural);
-    let amd = op_stats(workloads::rtd_mesh_n(10), OrderingChoice::Amd);
+    let natural = op_stats(workloads::rtd_mesh(10), OrderingChoice::Natural);
+    let amd = op_stats(workloads::rtd_mesh(10), OrderingChoice::Amd);
     assert!(natural.nnz_lu > 0 && amd.nnz_lu > 0, "telemetry missing");
     assert!(
         amd.nnz_lu <= natural.nnz_lu,
@@ -64,8 +64,8 @@ fn fill_regression_amd_vs_natural_mesh10() {
 #[test]
 fn amd_strictly_reduces_fill_on_mesh20() {
     // Acceptance: on the 20×20 mesh AMD must *strictly* beat natural order.
-    let natural = op_stats(workloads::rtd_mesh_n(20), OrderingChoice::Natural);
-    let amd = op_stats(workloads::rtd_mesh_n(20), OrderingChoice::Amd);
+    let natural = op_stats(workloads::rtd_mesh(20), OrderingChoice::Natural);
+    let amd = op_stats(workloads::rtd_mesh(20), OrderingChoice::Amd);
     assert!(
         amd.nnz_lu < natural.nnz_lu,
         "nnz_lu(amd) = {} !< nnz_lu(natural) = {}",
@@ -92,8 +92,8 @@ fn fill_regression_amd_mesh40() {
     // and strictly below natural order on both.
     const MAX_NNZ_LU: u64 = 40_607;
     const MAX_FACTOR_FLOPS: u64 = 1_012_788;
-    let natural = op_stats(workloads::rtd_mesh_n(40), OrderingChoice::Natural);
-    let amd = op_stats(workloads::rtd_mesh_n(40), OrderingChoice::Amd);
+    let natural = op_stats(workloads::rtd_mesh(40), OrderingChoice::Natural);
+    let amd = op_stats(workloads::rtd_mesh(40), OrderingChoice::Amd);
     assert!(
         amd.nnz_lu <= MAX_NNZ_LU,
         "fill regression: nnz_lu(amd) = {} > {MAX_NNZ_LU}",
@@ -209,7 +209,7 @@ fn mesh20_sweep_matches_natural_under_amd() {
     // track natural-order physics point by point.
     let sweep = |ordering| {
         let mut sim = Simulator::with_options(
-            workloads::rtd_mesh_n(20),
+            workloads::rtd_mesh(20),
             SimOptions {
                 ordering,
                 ..Default::default()
@@ -238,9 +238,9 @@ fn default_auto_is_bit_identical_to_natural_below_threshold() {
     // bit-identical to an explicitly pinned natural session (which is in
     // turn the exact pre-ordering pipeline).
     const { assert!(10 * 10 + 2 < OrderingChoice::AUTO_AMD_THRESHOLD) };
-    let mut auto_sim = Simulator::new(workloads::rtd_mesh_n(10)).expect("assembles");
+    let mut auto_sim = Simulator::new(workloads::rtd_mesh(10)).expect("assembles");
     let mut nat_sim = Simulator::with_options(
-        workloads::rtd_mesh_n(10),
+        workloads::rtd_mesh(10),
         SimOptions {
             ordering: OrderingChoice::Natural,
             ..Default::default()
@@ -265,7 +265,7 @@ fn default_auto_is_bit_identical_to_natural_below_threshold() {
 
 #[test]
 fn auto_resolves_to_amd_above_threshold() {
-    let mut sim = Simulator::new(workloads::rtd_mesh_n(20)).expect("assembles");
+    let mut sim = Simulator::new(workloads::rtd_mesh(20)).expect("assembles");
     assert_eq!(sim.ordering_name(), "auto", "cold session reports choice");
     sim.run(Analysis::op()).expect("op solves");
     assert_eq!(sim.ordering_name(), "amd");
@@ -277,7 +277,7 @@ fn ordered_sharded_sweep_bit_identical_across_worker_counts() {
     // AMD keep the bit-identical-at-any-worker-count contract.
     let run = |workers: usize| {
         let mut sim = Simulator::with_options(
-            workloads::rtd_mesh_n(12),
+            workloads::rtd_mesh(12),
             SimOptions {
                 ordering: OrderingChoice::Amd,
                 ..Default::default()
@@ -311,7 +311,7 @@ fn ordered_sharded_sweep_bit_identical_across_worker_counts() {
 #[test]
 fn telemetry_flows_through_datasets() {
     let mut sim = Simulator::with_options(
-        workloads::rtd_mesh_n(10),
+        workloads::rtd_mesh(10),
         SimOptions {
             ordering: OrderingChoice::Amd,
             ..Default::default()

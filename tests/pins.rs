@@ -427,7 +427,7 @@ fn pinned_table1_mesh30_sweep() {
     // The 902-unknown Table I mesh with default options, over four
     // SWEEP_CHUNK-point chunks, serial and on two shards.
     let sweep = |plan: ExecPlan| {
-        let mut sim = Simulator::new(nanosim::workloads::rtd_mesh_n(30)).unwrap();
+        let mut sim = Simulator::new(nanosim::workloads::rtd_mesh(30)).unwrap();
         sim.run(
             Analysis::dc_sweep("V1", 0.0, 5.0, 0.1)
                 .chunk_points(SWEEP_CHUNK)
@@ -495,7 +495,7 @@ fn pinned_one_chunk_mesh30_sweep_counts() {
     // plus the warm-up, each one a refactor. In 16-point chunks the same
     // op takes 185 solves, 180 refactors, 162 000 device evaluations and
     // 76 728 169 flops.
-    let mut sim = Simulator::new(nanosim::workloads::rtd_mesh_n(30)).unwrap();
+    let mut sim = Simulator::new(nanosim::workloads::rtd_mesh(30)).unwrap();
     let sweep = || Analysis::dc_sweep("V1", 0.0, 5.0, 0.05);
     sim.run(sweep()).unwrap();
     let ds = sim.run(sweep()).unwrap();

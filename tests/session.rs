@@ -4,6 +4,8 @@
 //! model must hold across analysis kinds.
 
 use nanosim::core::em::{EmEngine, EmOptions};
+use nanosim::core::mla::MlaEngine;
+use nanosim::core::pwl::PwlEngine;
 use nanosim::core::sim::SWEEP_CHUNK;
 use nanosim::core::swec::SwecDcSweep;
 use nanosim::prelude::*;
@@ -248,6 +250,77 @@ fn em_ensemble_plan_is_a_pure_wall_clock_knob() {
             engine_ref.peak_summary("v").unwrap()
         );
     }
+}
+
+/// Asserts a session run equals the engine entry point's run bit for bit:
+/// kind, engine tag, axis, every column, and every work counter. Only the
+/// wall time and the session's preflight warning count may differ.
+fn assert_same_run(session: &Dataset, engine: &Dataset) {
+    assert_eq!(session.kind(), engine.kind());
+    assert_eq!(session.engine(), engine.engine());
+    assert_eq!(session.axis().label(), engine.axis().label());
+    assert_eq!(session.names(), engine.names());
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    assert_eq!(bits(session.axis_values()), bits(engine.axis_values()));
+    for name in session.names() {
+        assert_eq!(
+            bits(session.column(name).unwrap()),
+            bits(engine.column(name).unwrap()),
+            "column {name}"
+        );
+    }
+    let counters = |ds: &Dataset| EngineStats {
+        elapsed: Default::default(),
+        preflight_warnings: 0,
+        ..ds.stats.clone()
+    };
+    assert_eq!(counters(session), counters(engine));
+}
+
+#[test]
+fn session_baselines_match_engine_entry_points() {
+    // MLA and PWL run on the session's MNA system; the engines' circuit
+    // entry points build their own. Both must give the same run.
+    let mut ckt = Circuit::new();
+    let vin = ckt.node("in");
+    let mid = ckt.node("mid");
+    ckt.add_voltage_source(
+        "V1",
+        vin,
+        Circuit::GROUND,
+        SourceWaveform::pwl(vec![(0.0, 0.0), (2e-9, 3.0), (4e-9, 3.0)]).unwrap(),
+    )
+    .unwrap();
+    ckt.add_resistor("R1", vin, mid, 50.0).unwrap();
+    ckt.add_rtd("X1", mid, Circuit::GROUND, Rtd::date2005())
+        .unwrap();
+    ckt.add_capacitor("C1", mid, Circuit::GROUND, 1e-13)
+        .unwrap();
+    let mla = MlaEngine::new(MlaOptions::default());
+    let pwl = PwlEngine::new(PwlOptions::default());
+
+    let mut sim = Simulator::new(ckt.clone()).unwrap();
+    let session = sim
+        .run(Analysis::mla_dc_sweep("V1", 0.0, 5.0, 0.1))
+        .unwrap();
+    assert_same_run(
+        &session,
+        &mla.run_dc_sweep(&ckt, "V1", 0.0, 5.0, 0.1).unwrap(),
+    );
+    let session = sim.run(Analysis::mla_transient(0.1e-9, 4e-9)).unwrap();
+    assert_same_run(
+        &session,
+        &mla.run_transient(&ckt, 0.1e-9, 4e-9).unwrap().result,
+    );
+    let session = sim
+        .run(Analysis::pwl_dc_sweep("V1", 0.0, 5.0, 0.1))
+        .unwrap();
+    assert_same_run(
+        &session,
+        &pwl.run_dc_sweep(&ckt, "V1", 0.0, 5.0, 0.1).unwrap(),
+    );
+    let session = sim.run(Analysis::pwl_transient(0.1e-9, 4e-9)).unwrap();
+    assert_same_run(&session, &pwl.run_transient(&ckt, 0.1e-9, 4e-9).unwrap());
 }
 
 #[test]

@@ -71,7 +71,7 @@ fn sharded_sweep_bit_identical_at_every_worker_count() {
     for ordering in ORDERINGS {
         let mk = || {
             Simulator::with_options(
-                workloads::rtd_mesh_n(6),
+                workloads::rtd_mesh(6),
                 SimOptions {
                     ordering,
                     ..Default::default()
@@ -214,7 +214,7 @@ fn batched_warm_start_matches_legacy_continuation() {
     // well-posed there, so chunked-with-batched-seeds and legacy agree to
     // the fixed-point tolerance (through the NDR region only the
     // branch-tracking contract holds, covered by tests/session.rs).
-    let ckt = workloads::rtd_mesh_n(5);
+    let ckt = workloads::rtd_mesh(5);
     let mut sim = Simulator::new(ckt.clone()).unwrap();
     let ds = sim
         .run(Analysis::dc_sweep("V1", 0.0, 1.5, 0.01).chunk_points(SWEEP_CHUNK))
