@@ -19,8 +19,11 @@
 //! broke, not an anonymous assertion.
 
 use nanosim::circuit::element::SharedDevice;
-use nanosim::circuit::{deck_fingerprint, Element, ElementKind};
+use nanosim::circuit::{
+    deck_fingerprint, parse_netlist_with_params, topology_fingerprint, Element, ElementKind,
+};
 use nanosim::prelude::*;
+use nanosim::workloads;
 use std::collections::HashMap;
 use std::path::PathBuf;
 
@@ -294,6 +297,96 @@ fn known_bad_decks_are_refused_by_the_simulator_before_assembly() {
         assert!(
             report.has_errors(),
             "{name}: preflight report has no errors"
+        );
+    }
+}
+
+/// Every deck the front end builds, flattened: each corpus deck that
+/// parses, the Table I mesh decks, and the Fig 8 inverter and Fig 9
+/// flip-flop written out and parsed back.
+fn flattened_decks() -> Vec<(String, Circuit)> {
+    let mut out: Vec<(String, Circuit)> = all_decks()
+        .into_iter()
+        .filter_map(|(name, text)| Some((name, parse_netlist(&text).ok()?.circuit)))
+        .collect();
+    let parse = |text: &str, overrides: &[(String, f64)]| {
+        parse_netlist_with_params(text, overrides)
+            .expect("generated deck parses")
+            .circuit
+    };
+    let mesh = workloads::rtd_mesh_deck(4);
+    let param_mesh = workloads::rtd_mesh_param_deck(4);
+    out.push(("rtd_mesh_deck(4)".into(), parse(&mesh, &[])));
+    out.push(("rtd_mesh_param_deck(4)".into(), parse(&param_mesh, &[])));
+    out.push((
+        "rtd_mesh_param_deck(4) rgrid=220".into(),
+        parse(&param_mesh, &[("rgrid".into(), 220.0)]),
+    ));
+    for (name, ckt) in [
+        ("fig8 inverter", workloads::fet_rtd_inverter()),
+        ("fig9 flip-flop", workloads::rtd_d_flip_flop()),
+    ] {
+        out.push((name.into(), parse(&write_netlist(&ckt), &[])));
+    }
+    out
+}
+
+/// The front end's output, pinned: `deck_fingerprint` covers node names in
+/// interning order, element order, names and every value's bits;
+/// `topology_fingerprint` the structure. A change to parsing or flattening
+/// that moves any of these fails here with the deck's name.
+#[test]
+fn flattened_decks_are_pinned() {
+    const PINS: &[(&str, u64, u64)] = &[
+        (
+            "controlled_sources.cir",
+            0x64f5f663263466d6,
+            0x464dbe3a0d3d8c68,
+        ),
+        ("custom_models.cir", 0x4592263490098a5f, 0xc46f03b19083e1f8),
+        ("flipflop.cir", 0xcad32631427df0e9, 0x5a9d426181245ce4),
+        ("floating_node.cir", 0xd6494cb4b1f94c4c, 0xd2a8443c8134afb2),
+        (
+            "hierarchy_nested.cir",
+            0x39a8fd96b7408591,
+            0xa540c1914447353d,
+        ),
+        ("inverter.cir", 0x8285985f8f425ff1, 0x30b36b9c964d933f),
+        ("isource_cutset.cir", 0x147753442946088a, 0xbca0799a3ad7a77c),
+        ("mesh_subckt.cir", 0x92743d05cfc14a72, 0x794eec36c0b1ba10),
+        ("params.cir", 0xe372209ad18fc157, 0x69df72d4b000404c),
+        (
+            "structural_singular.cir",
+            0xb4626fdcb67acc8c,
+            0xc0c6419378e556ed,
+        ),
+        ("vloop.cir", 0x7f3a736ca1d716a8, 0x3861f4b1336f9159),
+        ("rtd_mesh_deck(4)", 0x9083354acfcf1cf2, 0x3cf29a960f5c21c3),
+        (
+            "rtd_mesh_param_deck(4)",
+            0x611393701ec6afd1,
+            0x3cf29a960f5c21c3,
+        ),
+        (
+            "rtd_mesh_param_deck(4) rgrid=220",
+            0xf46faecadfea83a1,
+            0x3cf29a960f5c21c3,
+        ),
+        ("fig8 inverter", 0x3dd8eac91d577d05, 0x30b36b9c964d933f),
+        ("fig9 flip-flop", 0xc7a85861cae036ae, 0x5a9d426181245ce4),
+    ];
+    let decks = flattened_decks();
+    assert_eq!(
+        decks.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>(),
+        PINS.iter().map(|p| p.0).collect::<Vec<_>>(),
+        "pinned deck set"
+    );
+    for ((name, ckt), &(_, deck, topo)) in decks.iter().zip(PINS) {
+        assert_eq!(deck_fingerprint(ckt), deck, "{name}: deck fingerprint");
+        assert_eq!(
+            topology_fingerprint(ckt),
+            topo,
+            "{name}: topology fingerprint"
         );
     }
 }
