@@ -47,11 +47,15 @@
 //!
 //! Values accept SPICE magnitude suffixes (`t g meg k m u n p f`) and
 //! trailing unit letters (`10pF`, `5V`, `1k`). Inside subcircuit bodies
-//! (and, against `.param` globals, anywhere) an element value may be a
+//! (and, against `.param` globals, anywhere) an element value, a capacitor
+//! `IC` and a `DC`/`PULSE(..)`/`SIN(..)` waveform position may be a
 //! `{name}` parameter reference; instances override declared parameters
-//! with `Xcell a b inv R=5k`. Waveform parameters (`PULSE(..)`, `SIN(..)`,
-//! ...) are always literal numbers — sources are cloned, not
-//! re-parameterized, when a subcircuit is instantiated.
+//! with `Xcell a b inv R=5k`. `PWL(..)` and `NOISE(..)` positions are
+//! literal numbers.
+//!
+//! Top-level element lines and flattened subcircuit bodies build their
+//! elements through one emitter, so both resolve parameters and check
+//! values the same way.
 //!
 //! Parse errors report the 1-based **line and column** of the offending
 //! token, so a bad value in a generated 500-line deck is locatable.
@@ -59,6 +63,7 @@
 use crate::error::CircuitError;
 use crate::lint::{SourceMap, Span};
 use crate::netlist::Circuit;
+use crate::node::NodeId;
 use crate::subckt::{
     BodyElement, BodyKind, CircuitBuilder, ParamValue, SubcktDef, SubcktLib, WaveformTemplate,
 };
@@ -767,8 +772,10 @@ fn parse_nonzero_pvalue(tok: &Tok, what: &str) -> Result<ParamValue> {
 }
 
 /// One parsed element line, borrowing its name and node tokens from the
-/// deck: top-level lines are emitted from it directly, subcircuit body
-/// lines are copied into an owned [`BodyElement`] template.
+/// deck. A top-level line interns its node tokens and goes straight to the
+/// element emitter (instances to flattening), never copied into an owned
+/// [`BodyElement`]; a subcircuit body line is copied into one, which
+/// flattening later hands to the same emitter.
 struct ElementLine<'t, 'a> {
     name: &'a str,
     nodes: &'t [Tok<'a>],
@@ -985,11 +992,12 @@ fn parse_element<'t, 'a>(
     })
 }
 
-/// Adds a parsed top-level template to the builder: elements directly (with
-/// `{param}` references resolved against `.param` globals), instances via
-/// flattening. Records the source position of every element the line
-/// produced (an `X` line owns all of its flattened elements) and upgrades
-/// duplicate-name errors with that position.
+/// Adds a parsed top-level template to the builder: elements through the
+/// one element emitter (with `{param}` references resolved against
+/// `.param` globals), instances via flattening. Records the source
+/// position of every element the line produced (an `X` line owns all of
+/// its flattened elements) and upgrades duplicate-name errors with that
+/// position.
 fn emit_top_level(
     builder: &mut CircuitBuilder,
     el: ElementLine,
@@ -997,7 +1005,35 @@ fn emit_top_level(
     spans: &mut SourceMap,
 ) -> Result<()> {
     let n_before = builder.circuit().elements().len();
-    emit_top_level_inner(builder, el, head).map_err(|e| match e {
+    let ElementLine { name, nodes, kind } = el;
+    let emitted = if let BodyKind::Instance { subckt, overrides } = &kind {
+        let ov: Vec<(&str, ParamValue)> = overrides
+            .iter()
+            .map(|(k, v)| (k.as_str(), v.clone()))
+            .collect();
+        let ports: Vec<NodeId> = nodes.iter().map(|tok| builder.node(tok.text)).collect();
+        builder
+            .instantiate(name, subckt, &ports, &ov)
+            .map(|_| ())
+            .map_err(|e| match e {
+                // Attach the instance line to pure lookup failures.
+                CircuitError::UnknownSubckt { name, instance } => parse_err(
+                    head.line,
+                    head.col,
+                    &format!("instance {instance} references unknown subcircuit {name}"),
+                ),
+                other => other,
+            })
+    } else {
+        // Plain elements have at most four terminals, interned in token
+        // order.
+        let mut terminals = [NodeId::GROUND; 4];
+        for (slot, tok) in terminals.iter_mut().zip(nodes) {
+            *slot = builder.node(tok.text);
+        }
+        builder.add_element(name, terminals, &kind)
+    };
+    emitted.map_err(|e| match e {
         CircuitError::DuplicateElement { name } => CircuitError::DuplicateElementAt {
             name,
             line: head.line,
@@ -1008,111 +1044,6 @@ fn emit_top_level(
     let span = Span::new(head.line, head.col);
     for e in &builder.circuit().elements()[n_before..] {
         spans.insert(e.name(), span);
-    }
-    Ok(())
-}
-
-fn emit_top_level_inner(builder: &mut CircuitBuilder, el: ElementLine, head: &Tok) -> Result<()> {
-    let ElementLine {
-        name,
-        nodes: node_toks,
-        kind,
-    } = el;
-    // Plain elements have at most four terminals; instances collect their
-    // full port list below.
-    let mut nodes = [crate::node::NodeId::GROUND; 4];
-    for (slot, tok) in nodes.iter_mut().zip(node_toks) {
-        *slot = builder.node(tok.text);
-    }
-    let resolve = |builder: &CircuitBuilder, pv: &ParamValue| builder.resolve_value(pv, name);
-    match kind {
-        BodyKind::Resistor { ohms } => {
-            let v = resolve(builder, &ohms)?;
-            builder
-                .circuit_mut()
-                .add_resistor(name, nodes[0], nodes[1], v)?;
-        }
-        BodyKind::Capacitor { farads, ic } => {
-            let v = resolve(builder, &farads)?;
-            let ic = match ic {
-                Some(pv) => Some(resolve(builder, &pv)?),
-                None => None,
-            };
-            builder
-                .circuit_mut()
-                .add_capacitor_ic(name, nodes[0], nodes[1], v, ic)?;
-        }
-        BodyKind::Inductor { henries } => {
-            let v = resolve(builder, &henries)?;
-            builder
-                .circuit_mut()
-                .add_inductor(name, nodes[0], nodes[1], v)?;
-        }
-        BodyKind::VoltageSource { waveform } => {
-            let wf = builder.resolve_waveform(&waveform, name)?;
-            builder
-                .circuit_mut()
-                .add_voltage_source(name, nodes[0], nodes[1], wf)?;
-        }
-        BodyKind::CurrentSource { waveform } => {
-            let wf = builder.resolve_waveform(&waveform, name)?;
-            builder
-                .circuit_mut()
-                .add_current_source(name, nodes[0], nodes[1], wf)?;
-        }
-        BodyKind::Vcvs { gain } => {
-            let v = resolve(builder, &gain)?;
-            builder
-                .circuit_mut()
-                .add_vcvs(name, nodes[0], nodes[1], nodes[2], nodes[3], v)?;
-        }
-        BodyKind::Vccs { gm } => {
-            let v = resolve(builder, &gm)?;
-            builder
-                .circuit_mut()
-                .add_vccs(name, nodes[0], nodes[1], nodes[2], nodes[3], v)?;
-        }
-        BodyKind::Cccs { gain, control } => {
-            let v = resolve(builder, &gain)?;
-            builder
-                .circuit_mut()
-                .add_cccs(name, nodes[0], nodes[1], &control, v)?;
-        }
-        BodyKind::Ccvs { r, control } => {
-            let v = resolve(builder, &r)?;
-            builder
-                .circuit_mut()
-                .add_ccvs(name, nodes[0], nodes[1], &control, v)?;
-        }
-        BodyKind::Nonlinear { device } => {
-            builder
-                .circuit_mut()
-                .add_nonlinear(name, nodes[0], nodes[1], device)?;
-        }
-        BodyKind::Mosfet { model } => {
-            builder
-                .circuit_mut()
-                .add_mosfet(name, nodes[0], nodes[1], nodes[2], model)?;
-        }
-        BodyKind::Instance { subckt, overrides } => {
-            let ov: Vec<(&str, ParamValue)> = overrides
-                .iter()
-                .map(|(k, v)| (k.as_str(), v.clone()))
-                .collect();
-            let ports: Vec<crate::node::NodeId> =
-                node_toks.iter().map(|tok| builder.node(tok.text)).collect();
-            builder
-                .instantiate(name, &subckt, &ports, &ov)
-                .map_err(|e| match e {
-                    // Attach the instance line to pure lookup failures.
-                    CircuitError::UnknownSubckt { name, instance } => parse_err(
-                        head.line,
-                        head.col,
-                        &format!("instance {instance} references unknown subcircuit {name}"),
-                    ),
-                    other => other,
-                })?;
-        }
     }
     Ok(())
 }

@@ -18,6 +18,12 @@
 //! recursion is detected and rejected. Engines and the MNA assembly only
 //! ever see the flat result — hierarchy is purely a frontend construct.
 //!
+//! One emitter, `emit_element`, turns an element template into its
+//! `Circuit::add_*` call, for flattened bodies and for the parser's
+//! top-level lines alike, and one routine, `flatten_instance`, flattens
+//! every instance: [`Circuit::instantiate`],
+//! [`CircuitBuilder::instantiate`] and instances nested in bodies.
+//!
 //! # Example
 //!
 //! ```
@@ -52,6 +58,7 @@ use nanosim_devices::nanowire::Nanowire;
 use nanosim_devices::rtd::Rtd;
 use nanosim_devices::rtt::Rtt;
 use nanosim_devices::sources::{PulseParams, SinParams, SourceWaveform};
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
@@ -241,11 +248,6 @@ impl WaveformTemplate {
         }
     }
 
-    /// Whether the template carries no parameter references.
-    pub fn is_literal(&self) -> bool {
-        matches!(self, WaveformTemplate::Literal(_))
-    }
-
     /// Resolves every parameter reference and validates the resulting
     /// waveform.
     pub(crate) fn resolve(
@@ -388,11 +390,6 @@ impl SubcktDef {
     /// The declared parameters and their defaults, in declaration order.
     pub fn params(&self) -> &[(String, f64)] {
         &self.params
-    }
-
-    /// Number of body element templates (nested instances count as one).
-    pub fn body_len(&self) -> usize {
-        self.body.len()
     }
 
     /// Iterates over every node name referenced by the body elements
@@ -658,7 +655,7 @@ impl SubcktDef {
 
     /// Builds the local parameter scope for one instantiation: declared
     /// defaults overridden by the caller's (already resolved) values.
-    fn scope(&self, overrides: &[(String, f64)], instance: &str) -> Result<HashMap<String, f64>> {
+    fn scope(&self, overrides: &[(&str, f64)], instance: &str) -> Result<HashMap<String, f64>> {
         let mut scope: HashMap<String, f64> = self
             .params
             .iter()
@@ -668,7 +665,7 @@ impl SubcktDef {
             let key = k.to_ascii_lowercase();
             if !scope.contains_key(&key) {
                 return Err(CircuitError::UnknownParam {
-                    name: k.clone(),
+                    name: k.to_string(),
                     context: format!("instance {instance} of subckt {}", self.name),
                 });
             }
@@ -776,134 +773,135 @@ fn flatten_into<'l>(
     };
     for be in def.body() {
         let name = format!("{}.{path}", be.name);
-        let ctx = name.as_str();
-        match &be.kind {
-            BodyKind::Resistor { ohms } => {
-                let n1 = node_of(circuit, &be.nodes[0]);
-                let n2 = node_of(circuit, &be.nodes[1]);
-                let v = resolve(ohms, local, global, ctx)?;
-                circuit.add_resistor(&name, n1, n2, v)?;
+        let BodyKind::Instance { subckt, overrides } = &be.kind else {
+            let mut nodes = [Circuit::GROUND; 4];
+            for (slot, raw) in nodes.iter_mut().zip(&be.nodes) {
+                *slot = node_of(circuit, raw);
             }
-            BodyKind::Capacitor { farads, ic } => {
-                let n1 = node_of(circuit, &be.nodes[0]);
-                let n2 = node_of(circuit, &be.nodes[1]);
-                let v = resolve(farads, local, global, ctx)?;
-                let ic = match ic {
-                    Some(pv) => Some(resolve(pv, local, global, ctx)?),
-                    None => None,
-                };
-                circuit.add_capacitor_ic(&name, n1, n2, v, ic)?;
-            }
-            BodyKind::Inductor { henries } => {
-                let n1 = node_of(circuit, &be.nodes[0]);
-                let n2 = node_of(circuit, &be.nodes[1]);
-                let v = resolve(henries, local, global, ctx)?;
-                circuit.add_inductor(&name, n1, n2, v)?;
-            }
-            BodyKind::VoltageSource { waveform } => {
-                let n1 = node_of(circuit, &be.nodes[0]);
-                let n2 = node_of(circuit, &be.nodes[1]);
-                let wf = waveform.resolve(local, global, ctx)?;
-                circuit.add_voltage_source(&name, n1, n2, wf)?;
-            }
-            BodyKind::CurrentSource { waveform } => {
-                let n1 = node_of(circuit, &be.nodes[0]);
-                let n2 = node_of(circuit, &be.nodes[1]);
-                let wf = waveform.resolve(local, global, ctx)?;
-                circuit.add_current_source(&name, n1, n2, wf)?;
-            }
-            BodyKind::Vcvs { gain } => {
-                let n1 = node_of(circuit, &be.nodes[0]);
-                let n2 = node_of(circuit, &be.nodes[1]);
-                let nc1 = node_of(circuit, &be.nodes[2]);
-                let nc2 = node_of(circuit, &be.nodes[3]);
-                let v = resolve(gain, local, global, ctx)?;
-                circuit.add_vcvs(&name, n1, n2, nc1, nc2, v)?;
-            }
-            BodyKind::Vccs { gm } => {
-                let n1 = node_of(circuit, &be.nodes[0]);
-                let n2 = node_of(circuit, &be.nodes[1]);
-                let nc1 = node_of(circuit, &be.nodes[2]);
-                let nc2 = node_of(circuit, &be.nodes[3]);
-                let v = resolve(gm, local, global, ctx)?;
-                circuit.add_vccs(&name, n1, n2, nc1, nc2, v)?;
-            }
-            BodyKind::Cccs { gain, control } => {
-                let n1 = node_of(circuit, &be.nodes[0]);
-                let n2 = node_of(circuit, &be.nodes[1]);
-                let v = resolve(gain, local, global, ctx)?;
-                let control = scope_control(def, control, path);
-                circuit.add_cccs(&name, n1, n2, &control, v)?;
-            }
-            BodyKind::Ccvs { r, control } => {
-                let n1 = node_of(circuit, &be.nodes[0]);
-                let n2 = node_of(circuit, &be.nodes[1]);
-                let v = resolve(r, local, global, ctx)?;
-                let control = scope_control(def, control, path);
-                circuit.add_ccvs(&name, n1, n2, &control, v)?;
-            }
-            BodyKind::Nonlinear { device } => {
-                let n1 = node_of(circuit, &be.nodes[0]);
-                let n2 = node_of(circuit, &be.nodes[1]);
-                circuit.add_nonlinear(&name, n1, n2, device.clone())?;
-            }
-            BodyKind::Mosfet { model } => {
-                let d = node_of(circuit, &be.nodes[0]);
-                let g = node_of(circuit, &be.nodes[1]);
-                let s = node_of(circuit, &be.nodes[2]);
-                circuit.add_mosfet(&name, d, g, s, model.clone())?;
-            }
-            BodyKind::Instance { subckt, overrides } => {
-                let child = lib.get(subckt).ok_or_else(|| CircuitError::UnknownSubckt {
-                    name: subckt.clone(),
-                    instance: format!("{path}.{}", be.name),
-                })?;
-                if stack.iter().any(|s| s.eq_ignore_ascii_case(subckt)) {
-                    let mut chain = stack.clone();
-                    chain.push(child.name());
-                    return Err(CircuitError::RecursiveSubckt {
-                        path: chain.join(" -> "),
-                    });
-                }
-                // Override values may reference *this* body's parameters.
-                let mut resolved = Vec::with_capacity(overrides.len());
-                for (k, pv) in overrides {
-                    resolved.push((k.clone(), resolve(pv, local, global, ctx)?));
-                }
-                let child_path = format!("{path}.{}", be.name);
-                let child_local = child.scope(&resolved, &child_path)?;
-                let child_ports: Vec<NodeId> =
-                    be.nodes.iter().map(|n| node_of(circuit, n)).collect();
-                stack.push(child.name());
-                flatten_into(
-                    circuit,
-                    lib,
-                    child,
-                    &child_path,
-                    &child_ports,
-                    &child_local,
-                    global,
-                    stack,
-                )?;
-                stack.pop();
-            }
+            emit_element(circuit, &name, nodes, &be.kind, local, global, |control| {
+                scope_control(def, control, path)
+            })?;
+            continue;
+        };
+        let child_path = format!("{path}.{}", be.name);
+        let child = lib.get(subckt).ok_or_else(|| CircuitError::UnknownSubckt {
+            name: subckt.clone(),
+            instance: child_path.clone(),
+        })?;
+        if stack.iter().any(|s| s.eq_ignore_ascii_case(subckt)) {
+            let mut chain = stack.clone();
+            chain.push(child.name());
+            return Err(CircuitError::RecursiveSubckt {
+                path: chain.join(" -> "),
+            });
         }
+        // Override values may reference *this* body's parameters.
+        let mut resolved = Vec::with_capacity(overrides.len());
+        for (k, pv) in overrides {
+            resolved.push((k.as_str(), resolve(pv, local, global, &name)?));
+        }
+        let child_ports: Vec<NodeId> = be.nodes.iter().map(|n| node_of(circuit, n)).collect();
+        flatten_instance(
+            circuit,
+            lib,
+            child,
+            &child_path,
+            &child_ports,
+            &resolved,
+            global,
+            stack,
+        )?;
     }
+    Ok(())
+}
+
+/// Flattens one instance of `def` at `path`, the one routine behind
+/// [`Circuit::instantiate`], [`CircuitBuilder::instantiate`] and nested
+/// instances: builds the instance's parameter scope from its resolved
+/// `overrides`, pushes `def` onto the recursion `stack` and flattens the
+/// body.
+fn flatten_instance<'l>(
+    circuit: &mut Circuit,
+    lib: &'l SubcktLib,
+    def: &'l SubcktDef,
+    path: &str,
+    ports: &[NodeId],
+    overrides: &[(&str, f64)],
+    global: &HashMap<String, f64>,
+    stack: &mut Vec<&'l str>,
+) -> Result<()> {
+    let local = def.scope(overrides, path)?;
+    stack.push(def.name());
+    flatten_into(circuit, lib, def, path, ports, &local, global, stack)?;
+    stack.pop();
+    Ok(())
+}
+
+/// Adds the element template `kind` to `circuit` as `name`: the one place
+/// a [`BodyKind`] element becomes a `Circuit::add_*` call, for top-level
+/// netlist lines and subcircuit bodies alike. `nodes` are its terminals,
+/// already interned (unused slots stay ground). Values resolve against
+/// `local`, then `global`, and `control_of` maps a CCCS/CCVS control to
+/// the flat name of the element it names.
+///
+/// # Panics
+/// On [`BodyKind::Instance`]: instances are flattened, not emitted.
+pub(crate) fn emit_element<'k>(
+    circuit: &mut Circuit,
+    name: &str,
+    nodes: [NodeId; 4],
+    kind: &'k BodyKind,
+    local: &HashMap<String, f64>,
+    global: &HashMap<String, f64>,
+    control_of: impl Fn(&'k str) -> Cow<'k, str>,
+) -> Result<()> {
+    let value = |pv: &ParamValue| resolve(pv, local, global, name);
+    let [n1, n2, n3, n4] = nodes;
+    match kind {
+        BodyKind::Resistor { ohms } => circuit.add_resistor(name, n1, n2, value(ohms)?),
+        BodyKind::Capacitor { farads, ic } => {
+            let v = value(farads)?;
+            let ic = ic.as_ref().map(value).transpose()?;
+            circuit.add_capacitor_ic(name, n1, n2, v, ic)
+        }
+        BodyKind::Inductor { henries } => circuit.add_inductor(name, n1, n2, value(henries)?),
+        BodyKind::VoltageSource { waveform } => {
+            let wf = waveform.resolve(local, global, name)?;
+            circuit.add_voltage_source(name, n1, n2, wf)
+        }
+        BodyKind::CurrentSource { waveform } => {
+            let wf = waveform.resolve(local, global, name)?;
+            circuit.add_current_source(name, n1, n2, wf)
+        }
+        BodyKind::Vcvs { gain } => circuit.add_vcvs(name, n1, n2, n3, n4, value(gain)?),
+        BodyKind::Vccs { gm } => circuit.add_vccs(name, n1, n2, n3, n4, value(gm)?),
+        BodyKind::Cccs { gain, control } => {
+            let v = value(gain)?;
+            circuit.add_cccs(name, n1, n2, &control_of(control), v)
+        }
+        BodyKind::Ccvs { r, control } => {
+            let v = value(r)?;
+            circuit.add_ccvs(name, n1, n2, &control_of(control), v)
+        }
+        BodyKind::Nonlinear { device } => circuit.add_nonlinear(name, n1, n2, device.clone()),
+        BodyKind::Mosfet { model } => circuit.add_mosfet(name, n1, n2, n3, model.clone()),
+        BodyKind::Instance { .. } => unreachable!("instances are flattened, not emitted"),
+    }?;
     Ok(())
 }
 
 /// A CCCS/CCVS control naming a sibling element in the same body resolves
 /// to the sibling's mangled name; anything else is left for the caller's
 /// scope (top-level element names).
-fn scope_control(def: &SubcktDef, control: &str, path: &str) -> String {
+fn scope_control<'c>(def: &SubcktDef, control: &'c str, path: &str) -> Cow<'c, str> {
     if def
         .body()
         .iter()
         .any(|be| be.name.eq_ignore_ascii_case(control))
     {
-        format!("{control}.{path}")
+        Cow::Owned(format!("{control}.{path}"))
     } else {
-        control.to_string()
+        Cow::Borrowed(control)
     }
 }
 
@@ -914,9 +912,8 @@ impl Circuit {
     /// elements become `<name>.<inst_name>`.
     ///
     /// Definitions whose bodies instantiate *other* subcircuits need a
-    /// library to resolve them — use [`CircuitBuilder`] (or
-    /// [`Circuit::instantiate_from`]) for that; this convenience method
-    /// resolves against an empty library.
+    /// library to resolve them — use [`CircuitBuilder`] for that; this
+    /// convenience method resolves against an empty library.
     ///
     /// # Errors
     /// Port-count mismatch, unknown override/parameter references,
@@ -929,43 +926,17 @@ impl Circuit {
         overrides: &[(&str, f64)],
     ) -> Result<&mut Self> {
         let lib = SubcktLib::new();
-        self.instantiate_inner(inst_name, &lib, def, ports, overrides, &HashMap::new())
-    }
-
-    /// [`Circuit::instantiate`] resolving nested instances against `lib`;
-    /// `subckt` names the definition to instantiate.
-    ///
-    /// # Errors
-    /// As [`Circuit::instantiate`], plus unknown `subckt` name.
-    pub fn instantiate_from(
-        &mut self,
-        inst_name: &str,
-        lib: &SubcktLib,
-        subckt: &str,
-        ports: &[NodeId],
-        overrides: &[(&str, f64)],
-    ) -> Result<&mut Self> {
-        let def = lib.get(subckt).ok_or_else(|| CircuitError::UnknownSubckt {
-            name: subckt.to_string(),
-            instance: inst_name.to_string(),
-        })?;
-        self.instantiate_inner(inst_name, lib, def, ports, overrides, &HashMap::new())
-    }
-
-    pub(crate) fn instantiate_inner(
-        &mut self,
-        inst_name: &str,
-        lib: &SubcktLib,
-        def: &SubcktDef,
-        ports: &[NodeId],
-        overrides: &[(&str, f64)],
-        global: &HashMap<String, f64>,
-    ) -> Result<&mut Self> {
-        let resolved: Vec<(String, f64)> =
-            overrides.iter().map(|(k, v)| (k.to_string(), *v)).collect();
-        let local = def.scope(&resolved, inst_name)?;
-        let mut stack = vec![def.name()];
-        flatten_into(self, lib, def, inst_name, ports, &local, global, &mut stack)?;
+        let global = HashMap::new();
+        flatten_instance(
+            self,
+            &lib,
+            def,
+            inst_name,
+            ports,
+            overrides,
+            &global,
+            &mut Vec::new(),
+        )?;
         Ok(self)
     }
 }
@@ -1042,18 +1013,25 @@ impl CircuitBuilder {
         resolve(value, &HashMap::new(), &self.params, context)
     }
 
-    /// Resolves a [`WaveformTemplate`] against the global scope (top-level
-    /// `V`/`I` lines with `{param}` waveform positions).
-    ///
-    /// # Errors
-    /// [`CircuitError::UnknownParam`] for unresolved references; waveform
-    /// validation failures for resolved-but-invalid parameter sets.
-    pub fn resolve_waveform(
-        &self,
-        waveform: &WaveformTemplate,
-        context: &str,
-    ) -> Result<SourceWaveform> {
-        waveform.resolve(&HashMap::new(), &self.params, context)
+    /// Adds one top-level element template (see [`emit_element`]): values
+    /// resolve against the global parameters, and CCCS/CCVS controls name
+    /// top-level elements as written.
+    pub(crate) fn add_element(
+        &mut self,
+        name: &str,
+        nodes: [NodeId; 4],
+        kind: &BodyKind,
+    ) -> Result<()> {
+        let local = HashMap::new();
+        emit_element(
+            &mut self.circuit,
+            name,
+            nodes,
+            kind,
+            &local,
+            &self.params,
+            Cow::Borrowed,
+        )
     }
 
     /// Adds a subcircuit definition to the library.
@@ -1101,24 +1079,19 @@ impl CircuitBuilder {
                 name: subckt.to_string(),
                 instance: inst_name.to_string(),
             })?;
-        let mut resolved: Vec<(String, f64)> = Vec::with_capacity(overrides.len());
-        for (k, pv) in overrides {
-            resolved.push((
-                k.to_string(),
-                resolve(pv, &HashMap::new(), &self.params, inst_name)?,
-            ));
+        let mut resolved = Vec::with_capacity(overrides.len());
+        for &(k, ref pv) in overrides {
+            resolved.push((k, resolve(pv, &HashMap::new(), &self.params, inst_name)?));
         }
-        let local = def.scope(&resolved, inst_name)?;
-        let mut stack = vec![def.name()];
-        flatten_into(
+        flatten_instance(
             &mut self.circuit,
             &self.lib,
             def,
             inst_name,
             ports,
-            &local,
+            &resolved,
             &self.params,
-            &mut stack,
+            &mut Vec::new(),
         )?;
         Ok(self)
     }

@@ -19,7 +19,7 @@
 //! Newton iterations per point, each one a device evaluation plus an LU
 //! solve. That cost difference is exactly the paper's **Table I**.
 
-use crate::nr::{FailurePolicy, NrEngine, NrOptions, NrSweepResult, NrTransientResult};
+use crate::nr::{FailurePolicy, NrEngine, NrOptions, NrSweepResult};
 use crate::sim::Dataset;
 use crate::{Result, SimError};
 use nanosim_circuit::{Circuit, MnaSystem};
@@ -146,17 +146,14 @@ impl MlaEngine {
     }
 
     /// Transient analysis with automatic step reduction
-    /// (see [`NrEngine::run_transient`]).
+    /// (see [`NrEngine::run_transient`]). A step whose Newton solve fails
+    /// is halved and retried, so every accepted point converged.
     ///
     /// # Errors
-    /// Propagates Newton failures that survive step reduction.
-    pub fn run_transient(
-        &self,
-        circuit: &Circuit,
-        tstep: f64,
-        tstop: f64,
-    ) -> Result<NrTransientResult> {
-        self.inner.run_transient(circuit, tstep, tstop)
+    /// Propagates invalid parameters, singular structure and step
+    /// underflow.
+    pub fn run_transient(&self, circuit: &Circuit, tstep: f64, tstop: f64) -> Result<Dataset> {
+        Ok(self.inner.run_transient(circuit, tstep, tstop)?.result)
     }
 
     /// [`MlaEngine::run_transient`] on a built system (see
@@ -166,8 +163,8 @@ impl MlaEngine {
         mna: &MnaSystem,
         tstep: f64,
         tstop: f64,
-    ) -> Result<NrTransientResult> {
-        self.inner.run_transient_mna(mna, tstep, tstop)
+    ) -> Result<Dataset> {
+        Ok(self.inner.run_transient_mna(mna, tstep, tstop)?.result)
     }
 }
 
@@ -282,7 +279,7 @@ mod tests {
         ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-13).unwrap();
         let engine = MlaEngine::new(MlaOptions::default());
         let r = engine.run_transient(&ckt, 0.05e-9, 10e-9).unwrap();
-        let mid = r.result.curve("mid").unwrap();
+        let mid = r.curve("mid").unwrap();
         let end = mid.final_value();
         assert!(end > 2.0 && end < 3.0, "end {end}");
     }

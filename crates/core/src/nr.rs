@@ -87,8 +87,6 @@ pub enum FailurePolicy {
     /// Halve the time step and retry (the MLA "automatic time-step
     /// reduction"); abort on underflow.
     ReduceStep,
-    /// Abort the analysis with [`SimError::NonConvergence`].
-    Abort,
 }
 
 /// Newton–Raphson engine options.
@@ -364,7 +362,7 @@ impl NrEngine {
     ///
     /// # Errors
     /// Fails on invalid parameters, singular structure, or (with
-    /// [`FailurePolicy::Abort`] / step underflow) Newton failure.
+    /// [`FailurePolicy::ReduceStep`]) step underflow.
     pub fn run_transient(
         &self,
         circuit: &Circuit,
@@ -452,12 +450,6 @@ impl NrEngine {
                         if h < self.opts.h_min {
                             return Err(SimError::step_underflow(t, h));
                         }
-                    }
-                    FailurePolicy::Abort => {
-                        return Err(SimError::non_convergence(
-                            t + h,
-                            format!("newton transient: {outcome:?}"),
-                        ));
                     }
                 }
             }

@@ -409,17 +409,7 @@ impl Simulator {
             }
             BaselineRequest::Transient { tstep, tstop } => {
                 check_transient_window(tstep, tstop)?;
-                let r = engine.run_transient_mna(&self.mna, tstep, tstop)?;
-                if let Some((t, outcome)) = r.failures.first() {
-                    return Err(SimError::non_convergence(
-                        *t,
-                        format!(
-                            "MLA transient: {} steps failed (first: {outcome:?})",
-                            r.failures.len()
-                        ),
-                    ));
-                }
-                Ok(r.result)
+                engine.run_transient_mna(&self.mna, tstep, tstop)
             }
         }
     }

@@ -308,10 +308,7 @@ fn session_baselines_match_engine_entry_points() {
         &mla.run_dc_sweep(&ckt, "V1", 0.0, 5.0, 0.1).unwrap(),
     );
     let session = sim.run(Analysis::mla_transient(0.1e-9, 4e-9)).unwrap();
-    assert_same_run(
-        &session,
-        &mla.run_transient(&ckt, 0.1e-9, 4e-9).unwrap().result,
-    );
+    assert_same_run(&session, &mla.run_transient(&ckt, 0.1e-9, 4e-9).unwrap());
     let session = sim
         .run(Analysis::pwl_dc_sweep("V1", 0.0, 5.0, 0.1))
         .unwrap();
