@@ -819,7 +819,7 @@ fn flatten_into<'l>(
 /// [`Circuit::instantiate`], [`CircuitBuilder::instantiate`] and nested
 /// instances: builds the instance's parameter scope from its resolved
 /// `overrides`, pushes `def` onto the recursion `stack` and flattens the
-/// body.
+/// body. Top-level callers pass an empty stack with room for `def`.
 fn flatten_instance<'l>(
     circuit: &mut Circuit,
     lib: &'l SubcktLib,
@@ -935,7 +935,7 @@ impl Circuit {
             ports,
             overrides,
             &global,
-            &mut Vec::new(),
+            &mut Vec::with_capacity(1),
         )?;
         Ok(self)
     }
@@ -1091,7 +1091,7 @@ impl CircuitBuilder {
             ports,
             &resolved,
             &self.params,
-            &mut Vec::new(),
+            &mut Vec::with_capacity(1),
         )?;
         Ok(self)
     }
