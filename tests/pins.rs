@@ -177,6 +177,12 @@ fn pinned_nr_op_rescue() {
     d.trace(&op.trace);
     d.stats(&op.stats);
     assert_eq!(d.0, 0x0132_6811_c226_3995, "nr rescue digest {:#018x}", d.0);
+    // The digest leaves the free-text details out; pin the rescuing rung's.
+    let last = op.trace.events().last().unwrap();
+    assert_eq!(
+        (last.rung, last.detail.as_str()),
+        (RescueRung::GminStep, "8 decades from 1.0e-2 S")
+    );
 }
 
 /// One fixed-point or Newton iteration per solve: every rung fails.
@@ -584,4 +590,87 @@ fn pinned_fig8_fig9_transients() {
         got, want,
         "fig 8, fig 9, fig 8 no-taylor, fig 8 trapezoidal: {got:#x?}"
     );
+}
+
+// ---------------------------------------------------------------------------
+// The PWL, MLA and plain Newton baselines.
+// ---------------------------------------------------------------------------
+
+/// Every axis and column bit of a baseline run, then its step, rejection,
+/// iteration, solve, device-evaluation and total flop counts.
+fn baseline_pin(ds: &Dataset) -> (u64, [u64; 6]) {
+    let s = &ds.stats;
+    (
+        transient_digest(ds),
+        [
+            s.steps as u64,
+            s.rejected_steps as u64,
+            s.iterations,
+            s.linear_solves,
+            s.device_evals,
+            s.flops.total(),
+        ],
+    )
+}
+
+#[test]
+fn pinned_pwl_and_mla_baselines() {
+    // The PWL sweep of the Figure 7(a) divider, and the PWL and MLA
+    // transients of the Figure 8 inverter, each through a fresh session.
+    let run = |ckt: Circuit, analysis: Analysis| {
+        let mut sim = Simulator::new(ckt).unwrap();
+        baseline_pin(&sim.run(analysis).unwrap())
+    };
+    let fig8 = nanosim::workloads::fet_rtd_inverter;
+    let got = [
+        run(
+            nanosim::workloads::rtd_divider(50.0),
+            Analysis::pwl_dc_sweep("V1", 0.0, 5.0, 0.02).into(),
+        ),
+        run(fig8(), Analysis::pwl_transient(0.2e-9, 100e-9).into()),
+        run(fig8(), Analysis::mla_transient(0.2e-9, 100e-9).into()),
+    ];
+    let want: [(u64, [u64; 6]); 3] = [
+        (0x8195_867e_3c05_65b7, [251, 0, 251, 251, 251, 7_022]),
+        (0x82d4_307d_7927_b599, [567, 604, 8, 1_179, 3_537, 69_683]),
+        (0xa812_21c2_7448_7cf2, [500, 0, 650, 650, 4_550, 136_158]),
+    ];
+    assert_eq!(
+        got, want,
+        "pwl fig 7(a) sweep, pwl fig 8, mla fig 8: {got:#x?}"
+    );
+}
+
+#[test]
+fn pinned_newton_transients() {
+    // Plain SPICE3-like Newton on the Figure 8 inverter and its stress
+    // variant, including every step whose solve did not converge.
+    let run = |ckt: Circuit, tstep: f64, tstop: f64| {
+        let r = NrEngine::new(NrOptions::default())
+            .run_transient(&ckt, tstep, tstop)
+            .unwrap();
+        let mut d = Digest::new();
+        for (t, outcome) in &r.failures {
+            d.floats(&[*t]);
+            d.text(&format!("{outcome:?}"));
+        }
+        (baseline_pin(&r.result), r.failures.len(), d.0)
+    };
+    let got = [
+        run(nanosim::workloads::fet_rtd_inverter(), 0.2e-9, 100e-9),
+        run(nanosim::workloads::fet_rtd_inverter_stress(), 0.5e-9, 30e-9),
+    ];
+    let want: [((u64, [u64; 6]), usize, u64); 2] = [
+        (
+            (0x9c35_e59c_7863_008a, [500, 0, 530, 530, 3_710, 112_129]),
+            0,
+            0xcbf2_9ce4_8422_2325,
+        ),
+        (
+            (0xfbfc_8d39_173e_7152, [60, 0, 402, 402, 2_814, 89_667]),
+            3,
+            0xa5f5_ad3e_727c_ec2b,
+        ),
+    ];
+    assert_eq!(got, want, "newton fig 8, newton fig 8 stress: {got:#x?}");
 }
