@@ -30,7 +30,7 @@ fn bench_inverter(c: &mut Criterion) {
     });
     group.bench_function("pwl_aces", |b| {
         b.iter(|| {
-            PwlEngine::new(PwlOptions::default())
+            PwlEngine::new()
                 .run_transient(black_box(&ckt), tstep, tstop)
                 .expect("runs")
         })

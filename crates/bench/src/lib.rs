@@ -55,7 +55,7 @@ pub fn mla_options() -> MlaOptions {
 
 /// The SPICE3-like Newton configuration of Figure 8(c).
 pub fn spice3_options() -> NrOptions {
-    NrOptions::spice3()
+    NrOptions::default()
 }
 
 /// SWEC configured for *fixed-step* transients (error control disabled):
@@ -84,31 +84,6 @@ pub fn eng(x: f64) -> String {
     }
 }
 
-/// One Table-I style measurement: engine name, flops, solves, iterations.
-#[derive(Debug, Clone)]
-pub struct CostRow {
-    /// Engine label.
-    pub engine: &'static str,
-    /// Total floating point operations.
-    pub flops: u64,
-    /// Linear solves.
-    pub solves: u64,
-    /// Nonlinear iterations.
-    pub iterations: u64,
-}
-
-impl CostRow {
-    /// Extracts the cost columns from engine statistics.
-    pub fn from_stats(engine: &'static str, stats: &EngineStats) -> Self {
-        CostRow {
-            engine,
-            flops: stats.flops.total(),
-            solves: stats.linear_solves,
-            iterations: stats.iterations,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -119,18 +94,5 @@ mod tests {
         assert_eq!(eng(123.0), "123");
         assert_eq!(eng(45_600.0), "45.6k");
         assert_eq!(eng(7_890_000.0), "7.9M");
-    }
-
-    #[test]
-    fn cost_row_extraction() {
-        let mut s = EngineStats::new();
-        s.linear_solves = 5;
-        s.iterations = 7;
-        s.flops.add(100);
-        let r = CostRow::from_stats("swec", &s);
-        assert_eq!(r.engine, "swec");
-        assert_eq!(r.flops, 100);
-        assert_eq!(r.solves, 5);
-        assert_eq!(r.iterations, 7);
     }
 }

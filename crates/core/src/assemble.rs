@@ -18,6 +18,20 @@ use nanosim_numeric::solve::{LuStats, SparseLuSolver};
 use nanosim_numeric::sparse::{CsrMatrix, OrderingChoice};
 use nanosim_numeric::{BudgetMeter, FaultPlan, FlopCounter};
 
+/// Conductance (S) every engine adds in parallel with each nonlinear
+/// device and MOSFET channel (SPICE gmin), keeping matrices nonsingular
+/// when a device cuts off.
+pub(crate) const GMIN: f64 = 1e-12;
+
+/// Smallest time step (s) of the transient engines: the Newton/MLA and PWL
+/// step-halving floor, and the default of [`crate::swec::SwecOptions`]'s
+/// `h_min`.
+pub(crate) const H_MIN: f64 = 1e-18;
+
+/// Absolute node-voltage tolerance (V): the floor of the Newton
+/// convergence and cycle tests and of the SWEC local-error test.
+pub(crate) const V_ABSTOL: f64 = 1e-6;
+
 /// Value-slot indices of one two-terminal conductance stamp
 /// (`+g` at `(p,p)`/`(m,m)`, `-g` at `(p,m)`/`(m,p)`); `None` = grounded
 /// terminal, no slot.
@@ -235,6 +249,22 @@ impl AssemblyWorkspace {
     pub fn stamp_mosfet_cond(&mut self, k: usize, g: f64) {
         let sites = self.parts.mos_sites[k].cond;
         Self::stamp_cond(self.parts.a.values_mut(), &sites, g);
+    }
+
+    /// Starts a fresh assembly and stamps every nonlinear device's and
+    /// MOSFET's SWEC conductance `Geq` at state `x`, each plus [`GMIN`].
+    /// Returns the number of device evaluations.
+    pub fn stamp_geq(&mut self, mna: &MnaSystem, x: &[f64], flops: &mut FlopCounter) -> u64 {
+        self.begin();
+        for (i, b) in mna.nonlinear_bindings().iter().enumerate() {
+            let v = branch_voltage(x, b.var_plus, b.var_minus);
+            self.stamp_nonlinear(i, b.device.equivalent_conductance(v, flops) + GMIN);
+        }
+        for (k, m) in mna.mosfet_bindings().iter().enumerate() {
+            let (vgs, vds) = mosfet_bias(m, x);
+            self.stamp_mosfet_cond(k, m.model.geq(vgs, vds, flops) + GMIN);
+        }
+        (mna.nonlinear_bindings().len() + mna.mosfet_bindings().len()) as u64
     }
 
     /// Adds the Newton transconductance stamps of MOSFET `k` (requires the

@@ -61,7 +61,7 @@
 //! state-space form. Drive the circuit with current sources; a Thevenin
 //! source becomes a Norton equivalent.
 
-use crate::assemble::{branch_voltage, mna_var_names, mosfet_bias, whole_steps, AssemblyWorkspace};
+use crate::assemble::{mna_var_names, whole_steps, AssemblyWorkspace};
 use crate::report::EngineStats;
 use crate::sim::{AnalysisKind, Axis, Dataset};
 use crate::{Result, SimError};
@@ -80,6 +80,9 @@ use std::time::Instant;
 pub const PATH_CHUNK: usize = 8;
 
 /// Options of the EM engine.
+///
+/// The conductance in parallel with every nonlinear device is no option:
+/// it is the crate's `GMIN` (1e-12 S), the same in every engine.
 #[derive(Debug, Clone, PartialEq)]
 pub struct EmOptions {
     /// Fixed integration step `Δt` (s).
@@ -88,8 +91,6 @@ pub struct EmOptions {
     pub paths: usize,
     /// RNG seed (runs are reproducible).
     pub seed: u64,
-    /// Parallel conductance across nonlinear devices.
-    pub gmin: f64,
     /// Worker threads for the ensemble: `0` = one per hardware thread,
     /// `1` = serial. Results are bit-identical for every setting (see the
     /// module docs), so this is purely a wall-clock knob.
@@ -113,7 +114,6 @@ impl Default for EmOptions {
             dt: 1e-12,
             paths: 200,
             seed: 0x5eed_cafe,
-            gmin: 1e-12,
             threads: 0,
             param_spread: 0.0,
         }
@@ -368,7 +368,7 @@ impl EmEngine {
         let factors = Factors::PerPath(std::slice::from_ref(&c_lu));
         // The ensemble's kernel with one nominal path.
         let ws = AssemblyWorkspace::new(&mna, false, false, OrderingChoice::default());
-        let mut block = PathBlock::new(&mna, ws, vec![1.0], dt, self.opts.gmin);
+        let mut block = PathBlock::new(&mna, ws, vec![1.0], dt);
         let mut columns: Vec<Vec<f64>> = block.x.iter().map(|&x| vec![x]).collect();
         let mut times = vec![0.0];
         for k in 0..steps {
@@ -467,8 +467,7 @@ impl EmEngine {
             (None, Some(lu), _) => (Factors::Batched(lu), vec![1.0; npaths]),
             _ => unreachable!("run_mna() factors C when no per-path variation is set"),
         };
-        let mut block =
-            PathBlock::new(mna, template.clone(), g_scale, self.opts.dt, self.opts.gmin);
+        let mut block = PathBlock::new(mna, template.clone(), g_scale, self.opts.dt);
         let noise = mna.noise_bindings().len();
         let mut rngs: Vec<Pcg64> = path_rngs.to_vec();
         let mut moments = MomentBlock::new(dim * (steps + 1));
@@ -618,8 +617,6 @@ struct PathBlock {
     ws: AssemblyWorkspace,
     /// The fixed step `Δt`.
     dt: f64,
-    /// Conductance in parallel with every nonlinear device.
-    gmin: f64,
     /// Whether `G` is the same for every path at every step: a circuit
     /// without nonlinear devices or MOSFETs.
     linear: bool,
@@ -653,13 +650,7 @@ impl PathBlock {
     /// A block of `g_scale.len()` paths at `x = 0`, stepping by `dt` and
     /// assembling `G` in `ws`, a no-C workspace of `mna`. A circuit without
     /// nonlinear devices or MOSFETs has its `G` assembled here, once.
-    fn new(
-        mna: &MnaSystem,
-        mut ws: AssemblyWorkspace,
-        g_scale: Vec<f64>,
-        dt: f64,
-        gmin: f64,
-    ) -> Self {
+    fn new(mna: &MnaSystem, mut ws: AssemblyWorkspace, g_scale: Vec<f64>, dt: f64) -> Self {
         let (dim, npaths) = (mna.dim(), g_scale.len());
         assert!(
             npaths <= PATH_CHUNK,
@@ -676,7 +667,6 @@ impl PathBlock {
         PathBlock {
             ws,
             dt,
-            gmin,
             linear,
             g_vals,
             paths: npaths,
@@ -747,23 +737,11 @@ impl PathBlock {
         }
         let dim = self.b.len();
         for (p, x) in self.x.chunks_exact(dim).enumerate() {
-            self.ws.begin();
-            for (i, b) in mna.nonlinear_bindings().iter().enumerate() {
-                let v = branch_voltage(x, b.var_plus, b.var_minus);
-                let geq = b.device.equivalent_conductance(v, flops) + self.gmin;
-                self.ws.stamp_nonlinear(i, geq);
-            }
-            for (k, m) in mna.mosfet_bindings().iter().enumerate() {
-                let (vgs, vds) = mosfet_bias(m, x);
-                let geq = m.model.geq(vgs, vds, flops) + self.gmin;
-                self.ws.stamp_mosfet_cond(k, geq);
-            }
+            stats.device_evals += self.ws.stamp_geq(mna, x, flops);
             for (e, &v) in self.ws.matrix().values().iter().enumerate() {
                 self.g_vals[e * PATH_CHUNK + p] = v;
             }
         }
-        let devices = mna.nonlinear_bindings().len() + mna.mosfet_bindings().len();
-        stats.device_evals += (devices * self.paths) as u64;
     }
 
     /// Assembles every path's `rhs = (b(t) - g_scale·G·x)·dt + B·dW`:
@@ -923,7 +901,6 @@ mod tests {
             seed: 77,
             threads: 1,
             param_spread: 0.05,
-            ..EmOptions::default()
         };
         let serial = EmEngine::new(opts.clone()).run(&ckt, 1e-10).unwrap();
         assert_eq!(serial.stats.batched_factors, 3);

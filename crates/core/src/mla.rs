@@ -24,13 +24,18 @@ use crate::sim::Dataset;
 use crate::{Result, SimError};
 use nanosim_circuit::{Circuit, MnaSystem};
 
+/// Per-iteration clamp (V) on each nonlinear device's voltage change, the
+/// MLA's device limiting. \[1\] scales this to the RTD's region widths;
+/// 50 mV is a conservative setting that converges on every workload here.
+pub(crate) const DEVICE_V_LIMIT: f64 = 0.05;
+
 /// Options of the MLA baseline.
+///
+/// The device voltage limit is the fixed 50 mV of the crate's
+/// `DEVICE_V_LIMIT`, and the automatic step reduction stops at the crate's
+/// `H_MIN` (1e-18 s).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MlaOptions {
-    /// Per-iteration clamp on each nonlinear device's voltage change (V).
-    /// \[1\] scales this to the RTD's region widths; 50 mV is a
-    /// conservative setting that converges on every workload here.
-    pub device_v_limit: f64,
     /// Newton iteration cap per solve (MLA typically needs tens).
     pub max_iterations: usize,
     /// Substeps of the current/source-stepping ramp.
@@ -39,18 +44,14 @@ pub struct MlaOptions {
     /// procedure, used for Table I) instead of warm-starting from the
     /// previous sweep point.
     pub cold_start: bool,
-    /// Minimum transient step for the automatic reduction.
-    pub h_min: f64,
 }
 
 impl Default for MlaOptions {
     fn default() -> Self {
         MlaOptions {
-            device_v_limit: 0.05,
             max_iterations: 500,
             source_steps: 3,
             cold_start: true,
-            h_min: 1e-18,
         }
     }
 }
@@ -85,11 +86,10 @@ impl MlaEngine {
     pub fn new(opts: MlaOptions) -> Self {
         let mut inner = NrEngine::new(NrOptions {
             max_iterations: opts.max_iterations,
-            device_v_limit: Some(opts.device_v_limit),
+            device_v_limit: Some(DEVICE_V_LIMIT),
             source_steps: opts.source_steps,
             cold_start: opts.cold_start,
             failure_policy: FailurePolicy::ReduceStep,
-            h_min: opts.h_min,
             ..NrOptions::default()
         });
         inner.tag = "mla";
@@ -151,7 +151,8 @@ impl MlaEngine {
     ///
     /// # Errors
     /// Propagates invalid parameters, singular structure and step
-    /// underflow.
+    /// underflow, and returns [`SimError::NonConvergence`] when the `t = 0`
+    /// operating point does not converge, even through source stepping.
     pub fn run_transient(&self, circuit: &Circuit, tstep: f64, tstop: f64) -> Result<Dataset> {
         Ok(self.inner.run_transient(circuit, tstep, tstop)?.result)
     }
@@ -248,14 +249,12 @@ mod tests {
     #[test]
     fn mla_options_map_to_newton_config() {
         let engine = MlaEngine::new(MlaOptions {
-            device_v_limit: 0.02,
             max_iterations: 99,
             source_steps: 7,
             cold_start: true,
-            h_min: 1e-15,
         });
         let o = engine.newton_options();
-        assert_eq!(o.device_v_limit, Some(0.02));
+        assert_eq!(o.device_v_limit, Some(DEVICE_V_LIMIT));
         assert_eq!(o.max_iterations, 99);
         assert_eq!(o.source_steps, 7);
         assert_eq!(o.failure_policy, FailurePolicy::ReduceStep);

@@ -20,6 +20,7 @@
 use crate::assemble::{
     branch_voltage, charge_sweep, check_transient_window, mna_var_names, mosfet_bias,
     override_source_rhs, require_sweepable_source, sweep_columns, sweep_points, AssemblyWorkspace,
+    GMIN, H_MIN, V_ABSTOL,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
@@ -35,6 +36,9 @@ use std::time::Instant;
 /// Iterate-history window for cycle detection: [`detect_vector_cycle`]
 /// looks back at most `2 * 4` iterates, so nine suffice.
 const HISTORY_WINDOW: usize = 9;
+
+/// Relative node-voltage tolerance of the Newton convergence test.
+const V_RELTOL: f64 = 1e-3;
 
 /// Outcome of one Newton solve.
 #[derive(Debug, Clone, PartialEq)]
@@ -90,21 +94,23 @@ pub enum FailurePolicy {
 }
 
 /// Newton–Raphson engine options.
+///
+/// The default is the SPICE3-like configuration of Figure 8(c): plain
+/// full-step Newton, no device limiting, no source stepping, failed
+/// transient steps accepted as they are — the configuration that fails on
+/// NDR circuits. The tolerances and floors every run shares are fixed: the
+/// crate's `V_ABSTOL` (1 µV) plus `V_RELTOL` (1e-3) of the node voltage,
+/// `GMIN` (1e-12 S) across every device, and `H_MIN` (1e-18 s) as the
+/// step floor of [`FailurePolicy::ReduceStep`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct NrOptions {
     /// Maximum Newton iterations per solve.
     pub max_iterations: usize,
-    /// Absolute node-voltage tolerance (V).
-    pub v_abstol: f64,
-    /// Relative node-voltage tolerance.
-    pub v_reltol: f64,
     /// Step damping in `(0, 1]` (1 = full Newton, SPICE3 default).
     pub damping: f64,
     /// Per-iteration clamp on each nonlinear device's voltage change (V);
     /// `None` disables limiting. The MLA baseline sets this.
     pub device_v_limit: Option<f64>,
-    /// Conductance added across nonlinear devices (SPICE gmin).
-    pub gmin: f64,
     /// DC source-stepping substeps used when a point fails directly
     /// (1 = disabled).
     pub source_steps: usize,
@@ -116,8 +122,6 @@ pub struct NrOptions {
     pub cold_start: bool,
     /// Transient failure policy.
     pub failure_policy: FailurePolicy,
-    /// Minimum transient step for [`FailurePolicy::ReduceStep`].
-    pub h_min: f64,
     /// Convergence-rescue ladder for [`NrEngine::solve_op_rescued`].
     /// **Disabled by default**: the NR engine's job is to *reproduce* the
     /// paper's Newton failures (Figure 2 / 8(c)), so nothing rescues a
@@ -129,26 +133,13 @@ impl Default for NrOptions {
     fn default() -> Self {
         NrOptions {
             max_iterations: 100,
-            v_abstol: 1e-6,
-            v_reltol: 1e-3,
             damping: 1.0,
             device_v_limit: None,
-            gmin: 1e-12,
             source_steps: 1,
             cold_start: false,
             failure_policy: FailurePolicy::default(),
-            h_min: 1e-18,
             rescue: crate::rescue::RescueOptions::disabled(),
         }
-    }
-}
-
-impl NrOptions {
-    /// SPICE3-like configuration: plain full-step Newton, no device
-    /// limiting, no source stepping — the configuration that fails on NDR
-    /// circuits (Figure 8(c)).
-    pub fn spice3() -> Self {
-        NrOptions::default()
     }
 }
 
@@ -361,8 +352,10 @@ impl NrEngine {
     /// failure policy.
     ///
     /// # Errors
-    /// Fails on invalid parameters, singular structure, or (with
-    /// [`FailurePolicy::ReduceStep`]) step underflow.
+    /// Fails on invalid parameters, singular structure, or, with
+    /// [`FailurePolicy::ReduceStep`], step underflow and a `t = 0`
+    /// operating point that source stepping does not converge
+    /// ([`SimError::NonConvergence`]).
     pub fn run_transient(
         &self,
         circuit: &Circuit,
@@ -402,11 +395,12 @@ impl NrEngine {
         )?;
         if !op_outcome.is_converged() {
             let mut xs = vec![0.0; dim];
+            let mut outcome = op_outcome;
             let steps = self.opts.source_steps.max(10);
             for s in 1..=steps {
                 let scale = s as f64 / steps as f64;
                 let mut sm = run_meter.fork();
-                let (xi, _) = self.solve_dc_ws(
+                (xs, outcome) = self.solve_dc_ws(
                     mna,
                     &mut ws,
                     None,
@@ -416,7 +410,17 @@ impl NrEngine {
                     &mut stats,
                     &mut sm,
                 )?;
-                xs = xi;
+            }
+            // Only SPICE3's accept-last policy may start from a failed
+            // operating point (Figure 8(c)).
+            if self.opts.failure_policy == FailurePolicy::ReduceStep && !outcome.is_converged() {
+                return Err(SimError::non_convergence(
+                    0.0,
+                    format!(
+                        "{} operating point: source-stepping ramp ended {outcome:?}",
+                        self.tag
+                    ),
+                ));
             }
             x = xs;
         }
@@ -447,7 +451,7 @@ impl NrEngine {
                     FailurePolicy::ReduceStep => {
                         stats.rejected_steps += 1;
                         h *= 0.5;
-                        if h < self.opts.h_min {
+                        if h < H_MIN {
                             return Err(SimError::step_underflow(t, h));
                         }
                     }
@@ -678,7 +682,7 @@ impl NrEngine {
             for (i, b) in mna.nonlinear_bindings().iter().enumerate() {
                 let v = v_lin[i];
                 let id = b.device.current(v, &mut flops);
-                let gd = b.device.differential_conductance(v, &mut flops) + self.opts.gmin;
+                let gd = b.device.differential_conductance(v, &mut flops) + GMIN;
                 stats.device_evals += 2;
                 let ieq = id - gd * v;
                 flops.fma(1);
@@ -694,7 +698,7 @@ impl NrEngine {
             for (k, m) in mna.mosfet_bindings().iter().enumerate() {
                 let (vgs, vds) = mosfet_bias(m, &x);
                 let id = m.model.ids(vgs, vds, &mut flops);
-                let gds = m.model.gds(vgs, vds, &mut flops) + self.opts.gmin;
+                let gds = m.model.gds(vgs, vds, &mut flops) + GMIN;
                 let gm = m.model.gm(vgs, vds, &mut flops);
                 stats.device_evals += 3;
                 // i_d = ieq + gds*vds + gm*vgs with ieq from the expansion.
@@ -755,7 +759,7 @@ impl NrEngine {
             // Convergence: node voltages between successive iterates.
             let mut converged = true;
             for i in 0..mna.num_nodes() {
-                let tol = self.opts.v_abstol + self.opts.v_reltol * x_new[i].abs();
+                let tol = V_ABSTOL + V_RELTOL * x_new[i].abs();
                 if (x_new[i] - x[i]).abs() > tol {
                     converged = false;
                     break;
@@ -764,7 +768,7 @@ impl NrEngine {
             // Device linearization voltages must also have settled.
             if converged {
                 for (i, &v) in v_next.iter().enumerate() {
-                    let tol = self.opts.v_abstol + self.opts.v_reltol * v.abs();
+                    let tol = V_ABSTOL + V_RELTOL * v.abs();
                     if (v - v_lin[i]).abs() > tol {
                         converged = false;
                         break;
@@ -790,7 +794,7 @@ impl NrEngine {
                     },
                 ));
             }
-            if let Some(period) = detect_vector_cycle(&history, self.opts.v_abstol) {
+            if let Some(period) = detect_vector_cycle(&history, V_ABSTOL) {
                 stats.flops += flops;
                 return Ok((x, NrOutcome::Oscillating { period }));
             }

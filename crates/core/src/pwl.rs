@@ -13,7 +13,7 @@
 
 use crate::assemble::{
     branch_voltage, charge_sweep, check_transient_window, mna_var_names, mosfet_bias,
-    override_source_rhs, require_sweepable_source, sweep_points,
+    override_source_rhs, require_sweepable_source, sweep_points, GMIN, H_MIN,
 };
 use crate::report::EngineStats;
 use crate::sim::{AnalysisKind, Axis, Dataset};
@@ -97,47 +97,26 @@ impl PwlDeviceTable {
     }
 }
 
-/// Options of the PWL engine.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PwlOptions {
-    /// Segments per device table.
-    pub segments: usize,
-    /// Tabulation range lower bound (V).
-    pub v_min: f64,
-    /// Tabulation range upper bound (V).
-    pub v_max: f64,
-    /// Parallel conductance keeping matrices nonsingular.
-    pub gmin: f64,
-    /// Minimum transient step before giving up.
-    pub h_min: f64,
-}
+/// Segments of every device table.
+const SEGMENTS: usize = 200;
 
-impl Default for PwlOptions {
-    fn default() -> Self {
-        PwlOptions {
-            segments: 200,
-            v_min: -8.0,
-            v_max: 8.0,
-            gmin: 1e-12,
-            h_min: 1e-18,
-        }
-    }
-}
+/// Tabulated voltage range (V) of every device table.
+const V_RANGE: (f64, f64) = (-8.0, 8.0);
 
 /// The ACES-like piecewise-linear engine.
+///
+/// Its settings are fixed: every device is tabulated into 200 segments
+/// over −8..8 V, each stamp adds the crate's `GMIN` (1e-12 S), and a
+/// transient gives up below the crate's `H_MIN` (1e-18 s).
 #[derive(Debug, Clone, Default)]
 pub struct PwlEngine {
-    opts: PwlOptions,
     meter: BudgetMeter,
 }
 
 impl PwlEngine {
-    /// Creates the engine with the given options.
-    pub fn new(opts: PwlOptions) -> Self {
-        PwlEngine {
-            opts,
-            meter: BudgetMeter::unlimited(),
-        }
+    /// Creates the engine.
+    pub fn new() -> Self {
+        PwlEngine::default()
     }
 
     /// Attaches a run budget / cancellation meter. A DC sweep charges its
@@ -185,7 +164,7 @@ impl PwlEngine {
         // The result shape is known up front: charge it all before any work.
         let mut run_meter = self.meter.fork();
         charge_sweep(&mut run_meter, mna, n_points)?;
-        let tables = self.tabulate_all(mna);
+        let tables = Self::tabulate_all(mna);
         let mut stats = EngineStats::new();
 
         let var_names = mna_var_names(mna);
@@ -253,7 +232,7 @@ impl PwlEngine {
     ) -> Result<Dataset> {
         let t0 = Instant::now();
         let dim = mna.dim();
-        let tables = self.tabulate_all(mna);
+        let tables = Self::tabulate_all(mna);
         let mut stats = EngineStats::new();
         let mut run_meter = self.meter.fork();
 
@@ -277,7 +256,7 @@ impl PwlEngine {
         while t < t_end {
             let mut h = tstep.min(tstop - t);
             loop {
-                if h < self.opts.h_min {
+                if h < H_MIN {
                     return Err(SimError::step_underflow(t, h));
                 }
                 let x_new = self.solve_step(mna, &tables, &x, t, h, &mut stats)?;
@@ -323,17 +302,11 @@ impl PwlEngine {
         ))
     }
 
-    fn tabulate_all(&self, mna: &MnaSystem) -> Vec<PwlDeviceTable> {
+    fn tabulate_all(mna: &MnaSystem) -> Vec<PwlDeviceTable> {
+        let (v_min, v_max) = V_RANGE;
         mna.nonlinear_bindings()
             .iter()
-            .map(|b| {
-                PwlDeviceTable::tabulate(
-                    &b.device,
-                    self.opts.v_min,
-                    self.opts.v_max,
-                    self.opts.segments,
-                )
-            })
+            .map(|b| PwlDeviceTable::tabulate(&b.device, v_min, v_max, SEGMENTS))
             .collect()
     }
 
@@ -407,7 +380,7 @@ impl PwlEngine {
             let v = branch_voltage(x0, b.var_plus, b.var_minus);
             let (g_seg, i_eq) = tables[bi].companion(v, flops);
             stats.device_evals += 1;
-            MnaSystem::stamp_conductance(g, b.var_plus, b.var_minus, g_seg + self.opts.gmin);
+            MnaSystem::stamp_conductance(g, b.var_plus, b.var_minus, g_seg + GMIN);
             if let Some(p) = b.var_plus {
                 rhs[p] -= i_eq;
             }
@@ -421,7 +394,7 @@ impl PwlEngine {
         // problem device.
         for m in mna.mosfet_bindings() {
             let (vgs, vds) = mosfet_bias(m, x0);
-            let geq = m.model.geq(vgs, vds, flops) + self.opts.gmin;
+            let geq = m.model.geq(vgs, vds, flops) + GMIN;
             stats.device_evals += 1;
             MnaSystem::stamp_conductance(g, m.var_drain, m.var_source, geq);
         }
@@ -501,7 +474,7 @@ mod tests {
 
     #[test]
     fn dc_sweep_tracks_rtd_curve() {
-        let engine = PwlEngine::new(PwlOptions::default());
+        let engine = PwlEngine::new();
         let sweep = engine
             .run_dc_sweep(&rtd_divider(), "V1", 0.0, 5.0, 0.02)
             .unwrap();
@@ -526,9 +499,7 @@ mod tests {
         .unwrap();
         ckt.add_resistor("R1", a, b, 1e3).unwrap();
         ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-12).unwrap();
-        let r = PwlEngine::new(PwlOptions::default())
-            .run_transient(&ckt, 0.02e-9, 5e-9)
-            .unwrap();
+        let r = PwlEngine::new().run_transient(&ckt, 0.02e-9, 5e-9).unwrap();
         let out = r.curve("out").unwrap();
         let expected = 1.0 - (-1.0f64).exp();
         assert!((out.value_at(1e-9) - expected).abs() < 0.02);
@@ -550,7 +521,7 @@ mod tests {
         ckt.add_rtd("X1", b, Circuit::GROUND, Rtd::date2005())
             .unwrap();
         ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-13).unwrap();
-        let r = PwlEngine::new(PwlOptions::default())
+        let r = PwlEngine::new()
             .run_transient(&ckt, 0.05e-9, 20e-9)
             .unwrap();
         let end = r.curve("mid").unwrap().final_value();
@@ -561,7 +532,7 @@ mod tests {
 
     #[test]
     fn invalid_configs_rejected() {
-        let engine = PwlEngine::new(PwlOptions::default());
+        let engine = PwlEngine::new();
         let ckt = rtd_divider();
         assert!(engine.run_dc_sweep(&ckt, "V1", 0.0, 1.0, 0.0).is_err());
         assert!(engine.run_dc_sweep(&ckt, "zz", 0.0, 1.0, 0.1).is_err());

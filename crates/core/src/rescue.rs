@@ -154,7 +154,24 @@ impl fmt::Display for RescueTrace {
     }
 }
 
-/// Tuning knobs for the rescue ladder.
+/// Starting shunt conductance (S) of the gmin-stepping rung.
+const GMIN_START: f64 = 1e-2;
+
+/// Decades over which the gmin-stepping rung relaxes its shunt.
+const GMIN_STEPS: usize = 8;
+
+/// Increments of the source-stepping rung's ramp.
+const SOURCE_STEPS: usize = 25;
+
+/// Artificial time steps of the pseudo-transient rung.
+const PTRAN_STEPS: usize = 40;
+
+/// Switches for the rescue ladder.
+///
+/// The rung schedules are fixed: gmin stepping relaxes a 1e-2 S shunt over
+/// 8 decades (`GMIN_START`, `GMIN_STEPS`), source stepping ramps in 25
+/// increments (`SOURCE_STEPS`), and the pseudo-transient rung takes 40
+/// steps (`PTRAN_STEPS`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct RescueOptions {
     /// Master switch. When `false` a failed solve returns its original
@@ -163,14 +180,6 @@ pub struct RescueOptions {
     /// Iterate damping factor used by the damped-retry rung (0 < d ≤ 1;
     /// smaller is heavier damping).
     pub damping: f64,
-    /// Starting shunt conductance of the gmin-stepping rung (siemens).
-    pub gmin_start: f64,
-    /// Number of decades over which the gmin shunt is relaxed to zero.
-    pub gmin_steps: usize,
-    /// Number of increments of the source-stepping ramp.
-    pub source_steps: usize,
-    /// Number of artificial time steps of the pseudo-transient rung.
-    pub ptran_steps: usize,
 }
 
 impl Default for RescueOptions {
@@ -178,10 +187,6 @@ impl Default for RescueOptions {
         RescueOptions {
             enabled: true,
             damping: 0.25,
-            gmin_start: 1e-2,
-            gmin_steps: 8,
-            source_steps: 25,
-            ptran_steps: 40,
         }
     }
 }
@@ -254,19 +259,15 @@ where
         stats.rescue_rungs += 1;
         let mut rung_solve =
             |x0: &[f64], shunt: Shunt<'_>, scale: Option<f64>| solve(rung, x0, shunt, scale, stats);
-        match climb_rung(rung, opts, &zeros, &mut rung_solve) {
+        match climb_rung(rung, &zeros, &mut rung_solve) {
             Ok(x) => {
                 let detail = match rung {
                     RescueRung::DampedRetry => format!("damping {}", opts.damping),
-                    RescueRung::GminStep => format!(
-                        "{} decades from {:.1e} S",
-                        opts.gmin_steps.max(1),
-                        opts.gmin_start
-                    ),
-                    RescueRung::SourceStep => format!("{} substeps", opts.source_steps.max(1)),
-                    RescueRung::PseudoTransient => {
-                        format!("{} pseudo-steps", opts.ptran_steps.max(1))
+                    RescueRung::GminStep => {
+                        format!("{GMIN_STEPS} decades from {GMIN_START:.1e} S")
                     }
+                    RescueRung::SourceStep => format!("{SOURCE_STEPS} substeps"),
+                    RescueRung::PseudoTransient => format!("{PTRAN_STEPS} pseudo-steps"),
                 };
                 trace.record(rung, true, detail);
                 stats.rescues += 1;
@@ -280,7 +281,7 @@ where
 }
 
 /// Runs the solves of one rung, each warm-started from the last.
-fn climb_rung<S>(rung: RescueRung, opts: &RescueOptions, zeros: &[f64], solve: &mut S) -> RungResult
+fn climb_rung<S>(rung: RescueRung, zeros: &[f64], solve: &mut S) -> RungResult
 where
     S: FnMut(&[f64], Shunt<'_>, Option<f64>) -> RungResult,
 {
@@ -291,8 +292,8 @@ where
         // relax it a decade at a time, then confirm without it.
         RescueRung::GminStep => {
             let mut x = zeros.to_vec();
-            let mut g = opts.gmin_start;
-            for _ in 0..opts.gmin_steps.max(1) {
+            let mut g = GMIN_START;
+            for _ in 0..GMIN_STEPS {
                 x = solve(&x, Some((g, zeros)), None)?;
                 g *= 0.1;
             }
@@ -301,10 +302,9 @@ where
         // Approach the bias from zero the way a power-up transient would,
         // so bistable circuits land on the continuation branch.
         RescueRung::SourceStep => {
-            let steps = opts.source_steps.max(1);
             let mut x = zeros.to_vec();
-            for s in 1..=steps {
-                x = solve(&x, None, Some(s as f64 / steps as f64))?;
+            for s in 1..=SOURCE_STEPS {
+                x = solve(&x, None, Some(s as f64 / SOURCE_STEPS as f64))?;
             }
             Ok(x)
         }
@@ -312,11 +312,10 @@ where
         // conductance decaying from 1 S to 1 pS (a backward-Euler march
         // with a growing time step), then confirm without it.
         RescueRung::PseudoTransient => {
-            let steps = opts.ptran_steps.max(1);
             let mut x = zeros.to_vec();
             let mut g = 1.0_f64;
-            let decay = 1e-12_f64.powf(1.0 / steps as f64);
-            for _ in 0..steps {
+            let decay = 1e-12_f64.powf(1.0 / PTRAN_STEPS as f64);
+            for _ in 0..PTRAN_STEPS {
                 x = solve(&x, Some((g, &x)), None)?;
                 g *= decay;
             }
@@ -358,8 +357,6 @@ mod tests {
         let o = RescueOptions::default();
         assert!(o.enabled);
         assert!(o.damping > 0.0 && o.damping <= 1.0);
-        assert!(o.gmin_start > 0.0);
-        assert!(o.source_steps > 1);
         assert!(!RescueOptions::disabled().enabled);
     }
 }

@@ -12,7 +12,6 @@
 
 use crate::em::EmOptions;
 use crate::mla::MlaOptions;
-use crate::pwl::PwlOptions;
 use crate::sim::dataset::AnalysisKind;
 use crate::sim::plan::ExecPlan;
 use crate::swec::SwecOptions;
@@ -260,22 +259,12 @@ impl Mla {
     }
 }
 
-/// Builder for a PWL-baseline analysis.
+/// Builder for a PWL-baseline analysis (the engine has no options; see
+/// [`crate::pwl::PwlEngine`]).
 #[derive(Debug, Clone)]
 pub struct Pwl {
     /// Sweep or transient parameters.
     pub request: BaselineRequest,
-    /// PWL engine options.
-    pub options: PwlOptions,
-}
-
-impl Pwl {
-    /// Replaces the engine options.
-    #[must_use]
-    pub fn options(mut self, options: PwlOptions) -> Self {
-        self.options = options;
-        self
-    }
 }
 
 macro_rules! into_analysis {
@@ -348,7 +337,6 @@ impl Analysis {
                 stop,
                 step,
             },
-            options: PwlOptions::default(),
         }
     }
 
@@ -356,7 +344,6 @@ impl Analysis {
     pub fn pwl_transient(tstep: f64, tstop: f64) -> Pwl {
         Pwl {
             request: BaselineRequest::Transient { tstep, tstop },
-            options: PwlOptions::default(),
         }
     }
 

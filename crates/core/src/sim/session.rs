@@ -415,7 +415,7 @@ impl Simulator {
     }
 
     fn run_pwl(&mut self, pwl: Pwl, meter: &BudgetMeter) -> Result<Dataset> {
-        let engine = PwlEngine::new(pwl.options).with_meter(meter.fork());
+        let engine = PwlEngine::new().with_meter(meter.fork());
         match pwl.request {
             BaselineRequest::DcSweep {
                 source,

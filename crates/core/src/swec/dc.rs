@@ -11,8 +11,8 @@
 //! solution (continuation), so a handful of iterations usually suffice.
 
 use crate::assemble::{
-    branch_voltage, charge_sweep, checked_sweep_points, mna_var_names, mosfet_bias,
-    override_source_rhs, sweep_columns, AssemblyWorkspace,
+    charge_sweep, checked_sweep_points, mna_var_names, override_source_rhs, sweep_columns,
+    AssemblyWorkspace,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
@@ -532,7 +532,7 @@ impl SwecDcSweep {
             .tick_iteration()
             .map_err(|stop| SimError::budget_exceeded(stop, "swec non-iterative solve"))?;
         let mut flops = FlopCounter::new();
-        self.stamp_geq(mna, ws, x0, stats, &mut flops);
+        stats.device_evals += ws.stamp_geq(mna, x0, &mut flops);
         buf.rhs.resize(dim, 0.0);
         mna.stamp_rhs(0.0, &mut buf.rhs);
         if let Some((name, value)) = override_src {
@@ -573,7 +573,7 @@ impl SwecDcSweep {
             .checkpoint()
             .map_err(|stop| SimError::budget_exceeded(stop, "swec batched ramp solve"))?;
         let mut flops = FlopCounter::new();
-        self.stamp_geq(mna, ws, x0, stats, &mut flops);
+        stats.device_evals += ws.stamp_geq(mna, x0, &mut flops);
         buf.rhs.resize(dim, 0.0);
         let mut rhs_block = vec![0.0; dim * k];
         for (j, &value) in values.iter().enumerate() {
@@ -589,30 +589,6 @@ impl SwecDcSweep {
         Ok((0..k)
             .map(|j| x_block[j * dim..(j + 1) * dim].to_vec())
             .collect())
-    }
-
-    /// Stamps the linear G plus every device's `Geq(x0)` into the workspace.
-    fn stamp_geq(
-        &self,
-        mna: &MnaSystem,
-        ws: &mut AssemblyWorkspace,
-        x0: &[f64],
-        stats: &mut EngineStats,
-        flops: &mut FlopCounter,
-    ) {
-        ws.begin();
-        for (i, b) in mna.nonlinear_bindings().iter().enumerate() {
-            let v = branch_voltage(x0, b.var_plus, b.var_minus);
-            let geq = b.device.equivalent_conductance(v, flops) + self.opts.gmin;
-            stats.device_evals += 1;
-            ws.stamp_nonlinear(i, geq);
-        }
-        for (k, m) in mna.mosfet_bindings().iter().enumerate() {
-            let (vgs, vds) = mosfet_bias(m, x0);
-            let geq = m.model.geq(vgs, vds, flops) + self.opts.gmin;
-            stats.device_evals += 1;
-            ws.stamp_mosfet_cond(k, geq);
-        }
     }
 
     /// Damped `Geq` fixed point at one bias point, seeded with `x0`
@@ -659,7 +635,7 @@ impl SwecDcSweep {
                 ));
             }
             // Stamp G with Geq at the current iterate.
-            self.stamp_geq(mna, ws, &x, stats, &mut flops);
+            stats.device_evals += ws.stamp_geq(mna, &x, &mut flops);
             if let Some((g, _)) = shunt {
                 ws.stamp_diag_shunt(mna.num_nodes(), g);
             }

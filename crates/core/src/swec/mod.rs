@@ -67,6 +67,11 @@ pub enum StepControl {
 }
 
 /// Options shared by the SWEC transient and DC engines.
+///
+/// Three settings are fixed rather than optional: the transient's largest
+/// step is its print step `tstep`, the local-error test's absolute voltage
+/// floor is the crate's `V_ABSTOL` (1 µV), and every device stamp adds the
+/// crate's `GMIN` (1e-12 S).
 #[derive(Debug, Clone, PartialEq)]
 pub struct SwecOptions {
     /// Target local error `ε` of paper eq. (10); drives the adaptive step.
@@ -74,22 +79,15 @@ pub struct SwecOptions {
     /// Hard minimum time step (s); going below raises
     /// [`crate::SimError::StepSizeUnderflow`].
     pub h_min: f64,
-    /// Hard maximum time step (s); also capped by the `.tran` print step.
-    pub h_max: f64,
     /// Enable the Geq Taylor extrapolation of paper eq. (5).
     pub taylor_extrapolation: bool,
     /// Integration rule.
     pub integration: IntegrationMethod,
     /// Adaptive step scheme.
     pub step_control: StepControl,
-    /// Absolute voltage floor of the local-error test (V).
-    pub v_abstol: f64,
     /// Largest accepted per-step node-voltage change (V); larger changes
     /// reject the step and halve `h`.
     pub dv_max: f64,
-    /// Conductance added in parallel with every nonlinear device to keep
-    /// matrices nonsingular when devices cut off.
-    pub gmin: f64,
     /// DC sweep mode (non-iterative per the paper, or fixed point).
     pub dc_mode: DcMode,
     /// DC fixed-point: convergence tolerance on node voltages (V).
@@ -111,14 +109,11 @@ impl Default for SwecOptions {
     fn default() -> Self {
         SwecOptions {
             epsilon: 0.01,
-            h_min: 1e-18,
-            h_max: f64::INFINITY,
+            h_min: crate::assemble::H_MIN,
             taylor_extrapolation: true,
             integration: IntegrationMethod::BackwardEuler,
             step_control: StepControl::default(),
-            v_abstol: 1e-6,
             dv_max: 0.5,
-            gmin: 1e-12,
             dc_mode: DcMode::default(),
             dc_tolerance: 1e-9,
             dc_max_iterations: 400,

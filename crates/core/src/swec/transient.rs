@@ -17,11 +17,12 @@
 //! decades, a cached pivot may decay; the embedded
 //! [`nanosim_numeric::solve::SparseLuSolver`] then applies one
 //! iterative-refinement step at solve time instead of re-pivoting, so
-//! the analysis (and its supernodal kernel plan) survives the stiff
-//! stretch — `EngineStats::refinement_steps` counts those recoveries.
+//! the analysis survives the stiff stretch — `EngineStats::refinement_steps`
+//! counts those recoveries.
 
 use crate::assemble::{
-    branch_voltage, check_transient_window, mna_var_names, mosfet_bias, AssemblyWorkspace,
+    branch_voltage, check_transient_window, mna_var_names, mosfet_bias, AssemblyWorkspace, GMIN,
+    V_ABSTOL,
 };
 use crate::error::LastAccepted;
 use crate::report::EngineStats;
@@ -178,16 +179,16 @@ impl SwecTransient {
         }
 
         let node_caps = mna.node_capacitance();
-        let h_max = self.opts.h_max.min(tstep);
+        // The step never exceeds the print step.
         let mut controller = TimeStepController::new(
             TimeStepOptions {
                 epsilon: self.opts.epsilon,
                 h_min: self.opts.h_min,
-                h_max,
+                h_max: tstep,
                 safety: 0.9,
                 max_growth: 2.0,
             },
-            h_max / 100.0,
+            tstep / 100.0,
         );
 
         // Records.
@@ -214,7 +215,7 @@ impl SwecTransient {
         let mut x_prev: Option<Vec<f64>> = None;
         let mut h_prev = 0.0f64;
         // Local-error mode's own step reference (starts conservative).
-        let mut h_ref = h_max / 100.0;
+        let mut h_ref = tstep / 100.0;
 
         // The initial point is already recorded; charge it before stepping.
         if let Err(stop) = run_meter.charge_bytes(8 * (1 + dim as u64)) {
@@ -271,7 +272,7 @@ impl SwecTransient {
                     controller.suggest(nodes.chain(devices).chain(mosfets), t, tstop, next_bp)
                 }
                 StepControl::LocalError => {
-                    let mut h = h_ref.min(h_max).min(tstop - t);
+                    let mut h = h_ref.min(tstep).min(tstop - t);
                     if let Some(bp) = next_bp {
                         if bp > t {
                             h = h.min(bp - t);
@@ -361,8 +362,8 @@ impl SwecTransient {
                         for j in 0..mna.num_nodes() {
                             let actual = solution[j] - x[j];
                             let predicted = (x[j] - xp[j]) * scale;
-                            let tol = self.opts.v_abstol
-                                + self.opts.epsilon * actual.abs().max(x[j].abs() * 0.01);
+                            let tol =
+                                V_ABSTOL + self.opts.epsilon * actual.abs().max(x[j].abs() * 0.01);
                             r = r.max((actual - predicted).abs() / tol);
                         }
                         error_ratio = r;
@@ -434,7 +435,7 @@ impl SwecTransient {
                 } else {
                     2.0
                 };
-                h_ref = (h * grow).clamp(self.opts.h_min, h_max);
+                h_ref = (h * grow).clamp(self.opts.h_min, tstep);
             }
 
             match &mut x_prev {
@@ -514,11 +515,11 @@ impl SwecTransient {
             tracker.evaluate(mna.nonlinear_bindings(), mna.mosfet_bindings(), flops);
         ws.begin();
         for i in 0..tracker.len() {
-            let geq = tracker.predict(i, h, flops) + self.opts.gmin;
+            let geq = tracker.predict(i, h, flops) + GMIN;
             ws.stamp_nonlinear(i, geq);
         }
         for k in 0..mna.mosfet_bindings().len() {
-            ws.stamp_mosfet_cond(k, tracker.mosfet_geq(k) + self.opts.gmin);
+            ws.stamp_mosfet_cond(k, tracker.mosfet_geq(k) + GMIN);
         }
         ws.snapshot_values(g_vals);
 
@@ -930,7 +931,7 @@ mod tests {
     #[test]
     fn adaptive_step_grows_in_quiet_regions() {
         // After the transient settles the controller should take steps near
-        // the h_max bound, so the run uses far fewer points than tstop/h_min.
+        // the print-step bound, so the run uses far fewer points than tstop/h_min.
         let result = engine()
             .run(&rc_step_circuit(1e3, 1e-12), 0.1e-9, 50e-9)
             .unwrap();

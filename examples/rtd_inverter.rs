@@ -27,7 +27,7 @@ fn main() -> Result<(), SimError> {
     println!("SWEC: {}", swec.stats);
 
     // --- SPICE3-like Newton baseline -----------------------------------
-    let nr = NrEngine::new(NrOptions::spice3()).run_transient(&circuit, tstep, tstop)?;
+    let nr = NrEngine::new(NrOptions::default()).run_transient(&circuit, tstep, tstop)?;
     println!(
         "\nFigure 8(c) — SPICE3-like NR: {} non-converged steps out of {}",
         nr.failures.len(),

@@ -80,7 +80,6 @@ pub mod prelude {
     pub use nanosim_core::em::EmOptions;
     pub use nanosim_core::mla::MlaOptions;
     pub use nanosim_core::nr::{FailurePolicy, NrEngine, NrOptions};
-    pub use nanosim_core::pwl::PwlOptions;
     pub use nanosim_core::sim::{
         run_ensemble, Analysis, AnalysisKind, Axis, Dataset, ExecPlan, PreflightMode, SimOptions,
         Simulator,

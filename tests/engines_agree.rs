@@ -33,9 +33,7 @@ fn all_engines_agree_on_linear_rc() {
     let nr = NrEngine::new(NrOptions::default())
         .run_transient(&ckt, tstep, tstop)
         .unwrap();
-    let pwl = PwlEngine::new(PwlOptions::default())
-        .run_transient(&ckt, tstep, tstop)
-        .unwrap();
+    let pwl = PwlEngine::new().run_transient(&ckt, tstep, tstop).unwrap();
     let s = swec.curve("out").unwrap();
     let n = nr.result.curve("out").unwrap();
     let p = pwl.curve("out").unwrap();
@@ -86,7 +84,7 @@ fn swec_succeeds_where_plain_nr_fails() {
     // SWEC completes and both engines agree before the first failure.
     let ckt = nanosim::workloads::fet_rtd_inverter_stress();
     let (tstep, tstop) = (0.5e-9, 30e-9);
-    let nr = NrEngine::new(NrOptions::spice3())
+    let nr = NrEngine::new(NrOptions::default())
         .run_transient(&ckt, tstep, tstop)
         .unwrap();
     assert!(

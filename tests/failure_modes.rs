@@ -70,7 +70,7 @@ fn unknown_sweep_source_named_in_error() {
             .run_dc_sweep(&ckt, "Vmissing", 0.0, 1.0, 0.1)
             .unwrap_err()
             .to_string(),
-        PwlEngine::new(PwlOptions::default())
+        PwlEngine::new()
             .run_dc_sweep(&ckt, "Vmissing", 0.0, 1.0, 0.1)
             .unwrap_err()
             .to_string(),
@@ -108,7 +108,7 @@ fn sweep_point_count_overflow_is_invalid_config() {
         ),
         (
             "PwlEngine::run_dc_sweep",
-            PwlEngine::new(PwlOptions::default())
+            PwlEngine::new()
                 .run_dc_sweep(&ckt, "V1", start, stop, step)
                 .map(|_| ()),
         ),
@@ -167,7 +167,7 @@ fn dc_sweep_never_passes_stop() {
             ),
             (
                 "PwlEngine::run_dc_sweep",
-                PwlEngine::new(PwlOptions::default())
+                PwlEngine::new()
                     .run_dc_sweep(&ckt, "V1", 0.0, stop, step)
                     .unwrap()
                     .axis_values()
@@ -316,4 +316,36 @@ fn dv_max_guard_bounds_rtd_branch_voltage_steps() {
             (w[1] - w[0]).abs()
         );
     }
+}
+
+#[test]
+fn mla_transient_rejects_a_non_converged_operating_point() {
+    // One Newton iteration per solve: neither the t = 0 solve nor any solve
+    // of its source-stepping ramp converges. MLA promises that every
+    // accepted point converged, so the run must fail at t = 0 rather than
+    // integrate from the unconverged state.
+    let mut sim = Simulator::new(nanosim::workloads::fet_rtd_inverter()).unwrap();
+    let err = sim
+        .run(Analysis::mla_transient(0.05e-9, 2e-9).options(MlaOptions {
+            max_iterations: 1,
+            ..MlaOptions::default()
+        }))
+        .expect_err("an unconverged operating point is not a start state");
+    match &err {
+        SimError::NonConvergence { at, context, .. } => {
+            assert_eq!(*at, 0.0, "{err}");
+            assert!(context.contains("mla operating point"), "{err}");
+            assert!(context.contains("MaxIterations"), "{err}");
+        }
+        other => panic!("expected NonConvergence, got {other:?}"),
+    }
+    // SPICE3's accept-last policy still starts from the last iterate, as
+    // Figure 8(c) needs.
+    let spice3 = NrEngine::new(NrOptions {
+        max_iterations: 1,
+        ..NrOptions::default()
+    })
+    .run_transient(&nanosim::workloads::fet_rtd_inverter(), 0.05e-9, 2e-9)
+    .expect("accept-last never rejects a point");
+    assert_eq!(spice3.result.points(), 41);
 }

@@ -1,11 +1,13 @@
-//! Bitwise pins of the convergence-rescue ladder and the serial DC sweep.
+//! Bitwise pins of the convergence-rescue ladder, the serial DC sweep, the
+//! SWEC transients and the PWL, MLA and plain Newton baselines.
 //!
 //! Each pinned test folds everything a run produces — solution bits, the
 //! rung sequence with its outcomes, and the exact work counters — into one
 //! FNV-1a digest, so a refactor of the ladder or the sweep loop that moves
 //! a single bit or a single solve fails here. The digests were recorded
 //! before the ladder and the sweep kernel were each reduced to one
-//! implementation.
+//! implementation, and the baseline pins before their engines' never-set
+//! options became constants.
 //!
 //! The budget-gate tests check the one contract the pins cannot: a run
 //! cancelled between two rungs stops at the rung gate with the partial

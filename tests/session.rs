@@ -297,7 +297,7 @@ fn session_baselines_match_engine_entry_points() {
     ckt.add_capacitor("C1", mid, Circuit::GROUND, 1e-13)
         .unwrap();
     let mla = MlaEngine::new(MlaOptions::default());
-    let pwl = PwlEngine::new(PwlOptions::default());
+    let pwl = PwlEngine::new();
 
     let mut sim = Simulator::new(ckt.clone()).unwrap();
     let session = sim

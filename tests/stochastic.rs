@@ -262,7 +262,6 @@ fn em_param_spread_factor_flops_beat_path_switch_refactoring() {
         seed: 11,
         threads: 1,
         param_spread: 0.05,
-        ..EmOptions::default()
     });
     let result = engine.run(&ckt, horizon).unwrap();
     let steps = (horizon / dt).round() as u64;
