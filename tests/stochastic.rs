@@ -499,3 +499,291 @@ fn run_with_paths_realization_is_pinned() {
     let got = em_pin(&ds);
     assert_eq!(got, want, "{got:#x?}");
 }
+
+// Ensemble-statistics oracle: the sampler against N(0, 1), and EM
+// ensembles against the exact moments of the discrete scheme they run.
+// Seeds and bounds are fixed; every bound is five standard errors.
+
+/// `Pcg64::next_gaussian`, the source of every EM noise increment, against
+/// the standard normal: 4 × 10⁶ draws checked on their first four moments,
+/// a χ² over 80 bins of width 0.1 on [−4, 4] plus both tails, the two
+/// tail masses beyond 3.4426 (the ziggurat's base-strip edge) and 4, and
+/// the lag-1 correlation.
+#[test]
+fn oracle_gaussian_sampler_matches_standard_normal() {
+    use nanosim::sde::gbm::normal_cdf;
+    const N: usize = 4_000_000;
+    const R: f64 = 3.442_619_855_899;
+    let n = N as f64;
+    let mut rng = Pcg64::seed_from_u64(0x0AC1_E5A3);
+    // Raw power sums z, z², z³, z⁴ and Σ z_k·z_{k+1}.
+    let (mut s1, mut s2, mut s3, mut s4, mut lag) = (0.0, 0.0, 0.0, 0.0, 0.0);
+    // Bin 0 is (−∞, −4), bins 1..=80 tile [−4, 4), bin 81 is [4, ∞).
+    let mut bins = [0u64; 82];
+    let (mut beyond_r, mut beyond_4) = (0u64, 0u64);
+    let mut prev = 0.0;
+    for k in 0..N {
+        let z = rng.next_gaussian();
+        let z2 = z * z;
+        s1 += z;
+        s2 += z2;
+        s3 += z2 * z;
+        s4 += z2 * z2;
+        if k > 0 {
+            lag += prev * z;
+        }
+        prev = z;
+        let bin = if z < -4.0 {
+            0
+        } else if z >= 4.0 {
+            81
+        } else {
+            1 + (((z + 4.0) * 10.0).floor() as usize).min(79)
+        };
+        bins[bin] += 1;
+        beyond_r += u64::from(z.abs() > R);
+        beyond_4 += u64::from(z.abs() > 4.0);
+    }
+
+    let mean = s1 / n;
+    let m2 = s2 / n - mean * mean;
+    let m3 = s3 / n - 3.0 * mean * s2 / n + 2.0 * mean.powi(3);
+    let m4 = s4 / n - 4.0 * mean * s3 / n + 6.0 * mean * mean * s2 / n - 3.0 * mean.powi(4);
+    let lag1 = (lag / (n - 1.0) - mean * mean) / m2;
+    let tail = |x: f64| 2.0 * (1.0 - normal_cdf(x));
+    let binomial_z = |count: u64, p: f64| (count as f64 - n * p) / (n * p * (1.0 - p)).sqrt();
+    // (check, z-score): each statistic over its standard error.
+    let checks = [
+        ("mean", mean / (1.0 / n).sqrt()),
+        ("variance", (m2 - 1.0) / (2.0 / n).sqrt()),
+        ("skewness", m3 / m2.powf(1.5) / (6.0 / n).sqrt()),
+        (
+            "excess kurtosis",
+            (m4 / (m2 * m2) - 3.0) / (24.0 / n).sqrt(),
+        ),
+        ("P(|z| > R)", binomial_z(beyond_r, tail(R))),
+        ("P(|z| > 4)", binomial_z(beyond_4, tail(4.0))),
+        ("lag-1 correlation", lag1 * n.sqrt()),
+    ];
+    for (what, z) in checks {
+        assert!(z.abs() <= 5.0, "{what}: {z:.2} standard errors");
+    }
+
+    let edges: Vec<f64> = (0..=80).map(|j| -4.0 + 0.1 * j as f64).collect();
+    let chi2: f64 = bins
+        .iter()
+        .enumerate()
+        .map(|(j, &count)| {
+            let lo = if j == 0 {
+                0.0
+            } else {
+                normal_cdf(edges[j - 1])
+            };
+            let hi = if j == 81 { 1.0 } else { normal_cdf(edges[j]) };
+            let expected = n * (hi - lo);
+            (count as f64 - expected).powi(2) / expected
+        })
+        .sum();
+    // 82 cells with the total fixed: 81 degrees of freedom, mean 81 and
+    // standard deviation √162.
+    let dof = (bins.len() - 1) as f64;
+    let chi2_z = (chi2 - dof) / (2.0 * dof).sqrt();
+    assert!(
+        chi2_z.abs() <= 5.0,
+        "χ² {chi2:.1} on {dof} dof ({chi2_z:.2} σ)"
+    );
+    let worst = checks
+        .iter()
+        .map(|c| c.1.abs())
+        .fold(chi2_z.abs(), f64::max);
+    println!("sampler oracle: worst |z| {worst:.2}, χ² {chi2:.1} on {dof} dof");
+}
+
+/// A linear state-space circuit `C·dx = (b − G·x)·dt + B·dW`, written down
+/// from its element values. Capacitance only runs to ground, so `C` is the
+/// diagonal `c`.
+struct LinearSde {
+    g: Vec<Vec<f64>>,
+    c: Vec<f64>,
+    /// `B`, one row per node, one column per noise source.
+    noise: Vec<Vec<f64>>,
+    b: Vec<f64>,
+}
+
+impl LinearSde {
+    /// Exact per-node mean and variance after every step `0..=steps` of the
+    /// Euler–Maruyama scheme the engine runs from `x = 0`,
+    /// `x_{k+1} = x_k + C⁻¹·[(b − G·x_k)·Δt + B·ΔW_k]` with
+    /// `ΔW_k ~ N(0, Δt·I)`: `m_{k+1} = M·m_k + Δt·C⁻¹b` and
+    /// `P_{k+1} = M·P_k·Mᵀ + Δt·C⁻¹BBᵀC⁻ᵀ`, `M = I − Δt·C⁻¹G`. The
+    /// covariance runs densely, so the reference carries no discretisation
+    /// bias of its own.
+    fn em_moments(&self, dt: f64, steps: usize) -> Vec<(Vec<f64>, Vec<f64>)> {
+        let n = self.c.len();
+        let m_mat: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| f64::from(u8::from(i == j)) - dt * self.g[i][j] / self.c[i])
+                    .collect()
+            })
+            .collect();
+        let q: Vec<Vec<f64>> = (0..n)
+            .map(|i| {
+                (0..n)
+                    .map(|j| {
+                        let bb: f64 = self.noise[i]
+                            .iter()
+                            .zip(&self.noise[j])
+                            .map(|(a, b)| a * b)
+                            .sum();
+                        dt * bb / (self.c[i] * self.c[j])
+                    })
+                    .collect()
+            })
+            .collect();
+        let mut m = vec![0.0; n];
+        let mut p = vec![vec![0.0; n]; n];
+        let mut out = vec![(m.clone(), vec![0.0; n])];
+        for _ in 0..steps {
+            m = (0..n)
+                .map(|i| {
+                    let mm: f64 = m_mat[i].iter().zip(&m).map(|(a, x)| a * x).sum();
+                    mm + dt * self.b[i] / self.c[i]
+                })
+                .collect();
+            // M·P, then (M·P)·Mᵀ + Q.
+            let mp: Vec<Vec<f64>> = (0..n)
+                .map(|i| {
+                    (0..n)
+                        .map(|j| (0..n).map(|k| m_mat[i][k] * p[k][j]).sum())
+                        .collect()
+                })
+                .collect();
+            p = (0..n)
+                .map(|i| {
+                    (0..n)
+                        .map(|j| {
+                            let mpm: f64 = mp[i].iter().zip(&m_mat[j]).map(|(a, b)| a * b).sum();
+                            mpm + q[i][j]
+                        })
+                        .collect()
+                })
+                .collect();
+            out.push((m.clone(), (0..n).map(|i| p[i][i]).collect()));
+        }
+        out
+    }
+}
+
+/// Checks an EM ensemble of `paths` paths against `exact` at ¼, ½ and 1 of
+/// its `steps`, at every node of `nodes` (in the order of `exact`'s
+/// entries): `|mean − m| ≤ 5·√(P_ii/N)` and
+/// `|std² / P_ii − 1| ≤ 5·√(2/(N−1))`. Returns the worst mean z-score and
+/// the range of `std² / P_ii`.
+fn check_exact_moments(
+    ds: &Dataset,
+    nodes: &[String],
+    exact: &[(Vec<f64>, Vec<f64>)],
+    paths: usize,
+) -> (f64, f64, f64) {
+    let steps = exact.len() - 1;
+    assert_eq!(ds.axis_values().len(), steps + 1);
+    assert_eq!(ds.paths(), paths);
+    let n = paths as f64;
+    let ratio_bound = 5.0 * (2.0 / (n - 1.0)).sqrt();
+    let (mut worst_z, mut lo, mut hi) = (0.0f64, f64::INFINITY, f64::NEG_INFINITY);
+    for k in [steps / 4, steps / 2, steps] {
+        let (m, p) = &exact[k];
+        for (i, node) in nodes.iter().enumerate() {
+            let mean = ds.column(node).unwrap()[k];
+            let sd = ds.column(&format!("std({node})")).unwrap()[k];
+            let z = (mean - m[i]) / (p[i] / n).sqrt();
+            let ratio = sd * sd / p[i];
+            assert!(
+                z.abs() <= 5.0,
+                "{node} at step {k}: mean {mean} vs exact {} ({z:.2} σ)",
+                m[i]
+            );
+            assert!(
+                (ratio - 1.0).abs() <= ratio_bound,
+                "{node} at step {k}: std²/P {ratio:.4}, bound 1 ± {ratio_bound:.4}"
+            );
+            worst_z = worst_z.max(z.abs());
+            lo = lo.min(ratio);
+            hi = hi.max(ratio);
+        }
+    }
+    (worst_z, lo, hi)
+}
+
+/// The RC node with a DC drive: 20 000 paths of 200 steps against the
+/// exact moments of its EM recursion.
+#[test]
+fn oracle_em_rc_node_matches_exact_discrete_moments() {
+    let (i_dc, i_noise, dt, steps, paths) = (0.5e-3, 2e-9, 1e-11, 200, 20_000);
+    let ckt = nanosim::workloads::noisy_rc_node(G, C, i_dc, i_noise);
+    let ds = EmEngine::new(EmOptions {
+        dt,
+        paths,
+        seed: 0x0AC1_E001,
+        ..EmOptions::default()
+    })
+    .run(&ckt, steps as f64 * dt)
+    .unwrap();
+    let sde = LinearSde {
+        g: vec![vec![G]],
+        c: vec![C],
+        noise: vec![vec![i_noise]],
+        b: vec![i_dc],
+    };
+    let exact = sde.em_moments(dt, steps);
+    let (z, lo, hi) = check_exact_moments(&ds, &["v".to_string()], &exact, paths);
+    println!("rc node oracle: worst mean |z| {z:.2}, std²/P in [{lo:.4}, {hi:.4}]");
+}
+
+/// The 8×8 RC mesh of `em_spread_mesh8` at nominal parameters: 1 024
+/// paths of 100 steps of 10 ps against the exact moments at all 64 nodes.
+#[test]
+fn oracle_em_rc_mesh8_matches_exact_discrete_moments() {
+    const N: usize = 8;
+    let (g, c, i_dc, i_noise) = (1e-3, 1e-12, 0.85e-3, 2.2e-9);
+    let (dt, steps, paths) = (1e-11, 100, 1_024);
+    let ds = EmEngine::new(EmOptions {
+        dt,
+        paths,
+        seed: 0x0AC1_E008,
+        ..EmOptions::default()
+    })
+    .run(&noisy_rc_mesh(N), steps as f64 * dt)
+    .unwrap();
+    // Node `r * N + c` is `n{r}_{c}`: 1 kΩ to ground and to each grid
+    // neighbour, 1 pF to ground, and its own noise source.
+    let dim = N * N;
+    let mut gm = vec![vec![0.0; dim]; dim];
+    let mut noise = vec![vec![0.0; dim]; dim];
+    for r in 0..N {
+        for col in 0..N {
+            let i = r * N + col;
+            gm[i][i] += g;
+            noise[i][i] = i_noise;
+            let right = (col + 1 < N).then_some(i + 1);
+            let down = (r + 1 < N).then_some(i + N);
+            for j in [right, down].into_iter().flatten() {
+                gm[i][i] += g;
+                gm[j][j] += g;
+                gm[i][j] -= g;
+                gm[j][i] -= g;
+            }
+        }
+    }
+    let sde = LinearSde {
+        g: gm,
+        c: vec![c; dim],
+        noise,
+        b: vec![i_dc; dim],
+    };
+    let exact = sde.em_moments(dt, steps);
+    let nodes: Vec<String> = (0..dim).map(|i| format!("n{}_{}", i / N, i % N)).collect();
+    let (z, lo, hi) = check_exact_moments(&ds, &nodes, &exact, paths);
+    println!("rc mesh8 oracle: worst mean |z| {z:.2}, std²/P in [{lo:.4}, {hi:.4}]");
+}
