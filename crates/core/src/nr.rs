@@ -381,6 +381,8 @@ impl NrEngine {
 
         let mut run_meter = self.meter.fork();
 
+        let mut failures = Vec::new();
+
         // DC operating point at t = 0 (with source stepping as fallback).
         let mut op_meter = run_meter.fork();
         let (mut x, op_outcome) = self.solve_dc_ws(
@@ -422,13 +424,15 @@ impl NrEngine {
                     ),
                 ));
             }
+            if !outcome.is_converged() {
+                failures.push((0.0, outcome));
+            }
             x = xs;
         }
 
         let names = mna_var_names(mna);
         let mut times = vec![0.0];
         let mut columns: Vec<Vec<f64>> = (0..dim).map(|i| vec![x[i]]).collect();
-        let mut failures = Vec::new();
 
         let mut t = 0.0;
         let t_end = tstop * (1.0 - 1e-12);

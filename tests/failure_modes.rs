@@ -349,3 +349,23 @@ fn mla_transient_rejects_a_non_converged_operating_point() {
     .expect("accept-last never rejects a point");
     assert_eq!(spice3.result.points(), 41);
 }
+
+#[test]
+fn newton_accept_last_records_an_unconverged_operating_point() {
+    // Accept-last starts from the last iterate of a source-stepping ramp
+    // that never converged; that t = 0 point is a failed Newton solve and is
+    // listed first among the run's failures.
+    let r = NrEngine::new(NrOptions {
+        max_iterations: 1,
+        ..NrOptions::default()
+    })
+    .run_transient(&nanosim::workloads::fet_rtd_inverter(), 0.05e-9, 2e-9)
+    .expect("accept-last never rejects a point");
+    assert_eq!(
+        r.failures.first(),
+        Some(&(0.0, nanosim::core::nr::NrOutcome::MaxIterations)),
+        "{:?}",
+        r.failures
+    );
+    assert!(r.failures[1..].iter().all(|&(t, _)| t > 0.0));
+}
