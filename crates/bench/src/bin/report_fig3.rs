@@ -13,7 +13,7 @@ fn main() {
     let peak = rtd.peak().expect("peak");
     let valley = rtd.valley().expect("valley");
     let dev: SharedDevice = Arc::new(rtd);
-    let table = PwlDeviceTable::tabulate(&dev, -1.0, 6.0, 300);
+    let table = PwlDeviceTable::tabulate(&dev, -1.0, 6.0, 300).expect("valid table");
 
     println!("Figure 3: PWL segment conductance vs SWEC equivalent conductance");
     println!(

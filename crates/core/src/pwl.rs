@@ -37,7 +37,7 @@ use std::time::Instant;
 /// let rtd = Rtd::date2005();
 /// let peak = rtd.peak().unwrap();
 /// let device: SharedDevice = Arc::new(rtd);
-/// let table = PwlDeviceTable::tabulate(&device, -1.0, 6.0, 200);
+/// let table = PwlDeviceTable::tabulate(&device, -1.0, 6.0, 200).unwrap();
 /// // Right after the peak the PWL segment slope is negative (Figure 3(a)).
 /// assert!(table.segment_conductance(peak.voltage + 0.3) < 0.0);
 /// ```
@@ -49,17 +49,30 @@ pub struct PwlDeviceTable {
 impl PwlDeviceTable {
     /// Samples `device` on `[v_min, v_max]` into `segments + 1` breakpoints.
     ///
-    /// # Panics
-    /// Panics if `segments < 1` or `v_min >= v_max`.
-    pub fn tabulate(device: &SharedDevice, v_min: f64, v_max: f64, segments: usize) -> Self {
-        assert!(segments >= 1, "need at least one segment");
-        assert!(v_min < v_max, "invalid voltage range");
+    /// # Errors
+    /// [`SimError::InvalidConfig`] for no segments or a range that is not
+    /// `v_min < v_max` with finite ends.
+    pub fn tabulate(
+        device: &SharedDevice,
+        v_min: f64,
+        v_max: f64,
+        segments: usize,
+    ) -> Result<Self> {
+        let invalid = || SimError::InvalidConfig {
+            context: format!(
+                "pwl table needs at least one segment over a finite range v_min < v_max \
+                 (segments={segments}, [{v_min}, {v_max}])"
+            ),
+        };
+        if segments == 0 || !(v_min < v_max && v_min.is_finite() && v_max.is_finite()) {
+            return Err(invalid());
+        }
         let flops = std::cell::RefCell::new(FlopCounter::new());
         let table = PwlFunction::from_samples(v_min, v_max, segments + 1, |v| {
             device.current(v, &mut flops.borrow_mut())
         })
-        .expect("validated sampling parameters");
-        PwlDeviceTable { table }
+        .map_err(|_| invalid())?;
+        Ok(PwlDeviceTable { table })
     }
 
     /// Interpolated current at `v` (clamped outside the tabulated range).
@@ -164,7 +177,7 @@ impl PwlEngine {
         // The result shape is known up front: charge it all before any work.
         let mut run_meter = self.meter.fork();
         charge_sweep(&mut run_meter, mna, n_points)?;
-        let tables = Self::tabulate_all(mna);
+        let tables = Self::tabulate_all(mna)?;
         let mut stats = EngineStats::new();
 
         let var_names = mna_var_names(mna);
@@ -232,7 +245,7 @@ impl PwlEngine {
     ) -> Result<Dataset> {
         let t0 = Instant::now();
         let dim = mna.dim();
-        let tables = Self::tabulate_all(mna);
+        let tables = Self::tabulate_all(mna)?;
         let mut stats = EngineStats::new();
         let mut run_meter = self.meter.fork();
 
@@ -302,7 +315,7 @@ impl PwlEngine {
         ))
     }
 
-    fn tabulate_all(mna: &MnaSystem) -> Vec<PwlDeviceTable> {
+    fn tabulate_all(mna: &MnaSystem) -> Result<Vec<PwlDeviceTable>> {
         let (v_min, v_max) = V_RANGE;
         mna.nonlinear_bindings()
             .iter()
@@ -411,7 +424,25 @@ mod tests {
 
     fn rtd_table() -> PwlDeviceTable {
         let dev: SharedDevice = Arc::new(Rtd::date2005());
-        PwlDeviceTable::tabulate(&dev, -1.0, 6.0, 350)
+        PwlDeviceTable::tabulate(&dev, -1.0, 6.0, 350).unwrap()
+    }
+
+    #[test]
+    fn tabulate_rejects_bad_segments_and_ranges() {
+        let dev: SharedDevice = Arc::new(Rtd::date2005());
+        for (v_min, v_max, segments) in [
+            (-1.0, 6.0, 0),
+            (1.0, 1.0, 10),
+            (6.0, -1.0, 10),
+            (f64::NAN, 6.0, 10),
+            (-1.0, f64::INFINITY, 10),
+        ] {
+            let err = PwlDeviceTable::tabulate(&dev, v_min, v_max, segments).unwrap_err();
+            assert!(
+                matches!(err, SimError::InvalidConfig { .. }),
+                "[{v_min}, {v_max}] x {segments}: {err:?}"
+            );
+        }
     }
 
     #[test]

@@ -108,7 +108,7 @@ fn pwl_conductance_sign_vs_swec() {
     let rtd = Rtd::date2005();
     let peak = rtd.peak().unwrap();
     let dev: SharedDevice = Arc::new(rtd);
-    let table = PwlDeviceTable::tabulate(&dev, -1.0, 6.0, 300);
+    let table = PwlDeviceTable::tabulate(&dev, -1.0, 6.0, 300).unwrap();
     let mut flops = FlopCounter::new();
     let mut saw_negative = false;
     let mut v = 0.1;
