@@ -24,7 +24,7 @@
 //!   engines call (factor once, refactor per point, refine degraded
 //!   pivots).
 //! * [`rng`] — a deterministic PCG64-family pseudo random number generator
-//!   plus Gaussian variates (Box–Muller), so stochastic experiments are
+//!   plus Gaussian variates (the ziggurat), so stochastic experiments are
 //!   reproducible without external dependencies.
 //! * [`stats`] — running moments, histograms and percentile estimation for
 //!   Monte-Carlo ensembles.

@@ -3,9 +3,13 @@
 //! The stochastic (Euler–Maruyama) experiments must be reproducible, so the
 //! workspace carries its own small PRNG instead of an external dependency:
 //! a PCG64-family generator (128-bit LCG state with XSL-RR output) and
-//! Gaussian variates via the Box–Muller transform.
+//! Gaussian variates from the ziggurat of Marsaglia & Tsang ("The Ziggurat
+//! Method for Generating Random Variables", J. Stat. Softw. 5(8), 2000) in
+//! Doornik's ZIGNOR form (2005): one 64-bit draw and a table lookup for
+//! about 97 % of the samples.
 
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A PCG-XSL-RR 128/64 pseudo random number generator.
 ///
@@ -78,7 +82,7 @@ impl Pcg64 {
     /// Uniform sample in `[0, 1)` with 53 bits of precision.
     #[inline]
     pub fn next_f64(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+        unit_f64(self.next_u64())
     }
 
     /// Uniform sample in `[lo, hi)`.
@@ -109,27 +113,48 @@ impl Pcg64 {
         }
     }
 
-    /// Standard normal sample (mean 0, variance 1) via Box–Muller.
+    /// Standard normal sample (mean 0, variance 1) by the ziggurat.
+    ///
+    /// One `next_u64` gives both the layer, from its low 7 bits, and a
+    /// uniform, from its top 53 bits, so the two are independent. A sample
+    /// inside its layer's rectangle returns at once; otherwise the wedge
+    /// test or, in the base layer, the tail sampler decides, drawing
+    /// further uniforms.
     pub fn next_gaussian(&mut self) -> f64 {
-        // Draw u1 in (0, 1] to avoid ln(0).
-        let mut u1 = self.next_f64();
-        if u1 <= f64::MIN_POSITIVE {
-            u1 = f64::MIN_POSITIVE;
+        let zig = Ziggurat::tables();
+        loop {
+            let bits = self.next_u64();
+            let i = (bits & 0x7f) as usize;
+            let u = 2.0 * unit_f64(bits) - 1.0;
+            if u.abs() < zig.r[i] {
+                return u * zig.x[i];
+            }
+            if i == 0 {
+                return self.normal_tail(u < 0.0);
+            }
+            // The wedge between layer i's rectangle and the density: accept
+            // when a uniform height between f(x[i]) and f(x[i+1]) lies
+            // below f(x), all scaled by 1 / f(x).
+            let x = u * zig.x[i];
+            let f0 = (-0.5 * (zig.x[i] * zig.x[i] - x * x)).exp();
+            let f1 = (-0.5 * (zig.x[i + 1] * zig.x[i + 1] - x * x)).exp();
+            if f1 + self.next_f64() * (f0 - f1) < 1.0 {
+                return x;
+            }
         }
-        let u2 = self.next_f64();
-        (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos()
     }
 
-    /// Normal sample with the given mean and standard deviation.
-    ///
-    /// # Panics
-    /// Panics if `std_dev` is negative or not finite.
-    pub fn gaussian(&mut self, mean: f64, std_dev: f64) -> f64 {
-        assert!(
-            std_dev >= 0.0 && std_dev.is_finite(),
-            "standard deviation must be finite and non-negative, got {std_dev}"
-        );
-        mean + std_dev * self.next_gaussian()
+    /// A normal sample beyond `±ZIG_R` (negative if `negative`), by
+    /// Marsaglia's exponential rejection.
+    fn normal_tail(&mut self, negative: bool) -> f64 {
+        loop {
+            // Uniforms in (0, 1], so neither logarithm is infinite.
+            let x = (1.0 - self.next_f64()).ln() / ZIG_R;
+            let y = (1.0 - self.next_f64()).ln();
+            if -2.0 * y >= x * x {
+                return if negative { x - ZIG_R } else { ZIG_R - x };
+            }
+        }
     }
 
     /// Splits off an independent generator for a parallel stream (new stream
@@ -140,6 +165,48 @@ impl Pcg64 {
         let s3 = self.next_u64() as u128;
         let s4 = self.next_u64() as u128;
         Pcg64::new((s1 << 64) | s2, (s3 << 64) | s4)
+    }
+}
+
+/// The top 53 bits of `bits` as a uniform sample in `[0, 1)`.
+#[inline]
+fn unit_f64(bits: u64) -> f64 {
+    (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
+}
+
+/// Layers of the ziggurat.
+const ZIG_LAYERS: usize = 128;
+/// Where the base layer's tail begins.
+const ZIG_R: f64 = 3.442_619_855_899;
+/// The area of every layer under `f(x) = e^{-x²/2}`.
+const ZIG_V: f64 = 9.912_563_035_262_17e-3;
+
+/// The ziggurat's layers over `f(x) = e^{-x²/2}`: layer `i` spans
+/// `[0, x[i])` between the heights `f(x[i])` and `f(x[i+1])`. `x[0]` is
+/// `V / f(R)`, the width of a rectangle with the base layer's area, tail
+/// included; `x[1] = R` and `x[128] = 0`. `r[i] = x[i+1] / x[i]` is the
+/// share of layer `i` that lies wholly under the density.
+struct Ziggurat {
+    x: [f64; ZIG_LAYERS + 1],
+    r: [f64; ZIG_LAYERS],
+}
+
+impl Ziggurat {
+    /// The tables, built on first use.
+    fn tables() -> &'static Ziggurat {
+        static TABLES: OnceLock<Ziggurat> = OnceLock::new();
+        TABLES.get_or_init(|| {
+            let mut x = [0.0; ZIG_LAYERS + 1];
+            let mut f = (-0.5 * ZIG_R * ZIG_R).exp();
+            x[0] = ZIG_V / f;
+            x[1] = ZIG_R;
+            for i in 2..ZIG_LAYERS {
+                x[i] = (-2.0 * (ZIG_V / x[i - 1] + f).ln()).sqrt();
+                f = (-0.5 * x[i] * x[i]).exp();
+            }
+            let r = std::array::from_fn(|i| x[i + 1] / x[i]);
+            Ziggurat { x, r }
+        })
     }
 }
 
@@ -216,15 +283,6 @@ mod tests {
         let n = 100_000;
         let mean: f64 = (0..n).map(|_| rng.next_f64()).sum::<f64>() / n as f64;
         assert!((mean - 0.5).abs() < 0.01, "mean {mean}");
-    }
-
-    #[test]
-    fn gaussian_scaling() {
-        let mut rng = Pcg64::seed_from_u64(8);
-        let n = 100_000;
-        let samples: Vec<f64> = (0..n).map(|_| rng.gaussian(5.0, 0.5)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        assert!((mean - 5.0).abs() < 0.02, "mean {mean}");
     }
 
     #[test]
