@@ -51,27 +51,26 @@ impl PwlDeviceTable {
     ///
     /// # Errors
     /// [`SimError::InvalidConfig`] for no segments or a range that is not
-    /// `v_min < v_max` with finite ends.
+    /// `v_min < v_max` with finite ends; a numeric error for a device
+    /// current that is not finite.
     pub fn tabulate(
         device: &SharedDevice,
         v_min: f64,
         v_max: f64,
         segments: usize,
     ) -> Result<Self> {
-        let invalid = || SimError::InvalidConfig {
-            context: format!(
-                "pwl table needs at least one segment over a finite range v_min < v_max \
-                 (segments={segments}, [{v_min}, {v_max}])"
-            ),
-        };
         if segments == 0 || !(v_min < v_max && v_min.is_finite() && v_max.is_finite()) {
-            return Err(invalid());
+            return Err(SimError::InvalidConfig {
+                context: format!(
+                    "pwl table needs at least one segment over a finite range v_min < v_max \
+                     (segments={segments}, [{v_min}, {v_max}])"
+                ),
+            });
         }
         let flops = std::cell::RefCell::new(FlopCounter::new());
         let table = PwlFunction::from_samples(v_min, v_max, segments + 1, |v| {
             device.current(v, &mut flops.borrow_mut())
-        })
-        .map_err(|_| invalid())?;
+        })?;
         Ok(PwlDeviceTable { table })
     }
 
