@@ -1524,6 +1524,118 @@ mod tests {
     }
 
     #[test]
+    fn pinned_mesh40_amd_factor_refactors_solves() {
+        // A 1600-unknown grid under AMD: the factor, two tolerant
+        // refactors with different values, a solve after each of the three,
+        // and a 6-RHS batched solve on the last factors, pinned bit for bit
+        // together with the exact flop tally of every phase.
+        let a1 = mesh(40);
+        let n = a1.rows();
+        assert_eq!(n, 1600);
+        let perturbed = |scale: f64| {
+            let mut a = a1.clone();
+            for (i, v) in a.values_mut().iter_mut().enumerate() {
+                *v += scale * ((i % 7) as f64 - 3.0);
+            }
+            a
+        };
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.23).cos()).collect();
+        let k = 6;
+        // Lane 4 is zero but for one entry, so lanes go live at different
+        // columns.
+        let bm: Vec<f64> = (0..n * k)
+            .map(|i| match i / n {
+                4 if i % n == n / 3 => -2.0,
+                4 => 0.0,
+                _ => (i as f64 * 0.13).sin(),
+            })
+            .collect();
+        let mut d = Digest(0xcbf2_9ce4_8422_2325);
+        let (mut x, mut w) = (Vec::new(), Vec::new());
+        let mut f = FlopCounter::new();
+        let mut lu =
+            SparseLu::factor_ordered(&a1, OrderingChoice::Amd, PivotStrategy::default(), &mut f)
+                .unwrap();
+        d.floats(&[lu.min_recip_pivot()]);
+        d.flops(&f);
+        let mut solve = |lu: &SparseLu, d: &mut Digest| {
+            let mut f = FlopCounter::new();
+            lu.solve_into(&b, &mut x, &mut w, &mut f).unwrap();
+            d.floats(&x);
+            d.flops(&f);
+        };
+        solve(&lu, &mut d);
+        for a in [perturbed(0.01), perturbed(-0.03)] {
+            let mut f = FlopCounter::new();
+            let ratio = lu.refactor_tolerant(&a, &mut f).unwrap();
+            d.floats(&[ratio]);
+            d.flops(&f);
+            solve(&lu, &mut d);
+        }
+        let (mut x, mut w) = (Vec::new(), Vec::new());
+        let mut f = FlopCounter::new();
+        lu.solve_many_into(&bm, k, &mut x, &mut w, &mut f).unwrap();
+        d.floats(&x);
+        d.flops(&f);
+        assert_eq!(
+            d.0, 0x24c7_e831_5edb_8330,
+            "mesh40 AMD digest {:#018x}",
+            d.0
+        );
+    }
+
+    #[test]
+    fn failed_strict_refactor_leaves_no_trace() {
+        // A strict refactor that aborts mid-pass on a NaN pivot, then a
+        // tolerant refactor of healthy values: the factors, the solve and
+        // the flop tallies equal those of a fresh factor refactored the
+        // same way, bit for bit, under both orderings.
+        let a1 = mesh(12);
+        let n = a1.rows();
+        let mut nan = a1.clone();
+        nan.values_mut()[a1.position(70, 70).unwrap()] = f64::NAN;
+        let mut a2 = a1.clone();
+        for (i, v) in a2.values_mut().iter_mut().enumerate() {
+            *v += 0.02 * ((i % 3) as f64 - 1.0);
+        }
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.41).sin()).collect();
+        let bits = |xs: &[f64]| xs.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for choice in [OrderingChoice::Natural, OrderingChoice::Amd] {
+            let factor = || {
+                SparseLu::factor_ordered(
+                    &a1,
+                    choice,
+                    PivotStrategy::default(),
+                    &mut FlopCounter::new(),
+                )
+                .unwrap()
+            };
+            let mut lu = factor();
+            match lu.refactor(&nan, &mut FlopCounter::new()) {
+                Err(NumericError::SingularMatrix { pivot }) => {
+                    assert!(pivot > 0 && pivot + 1 < n, "{choice:?}: pivot {pivot}")
+                }
+                other => panic!("{choice:?}: expected a mid-pass abort, got {other:?}"),
+            }
+            let mut fresh = factor();
+            let (mut f, mut g) = (FlopCounter::new(), FlopCounter::new());
+            let ratio = lu.refactor_tolerant(&a2, &mut f).unwrap();
+            let fresh_ratio = fresh.refactor_tolerant(&a2, &mut g).unwrap();
+            assert_eq!(ratio.to_bits(), fresh_ratio.to_bits(), "{choice:?}");
+            assert_eq!(f, g, "{choice:?}: refactor flops");
+            assert_eq!(bits(&lu.l_vals), bits(&fresh.l_vals), "{choice:?}: L");
+            assert_eq!(bits(&lu.u_vals), bits(&fresh.u_vals), "{choice:?}: U");
+            assert_eq!(bits(&lu.u_diag), bits(&fresh.u_diag), "{choice:?}: pivots");
+            let (x, y) = (
+                lu.solve(&b, &mut f).unwrap(),
+                fresh.solve(&b, &mut g).unwrap(),
+            );
+            assert_eq!(bits(&x), bits(&y), "{choice:?}: solve");
+            assert_eq!(f, g, "{choice:?}: solve flops");
+        }
+    }
+
+    #[test]
     fn determinant_invariant_under_ordering() {
         let a = arrow(9);
         let mut f = FlopCounter::new();

@@ -336,6 +336,18 @@ fn nr_budget_stop_between_rungs_keeps_partial_trace() {
 // The serial DC sweep, bit for bit.
 // ---------------------------------------------------------------------------
 
+/// Digest of a result's axis, then every column by name, without any
+/// counter: the part of a pin that holds whatever the work accounting does.
+fn columns_digest(ds: &Dataset) -> u64 {
+    let mut d = Digest::new();
+    d.floats(ds.axis_values());
+    for name in ds.names() {
+        d.text(name);
+        d.floats(ds.column(name).unwrap());
+    }
+    d.0
+}
+
 /// Digest of a sweep result: axis, every column, then the counters.
 fn sweep_digest(r: &Dataset) -> u64 {
     let mut d = Digest::new();
@@ -363,7 +375,13 @@ fn fig7a_serial(mode: DcMode) -> Dataset {
 
 #[test]
 fn pinned_serial_sweep_fixed_point() {
-    let digest = sweep_digest(&fig7a_serial(DcMode::FixedPoint));
+    let r = fig7a_serial(DcMode::FixedPoint);
+    let columns = columns_digest(&r);
+    assert_eq!(
+        columns, 0x0718_2480_de6d_eb36,
+        "fixed-point sweep columns digest {columns:#018x}"
+    );
+    let digest = sweep_digest(&r);
     assert_eq!(
         digest, 0x53a3_3bf6_7092_f01a,
         "fixed-point sweep digest {digest:#018x}"
@@ -372,7 +390,13 @@ fn pinned_serial_sweep_fixed_point() {
 
 #[test]
 fn pinned_serial_sweep_non_iterative() {
-    let digest = sweep_digest(&fig7a_serial(DcMode::NonIterative));
+    let r = fig7a_serial(DcMode::NonIterative);
+    let columns = columns_digest(&r);
+    assert_eq!(
+        columns, 0xe2e6_2868_3a64_2695,
+        "non-iterative sweep columns digest {columns:#018x}"
+    );
+    let digest = sweep_digest(&r);
     assert_eq!(
         digest, 0x8650_864e_8933_e43c,
         "non-iterative sweep digest {digest:#018x}"
@@ -447,6 +471,11 @@ fn pinned_table1_mesh30_sweep() {
     assert_eq!(serial.points(), 51);
     assert!(serial.points() > 2 * SWEEP_CHUNK);
     let sharded = sweep(ExecPlan::sharded(2));
+    let columns = [columns_digest(&serial), columns_digest(&sharded)];
+    assert_eq!(
+        columns, [0x1ff4_e5fa_cafd_1a9b; 2],
+        "serial/sharded mesh30 sweep columns digests {columns:#018x?}"
+    );
     let digests = [dataset_digest(&serial), dataset_digest(&sharded)];
     assert_eq!(
         digests, [0x1d61_348c_0542_4591; 2],
@@ -507,6 +536,11 @@ fn pinned_one_chunk_mesh30_sweep_counts() {
     let sweep = || Analysis::dc_sweep("V1", 0.0, 5.0, 0.05);
     sim.run(sweep()).unwrap();
     let ds = sim.run(sweep()).unwrap();
+    let columns = columns_digest(&ds);
+    assert_eq!(
+        columns, 0x0d4b_4b22_0e3c_4175,
+        "warm mesh30 sweep columns digest {columns:#018x}"
+    );
     let s = &ds.stats;
     let counts = [
         ds.points() as u64,
@@ -523,17 +557,6 @@ fn pinned_one_chunk_mesh30_sweep_counts() {
 // The Figure 8 and Figure 9 SWEC transients.
 // ---------------------------------------------------------------------------
 
-/// Digest of a transient: the time axis, then every column by name.
-fn transient_digest(ds: &Dataset) -> u64 {
-    let mut d = Digest::new();
-    d.floats(ds.axis_values());
-    for name in ds.names() {
-        d.text(name);
-        d.floats(ds.column(name).unwrap());
-    }
-    d.0
-}
-
 #[test]
 fn pinned_fig8_fig9_transients() {
     // The `tran_fig8_fig9` transients on fresh default sessions, plus the
@@ -548,7 +571,7 @@ fn pinned_fig8_fig9_transients() {
             .unwrap();
         let s = &ds.stats;
         (
-            transient_digest(&ds),
+            columns_digest(&ds),
             [
                 s.steps as u64,
                 s.rejected_steps as u64,
@@ -603,7 +626,7 @@ fn pinned_fig8_fig9_transients() {
 fn baseline_pin(ds: &Dataset) -> (u64, [u64; 6]) {
     let s = &ds.stats;
     (
-        transient_digest(ds),
+        columns_digest(ds),
         [
             s.steps as u64,
             s.rejected_steps as u64,
