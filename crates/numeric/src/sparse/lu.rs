@@ -43,6 +43,28 @@
 //! Factors are stored as flat compressed-column arrays (`colptr`/`rows`/
 //! `vals`), not nested `Vec<Vec<_>>`, so the refactor and solve passes are
 //! cache-friendly and allocation-free.
+//!
+//! After each full factorization the values-only passes get their own
+//! index space, in the manner of KLU (Davis & Palamadai Natarajan, ACM
+//! TOMS 37(3), 2010):
+//!
+//! - **Pivot-order rows.** `L`'s rows are renumbered by pivot index and
+//!   sorted per column; `A`'s rows and the right-hand-side gather are mapped
+//!   through the pivots once. The refactor and both solves then index their
+//!   dense working vectors directly, with no `perm[k]` lookup per entry.
+//! - **Fundamental supernodes** (as in SuperLU, Demmel et al., SIMAX 20(3),
+//!   1999): column `k` joins column `k + 1` when
+//!   `L(:, k) = {k + 1} ∪ L(:, k + 1)`. The refactor applies each run of
+//!   consecutive `U` entries inside one supernode to a dense copy of the
+//!   rows below the supernode, and writes the copy back once.
+//! - **Clear on read.** The refactor's working column is all zeros between
+//!   columns and between calls: each entry is cleared as it is consumed, and
+//!   every error exit refills with zeros what the failed column left, so no
+//!   pass starts by zeroing its pattern.
+//!
+//! Every row still takes its updates in ascending pivot order with the same
+//! multiply-subtract, so factors, solutions and flop tallies are
+//! bit-identical to the plain column-by-column loop.
 
 use super::order::OrderingChoice;
 use super::symbolic::SymbolicAnalysis;
@@ -89,6 +111,24 @@ pub(crate) const REFACTOR_PIVOT_RATIO: f64 = 1e-6;
 /// the pivot threshold.
 pub const PIVOT_COLLAPSE_RATIO: f64 = 1e-12;
 
+/// Whether column `k` of a pivot-ordered, row-sorted `L` joins column
+/// `k + 1`'s fundamental supernode: `L(:, k) = {k + 1} ∪ L(:, k + 1)`.
+fn extends_supernode(l_colptr: &[usize], l_rows: &[usize], k: usize) -> bool {
+    let (col, next) = (
+        &l_rows[l_colptr[k]..l_colptr[k + 1]],
+        &l_rows[l_colptr[k + 1]..l_colptr[k + 2]],
+    );
+    col.first() == Some(&(k + 1)) && &col[1..] == next
+}
+
+/// `x[r] -= u · l` for every row `r` of one factor column, with values `l`.
+#[inline(always)]
+fn sub_scaled(x: &mut [f64], rows: &[usize], vals: &[f64], u: f64) {
+    for (&r, &l) in rows.iter().zip(vals) {
+        x[r] -= u * l;
+    }
+}
+
 /// Lanes of one interleaved multi-RHS row that are nonzero.
 fn nonzero_lanes(xs: &[f64]) -> u64 {
     xs.iter().filter(|v| **v != 0.0).count() as u64
@@ -126,8 +166,9 @@ fn nonzero_lanes(xs: &[f64]) -> u64 {
 pub struct SparseLu {
     pub(crate) n: usize,
     /// Column pointers into `l_rows`/`l_vals`; L column `k` holds entries
-    /// strictly below the pivot, already divided by the pivot, with rows in
-    /// *permuted* numbering.
+    /// strictly below the pivot, already divided by the pivot, with rows
+    /// keyed by *pivot index* (so every row of column `k` exceeds `k`),
+    /// ascending.
     pub(crate) l_colptr: Vec<usize>,
     pub(crate) l_rows: Vec<usize>,
     pub(crate) l_vals: Vec<f64>,
@@ -138,14 +179,28 @@ pub struct SparseLu {
     pub(crate) u_vals: Vec<f64>,
     /// Diagonal of U by pivot index.
     pub(crate) u_diag: Vec<f64>,
-    /// `perm[k]` = permuted row chosen as the k-th pivot.
-    pub(crate) perm: Vec<usize>,
+    /// `gather[k]` = original (unpermuted) index of the row chosen as the
+    /// k-th pivot: loading `b[gather[k]]` puts a right-hand side straight
+    /// into pivot order.
+    pub(crate) gather: Vec<usize>,
+    /// Pivot index of each entry of the permuted CSC structure of `A`
+    /// (parallel to the analysis's `csc_rows`).
+    pub(crate) a_rows: Vec<usize>,
+    /// `sn_last[k]` = last column of the fundamental supernode holding
+    /// column `k`: columns `k..=sn_last[k]` satisfy
+    /// `L(:, c) = {c + 1} ∪ L(:, c + 1)`, so `L(:, k)` is the rows
+    /// `k + 1..=sn_last[k]` followed by the rows of `L(:, sn_last[k])`.
+    pub(crate) sn_last: Vec<usize>,
     /// Cached symbolic analysis: fill ordering, permuted CSC structure,
     /// value shuffle, pattern fingerprint.
     pub(crate) sym: SymbolicAnalysis,
-    /// Scratch buffers reused by `refactor` (values in permuted CSC order,
-    /// dense working column).
+    /// Scratch reused by `refactor`: values in permuted CSC order.
     pub(crate) csc_vals: Vec<f64>,
+    /// Scratch reused by `refactor`, `2·n` long: the dense working column
+    /// in pivot order (`work[..n]`) and the dense copy of one supernode's
+    /// rows below its last column (`work[n..]`). The working column is
+    /// all zeros between calls: each entry is cleared as it is consumed,
+    /// and every error exit refills the entries it left behind.
     pub(crate) work: Vec<f64>,
     /// Smallest `|pivot| / column-max` ratio seen by the most recent
     /// numeric pass (factor or refactor) — the reciprocal pivot-growth
@@ -230,10 +285,12 @@ impl SparseLu {
         // pinv[row] = pivot index of `row`, or usize::MAX when not pivotal yet.
         let mut pinv = vec![usize::MAX; n];
 
-        let mut x = vec![0.0f64; n]; // dense working column
+        // Dense working column; the upper half is the refactor's supernode
+        // copy (see `SparseLu::work`).
+        let mut x = vec![0.0f64; 2 * n];
         let mut visited = vec![usize::MAX; n]; // marks per column j
         let mut topo: Vec<usize> = Vec::with_capacity(n);
-        let mut dfs_stack: Vec<(usize, usize)> = Vec::new();
+        let mut dfs_stack: Vec<(usize, usize)> = Vec::with_capacity(n);
         let mut ucol: Vec<(usize, f64)> = Vec::new();
         let mut worst_ratio = f64::INFINITY;
         let mut worst_col = 0usize;
@@ -367,6 +424,41 @@ impl SparseLu {
             l_colptr.push(l_rows.len());
         }
 
+        // Renumber L's rows into pivot order, sorted per column, and map
+        // A's rows and the right-hand-side gather through the pivots once,
+        // so the values-only passes never look up `perm` again.
+        for r in &mut l_rows {
+            *r = pinv[*r];
+        }
+        for k in 0..n {
+            let (lo, hi) = (l_colptr[k], l_colptr[k + 1]);
+            ucol.clear();
+            ucol.extend(
+                l_rows[lo..hi]
+                    .iter()
+                    .copied()
+                    .zip(l_vals[lo..hi].iter().copied()),
+            );
+            ucol.sort_unstable_by_key(|&(r, _)| r);
+            for (p, &(r, v)) in (lo..hi).zip(&ucol) {
+                l_rows[p] = r;
+                l_vals[p] = v;
+            }
+        }
+        let a_rows = sym.csc_rows.iter().map(|&r| pinv[r]).collect();
+        let mut gather = perm;
+        for g in &mut gather {
+            *g = sym.fill_perm[*g];
+        }
+        let mut sn_last = pinv;
+        for k in (0..n).rev() {
+            sn_last[k] = if k + 1 < n && extends_supernode(&l_colptr, &l_rows, k) {
+                sn_last[k + 1]
+            } else {
+                k
+            };
+        }
+
         // The symbolic analysis is kept for refactorization, and the values
         // buffer becomes its scratch space.
         Ok(SparseLu {
@@ -378,7 +470,9 @@ impl SparseLu {
             u_rows,
             u_vals,
             u_diag,
-            perm,
+            gather,
+            a_rows,
+            sn_last,
             sym,
             csc_vals: values,
             work: x,
@@ -400,9 +494,10 @@ impl SparseLu {
     /// degraded (magnitude below `1e-6` of its column maximum), and
     /// [`NumericError::SingularMatrix`] for an exactly zero pivot. The
     /// latter two abort **mid-pass**, leaving the numeric factors partially
-    /// updated and unusable: the caller must re-factor before solving
-    /// again ([`crate::solve::SparseLuSolver`] packages exactly that
-    /// fallback).
+    /// updated and unusable: the caller must factor or refactor again
+    /// before solving ([`crate::solve::SparseLuSolver`] packages exactly
+    /// that fallback). The next refactor starts as clean as one after a
+    /// fresh factorization.
     pub fn refactor(&mut self, a: &CsrMatrix, flops: &mut FlopCounter) -> Result<()> {
         self.refactor_values(a, flops, true).map(|_| ())
     }
@@ -449,6 +544,7 @@ impl SparseLu {
         // Every factor array is bound to a local slice before the column
         // loop: stores into `work` would otherwise force the compiler to
         // reload the `Vec` headers behind `&mut self` on every update.
+        let n = self.n;
         let l_colptr = &self.l_colptr[..];
         let l_rows = &self.l_rows[..];
         let l_vals = &mut self.l_vals[..];
@@ -456,11 +552,11 @@ impl SparseLu {
         let u_rows = &self.u_rows[..];
         let u_vals = &mut self.u_vals[..];
         let u_diag = &mut self.u_diag[..];
-        let perm = &self.perm[..];
+        let a_rows = &self.a_rows[..];
+        let sn_last = &self.sn_last[..];
         let csc_colptr = &self.sym.csc_colptr[..];
-        let csc_rows = &self.sym.csc_rows[..];
         let csc_vals = &mut self.csc_vals[..];
-        let work = &mut self.work[..];
+        let (work, copy) = self.work.split_at_mut(n);
 
         // Shuffle the new values into the cached permuted CSC order.
         for (&dst, &v) in self.sym.csr_to_csc.iter().zip(a.values()) {
@@ -472,43 +568,73 @@ impl SparseLu {
         let (mut fma, mut div) = (0u64, 0u64);
         let mut worst_ratio = f64::INFINITY;
         let mut worst_col = 0usize;
-        for j in 0..self.n {
-            let (ulo, uhi) = (u_colptr[j], u_colptr[j + 1]);
-            let (llo, lhi) = (l_colptr[j], l_colptr[j + 1]);
+        for j in 0..n {
+            // `work` is all zeros here, so scattering A'(:, j) loads the
+            // column. Its pattern is exactly: the U rows, the pivot row
+            // itself, and the L rows.
             let (clo, chi) = (csc_colptr[j], csc_colptr[j + 1]);
-            // Zero the working column over this column's pattern, then
-            // scatter A'(:, j). The pattern is exactly: the pivot rows of
-            // the U entries, the pivot row itself, and the L rows.
-            for &k in &u_rows[ulo..uhi] {
-                work[perm[k]] = 0.0;
-            }
-            work[perm[j]] = 0.0;
-            for &r in &l_rows[llo..lhi] {
-                work[r] = 0.0;
-            }
-            for (&r, &v) in csc_rows[clo..chi].iter().zip(&csc_vals[clo..chi]) {
+            for (&r, &v) in a_rows[clo..chi].iter().zip(&csc_vals[clo..chi]) {
                 work[r] = v;
             }
 
             // Eliminate with already-final columns in ascending pivot order
-            // (a topological order, since L[r, k] with pinv[r] = k' implies
-            // k < k').
-            for (&k, uv) in u_rows[ulo..uhi].iter().zip(&mut u_vals[ulo..uhi]) {
-                let ukj = work[perm[k]];
-                *uv = ukj;
-                if ukj != 0.0 {
-                    let (lo, hi) = (l_colptr[k], l_colptr[k + 1]);
-                    for (&r, &lv) in l_rows[lo..hi].iter().zip(&l_vals[lo..hi]) {
-                        work[r] -= ukj * lv;
+            // (a topological order: every row of L(:, k) exceeds k). Column
+            // j's pattern is closed under L, so when U(:, j) holds a column
+            // k0 of a supernode it also holds the supernode's later columns
+            // up to `min(last, j - 1)`. Such a run shares the rows below the
+            // supernode: they go to a dense copy, which every column of the
+            // run updates contiguously, and back once. The supernode's own
+            // rows, and all rows of a one-column run, which shares nothing,
+            // are updated in place. Each row still takes its updates in
+            // ascending k, with the same multiply-subtract.
+            let (ulo, uhi) = (u_colptr[j], u_colptr[j + 1]);
+            let (u_rows_j, u_vals_j) = (&u_rows[ulo..uhi], &mut u_vals[ulo..uhi]);
+            let mut i = 0;
+            while let Some(&k0) = u_rows_j.get(i) {
+                if u_rows_j.get(i + 1) != Some(&(k0 + 1)) || sn_last[k0] == k0 {
+                    // Clear on read: row k0 takes no further update.
+                    let ukj = std::mem::take(&mut work[k0]);
+                    u_vals_j[i] = ukj;
+                    if ukj != 0.0 {
+                        let (lo, hi) = (l_colptr[k0], l_colptr[k0 + 1]);
+                        sub_scaled(work, &l_rows[lo..hi], &l_vals[lo..hi], ukj);
+                        fma += (hi - lo) as u64;
                     }
-                    fma += (hi - lo) as u64;
+                    i += 1;
+                    continue;
                 }
+                let last = sn_last[k0];
+                let width = last.min(j - 1) + 1 - k0;
+                let shared = &l_rows[l_colptr[last]..l_colptr[last + 1]];
+                let copy = &mut copy[..shared.len()];
+                for (c, &r) in copy.iter_mut().zip(shared) {
+                    *c = work[r];
+                }
+                for (k, uv) in (k0..k0 + width).zip(&mut u_vals_j[i..i + width]) {
+                    let ukj = std::mem::take(&mut work[k]);
+                    *uv = ukj;
+                    if ukj != 0.0 {
+                        let (lo, hi) = (l_colptr[k], l_colptr[k + 1]);
+                        let mid = hi - shared.len();
+                        sub_scaled(work, &l_rows[lo..mid], &l_vals[lo..mid], ukj);
+                        for (c, &lv) in copy.iter_mut().zip(&l_vals[mid..hi]) {
+                            *c -= ukj * lv;
+                        }
+                        fma += (hi - lo) as u64;
+                    }
+                }
+                for (&c, &r) in copy.iter().zip(shared) {
+                    work[r] = c;
+                }
+                i += width;
             }
 
             // Fixed pivot: check it is still numerically sound.
-            let pivot_val = work[perm[j]];
+            let (llo, lhi) = (l_colptr[j], l_colptr[j + 1]);
+            let col = &l_rows[llo..lhi];
+            let pivot_val = std::mem::take(&mut work[j]);
             let mut col_max = pivot_val.abs();
-            for &r in &l_rows[llo..lhi] {
+            for &r in col {
                 col_max = col_max.max(work[r].abs());
             }
             let ratio = pivot_val.abs() / col_max;
@@ -534,6 +660,11 @@ impl SparseLu {
                 None
             };
             if let Some(err) = failure {
+                // The L rows are all that is left of the column: refill
+                // them with zeros so the next pass starts clean.
+                for &r in col {
+                    work[r] = 0.0;
+                }
                 flops.fma(fma);
                 flops.div(div);
                 return Err(err);
@@ -543,8 +674,8 @@ impl SparseLu {
                 worst_col = j;
             }
             u_diag[j] = pivot_val;
-            for (lv, &r) in l_vals[llo..lhi].iter_mut().zip(&l_rows[llo..lhi]) {
-                *lv = work[r] / pivot_val;
+            for (lv, &r) in l_vals[llo..lhi].iter_mut().zip(col) {
+                *lv = std::mem::take(&mut work[r]) / pivot_val;
             }
             div += (lhi - llo) as u64;
         }
@@ -640,24 +771,18 @@ impl SparseLu {
         let (l_colptr, l_rows, l_vals) = (&self.l_colptr[..], &self.l_rows[..], &self.l_vals[..]);
         let (u_colptr, u_rows, u_vals) = (&self.u_colptr[..], &self.u_rows[..], &self.u_vals[..]);
         let fill_perm = &self.sym.fill_perm[..];
-        // Forward solve L·z = P·b', working in permuted row numbering
-        // (b'[i] = b[q[i]]; the identity fast path keeps the natural-order
-        // pipeline bit-exact).
-        if self.sym.identity {
-            work.copy_from_slice(b);
-        } else {
-            for (w, &src) in work.iter_mut().zip(fill_perm) {
-                *w = b[src];
-            }
+        // Forward solve L·z = P·b' in place, in pivot order: the gather
+        // loads z[k] = b[gather[k]], and L(:, k) only updates rows below k.
+        for (xk, &src) in x.iter_mut().zip(&self.gather) {
+            *xk = b[src];
         }
         let mut fma = 0u64;
-        for (k, &row) in self.perm.iter().enumerate() {
-            let val = work[row];
-            x[k] = val;
+        for k in 0..n {
+            let val = x[k];
             if val != 0.0 {
                 let (lo, hi) = (l_colptr[k], l_colptr[k + 1]);
                 for (&r, &lv) in l_rows[lo..hi].iter().zip(&l_vals[lo..hi]) {
-                    work[r] -= val * lv;
+                    x[r] -= val * lv;
                 }
                 fma += (hi - lo) as u64;
             }
@@ -718,16 +843,15 @@ impl SparseLu {
             });
         }
         x.resize(n * nrhs, 0.0);
-        // One buffer holds both interleaved blocks: `z` in permuted row
-        // numbering for the forward sweep, `y` in pivot order for the
-        // backward sweep.
-        work.resize(2 * n * nrhs, 0.0);
-        let (z, y) = work.split_at_mut(n * nrhs);
+        // The interleaved block `y` runs in pivot order through both
+        // sweeps.
+        work.resize(n * nrhs, 0.0);
+        let y = &mut work[..n * nrhs];
         let (l_colptr, l_rows, l_vals) = (&self.l_colptr[..], &self.l_rows[..], &self.l_vals[..]);
         let (u_colptr, u_rows, u_vals) = (&self.u_colptr[..], &self.u_rows[..], &self.u_vals[..]);
         let fill_perm = &self.sym.fill_perm[..];
-        for (zi, &src) in z.chunks_exact_mut(nrhs).zip(fill_perm) {
-            for (r, v) in zi.iter_mut().enumerate() {
+        for (yk, &src) in y.chunks_exact_mut(nrhs).zip(&self.gather) {
+            for (r, v) in yk.iter_mut().enumerate() {
                 *v = b[r * n + src];
             }
         }
@@ -735,13 +859,15 @@ impl SparseLu {
         // lane is zero; the flop count charges the nonzero lanes alone,
         // as `nrhs` single solves would.
         let mut fma = 0u64;
-        for (k, (vals, &row)) in y.chunks_exact_mut(nrhs).zip(&self.perm).enumerate() {
-            vals.copy_from_slice(&z[row * nrhs..(row + 1) * nrhs]);
+        for k in 0..n {
+            let (head, tail) = y.split_at_mut((k + 1) * nrhs);
+            let vals = &head[k * nrhs..];
             let nz = nonzero_lanes(vals);
             if nz > 0 {
                 let (lo, hi) = (l_colptr[k], l_colptr[k + 1]);
                 for (&r, &lv) in l_rows[lo..hi].iter().zip(&l_vals[lo..hi]) {
-                    for (d, &v) in z[r * nrhs..(r + 1) * nrhs].iter_mut().zip(&*vals) {
+                    let row = &mut tail[(r - k - 1) * nrhs..][..nrhs];
+                    for (d, &v) in row.iter_mut().zip(vals) {
                         *d -= v * lv;
                     }
                 }
@@ -782,7 +908,8 @@ impl SparseLu {
     /// combined parity and never changes the sign).
     pub fn determinant(&self) -> f64 {
         let mut det: f64 = self.u_diag.iter().product();
-        // Parity of the permutation perm.
+        // Parity of the pivot permutation.
+        let perm = self.pivot_perm();
         let mut seen = vec![false; self.n];
         for start in 0..self.n {
             if seen[start] {
@@ -792,7 +919,7 @@ impl SparseLu {
             let mut cur = start;
             while !seen[cur] {
                 seen[cur] = true;
-                cur = self.perm[cur];
+                cur = perm[cur];
                 len += 1;
             }
             if len % 2 == 0 {
@@ -803,10 +930,10 @@ impl SparseLu {
     }
 
     /// The pivot permutation (`perm[k]` = permuted row chosen as the k-th
-    /// pivot). Exposed for tests.
-    #[cfg(test)]
-    pub(crate) fn pivot_perm(&self) -> &[usize] {
-        &self.perm
+    /// pivot).
+    fn pivot_perm(&self) -> Vec<usize> {
+        let fill_pinv = &self.sym.fill_pinv;
+        self.gather.iter().map(|&g| fill_pinv[g]).collect()
     }
 }
 
