@@ -254,15 +254,38 @@ impl AssemblyWorkspace {
     /// Starts a fresh assembly and stamps every nonlinear device's and
     /// MOSFET's SWEC conductance `Geq` at state `x`, each plus [`GMIN`].
     /// Returns the number of device evaluations.
-    pub fn stamp_geq(&mut self, mna: &MnaSystem, x: &[f64], flops: &mut FlopCounter) -> u64 {
+    ///
+    /// Each `Geq = I(v)/v` is formed from one current evaluation. With
+    /// `currents`, those currents are kept there, one per device in
+    /// [`sweep_columns`] order (two-terminals, then MOSFETs), bit for bit
+    /// the device's `current`/`ids` at `x`; a device whose stamp took the
+    /// `v -> 0` limit, which evaluates no current, leaves `None`.
+    pub fn stamp_geq(
+        &mut self,
+        mna: &MnaSystem,
+        x: &[f64],
+        mut currents: Option<&mut Vec<Option<f64>>>,
+        flops: &mut FlopCounter,
+    ) -> u64 {
         self.begin();
+        if let Some(c) = currents.as_deref_mut() {
+            c.clear();
+        }
         for (i, b) in mna.nonlinear_bindings().iter().enumerate() {
             let v = branch_voltage(x, b.var_plus, b.var_minus);
-            self.stamp_nonlinear(i, b.device.equivalent_conductance(v, flops) + GMIN);
+            let (geq, current) = b.device.equivalent_conductance_and_current(v, flops);
+            self.stamp_nonlinear(i, geq + GMIN);
+            if let Some(c) = currents.as_deref_mut() {
+                c.push(current);
+            }
         }
         for (k, m) in mna.mosfet_bindings().iter().enumerate() {
             let (vgs, vds) = mosfet_bias(m, x);
-            self.stamp_mosfet_cond(k, m.model.geq(vgs, vds, flops) + GMIN);
+            let (geq, current) = m.model.geq_and_ids(vgs, vds, flops);
+            self.stamp_mosfet_cond(k, geq + GMIN);
+            if let Some(c) = currents.as_deref_mut() {
+                c.push(current);
+            }
         }
         (mna.nonlinear_bindings().len() + mna.mosfet_bindings().len()) as u64
     }
@@ -551,11 +574,17 @@ pub(crate) fn charge_sweep(
 
 /// The output columns of a DC sweep with one row per solution in `xs`: the
 /// MNA variables, then `I(<device>)` for every nonlinear two-terminal and
-/// every MOSFET, evaluated at that solution. Device-evaluation flops are
-/// added to `flops`.
+/// every MOSFET at that solution.
+///
+/// `stamped` holds, point by point, the device currents a SWEC stamp
+/// already computed at that solution (see [`AssemblyWorkspace::stamp_geq`]),
+/// in column order; a `None`, or a point past its end, is evaluated here,
+/// and those evaluations' flops are added to `flops`. The Newton-family
+/// sweeps pass no currents and evaluate every point.
 pub(crate) fn sweep_columns(
     mna: &MnaSystem,
     xs: &[Vec<f64>],
+    stamped: &[Option<f64>],
     flops: &mut FlopCounter,
 ) -> (Vec<String>, Vec<Vec<f64>>) {
     let mut names = mna_var_names(mna);
@@ -570,22 +599,32 @@ pub(crate) fn sweep_columns(
             .iter()
             .map(|m| format!("I({})", m.name)),
     );
+    let n_devices = names.len() - n_vars;
     let mut columns: Vec<Vec<f64>> = (0..names.len())
         .map(|_| Vec::with_capacity(xs.len()))
         .collect();
-    for x in xs {
+    for (point, x) in xs.iter().enumerate() {
         let (vars, devices) = columns.split_at_mut(n_vars);
         for (col, &xi) in vars.iter_mut().zip(x) {
             col.push(xi);
         }
+        let mut known = stamped
+            .get(point * n_devices..(point + 1) * n_devices)
+            .into_iter()
+            .flatten()
+            .copied();
         let mut devices = devices.iter_mut();
         for (b, col) in mna.nonlinear_bindings().iter().zip(&mut devices) {
-            let v = branch_voltage(x, b.var_plus, b.var_minus);
-            col.push(b.device.current(v, flops));
+            col.push(known.next().flatten().unwrap_or_else(|| {
+                let v = branch_voltage(x, b.var_plus, b.var_minus);
+                b.device.current(v, flops)
+            }));
         }
         for (m, col) in mna.mosfet_bindings().iter().zip(&mut devices) {
-            let (vgs, vds) = mosfet_bias(m, x);
-            col.push(m.model.ids(vgs, vds, flops));
+            col.push(known.next().flatten().unwrap_or_else(|| {
+                let (vgs, vds) = mosfet_bias(m, x);
+                m.model.ids(vgs, vds, flops)
+            }));
         }
     }
     (names, columns)
@@ -723,7 +762,7 @@ mod tests {
         .unwrap();
         let mna = MnaSystem::new(&ckt).unwrap();
         let xs: Vec<Vec<f64>> = (0..37).map(|k| vec![0.1 * k as f64; mna.dim()]).collect();
-        let (names, columns) = sweep_columns(&mna, &xs, &mut FlopCounter::new());
+        let (names, columns) = sweep_columns(&mna, &xs, &[], &mut FlopCounter::new());
         assert_eq!(names.len(), mna.dim() + 2);
         assert_eq!(columns.len(), names.len());
         for (name, col) in names.iter().zip(&columns) {

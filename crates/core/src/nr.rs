@@ -335,7 +335,7 @@ impl NrEngine {
             solutions.push(x.clone());
             stats.steps += 1;
         }
-        let (names, columns) = sweep_columns(mna, &solutions, &mut stats.flops);
+        let (names, columns) = sweep_columns(mna, &solutions, &[], &mut stats.flops);
         stats.absorb_lu(&LuStats::default(), &ws.lu_stats());
         stats.elapsed = t0.elapsed();
         let axis = Axis::Sweep {

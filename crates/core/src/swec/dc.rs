@@ -36,6 +36,10 @@ pub(crate) struct DcBuffers {
     /// Per-iteration update norms of the most recent fixed-point solve;
     /// becomes the forensics `residual_history` when the solve fails.
     history: Vec<f64>,
+    /// The device currents of the most recent solve's first stamp, that
+    /// is at the state the solve started from (see
+    /// [`AssemblyWorkspace::stamp_geq`]).
+    currents: Vec<Option<f64>>,
 }
 
 /// How one fixed-point solve ([`SwecDcSweep::solve_point`]) drives the
@@ -92,6 +96,10 @@ thread_local! {
 pub(crate) struct SweepChunk {
     /// The points accepted, in order: all of them unless `failure` is set.
     pub xs: Vec<Vec<f64>>,
+    /// The device currents at each point of `xs`, in `sweep_columns`'s
+    /// `stamped` layout: the ones the next point's stamp computed, and
+    /// `None` where it computed none or no point of this chunk followed.
+    pub currents: Vec<Option<f64>>,
     pub stats: EngineStats,
     /// The error that stopped the chunk before its last point.
     pub failure: Option<SimError>,
@@ -259,9 +267,11 @@ impl SwecDcSweep {
         // chunk's accepted prefix), so the salvage is bit-identical at
         // every worker count; any other failure is an error.
         let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(n_points);
+        let mut stamped = Vec::with_capacity(n_points * mna_devices(mna));
         let mut truncated_at = None;
         for (ci, c) in chunks.into_iter().enumerate() {
             solutions.extend(c.xs);
+            stamped.extend(c.currents);
             stats.merge(&c.stats);
             if let Some(e) = c.failure {
                 let salvage = self.opts.allow_partial
@@ -276,7 +286,7 @@ impl SwecDcSweep {
         }
         let mut values = values;
         values.truncate(solutions.len());
-        let (names, columns) = sweep_columns(mna, &solutions, &mut stats.flops);
+        let (names, columns) = sweep_columns(mna, &solutions, &stamped, &mut stats.flops);
         stats.elapsed = t0.elapsed();
         let axis = Axis::Sweep {
             source: source.to_string(),
@@ -308,6 +318,10 @@ impl SwecDcSweep {
     /// iterate is then refined to self-consistency, or kept at a genuine
     /// fold.
     ///
+    /// Each point's solve stamps `Geq` first at the previous point's
+    /// solution, so the device currents of that stamp become the previous
+    /// point's `I(<device>)` values; only the chunk's last point has none.
+    ///
     /// A failure stops the chunk; the points accepted before it stay in
     /// the returned chunk next to the error.
     #[allow(clippy::too_many_arguments)]
@@ -327,7 +341,9 @@ impl SwecDcSweep {
         let lu0 = ws.lu_stats();
         let mut buf = DcBuffers::default();
         let mut stats = EngineStats::new();
-        let mut xs = Vec::with_capacity(points.len());
+        let mut xs: Vec<Vec<f64>> = Vec::with_capacity(points.len());
+        let n_devices = mna_devices(mna);
+        let mut currents = Vec::with_capacity(points.len() * n_devices);
         let fixed_point = self.opts.dc_mode == DcMode::FixedPoint;
         let mut solve = || -> Result<()> {
             let mut x = vec![0.0; mna.dim()];
@@ -380,15 +396,16 @@ impl SwecDcSweep {
                 meter.checkpoint().map_err(|stop| {
                     SimError::budget_exceeded(stop, format!("dc sweep point {k}"))
                 })?;
+                let prev = xs.last().unwrap_or(&x);
                 // `None` takes one non-iterative step: every point past the
                 // first in `NonIterative` mode, and a fold in `FixedPoint`
-                // mode.
+                // mode. Either way the first stamp is at `prev`.
                 let solved = if k == 0 || fixed_point {
                     match self.solve_point(
                         mna,
                         ws,
                         &mut buf,
-                        &x,
+                        prev,
                         PointOptions::at(source, value),
                         &mut stats,
                         &mut meter.fork(),
@@ -399,27 +416,38 @@ impl SwecDcSweep {
                 } else {
                     None
                 };
-                x = solved
+                let next = solved
                     .unwrap_or_else(|| {
                         self.solve_noniterative_ws(
                             mna,
                             ws,
                             &mut buf,
                             Some((source, value)),
-                            &x,
+                            prev,
                             &mut stats,
                             &mut meter.fork(),
                         )
                     })
                     .map_err(|e| tag_sweep_failure(e, k, value))?;
+                if !xs.is_empty() {
+                    currents.extend_from_slice(&buf.currents);
+                }
                 stats.steps += 1;
-                xs.push(x.clone());
+                xs.push(next);
             }
             Ok(())
         };
         let failure = solve().err();
+        // The last point has no following stamp: its currents are
+        // evaluated with the columns.
+        currents.resize(xs.len() * n_devices, None);
         stats.absorb_lu(&lu0, &ws.lu_stats());
-        SweepChunk { xs, stats, failure }
+        SweepChunk {
+            xs,
+            currents,
+            stats,
+            failure,
+        }
     }
 
     /// Solves the operating point of a circuit with all sources at their
@@ -532,7 +560,7 @@ impl SwecDcSweep {
             .tick_iteration()
             .map_err(|stop| SimError::budget_exceeded(stop, "swec non-iterative solve"))?;
         let mut flops = FlopCounter::new();
-        stats.device_evals += ws.stamp_geq(mna, x0, &mut flops);
+        stats.device_evals += ws.stamp_geq(mna, x0, Some(&mut buf.currents), &mut flops);
         buf.rhs.resize(dim, 0.0);
         mna.stamp_rhs(0.0, &mut buf.rhs);
         if let Some((name, value)) = override_src {
@@ -573,7 +601,7 @@ impl SwecDcSweep {
             .checkpoint()
             .map_err(|stop| SimError::budget_exceeded(stop, "swec batched ramp solve"))?;
         let mut flops = FlopCounter::new();
-        stats.device_evals += ws.stamp_geq(mna, x0, &mut flops);
+        stats.device_evals += ws.stamp_geq(mna, x0, None, &mut flops);
         buf.rhs.resize(dim, 0.0);
         let mut rhs_block = vec![0.0; dim * k];
         for (j, &value) in values.iter().enumerate() {
@@ -635,7 +663,8 @@ impl SwecDcSweep {
                 ));
             }
             // Stamp G with Geq at the current iterate.
-            stats.device_evals += ws.stamp_geq(mna, &x, &mut flops);
+            let currents = (iter == 0).then_some(&mut buf.currents);
+            stats.device_evals += ws.stamp_geq(mna, &x, currents, &mut flops);
             if let Some((g, _)) = shunt {
                 ws.stamp_diag_shunt(mna.num_nodes(), g);
             }
@@ -728,6 +757,12 @@ impl SwecDcSweep {
             fx,
         ))
     }
+}
+
+/// Number of `I(<device>)` columns of a sweep: the nonlinear two-terminals
+/// and the MOSFETs.
+fn mna_devices(mna: &MnaSystem) -> usize {
+    mna.nonlinear_bindings().len() + mna.mosfet_bindings().len()
 }
 
 /// Annotates a failed chunk's error with the chunk index (the failing
@@ -955,6 +990,40 @@ mod tests {
         // And it is much cheaper: about one solve per point.
         assert!(ni.stats.linear_solves < fp.stats.linear_solves);
         assert!(ni.stats.linear_solves <= (ni.points() as u64) + 40);
+    }
+
+    #[test]
+    fn device_columns_match_direct_evaluation() {
+        // The currents kept from each next point's stamp are the device
+        // currents at that point's solution, bit for bit, for two-terminals
+        // and MOSFETs alike, in both modes.
+        let mut ckt = rtd_divider(50.0);
+        let (a, b) = (ckt.node("in"), ckt.node("mid"));
+        ckt.add_mosfet(
+            "M1",
+            b,
+            a,
+            Circuit::GROUND,
+            nanosim_devices::mosfet::Mosfet::nmos(),
+        )
+        .unwrap();
+        let mna = MnaSystem::new(&ckt).unwrap();
+        for dc_mode in [DcMode::FixedPoint, DcMode::NonIterative] {
+            let r = SwecDcSweep::new(SwecOptions {
+                dc_mode,
+                ..SwecOptions::default()
+            })
+            .run(&ckt, "V1", 0.0, 3.0, 0.05)
+            .unwrap();
+            let (vin, vmid) = (r.column("in").unwrap(), r.column("mid").unwrap());
+            let mut f = FlopCounter::new();
+            for (k, (&vi, &vm)) in vin.iter().zip(vmid).enumerate() {
+                let x1 = mna.nonlinear_bindings()[0].device.current(vm, &mut f);
+                let m1 = mna.mosfet_bindings()[0].model.ids(vi, vm, &mut f);
+                assert_eq!(r.column("I(X1)").unwrap()[k].to_bits(), x1.to_bits());
+                assert_eq!(r.column("I(M1)").unwrap()[k].to_bits(), m1.to_bits());
+            }
+        }
     }
 
     #[test]

@@ -234,17 +234,24 @@ impl Mosfet {
     /// cutoff:     Geq = 0
     /// ```
     pub fn geq(&self, vgs: f64, vds: f64, flops: &mut FlopCounter) -> f64 {
-        let (nvgs, nvds, vth, _) = self.normalize(vgs, vds);
+        self.geq_and_ids(vgs, vds, flops).0
+    }
+
+    /// [`Mosfet::geq`] together with the drain current it was formed from,
+    /// bit for bit [`Mosfet::ids`], or `None` in the `V_DS -> 0` limit,
+    /// which needs no current.
+    pub fn geq_and_ids(&self, vgs: f64, vds: f64, flops: &mut FlopCounter) -> (f64, Option<f64>) {
+        let (nvgs, nvds, vth, sign) = self.normalize(vgs, vds);
         if nvds.abs() < 1e-12 {
             // Channel conductance limit at vds -> 0: beta * vov in triode.
             let vov = nvgs - vth;
             flops.add(1);
             flops.mul(1);
-            return if vov > 0.0 { self.beta * vov } else { 0.0 };
+            return (if vov > 0.0 { self.beta * vov } else { 0.0 }, None);
         }
         let i = self.ids_normalized(nvgs, nvds, vth, flops);
         flops.div(1);
-        i / nvds
+        (i / nvds, Some(sign * i))
     }
 
     /// Small-signal output conductance `dI_DS/dV_DS` — the quantity SPICE
@@ -323,6 +330,28 @@ mod tests {
             let i = fet.ids(vgs, vds, &mut flops());
             let g = fet.geq(vgs, vds, &mut flops());
             assert!(approx_eq(g, i / vds, 1e-12), "vgs={vgs} vds={vds}");
+        }
+    }
+
+    #[test]
+    fn geq_keeps_ids_bit_for_bit() {
+        // Both polarities, every region, both signs of V_DS: the current
+        // kept beside `Geq` is `ids`, except in the `V_DS -> 0` limit.
+        for fet in [Mosfet::nmos(), Mosfet::pmos()] {
+            for vgs in [-3.0, -0.5, 0.0, 1.2, 2.5, 4.0] {
+                for vds in [-2.0, -0.1, -1e-13, 0.0, 1e-13, 0.3, 1.5, 4.0] {
+                    let (geq, ids) = fet.geq_and_ids(vgs, vds, &mut flops());
+                    assert_eq!(geq.to_bits(), fet.geq(vgs, vds, &mut flops()).to_bits());
+                    match ids {
+                        Some(i) => assert_eq!(
+                            i.to_bits(),
+                            fet.ids(vgs, vds, &mut flops()).to_bits(),
+                            "vgs={vgs} vds={vds}"
+                        ),
+                        None => assert!(vds.abs() < 1e-12, "vgs={vgs} vds={vds}"),
+                    }
+                }
+            }
         }
     }
 

@@ -41,13 +41,30 @@ pub trait NonlinearTwoTerminal: Debug {
     /// where `dI/dV < 0`, which is the paper's fix for the NDR problem. At
     /// `v -> 0` the secant degenerates and the analytic limit
     /// `Geq(0) = dI/dV(0)` is used instead.
+    ///
+    /// This is the first half of
+    /// [`NonlinearTwoTerminal::equivalent_conductance_and_current`]; a
+    /// device that computes `Geq` its own way overrides that method.
     fn equivalent_conductance(&self, v: f64, flops: &mut FlopCounter) -> f64 {
+        self.equivalent_conductance_and_current(v, flops).0
+    }
+
+    /// `Geq(v)` together with the current `I(v)` it was formed from, or
+    /// `None` in place of the current below [`GEQ_ZERO_VOLTAGE`], where the
+    /// analytic limit `Geq(0) = dI/dV(0)` needs no current. The SWEC DC
+    /// stamp keeps that current, so a sweep's `I(<device>)` column costs no
+    /// second [`NonlinearTwoTerminal::current`] call.
+    fn equivalent_conductance_and_current(
+        &self,
+        v: f64,
+        flops: &mut FlopCounter,
+    ) -> (f64, Option<f64>) {
         if v.abs() < GEQ_ZERO_VOLTAGE {
-            self.differential_conductance(0.0, flops)
+            (self.differential_conductance(0.0, flops), None)
         } else {
             let i = self.current(v, flops);
             flops.div(1);
-            i / v
+            (i / v, Some(i))
         }
     }
 
@@ -204,6 +221,41 @@ mod tests {
                 }
                 let saved = separate.since(&combined);
                 assert_eq!(saved, one_current, "{kind} flops at {v}");
+            }
+        }
+    }
+
+    #[test]
+    fn geq_keeps_the_current_it_was_formed_from() {
+        // Away from zero the stamp's current is `current(v)` bit for bit,
+        // and the pair costs that one call plus the division; below
+        // `GEQ_ZERO_VOLTAGE` the `Geq(0)` limit evaluates no current.
+        use crate::{Diode, Nanowire, Rtd, Rtt};
+        let devices: [&dyn NonlinearTwoTerminal; 5] = [
+            &Rtd::date2005(),
+            &Nanowire::metallic_cnt(),
+            &Rtt::three_peak(),
+            &Diode::silicon(),
+            &Cubic,
+        ];
+        for d in devices {
+            for v in [0.0, 5e-10, 1e-9, 5e-7, 0.3, 1.5, 4.0]
+                .iter()
+                .flat_map(|&m| [m, -m])
+            {
+                let kind = d.device_kind();
+                let mut pair = FlopCounter::new();
+                let (_, current) = d.equivalent_conductance_and_current(v, &mut pair);
+                match current {
+                    Some(i) => {
+                        let mut alone = FlopCounter::new();
+                        let direct = d.current(v, &mut alone);
+                        assert_eq!(i.to_bits(), direct.to_bits(), "{kind} I at {v}");
+                        alone.div(1);
+                        assert_eq!(pair, alone, "{kind} flops at {v}");
+                    }
+                    None => assert!(v.abs() < GEQ_ZERO_VOLTAGE, "{kind} at {v}"),
+                }
             }
         }
     }
