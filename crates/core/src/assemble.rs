@@ -257,7 +257,7 @@ impl AssemblyWorkspace {
     ///
     /// Each `Geq = I(v)/v` is formed from one current evaluation. With
     /// `currents`, those currents are kept there, one per device in
-    /// [`sweep_columns`] order (two-terminals, then MOSFETs), bit for bit
+    /// [`push_device_currents`] order (two-terminals, then MOSFETs), bit for bit
     /// the device's `current`/`ids` at `x`; a device whose stamp took the
     /// `v -> 0` limit, which evaluates no current, leaves `None`.
     pub fn stamp_geq(
@@ -564,7 +564,7 @@ pub(crate) fn charge_sweep(
     mna: &MnaSystem,
     n_points: usize,
 ) -> crate::Result<()> {
-    let n_cols = 1 + mna.dim() + mna.nonlinear_bindings().len() + mna.mosfet_bindings().len();
+    let n_cols = 1 + mna.dim() + n_devices(mna);
     meter
         .charge_bytes((n_points as u64).saturating_mul(8 * n_cols as u64))
         .map_err(|stop| {
@@ -572,20 +572,61 @@ pub(crate) fn charge_sweep(
         })
 }
 
+/// Number of `I(<device>)` columns of a DC sweep: the nonlinear
+/// two-terminals, then the MOSFETs.
+pub(crate) fn n_devices(mna: &MnaSystem) -> usize {
+    mna.nonlinear_bindings().len() + mna.mosfet_bindings().len()
+}
+
+/// Pushes onto `out` the current of every nonlinear two-terminal, then
+/// every MOSFET, at state `x`: the one a SWEC stamp at `x` kept in
+/// `stamped` (see [`AssemblyWorkspace::stamp_geq`]) where there is one,
+/// otherwise evaluated here, its flops added to `flops`.
+pub(crate) fn push_device_currents(
+    mna: &MnaSystem,
+    x: &[f64],
+    stamped: &[Option<f64>],
+    out: &mut Vec<f64>,
+    flops: &mut FlopCounter,
+) {
+    let mut stamped = stamped.iter().copied();
+    for b in mna.nonlinear_bindings() {
+        out.push(stamped.next().flatten().unwrap_or_else(|| {
+            let v = branch_voltage(x, b.var_plus, b.var_minus);
+            b.device.current(v, flops)
+        }));
+    }
+    for m in mna.mosfet_bindings() {
+        out.push(stamped.next().flatten().unwrap_or_else(|| {
+            let (vgs, vds) = mosfet_bias(m, x);
+            m.model.ids(vgs, vds, flops)
+        }));
+    }
+}
+
+/// The device currents at every solution in `xs`, all evaluated (the
+/// Newton-family sweeps, which stamp no `Geq`), in [`sweep_columns`]'s
+/// layout.
+pub(crate) fn device_currents(
+    mna: &MnaSystem,
+    xs: &[Vec<f64>],
+    flops: &mut FlopCounter,
+) -> Vec<f64> {
+    let mut out = Vec::with_capacity(xs.len() * n_devices(mna));
+    for x in xs {
+        push_device_currents(mna, x, &[], &mut out, flops);
+    }
+    out
+}
+
 /// The output columns of a DC sweep with one row per solution in `xs`: the
 /// MNA variables, then `I(<device>)` for every nonlinear two-terminal and
-/// every MOSFET at that solution.
-///
-/// `stamped` holds, point by point, the device currents a SWEC stamp
-/// already computed at that solution (see [`AssemblyWorkspace::stamp_geq`]),
-/// in column order; a `None`, or a point past its end, is evaluated here,
-/// and those evaluations' flops are added to `flops`. The Newton-family
-/// sweeps pass no currents and evaluate every point.
+/// every MOSFET, taken from `currents`, which holds them point by point in
+/// [`push_device_currents`] order.
 pub(crate) fn sweep_columns(
     mna: &MnaSystem,
     xs: &[Vec<f64>],
-    stamped: &[Option<f64>],
-    flops: &mut FlopCounter,
+    currents: &[f64],
 ) -> (Vec<String>, Vec<Vec<f64>>) {
     let mut names = mna_var_names(mna);
     let n_vars = names.len();
@@ -600,31 +641,16 @@ pub(crate) fn sweep_columns(
             .map(|m| format!("I({})", m.name)),
     );
     let n_devices = names.len() - n_vars;
+    debug_assert_eq!(currents.len(), xs.len() * n_devices);
     let mut columns: Vec<Vec<f64>> = (0..names.len())
         .map(|_| Vec::with_capacity(xs.len()))
         .collect();
     for (point, x) in xs.iter().enumerate() {
-        let (vars, devices) = columns.split_at_mut(n_vars);
-        for (col, &xi) in vars.iter_mut().zip(x) {
-            col.push(xi);
-        }
-        let mut known = stamped
-            .get(point * n_devices..(point + 1) * n_devices)
-            .into_iter()
-            .flatten()
-            .copied();
-        let mut devices = devices.iter_mut();
-        for (b, col) in mna.nonlinear_bindings().iter().zip(&mut devices) {
-            col.push(known.next().flatten().unwrap_or_else(|| {
-                let v = branch_voltage(x, b.var_plus, b.var_minus);
-                b.device.current(v, flops)
-            }));
-        }
-        for (m, col) in mna.mosfet_bindings().iter().zip(&mut devices) {
-            col.push(known.next().flatten().unwrap_or_else(|| {
-                let (vgs, vds) = mosfet_bias(m, x);
-                m.model.ids(vgs, vds, flops)
-            }));
+        let row = x
+            .iter()
+            .chain(&currents[point * n_devices..(point + 1) * n_devices]);
+        for (col, &v) in columns.iter_mut().zip(row) {
+            col.push(v);
         }
     }
     (names, columns)
@@ -762,7 +788,8 @@ mod tests {
         .unwrap();
         let mna = MnaSystem::new(&ckt).unwrap();
         let xs: Vec<Vec<f64>> = (0..37).map(|k| vec![0.1 * k as f64; mna.dim()]).collect();
-        let (names, columns) = sweep_columns(&mna, &xs, &[], &mut FlopCounter::new());
+        let currents = device_currents(&mna, &xs, &mut FlopCounter::new());
+        let (names, columns) = sweep_columns(&mna, &xs, &currents);
         assert_eq!(names.len(), mna.dim() + 2);
         assert_eq!(columns.len(), names.len());
         for (name, col) in names.iter().zip(&columns) {

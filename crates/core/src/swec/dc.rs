@@ -11,8 +11,8 @@
 //! solution (continuation), so a handful of iterations usually suffice.
 
 use crate::assemble::{
-    charge_sweep, checked_sweep_points, mna_var_names, override_source_rhs, sweep_columns,
-    AssemblyWorkspace,
+    charge_sweep, checked_sweep_points, mna_var_names, n_devices, override_source_rhs,
+    push_device_currents, sweep_columns, AssemblyWorkspace,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
@@ -56,6 +56,9 @@ pub(crate) struct PointOptions<'a> {
     /// A conductance from every node to an anchor state (rescue ladder
     /// only).
     pub shunt: Shunt<'a>,
+    /// Keep the device currents of the first stamp in
+    /// [`DcBuffers::currents`] (sweep points only).
+    pub keep_currents: bool,
 }
 
 impl Default for PointOptions<'_> {
@@ -65,15 +68,18 @@ impl Default for PointOptions<'_> {
             source_scale: None,
             lambda0: 1.0,
             shunt: None,
+            keep_currents: false,
         }
     }
 }
 
 impl<'a> PointOptions<'a> {
-    /// A plain solve with `source` set to `value`.
+    /// A sweep point's solve: `source` set to `value`, the device currents
+    /// kept.
     fn at(source: &'a str, value: f64) -> Self {
         PointOptions {
             override_src: Some((source, value)),
+            keep_currents: true,
             ..PointOptions::default()
         }
     }
@@ -97,9 +103,8 @@ pub(crate) struct SweepChunk {
     /// The points accepted, in order: all of them unless `failure` is set.
     pub xs: Vec<Vec<f64>>,
     /// The device currents at each point of `xs`, in `sweep_columns`'s
-    /// `stamped` layout: the ones the next point's stamp computed, and
-    /// `None` where it computed none or no point of this chunk followed.
-    pub currents: Vec<Option<f64>>,
+    /// layout.
+    pub currents: Vec<f64>,
     pub stats: EngineStats,
     /// The error that stopped the chunk before its last point.
     pub failure: Option<SimError>,
@@ -267,11 +272,16 @@ impl SwecDcSweep {
         // chunk's accepted prefix), so the salvage is bit-identical at
         // every worker count; any other failure is an error.
         let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(n_points);
-        let mut stamped = Vec::with_capacity(n_points * mna_devices(mna));
+        let mut currents = Vec::new();
         let mut truncated_at = None;
         for (ci, c) in chunks.into_iter().enumerate() {
             solutions.extend(c.xs);
-            stamped.extend(c.currents);
+            // A one-chunk sweep hands its currents over without a copy.
+            if currents.is_empty() {
+                currents = c.currents;
+            } else {
+                currents.extend(c.currents);
+            }
             stats.merge(&c.stats);
             if let Some(e) = c.failure {
                 let salvage = self.opts.allow_partial
@@ -286,7 +296,7 @@ impl SwecDcSweep {
         }
         let mut values = values;
         values.truncate(solutions.len());
-        let (names, columns) = sweep_columns(mna, &solutions, &stamped, &mut stats.flops);
+        let (names, columns) = sweep_columns(mna, &solutions, &currents);
         stats.elapsed = t0.elapsed();
         let axis = Axis::Sweep {
             source: source.to_string(),
@@ -320,7 +330,8 @@ impl SwecDcSweep {
     ///
     /// Each point's solve stamps `Geq` first at the previous point's
     /// solution, so the device currents of that stamp become the previous
-    /// point's `I(<device>)` values; only the chunk's last point has none.
+    /// point's `I(<device>)` values. Only a device whose stamp took the
+    /// `Geq(0)` limit, and the chunk's last point, evaluate theirs here.
     ///
     /// A failure stops the chunk; the points accepted before it stay in
     /// the returned chunk next to the error.
@@ -342,8 +353,7 @@ impl SwecDcSweep {
         let mut buf = DcBuffers::default();
         let mut stats = EngineStats::new();
         let mut xs: Vec<Vec<f64>> = Vec::with_capacity(points.len());
-        let n_devices = mna_devices(mna);
-        let mut currents = Vec::with_capacity(points.len() * n_devices);
+        let mut currents = Vec::with_capacity(points.len() * n_devices(mna));
         let fixed_point = self.opts.dc_mode == DcMode::FixedPoint;
         let mut solve = || -> Result<()> {
             let mut x = vec![0.0; mna.dim()];
@@ -429,8 +439,8 @@ impl SwecDcSweep {
                         )
                     })
                     .map_err(|e| tag_sweep_failure(e, k, value))?;
-                if !xs.is_empty() {
-                    currents.extend_from_slice(&buf.currents);
+                if let Some(prev) = xs.last() {
+                    push_device_currents(mna, prev, &buf.currents, &mut currents, &mut stats.flops);
                 }
                 stats.steps += 1;
                 xs.push(next);
@@ -438,9 +448,10 @@ impl SwecDcSweep {
             Ok(())
         };
         let failure = solve().err();
-        // The last point has no following stamp: its currents are
-        // evaluated with the columns.
-        currents.resize(xs.len() * n_devices, None);
+        // The last point has no following stamp.
+        if let Some(last) = xs.last() {
+            push_device_currents(mna, last, &[], &mut currents, &mut stats.flops);
+        }
         stats.absorb_lu(&lu0, &ws.lu_stats());
         SweepChunk {
             xs,
@@ -507,10 +518,10 @@ impl SwecDcSweep {
                     r.damping
                 };
                 let opts = PointOptions {
-                    override_src: None,
                     source_scale,
                     lambda0,
                     shunt,
+                    ..PointOptions::default()
                 };
                 self.solve_point(mna, ws, &mut buf, x0, opts, stats, &mut meter.fork())
                     .map_err(|e| match e {
@@ -641,6 +652,7 @@ impl SwecDcSweep {
             source_scale,
             lambda0,
             shunt,
+            keep_currents,
         } = opts;
         let dim = mna.dim();
         let mut x = x0.to_vec();
@@ -663,7 +675,7 @@ impl SwecDcSweep {
                 ));
             }
             // Stamp G with Geq at the current iterate.
-            let currents = (iter == 0).then_some(&mut buf.currents);
+            let currents = (iter == 0 && keep_currents).then_some(&mut buf.currents);
             stats.device_evals += ws.stamp_geq(mna, &x, currents, &mut flops);
             if let Some((g, _)) = shunt {
                 ws.stamp_diag_shunt(mna.num_nodes(), g);
@@ -757,12 +769,6 @@ impl SwecDcSweep {
             fx,
         ))
     }
-}
-
-/// Number of `I(<device>)` columns of a sweep: the nonlinear two-terminals
-/// and the MOSFETs.
-fn mna_devices(mna: &MnaSystem) -> usize {
-    mna.nonlinear_bindings().len() + mna.mosfet_bindings().len()
 }
 
 /// Annotates a failed chunk's error with the chunk index (the failing

@@ -26,6 +26,7 @@
 use crate::flops::FlopCounter;
 use crate::sparse::{CsrMatrix, OrderingChoice, PivotStrategy, SparseLu};
 use crate::Result;
+use std::sync::Arc;
 
 /// Cumulative factorization telemetry of one [`SparseLuSolver`]: counts,
 /// the factor-vs-refactor flop split, and the fill of the current cached
@@ -311,12 +312,9 @@ impl SparseLuSolver {
     fn full_factor(&mut self, a: &CsrMatrix, flops: &mut FlopCounter) -> Result<()> {
         let start = flops.total();
         let fresh = match &self.cached {
-            Some(lu) if lu.symbolic().matches(a) => SparseLu::factor_symbolic(
-                lu.symbolic().clone(),
-                a,
-                PivotStrategy::default(),
-                flops,
-            )?,
+            Some(lu) if lu.symbolic().matches(a) => {
+                SparseLu::factor_symbolic(Arc::clone(&lu.sym), a, PivotStrategy::default(), flops)?
+            }
             _ => SparseLu::factor_ordered(a, self.ordering, PivotStrategy::default(), flops)?,
         };
         let ratio = fresh.min_recip_pivot();

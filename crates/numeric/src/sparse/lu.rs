@@ -33,8 +33,9 @@
 //! ([`crate::solve::SparseLuSolver`] packages that policy).
 //!
 //! Callers never see permuted vectors: the fill permutation is applied on
-//! scatter-in ([`SymbolicAnalysis::scatter_values`] and the right-hand-side
-//! load of [`SparseLu::solve_into`]) and inverted on the way out, so
+//! scatter-in (the value shuffle of the [`SymbolicAnalysis`] and the
+//! right-hand-side load of [`SparseLu::solve_into`]) and inverted on the
+//! way out, so
 //! `solve` takes and returns vectors in original MNA numbering whatever the
 //! ordering. With [`OrderingChoice::Natural`] every code path degenerates
 //! to the identity and results are bit-identical to the pre-ordering
@@ -72,6 +73,7 @@ use super::CsrMatrix;
 use crate::error::NumericError;
 use crate::flops::FlopCounter;
 use crate::Result;
+use std::sync::Arc;
 
 /// Pivoting policy for [`SparseLu::factor_ordered`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -119,6 +121,29 @@ fn extends_supernode(l_colptr: &[usize], l_rows: &[usize], k: usize) -> bool {
         &l_rows[l_colptr[k + 1]..l_colptr[k + 2]],
     );
     col.first() == Some(&(k + 1)) && &col[1..] == next
+}
+
+/// Sorts one factor column's `rows` ascending, moving `vals` along: in
+/// place when it is short, through `scratch` when it is long.
+fn sort_column(rows: &mut [usize], vals: &mut [f64], scratch: &mut Vec<(usize, f64)>) {
+    if rows.len() <= 16 {
+        for i in 1..rows.len() {
+            for k in (1..=i).rev() {
+                if rows[k - 1] < rows[k] {
+                    break;
+                }
+                rows.swap(k - 1, k);
+                vals.swap(k - 1, k);
+            }
+        }
+    } else {
+        scratch.clear();
+        scratch.extend(rows.iter().copied().zip(vals.iter().copied()));
+        scratch.sort_unstable_by_key(|&(r, _)| r);
+        for ((r, v), &(sr, sv)) in rows.iter_mut().zip(vals.iter_mut()).zip(&*scratch) {
+            (*r, *v) = (sr, sv);
+        }
+    }
 }
 
 /// `x[r] -= u · l` for every row `r` of one factor column, with values `l`.
@@ -183,19 +208,19 @@ pub struct SparseLu {
     /// k-th pivot: loading `b[gather[k]]` puts a right-hand side straight
     /// into pivot order.
     pub(crate) gather: Vec<usize>,
-    /// Pivot index of each entry of the permuted CSC structure of `A`
-    /// (parallel to the analysis's `csc_rows`).
-    pub(crate) a_rows: Vec<usize>,
+    /// `A` in the refactor's terms: for each entry of the permuted CSC
+    /// structure, in column order, its pivot-order row and its CSR value
+    /// slot, so one pass per column loads the new values.
+    pub(crate) a_map: Vec<(usize, usize)>,
     /// `sn_last[k]` = last column of the fundamental supernode holding
     /// column `k`: columns `k..=sn_last[k]` satisfy
     /// `L(:, c) = {c + 1} ∪ L(:, c + 1)`, so `L(:, k)` is the rows
     /// `k + 1..=sn_last[k]` followed by the rows of `L(:, sn_last[k])`.
     pub(crate) sn_last: Vec<usize>,
     /// Cached symbolic analysis: fill ordering, permuted CSC structure,
-    /// value shuffle, pattern fingerprint.
-    pub(crate) sym: SymbolicAnalysis,
-    /// Scratch reused by `refactor`: values in permuted CSC order.
-    pub(crate) csc_vals: Vec<f64>,
+    /// value shuffle, pattern fingerprint. It depends on the pattern
+    /// alone, so clones and re-pivoting factorizations share it.
+    pub(crate) sym: Arc<SymbolicAnalysis>,
     /// Scratch reused by `refactor`, `2·n` long: the dense working column
     /// in pivot order (`work[..n]`) and the dense copy of one supernode's
     /// rows below its last column (`work[n..]`). The working column is
@@ -240,17 +265,18 @@ impl SparseLu {
 
     /// Numeric factorization against an already-computed
     /// [`SymbolicAnalysis`] (phase 3 alone — share one analysis across many
-    /// factorizations of the same pattern).
+    /// factorizations of the same pattern, by value or behind an `Arc`).
     ///
     /// # Errors
     /// [`NumericError::PatternChanged`] when `a` does not match the
     /// analyzed pattern, otherwise as [`SparseLu::factor`].
     pub fn factor_symbolic(
-        sym: SymbolicAnalysis,
+        sym: impl Into<Arc<SymbolicAnalysis>>,
         a: &CsrMatrix,
         strategy: PivotStrategy,
         flops: &mut FlopCounter,
     ) -> Result<Self> {
+        let sym = sym.into();
         if !sym.matches(a) {
             return Err(NumericError::PatternChanged {
                 context: format!(
@@ -267,8 +293,14 @@ impl SparseLu {
         let n = sym.dim();
         // Scatter the values through the cached shuffle: from here on the
         // factorization works exclusively in permuted index space.
-        let mut values = Vec::new();
-        sym.scatter_values(a, &mut values);
+        // The factor reads each permuted CSC entry through its CSR value
+        // slot: the slot half of `a_map`, whose pivot-row half is filled
+        // once the pivots are known.
+        let mut a_map = vec![(0, 0); sym.nnz()];
+        for (slot, &p) in sym.csr_to_csc.iter().enumerate() {
+            a_map[p].1 = slot;
+        }
+        let a_vals = a.values();
         let col_ptr = &sym.csc_colptr;
         let row_idx = &sym.csc_rows;
 
@@ -288,8 +320,10 @@ impl SparseLu {
         // Dense working column; the upper half is the refactor's supernode
         // copy (see `SparseLu::work`).
         let mut x = vec![0.0f64; 2 * n];
-        let mut visited = vec![usize::MAX; n]; // marks per column j
-        let mut topo: Vec<usize> = Vec::with_capacity(n);
+        // One buffer: the DFS marks per column j, and the topological
+        // order of the column's reached rows, `topo[..reached]`.
+        let mut marks = vec![usize::MAX; 2 * n];
+        let (visited, topo) = marks.split_at_mut(n);
         let mut dfs_stack: Vec<(usize, usize)> = Vec::with_capacity(n);
         let mut ucol: Vec<(usize, f64)> = Vec::new();
         let mut worst_ratio = f64::INFINITY;
@@ -297,10 +331,9 @@ impl SparseLu {
 
         for j in 0..n {
             // Scatter A'(:, j) and collect the reachable pattern via DFS.
-            topo.clear();
+            let mut reached = 0;
             for p in col_ptr[j]..col_ptr[j + 1] {
-                let r = row_idx[p];
-                x[r] = values[p];
+                x[row_idx[p]] = a_vals[a_map[p].1];
             }
             for p in col_ptr[j]..col_ptr[j + 1] {
                 let start = row_idx[p];
@@ -326,7 +359,8 @@ impl SparseLu {
                             }
                         }
                         None => {
-                            topo.push(node);
+                            topo[reached] = node;
+                            reached += 1;
                             dfs_stack.pop();
                         }
                     }
@@ -335,6 +369,7 @@ impl SparseLu {
 
             // Numeric sparse triangular solve in reverse post-order
             // (dependencies first).
+            let topo = &topo[..reached];
             for &r in topo.iter().rev() {
                 let k = pinv[r];
                 if k == usize::MAX {
@@ -353,7 +388,7 @@ impl SparseLu {
             let mut max_abs = 0.0f64;
             let mut max_row = usize::MAX;
             let mut diag_abs = -1.0f64;
-            for &r in &topo {
+            for &r in topo {
                 if pinv[r] == usize::MAX {
                     let v = x[r].abs();
                     if !v.is_finite() {
@@ -398,7 +433,7 @@ impl SparseLu {
             // zeros — so the stored structure is valid for any values with
             // the same input pattern (a refactor requirement).
             ucol.clear();
-            for &r in &topo {
+            for &r in topo {
                 let v = x[r];
                 x[r] = 0.0; // clear for next column
                 if r == pivot_row {
@@ -432,20 +467,11 @@ impl SparseLu {
         }
         for k in 0..n {
             let (lo, hi) = (l_colptr[k], l_colptr[k + 1]);
-            ucol.clear();
-            ucol.extend(
-                l_rows[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(l_vals[lo..hi].iter().copied()),
-            );
-            ucol.sort_unstable_by_key(|&(r, _)| r);
-            for (p, &(r, v)) in (lo..hi).zip(&ucol) {
-                l_rows[p] = r;
-                l_vals[p] = v;
-            }
+            sort_column(&mut l_rows[lo..hi], &mut l_vals[lo..hi], &mut ucol);
         }
-        let a_rows = sym.csc_rows.iter().map(|&r| pinv[r]).collect();
+        for (m, &r) in a_map.iter_mut().zip(&sym.csc_rows) {
+            m.0 = pinv[r];
+        }
         let mut gather = perm;
         for g in &mut gather {
             *g = sym.fill_perm[*g];
@@ -459,8 +485,7 @@ impl SparseLu {
             };
         }
 
-        // The symbolic analysis is kept for refactorization, and the values
-        // buffer becomes its scratch space.
+        // The symbolic analysis is kept for refactorization.
         Ok(SparseLu {
             n,
             l_colptr,
@@ -471,10 +496,9 @@ impl SparseLu {
             u_vals,
             u_diag,
             gather,
-            a_rows,
+            a_map,
             sn_last,
             sym,
-            csc_vals: values,
             work: x,
             worst_ratio,
             worst_col,
@@ -552,16 +576,11 @@ impl SparseLu {
         let u_rows = &self.u_rows[..];
         let u_vals = &mut self.u_vals[..];
         let u_diag = &mut self.u_diag[..];
-        let a_rows = &self.a_rows[..];
+        let a_map = &self.a_map[..];
         let sn_last = &self.sn_last[..];
         let csc_colptr = &self.sym.csc_colptr[..];
-        let csc_vals = &mut self.csc_vals[..];
+        let a_vals = a.values();
         let (work, copy) = self.work.split_at_mut(n);
-
-        // Shuffle the new values into the cached permuted CSC order.
-        for (&dst, &v) in self.sym.csr_to_csc.iter().zip(a.values()) {
-            csc_vals[dst] = v;
-        }
 
         // Flop tallies stay local and reach `flops` once per call, on the
         // success path and on the pivot-failure exit alike.
@@ -572,9 +591,8 @@ impl SparseLu {
             // `work` is all zeros here, so scattering A'(:, j) loads the
             // column. Its pattern is exactly: the U rows, the pivot row
             // itself, and the L rows.
-            let (clo, chi) = (csc_colptr[j], csc_colptr[j + 1]);
-            for (&r, &v) in a_rows[clo..chi].iter().zip(&csc_vals[clo..chi]) {
-                work[r] = v;
+            for &(r, slot) in &a_map[csc_colptr[j]..csc_colptr[j + 1]] {
+                work[r] = a_vals[slot];
             }
 
             // Eliminate with already-final columns in ascending pivot order

@@ -116,15 +116,6 @@ impl SymbolicAnalysis {
             && row_ptr == self.csr_rowptr.as_slice()
             && col_idx == self.csr_colidx.as_slice()
     }
-
-    /// Scatters `a`'s values into `out` laid out in this analysis's
-    /// permuted CSC slot order (`out` is resized to nnz).
-    pub(crate) fn scatter_values(&self, a: &CsrMatrix, out: &mut Vec<f64>) {
-        out.resize(self.csr_to_csc.len(), 0.0);
-        for (p, &v) in a.values().iter().enumerate() {
-            out[self.csr_to_csc[p]] = v;
-        }
-    }
 }
 
 /// Builds the CSC structure of the symmetrically permuted pattern
@@ -227,8 +218,10 @@ mod tests {
     fn permuted_shuffle_round_trips_values() {
         let a = arrow_matrix(5);
         let s = SymbolicAnalysis::analyze(&a, OrderingChoice::Amd).unwrap();
-        let mut vals = Vec::new();
-        s.scatter_values(&a, &mut vals);
+        let mut vals = vec![0.0; a.nnz()];
+        for (&p, &v) in s.csr_to_csc.iter().zip(a.values()) {
+            vals[p] = v;
+        }
         // Every permuted CSC slot (j', i') must hold A[perm[i'], perm[j']].
         for j in 0..5 {
             for p in s.csc_colptr[j]..s.csc_colptr[j + 1] {
