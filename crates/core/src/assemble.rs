@@ -257,7 +257,7 @@ impl AssemblyWorkspace {
     ///
     /// Each `Geq = I(v)/v` is formed from one current evaluation. With
     /// `currents`, those currents are kept there, one per device in
-    /// [`push_device_currents`] order (two-terminals, then MOSFETs), bit for bit
+    /// [`sweep_column_names`] order (two-terminals, then MOSFETs), bit for bit
     /// the device's `current`/`ids` at `x`; a device whose stamp took the
     /// `v -> 0` limit, which evaluates no current, leaves `None`.
     pub fn stamp_geq(
@@ -578,58 +578,10 @@ pub(crate) fn n_devices(mna: &MnaSystem) -> usize {
     mna.nonlinear_bindings().len() + mna.mosfet_bindings().len()
 }
 
-/// Pushes onto `out` the current of every nonlinear two-terminal, then
-/// every MOSFET, at state `x`: the one a SWEC stamp at `x` kept in
-/// `stamped` (see [`AssemblyWorkspace::stamp_geq`]) where there is one,
-/// otherwise evaluated here, its flops added to `flops`.
-pub(crate) fn push_device_currents(
-    mna: &MnaSystem,
-    x: &[f64],
-    stamped: &[Option<f64>],
-    out: &mut Vec<f64>,
-    flops: &mut FlopCounter,
-) {
-    let mut stamped = stamped.iter().copied();
-    for b in mna.nonlinear_bindings() {
-        out.push(stamped.next().flatten().unwrap_or_else(|| {
-            let v = branch_voltage(x, b.var_plus, b.var_minus);
-            b.device.current(v, flops)
-        }));
-    }
-    for m in mna.mosfet_bindings() {
-        out.push(stamped.next().flatten().unwrap_or_else(|| {
-            let (vgs, vds) = mosfet_bias(m, x);
-            m.model.ids(vgs, vds, flops)
-        }));
-    }
-}
-
-/// The device currents at every solution in `xs`, all evaluated (the
-/// Newton-family sweeps, which stamp no `Geq`), in [`sweep_columns`]'s
-/// layout.
-pub(crate) fn device_currents(
-    mna: &MnaSystem,
-    xs: &[Vec<f64>],
-    flops: &mut FlopCounter,
-) -> Vec<f64> {
-    let mut out = Vec::with_capacity(xs.len() * n_devices(mna));
-    for x in xs {
-        push_device_currents(mna, x, &[], &mut out, flops);
-    }
-    out
-}
-
-/// The output columns of a DC sweep with one row per solution in `xs`: the
-/// MNA variables, then `I(<device>)` for every nonlinear two-terminal and
-/// every MOSFET, taken from `currents`, which holds them point by point in
-/// [`push_device_currents`] order.
-pub(crate) fn sweep_columns(
-    mna: &MnaSystem,
-    xs: &[Vec<f64>],
-    currents: &[f64],
-) -> (Vec<String>, Vec<Vec<f64>>) {
+/// Names of a DC sweep's columns: the MNA variables, then `I(<device>)`
+/// for every nonlinear two-terminal and every MOSFET.
+pub(crate) fn sweep_column_names(mna: &MnaSystem) -> Vec<String> {
     let mut names = mna_var_names(mna);
-    let n_vars = names.len();
     names.extend(
         mna.nonlinear_bindings()
             .iter()
@@ -640,18 +592,55 @@ pub(crate) fn sweep_columns(
             .iter()
             .map(|m| format!("I({})", m.name)),
     );
-    let n_devices = names.len() - n_vars;
-    debug_assert_eq!(currents.len(), xs.len() * n_devices);
+    names
+}
+
+/// Appends one sweep point's row at solution `x` to `columns`, laid out as
+/// [`sweep_column_names`]: the MNA variables, then every device current.
+/// A current that a SWEC stamp at `x` kept in `stamped` (see
+/// [`AssemblyWorkspace::stamp_geq`]) is taken from there; any other is
+/// evaluated here, its flops added to `flops`.
+pub(crate) fn push_sweep_row(
+    columns: &mut [Vec<f64>],
+    mna: &MnaSystem,
+    x: &[f64],
+    stamped: &[Option<f64>],
+    flops: &mut FlopCounter,
+) {
+    let (vars, devices) = columns.split_at_mut(x.len());
+    for (col, &xi) in vars.iter_mut().zip(x) {
+        col.push(xi);
+    }
+    let mut devices = devices.iter_mut();
+    let mut stamped = stamped.iter().copied();
+    for (b, col) in mna.nonlinear_bindings().iter().zip(&mut devices) {
+        col.push(stamped.next().flatten().unwrap_or_else(|| {
+            let v = branch_voltage(x, b.var_plus, b.var_minus);
+            b.device.current(v, flops)
+        }));
+    }
+    for (m, col) in mna.mosfet_bindings().iter().zip(&mut devices) {
+        col.push(stamped.next().flatten().unwrap_or_else(|| {
+            let (vgs, vds) = mosfet_bias(m, x);
+            m.model.ids(vgs, vds, flops)
+        }));
+    }
+}
+
+/// The output columns of a DC sweep with one row per solution in `xs`,
+/// every device current evaluated here (the Newton-family sweeps, which
+/// stamp no `Geq`). Device-evaluation flops are added to `flops`.
+pub(crate) fn sweep_columns(
+    mna: &MnaSystem,
+    xs: &[Vec<f64>],
+    flops: &mut FlopCounter,
+) -> (Vec<String>, Vec<Vec<f64>>) {
+    let names = sweep_column_names(mna);
     let mut columns: Vec<Vec<f64>> = (0..names.len())
         .map(|_| Vec::with_capacity(xs.len()))
         .collect();
-    for (point, x) in xs.iter().enumerate() {
-        let row = x
-            .iter()
-            .chain(&currents[point * n_devices..(point + 1) * n_devices]);
-        for (col, &v) in columns.iter_mut().zip(row) {
-            col.push(v);
-        }
+    for x in xs {
+        push_sweep_row(&mut columns, mna, x, &[], flops);
     }
     (names, columns)
 }
@@ -788,8 +777,7 @@ mod tests {
         .unwrap();
         let mna = MnaSystem::new(&ckt).unwrap();
         let xs: Vec<Vec<f64>> = (0..37).map(|k| vec![0.1 * k as f64; mna.dim()]).collect();
-        let currents = device_currents(&mna, &xs, &mut FlopCounter::new());
-        let (names, columns) = sweep_columns(&mna, &xs, &currents);
+        let (names, columns) = sweep_columns(&mna, &xs, &mut FlopCounter::new());
         assert_eq!(names.len(), mna.dim() + 2);
         assert_eq!(columns.len(), names.len());
         for (name, col) in names.iter().zip(&columns) {

@@ -18,9 +18,9 @@
 //! [`EngineStats`].
 
 use crate::assemble::{
-    branch_voltage, charge_sweep, check_transient_window, device_currents, mna_var_names,
-    mosfet_bias, override_source_rhs, require_sweepable_source, sweep_columns, sweep_points,
-    AssemblyWorkspace, GMIN, H_MIN, V_ABSTOL,
+    branch_voltage, charge_sweep, check_transient_window, mna_var_names, mosfet_bias,
+    override_source_rhs, require_sweepable_source, sweep_columns, sweep_points, AssemblyWorkspace,
+    GMIN, H_MIN, V_ABSTOL,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
@@ -335,11 +335,7 @@ impl NrEngine {
             solutions.push(x.clone());
             stats.steps += 1;
         }
-        let (names, columns) = sweep_columns(
-            mna,
-            &solutions,
-            &device_currents(mna, &solutions, &mut stats.flops),
-        );
+        let (names, columns) = sweep_columns(mna, &solutions, &mut stats.flops);
         stats.absorb_lu(&LuStats::default(), &ws.lu_stats());
         stats.elapsed = t0.elapsed();
         let axis = Axis::Sweep {

@@ -12,7 +12,7 @@
 
 use crate::assemble::{
     charge_sweep, checked_sweep_points, mna_var_names, n_devices, override_source_rhs,
-    push_device_currents, sweep_columns, AssemblyWorkspace,
+    push_sweep_row, sweep_column_names, AssemblyWorkspace,
 };
 use crate::error::Forensics;
 use crate::report::EngineStats;
@@ -96,15 +96,15 @@ thread_local! {
     pub(crate) static CHUNK_RUNS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
 }
 
-/// The solutions of a run of consecutive sweep points, and its work
+/// The dataset rows of a run of consecutive sweep points, and its work
 /// accounting.
 #[derive(Debug)]
 pub(crate) struct SweepChunk {
-    /// The points accepted, in order: all of them unless `failure` is set.
-    pub xs: Vec<Vec<f64>>,
-    /// The device currents at each point of `xs`, in `sweep_columns`'s
-    /// layout.
-    pub currents: Vec<f64>,
+    /// Number of points accepted, in order: all of them unless `failure`
+    /// is set.
+    pub points: usize,
+    /// The accepted points' rows, laid out as `sweep_column_names`.
+    pub columns: Vec<Vec<f64>>,
     pub stats: EngineStats,
     /// The error that stopped the chunk before its last point.
     pub failure: Option<SimError>,
@@ -271,32 +271,35 @@ impl SwecDcSweep {
         // accepted before it (the chunks before the failing one plus that
         // chunk's accepted prefix), so the salvage is bit-identical at
         // every worker count; any other failure is an error.
-        let mut solutions: Vec<Vec<f64>> = Vec::with_capacity(n_points);
-        let mut currents = Vec::new();
+        let mut columns: Vec<Vec<f64>> = Vec::new();
+        let mut accepted = 0;
         let mut truncated_at = None;
         for (ci, c) in chunks.into_iter().enumerate() {
-            solutions.extend(c.xs);
-            // A one-chunk sweep hands its currents over without a copy.
-            if currents.is_empty() {
-                currents = c.currents;
+            accepted += c.points;
+            // The first chunk's columns, sized for the whole sweep, take
+            // the later chunks' rows.
+            if ci == 0 {
+                columns = c.columns;
             } else {
-                currents.extend(c.currents);
+                for (col, part) in columns.iter_mut().zip(c.columns) {
+                    col.extend(part);
+                }
             }
             stats.merge(&c.stats);
             if let Some(e) = c.failure {
                 let salvage = self.opts.allow_partial
                     && matches!(e, SimError::BudgetExceeded { .. })
-                    && !solutions.is_empty();
+                    && accepted > 0;
                 if !salvage {
                     return Err(tag_chunk_failure(e, ci));
                 }
-                truncated_at = Some(values[solutions.len() - 1]);
+                truncated_at = Some(values[accepted - 1]);
                 break;
             }
         }
         let mut values = values;
-        values.truncate(solutions.len());
-        let (names, columns) = sweep_columns(mna, &solutions, &currents);
+        values.truncate(accepted);
+        let names = sweep_column_names(mna);
         stats.elapsed = t0.elapsed();
         let axis = Axis::Sweep {
             source: source.to_string(),
@@ -328,10 +331,11 @@ impl SwecDcSweep {
     /// iterate is then refined to self-consistency, or kept at a genuine
     /// fold.
     ///
-    /// Each point's solve stamps `Geq` first at the previous point's
-    /// solution, so the device currents of that stamp become the previous
-    /// point's `I(<device>)` values. Only a device whose stamp took the
-    /// `Geq(0)` limit, and the chunk's last point, evaluate theirs here.
+    /// The chunk writes its dataset rows as it goes. Each point's solve
+    /// stamps `Geq` first at the previous point's solution, so the device
+    /// currents of that stamp complete the previous point's row; only a
+    /// device whose stamp took the `Geq(0)` limit, and the chunk's last
+    /// point, evaluate their currents for the row.
     ///
     /// A failure stops the chunk; the points accepted before it stay in
     /// the returned chunk next to the error.
@@ -352,8 +356,18 @@ impl SwecDcSweep {
         let lu0 = ws.lu_stats();
         let mut buf = DcBuffers::default();
         let mut stats = EngineStats::new();
-        let mut xs: Vec<Vec<f64>> = Vec::with_capacity(points.len());
-        let mut currents = Vec::with_capacity(points.len() * n_devices(mna));
+        // The first chunk's columns become the sweep's.
+        let rows = if points.start == 0 {
+            values.len()
+        } else {
+            points.len()
+        };
+        let mut columns: Vec<Vec<f64>> = (0..mna.dim() + n_devices(mna))
+            .map(|_| Vec::with_capacity(rows))
+            .collect();
+        // The last accepted solution, whose row waits for the next stamp.
+        let mut last: Option<Vec<f64>> = None;
+        let mut accepted = 0;
         let fixed_point = self.opts.dc_mode == DcMode::FixedPoint;
         let mut solve = || -> Result<()> {
             let mut x = vec![0.0; mna.dim()];
@@ -406,7 +420,7 @@ impl SwecDcSweep {
                 meter.checkpoint().map_err(|stop| {
                     SimError::budget_exceeded(stop, format!("dc sweep point {k}"))
                 })?;
-                let prev = xs.last().unwrap_or(&x);
+                let prev = last.as_deref().unwrap_or(&x);
                 // `None` takes one non-iterative step: every point past the
                 // first in `NonIterative` mode, and a fold in `FixedPoint`
                 // mode. Either way the first stamp is at `prev`.
@@ -439,23 +453,23 @@ impl SwecDcSweep {
                         )
                     })
                     .map_err(|e| tag_sweep_failure(e, k, value))?;
-                if let Some(prev) = xs.last() {
-                    push_device_currents(mna, prev, &buf.currents, &mut currents, &mut stats.flops);
+                if let Some(prev) = last.replace(next) {
+                    push_sweep_row(&mut columns, mna, &prev, &buf.currents, &mut stats.flops);
                 }
                 stats.steps += 1;
-                xs.push(next);
+                accepted += 1;
             }
             Ok(())
         };
         let failure = solve().err();
         // The last point has no following stamp.
-        if let Some(last) = xs.last() {
-            push_device_currents(mna, last, &[], &mut currents, &mut stats.flops);
+        if let Some(x) = last {
+            push_sweep_row(&mut columns, mna, &x, &[], &mut stats.flops);
         }
         stats.absorb_lu(&lu0, &ws.lu_stats());
         SweepChunk {
-            xs,
-            currents,
+            points: accepted,
+            columns,
             stats,
             failure,
         }
