@@ -684,6 +684,30 @@ mod tests {
     }
 
     #[test]
+    fn print_step_below_h_min_is_rejected() {
+        // A print step below SWEC's minimum step used to reach the step
+        // controller's clamp with its bounds crossed, and panic there.
+        let mut ckt = Circuit::new();
+        let (a, b) = (ckt.node("a"), ckt.node("b"));
+        ckt.add_voltage_source("V1", a, Circuit::GROUND, SourceWaveform::dc(1.0))
+            .unwrap();
+        ckt.add_resistor("R1", a, b, 1e3).unwrap();
+        ckt.add_capacitor("C1", b, Circuit::GROUND, 1e-12).unwrap();
+        let check = |r: Result<Dataset>| match r {
+            Err(SimError::InvalidConfig { context }) => assert!(
+                context.contains("1e-30") && context.contains("1e-18"),
+                "{context}"
+            ),
+            other => panic!("expected InvalidConfig, got {other:?}"),
+        };
+        let mut sim = Simulator::new(ckt.clone()).unwrap();
+        check(sim.run(Analysis::transient(1e-30, 1e-9)));
+        check(SwecTransient::new(Default::default()).run(&ckt, 1e-30, 1e-9));
+        // The session still runs a valid window afterwards.
+        sim.run(Analysis::transient(1e-11, 1e-9)).unwrap();
+    }
+
+    #[test]
     fn ensemble_runs_variants_in_order() {
         let variants: Vec<Circuit> = [40.0, 50.0, 60.0, 70.0, 80.0]
             .iter()

@@ -107,8 +107,9 @@ impl SwecTransient {
     /// it.
     ///
     /// # Errors
-    /// Fails on invalid parameters, singular matrices, step-size underflow
-    /// or a failed initial operating point.
+    /// Fails on invalid parameters (among them a print step below
+    /// [`SwecOptions::h_min`]), singular matrices, step-size underflow or a
+    /// failed initial operating point.
     pub fn run(&self, circuit: &Circuit, tstep: f64, tstop: f64) -> Result<Dataset> {
         let mna = MnaSystem::new(circuit)?;
         let mut ws = AssemblyWorkspace::new(&mna, false, true, OrderingChoice::default());
@@ -132,6 +133,15 @@ impl SwecTransient {
         tstop: f64,
     ) -> Result<Dataset> {
         check_transient_window(tstep, tstop)?;
+        // The print step caps every step and `h_min` floors it.
+        if !(self.opts.h_min <= tstep) {
+            return Err(SimError::InvalidConfig {
+                context: format!(
+                    "swec transient print step {tstep:e} s is below its minimum step h_min = {:e} s",
+                    self.opts.h_min
+                ),
+            });
+        }
         let t_start = Instant::now();
         let lu0 = ws.lu_stats();
         let dim = mna.dim();

@@ -14,6 +14,9 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+/// The default [`ServiceOptions::store_capacity_bytes`].
+const DEFAULT_STORE_CAPACITY: usize = 64 << 20;
+
 /// Service configuration.
 #[derive(Debug, Clone)]
 pub struct ServiceOptions {
@@ -21,7 +24,10 @@ pub struct ServiceOptions {
     pub sim: SimOptions,
     /// Maximum pooled sessions (LRU-evicted beyond this).
     pub session_capacity: usize,
-    /// Result-store payload capacity in approximate bytes.
+    /// Result-store payload capacity in approximate bytes. Admission
+    /// sheds a directive whose projected result exceeds it (or the
+    /// default capacity, for a smaller store, which still keeps its
+    /// newest payload).
     pub store_capacity_bytes: usize,
     /// Maximum entries in the full-result cache, and in the memo of
     /// parsed requests that lets a cached resubmit skip its parse.
@@ -51,7 +57,7 @@ impl Default for ServiceOptions {
         ServiceOptions {
             sim: SimOptions::default(),
             session_capacity: 8,
-            store_capacity_bytes: 64 << 20,
+            store_capacity_bytes: DEFAULT_STORE_CAPACITY,
             result_cache_capacity: 256,
             budget: Budget::unlimited(),
             max_pending_runs: 256,
@@ -364,12 +370,23 @@ impl SimService {
         Ok(ids)
     }
 
-    /// The element and pending-run gates of admission control, shared by
-    /// the parse and memo paths so both shed alike.
+    /// The element, result-size and pending-run gates of admission
+    /// control, shared by the parse and memo paths so both shed alike. A
+    /// directive whose projected result could never fit the store is shed
+    /// here, before its engine allocates for it.
     fn admit(&mut self, facts: &DeckFacts) -> Result<(), ServeError> {
         if facts.elements > self.opts.max_deck_elements {
             let (got, max) = (facts.elements, self.opts.max_deck_elements);
             return Err(self.shed(format!("deck has {got} elements (limit {max})")));
+        }
+        // The store always keeps its newest payload, so a store smaller
+        // than the default still holds one result of the default size.
+        let capacity = self.opts.store_capacity_bytes.max(DEFAULT_STORE_CAPACITY);
+        if let Some(d) = facts.directives.iter().find(|d| d.reserve > capacity) {
+            let (tag, got) = (d.tag, d.reserve);
+            return Err(self.shed(format!(
+                "{tag} result projects {got} bytes (store capacity {capacity})"
+            )));
         }
         let pending = self.store.pending() + facts.directives.len();
         if pending > self.opts.max_pending_runs {

@@ -291,6 +291,41 @@ fn admission_limits_shed_with_structured_overloaded_responses() {
 }
 
 #[test]
+fn result_larger_than_the_store_is_shed_before_it_runs() {
+    // 2 x 10^10 sweep points: the engine would abort the process
+    // collecting them, so admission sheds the directive first, on the
+    // parse path and again on the memo path.
+    let line = r#"{"cmd":"submit","deck":"V1 in 0 DC 1\nR1 in out 100\nR2 out 0 100\n.dc V1 0 1 5e-11\n.end\n"}"#;
+    let mut svc = SimService::new(ServiceOptions::default());
+    for _ in 0..2 {
+        let r = handle_line(&mut svc, line);
+        assert!(
+            r.contains("\"ok\":false") && r.contains("\"code\":\"overloaded\""),
+            "{r}"
+        );
+        assert!(
+            r.contains("40000000512 bytes") && r.contains(&format!("{}", 64 << 20)),
+            "{r}"
+        );
+    }
+    assert_eq!(svc.runs(), 0);
+}
+
+#[test]
+fn print_step_below_h_min_fails_the_run_without_a_panic() {
+    // A window of 100 print steps fits the store, so the run starts and
+    // SWEC rejects the print step below its 1e-18 s minimum step.
+    let deck = "V1 a 0 DC 1\nR1 a b 1k\nC1 b 0 1p\n.tran 1e-30 1e-28\n.end\n";
+    let mut svc = SimService::new(ServiceOptions::default());
+    let r = handle_line(&mut svc, &submit_line(deck));
+    assert!(r.contains("\"status\":\"failed\""), "{r}");
+    assert!(r.contains("h_min"), "{r}");
+    // The service goes on answering.
+    let r = handle_line(&mut svc, r#"{"cmd":"stats"}"#);
+    assert!(r.contains("\"ok\":true"), "{r}");
+}
+
+#[test]
 fn hold_run_and_cancel_lifecycle() {
     const OP_DECK: &str = "V1 a 0 DC 1\nR1 a 0 100\n.op\n.end\n";
     let mut svc = SimService::default();
