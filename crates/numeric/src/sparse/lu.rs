@@ -623,6 +623,7 @@ impl SparseLu {
                 }
                 let last = sn_last[k0];
                 let width = last.min(j - 1) + 1 - k0;
+                debug_assert_eq!(u_rows_j[i + width - 1], k0 + width - 1, "run of column {j}");
                 let shared = &l_rows[l_colptr[last]..l_colptr[last + 1]];
                 let copy = &mut copy[..shared.len()];
                 for (c, &r) in copy.iter_mut().zip(shared) {
