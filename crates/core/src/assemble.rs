@@ -89,6 +89,8 @@ pub(crate) struct AssemblyWorkspace {
     /// exact matrix the solver sees). `None` — the production default —
     /// costs one branch per solve.
     fault: Option<FaultPlan>,
+    /// The device currents of the most recent [`Self::stamp_geq`].
+    currents: Vec<Option<f64>>,
 }
 
 /// The value-and-scatter half of a workspace: everything derived from the
@@ -182,6 +184,7 @@ impl AssemblyWorkspace {
             parts: PatternParts::build(mna, with_mos_gm, with_c),
             solver: SparseLuSolver::with_ordering(ordering),
             fault: None,
+            currents: Vec::new(),
         }
     }
 
@@ -255,39 +258,36 @@ impl AssemblyWorkspace {
     /// MOSFET's SWEC conductance `Geq` at state `x`, each plus [`GMIN`].
     /// Returns the number of device evaluations.
     ///
-    /// Each `Geq = I(v)/v` is formed from one current evaluation. With
-    /// `currents`, those currents are kept there, one per device in
-    /// [`sweep_column_names`] order (two-terminals, then MOSFETs), bit for bit
-    /// the device's `current`/`ids` at `x`; a device whose stamp took the
-    /// `v -> 0` limit, which evaluates no current, leaves `None`.
-    pub fn stamp_geq(
-        &mut self,
-        mna: &MnaSystem,
-        x: &[f64],
-        mut currents: Option<&mut Vec<Option<f64>>>,
-        flops: &mut FlopCounter,
-    ) -> u64 {
+    /// Each `Geq = I(v)/v` is formed from one current evaluation, and the
+    /// workspace keeps those currents until the next stamp (see
+    /// [`Self::take_currents`]): one per device in [`sweep_column_names`]
+    /// order (two-terminals, then MOSFETs), bit for bit the device's
+    /// `current`/`ids` at `x`. A device whose stamp took the `v -> 0`
+    /// limit, which evaluates no current, keeps `None`.
+    pub fn stamp_geq(&mut self, mna: &MnaSystem, x: &[f64], flops: &mut FlopCounter) -> u64 {
+        let n = mna.nonlinear_bindings().len() + mna.mosfet_bindings().len();
         self.begin();
-        if let Some(c) = currents.as_deref_mut() {
-            c.clear();
-        }
+        self.currents.clear();
+        self.currents.reserve(n);
         for (i, b) in mna.nonlinear_bindings().iter().enumerate() {
             let v = branch_voltage(x, b.var_plus, b.var_minus);
             let (geq, current) = b.device.equivalent_conductance_and_current(v, flops);
             self.stamp_nonlinear(i, geq + GMIN);
-            if let Some(c) = currents.as_deref_mut() {
-                c.push(current);
-            }
+            self.currents.push(current);
         }
         for (k, m) in mna.mosfet_bindings().iter().enumerate() {
             let (vgs, vds) = mosfet_bias(m, x);
             let (geq, current) = m.model.geq_and_ids(vgs, vds, flops);
             self.stamp_mosfet_cond(k, geq + GMIN);
-            if let Some(c) = currents.as_deref_mut() {
-                c.push(current);
-            }
+            self.currents.push(current);
         }
-        (mna.nonlinear_bindings().len() + mna.mosfet_bindings().len()) as u64
+        n as u64
+    }
+
+    /// Moves the currents of the most recent [`Self::stamp_geq`] into
+    /// `out` by swapping buffers, so neither allocates once both are sized.
+    pub fn take_currents(&mut self, out: &mut Vec<Option<f64>>) {
+        std::mem::swap(&mut self.currents, out);
     }
 
     /// Adds the Newton transconductance stamps of MOSFET `k` (requires the

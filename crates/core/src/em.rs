@@ -737,7 +737,7 @@ impl PathBlock {
         }
         let dim = self.b.len();
         for (p, x) in self.x.chunks_exact(dim).enumerate() {
-            stats.device_evals += self.ws.stamp_geq(mna, x, None, flops);
+            stats.device_evals += self.ws.stamp_geq(mna, x, flops);
             for (e, &v) in self.ws.matrix().values().iter().enumerate() {
                 self.g_vals[e * PATH_CHUNK + p] = v;
             }

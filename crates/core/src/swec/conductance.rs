@@ -133,7 +133,7 @@ impl GeqTracker {
                 s.geq = geq;
                 s.slope = Some((dgeq_dv, dv_dt));
             } else {
-                s.geq = b.device.equivalent_conductance(s.v, flops);
+                s.geq = b.device.equivalent_conductance_and_current(s.v, flops).0;
                 s.slope = None;
             }
         }

@@ -37,8 +37,8 @@ pub(crate) struct DcBuffers {
     /// becomes the forensics `residual_history` when the solve fails.
     history: Vec<f64>,
     /// The device currents of the most recent solve's first stamp, that
-    /// is at the state the solve started from (see
-    /// [`AssemblyWorkspace::stamp_geq`]).
+    /// is at the state the solve started from, taken from the workspace
+    /// ([`AssemblyWorkspace::take_currents`]).
     currents: Vec<Option<f64>>,
 }
 
@@ -56,9 +56,6 @@ pub(crate) struct PointOptions<'a> {
     /// A conductance from every node to an anchor state (rescue ladder
     /// only).
     pub shunt: Shunt<'a>,
-    /// Keep the device currents of the first stamp in
-    /// [`DcBuffers::currents`] (sweep points only).
-    pub keep_currents: bool,
 }
 
 impl Default for PointOptions<'_> {
@@ -68,18 +65,15 @@ impl Default for PointOptions<'_> {
             source_scale: None,
             lambda0: 1.0,
             shunt: None,
-            keep_currents: false,
         }
     }
 }
 
 impl<'a> PointOptions<'a> {
-    /// A sweep point's solve: `source` set to `value`, the device currents
-    /// kept.
+    /// A sweep point's solve: `source` set to `value`.
     fn at(source: &'a str, value: f64) -> Self {
         PointOptions {
             override_src: Some((source, value)),
-            keep_currents: true,
             ..PointOptions::default()
         }
     }
@@ -585,7 +579,8 @@ impl SwecDcSweep {
             .tick_iteration()
             .map_err(|stop| SimError::budget_exceeded(stop, "swec non-iterative solve"))?;
         let mut flops = FlopCounter::new();
-        stats.device_evals += ws.stamp_geq(mna, x0, Some(&mut buf.currents), &mut flops);
+        stats.device_evals += ws.stamp_geq(mna, x0, &mut flops);
+        ws.take_currents(&mut buf.currents);
         buf.rhs.resize(dim, 0.0);
         mna.stamp_rhs(0.0, &mut buf.rhs);
         if let Some((name, value)) = override_src {
@@ -626,7 +621,7 @@ impl SwecDcSweep {
             .checkpoint()
             .map_err(|stop| SimError::budget_exceeded(stop, "swec batched ramp solve"))?;
         let mut flops = FlopCounter::new();
-        stats.device_evals += ws.stamp_geq(mna, x0, None, &mut flops);
+        stats.device_evals += ws.stamp_geq(mna, x0, &mut flops);
         buf.rhs.resize(dim, 0.0);
         let mut rhs_block = vec![0.0; dim * k];
         for (j, &value) in values.iter().enumerate() {
@@ -666,7 +661,6 @@ impl SwecDcSweep {
             source_scale,
             lambda0,
             shunt,
-            keep_currents,
         } = opts;
         let dim = mna.dim();
         let mut x = x0.to_vec();
@@ -689,8 +683,10 @@ impl SwecDcSweep {
                 ));
             }
             // Stamp G with Geq at the current iterate.
-            let currents = (iter == 0 && keep_currents).then_some(&mut buf.currents);
-            stats.device_evals += ws.stamp_geq(mna, &x, currents, &mut flops);
+            stats.device_evals += ws.stamp_geq(mna, &x, &mut flops);
+            if iter == 0 {
+                ws.take_currents(&mut buf.currents);
+            }
             if let Some((g, _)) = shunt {
                 ws.stamp_diag_shunt(mna.num_nodes(), g);
             }

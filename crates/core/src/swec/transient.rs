@@ -816,9 +816,13 @@ mod tests {
             self.rtd.differential_conductance(v, flops)
         }
 
-        fn equivalent_conductance(&self, v: f64, flops: &mut FlopCounter) -> f64 {
+        fn equivalent_conductance_and_current(
+            &self,
+            v: f64,
+            flops: &mut FlopCounter,
+        ) -> (f64, Option<f64>) {
             self.count();
-            self.rtd.equivalent_conductance(v, flops)
+            self.rtd.equivalent_conductance_and_current(v, flops)
         }
 
         fn equivalent_conductance_and_slope(&self, v: f64, flops: &mut FlopCounter) -> (f64, f64) {

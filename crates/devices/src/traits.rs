@@ -43,8 +43,9 @@ pub trait NonlinearTwoTerminal: Debug {
     /// `Geq(0) = dI/dV(0)` is used instead.
     ///
     /// This is the first half of
-    /// [`NonlinearTwoTerminal::equivalent_conductance_and_current`]; a
-    /// device that computes `Geq` its own way overrides that method.
+    /// [`NonlinearTwoTerminal::equivalent_conductance_and_current`], the
+    /// one method every engine stamps `Geq` through. A device that computes
+    /// `Geq` its own way overrides that method, not this one.
     fn equivalent_conductance(&self, v: f64, flops: &mut FlopCounter) -> f64 {
         self.equivalent_conductance_and_current(v, flops).0
     }
@@ -54,6 +55,12 @@ pub trait NonlinearTwoTerminal: Debug {
     /// analytic limit `Geq(0) = dI/dV(0)` needs no current. The SWEC DC
     /// stamp keeps that current, so a sweep's `I(<device>)` column costs no
     /// second [`NonlinearTwoTerminal::current`] call.
+    ///
+    /// This is the override point for `Geq`: the SWEC DC, operating-point,
+    /// EM and transient stamps, and the default
+    /// [`NonlinearTwoTerminal::equivalent_conductance`] and the `v -> 0`
+    /// branch of [`NonlinearTwoTerminal::equivalent_conductance_and_slope`],
+    /// all call it.
     fn equivalent_conductance_and_current(
         &self,
         v: f64,
@@ -80,9 +87,9 @@ pub trait NonlinearTwoTerminal: Debug {
     fn equivalent_conductance_and_slope(&self, v: f64, flops: &mut FlopCounter) -> (f64, f64) {
         if v.abs() < GEQ_SLOPE_FD_VOLTAGE {
             let h = GEQ_SLOPE_FD_VOLTAGE;
-            let geq = self.equivalent_conductance(v, flops);
-            let gp = self.equivalent_conductance(v + h, flops);
-            let gm = self.equivalent_conductance(v - h, flops);
+            let geq = self.equivalent_conductance_and_current(v, flops).0;
+            let gp = self.equivalent_conductance_and_current(v + h, flops).0;
+            let gm = self.equivalent_conductance_and_current(v - h, flops).0;
             flops.add(1);
             flops.div(1);
             (geq, (gp - gm) / (2.0 * h))

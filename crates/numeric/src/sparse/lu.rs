@@ -123,26 +123,15 @@ fn extends_supernode(l_colptr: &[usize], l_rows: &[usize], k: usize) -> bool {
     col.first() == Some(&(k + 1)) && &col[1..] == next
 }
 
-/// Sorts one factor column's `rows` ascending, moving `vals` along: in
-/// place when it is short, through `scratch` when it is long.
-fn sort_column(rows: &mut [usize], vals: &mut [f64], scratch: &mut Vec<(usize, f64)>) {
-    if rows.len() <= 16 {
-        for i in 1..rows.len() {
-            for k in (1..=i).rev() {
-                if rows[k - 1] < rows[k] {
-                    break;
-                }
-                rows.swap(k - 1, k);
-                vals.swap(k - 1, k);
-            }
-        }
-    } else {
-        scratch.clear();
-        scratch.extend(rows.iter().copied().zip(vals.iter().copied()));
-        scratch.sort_unstable_by_key(|&(r, _)| r);
-        for ((r, v), &(sr, sv)) in rows.iter_mut().zip(vals.iter_mut()).zip(&*scratch) {
-            (*r, *v) = (sr, sv);
-        }
+/// Sorts one factor column's `rows` ascending, moving `vals` along
+/// through the dense column `x`, which is all zero on entry and on return.
+fn sort_column(rows: &mut [usize], vals: &mut [f64], x: &mut [f64]) {
+    for (&r, &v) in rows.iter().zip(&*vals) {
+        x[r] = v;
+    }
+    rows.sort_unstable();
+    for (&r, v) in rows.iter().zip(vals.iter_mut()) {
+        *v = std::mem::take(&mut x[r]);
     }
 }
 
@@ -467,7 +456,7 @@ impl SparseLu {
         }
         for k in 0..n {
             let (lo, hi) = (l_colptr[k], l_colptr[k + 1]);
-            sort_column(&mut l_rows[lo..hi], &mut l_vals[lo..hi], &mut ucol);
+            sort_column(&mut l_rows[lo..hi], &mut l_vals[lo..hi], &mut x);
         }
         for (m, &r) in a_map.iter_mut().zip(&sym.csc_rows) {
             m.0 = pinv[r];

@@ -24,10 +24,13 @@ pub struct ServiceOptions {
     pub sim: SimOptions,
     /// Maximum pooled sessions (LRU-evicted beyond this).
     pub session_capacity: usize,
-    /// Result-store payload capacity in approximate bytes. Admission
-    /// sheds a directive whose projected result exceeds it (or the
-    /// default capacity, for a smaller store, which still keeps its
-    /// newest payload).
+    /// Result-store payload capacity in approximate bytes.
+    ///
+    /// This is not the admission limit on one result. The store always
+    /// keeps its newest payload, whatever its size, so admission sheds a
+    /// directive whose projected result exceeds the larger of this
+    /// capacity and the 64 MiB default: a store set below the default
+    /// still admits, and holds, one result of up to 64 MiB.
     pub store_capacity_bytes: usize,
     /// Maximum entries in the full-result cache, and in the memo of
     /// parsed requests that lets a cached resubmit skip its parse.
@@ -381,11 +384,13 @@ impl SimService {
         }
         // The store always keeps its newest payload, so a store smaller
         // than the default still holds one result of the default size.
-        let capacity = self.opts.store_capacity_bytes.max(DEFAULT_STORE_CAPACITY);
-        if let Some(d) = facts.directives.iter().find(|d| d.reserve > capacity) {
+        let store = self.opts.store_capacity_bytes;
+        let limit = store.max(DEFAULT_STORE_CAPACITY);
+        if let Some(d) = facts.directives.iter().find(|d| d.reserve > limit) {
             let (tag, got) = (d.tag, d.reserve);
             return Err(self.shed(format!(
-                "{tag} result projects {got} bytes (store capacity {capacity})"
+                "{tag} result projects {got} bytes (one-result limit {limit}: \
+                 the store capacity {store}, floored at {DEFAULT_STORE_CAPACITY})"
             )));
         }
         let pending = self.store.pending() + facts.directives.len();

@@ -256,9 +256,13 @@ impl NonlinearTwoTerminal for TrippingRtd {
         self.rtd.differential_conductance(v, flops)
     }
 
-    fn equivalent_conductance(&self, v: f64, flops: &mut FlopCounter) -> f64 {
+    fn equivalent_conductance_and_current(
+        &self,
+        v: f64,
+        flops: &mut FlopCounter,
+    ) -> (f64, Option<f64>) {
         self.count();
-        self.rtd.equivalent_conductance(v, flops)
+        self.rtd.equivalent_conductance_and_current(v, flops)
     }
 
     fn device_kind(&self) -> &'static str {
